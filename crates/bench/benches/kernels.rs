@@ -34,6 +34,26 @@ fn bench_matmul_transb(c: &mut Criterion) {
     });
 }
 
+fn bench_matmul_packed(c: &mut Criterion) {
+    // The served Eq. 13 product at its two shapes, right operand packed
+    // per call (`matmul_transb`) against packed once (`matmul_packed`).
+    let mut group = c.benchmark_group("serve_scores");
+    for &(m, d, herbs) in &[(1usize, 256usize, 753usize), (64, 64, 65536)] {
+        let mut rng = seeded_rng(4);
+        let syndrome = xavier_uniform(m, d, &mut rng);
+        let herb_rows = xavier_uniform(herbs, d, &mut rng);
+        let packed = herb_rows.pack_transposed();
+        let shape = format!("{m}x{d}x{herbs}");
+        group.bench_with_input(BenchmarkId::new("pack_per_call", &shape), &(), |b, _| {
+            b.iter(|| std::hint::black_box(syndrome.matmul_transb(&herb_rows)));
+        });
+        group.bench_with_input(BenchmarkId::new("packed_once", &shape), &(), |b, _| {
+            b.iter(|| std::hint::black_box(syndrome.matmul_packed(&packed)));
+        });
+    }
+    group.finish();
+}
+
 fn bench_spmm(c: &mut Criterion) {
     // A bipartite-like sparse operator at paper scale.
     let mut rng = seeded_rng(3);
@@ -136,6 +156,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_matmul_transb,
+    bench_matmul_packed,
     bench_spmm,
     bench_graph_build,
     bench_forward,

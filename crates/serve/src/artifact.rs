@@ -256,8 +256,27 @@ mod tests {
         (model, vocab)
     }
 
+    /// 19 herbs x d = 5: three GEMM panels, the last one ragged.
+    fn multi_panel_sample() -> (FrozenModel, ServingVocab) {
+        let symptoms = Matrix::from_fn(6, 5, |r, c| ((r * 7 + c * 3) % 11) as f32 * 0.3 - 1.4);
+        let herbs = Matrix::from_fn(19, 5, |r, c| ((r * 5 + c * 13) % 17) as f32 * 0.2 - 1.7);
+        let si = Some((
+            Matrix::from_fn(5, 5, |r, c| ((r * 3 + c) % 7) as f32 * 0.25 - 0.6),
+            Matrix::from_fn(1, 5, |_, c| c as f32 * 0.1 - 0.2),
+        ));
+        let model = FrozenModel::from_parts(symptoms, herbs, si).unwrap();
+        (model, ServingVocab::default())
+    }
+
     #[test]
     fn artifact_round_trips_model_and_vocab() {
+        // The model holds herbs and W_mlp as GEMM panels only; encoding
+        // unpacks them, so a re-encode must reproduce the blob exactly.
+        for (model, vocab) in [sample(), multi_panel_sample()] {
+            let blob = encode(&model, &vocab);
+            let (m2, v2) = decode(&blob).unwrap();
+            assert_eq!(encode(&m2, &v2), blob, "encode(decode(bytes)) == bytes");
+        }
         let (model, vocab) = sample();
         let blob = encode(&model, &vocab);
         let (m2, v2) = decode(&blob).unwrap();

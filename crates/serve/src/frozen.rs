@@ -15,13 +15,20 @@
 //! independent of graph size, layer count and corpus size. Batched
 //! scoring packs `B` concurrent queries into a single `B x d` GEMM.
 //!
+//! Both right-hand sides are frozen for the life of the model, so their
+//! GEMM panel layout is frozen with them: [`FrozenModel::from_parts`]
+//! packs the herb matrix and `W_mlp` once into [`PackedRhs`] and the model
+//! keeps them *only* in that form. Scoring never packs and never touches
+//! the kernels' thread-local scratch; `save` / `artifact::encode` unpack
+//! (exactly) on their cold path.
+//!
 //! Persistence reuses the `smgcn-tensor` checkpoint container (magic
 //! `SMGT`), with reserved `frozen.*` tensor names, so the same tooling
 //! reads training checkpoints and frozen models.
 
 use smgcn_core::Recommender;
 use smgcn_tensor::checkpoint::{self, CheckpointError};
-use smgcn_tensor::{Matrix, ParamStore};
+use smgcn_tensor::{Matrix, PackedRhs, ParamStore};
 
 use crate::topk::partial_top_k;
 
@@ -78,8 +85,11 @@ impl From<CheckpointError> for FrozenError {
 #[derive(Clone)]
 pub struct FrozenModel {
     symptoms: Matrix,
-    herbs: Matrix,
-    si_mlp: Option<(Matrix, Matrix)>,
+    /// `H x d` herb embeddings, packed as the right operand of `· e_H^T`.
+    herbs: PackedRhs,
+    /// `W_mlp` (`d x d`), packed as the right operand of `· W_mlp`, and
+    /// `b_mlp` (`1 x d`).
+    si_mlp: Option<(PackedRhs, Matrix)>,
 }
 
 impl std::fmt::Debug for FrozenModel {
@@ -94,7 +104,9 @@ impl std::fmt::Debug for FrozenModel {
 }
 
 impl FrozenModel {
-    /// Builds a frozen model from raw parts.
+    /// Builds a frozen model from raw parts, packing the herb matrix and
+    /// `W_mlp` into GEMM panels — the one place a model's right-hand
+    /// sides are ever packed; every constructor funnels through here.
     ///
     /// # Errors
     /// Rejects dimension mismatches between the matrices.
@@ -124,8 +136,8 @@ impl FrozenModel {
         }
         Ok(Self {
             symptoms,
-            herbs,
-            si_mlp,
+            herbs: herbs.pack_transposed(),
+            si_mlp: si_mlp.map(|(w, b)| (w.pack_rhs(), b)),
         })
     }
 
@@ -144,7 +156,7 @@ impl FrozenModel {
 
     /// Herb vocabulary size.
     pub fn n_herbs(&self) -> usize {
-        self.herbs.rows()
+        self.herbs.cols()
     }
 
     /// Final embedding dimension.
@@ -160,29 +172,35 @@ impl FrozenModel {
     fn to_store(&self) -> ParamStore {
         let mut store = ParamStore::new();
         store.add(NAME_SYMPTOMS, self.symptoms.clone());
-        store.add(NAME_HERBS, self.herbs.clone());
+        store.add(NAME_HERBS, self.herbs.unpack_transposed());
         if let Some((w, b)) = &self.si_mlp {
-            store.add(NAME_SI_W, w.clone());
+            store.add(NAME_SI_W, w.unpack());
             store.add(NAME_SI_B, b.clone());
         }
         store
     }
 
-    fn from_store(store: &ParamStore) -> Result<Self, FrozenError> {
-        let find = |name: &str| {
-            store
-                .iter()
-                .find(|(_, n, _)| *n == name)
-                .map(|(_, _, value)| value.clone())
-        };
-        let symptoms = find(NAME_SYMPTOMS).ok_or_else(|| {
+    fn from_store(store: ParamStore) -> Result<Self, FrozenError> {
+        // Tensors are moved out of the store, not cloned: a load or a
+        // publish holds each matrix once (first of a repeated name wins).
+        let (mut symptoms, mut herbs, mut si_w, mut si_b) = (None, None, None, None);
+        for (name, value) in store.into_entries() {
+            let slot = match name.as_str() {
+                NAME_SYMPTOMS => &mut symptoms,
+                NAME_HERBS => &mut herbs,
+                NAME_SI_W => &mut si_w,
+                NAME_SI_B => &mut si_b,
+                _ => continue,
+            };
+            slot.get_or_insert(value);
+        }
+        let symptoms = symptoms.ok_or_else(|| {
             FrozenError::NotFrozen(format!(
                 "missing {NAME_SYMPTOMS:?} (is this a training checkpoint?)"
             ))
         })?;
-        let herbs = find(NAME_HERBS)
-            .ok_or_else(|| FrozenError::Format(format!("missing {NAME_HERBS:?}")))?;
-        let si_mlp = match (find(NAME_SI_W), find(NAME_SI_B)) {
+        let herbs = herbs.ok_or_else(|| FrozenError::Format(format!("missing {NAME_HERBS:?}")))?;
+        let si_mlp = match (si_w, si_b) {
             (Some(w), Some(b)) => Some((w, b)),
             (None, None) => None,
             _ => {
@@ -202,7 +220,7 @@ impl FrozenModel {
 
     /// Reads a frozen model from a reader.
     pub fn read_from(r: impl std::io::Read) -> Result<Self, FrozenError> {
-        Self::from_store(&checkpoint::read_store(r)?)
+        Self::from_store(checkpoint::read_store(r)?)
     }
 
     /// Saves to a file path.
@@ -213,7 +231,7 @@ impl FrozenModel {
 
     /// Loads from a file path.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, FrozenError> {
-        Self::from_store(&checkpoint::load_store(path)?)
+        Self::from_store(checkpoint::load_store(path)?)
     }
 
     fn validate(&self, sets: &[&[u32]]) -> Result<(), FrozenError> {
@@ -269,7 +287,7 @@ impl FrozenModel {
             Some((w, bias)) => {
                 // One tiled GEMM, then bias + ReLU fused in place — no
                 // extra full-matrix allocation per scoring batch.
-                let mut lin = pooled.matmul(w);
+                let mut lin = pooled.matmul_packed(w);
                 let b_row = bias.row(0);
                 for r in 0..lin.rows() {
                     for (v, &bv) in lin.row_mut(r).iter_mut().zip(b_row) {
@@ -286,7 +304,7 @@ impl FrozenModel {
     /// `g(sc, H) = e_syndrome(sc) · e*_H^T` as one GEMM for the whole
     /// batch — this is the micro-batching fast path.
     pub fn score_batch(&self, sets: &[&[u32]]) -> Result<Matrix, FrozenError> {
-        Ok(self.induce_batch(sets)?.matmul_transb(&self.herbs))
+        Ok(self.induce_batch(sets)?.matmul_packed(&self.herbs))
     }
 
     /// Herb scores for a single symptom set.
@@ -380,11 +398,44 @@ mod tests {
             fm.write_to(&mut buf).unwrap();
             let loaded = FrozenModel::read_from(buf.as_slice()).unwrap();
             assert_eq!(loaded.has_si_mlp(), with_mlp);
+            // Saving unpacks the panels: save -> load -> save is
+            // byte-identical.
+            let mut again = Vec::new();
+            loaded.write_to(&mut again).unwrap();
+            assert_eq!(again, buf, "with_mlp={with_mlp}");
             assert_eq!(
                 loaded.score_one(&[0, 2]).unwrap(),
                 fm.score_one(&[0, 2]).unwrap(),
                 "with_mlp={with_mlp}"
             );
+        }
+    }
+
+    #[test]
+    fn packed_parts_unpack_to_what_was_frozen() {
+        // 11 herbs x d = 3: two panels, the second ragged.
+        let symptoms = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.5 - 2.0);
+        let herbs = Matrix::from_fn(11, 3, |r, c| ((r * 7 + c * 5) % 13) as f32 - 6.0);
+        let w = Matrix::from_fn(3, 3, |r, c| (r as f32 - c as f32) * 0.75);
+        let b = Matrix::from_vec(1, 3, vec![0.25, -0.5, 1.0]);
+        let fm = FrozenModel::from_parts(
+            symptoms.clone(),
+            herbs.clone(),
+            Some((w.clone(), b.clone())),
+        )
+        .unwrap();
+        assert_eq!((fm.n_symptoms(), fm.n_herbs(), fm.dim()), (4, 11, 3));
+        let stored: Vec<(String, Matrix)> = fm.to_store().into_entries().collect();
+        let want = [
+            (NAME_SYMPTOMS, symptoms),
+            (NAME_HERBS, herbs),
+            (NAME_SI_W, w),
+            (NAME_SI_B, b),
+        ];
+        assert_eq!(stored.len(), want.len());
+        for ((name, value), (want_name, want_value)) in stored.iter().zip(&want) {
+            assert_eq!(name, want_name);
+            assert_eq!(value, want_value, "{name}");
         }
     }
 

@@ -41,8 +41,9 @@
 use crate::conn::Connection;
 use smgcn_obs::histogram::LatencyHistogram;
 use smgcn_obs::registry::{Counter, Gauge, Registry};
-use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -376,6 +377,28 @@ type Completion = (usize, u64, String);
 const WAKER_TOKEN: u64 = u64::MAX;
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
+/// How long a refused connection stays open, write side shut, for the
+/// peer to read the refusal and close first (checked once a loop turn).
+const REFUSED_LINGER: Duration = Duration::from_millis(250);
+/// Most request bytes drained from one refused connection.
+const REFUSED_DRAIN_BYTES: usize = 4096;
+/// Most refused connections lingering at once; a flood beyond this
+/// drops the oldest early, so refusals cannot pin fds.
+const REFUSED_MAX: usize = 256;
+
+/// A connection refused at the cap, kept until the peer has had its
+/// chance to read the refusal. Closing a socket with unread request
+/// bytes queued (or arriving later) answers with an RST, and a reset
+/// can fail the peer's write or read before it sees the shed line; so
+/// the refusal is written, the write side shut (the peer reads the line,
+/// then EOF), and the peer's bytes are drained until it closes, the
+/// byte budget is spent, or the deadline passes.
+struct Refused {
+    stream: TcpStream,
+    deadline: Instant,
+    budget: usize,
+}
+
 /// A loopback TCP pair standing in for a self-pipe: workers write one
 /// byte to interrupt the reactor's poll wait. Plain sockets, so no
 /// extra FFI beyond the poller itself.
@@ -488,6 +511,7 @@ impl<S: Service> Reactor<S> {
             slots: Vec::new(),
             free: Vec::new(),
             retired: Vec::new(),
+            refused: VecDeque::new(),
             open: 0,
             next_conn_id: 0,
             draining: false,
@@ -548,7 +572,9 @@ impl<S: Service> Reactor<S> {
                     break;
                 }
             }
-            state.sweep_deadlines(Instant::now());
+            let now = Instant::now();
+            state.sweep_refused(now);
+            state.sweep_deadlines(now);
         }
 
         // Dropping the sender ends the workers once queued jobs (all
@@ -574,6 +600,9 @@ struct LoopState<'a, S: Service> {
     /// Slots freed during the current iteration; merged into `free`
     /// only after the event batch to prevent token aliasing.
     retired: Vec<usize>,
+    /// Connections refused at the cap, oldest first, draining until
+    /// their peer closes (see [`Refused`]).
+    refused: VecDeque<Refused>,
     open: usize,
     next_conn_id: u64,
     draining: bool,
@@ -592,13 +621,22 @@ impl<S: Service> LoopState<'_, S> {
                     self.next_conn_id += 1;
                     if self.open >= max_connections {
                         let refusal = self.service.shed();
-                        // One bounded blocking write, then close; a
-                        // fresh socket's send buffer is empty so this
-                        // does not stall the reactor in practice.
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+                        // A fresh socket's send buffer is empty, so the
+                        // nonblocking write takes the whole line.
                         let mut stream = stream;
-                        let _ = writeln!(stream, "{refusal}");
+                        if stream.set_nonblocking(true).is_ok()
+                            && writeln!(stream, "{refusal}").is_ok()
+                            && stream.shutdown(Shutdown::Write).is_ok()
+                        {
+                            if self.refused.len() == REFUSED_MAX {
+                                self.refused.pop_front();
+                            }
+                            self.refused.push_back(Refused {
+                                stream,
+                                deadline: Instant::now() + REFUSED_LINGER,
+                                budget: REFUSED_DRAIN_BYTES,
+                            });
+                        }
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -761,6 +799,25 @@ impl<S: Service> LoopState<'_, S> {
         }
     }
 
+    /// Drains refused connections, dropping each once its peer has
+    /// closed, its byte budget is spent or its deadline has passed.
+    fn sweep_refused(&mut self, now: Instant) {
+        if self.refused.is_empty() {
+            return;
+        }
+        let mut sink = [0u8; 512];
+        self.refused.retain_mut(|r| loop {
+            let want = r.budget.min(sink.len());
+            match r.stream.read(&mut sink[..want]) {
+                Ok(0) => return false,
+                Ok(n) => r.budget -= n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return now < r.deadline,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        });
+    }
+
     /// Closes connections whose response has been stuck behind a
     /// non-reading peer past the write deadline.
     fn sweep_deadlines(&mut self, now: Instant) {
@@ -882,6 +939,44 @@ mod tests {
         line.clear();
         assert_eq!(over_reader.read_line(&mut line).unwrap(), 0, "shed closes");
         assert_eq!(service.sheds.load(Ordering::SeqCst), 1);
+        stop_and_join(addr, &stop, handle);
+    }
+
+    /// A client that wrote its first request before the refusal reached
+    /// it must still read the shed line and then a clean EOF: closing the
+    /// socket over those unread bytes would answer with a reset.
+    #[test]
+    fn shed_line_survives_a_request_already_written() {
+        let (addr, service, stop, handle) = start(1);
+        let mut held = TcpStream::connect(addr).unwrap();
+        held.write_all(b"ping\n").unwrap();
+        let mut held_reader = BufReader::new(held.try_clone().unwrap());
+        let mut line = String::new();
+        held_reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "PING|conn-0");
+        for i in 0..200 {
+            let mut over = TcpStream::connect(addr).unwrap();
+            over.write_all(b"{\"op\":\"stats\"}\n")
+                .unwrap_or_else(|e| panic!("iteration {i}: probe write: {e}"));
+            let mut over_reader = BufReader::new(over);
+            line.clear();
+            over_reader
+                .read_line(&mut line)
+                .unwrap_or_else(|e| panic!("iteration {i}: reading the shed line: {e}"));
+            assert!(line.contains("OVERLOADED"), "iteration {i}: got {line:?}");
+            line.clear();
+            let n = over_reader
+                .read_line(&mut line)
+                .unwrap_or_else(|e| panic!("iteration {i}: close after the shed line: {e}"));
+            assert_eq!(n, 0, "iteration {i}: shed closes");
+        }
+        assert_eq!(service.sheds.load(Ordering::SeqCst), 200);
+        // The reactor never blocked on a refused peer: the held
+        // connection is still served.
+        held.write_all(b"pong\n").unwrap();
+        line.clear();
+        held_reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "PONG|conn-0");
         stop_and_join(addr, &stop, handle);
     }
 

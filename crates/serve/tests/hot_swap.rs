@@ -17,7 +17,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smgcn_serve::json::{self, Json};
-use smgcn_serve::{FrozenModel, ModelSlot, Server, ServerConfig, ServingVocab};
+use smgcn_serve::{
+    Batcher, BatcherConfig, FrozenModel, ModelSlot, Server, ServerConfig, ServingVocab,
+};
 use smgcn_tensor::Matrix;
 
 const N_SYMPTOMS: usize = 5;
@@ -272,4 +274,59 @@ fn hammer_recommend_across_two_hot_swaps() {
     server_handle.join().unwrap();
     fresh_stop.stop();
     fresh_handle.join().unwrap();
+}
+
+/// Each generation's herbs and `W_mlp` live only as GEMM panels packed
+/// when the generation was built. A batcher drain that holds jobs pinned
+/// to two generations must score each with its own generation's panels.
+#[test]
+fn drain_straddling_a_publish_scores_each_job_with_its_own_panels() {
+    // Distinct SI heads as well as distinct herb counts (19 -> 21, both
+    // ending in a ragged panel), so both packed operands differ.
+    let model = |g: usize| {
+        let symptoms =
+            Matrix::from_fn(N_SYMPTOMS, 4, |r, c| ((r * 3 + c * g + g) % 7) as f32 - 2.5);
+        let herbs = Matrix::from_fn(19 + 2 * g, 4, |r, c| {
+            ((r * (3 + g) + c * 5) % 11) as f32 - 4.5
+        });
+        let w = Matrix::from_fn(4, 4, |r, c| ((r + c * (2 + g)) % 5) as f32 * 0.5 - 0.75);
+        let b = Matrix::from_fn(1, 4, |_, c| (c + g) as f32 * 0.25 - 0.5);
+        FrozenModel::from_parts(symptoms, herbs, Some((w, b))).unwrap()
+    };
+    let slot = Arc::new(ModelSlot::new(model(0), ServingVocab::default()));
+    // A drain fires when `max_batch` jobs wait or the linger runs out.
+    // With two slots and a linger far beyond the test's run time, the
+    // only way both jobs return promptly is in one drain, together.
+    let batcher = Batcher::start_slot(
+        Arc::clone(&slot),
+        BatcherConfig {
+            max_batch: 2,
+            linger: std::time::Duration::from_secs(30),
+            ..BatcherConfig::default()
+        },
+    );
+    let old = slot.load();
+    assert_eq!(slot.publish(model(1), ServingVocab::default()), 1);
+    let new = slot.load();
+    let set: &[u32] = &[0, 2, 3];
+    let started = std::time::Instant::now();
+    let (got_old, got_new) = std::thread::scope(|scope| {
+        let on_old = scope.spawn(|| batcher.recommend_pinned(set, 6, Arc::clone(&old)));
+        let on_new = scope.spawn(|| batcher.recommend_pinned(set, 6, Arc::clone(&new)));
+        (
+            on_old.join().unwrap().unwrap(),
+            on_new.join().unwrap().unwrap(),
+        )
+    });
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(20),
+        "the two jobs did not share a drain"
+    );
+    assert_eq!((got_old.1.number, got_new.1.number), (0, 1));
+    assert_eq!(got_old.0, model(0).recommend(set, 6).unwrap());
+    assert_eq!(got_new.0, model(1).recommend(set, 6).unwrap());
+    assert_ne!(
+        got_old.0, got_new.0,
+        "the generations must rank differently"
+    );
 }

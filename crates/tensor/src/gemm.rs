@@ -36,10 +36,21 @@
 //! [`set_reference_kernels`] flips every product back to the naive loops
 //! at runtime; the `train_throughput` benchmark uses it to measure the
 //! tiled kernels against the pre-tiling baseline inside one process.
+//!
+//! ## Packing once
+//!
+//! `A @ B` and `A @ B^T` pack their right operand into panels on every
+//! call, into a thread-local scratch — right for training, where the
+//! weights change every step. A right operand that outlives many products
+//! (frozen herb embeddings, a frozen SI head) is packed once into an owned
+//! [`PackedRhs`] and multiplied with [`Matrix::matmul_packed`], which goes
+//! straight to the panel driver: same panels, same micro-kernels, same
+//! bits, no per-call pack and no scratch.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use crate::matrix::Matrix;
 use crate::par;
 
 /// Register-tile height (rows of the left operand per micro-kernel call).
@@ -230,6 +241,95 @@ fn pack_rhs_transposed(rhs: &[f32], n: usize, k: usize, packed: &mut Vec<f32>) {
 fn grow_scratch(packed: &mut Vec<f32>, len: usize) {
     if packed.len() < len {
         packed.resize(len, 0.0);
+    }
+}
+
+/// A right-hand side held in the kernels' panel layout, packed once and
+/// multiplied many times ([`Matrix::matmul_packed`]).
+///
+/// Built by [`Matrix::pack_rhs`] from the `k x n` operand of `A @ B`, or
+/// by [`Matrix::pack_transposed`] from the `n x k` operand of `A @ B^T`;
+/// both give the same `ceil(n / 8)` zero-padded `k x 8` panels the
+/// per-call paths build in scratch, so a product against it is
+/// bit-for-bit `matmul` / `matmul_transb` (and their `*_reference`
+/// kernels, under the module's determinism contract). It is immutable
+/// and `Sync`: any number of threads may multiply against one value.
+///
+/// [`set_reference_kernels`] does **not** apply: there is no row-major
+/// operand left for the naive loops to walk. [`unpack`](Self::unpack) /
+/// [`unpack_transposed`](Self::unpack_transposed) recover the original
+/// matrix exactly.
+#[derive(Clone)]
+pub struct PackedRhs {
+    k: usize,
+    n: usize,
+    panels: Vec<f32>,
+}
+
+impl std::fmt::Debug for PackedRhs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PackedRhs({}x{})", self.k, self.n)
+    }
+}
+
+impl PackedRhs {
+    /// Packs the `k x n` right operand of `A @ B`.
+    pub(crate) fn pack(rhs: &[f32], k: usize, n: usize) -> Self {
+        debug_assert_eq!(rhs.len(), k * n);
+        let mut panels = Vec::new();
+        pack_rhs(rhs, k, n, &mut panels);
+        Self { k, n, panels }
+    }
+
+    /// Packs the `n x k` right operand of `A @ B^T`.
+    pub(crate) fn pack_transposed(rhs: &[f32], n: usize, k: usize) -> Self {
+        debug_assert_eq!(rhs.len(), n * k);
+        let mut panels = Vec::new();
+        pack_rhs_transposed(rhs, n, k, &mut panels);
+        Self { k, n, panels }
+    }
+
+    /// Reduction length `k`: the column count a left operand must have.
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Output width `n`: the column count of every product.
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
+    /// The operand as the `k x n` matrix [`Matrix::pack_rhs`] was given
+    /// (the transpose of what [`Matrix::pack_transposed`] was given).
+    pub fn unpack(&self) -> Matrix {
+        let (k, n) = (self.k, self.n);
+        let mut out = Matrix::zeros(k, n);
+        let data = out.as_mut_slice();
+        for (p, panel) in self.panels.chunks_exact((k * NR).max(1)).enumerate() {
+            let j0 = p * NR;
+            let w = NR.min(n - j0);
+            for (t, lanes) in panel.chunks_exact(NR).enumerate() {
+                data[t * n + j0..t * n + j0 + w].copy_from_slice(&lanes[..w]);
+            }
+        }
+        out
+    }
+
+    /// The operand as the `n x k` matrix [`Matrix::pack_transposed`] was
+    /// given.
+    pub fn unpack_transposed(&self) -> Matrix {
+        self.unpack().transpose()
+    }
+
+    /// `out = lhs @ self`; `lhs` is `m x k`, `out` is `m x n`, fully
+    /// overwritten.
+    pub(crate) fn matmul_into(&self, lhs: &[f32], m: usize, out: &mut [f32]) {
+        debug_assert_eq!(lhs.len(), m * self.k);
+        debug_assert_eq!(out.len(), m * self.n);
+        if m == 0 || self.n == 0 {
+            return;
+        }
+        run_packed(lhs, self.k, self.n, &self.panels, m, out);
     }
 }
 

@@ -8,7 +8,8 @@
 //!   layer is built from (GEMM, transposed GEMM, concat/split, reductions),
 //!   parallelised deterministically over output rows;
 //! - [`gemm`] — the register-tiled GEMM micro-kernels behind every dense
-//!   product, bit-identical to the naive reference loops they replace;
+//!   product, bit-identical to the naive reference loops they replace,
+//!   and [`PackedRhs`], a right operand packed once for many products;
 //! - [`sparse`] — CSR adjacency matrices and sparse-dense products for
 //!   graph convolutions and set pooling, nnz-balanced across threads;
 //! - [`pool`] — a step-scoped buffer recycler so steady-state training
@@ -65,7 +66,7 @@ pub mod pool;
 pub mod sparse;
 pub mod tape;
 
-pub use gemm::{reference_kernels_enabled, set_reference_kernels};
+pub use gemm::{reference_kernels_enabled, set_reference_kernels, PackedRhs};
 pub use matrix::Matrix;
 pub use pool::{BufferPool, PoolStats};
 pub use sparse::{CsrMatrix, SharedCsr};

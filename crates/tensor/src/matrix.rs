@@ -9,7 +9,7 @@
 //! offending dimensions; shape errors in a training loop are programmer bugs,
 //! not recoverable conditions.
 
-use crate::gemm;
+use crate::gemm::{self, PackedRhs};
 
 /// A dense row-major matrix of `f32` values.
 #[derive(Clone, PartialEq)]
@@ -450,6 +450,59 @@ impl Matrix {
             other.rows,
             &mut out.data,
         );
+    }
+
+    /// Packs `self` (`k x n`) as the right operand of
+    /// [`matmul`](Self::matmul), once, for many
+    /// [`matmul_packed`](Self::matmul_packed) products.
+    pub fn pack_rhs(&self) -> PackedRhs {
+        PackedRhs::pack(&self.data, self.rows, self.cols)
+    }
+
+    /// Packs `self` (`n x k`) as the right operand of
+    /// [`matmul_transb`](Self::matmul_transb), once, for many
+    /// [`matmul_packed`](Self::matmul_packed) products.
+    pub fn pack_transposed(&self) -> PackedRhs {
+        PackedRhs::pack_transposed(&self.data, self.rows, self.cols)
+    }
+
+    /// `self` times a pre-packed right operand: bit-for-bit
+    /// `self.matmul(&b)` for `b.pack_rhs()` and `self.matmul_transb(&b)`
+    /// for `b.pack_transposed()`, without packing or touching the
+    /// thread-local pack scratch.
+    ///
+    /// # Panics
+    /// Panics if `self.cols != rhs.rows()`.
+    pub fn matmul_packed(&self, rhs: &PackedRhs) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, rhs.cols());
+        self.matmul_packed_into(rhs, &mut out);
+        out
+    }
+
+    /// [`matmul_packed`](Self::matmul_packed) into a caller-provided
+    /// output buffer (fully overwritten).
+    ///
+    /// # Panics
+    /// Panics on inner-dimension or output-shape mismatch.
+    pub fn matmul_packed_into(&self, rhs: &PackedRhs, out: &mut Matrix) {
+        assert_eq!(
+            self.cols,
+            rhs.rows(),
+            "Matrix::matmul_packed: inner dimensions differ ({}x{} @ packed {}x{})",
+            self.rows,
+            self.cols,
+            rhs.rows(),
+            rhs.cols()
+        );
+        assert_eq!(
+            out.shape(),
+            (self.rows, rhs.cols()),
+            "Matrix::matmul_packed_into: output shape {:?} does not match {}x{}",
+            out.shape(),
+            self.rows,
+            rhs.cols()
+        );
+        rhs.matmul_into(&self.data, self.rows, &mut out.data);
     }
 
     /// Dense matrix product with a transposed *left* operand:

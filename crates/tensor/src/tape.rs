@@ -102,6 +102,12 @@ impl ParamStore {
             .map(|(i, v)| (ParamId(i), self.names[i].as_str(), v))
     }
 
+    /// Consumes the store into `(name, value)` pairs, in registration
+    /// order, so a loader can move tensors out instead of cloning them.
+    pub fn into_entries(self) -> impl Iterator<Item = (String, Matrix)> {
+        self.names.into_iter().zip(self.values)
+    }
+
     /// Sum of squared entries over all parameters (`||Θ||₂²` in Eq. 13).
     pub fn l2_squared(&self) -> f32 {
         self.values.iter().map(Matrix::sum_squares).sum()

@@ -3,6 +3,8 @@
 //! the per-element accumulation order is part of the contract), and a
 //! buffer-pooled tape must produce bit-identical gradients to an unpooled
 //! one, including when its recycled buffers are full of stale garbage.
+//! The serving side's pack-once operand (`PackedRhs`) is held to the same
+//! bits as the pack-per-call products it replaces.
 
 use std::sync::Arc;
 
@@ -86,6 +88,39 @@ proptest! {
         }
     }
 
+    /// A right operand packed once multiplies to the same bits as the
+    /// per-call `matmul` / `matmul_transb` and their reference kernels,
+    /// and unpacks to exactly the matrix it was built from.
+    #[test]
+    fn packed_rhs_is_bit_identical_and_round_trips(m in 1usize..34, k in 1usize..34, n in 1usize..34, seed in 0u64..500) {
+        // Remainder-row heights (m % 4 != 0), a ragged last panel
+        // (n % 8 != 0) and k = 1 ride along with every drawn triple.
+        let shapes = [(m, k, n), (1, k, n), (2, k, n), (3, k, n), (5, k, n), (m, 1, n), (m, k, n | 1), (m, k, 1)];
+        for (m, k, n) in shapes {
+            let a = random_matrix(m, k, seed);
+            let bt = random_matrix(n, k, seed ^ 0x51f1);
+            let packed = bt.pack_transposed();
+            prop_assert_eq!((packed.rows(), packed.cols()), (k, n));
+            let got = a.matmul_packed(&packed);
+            assert_bits_equal(&got, &a.matmul_transb(&bt), &format!("packed transb {m}x{k}x{n}"));
+            assert_bits_equal(&got, &a.matmul_transb_reference(&bt), &format!("packed transb-ref {m}x{k}x{n}"));
+            assert_bits_equal(&packed.unpack_transposed(), &bt, "unpack_transposed");
+            assert_bits_equal(&packed.unpack(), &bt.transpose(), "unpack of a transposed pack");
+
+            let b = random_matrix(k, n, seed ^ 0x9e37);
+            let packed = b.pack_rhs();
+            let got = a.matmul_packed(&packed);
+            assert_bits_equal(&got, &a.matmul(&b), &format!("packed matmul {m}x{k}x{n}"));
+            assert_bits_equal(&got, &a.matmul_reference(&b), &format!("packed matmul-ref {m}x{k}x{n}"));
+            assert_bits_equal(&packed.unpack(), &b, "unpack");
+
+            // `_into` fully overwrites a dirty output buffer.
+            let mut out = Matrix::filled(m, n, f32::NAN);
+            a.matmul_packed_into(&packed, &mut out);
+            assert_bits_equal(&out, &got, "matmul_packed_into");
+        }
+    }
+
     /// A pooled tape (including one whose pool is pre-poisoned with stale
     /// buffers) computes bit-identical forward values and gradients to an
     /// unpooled tape over a representative op graph.
@@ -157,4 +192,29 @@ proptest! {
             grads_pooled.recycle_into(&pool);
         }
     }
+}
+
+/// One `PackedRhs` shared by four threads gives every thread the
+/// single-thread result: the panels are immutable and `Sync`, and no
+/// product goes through per-thread pack scratch.
+#[test]
+fn packed_rhs_is_shared_across_threads() {
+    let herbs = random_matrix(753, 64, 11);
+    let packed = herbs.pack_transposed();
+    let queries: Vec<Matrix> = (0..4)
+        .map(|t| random_matrix(1 + t, 64, 100 + t as u64))
+        .collect();
+    let want: Vec<Matrix> = queries.iter().map(|q| q.matmul_transb(&herbs)).collect();
+    let barrier = std::sync::Barrier::new(queries.len());
+    std::thread::scope(|scope| {
+        for (q, want) in queries.iter().zip(&want) {
+            let (packed, barrier) = (&packed, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for _ in 0..50 {
+                    assert_bits_equal(&q.matmul_packed(packed), want, "shared PackedRhs");
+                }
+            });
+        }
+    });
 }
