@@ -1,9 +1,9 @@
 //! Criterion microbenchmarks for the substrate kernels behind every
 //! experiment: dense GEMM, sparse SpMM, graph construction, the SMGCN
-//! forward pass, one full forward+backward training step, and metric
-//! computation.
+//! forward pass, one full forward+backward training step, metric
+//! computation, and the codecs a model publish passes through.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smgcn_core::batch::make_batch;
 use smgcn_core::prelude::*;
 use smgcn_data::{GeneratorConfig, SyndromeModel};
@@ -51,6 +51,79 @@ fn bench_matmul_packed(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(syndrome.matmul_packed(&packed)));
         });
     }
+    group.finish();
+}
+
+fn bench_publish_codecs(c: &mut Criterion) {
+    // Every stage one `{"op":"publish"}` of the paper-shape model (360 x
+    // 753, d = 256, SI head) passes through on a replica, each on the
+    // bytes the stage before it produced. MB/s is over the stage's
+    // input, except base64 decode (its output: the artifact).
+    use smgcn_serve::json::{self, Json};
+    use smgcn_serve::{artifact, FrozenModel, ServingVocab};
+    use smgcn_tensor::checkpoint;
+
+    let mut rng = seeded_rng(6);
+    let frozen = |symptoms: usize, herbs: usize, d: usize, rng: &mut _| {
+        let si = Some((xavier_uniform(d, d, rng), xavier_uniform(1, d, rng)));
+        let (s, h) = (
+            xavier_uniform(symptoms, d, rng),
+            xavier_uniform(herbs, d, rng),
+        );
+        FrozenModel::from_parts(s, h, si).expect("consistent shapes")
+    };
+    let model = frozen(360, 753, 256, &mut rng);
+    let vocab = ServingVocab::new(
+        (0..360).map(|i| format!("symptom-{i}")).collect(),
+        (0..753).map(|i| format!("herb-{i}")).collect(),
+    );
+    let blob = artifact::encode(&model, &vocab);
+    let text = artifact::to_base64(&blob);
+    let request = json::obj([
+        ("op", Json::Str("publish".into())),
+        ("artifact", Json::Str(text.clone())),
+    ]);
+    let line = request.to_string();
+    let mut checkpoint_bytes = Vec::new();
+    model
+        .write_to(&mut checkpoint_bytes)
+        .expect("write to memory");
+
+    let mut group = c.benchmark_group("publish_codecs");
+    let mut case = |name: &str, bytes: usize, f: &mut dyn FnMut()| {
+        group.throughput(Throughput::Bytes(bytes as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, _| {
+            b.iter(&mut *f)
+        });
+    };
+    case("json_parse_publish_line", line.len(), &mut || {
+        std::hint::black_box(json::parse(&line).expect("valid JSON"));
+    });
+    case("json_encode_publish_line", line.len(), &mut || {
+        std::hint::black_box(request.to_string());
+    });
+    case("base64_decode_1p4mb", blob.len(), &mut || {
+        std::hint::black_box(artifact::from_base64(&text).expect("valid base64"));
+    });
+    case("base64_encode_1p4mb", blob.len(), &mut || {
+        std::hint::black_box(artifact::to_base64(&blob));
+    });
+    case("crc32_1p4mb", blob.len(), &mut || {
+        std::hint::black_box(smgcn_obs::integrity::crc32(&blob));
+    });
+    case("checkpoint_read_paper", checkpoint_bytes.len(), &mut || {
+        std::hint::black_box(checkpoint::read_store_bytes(&checkpoint_bytes).expect("valid"));
+    });
+    // `score_large`'s model from a file, as `FrozenModel::load` reads it.
+    let path = std::env::temp_dir().join(format!("smgcn_kernels_{}.smgt", std::process::id()));
+    frozen(8192, 65536, 64, &mut rng)
+        .save(&path)
+        .expect("save the large model");
+    let file_len = std::fs::metadata(&path).expect("saved").len() as usize;
+    case("checkpoint_read_large", file_len, &mut || {
+        std::hint::black_box(checkpoint::load_store(&path).expect("valid"));
+    });
+    std::fs::remove_file(&path).ok();
     group.finish();
 }
 
@@ -157,6 +230,7 @@ criterion_group!(
     bench_matmul,
     bench_matmul_transb,
     bench_matmul_packed,
+    bench_publish_codecs,
     bench_spmm,
     bench_graph_build,
     bench_forward,

@@ -72,10 +72,10 @@ impl FleetOutcome {
 
 /// One admin round trip on a dedicated connection (experiment verbs are
 /// rare; stealing pooled request connections would add tail latency).
-fn admin_round_trip(addr: SocketAddr, config: &PoolConfig, request: &Json) -> Result<Json, String> {
+fn admin_round_trip(addr: SocketAddr, config: &PoolConfig, request: &str) -> Result<Json, String> {
     let mut conn = ReplicaConn::connect_admin(addr, config).map_err(|e| format!("connect: {e}"))?;
     let response = conn
-        .round_trip(&request.to_string())
+        .round_trip(request)
         .map_err(|e| format!("round trip: {e}"))?;
     json::parse(&response).map_err(|e| format!("unparseable ack: {e}"))
 }
@@ -88,7 +88,7 @@ fn experiment_ack(
     request: &Json,
     ok_field: &str,
 ) -> Result<Json, String> {
-    let ack = admin_round_trip(addr, config, request)?;
+    let ack = admin_round_trip(addr, config, &request.to_string())?;
     if let Some(err) = ack.get("error") {
         return Err(format!("replica refused: {err}"));
     }
@@ -98,14 +98,9 @@ fn experiment_ack(
     Ok(ack)
 }
 
-/// Publishes `artifact_b64` into the named candidate slot on one
-/// replica, mirroring `publish_one`'s rejected-vs-failed split.
-fn candidate_publish_one(
-    addr: SocketAddr,
-    variant: &str,
-    artifact_b64: &str,
-    config: &PoolConfig,
-) -> PublishOutcome {
+/// Sends the candidate-publish request `line` to one replica, mirroring
+/// `publish_one`'s rejected-vs-failed split.
+fn candidate_publish_one(addr: SocketAddr, line: &str, config: &PoolConfig) -> PublishOutcome {
     let fail = |error: String| PublishOutcome {
         addr,
         ok: false,
@@ -113,13 +108,7 @@ fn candidate_publish_one(
         error: Some(error),
         rejected: false,
     };
-    let request = json::obj([
-        ("op", Json::Str("experiment".into())),
-        ("action", Json::Str("publish".into())),
-        ("variant", Json::Str(variant.to_string())),
-        ("artifact", Json::Str(artifact_b64.to_string())),
-    ]);
-    let ack = match admin_round_trip(addr, config, &request) {
+    let ack = match admin_round_trip(addr, config, line) {
         Ok(ack) => ack,
         Err(e) => return fail(e),
     };
@@ -163,6 +152,14 @@ pub fn rolling_candidate_publish(
     variant: &str,
     artifact_b64: &str,
 ) -> PublishReport {
+    // One request line for the whole rollout: it is as large as the model.
+    let line = json::obj([
+        ("op", Json::Str("experiment".into())),
+        ("action", Json::Str("publish".into())),
+        ("variant", Json::Str(variant.to_string())),
+        ("artifact", Json::Str(artifact_b64.to_string())),
+    ])
+    .to_string();
     let mut outcomes = Vec::with_capacity(pool.len());
     for replica in pool.replicas() {
         if !replica.available() {
@@ -175,7 +172,7 @@ pub fn rolling_candidate_publish(
             });
             continue;
         }
-        let outcome = candidate_publish_one(replica.addr, variant, artifact_b64, &pool.config());
+        let outcome = candidate_publish_one(replica.addr, &line, &pool.config());
         let rejected = outcome.rejected;
         if outcome.ok {
             replica.note_success();
@@ -211,7 +208,8 @@ pub fn preflight_install(
     let status_req = json::obj([
         ("op", Json::Str("experiment".into())),
         ("action", Json::Str("status".into())),
-    ]);
+    ])
+    .to_string();
     for replica in pool.replicas() {
         if !replica.available() {
             return Err((
@@ -282,7 +280,8 @@ pub fn halt_everywhere(pool: &ReplicaPool) -> Vec<FleetOutcome> {
     let request = json::obj([
         ("op", Json::Str("experiment".into())),
         ("action", Json::Str("halt".into())),
-    ]);
+    ])
+    .to_string();
     pool.replicas()
         .iter()
         .map(

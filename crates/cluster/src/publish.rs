@@ -114,10 +114,21 @@ impl PublishReport {
     }
 }
 
-/// Publishes `artifact_b64` to one replica over a dedicated connection
+/// The `{"op":"publish"}` request line for `artifact_b64`. A rollout
+/// builds it once and sends the same bytes to every replica: the line is
+/// as large as the model.
+fn publish_line(artifact_b64: &str) -> String {
+    json::obj([
+        ("op", Json::Str("publish".into())),
+        ("artifact", Json::Str(artifact_b64.to_string())),
+    ])
+    .to_string()
+}
+
+/// Sends the publish `line` to one replica over a dedicated connection
 /// (publishes are rare; stealing pooled request connections for a
 /// potentially large admin line would add tail latency to live traffic).
-fn publish_one(addr: SocketAddr, artifact_b64: &str, config: &PoolConfig) -> PublishOutcome {
+fn publish_one(addr: SocketAddr, line: &str, config: &PoolConfig) -> PublishOutcome {
     let fail = |error: String| PublishOutcome {
         addr,
         ok: false,
@@ -129,11 +140,7 @@ fn publish_one(addr: SocketAddr, artifact_b64: &str, config: &PoolConfig) -> Pub
         Ok(conn) => conn,
         Err(e) => return fail(format!("connect: {e}")),
     };
-    let request = json::obj([
-        ("op", Json::Str("publish".into())),
-        ("artifact", Json::Str(artifact_b64.to_string())),
-    ]);
-    let response = match conn.round_trip(&request.to_string()) {
+    let response = match conn.round_trip(line) {
         Ok(line) => line,
         Err(e) => return fail(format!("publish round trip: {e}")),
     };
@@ -177,6 +184,7 @@ fn publish_one(addr: SocketAddr, artifact_b64: &str, config: &PoolConfig) -> Pub
 /// stopping at the first rejection — a bad artifact must not take down
 /// generation consistency fleet-wide.
 pub fn rolling_publish(pool: &ReplicaPool, artifact_b64: &str) -> PublishReport {
+    let line = publish_line(artifact_b64);
     let mut outcomes = Vec::with_capacity(pool.len());
     for replica in pool.replicas() {
         if !replica.available() {
@@ -189,7 +197,7 @@ pub fn rolling_publish(pool: &ReplicaPool, artifact_b64: &str) -> PublishReport 
             });
             continue;
         }
-        let outcome = publish_one(replica.addr, artifact_b64, &pool.config());
+        let outcome = publish_one(replica.addr, &line, &pool.config());
         let rejected = outcome.rejected;
         if outcome.ok {
             replica.note_success();
@@ -216,10 +224,10 @@ pub fn rolling_publish_addrs(
     artifact: &[u8],
     config: &PoolConfig,
 ) -> PublishReport {
-    let artifact_b64 = smgcn_serve::artifact::to_base64(artifact);
+    let line = publish_line(&smgcn_serve::artifact::to_base64(artifact));
     let mut outcomes = Vec::with_capacity(addrs.len());
     for &addr in addrs {
-        let outcome = publish_one(addr, &artifact_b64, config);
+        let outcome = publish_one(addr, &line, config);
         let rejected = outcome.rejected;
         outcomes.push(outcome);
         if rejected {

@@ -1181,7 +1181,7 @@ impl RouterEngine {
         // replica answers unknown ops (with `unknown_op`), so a
         // replica-side verb this router predates still works.
         if let Ok(Some(op)) = AdminOp::parse(&req) {
-            return self.dispatch(op, &req).to_string();
+            return self.dispatch(op, req).to_string();
         }
         // While a split is live, every forwarded query carries an
         // explicit variant assignment: replicas multiplex many clients
@@ -1394,12 +1394,12 @@ impl OpHandler for RouterEngine {
         self.profile()
     }
 
-    fn op_publish(&self, req: &Json) -> Json {
-        self.rolling_publish_report(req)
+    fn op_publish(&self, req: Json) -> Json {
+        self.rolling_publish_report(&req)
     }
 
-    fn op_experiment(&self, req: &Json) -> Json {
-        self.experiment(req)
+    fn op_experiment(&self, req: Json) -> Json {
+        self.experiment(&req)
     }
 }
 

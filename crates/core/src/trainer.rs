@@ -49,6 +49,8 @@ static OBSERVER: Mutex<Option<EpochObserver>> = Mutex::new(None);
 /// so observed and unobserved runs stay bit-identical. The hook is
 /// process-global — concurrent observed trainings share it, so install
 /// a callback that tolerates interleaved runs (e.g. histogram records).
+/// To observe exactly one run, hand the observer to that run instead
+/// ([`train_until`]): a run given its own observer never sees this one.
 pub fn set_epoch_observer(observer: Option<EpochObserver>) {
     let mut slot = OBSERVER.lock().expect("epoch observer lock");
     OBSERVER_ENABLED.store(observer.is_some(), Ordering::SeqCst);
@@ -125,7 +127,7 @@ pub fn train_with_callback(
     cfg: &TrainConfig,
     mut on_epoch: impl FnMut(&EpochStats, &Recommender),
 ) -> TrainingHistory {
-    train_impl(model, train, cfg, true, |stats, model| {
+    train_impl(model, train, cfg, true, None, |stats, model| {
         on_epoch(stats, model);
         false
     })
@@ -144,13 +146,18 @@ pub fn train(model: &mut Recommender, train: &Corpus, cfg: &TrainConfig) -> Trai
 /// epoch budget and stop as soon as the loss reaches a target instead of
 /// paying the full cold-training schedule. Optimizer state (Adam moments)
 /// is fresh, exactly as in a cold run — determinism is per-call.
+///
+/// `observer`, when given, receives this run's [`EpochPhases`] and only
+/// this run's: it replaces the process-wide [`set_epoch_observer`] hook
+/// for the call, so concurrent refreshes cannot see each other's epochs.
 pub fn train_until(
     model: &mut Recommender,
     train: &Corpus,
     cfg: &TrainConfig,
+    observer: Option<&EpochObserver>,
     stop: impl FnMut(&EpochStats, &Recommender) -> bool,
 ) -> TrainingHistory {
-    train_impl(model, train, cfg, true, stop)
+    train_impl(model, train, cfg, true, observer, stop)
 }
 
 /// Reference training path that allocates fresh buffers for every tape op
@@ -162,7 +169,7 @@ pub fn train_unpooled(
     train: &Corpus,
     cfg: &TrainConfig,
 ) -> TrainingHistory {
-    train_impl(model, train, cfg, false, |_, _| false)
+    train_impl(model, train, cfg, false, None, |_, _| false)
 }
 
 fn train_impl(
@@ -170,6 +177,7 @@ fn train_impl(
     train: &Corpus,
     cfg: &TrainConfig,
     pooled: bool,
+    observer: Option<&EpochObserver>,
     mut on_epoch: impl FnMut(&EpochStats, &Recommender) -> bool,
 ) -> TrainingHistory {
     assert!(!train.is_empty(), "train: empty training corpus");
@@ -188,12 +196,15 @@ fn train_impl(
     let n_herbs = train.n_herbs();
     let mut history = TrainingHistory::default();
     let pool = BufferPool::new();
-    // Snapshot the observer once per run: the hot loop pays one branch
-    // per phase when observing and nothing (no clock reads) otherwise.
-    let observer = if OBSERVER_ENABLED.load(Ordering::Relaxed) {
-        OBSERVER.lock().expect("epoch observer lock").clone()
-    } else {
-        None
+    // The run's own observer, else a snapshot of the process-wide one,
+    // taken once per run: the hot loop pays one branch per phase when
+    // observing and nothing (no clock reads) otherwise.
+    let observer = match observer {
+        Some(own) => Some(Arc::clone(own)),
+        None if OBSERVER_ENABLED.load(Ordering::Relaxed) => {
+            OBSERVER.lock().expect("epoch observer lock").clone()
+        }
+        None => None,
     };
     let observing = observer.is_some();
 
@@ -411,7 +422,7 @@ mod tests {
             weighted_labels: true,
             seed: 2,
         };
-        let history = train_until(&mut model, &corpus, &cfg, |stats, _| stats.epoch >= 2);
+        let history = train_until(&mut model, &corpus, &cfg, None, |stats, _| stats.epoch >= 2);
         assert_eq!(history.epochs.len(), 3, "stops right after the signal");
     }
 

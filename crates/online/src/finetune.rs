@@ -15,7 +15,7 @@
 //! to a cold retrain on the grown corpus — equality holds at the graph
 //! level (see [`crate::delta`]), not the weight level.
 
-use smgcn_core::trainer::{train_until, TrainingHistory};
+use smgcn_core::trainer::{train_until, EpochObserver, TrainingHistory};
 use smgcn_core::{Recommender, TrainConfig};
 use smgcn_data::Corpus;
 
@@ -57,12 +57,14 @@ pub struct FineTuneReport {
 ///
 /// `base` supplies the optimisation hyperparameters of the original
 /// training run (batch size, λ, loss kind, seed); only the epoch budget
-/// and optionally the learning rate are overridden.
+/// and optionally the learning rate are overridden. `observer` receives
+/// this run's per-epoch phase timings (see [`train_until`]).
 pub fn fine_tune(
     model: &mut Recommender,
     corpus: &Corpus,
     base: &TrainConfig,
     cfg: &FineTuneConfig,
+    observer: Option<&EpochObserver>,
 ) -> FineTuneReport {
     let mut train_cfg = base.clone();
     train_cfg.epochs = cfg.max_epochs;
@@ -70,7 +72,7 @@ pub fn fine_tune(
         train_cfg.learning_rate = lr;
     }
     let target = cfg.target_loss;
-    let history = train_until(model, corpus, &train_cfg, |stats, _| {
+    let history = train_until(model, corpus, &train_cfg, observer, |stats, _| {
         target.is_some_and(|t| stats.mean_loss <= t)
     });
     let epochs_run = history.epochs.len();
@@ -131,6 +133,7 @@ mod tests {
                 max_epochs: 2,
                 ..FineTuneConfig::default()
             },
+            None,
         );
         assert_eq!(report.epochs_run, 2);
         // A warm start must begin from the trained loss region, not the
@@ -161,6 +164,7 @@ mod tests {
                 target_loss: Some(plateau * 1.05),
                 learning_rate: None,
             },
+            None,
         );
         assert!(report.reached_target, "{:?}", report.history.epochs);
         assert!(

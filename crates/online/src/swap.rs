@@ -384,23 +384,25 @@ impl OnlinePipeline {
                 prof.epoch_step.clone(),
             )
         });
-        let hooked = epoch_hists.is_some() || epoch_prof.is_some();
-        if hooked {
-            smgcn_core::set_epoch_observer(Some(Arc::new(move |p: &smgcn_core::EpochPhases| {
-                if let Some((prep, fwd, bwd, step)) = &epoch_hists {
-                    prep.record(p.prep_us);
-                    fwd.record(p.forward_us);
-                    bwd.record(p.backward_us);
-                    step.record(p.step_us);
-                }
-                if let Some((prep, fwd, bwd, step)) = &epoch_prof {
-                    prep.add(p.prep_us);
-                    fwd.add(p.forward_us);
-                    bwd.add(p.backward_us);
-                    step.add(p.step_us);
-                }
-            })));
-        }
+        // The observer belongs to this refresh's fine-tune call alone, so
+        // concurrent pipelines never record each other's epochs.
+        let observer: Option<smgcn_core::EpochObserver> =
+            (epoch_hists.is_some() || epoch_prof.is_some()).then(|| {
+                Arc::new(move |p: &smgcn_core::EpochPhases| {
+                    if let Some((prep, fwd, bwd, step)) = &epoch_hists {
+                        prep.record(p.prep_us);
+                        fwd.record(p.forward_us);
+                        bwd.record(p.backward_us);
+                        step.record(p.step_us);
+                    }
+                    if let Some((prep, fwd, bwd, step)) = &epoch_prof {
+                        prep.add(p.prep_us);
+                        fwd.add(p.forward_us);
+                        bwd.add(p.backward_us);
+                        step.add(p.step_us);
+                    }
+                }) as smgcn_core::EpochObserver
+            });
         let mut resumed = match Recommender::warm_start_smgcn(
             ops,
             &self.config.model,
@@ -409,9 +411,6 @@ impl OnlinePipeline {
         ) {
             Ok(model) => model,
             Err(e) => {
-                if hooked {
-                    smgcn_core::set_epoch_observer(None);
-                }
                 if let Some(obs) = &self.obs {
                     obs.events
                         .record("refresh_failed", format!("warm start: {e}"));
@@ -441,10 +440,8 @@ impl OnlinePipeline {
             self.ingestor.corpus(),
             &self.config.train,
             &self.config.finetune,
+            observer.as_ref(),
         );
-        if hooked {
-            smgcn_core::set_epoch_observer(None);
-        }
         let finetune_ms = t_ft.elapsed().as_secs_f64() * 1e3;
 
         let t_freeze = Instant::now();

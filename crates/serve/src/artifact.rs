@@ -36,6 +36,7 @@
 use crate::frozen::{FrozenError, FrozenModel};
 use crate::integrity::crc32;
 use crate::server::ServingVocab;
+use smgcn_tensor::checkpoint::CheckpointError;
 
 const MAGIC: &[u8; 4] = b"SMGA";
 
@@ -161,7 +162,13 @@ pub fn decode(bytes: &[u8]) -> Result<(FrozenModel, ServingVocab), FrozenError> 
     }
     let symptoms = cur.names(n_symptoms)?;
     let herbs = cur.names(n_herbs)?;
-    let model = FrozenModel::read_from(cur.rest)?;
+    // The checkpoint parser checks every tensor's `rows * cols * 4`
+    // against the bytes left in `cur.rest` before allocating it; what it
+    // rejects is a malformed artifact like any other.
+    let model = FrozenModel::read_from(cur.rest).map_err(|e| match e {
+        FrozenError::Checkpoint(CheckpointError::Format(m)) => FrozenError::Format(m),
+        other => other,
+    })?;
     if !symptoms.is_empty() && symptoms.len() != model.n_symptoms() {
         return Err(FrozenError::Format(format!(
             "artifact vocab has {} symptom names but the model has {}",
@@ -181,29 +188,67 @@ pub fn decode(bytes: &[u8]) -> Result<(FrozenModel, ServingVocab), FrozenError> 
 
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
+/// Marks a byte that is not a base64 digit in [`B64_VALUE`] (`=` included).
+const NOT_B64: u8 = 0xff;
+
+/// Byte → 6-bit value, [`NOT_B64`] for everything outside the alphabet.
+const B64_VALUE: [u8; 256] = {
+    let mut table = [NOT_B64; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[B64[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Standard base64 (with padding) over arbitrary bytes.
 pub fn to_base64(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    for chunk in bytes.chunks(3) {
-        let b = [
-            chunk[0],
-            *chunk.get(1).unwrap_or(&0),
-            *chunk.get(2).unwrap_or(&0),
-        ];
-        let n = u32::from_be_bytes([0, b[0], b[1], b[2]]);
-        let sextet = |shift: u32| B64[((n >> shift) & 0x3f) as usize] as char;
-        out.push(sextet(18));
-        out.push(sextet(12));
-        out.push(if chunk.len() > 1 { sextet(6) } else { '=' });
-        out.push(if chunk.len() > 2 { sextet(0) } else { '=' });
+    let digit = |n: u32, shift: u32| B64[((n >> shift) & 0x3f) as usize];
+    let mut out = vec![b'='; bytes.len().div_ceil(3) * 4];
+    let mut triples = bytes.chunks_exact(3);
+    let mut quads = out.chunks_exact_mut(4);
+    for (t, q) in (&mut triples).zip(&mut quads) {
+        let n = u32::from_be_bytes([0, t[0], t[1], t[2]]);
+        q.copy_from_slice(&[digit(n, 18), digit(n, 12), digit(n, 6), digit(n, 0)]);
     }
-    out
+    // A 1- or 2-byte tail fills 2 or 3 digits of the last quad; the rest
+    // of it stays `=`.
+    let tail = triples.remainder();
+    if let Some(q) = quads.next() {
+        let n = u32::from_be_bytes([0, tail[0], *tail.get(1).unwrap_or(&0), 0]);
+        q[0] = digit(n, 18);
+        q[1] = digit(n, 12);
+        if tail.len() == 2 {
+            q[2] = digit(n, 6);
+        }
+    }
+    String::from_utf8(out).expect("base64 digits are ASCII")
+}
+
+/// The error for a quad that does not decode, by the rules
+/// [`from_base64`] documents: padding first, then the leftmost character
+/// outside the alphabet.
+fn bad_quad(quad: &[u8], last: bool) -> String {
+    let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
+    if pad > 2 || (pad > 0 && !last) {
+        return "misplaced base64 padding".into();
+    }
+    let bad = quad[..4 - pad]
+        .iter()
+        .find(|&&c| B64_VALUE[c as usize] == NOT_B64)
+        .expect("a quad that failed to decode holds a non-digit");
+    format!("bad base64 character {:?}", *bad as char)
 }
 
 /// Decodes standard base64 (padding required, whitespace rejected).
 ///
 /// # Errors
-/// Returns a description of the first malformed character or length.
+/// A length that is not a multiple of 4, else the first quad that does
+/// not decode: `misplaced base64 padding` when it ends in more than two
+/// `=` or ends in `=` without being the last quad, otherwise
+/// `bad base64 character` naming its leftmost non-digit (so `"A=AA"` is
+/// a bad character: only *trailing* `=` count as padding).
 pub fn from_base64(text: &str) -> Result<Vec<u8>, String> {
     let bytes = text.as_bytes();
     if !bytes.len().is_multiple_of(4) {
@@ -212,36 +257,51 @@ pub fn from_base64(text: &str) -> Result<Vec<u8>, String> {
             bytes.len()
         ));
     }
-    let value = |c: u8| -> Result<u32, String> {
-        match c {
-            b'A'..=b'Z' => Ok((c - b'A') as u32),
-            b'a'..=b'z' => Ok((c - b'a') as u32 + 26),
-            b'0'..=b'9' => Ok((c - b'0') as u32 + 52),
-            b'+' => Ok(62),
-            b'/' => Ok(63),
-            other => Err(format!("bad base64 character {:?}", other as char)),
-        }
+    let Some(body_len) = bytes.len().checked_sub(4) else {
+        return Ok(Vec::new());
     };
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for (i, quad) in bytes.chunks(4).enumerate() {
-        let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
-        if pad > 2 || (pad > 0 && i + 1 != bytes.len() / 4) {
-            return Err("misplaced base64 padding".into());
+    // Only the last quad may be padded: every quad before it is four
+    // digits to three bytes, straight into the output.
+    let (body, last) = bytes.split_at(body_len);
+    let mut out = vec![0u8; body_len / 4 * 3 + 3];
+    let (full, tail) = out.split_at_mut(body_len / 4 * 3);
+    for (quad, dst) in body.chunks_exact(4).zip(full.chunks_exact_mut(3)) {
+        let v = [
+            B64_VALUE[quad[0] as usize],
+            B64_VALUE[quad[1] as usize],
+            B64_VALUE[quad[2] as usize],
+            B64_VALUE[quad[3] as usize],
+        ];
+        // Digits are < 64, so the high bit is set only by `NOT_B64`.
+        if (v[0] | v[1] | v[2] | v[3]) & 0x80 != 0 {
+            return Err(bad_quad(quad, false));
         }
-        let mut n = 0u32;
-        for &c in &quad[..4 - pad] {
-            n = (n << 6) | value(c)?;
-        }
-        n <<= 6 * pad as u32;
-        let b = n.to_be_bytes();
-        out.extend_from_slice(&b[1..4 - pad]);
+        dst[0] = v[0] << 2 | v[1] >> 4;
+        dst[1] = v[1] << 4 | v[2] >> 2;
+        dst[2] = v[2] << 6 | v[3];
     }
+    let pad = last.iter().rev().take_while(|&&c| c == b'=').count();
+    let mut bad = pad > 2;
+    let mut n = 0u32;
+    for &c in &last[..4usize.saturating_sub(pad)] {
+        let v = B64_VALUE[c as usize];
+        bad |= v == NOT_B64;
+        n = n << 6 | u32::from(v & 0x3f);
+    }
+    if bad {
+        return Err(bad_quad(last, true));
+    }
+    n <<= 6 * pad as u32;
+    tail.copy_from_slice(&n.to_be_bytes()[1..]);
+    out.truncate(out.len() - pad);
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use smgcn_tensor::Matrix;
 
     fn sample() -> (FrozenModel, ServingVocab) {
@@ -358,6 +418,189 @@ mod tests {
             to_base64(b"any carnal pleasure."),
             "YW55IGNhcm5hbCBwbGVhc3VyZS4="
         );
+    }
+
+    /// The per-character encoder this module used before the
+    /// table-driven one, kept as the parity oracle.
+    fn to_base64_per_char(bytes: &[u8]) -> String {
+        let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
+        for chunk in bytes.chunks(3) {
+            let b = [
+                chunk[0],
+                *chunk.get(1).unwrap_or(&0),
+                *chunk.get(2).unwrap_or(&0),
+            ];
+            let n = u32::from_be_bytes([0, b[0], b[1], b[2]]);
+            let sextet = |shift: u32| B64[((n >> shift) & 0x3f) as usize] as char;
+            out.push(sextet(18));
+            out.push(sextet(12));
+            out.push(if chunk.len() > 1 { sextet(6) } else { '=' });
+            out.push(if chunk.len() > 2 { sextet(0) } else { '=' });
+        }
+        out
+    }
+
+    /// The per-character decoder kept as the parity oracle: its `Ok`
+    /// bytes and its `Err` strings are the contract.
+    fn from_base64_per_char(text: &str) -> Result<Vec<u8>, String> {
+        let bytes = text.as_bytes();
+        if !bytes.len().is_multiple_of(4) {
+            return Err(format!(
+                "base64 length {} is not a multiple of 4",
+                bytes.len()
+            ));
+        }
+        let value = |c: u8| -> Result<u32, String> {
+            match c {
+                b'A'..=b'Z' => Ok((c - b'A') as u32),
+                b'a'..=b'z' => Ok((c - b'a') as u32 + 26),
+                b'0'..=b'9' => Ok((c - b'0') as u32 + 52),
+                b'+' => Ok(62),
+                b'/' => Ok(63),
+                other => Err(format!("bad base64 character {:?}", other as char)),
+            }
+        };
+        let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
+        for (i, quad) in bytes.chunks(4).enumerate() {
+            let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
+            if pad > 2 || (pad > 0 && i + 1 != bytes.len() / 4) {
+                return Err("misplaced base64 padding".into());
+            }
+            let mut n = 0u32;
+            for &c in &quad[..4 - pad] {
+                n = (n << 6) | value(c)?;
+            }
+            n <<= 6 * pad as u32;
+            let b = n.to_be_bytes();
+            out.extend_from_slice(&b[1..4 - pad]);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn base64_matches_the_per_char_oracle_on_every_length_and_random_buffers() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let lengths = (0..=67).chain((0..200).map(|_| rng.gen_range(68..5000usize)));
+        for len in lengths.collect::<Vec<_>>() {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect();
+            let text = to_base64(&bytes);
+            assert_eq!(text, to_base64_per_char(&bytes), "len {len}");
+            assert_eq!(from_base64(&text).unwrap(), bytes, "len {len}");
+            assert_eq!(from_base64_per_char(&text).unwrap(), bytes, "len {len}");
+        }
+    }
+
+    #[test]
+    fn base64_errors_are_pinned() {
+        for (text, want) in [
+            ("abc", "base64 length 3 is not a multiple of 4"),
+            ("AAAAA", "base64 length 5 is not a multiple of 4"),
+            // Only trailing `=` are padding: one in the middle is a bad
+            // character, reported before anything after it.
+            ("A=AA", "bad base64 character '='"),
+            ("=AAA", "bad base64 character '='"),
+            ("AA=A", "bad base64 character '='"),
+            ("A=A=", "bad base64 character '='"),
+            ("A===", "misplaced base64 padding"),
+            ("====", "misplaced base64 padding"),
+            ("AA==AAAA", "misplaced base64 padding"),
+            ("AAA=AAAA", "misplaced base64 padding"),
+            // Padding is judged before the characters of the same quad …
+            ("!A==AAAA", "misplaced base64 padding"),
+            // … and an earlier quad before a later one.
+            ("A!AAAA==AAAA", "bad base64 character '!'"),
+            ("AA==A!AA", "misplaced base64 padding"),
+            ("!A==", "bad base64 character '!'"),
+            ("A\nAA", "bad base64 character '\\n'"),
+            ("AAé", "bad base64 character 'Ã'"),
+        ] {
+            assert_eq!(from_base64(text).unwrap_err(), want, "{text:?}");
+            assert_eq!(from_base64_per_char(text).unwrap_err(), want, "{text:?}");
+        }
+        // Slack bits in a padded quad were never checked and still are not.
+        assert_eq!(from_base64("QR==").unwrap(), from_base64("QQ==").unwrap());
+    }
+
+    #[test]
+    fn base64_agrees_with_the_oracle_on_every_short_string() {
+        // Every string of one and of two quads over an alphabet with a
+        // digit from each range, `=`, and non-digits: each malformed
+        // class at each position, alone and next to every other.
+        let alphabet = *b"Az9/=!";
+        for len in [4usize, 8] {
+            let mut text = vec![0u8; len];
+            for code in 0..alphabet.len().pow(len as u32) {
+                let mut rest = code;
+                for slot in &mut text {
+                    *slot = alphabet[rest % alphabet.len()];
+                    rest /= alphabet.len();
+                }
+                let text = std::str::from_utf8(&text).unwrap();
+                assert_eq!(from_base64(text), from_base64_per_char(text), "{text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn base64_never_panics_and_agrees_on_arbitrary_bytes() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for case in 0..10_000 {
+            let mut bytes: Vec<u8> = (0..rng.gen_range(0..40usize))
+                .map(|_| match rng.gen_range(0..8u32) {
+                    0 => rng.gen_range(0..=255u32) as u8,
+                    1 => b'=',
+                    _ => B64[rng.gen_range(0..64usize)],
+                })
+                .collect();
+            if case % 2 == 0 {
+                bytes.truncate(bytes.len() / 4 * 4);
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            assert_eq!(from_base64(&text), from_base64_per_char(&text), "{text:?}");
+        }
+    }
+
+    /// Rewrites the CRC trailer so that a mutated artifact gets past
+    /// the checksum and into the parsers behind it.
+    fn reseal(blob: &mut [u8]) {
+        let body = blob.len() - 4;
+        let crc = crc32(&blob[..body]);
+        blob[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn decode_never_panics_on_arbitrary_or_resealed_bytes() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (model, vocab) = sample();
+        let valid = encode(&model, &vocab);
+        for case in 0..10_000 {
+            let blob: Vec<u8> = match case % 3 {
+                0 => (0..rng.gen_range(0..96usize))
+                    .map(|_| rng.gen_range(0..=255u32) as u8)
+                    .collect(),
+                // A valid artifact, cut short or with a few bytes (often a
+                // length field: they are most of the header) overwritten.
+                _ => {
+                    let mut blob = valid.clone();
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        let at = rng.gen_range(0..blob.len() - 4);
+                        blob[at] = rng.gen_range(0..=255u32) as u8;
+                    }
+                    if case % 3 == 1 {
+                        blob.truncate(rng.gen_range(9..=blob.len()));
+                    }
+                    reseal(&mut blob);
+                    blob
+                }
+            };
+            // Ok or Err, never a panic; what decodes is a sound model
+            // (a mutated tensor name is dropped, so compare re-encodings).
+            if let Ok((m, v)) = decode(&blob) {
+                let again = encode(&m, &v);
+                let (m2, v2) = decode(&again).unwrap();
+                assert_eq!(encode(&m2, &v2), again, "case {case}");
+            }
+        }
     }
 
     #[test]

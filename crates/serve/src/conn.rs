@@ -24,12 +24,18 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use crate::json::run_len;
+
 /// Hard cap on buffered, not-yet-answered request bytes for one
 /// connection. Publish artifacts arrive as a single base64 line, so
 /// the cap is deliberately generous; a connection that manages to
 /// exceed it without ever completing a line is not speaking the
 /// protocol and is closed.
 pub const MAX_READ_BUF: usize = 64 * 1024 * 1024;
+
+/// Spare capacity a read starts with, so an ordinary request arrives in
+/// one `read(2)`.
+const MIN_READ: usize = 4 * 1024;
 
 /// One client connection owned by the reactor: socket, buffers, and
 /// the in-flight flag that serializes request dispatch.
@@ -107,23 +113,28 @@ impl Connection {
     /// Drains the socket into the read buffer until it would block,
     /// hits EOF, or the buffer reaches [`MAX_READ_BUF`]. Errors mean
     /// the peer is gone and the connection should be closed.
+    ///
+    /// Bytes land in the buffer's own spare capacity: `read_to_end`
+    /// appends what it has read even when it stops on `WouldBlock`, and
+    /// it grows both the buffer and the size of each `read(2)` with what
+    /// has arrived, so a 1.9 MB line costs tens of reads while a short
+    /// request costs one into [`MIN_READ`] bytes.
     pub fn on_readable(&mut self) -> io::Result<()> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if self.read_buf.len() >= MAX_READ_BUF {
-                return Ok(()); // paused; `next_line` decides if this is fatal
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(());
-                }
-                Ok(n) => self.read_buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
+        let room = MAX_READ_BUF.saturating_sub(self.read_buf.len());
+        if room == 0 {
+            return Ok(()); // paused; `next_line` decides if this is fatal
         }
+        self.read_buf.reserve(MIN_READ.min(room));
+        match (&self.stream)
+            .take(room as u64)
+            .read_to_end(&mut self.read_buf)
+        {
+            Ok(_) if self.read_buf.len() < MAX_READ_BUF => self.eof = true,
+            Ok(_) => {} // the cap, not the peer, ended the read
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e),
+        }
+        Ok(())
     }
 
     /// Extracts the next non-blank complete request line, trimmed of
@@ -133,29 +144,10 @@ impl Connection {
     /// exceeded [`MAX_READ_BUF`]).
     pub fn next_line(&mut self) -> io::Result<Option<String>> {
         loop {
-            match self.read_buf[self.scanned..]
-                .iter()
-                .position(|&b| b == b'\n')
-            {
-                Some(off) => {
-                    let end = self.scanned + off;
-                    let line = match std::str::from_utf8(&self.read_buf[..end]) {
-                        Ok(s) => s.trim_end().to_string(),
-                        Err(_) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                "request line is not valid UTF-8",
-                            ))
-                        }
-                    };
-                    self.read_buf.drain(..=end);
-                    self.scanned = 0;
-                    if line.trim().is_empty() {
-                        continue; // blank lines are skipped, same as before
-                    }
-                    return Ok(Some(line));
-                }
-                None => {
+            let unscanned = &self.read_buf[self.scanned..];
+            let end = match run_len(unscanned, |b| b == b'\n') {
+                off if off < unscanned.len() => self.scanned + off,
+                _ => {
                     self.scanned = self.read_buf.len();
                     if self.read_buf.len() >= MAX_READ_BUF {
                         return Err(io::Error::new(
@@ -165,26 +157,47 @@ impl Connection {
                     }
                     // Old-loop parity: `read_line` returned a final
                     // unterminated line before reporting EOF.
-                    if self.eof && !self.read_buf.is_empty() {
-                        let line = match std::str::from_utf8(&self.read_buf) {
-                            Ok(s) => s.trim_end().to_string(),
-                            Err(_) => {
-                                return Err(io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    "request line is not valid UTF-8",
-                                ))
-                            }
-                        };
-                        self.read_buf.clear();
-                        self.scanned = 0;
-                        if !line.trim().is_empty() {
-                            return Ok(Some(line));
-                        }
+                    if !self.eof || self.read_buf.is_empty() {
+                        return Ok(None);
                     }
-                    return Ok(None);
+                    self.read_buf.len()
                 }
+            };
+            let line = self.take_line(end)?;
+            if !line.is_empty() {
+                return Ok(Some(line));
             }
+            // blank lines are skipped, same as before
         }
+    }
+
+    /// Removes `read_buf[..end]` and the newline after it (if any) and
+    /// returns it as a string with trailing whitespace trimmed,
+    /// validating UTF-8 exactly once. When nothing follows the line —
+    /// the closed-loop case, and the one a 1.9 MB publish is in — the
+    /// buffer itself becomes the string; otherwise the line is copied
+    /// out and the tail kept.
+    fn take_line(&mut self, end: usize) -> io::Result<String> {
+        let invalid = || {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "request line is not valid UTF-8",
+            )
+        };
+        self.scanned = 0;
+        if end + 1 >= self.read_buf.len() {
+            let mut bytes = std::mem::take(&mut self.read_buf);
+            bytes.truncate(end);
+            let mut line = String::from_utf8(bytes).map_err(|_| invalid())?;
+            line.truncate(line.trim_end().len());
+            return Ok(line);
+        }
+        let line = std::str::from_utf8(&self.read_buf[..end])
+            .map_err(|_| invalid())?
+            .trim_end()
+            .to_string();
+        self.read_buf.drain(..=end);
+        Ok(line)
     }
 
     /// Marks a request as dispatched to a worker; no further lines are
@@ -314,6 +327,158 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         conn.on_readable().unwrap();
         assert!(conn.next_line().is_err());
+    }
+
+    /// Pumps the connection until the peer has closed and every line is
+    /// out, the way the reactor does: read what is there, take what is
+    /// complete.
+    fn drain_lines(conn: &mut Connection) -> io::Result<Vec<String>> {
+        let mut lines = Vec::new();
+        loop {
+            conn.on_readable()?;
+            while let Some(line) = conn.next_line()? {
+                lines.push(line);
+            }
+            if conn.is_eof() {
+                return Ok(lines);
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// A publish-sized line: 1.9 MB of base64-looking text in a JSON shell.
+    fn big_line() -> String {
+        let artifact: String = (0..1_900_000u32)
+            .map(|i| char::from(b'A' + (i.wrapping_mul(2_654_435_761) >> 28) as u8))
+            .collect();
+        format!("{{\"op\":\"publish\",\"artifact\":\"{artifact}\"}}")
+    }
+
+    #[test]
+    fn a_publish_sized_line_is_the_same_line_however_it_is_cut() {
+        let line = big_line();
+        let wire = format!("{line}\n").into_bytes();
+        for cut in [1usize, 16 * 1024, wire.len()] {
+            let (mut client, server) = pair();
+            let mut conn = Connection::new(server, "conn-0".into(), 1);
+            let wire = wire.clone();
+            let writer = std::thread::spawn(move || {
+                // Byte-sized cuts for the head and the tail of the line
+                // only: two million `write(2)`s would prove no more.
+                let (byte_cut, rest) = if cut == 1 {
+                    let (head, rest) = wire.split_at(4096);
+                    head.iter().for_each(|b| client.write_all(&[*b]).unwrap());
+                    let (middle, tail) = rest.split_at(rest.len() - 4096);
+                    client.write_all(middle).unwrap();
+                    (true, tail.to_vec())
+                } else {
+                    (false, wire)
+                };
+                for piece in rest.chunks(if byte_cut { 1 } else { cut }) {
+                    client.write_all(piece).unwrap();
+                }
+            });
+            let lines = drain_lines(&mut conn).unwrap();
+            writer.join().unwrap();
+            assert_eq!(lines.len(), 1, "cut {cut}");
+            assert!(lines[0] == line, "cut {cut}: the line arrived changed");
+            assert!(conn.read_buf.is_empty() && conn.scanned == 0);
+        }
+    }
+
+    #[test]
+    fn pipelined_crlf_and_blank_lines_in_one_read() {
+        let (mut client, server) = pair();
+        let mut conn = Connection::new(server, "conn-0".into(), 1);
+        client
+            .write_all(b"{\"a\":1}\n{\"b\":2} \t\r\n\r\n \n\n{\"c\":3}\r\n")
+            .unwrap();
+        drop(client);
+        assert_eq!(
+            drain_lines(&mut conn).unwrap(),
+            ["{\"a\":1}", "{\"b\":2}", "{\"c\":3}"]
+        );
+    }
+
+    #[test]
+    fn the_moved_buffer_leaves_the_connection_ready_for_the_next_request() {
+        let (mut client, server) = pair();
+        let mut conn = Connection::new(server, "conn-0".into(), 1);
+        let mut request = |bytes: &[u8], conn: &mut Connection| {
+            client.write_all(bytes).unwrap();
+            std::thread::sleep(Duration::from_millis(30));
+            conn.on_readable().unwrap();
+            conn.next_line().unwrap()
+        };
+        // Exactly one line buffered: the buffer itself becomes the line.
+        assert_eq!(
+            request(b"{\"a\":1}  \r\n", &mut conn).as_deref(),
+            Some("{\"a\":1}")
+        );
+        assert!(conn.read_buf.is_empty() && conn.scanned == 0);
+        assert_eq!(
+            conn.read_buf.capacity(),
+            0,
+            "the buffer was moved, not copied"
+        );
+        // A partial line is scanned once and held …
+        assert_eq!(request(b"{\"b\"", &mut conn), None);
+        assert_eq!((conn.read_buf.len(), conn.scanned), (4, 4));
+        // … then completed, with the start of the next one behind it:
+        // that line is copied out and the tail kept.
+        assert_eq!(
+            request(b":2}\n{\"c", &mut conn).as_deref(),
+            Some("{\"b\":2}")
+        );
+        assert_eq!((conn.read_buf.as_slice(), conn.scanned), (&b"{\"c"[..], 0));
+        assert_eq!(request(b"\":3}\n", &mut conn).as_deref(), Some("{\"c\":3}"));
+        assert!(conn.read_buf.is_empty() && conn.scanned == 0);
+    }
+
+    #[test]
+    fn invalid_utf8_is_fatal_on_both_line_paths() {
+        // Alone in the buffer (moved) and with a request behind it (copied).
+        for wire in [&b"{\"a\":\"\xC3\x28\"}\n"[..], &b"\xFF\n{\"b\":2}\n"[..]] {
+            let (mut client, server) = pair();
+            let mut conn = Connection::new(server, "conn-0".into(), 1);
+            client.write_all(wire).unwrap();
+            drop(client);
+            let err = drain_lines(&mut conn).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
+    fn an_unterminated_line_stops_at_the_buffer_cap() {
+        let (mut client, server) = pair();
+        let mut conn = Connection::new(server, "conn-0".into(), 1);
+        let writer = std::thread::spawn(move || {
+            // More than the cap, never a newline. The reader stops
+            // taking bytes at the cap, so the tail may not go through.
+            let chunk = vec![b'x'; 1 << 20];
+            for _ in 0..MAX_READ_BUF / chunk.len() + 1 {
+                if client.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        loop {
+            conn.on_readable().unwrap();
+            if conn.read_saturated() {
+                break;
+            }
+            assert_eq!(conn.next_line().unwrap(), None, "no line below the cap");
+        }
+        assert_eq!(
+            conn.read_buf.len(),
+            MAX_READ_BUF,
+            "reads stop at the cap exactly"
+        );
+        assert!(!conn.is_eof(), "the cap ended the read, not the peer");
+        let err = conn.next_line().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        drop(conn); // closes the socket: the writer's next write fails
+        writer.join().unwrap();
     }
 
     #[test]

@@ -218,9 +218,10 @@ impl FrozenModel {
         Ok(())
     }
 
-    /// Reads a frozen model from a reader.
-    pub fn read_from(r: impl std::io::Read) -> Result<Self, FrozenError> {
-        Self::from_store(checkpoint::read_store(r)?)
+    /// Reads a frozen model from memory; no tensor is allocated beyond
+    /// what `bytes` can hold (see [`checkpoint::read_store_bytes`]).
+    pub fn read_from(bytes: &[u8]) -> Result<Self, FrozenError> {
+        Self::from_store(checkpoint::read_store_bytes(bytes)?)
     }
 
     /// Saves to a file path.

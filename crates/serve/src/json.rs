@@ -60,69 +60,97 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    let _ = write!(out, "{}", *n as i64);
+                    write!(out, "{}", *n as i64)
                 } else {
-                    let _ = write!(out, "{n}");
+                    write!(out, "{n}")
                 }
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(map) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in map.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_escaped(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 }
 
 impl std::fmt::Display for Json {
-    /// Serialises to compact JSON text (via `.to_string()`).
+    /// Serialises to compact JSON text (via `.to_string()`), straight
+    /// into the formatter.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        self.write(f)
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Length of the longest prefix of `b` holding no byte that `stops` a
+/// run. Whole 32-byte blocks are tested without an early exit so the
+/// compiler can vectorise the test; only the block that holds a stop
+/// byte (or the tail) is walked byte by byte. Write `stops` with `|`,
+/// not `||`: a short-circuit in it defeats the vectoriser (measured 9x
+/// slower on the three-way test of [`write_escaped`]).
+pub(crate) fn run_len(b: &[u8], stops: impl Fn(u8) -> bool) -> usize {
+    let mut clean = 0;
+    for block in b.chunks_exact(32) {
+        if block.iter().fold(false, |hit, &c| hit | stops(c)) {
+            break;
         }
+        clean += 32;
     }
-    out.push('"');
+    clean
+        + b[clean..]
+            .iter()
+            .position(|&c| stops(c))
+            .unwrap_or(b.len() - clean)
+}
+
+/// Writes `s` quoted, copying each run of bytes that need no escape in
+/// one piece (a base64 artifact is a single run).
+fn write_escaped(s: &str, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    out.write_char('"')?;
+    let mut rest = s;
+    loop {
+        // Every byte that stops a run is ASCII, so the run ends on a
+        // character boundary.
+        let run = run_len(rest.as_bytes(), |c| (c == b'"') | (c == b'\\') | (c < 0x20));
+        out.write_str(&rest[..run])?;
+        let Some(&c) = rest.as_bytes().get(run) else {
+            break;
+        };
+        match c {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{c:04x}")?,
+        }
+        rest = &rest[run + 1..];
+    }
+    out.write_char('"')
 }
 
 /// Convenience: an object from key/value pairs.
@@ -142,11 +170,10 @@ pub fn score_array(scores: &[f32]) -> Json {
 
 /// Parses one JSON document, rejecting trailing garbage.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing characters at byte {pos}"));
     }
     Ok(value)
@@ -167,14 +194,17 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The parser walks `text` by byte offset; it keeps the `&str` so that
+/// [`parse_string`] can copy slices of it without validating them again.
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|_| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|_| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -184,7 +214,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -206,10 +236,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(text, pos)?;
                 map.insert(key, value);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -226,20 +256,28 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {}", *pos));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the whole run up to the next quote or backslash in one
+        // piece. Both are ASCII, so the run starts and ends on character
+        // boundaries of `text`; `push_str` reserves the run's length, so
+        // a string with no escapes (a 1.9 MB artifact) is one allocation.
+        let run = run_len(&b[*pos..], |c| (c == b'"') | (c == b'\\'));
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -266,16 +304,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid by construction).
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
         }
     }
 }
@@ -296,6 +324,8 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn round_trips_request_shapes() {
@@ -352,6 +382,245 @@ mod tests {
         assert_eq!(Json::Num(5.0).to_string(), "5");
         assert_eq!(Json::Num(5.25).to_string(), "5.25");
         assert_eq!(id_array(&[1, 2, 3]).to_string(), "[1,2,3]");
+    }
+
+    /// The per-scalar string parser this module used before the
+    /// run-copy one, kept as the parity oracle.
+    fn parse_string_per_scalar(b: &[u8], pos: &mut usize) -> Result<String, String> {
+        if b.get(*pos) != Some(&b'"') {
+            return Err(format!("expected string at byte {}", *pos));
+        }
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            match b.get(*pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match b.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+                            let code = u32::from_str_radix(
+                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                                16,
+                            )
+                            .map_err(|e| format!("bad \\u escape: {e}"))?;
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or("surrogate \\u escapes are unsupported")?,
+                            );
+                            *pos += 4;
+                        }
+                        _ => return Err(format!("bad escape at byte {}", *pos)),
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    let start = *pos;
+                    *pos += 1;
+                    while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
+                        *pos += 1;
+                    }
+                    out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
+                }
+            }
+        }
+    }
+
+    /// The per-character escaper kept as the parity oracle.
+    fn write_escaped_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Pieces that stress run boundaries: escapes, bytes that stop a
+    /// run, multi-byte scalars, and plain filler long enough to cross
+    /// the 32-byte blocks `run_len` tests at once.
+    const PIECES: [&str; 22] = [
+        "\"",
+        "\\",
+        "\\\"",
+        "\\\\",
+        "\\n",
+        "\\/",
+        "\\b",
+        "\\f",
+        "\\u0041",
+        "\\u00e9",
+        "\\u4e2d",
+        "\\ud800",
+        "\\u12",
+        "\\x",
+        "a",
+        "é",
+        "中",
+        "\u{1F33F}",
+        "\u{1}",
+        "\n",
+        "0123456789abcdef0123456789abcde",
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZ012345",
+    ];
+
+    fn random_text(rng: &mut StdRng, pieces: usize) -> String {
+        (0..pieces)
+            .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+            .collect()
+    }
+
+    #[test]
+    fn string_parse_matches_the_per_scalar_oracle() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for case in 0..10_000 {
+            let pieces = rng.gen_range(0..12usize);
+            let text = format!("\"{}", random_text(&mut rng, pieces));
+            let (mut new_pos, mut old_pos) = (0, 0);
+            let new = parse_string(&text, &mut new_pos);
+            let old = parse_string_per_scalar(text.as_bytes(), &mut old_pos);
+            assert_eq!(new, old, "case {case}: {text:?}");
+            if new.is_ok() {
+                assert_eq!(new_pos, old_pos, "case {case}: {text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn escapes_at_every_offset_around_a_block_boundary() {
+        // One escape (or multi-byte scalar next to one) placed at each
+        // offset 0..=70 of an otherwise plain string.
+        for at in 0..=70usize {
+            for mid in ["\\n", "\\\"", "é\\\\", "\\u00e9中", "中\\t中"] {
+                let text = format!("\"{}{mid}{}\"", "x".repeat(at), "y".repeat(70 - at));
+                let (mut new_pos, mut old_pos) = (0, 0);
+                assert_eq!(
+                    parse_string(&text, &mut new_pos),
+                    parse_string_per_scalar(text.as_bytes(), &mut old_pos),
+                    "{text:?}"
+                );
+                assert_eq!(new_pos, text.len());
+                assert_eq!(old_pos, text.len());
+            }
+        }
+    }
+
+    #[test]
+    fn escaped_write_matches_the_per_char_oracle() {
+        let mut rng = StdRng::seed_from_u64(15);
+        for case in 0..10_000 {
+            // Reuse the pieces as *values*: raw quotes, backslashes,
+            // controls and multi-byte scalars all need the right escape.
+            let pieces = rng.gen_range(0..12usize);
+            let value = random_text(&mut rng, pieces);
+            let mut old = String::new();
+            write_escaped_per_char(&value, &mut old);
+            assert_eq!(Json::Str(value.clone()).to_string(), old, "case {case}");
+            assert_eq!(parse(&old).unwrap(), Json::Str(value), "case {case}");
+        }
+    }
+
+    #[test]
+    fn two_megabyte_string_is_one_run_and_one_allocation() {
+        let value = "QUJD".repeat(512 * 1024);
+        let text = format!("{{\"artifact\":\"{value}\",\"op\":\"publish\"}}");
+        let parsed = parse(&text).unwrap();
+        let Some(Json::Str(got)) = parsed.get("artifact") else {
+            panic!("artifact is a string");
+        };
+        assert_eq!(*got, value);
+        // `push_str` of the single run sized the buffer exactly: no
+        // doubling chain left slack behind.
+        assert_eq!(got.capacity(), value.len());
+        assert_eq!(parsed.to_string(), text);
+    }
+
+    fn random_tree(rng: &mut StdRng, depth: usize) -> Json {
+        match rng.gen_range(0..if depth == 0 { 4u32 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 => Json::Num((f64::from(rng.gen_range(0..8000u32)) - 4000.0) / 8.0),
+            3 => {
+                let pieces = rng.gen_range(0..4usize);
+                Json::Str(random_text(rng, pieces))
+            }
+            4 => Json::Arr(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| (random_text(rng, 2), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn random_trees_round_trip() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for case in 0..2_000 {
+            let tree = random_tree(&mut rng, 4);
+            assert_eq!(parse(&tree.to_string()).unwrap(), tree, "case {case}");
+        }
+    }
+
+    #[test]
+    fn parse_never_panics_on_arbitrary_bytes() {
+        const PUNCTUATION: &[u8] = b"{}[]\",:\\ntfu0-e.";
+        let mut rng = StdRng::seed_from_u64(17);
+        let seeds = [
+            r#"{"symptoms":["cough","fever"],"k":5,"trace":true}"#,
+            r#"{"op":"publish","artifact":"U01HQQ=="}"#,
+            r#"[1,-2.5e3,{"a":[null,true,"\u00e9\n"]}]"#,
+        ];
+        for case in 0..10_000 {
+            let bytes: Vec<u8> = if case % 2 == 0 {
+                // Raw bytes, biased towards JSON punctuation.
+                (0..rng.gen_range(0..64usize))
+                    .map(|_| match rng.gen_range(0..4u32) {
+                        0 => PUNCTUATION[rng.gen_range(0..PUNCTUATION.len())],
+                        _ => rng.gen_range(0..=255u32) as u8,
+                    })
+                    .collect()
+            } else {
+                // A valid document with a few bytes overwritten or cut.
+                let mut doc = seeds[rng.gen_range(0..seeds.len())].as_bytes().to_vec();
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let at = rng.gen_range(0..doc.len());
+                    doc[at] = rng.gen_range(0..=255u32) as u8;
+                }
+                doc.truncate(rng.gen_range(0..=doc.len()));
+                doc
+            };
+            // Ok or Err, never a panic; what parses must re-parse.
+            if let Ok(value) = parse(&String::from_utf8_lossy(&bytes)) {
+                assert_eq!(parse(&value.to_string()).unwrap(), value, "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -28,8 +28,9 @@ use std::sync::Arc;
 use smgcn_experiment::{SplitPlan, CONTROL};
 
 use crate::errors::codes;
+use crate::frozen::FrozenModel;
 use crate::json::{self, Json};
-use crate::server::{samples_to_json, Engine};
+use crate::server::{samples_to_json, Engine, ServingVocab};
 use crate::variants::DuelSample;
 
 /// A structured protocol error: a machine-readable code plus a message.
@@ -159,17 +160,21 @@ pub trait OpHandler {
     /// Answers `{"op":"publish"}` (errors are folded into the returned
     /// object as `{"error":…}` — publish failures are part of the ack
     /// surface, not protocol errors).
-    fn op_publish(&self, req: &Json) -> Json;
+    ///
+    /// The two verbs that can carry a model take the request by value: a
+    /// replica frees the artifact text as soon as it is decoded instead
+    /// of holding it beside the model until the response is written.
+    fn op_publish(&self, req: Json) -> Json;
     /// Answers `{"op":"experiment"}` (errors folded like publish).
-    fn op_experiment(&self, req: &Json) -> Json;
+    fn op_experiment(&self, req: Json) -> Json;
 
     /// Routes one parsed verb to its handler — the only verb match.
-    fn dispatch(&self, op: AdminOp, req: &Json) -> Json {
+    fn dispatch(&self, op: AdminOp, req: Json) -> Json {
         match op {
-            AdminOp::Stats => self.op_stats(req),
-            AdminOp::Metrics => self.op_metrics(req),
-            AdminOp::Events => self.op_events(req),
-            AdminOp::Profile => self.op_profile(req),
+            AdminOp::Stats => self.op_stats(&req),
+            AdminOp::Metrics => self.op_metrics(&req),
+            AdminOp::Events => self.op_events(&req),
+            AdminOp::Profile => self.op_profile(&req),
             AdminOp::Publish => self.op_publish(req),
             AdminOp::Experiment => self.op_experiment(req),
         }
@@ -306,7 +311,7 @@ impl OpHandler for Engine {
     /// without touching the live generation; success reports the
     /// generation that is now serving so a rolling coordinator can
     /// verify the cutover.
-    fn op_publish(&self, req: &Json) -> Json {
+    fn op_publish(&self, req: Json) -> Json {
         match self.publish_control(req) {
             Ok(ack) => ack,
             Err(e) => e.to_json(),
@@ -315,7 +320,7 @@ impl OpHandler for Engine {
 
     /// The replica half of the experiment plane; see
     /// [`Engine::experiment_admin`] for the action set.
-    fn op_experiment(&self, req: &Json) -> Json {
+    fn op_experiment(&self, req: Json) -> Json {
         match self.experiment_admin(req) {
             Ok(ack) => ack,
             Err(e) => e.to_json(),
@@ -323,12 +328,36 @@ impl OpHandler for Engine {
     }
 }
 
+/// Moves the `"artifact"` text out of a publish request.
+fn take_artifact(req: &mut Json) -> Result<String, ApiError> {
+    let taken = match req {
+        Json::Obj(fields) => fields.remove("artifact"),
+        _ => None,
+    };
+    match taken {
+        Some(Json::Str(text)) => Ok(text),
+        _ => Err(ApiError::new(
+            codes::BAD_REQUEST,
+            "publish needs \"artifact\" (base64)",
+        )),
+    }
+}
+
+/// Base64 text → model + vocabulary, each stage's input freed before the
+/// next stage allocates: the text before the artifact is parsed, the
+/// artifact bytes before the caller swaps the model in. Text, bytes,
+/// tensors and packed model are never all live at once.
+fn decode_artifact(text: String) -> Result<(FrozenModel, ServingVocab), ApiError> {
+    let bytes = crate::artifact::from_base64(&text)
+        .map_err(|e| ApiError::new(codes::BAD_ARTIFACT, format!("artifact is not base64: {e}")))?;
+    drop(text);
+    crate::artifact::decode(&bytes).map_err(|e| ApiError::new(codes::BAD_ARTIFACT, e.to_string()))
+}
+
 impl Engine {
     /// The control-slot publish body behind [`OpHandler::op_publish`].
-    pub(crate) fn publish_control(&self, req: &Json) -> Result<Json, ApiError> {
-        let text = req.get("artifact").and_then(Json::as_str).ok_or_else(|| {
-            ApiError::new(codes::BAD_REQUEST, "publish needs \"artifact\" (base64)")
-        })?;
+    pub(crate) fn publish_control(&self, mut req: Json) -> Result<Json, ApiError> {
+        let text = take_artifact(&mut req)?;
         let reject = |e: ApiError| {
             self.obs.publish_rejected.inc();
             self.obs.events.record(
@@ -340,16 +369,8 @@ impl Engine {
             );
             e
         };
-        let bytes = crate::artifact::from_base64(text).map_err(|e| {
-            reject(ApiError::new(
-                codes::BAD_ARTIFACT,
-                format!("artifact is not base64: {e}"),
-            ))
-        })?;
-        let generation = self
-            .slot
-            .publish_bytes(&bytes)
-            .map_err(|e| reject(ApiError::new(codes::BAD_ARTIFACT, e.to_string())))?;
+        let (model, vocab) = decode_artifact(text).map_err(reject)?;
+        let generation = self.slot.publish(model, vocab);
         let now = self.slot.load();
         self.obs.publishes.inc();
         self.obs.registry.gauge("serve_generation").set(generation);
@@ -381,7 +402,7 @@ impl Engine {
     ///   model+vocab into the control slot as a new generation;
     /// - `"status"` — plan, per-variant generation/weight, duel count;
     /// - `"samples"` — the journaled duel samples (optional `"limit"`).
-    pub(crate) fn experiment_admin(&self, req: &Json) -> Result<Json, ApiError> {
+    pub(crate) fn experiment_admin(&self, mut req: Json) -> Result<Json, ApiError> {
         let variant_of = |req: &Json| -> Result<String, ApiError> {
             match req.get("variant").and_then(Json::as_str) {
                 Some(name) if name != CONTROL => Ok(name.to_string()),
@@ -397,10 +418,8 @@ impl Engine {
         };
         match req.get("action").and_then(Json::as_str) {
             Some("publish") => {
-                let name = variant_of(req)?;
-                let text = req.get("artifact").and_then(Json::as_str).ok_or_else(|| {
-                    ApiError::new(codes::BAD_REQUEST, "publish needs \"artifact\" (base64)")
-                })?;
+                let name = variant_of(&req)?;
+                let text = take_artifact(&mut req)?;
                 let reject = |e: ApiError| {
                     self.obs.publish_rejected.inc();
                     self.obs.events.record(
@@ -409,14 +428,7 @@ impl Engine {
                     );
                     e
                 };
-                let bytes = crate::artifact::from_base64(text).map_err(|e| {
-                    reject(ApiError::new(
-                        codes::BAD_ARTIFACT,
-                        format!("artifact is not base64: {e}"),
-                    ))
-                })?;
-                let (model, vocab) = crate::artifact::decode(&bytes)
-                    .map_err(|e| reject(ApiError::new(codes::BAD_ARTIFACT, e.to_string())))?;
+                let (model, vocab) = decode_artifact(text).map_err(reject)?;
                 let generation = self.variants.publish(&name, model, vocab);
                 self.obs.publishes.inc();
                 self.obs.events.record(
@@ -470,7 +482,7 @@ impl Engine {
                 Ok(json::obj([("halted", Json::Bool(had_plan))]))
             }
             Some("promote-local") => {
-                let name = variant_of(req)?;
+                let name = variant_of(&req)?;
                 let entry = self.variants.get(&name).ok_or_else(|| {
                     ApiError::new(
                         codes::UNKNOWN_VARIANT,

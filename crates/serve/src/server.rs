@@ -553,7 +553,7 @@ impl Engine {
         match AdminOp::parse(&req) {
             Ok(None) => {} // a ranking request — the path below
             Ok(Some(op)) => {
-                let body = self.dispatch(op, &req);
+                let body = self.dispatch(op, req);
                 // Both publish outcomes route through Answer::Publish: a
                 // *failed* publish can still pay base64 decode + model
                 // deserialize before rejecting, and that wall time must

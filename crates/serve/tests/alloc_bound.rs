@@ -1,0 +1,140 @@
+//! Hostile length fields must not turn into allocations.
+//!
+//! The artifact CRC is integrity, not authentication: anyone who can
+//! publish can compute it over a blob of their choosing. A ~300-byte
+//! artifact whose checkpoint claims a 2^30-element tensor used to ask
+//! for a 4 GiB `vec![0f32; ..]` — and an allocation failure aborts the
+//! replica. This binary installs a counting global allocator (which is
+//! why it is a binary of its own, with one test so nothing else
+//! allocates meanwhile) and checks that every such claim is refused as
+//! a format error having allocated less than 1 MiB beyond its input.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use smgcn_serve::integrity::crc32;
+use smgcn_serve::{artifact, FrozenError, FrozenModel, ServingVocab};
+use smgcn_tensor::checkpoint;
+use smgcn_tensor::Matrix;
+
+/// Bytes requested from the allocator since the process started
+/// (growth only: frees are not subtracted).
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a relaxed
+// statistic that no allocation depends on.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout` (above).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this `layout` (above).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const MIB: usize = 1 << 20;
+
+/// Runs `f` and returns its result with the bytes it allocated.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATED.load(Ordering::Relaxed) - before)
+}
+
+/// A small valid artifact and the offset of its embedded checkpoint.
+fn valid_artifact() -> (Vec<u8>, usize) {
+    let symptoms = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 - 1.5);
+    let herbs = Matrix::from_fn(4, 2, |r, c| (r * 3 + c * 5) as f32 * 0.25 - 2.0);
+    let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
+    let blob = artifact::encode(&model, &ServingVocab::default());
+    let at = blob
+        .windows(4)
+        .position(|w| w == b"SMGT")
+        .expect("the artifact embeds a checkpoint");
+    (blob, at)
+}
+
+/// Overwrites the `u64` at `at` and recomputes the CRC trailer, so the
+/// blob reaches the parsers behind the checksum.
+fn patched(blob: &[u8], at: usize, value: u64) -> Vec<u8> {
+    let mut blob = blob.to_vec();
+    blob[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let body = blob.len() - 4;
+    let crc = crc32(&blob[..body]);
+    blob[body..].copy_from_slice(&crc.to_le_bytes());
+    blob
+}
+
+#[test]
+fn hostile_lengths_are_refused_without_allocating_for_them() {
+    let (valid, ckpt) = valid_artifact();
+    assert!(artifact::decode(&valid).is_ok());
+    // Checkpoint layout: magic 4, version 4, n 8, then per tensor
+    // name_len 8, name, rows 8, cols 8, data. The first tensor is
+    // "frozen.symptoms" (15 bytes).
+    let n_at = ckpt + 8;
+    let name_len_at = ckpt + 16;
+    let rows_at = ckpt + 24 + 15;
+    let cols_at = rows_at + 8;
+    let cases = [
+        // 2^29 rows of the model's 2 columns: exactly the parser's cap.
+        ("2^30-element tensor", patched(&valid, rows_at, 1 << 29)),
+        (
+            "2^30 elements as 2^15 x 2^15",
+            patched(&patched(&valid, rows_at, 1 << 15), cols_at, 1 << 15),
+        ),
+        ("2^62 tensors", patched(&valid, n_at, 1 << 62)),
+        ("1 MiB name", patched(&valid, name_len_at, 1 << 20)),
+        ("2^40-byte name", patched(&valid, name_len_at, 1 << 40)),
+    ];
+    for (what, blob) in &cases {
+        let (result, allocated) = counted(|| artifact::decode(blob));
+        match result {
+            Err(FrozenError::Format(_)) => {}
+            other => panic!("{what}: expected a format error, got {other:?}"),
+        }
+        assert!(
+            allocated < MIB,
+            "{what}: decode allocated {allocated} bytes for a {}-byte artifact",
+            blob.len()
+        );
+    }
+    // The streaming reader cannot check a claim against a length it does
+    // not have; it allocates as bytes arrive, so the same claims cost it
+    // no more than the input holds.
+    for (what, blob) in &cases {
+        let (result, allocated) = counted(|| checkpoint::read_store(&blob[ckpt..]));
+        assert!(result.is_err(), "{what}: the checkpoint is short");
+        assert!(
+            allocated < blob.len() + MIB,
+            "{what}: read_store allocated {allocated} bytes for {} bytes of input",
+            blob.len()
+        );
+    }
+    // The counter sees what it should: a valid decode allocates, and at
+    // the parent commit the first case asked for 4 GiB.
+    let (_, allocated) = counted(|| artifact::decode(&valid).unwrap());
+    assert!(allocated > 0);
+}

@@ -57,19 +57,27 @@ fn read_u64(r: &mut impl Read) -> Result<u64, CheckpointError> {
     Ok(u64::from_le_bytes(buf))
 }
 
+/// `f32`s converted per `read_exact` / `write_all`: 16 KiB of bytes.
+const BLOCK_VALUES: usize = 4096;
+
 /// Serialises every parameter (names, shapes, values) to a writer.
 pub fn write_store(store: &ParamStore, w: impl Write) -> Result<(), CheckpointError> {
     let mut w = BufWriter::new(w);
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
     write_u64(&mut w, store.len() as u64)?;
+    let mut block = [0u8; BLOCK_VALUES * 4];
     for (_, name, value) in store.iter() {
         write_u64(&mut w, name.len() as u64)?;
         w.write_all(name.as_bytes())?;
         write_u64(&mut w, value.rows() as u64)?;
         write_u64(&mut w, value.cols() as u64)?;
-        for v in value.as_slice() {
-            w.write_all(&v.to_le_bytes())?;
+        for values in value.as_slice().chunks(BLOCK_VALUES) {
+            let bytes = &mut block[..values.len() * 4];
+            for (dst, v) in bytes.chunks_exact_mut(4).zip(values) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            w.write_all(bytes)?;
         }
     }
     w.flush()?;
@@ -83,8 +91,46 @@ pub fn save_store(store: &ParamStore, path: impl AsRef<Path>) -> Result<(), Chec
 
 /// Reads a checkpoint into a fresh [`ParamStore`] (names and values only;
 /// the caller re-associates ids by construction order or name).
+///
+/// The reader's length is unknown, so tensor storage grows block by
+/// block as bytes actually arrive: a header that claims more than the
+/// stream holds fails on the missing bytes, not on the allocation.
 pub fn read_store(r: impl Read) -> Result<ParamStore, CheckpointError> {
-    let mut r = BufReader::new(r);
+    read_impl(BufReader::new(r), None)
+}
+
+/// [`read_store`] for a checkpoint already in memory. Every count and
+/// length in it is checked against the bytes that are left **before**
+/// anything is allocated for it, and fails as
+/// [`CheckpointError::Format`]: a checkpoint is as often handed over by a
+/// peer as read from a trusted disk.
+pub fn read_store_bytes(bytes: &[u8]) -> Result<ParamStore, CheckpointError> {
+    read_impl(bytes, Some(bytes.len() as u64))
+}
+
+/// Loads a store from a file path.
+pub fn load_store(path: impl AsRef<Path>) -> Result<ParamStore, CheckpointError> {
+    let file = std::fs::File::open(path)?;
+    let meta = file.metadata()?;
+    // A pipe or device reports no meaningful length: stream it.
+    let len = meta.is_file().then_some(meta.len());
+    read_impl(BufReader::new(file), len)
+}
+
+/// Takes `need` bytes out of the `left` the source is known to hold.
+fn claim(left: &mut Option<u64>, need: u64, what: &str) -> Result<(), CheckpointError> {
+    if let Some(left) = left {
+        *left = left.checked_sub(need).ok_or_else(|| {
+            CheckpointError::Format(format!("{what} needs {need} bytes, {left} are left"))
+        })?;
+    }
+    Ok(())
+}
+
+/// The one checkpoint parser; `left` is how many bytes `r` holds, when
+/// the caller knows.
+fn read_impl(mut r: impl Read, mut left: Option<u64>) -> Result<ParamStore, CheckpointError> {
+    claim(&mut left, 16, "checkpoint header")?;
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -98,40 +144,51 @@ pub fn read_store(r: impl Read) -> Result<ParamStore, CheckpointError> {
             "unsupported version {version} (expected {VERSION})"
         )));
     }
-    let n = read_u64(&mut r)? as usize;
+    let n = read_u64(&mut r)?;
     let mut store = ParamStore::new();
+    let mut block = [0u8; BLOCK_VALUES * 4];
     for _ in 0..n {
-        let name_len = read_u64(&mut r)? as usize;
+        claim(&mut left, 8, "tensor name length")?;
+        let name_len = read_u64(&mut r)?;
         if name_len > 1 << 20 {
             return Err(CheckpointError::Format(format!(
                 "implausible name length {name_len}"
             )));
         }
-        let mut name = vec![0u8; name_len];
-        r.read_exact(&mut name)?;
+        claim(&mut left, name_len + 16, "tensor name and shape")?;
+        // `read_to_end` sizes the buffer by what arrives, not by the claim.
+        let mut name = Vec::new();
+        if r.by_ref().take(name_len).read_to_end(&mut name)? as u64 != name_len {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+        }
         let name = String::from_utf8(name)
             .map_err(|e| CheckpointError::Format(format!("non-utf8 name: {e}")))?;
-        let rows = read_u64(&mut r)? as usize;
-        let cols = read_u64(&mut r)? as usize;
-        if rows.saturating_mul(cols) > 1 << 30 {
-            return Err(CheckpointError::Format(format!(
-                "implausible tensor shape {rows}x{cols}"
-            )));
+        let rows = read_u64(&mut r)?;
+        let cols = read_u64(&mut r)?;
+        let len = match rows.checked_mul(cols) {
+            Some(len) if len <= 1 << 30 => len as usize,
+            _ => {
+                return Err(CheckpointError::Format(format!(
+                    "implausible tensor shape {rows}x{cols}"
+                )))
+            }
+        };
+        claim(&mut left, len as u64 * 4, "tensor data")?;
+        // Reserve the whole tensor only when its bytes are known to
+        // exist; otherwise grow as they arrive.
+        let mut data = Vec::with_capacity(if left.is_some() { len } else { 0 });
+        while data.len() < len {
+            let bytes = &mut block[..(len - data.len()).min(BLOCK_VALUES) * 4];
+            r.read_exact(bytes)?;
+            data.extend(
+                bytes
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+            );
         }
-        let mut data = vec![0f32; rows * cols];
-        let mut buf = [0u8; 4];
-        for v in &mut data {
-            r.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
-        }
-        store.add(name, Matrix::from_vec(rows, cols, data));
+        store.add(name, Matrix::from_vec(rows as usize, cols as usize, data));
     }
     Ok(store)
-}
-
-/// Loads a store from a file path.
-pub fn load_store(path: impl AsRef<Path>) -> Result<ParamStore, CheckpointError> {
-    read_store(std::fs::File::open(path)?)
 }
 
 /// Copies values from `loaded` into `target`, matching parameters by name.
@@ -308,6 +365,127 @@ mod tests {
         widened.add("layer.b", Matrix::zeros(1, 6));
         widened.add("emb", Matrix::zeros(10, 5));
         assert!(restore_into_grown(&mut widened, &loaded).is_err());
+    }
+
+    /// The value-at-a-time writer this module used before the block
+    /// one, kept as the parity oracle: the bytes on disk may not change.
+    fn write_store_per_value(store: &ParamStore) -> Vec<u8> {
+        let mut w = Vec::new();
+        w.extend_from_slice(MAGIC);
+        w.extend_from_slice(&VERSION.to_le_bytes());
+        w.extend_from_slice(&(store.len() as u64).to_le_bytes());
+        for (_, name, value) in store.iter() {
+            w.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            w.extend_from_slice(name.as_bytes());
+            w.extend_from_slice(&(value.rows() as u64).to_le_bytes());
+            w.extend_from_slice(&(value.cols() as u64).to_le_bytes());
+            for v in value.as_slice() {
+                w.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        w
+    }
+
+    fn bits(store: &ParamStore) -> Vec<(String, (usize, usize), Vec<u32>)> {
+        store
+            .iter()
+            .map(|(_, name, value)| {
+                let bits = value.as_slice().iter().map(|v| v.to_bits()).collect();
+                (name.to_string(), value.shape(), bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_conversion_is_exact_around_block_boundaries() {
+        let mut store = ParamStore::new();
+        // Every value a distinct bit pattern, NaNs with payloads included.
+        for (i, len) in [0usize, 1, 4095, 4096, 4097, 3 * 4096 + 5]
+            .into_iter()
+            .enumerate()
+        {
+            let data = (0..len)
+                .map(|j| f32::from_bits((j as u32).wrapping_mul(0x9E37_79B9) ^ i as u32))
+                .collect();
+            store.add(format!("t{i}"), Matrix::from_vec(1, len, data));
+        }
+        let mut bytes = Vec::new();
+        write_store(&store, &mut bytes).unwrap();
+        assert_eq!(bytes, write_store_per_value(&store));
+        assert_eq!(bits(&read_store(bytes.as_slice()).unwrap()), bits(&store));
+        assert_eq!(bits(&read_store_bytes(&bytes).unwrap()), bits(&store));
+    }
+
+    /// A one-tensor checkpoint header: `n`, `name_len`, `name`, shape.
+    fn header(n: u64, name_len: u64, name: &[u8], rows: u64, cols: u64) -> Vec<u8> {
+        let mut b = Vec::new();
+        b.extend_from_slice(MAGIC);
+        b.extend_from_slice(&VERSION.to_le_bytes());
+        b.extend_from_slice(&n.to_le_bytes());
+        b.extend_from_slice(&name_len.to_le_bytes());
+        b.extend_from_slice(name);
+        b.extend_from_slice(&rows.to_le_bytes());
+        b.extend_from_slice(&cols.to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn lengths_beyond_the_bytes_present_are_format_errors_in_memory() {
+        for (what, blob) in [
+            ("2^30 values, no data", header(1, 1, b"t", 1 << 15, 1 << 15)),
+            ("one value short", {
+                let mut b = header(1, 1, b"t", 2, 2);
+                b.extend_from_slice(&[0; 12]);
+                b
+            }),
+            ("shape product overflows", header(1, 1, b"t", u64::MAX, 2)),
+            ("name longer than the blob", header(1, 1 << 19, b"t", 1, 1)),
+            ("2^60 tensors", {
+                let mut b = header(1 << 60, 1, b"t", 1, 1);
+                b.extend_from_slice(&[0; 4]);
+                b
+            }),
+        ] {
+            let err = read_store_bytes(&blob).unwrap_err();
+            assert!(matches!(err, CheckpointError::Format(_)), "{what}: {err}");
+            // The streaming reader cannot know the length up front; it
+            // fails on the missing bytes instead, never on allocation.
+            assert!(read_store(blob.as_slice()).is_err(), "{what}");
+        }
+    }
+
+    #[test]
+    fn readers_never_panic_and_agree_on_arbitrary_bytes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let mut valid = Vec::new();
+        write_store(&sample_store(), &mut valid).unwrap();
+        for case in 0..10_000 {
+            let blob: Vec<u8> = if case % 3 == 0 {
+                let mut b = MAGIC.to_vec();
+                b.extend((0..rng.gen_range(0..80usize)).map(|_| rng.gen_range(0..=255u32) as u8));
+                b
+            } else {
+                let mut b = valid.clone();
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let at = rng.gen_range(0..b.len());
+                    b[at] = rng.gen_range(0..=255u32) as u8;
+                }
+                if case % 3 == 1 {
+                    b.truncate(rng.gen_range(0..=b.len()));
+                }
+                b
+            };
+            match (read_store(blob.as_slice()), read_store_bytes(&blob)) {
+                (Ok(streamed), Ok(in_memory)) => assert_eq!(bits(&streamed), bits(&in_memory)),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!(
+                    "case {case}: readers disagree: {:?} / {:?}",
+                    a.err(),
+                    b.err()
+                ),
+            }
+        }
     }
 
     #[test]
