@@ -9,7 +9,7 @@ use smgcn_core::prelude::*;
 use smgcn_data::{GeneratorConfig, SyndromeModel};
 use smgcn_graph::{GraphOperators, SynergyThresholds};
 use smgcn_tensor::init::{seeded_rng, xavier_uniform};
-use smgcn_tensor::{CsrMatrix, Tape};
+use smgcn_tensor::{CsrMatrix, Tape, Tier};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("dense_matmul");
@@ -35,10 +35,20 @@ fn bench_matmul_transb(c: &mut Criterion) {
 }
 
 fn bench_matmul_packed(c: &mut Criterion) {
-    // The served Eq. 13 product at its two shapes, right operand packed
-    // per call (`matmul_transb`) against packed once (`matmul_packed`).
+    // The served Eq. 13 product, right operand packed per call
+    // (`matmul_transb`, training's kernels) against packed once
+    // (`matmul_packed`, the serving tier's). The paper shape runs at one,
+    // two and eight queries: what a replica's batches actually hold, and
+    // the guard that the short-row edge kernels are not slower than the
+    // tile they stand in for (15.8 us at m = 1 before the FMA tiers).
+    println!("PackedRhs kernel tier: {:?}", Tier::detect());
     let mut group = c.benchmark_group("serve_scores");
-    for &(m, d, herbs) in &[(1usize, 256usize, 753usize), (64, 64, 65536)] {
+    for &(m, d, herbs) in &[
+        (1usize, 256usize, 753usize),
+        (2, 256, 753),
+        (8, 256, 753),
+        (64, 64, 65536),
+    ] {
         let mut rng = seeded_rng(4);
         let syndrome = xavier_uniform(m, d, &mut rng);
         let herb_rows = xavier_uniform(herbs, d, &mut rng);
@@ -52,6 +62,57 @@ fn bench_matmul_packed(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_score_large_fused(_: &mut Criterion) {
+    // The repository benchmark's `score_large` batch (64 queries, 65,536
+    // herbs, d = 64, top-10) both ways: the score matrix written and then
+    // selected from row by row, against `recommend_batch`, which selects
+    // from each GEMM tile while it is in L1 and writes no matrix. Timed
+    // by hand: the rates (2 B d H flop a batch) are the point.
+    use smgcn_serve::{partial_top_k, FrozenModel};
+    const BATCH: usize = 64;
+    const DIM: usize = 64;
+    const HERBS: usize = 65_536;
+    const K: usize = 10;
+    let mut rng = seeded_rng(7);
+    let model = FrozenModel::from_parts(
+        xavier_uniform(8192, DIM, &mut rng),
+        xavier_uniform(HERBS, DIM, &mut rng),
+        None,
+    )
+    .expect("consistent shapes");
+    let sets: Vec<Vec<u32>> = (0..BATCH as u32)
+        .map(|q| (0..3 + q % 7).map(|i| (q * 131 + i * 977) % 8192).collect())
+        .collect();
+    let sets: Vec<&[u32]> = sets.iter().map(Vec::as_slice).collect();
+    let unfused = || {
+        let scores = model.score_batch(&sets).expect("valid sets");
+        (0..BATCH)
+            .map(|r| partial_top_k(scores.row(r), K))
+            .collect::<Vec<_>>()
+    };
+    let fused = || model.recommend_batch(&sets, K).expect("valid sets");
+    assert_eq!(unfused(), fused(), "fused and unfused rankings differ");
+    let report = |name: &str, f: &dyn Fn() -> Vec<Vec<u32>>| {
+        const ITERS: u32 = 40;
+        for _ in 0..ITERS / 4 {
+            std::hint::black_box(f());
+        }
+        let start = std::time::Instant::now();
+        for _ in 0..ITERS {
+            std::hint::black_box(f());
+        }
+        let batch_s = start.elapsed().as_secs_f64() / f64::from(ITERS);
+        println!(
+            "score_large_fused/{name:<27} {:>8.2} ms / batch {:>7.1} GFLOP/s {:>7.1} µs / row",
+            batch_s * 1e3,
+            2.0 * (BATCH * DIM * HERBS) as f64 / batch_s / 1e9,
+            batch_s * 1e6 / BATCH as f64,
+        );
+    };
+    report("score_batch+partial_top_k", &unfused);
+    report("recommend_batch", &fused);
 }
 
 fn bench_publish_codecs(c: &mut Criterion) {
@@ -230,6 +291,7 @@ criterion_group!(
     bench_matmul,
     bench_matmul_transb,
     bench_matmul_packed,
+    bench_score_large_fused,
     bench_publish_codecs,
     bench_spmm,
     bench_graph_build,

@@ -7,7 +7,7 @@
 //! enqueue `(symptom set, k)` jobs and block on a channel; the scorer
 //! drains whatever has accumulated (up to `max_batch`), optionally
 //! lingering a few hundred microseconds to let stragglers join, scores
-//! the whole batch with [`FrozenModel::score_batch`] and fans the
+//! the whole batch with [`FrozenModel::rank_batch_timed`] and fans the
 //! rankings back out.
 //!
 //! Each job pins a model [`Generation`] **at submission** (the server
@@ -71,9 +71,10 @@ pub struct ScoreTimings {
     pub queue_us: u64,
     /// Drain to GEMM start: grouping and per-job validation.
     pub batch_us: u64,
-    /// The batched scoring matrix multiply.
+    /// The batched scoring product, selection excluded.
     pub gemm_us: u64,
-    /// This job's partial top-k selection.
+    /// The batch's top-k selection, run on each tile of the product as
+    /// the kernel stores it.
     pub topk_us: u64,
     /// Jobs scored in the same GEMM (this job included).
     pub batch_size: usize,
@@ -326,20 +327,23 @@ fn score_and_reply(generation: &Arc<Generation>, batch: Vec<Job>, drained_at: In
         return;
     }
     let sets: Vec<&[u32]> = valid.iter().map(|j| j.set.as_slice()).collect();
-    let gemm_start = Instant::now();
-    let batch_us = gemm_start.duration_since(drained_at).as_micros() as u64;
-    match model.score_batch(&sets) {
-        Ok(scores) => {
-            let gemm_us = gemm_start.elapsed().as_micros() as u64;
+    let ks: Vec<usize> = valid.iter().map(|j| j.k).collect();
+    let score_start = Instant::now();
+    let batch_us = score_start.duration_since(drained_at).as_micros() as u64;
+    match model.rank_batch_timed(&sets, &ks) {
+        Ok((rankings, select)) => {
+            // Selection runs inside the product, tile by tile: what the
+            // visitor took is `topk`, the rest of the call is `gemm`, so
+            // the two still partition the scored wall time.
+            let topk_us = select.as_micros() as u64;
+            let gemm_us = (score_start.elapsed().as_micros() as u64).saturating_sub(topk_us);
             let batch_size = valid.len();
-            for (row, job) in valid.iter().enumerate() {
-                let topk_start = Instant::now();
-                let ranking = crate::topk::partial_top_k(scores.row(row), job.k);
+            for (job, ranking) in valid.iter().zip(rankings) {
                 let timings = ScoreTimings {
                     queue_us: drained_at.duration_since(job.submitted).as_micros() as u64,
                     batch_us,
                     gemm_us,
-                    topk_us: topk_start.elapsed().as_micros() as u64,
+                    topk_us,
                     batch_size,
                 };
                 let _ = job

@@ -17,20 +17,34 @@
 //!
 //! Both right-hand sides are frozen for the life of the model, so their
 //! GEMM panel layout is frozen with them: [`FrozenModel::from_parts`]
-//! packs the herb matrix and `W_mlp` once into [`PackedRhs`] and the model
-//! keeps them *only* in that form. Scoring never packs and never touches
-//! the kernels' thread-local scratch; `save` / `artifact::encode` unpack
-//! (exactly) on their cold path.
+//! packs the herb matrix and `W_mlp` once into [`PackedRhs`] — for the
+//! kernel tier of this host's CPU — and the model keeps them *only* in
+//! that form. Scoring never packs and never touches the kernels'
+//! thread-local scratch; `save` / `artifact::encode` unpack (exactly) on
+//! their cold path, so a model's bytes do not depend on where it was
+//! packed.
+//!
+//! There is one ranking path, [`FrozenModel::rank_batch`]: induce, then
+//! walk the scoring product tile by tile and select each query's top-k
+//! from the tile while it is in L1. The `B x H` score matrix exists only
+//! for the diagnostic [`FrozenModel::score_batch`]; a ranking is exactly
+//! `partial_top_k` of that matrix's row without the matrix. Scores are
+//! one fused multiply-add chain per herb where the CPU has FMA (the
+//! [`PackedRhs`] contract): within ≤ 1e-6 of the full forward pass, exact
+//! and repeatable per model per host.
 //!
 //! Persistence reuses the `smgcn-tensor` checkpoint container (magic
 //! `SMGT`), with reserved `frozen.*` tensor names, so the same tooling
 //! reads training checkpoints and frozen models.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
 use smgcn_core::Recommender;
 use smgcn_tensor::checkpoint::{self, CheckpointError};
 use smgcn_tensor::{Matrix, PackedRhs, ParamStore};
 
-use crate::topk::partial_top_k;
+use crate::topk::TopK;
 
 /// Checkpoint tensor names used by the frozen format.
 const NAME_SYMPTOMS: &str = "frozen.symptoms";
@@ -303,28 +317,87 @@ impl FrozenModel {
 
     /// Herb scores for a batch of symptom sets (`B x H`): Eq. 13's
     /// `g(sc, H) = e_syndrome(sc) · e*_H^T` as one GEMM for the whole
-    /// batch — this is the micro-batching fast path.
+    /// batch. Diagnostic surface (`"scores": true`, duels, parity tests):
+    /// ranking goes through [`rank_batch`](Self::rank_batch), which never
+    /// materialises this matrix.
     pub fn score_batch(&self, sets: &[&[u32]]) -> Result<Matrix, FrozenError> {
         Ok(self.induce_batch(sets)?.matmul_packed(&self.herbs))
     }
 
     /// Herb scores for a single symptom set.
     pub fn score_one(&self, set: &[u32]) -> Result<Vec<f32>, FrozenError> {
-        Ok(self.score_batch(&[set])?.row(0).to_vec())
+        Ok(self.score_batch(&[set])?.into_vec())
+    }
+
+    /// The ranking path — every recommendation, single, batched or from
+    /// the batcher, is this one: the top `ks[i]` herb ids for `sets[i]`,
+    /// by descending score (ties to the lower id).
+    ///
+    /// Induces the batch, then walks the scoring product tile by tile
+    /// ([`PackedRhs::for_each_tile`]) with one streaming [`TopK`] per
+    /// query fed from each tile while the micro-kernel's stores are still
+    /// in L1. The `B x H` score matrix is never written: it is bit for
+    /// bit what [`score_batch`](Self::score_batch) returns, consumed in
+    /// flight.
+    ///
+    /// # Panics
+    /// Panics if `ks.len() != sets.len()`.
+    pub fn rank_batch(&self, sets: &[&[u32]], ks: &[usize]) -> Result<Vec<Vec<u32>>, FrozenError> {
+        Ok(self.rank(sets, ks, false)?.0)
+    }
+
+    /// [`rank_batch`](Self::rank_batch), also returning the wall time
+    /// that went into selection rather than the product (the batcher's
+    /// `gemm` / `topk` split); the untimed call does not read the clock.
+    pub fn rank_batch_timed(
+        &self,
+        sets: &[&[u32]],
+        ks: &[usize],
+    ) -> Result<(Vec<Vec<u32>>, Duration), FrozenError> {
+        self.rank(sets, ks, true)
+    }
+
+    fn rank(
+        &self,
+        sets: &[&[u32]],
+        ks: &[usize],
+        timed: bool,
+    ) -> Result<(Vec<Vec<u32>>, Duration), FrozenError> {
+        assert_eq!(ks.len(), sets.len(), "FrozenModel: one k per symptom set");
+        let induced = self.induce_batch(sets)?;
+        let mut tops: Vec<TopK> = ks
+            .iter()
+            .map(|&k| TopK::new(k.min(self.n_herbs())))
+            .collect();
+        // Summed over the threads the rows are split across; a statistic
+        // nothing is published through, hence `Relaxed`.
+        let select_ns = AtomicU64::new(0);
+        let threads = self.herbs.for_each_tile(&induced, &mut tops, |tops, tile| {
+            let start = timed.then(Instant::now);
+            for (r, top) in tops.iter_mut().enumerate() {
+                top.push_slice(tile.col0, tile.row(r));
+            }
+            if let Some(start) = start {
+                select_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
+        });
+        let start = timed.then(Instant::now);
+        let rankings = tops.into_iter().map(TopK::finish).collect();
+        let select = Duration::from_nanos(select_ns.into_inner() / threads as u64)
+            + start.map_or(Duration::ZERO, |start| start.elapsed());
+        Ok((rankings, select))
     }
 
     /// Top-`k` herb ids for one symptom set, by descending score (ties to
-    /// the lower id), via heap-based partial selection.
+    /// the lower id).
     pub fn recommend(&self, set: &[u32], k: usize) -> Result<Vec<u32>, FrozenError> {
-        Ok(partial_top_k(&self.score_one(set)?, k))
+        let mut rankings = self.rank_batch(&[set], &[k])?;
+        Ok(rankings.pop().expect("one ranking per set"))
     }
 
     /// Top-`k` rankings for a batch, sharing one scoring GEMM.
     pub fn recommend_batch(&self, sets: &[&[u32]], k: usize) -> Result<Vec<Vec<u32>>, FrozenError> {
-        let scores = self.score_batch(sets)?;
-        Ok((0..scores.rows())
-            .map(|r| partial_top_k(scores.row(r), k))
-            .collect())
+        self.rank_batch(sets, &vec![k; sets.len()])
     }
 }
 
@@ -381,6 +454,34 @@ mod tests {
                 "row {i}"
             );
         }
+    }
+
+    #[test]
+    fn fused_ranking_is_the_unfused_ranking() {
+        // 1,500 herbs at d = 24: several column blocks and a ragged last
+        // panel; 11 queries: an 8-row tile and a 3-row edge. Quantised
+        // embeddings make exact score ties common.
+        let symptoms = Matrix::from_fn(40, 24, |r, c| ((r * 7 + c * 3) % 9) as f32 * 0.25 - 1.0);
+        let herbs = Matrix::from_fn(1500, 24, |r, c| ((r * 5 + c * 11) % 13) as f32 * 0.5 - 3.0);
+        let fm = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
+        let sets: Vec<Vec<u32>> = (0..11u32)
+            .map(|q| (0..=q % 4).map(|i| (q * 3 + i * 7) % 40).collect())
+            .collect();
+        let sets: Vec<&[u32]> = sets.iter().map(Vec::as_slice).collect();
+        let ks = [0usize, 1, 10, 10, 3, 1500, 1505, 7, 10, 2, 100];
+        let scores = fm.score_batch(&sets).unwrap();
+        let want: Vec<Vec<u32>> = (0..sets.len())
+            .map(|r| crate::topk::partial_top_k(scores.row(r), ks[r]))
+            .collect();
+        assert_eq!(fm.rank_batch(&sets, &ks).unwrap(), want);
+        assert_eq!(fm.rank_batch_timed(&sets, &ks).unwrap().0, want);
+        for ((set, &k), want) in sets.iter().zip(&ks).zip(&want) {
+            assert_eq!(&fm.recommend(set, k).unwrap(), want);
+        }
+        assert_eq!(
+            fm.recommend_batch(&sets, 10).unwrap(),
+            fm.rank_batch(&sets, &[10; 11]).unwrap()
+        );
     }
 
     #[test]

@@ -54,6 +54,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod checkpoint;
 pub mod gemm;
@@ -66,7 +67,7 @@ pub mod pool;
 pub mod sparse;
 pub mod tape;
 
-pub use gemm::{reference_kernels_enabled, set_reference_kernels, PackedRhs};
+pub use gemm::{reference_kernels_enabled, set_reference_kernels, PackedRhs, Tier, Tile};
 pub use matrix::Matrix;
 pub use pool::{BufferPool, PoolStats};
 pub use sparse::{CsrMatrix, SharedCsr};

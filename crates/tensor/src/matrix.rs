@@ -9,7 +9,7 @@
 //! offending dimensions; shape errors in a training loop are programmer bugs,
 //! not recoverable conditions.
 
-use crate::gemm::{self, PackedRhs};
+use crate::gemm::{self, PackedRhs, Tier};
 
 /// A dense row-major matrix of `f32` values.
 #[derive(Clone, PartialEq)]
@@ -456,20 +456,22 @@ impl Matrix {
     /// [`matmul`](Self::matmul), once, for many
     /// [`matmul_packed`](Self::matmul_packed) products.
     pub fn pack_rhs(&self) -> PackedRhs {
-        PackedRhs::pack(&self.data, self.rows, self.cols)
+        PackedRhs::from_rhs(self, Tier::for_cols(self.cols))
     }
 
     /// Packs `self` (`n x k`) as the right operand of
     /// [`matmul_transb`](Self::matmul_transb), once, for many
     /// [`matmul_packed`](Self::matmul_packed) products.
     pub fn pack_transposed(&self) -> PackedRhs {
-        PackedRhs::pack_transposed(&self.data, self.rows, self.cols)
+        PackedRhs::from_transposed(self, Tier::for_cols(self.rows))
     }
 
-    /// `self` times a pre-packed right operand: bit-for-bit
-    /// `self.matmul(&b)` for `b.pack_rhs()` and `self.matmul_transb(&b)`
-    /// for `b.pack_transposed()`, without packing or touching the
-    /// thread-local pack scratch.
+    /// `self` times a pre-packed right operand: `self.matmul(&b)` for
+    /// `b.pack_rhs()` and `self.matmul_transb(&b)` for
+    /// `b.pack_transposed()` under the [`PackedRhs`] contract (fused
+    /// multiply-adds where the CPU has them, so not the same bits as
+    /// those two), without packing or touching the thread-local pack
+    /// scratch.
     ///
     /// # Panics
     /// Panics if `self.cols != rhs.rows()`.
@@ -502,7 +504,7 @@ impl Matrix {
             self.rows,
             rhs.cols()
         );
-        rhs.matmul_into(&self.data, self.rows, &mut out.data);
+        rhs.matmul_into(self, &mut out.data);
     }
 
     /// Dense matrix product with a transposed *left* operand:
@@ -694,7 +696,10 @@ impl Matrix {
     /// Index validation is hoisted out of the copy loop: every index is
     /// checked once up front, then rows are copied without per-row bounds
     /// checks. This lookup sits inside every embedding gather, so the
-    /// check must not be paid `indices.len()` times.
+    /// check must not be paid `indices.len()` times. The copy loop is
+    /// this file's one `unsafe` block; it relies on nothing but the
+    /// validation pass directly above it and `data.len() == rows * cols`
+    /// (which every constructor asserts and no method breaks).
     ///
     /// # Panics
     /// Panics if any index is out of bounds or the output shape mismatches.
@@ -914,6 +919,29 @@ mod tests {
     fn gather_rows_rejects_oob() {
         let a = Matrix::zeros(2, 2);
         let _ = a.gather_rows(&[5]);
+    }
+
+    /// The bounds the unchecked read in `gather_rows_into` rests on: the
+    /// last row is readable, the first index past it (and `u32::MAX`) is
+    /// refused, and refused *before* any row is copied — validation is a
+    /// separate pass, not interleaved with the unchecked reads.
+    #[test]
+    fn gather_rows_validates_every_index_before_reading() {
+        let a = m(3, 2, &[0.0, 1.0, 10.0, 11.0, 20.0, 21.0]);
+        assert_eq!(a.gather_rows(&[2]).row(0), &[20.0, 21.0]);
+        for bad in [3u32, u32::MAX] {
+            let mut out = Matrix::filled(2, 2, f32::NAN);
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                a.gather_rows_into(&[0, bad], &mut out)
+            }));
+            assert!(refused.is_err(), "index {bad} must be refused");
+            assert!(
+                out.as_slice().iter().all(|v| v.is_nan()),
+                "index {bad}: a row was copied before validation finished"
+            );
+        }
+        // No columns: nothing to read, whatever the (valid) indices.
+        assert_eq!(Matrix::zeros(3, 0).gather_rows(&[2, 0]).shape(), (2, 0));
     }
 
     #[test]

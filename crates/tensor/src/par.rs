@@ -45,11 +45,29 @@ pub fn for_each_row_chunk<F>(data: &mut [f32], row_len: usize, rows: usize, f: F
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
+    for_each_row_chunk_of(data, row_len, rows, data.len(), f);
+}
+
+/// [`for_each_row_chunk`] over rows of any per-row state, for kernels
+/// whose output is not an `f32` buffer: `work` is the output-element
+/// count the thread decision is made from (what `data.len()` is there).
+/// Returns the number of chunks — threads — the rows were split into.
+pub fn for_each_row_chunk_of<T, F>(
+    data: &mut [T],
+    row_len: usize,
+    rows: usize,
+    work: usize,
+    f: F,
+) -> usize
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
     debug_assert_eq!(data.len(), row_len * rows);
-    let threads = threads_for(data.len());
+    let threads = threads_for(work);
     if threads <= 1 || rows < 2 {
         f(0, data);
-        return;
+        return 1;
     }
     let chunk_rows = rows.div_ceil(threads);
     std::thread::scope(|scope| {
@@ -58,6 +76,7 @@ where
             scope.spawn(move || f(i * chunk_rows, chunk));
         }
     });
+    rows.div_ceil(chunk_rows)
 }
 
 /// Computes `parts + 1` row boundaries over `rows` rows such that every

@@ -3,14 +3,18 @@
 //! the per-element accumulation order is part of the contract), and a
 //! buffer-pooled tape must produce bit-identical gradients to an unpooled
 //! one, including when its recycled buffers are full of stale garbage.
-//! The serving side's pack-once operand (`PackedRhs`) is held to the same
-//! bits as the pack-per-call products it replaces.
+//! The serving side's pack-once operand (`PackedRhs`) is held to its own
+//! contract on **every kernel tier this CPU supports**, each called
+//! directly rather than through dispatch: one accumulator per output
+//! walking `t` ascending — fused on the SIMD tiers (== a naive `mul_add`
+//! loop, bit for bit), `mul` then `add` on the scalar tier (== `matmul`,
+//! bit for bit).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use smgcn_tensor::init::seeded_rng;
-use smgcn_tensor::{BufferPool, CsrMatrix, Matrix, ParamStore, SharedCsr, Tape};
+use smgcn_tensor::{BufferPool, CsrMatrix, Matrix, PackedRhs, ParamStore, SharedCsr, Tape, Tier};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     use rand::Rng;
@@ -88,36 +92,68 @@ proptest! {
         }
     }
 
-    /// A right operand packed once multiplies to the same bits as the
-    /// per-call `matmul` / `matmul_transb` and their reference kernels,
-    /// and unpacks to exactly the matrix it was built from.
+    /// Every tier, on shapes around every edge of its kernels: tile
+    /// heights 1..=8 and past them, `n` below one panel / ragged / whole
+    /// panels, reductions of 1, 2 and the two served widths.
     #[test]
-    fn packed_rhs_is_bit_identical_and_round_trips(m in 1usize..34, k in 1usize..34, n in 1usize..34, seed in 0u64..500) {
-        // Remainder-row heights (m % 4 != 0), a ragged last panel
-        // (n % 8 != 0) and k = 1 ride along with every drawn triple.
-        let shapes = [(m, k, n), (1, k, n), (2, k, n), (3, k, n), (5, k, n), (m, 1, n), (m, k, n | 1), (m, k, 1)];
+    fn packed_rhs_holds_its_contract_on_every_tier(
+        m in 1usize..34,
+        n in 1usize..70,
+        pick in 0usize..9,
+        seed in 0u64..500,
+    ) {
+        let k = [1usize, 2, 64, 256][pick % 4];
+        let heights = [1usize, 2, 3, 5, 7, 8, 9, 17, 64];
+        let shapes = [(m, k, n), (heights[pick], k, n), (m, 3 + pick, n), (m, k, n | 1), (m, k, 1)];
         for (m, k, n) in shapes {
             let a = random_matrix(m, k, seed);
             let bt = random_matrix(n, k, seed ^ 0x51f1);
-            let packed = bt.pack_transposed();
-            prop_assert_eq!((packed.rows(), packed.cols()), (k, n));
-            let got = a.matmul_packed(&packed);
-            assert_bits_equal(&got, &a.matmul_transb(&bt), &format!("packed transb {m}x{k}x{n}"));
-            assert_bits_equal(&got, &a.matmul_transb_reference(&bt), &format!("packed transb-ref {m}x{k}x{n}"));
-            assert_bits_equal(&packed.unpack_transposed(), &bt, "unpack_transposed");
-            assert_bits_equal(&packed.unpack(), &bt.transpose(), "unpack of a transposed pack");
+            let b = bt.transpose();
+            let fused = mul_add_oracle(&a, &b);
+            let split = a.matmul_transb(&bt);
+            assert_bits_equal(&split, &a.matmul(&b), "the two training products");
+            for tier in Tier::available() {
+                let what = format!("{tier:?} {m}x{k}x{n}");
+                let packed = PackedRhs::from_transposed(&bt, tier);
+                prop_assert_eq!((packed.rows(), packed.cols()), (k, n));
+                assert_bits_equal(&packed.unpack_transposed(), &bt, "unpack_transposed");
+                assert_bits_equal(&packed.unpack(), &b, "unpack of a transposed pack");
+                let got = a.matmul_packed(&packed);
+                let same_panels = PackedRhs::from_rhs(&b, tier);
+                assert_bits_equal(&same_panels.unpack(), &b, "unpack");
+                assert_bits_equal(&a.matmul_packed(&same_panels), &got, "pack_rhs == pack_transposed");
+                if tier == Tier::Scalar {
+                    // The fallback is HEAD's kernels: training's bits.
+                    assert_bits_equal(&got, &split, &format!("{what} vs matmul_transb"));
+                    assert_bits_equal(&got, &a.matmul_transb_reference(&bt), &format!("{what} vs reference"));
+                } else {
+                    assert_bits_equal(&got, &fused, &format!("{what} vs mul_add"));
+                }
+                // Fused or not, the product is the same to rounding.
+                let bound = 1e-5 * k as f32 * max_abs(&a) * max_abs(&bt);
+                prop_assert!(got.max_abs_diff(&split) <= bound, "{what}: {} > {bound}", got.max_abs_diff(&split));
 
-            let b = random_matrix(k, n, seed ^ 0x9e37);
-            let packed = b.pack_rhs();
-            let got = a.matmul_packed(&packed);
-            assert_bits_equal(&got, &a.matmul(&b), &format!("packed matmul {m}x{k}x{n}"));
-            assert_bits_equal(&got, &a.matmul_reference(&b), &format!("packed matmul-ref {m}x{k}x{n}"));
-            assert_bits_equal(&packed.unpack(), &b, "unpack");
+                // `_into` fully overwrites a dirty output buffer.
+                let mut out = Matrix::filled(m, n, f32::NAN);
+                a.matmul_packed_into(&packed, &mut out);
+                assert_bits_equal(&out, &got, "matmul_packed_into");
 
-            // `_into` fully overwrites a dirty output buffer.
-            let mut out = Matrix::filled(m, n, f32::NAN);
-            a.matmul_packed_into(&packed, &mut out);
-            assert_bits_equal(&out, &got, "matmul_packed_into");
+                // Tiles: every (row, col) exactly once, each row's in
+                // ascending column order, holding the product's values.
+                let mut seen: Vec<Vec<f32>> = vec![Vec::new(); m];
+                packed.for_each_tile(&a, &mut seen, |rows, tile| {
+                    assert_eq!(rows.len(), tile.rows());
+                    for (r, row) in rows.iter_mut().enumerate() {
+                        assert_eq!(row.len(), tile.col0, "{what}: a tile out of column order");
+                        assert_eq!(tile.row(r).len(), tile.width());
+                        row.extend_from_slice(tile.row(r));
+                    }
+                });
+                for (r, row) in seen.iter().enumerate() {
+                    prop_assert_eq!(row.len(), n, "{}: row {} coverage", what, r);
+                    prop_assert!(row.iter().zip(got.row(r)).all(|(x, y)| x.to_bits() == y.to_bits()));
+                }
+            }
         }
     }
 
@@ -194,27 +230,75 @@ proptest! {
     }
 }
 
+fn max_abs(m: &Matrix) -> f32 {
+    m.as_slice().iter().fold(0.0, |max, v| max.max(v.abs()))
+}
+
+/// Naive `a @ b` with one `mul_add` chain per output, `t` ascending from
+/// `0.0`: the spec of the SIMD tiers.
+fn mul_add_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.cols(), |r, c| {
+        (0..a.cols()).fold(0.0f32, |acc, t| a.get(r, t).mul_add(b.get(t, c), acc))
+    })
+}
+
+/// Says which kernels the suite above exercised on this host.
+#[test]
+fn prints_the_tiers_that_ran() {
+    println!(
+        "PackedRhs tiers exercised: {:?} (dispatch picks {:?})",
+        Tier::available(),
+        Tier::detect()
+    );
+    assert_eq!(Tier::available().first(), Some(&Tier::Scalar));
+    assert!(Tier::available().contains(&Tier::detect()));
+}
+
 /// One `PackedRhs` shared by four threads gives every thread the
 /// single-thread result: the panels are immutable and `Sync`, and no
 /// product goes through per-thread pack scratch.
 #[test]
 fn packed_rhs_is_shared_across_threads() {
     let herbs = random_matrix(753, 64, 11);
-    let packed = herbs.pack_transposed();
     let queries: Vec<Matrix> = (0..4)
         .map(|t| random_matrix(1 + t, 64, 100 + t as u64))
         .collect();
-    let want: Vec<Matrix> = queries.iter().map(|q| q.matmul_transb(&herbs)).collect();
-    let barrier = std::sync::Barrier::new(queries.len());
-    std::thread::scope(|scope| {
-        for (q, want) in queries.iter().zip(&want) {
-            let (packed, barrier) = (&packed, &barrier);
-            scope.spawn(move || {
-                barrier.wait();
-                for _ in 0..50 {
-                    assert_bits_equal(&q.matmul_packed(packed), want, "shared PackedRhs");
-                }
-            });
+    for tier in Tier::available() {
+        let packed = PackedRhs::from_transposed(&herbs, tier);
+        let want: Vec<Matrix> = queries.iter().map(|q| q.matmul_packed(&packed)).collect();
+        let barrier = std::sync::Barrier::new(queries.len());
+        std::thread::scope(|scope| {
+            for (q, want) in queries.iter().zip(&want) {
+                let (packed, barrier) = (&packed, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for _ in 0..50 {
+                        assert_bits_equal(&q.matmul_packed(packed), want, "shared PackedRhs");
+                    }
+                });
+            }
+        });
+    }
+}
+
+/// The product does not depend on how `par` splits the rows: a 64-row
+/// product wide enough to be threaded (where the host has the cores)
+/// equals, bit for bit, its rows computed one at a time on the calling
+/// thread — which also crosses the 8-row tile with the 1-row edge kernel.
+#[test]
+fn packed_product_is_independent_of_the_row_split() {
+    let herbs = random_matrix(4099, 64, 21);
+    let batch = random_matrix(64, 64, 22);
+    for tier in Tier::available() {
+        let packed = PackedRhs::from_transposed(&herbs, tier);
+        let whole = batch.matmul_packed(&packed);
+        for r in 0..batch.rows() {
+            let alone = Matrix::from_vec(1, 64, batch.row(r).to_vec()).matmul_packed(&packed);
+            assert_eq!(
+                alone.row(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                whole.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{tier:?} row {r}"
+            );
         }
-    });
+    }
 }
