@@ -65,6 +65,15 @@ fn artifact_b64(tag: u64) -> String {
     artifact::to_base64(&artifact::encode(&model(tag), &vocab(tag)))
 }
 
+/// [`artifact_b64`] with one bit flipped mid-payload: well-formed base64
+/// whose checksum every replica must refuse.
+fn corrupt_b64(tag: u64) -> String {
+    let mut bytes = artifact::encode(&model(tag), &vocab(tag));
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    artifact::to_base64(&bytes)
+}
+
 /// One step of a replay corpus.
 enum Step {
     /// A request line sent on the corpus's single persistent connection.
@@ -361,6 +370,17 @@ fn router_corpus() -> Vec<Step> {
         line(r#"{"op":"experiment","action":"status"}"#),
         line(r#"{"op":"experiment","action":"halt"}"#),
         line(r#"{"op":"stats"}"#),
+        // Refusals: the outcome prose, `rejected_by` and `aborted` of a
+        // rollout the first replica rejects, and a promotion nobody serves.
+        line(format!(
+            r#"{{"op":"publish","artifact":"{}"}}"#,
+            corrupt_b64(3)
+        )),
+        line(format!(
+            r#"{{"op":"experiment","action":"publish","variant":"canary","artifact":"{}"}}"#,
+            corrupt_b64(3)
+        )),
+        line(r#"{"op":"experiment","action":"promote","variant":"ghost"}"#),
     ]
 }
 
