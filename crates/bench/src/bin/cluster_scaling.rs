@@ -26,19 +26,18 @@
 //!                 [--seed N] [--out PATH]
 //! ```
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smgcn_bench::harness::{percentiles_us, spawn_server, synthetic_frozen, SpawnedServer};
+use smgcn_bench::harness::{percentiles_us, synthetic_frozen};
 use smgcn_bench::report::{BenchReport, GateDirection};
 use smgcn_cluster::{PoolConfig, Router, RouterConfig};
+use smgcn_serve::client::classify;
 use smgcn_serve::json::{self, Json};
-use smgcn_serve::{BatcherConfig, ServerConfig, ServingVocab};
+use smgcn_serve::{BatcherConfig, LineClient, Running, Server, ServerConfig, ServingVocab};
 
 const N_SYMPTOMS: usize = 64;
 const N_HERBS: usize = 256;
@@ -94,8 +93,9 @@ fn parse_args() -> Args {
 /// A replica tuned for the bench: no result cache (keep the scoring path
 /// real) and a visible linger so each replica's service capacity is its
 /// batching cycle — the per-machine bound fan-out multiplies.
-fn start_replica() -> SpawnedServer {
-    spawn_server(
+fn start_replica() -> Running {
+    Server::bind(
+        "127.0.0.1:0",
         synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, 0),
         ServingVocab::default(),
         ServerConfig {
@@ -109,12 +109,14 @@ fn start_replica() -> SpawnedServer {
             ..ServerConfig::default()
         },
     )
+    .and_then(Server::spawn)
+    .expect("start a replica")
 }
 
-fn router_over(addrs: Vec<SocketAddr>) -> (Router, SocketAddr) {
-    let router = Router::bind(
+fn router_over(replicas: &[Running]) -> Running {
+    Router::bind(
         "127.0.0.1:0",
-        addrs,
+        replicas.iter().map(Running::addr).collect(),
         RouterConfig {
             pool: PoolConfig {
                 max_conns_per_replica: 4,
@@ -132,23 +134,17 @@ fn router_over(addrs: Vec<SocketAddr>) -> (Router, SocketAddr) {
             ..RouterConfig::default()
         },
     )
-    .unwrap();
-    let addr = router.local_addr().unwrap();
-    (router, addr)
+    .and_then(Router::spawn)
+    .expect("start the router")
 }
 
 /// One completed request: completion instant, latency, success.
 type Sample = (Instant, f64, bool);
 
 /// Closed-loop client: request, wait, repeat until `stop`.
-fn client_loop(addr: SocketAddr, seed: u64, stop: Arc<AtomicBool>) -> Vec<Sample> {
+fn client_loop(mut client: LineClient, seed: u64, stop: Arc<AtomicBool>) -> Vec<Sample> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let stream = TcpStream::connect(addr).expect("connect to router");
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = BufWriter::new(stream);
     let mut samples = Vec::new();
-    let mut line = String::new();
     while !stop.load(Ordering::Relaxed) {
         // Zipf-ish repeating sets: 80% from a hot pool of 20 pairs.
         let (a, b) = if rng.gen_bool(0.8) {
@@ -166,15 +162,8 @@ fn client_loop(addr: SocketAddr, seed: u64, stop: Arc<AtomicBool>) -> Vec<Sample
             (a, b)
         };
         let t0 = Instant::now();
-        let ok = (|| {
-            writeln!(writer, r#"{{"symptom_ids":[{a},{b}],"k":10}}"#).ok()?;
-            writer.flush().ok()?;
-            line.clear();
-            reader.read_line(&mut line).ok()?;
-            let resp = json::parse(line.trim()).ok()?;
-            resp.get("error").is_none().then_some(())
-        })()
-        .is_some();
+        let request = format!(r#"{{"symptom_ids":[{a},{b}],"k":10}}"#);
+        let ok = classify(client.ask(&request)).is_ok();
         samples.push((Instant::now(), t0.elapsed().as_secs_f64(), ok));
         if !ok && stop.load(Ordering::Relaxed) {
             break;
@@ -193,17 +182,16 @@ struct ScalePoint {
 
 /// Measures steady-state qps through the router at `n_replicas`.
 fn measure_scale(n_replicas: usize, args: &Args) -> ScalePoint {
-    let replicas: Vec<SpawnedServer> = (0..n_replicas).map(|_| start_replica()).collect();
-    let (router, router_addr) = router_over(replicas.iter().map(|r| r.addr).collect());
-    let router_stop = router.stop_handle();
-    let router_handle = std::thread::spawn(move || router.run().unwrap());
+    let replicas: Vec<Running> = (0..n_replicas).map(|_| start_replica()).collect();
+    let router = router_over(&replicas);
 
     let stop = Arc::new(AtomicBool::new(false));
     let clients: Vec<_> = (0..args.clients)
         .map(|c| {
             let stop = Arc::clone(&stop);
             let seed = args.seed ^ (c as u64 * 0x9e37);
-            std::thread::spawn(move || client_loop(router_addr, seed, stop))
+            let client = router.client().expect("connect to router");
+            std::thread::spawn(move || client_loop(client, seed, stop))
         })
         .collect();
 
@@ -217,11 +205,7 @@ fn measure_scale(n_replicas: usize, args: &Args) -> ScalePoint {
     for c in clients {
         samples.extend(c.join().expect("client thread"));
     }
-    router_stop.stop();
-    router_handle.join().unwrap();
-    for r in replicas {
-        r.shutdown();
-    }
+    router.shutdown().expect("router loop");
 
     let windowed: Vec<&Sample> = samples
         .iter()
@@ -250,37 +234,30 @@ struct FailoverResult {
 /// Kills one of three replicas mid-load; measures client-visible impact
 /// and the router's time-to-eject.
 fn measure_failover(args: &Args) -> FailoverResult {
-    let replicas: Vec<SpawnedServer> = (0..3).map(|_| start_replica()).collect();
-    let (router, router_addr) = router_over(replicas.iter().map(|r| r.addr).collect());
-    let router_stop = router.stop_handle();
-    let router_handle = std::thread::spawn(move || router.run().unwrap());
+    let mut replicas: Vec<Running> = (0..3).map(|_| start_replica()).collect();
+    let router = router_over(&replicas);
 
     let stop = Arc::new(AtomicBool::new(false));
     let clients: Vec<_> = (0..args.clients)
         .map(|c| {
             let stop = Arc::clone(&stop);
             let seed = args.seed ^ 0xfa11 ^ (c as u64 * 0x9e37);
-            std::thread::spawn(move || client_loop(router_addr, seed, stop))
+            let client = router.client().expect("connect to router");
+            std::thread::spawn(move || client_loop(client, seed, stop))
         })
         .collect();
 
     std::thread::sleep(Duration::from_millis(400));
-    let mut replicas = replicas;
     let victim = replicas.remove(0);
     let kill_at = Instant::now();
-    victim.shutdown();
+    victim.shutdown().expect("victim loop");
 
     // Poll router stats until the victim is marked unhealthy.
     let detect_ms = {
-        let mut monitor = TcpStream::connect(router_addr).expect("monitor connect");
-        monitor.set_nodelay(true).ok();
-        let mut reader = BufReader::new(monitor.try_clone().expect("clone"));
+        let mut monitor = router.client().expect("monitor connect");
         let mut detect = f64::NAN;
         for _ in 0..2000 {
-            writeln!(monitor, r#"{{"op":"stats"}}"#).unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let stats = json::parse(line.trim()).expect("router stats");
+            let stats = monitor.ask_json(r#"{"op":"stats"}"#).expect("router stats");
             let unhealthy = stats
                 .get("replicas")
                 .and_then(Json::as_arr)
@@ -308,11 +285,7 @@ fn measure_failover(args: &Args) -> FailoverResult {
     for c in clients {
         samples.extend(c.join().expect("client thread"));
     }
-    router_stop.stop();
-    router_handle.join().unwrap();
-    for r in replicas {
-        r.shutdown();
-    }
+    router.shutdown().expect("router loop");
 
     let failed = samples.iter().filter(|(_, _, ok)| !ok).count();
     let mut pre: Vec<f64> = samples

@@ -38,10 +38,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smgcn_bench::harness::{percentiles_us, spawn_server, synthetic_frozen, synthetic_vocab};
+use smgcn_bench::harness::{percentiles_us, synthetic_frozen, synthetic_vocab};
 use smgcn_bench::report::{BenchReport, GateDirection};
 use smgcn_serve::json::{self, Json};
-use smgcn_serve::ServerConfig;
+use smgcn_serve::{Server, ServerConfig};
 
 const N_SYMPTOMS: usize = 64;
 const N_HERBS: usize = 256;
@@ -468,15 +468,18 @@ fn main() {
     );
 
     let rss_before = rss_mb();
-    let server = spawn_server(
+    let server = Server::bind(
+        "127.0.0.1:0",
         synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, args.seed),
         synthetic_vocab(N_SYMPTOMS, N_HERBS, args.seed),
         ServerConfig {
             max_connections: args.connections + 256,
             ..ServerConfig::default()
         },
-    );
-    let open_gauge = server.registry.gauge("reactor_open_fds");
+    )
+    .expect("bind the server");
+    let open_gauge = server.registry().gauge("reactor_open_fds");
+    let server = server.spawn().expect("start the server");
 
     // Dial phase: helpers split the cohort (and the slow share) evenly.
     let t_dial = Instant::now();
@@ -486,7 +489,7 @@ fn main() {
         let conns =
             args.connections / args.helpers + usize::from(h < args.connections % args.helpers);
         let slow = args.slow / args.helpers + usize::from(h < args.slow % args.helpers);
-        children.push(spawn_helper(server.addr, conns, slow, base));
+        children.push(spawn_helper(server.addr(), conns, slow, base));
         base += conns;
     }
 
@@ -498,7 +501,7 @@ fn main() {
     let lanes: Vec<_> = (0..LANE_CLIENTS)
         .map(|c| {
             let (go, stop) = (Arc::clone(&go), Arc::clone(&stop));
-            let (front, seed) = (server.addr, args.seed ^ (c as u64 * 0x9e37));
+            let (front, seed) = (server.addr(), args.seed ^ (c as u64 * 0x9e37));
             std::thread::spawn(move || lane_client(front, seed, go, stop))
         })
         .collect();
@@ -544,7 +547,7 @@ fn main() {
         storm_executed += ledger.executed;
         storm_failures += ledger.failures;
     }
-    server.shutdown();
+    server.shutdown().expect("server loop");
 
     let (lane_p50_us, lane_p99_us) = percentiles_us(&mut lane_latencies);
     let lane_qps = lane_latencies.len() as f64 / (args.measure_ms as f64 / 1e3);

@@ -32,21 +32,24 @@
 //! each side keeps its best run, so a shared runner throttling mid-way
 //! depresses both sides instead of reading as telemetry overhead.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use smgcn_bench::harness::{spawn_server, synthetic_frozen, synthetic_vocab};
+use smgcn_bench::harness::{synthetic_frozen, synthetic_vocab};
 use smgcn_bench::report::{BenchReport, GateDirection};
 use smgcn_experiment::{SplitPlan, DEFAULT_SPLIT_SEED};
 use smgcn_obs::tsdb::{Scraper, TsdbData};
 use smgcn_serve::server::flatten_metrics_json;
-use smgcn_serve::{artifact, json, ServerConfig};
+use smgcn_serve::{artifact, json, LineClient, Server, ServerConfig};
 
 const N_SYMPTOMS: usize = 64;
 const N_HERBS: usize = 256;
 const DIM: usize = 32;
 const K: usize = 10;
+
+/// Connect, read and write bound of every bench client: a hung server
+/// fails the run instead of hanging it.
+const TIMEOUT: Duration = Duration::from_secs(10);
 
 struct Args {
     queries: usize,
@@ -106,21 +109,11 @@ fn parse_args() -> Args {
 /// Publishes a candidate serving the same artifact as control and
 /// installs a 90/10 split, so the measured hot path pays variant
 /// assignment and per-variant labeled counters on every request.
-fn install_split(server: &smgcn_bench::harness::SpawnedServer) {
-    let stream = TcpStream::connect(server.addr).expect("connect admin");
-    stream.set_nodelay(true).ok();
-    let mut writer = BufWriter::new(stream.try_clone().expect("clone admin"));
-    let mut reader = BufReader::new(stream);
-    let mut rpc = |request: String| -> String {
-        writeln!(writer, "{request}").expect("write admin");
-        writer.flush().expect("flush admin");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read admin ack");
-        assert!(
-            !line.contains("\"error\""),
-            "experiment setup failed: {line}"
-        );
-        line
+fn install_split(addr: SocketAddr) {
+    let mut admin = LineClient::connect(addr, TIMEOUT, TIMEOUT).expect("connect admin");
+    let mut rpc = |request: String| {
+        let ack = admin.ask(&request).expect("admin round trip");
+        assert!(!ack.contains("\"error\""), "experiment setup failed: {ack}");
     };
     let b64 = artifact::to_base64(&artifact::encode(
         &synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, 0),
@@ -147,7 +140,8 @@ fn install_split(server: &smgcn_bench::harness::SpawnedServer) {
 /// split with per-variant labeled counters, and — when `--scrape-ms`
 /// is set — a live tsdb scraper), bare runs none of it.
 fn measure(args: &Args, loaded: bool) -> f64 {
-    let server = spawn_server(
+    let server = Server::bind(
+        "127.0.0.1:0",
         synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, 0),
         synthetic_vocab(N_SYMPTOMS, N_HERBS, 0),
         ServerConfig {
@@ -156,27 +150,22 @@ fn measure(args: &Args, loaded: bool) -> f64 {
             duel_sample_every: 0,
             ..ServerConfig::default()
         },
-    );
+    )
+    .and_then(Server::spawn)
+    .expect("start the server");
+    let addr = server.addr();
+    let metrics = move || {
+        LineClient::connect(addr, TIMEOUT, TIMEOUT)
+            .and_then(|mut client| client.ask_json(r#"{"op":"metrics"}"#))
+    };
     if loaded {
-        install_split(&server);
+        install_split(addr);
     }
     let scraper = (loaded && args.scrape_ms > 0).then(|| {
-        let addr = server.addr;
         let mut history = TsdbData::default();
         Scraper::spawn(
             Duration::from_millis(args.scrape_ms),
-            Box::new(move || {
-                let stream = TcpStream::connect(addr).ok()?;
-                stream.set_nodelay(true).ok();
-                let mut writer = BufWriter::new(stream.try_clone().ok()?);
-                let mut reader = BufReader::new(stream);
-                writeln!(writer, "{{\"op\":\"metrics\"}}").ok()?;
-                writer.flush().ok()?;
-                let mut line = String::new();
-                reader.read_line(&mut line).ok()?;
-                let snap = json::parse(line.trim()).ok()?;
-                Some(flatten_metrics_json(snap.get("metrics")?))
-            }),
+            Box::new(move || Some(flatten_metrics_json(metrics().ok()?.get("metrics")?))),
             Box::new(move |at_ms, samples| history.push(at_ms, samples)),
         )
     });
@@ -184,13 +173,8 @@ fn measure(args: &Args, loaded: bool) -> f64 {
     let t0 = Instant::now();
     let workers: Vec<_> = (0..args.conns.max(1))
         .map(|w| {
-            let addr = server.addr;
             std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                stream.set_nodelay(true).ok();
-                let mut writer = BufWriter::new(stream.try_clone().expect("clone"));
-                let mut reader = BufReader::new(stream);
-                let mut line = String::new();
+                let mut client = LineClient::connect(addr, TIMEOUT, TIMEOUT).expect("connect");
                 for i in 0..per_conn {
                     // A spread of repeating keys: cache hits and misses
                     // both on the measured path, like real traffic. The
@@ -200,15 +184,9 @@ fn measure(args: &Args, loaded: bool) -> f64 {
                     let a = (w * 17 + i * 7) % N_SYMPTOMS;
                     let b = (w * 5 + i * 13 + 1) % N_SYMPTOMS;
                     let c = (w * 31 + i) % 64;
-                    writeln!(
-                        writer,
-                        "{{\"symptom_ids\":[{a},{b}],\"k\":{K},\"client\":\"c{c}\"}}"
-                    )
-                    .expect("write");
-                    writer.flush().expect("flush");
-                    line.clear();
-                    let n = reader.read_line(&mut line).expect("read");
-                    assert!(n > 0, "server closed mid-stream");
+                    let request =
+                        format!("{{\"symptom_ids\":[{a},{b}],\"k\":{K},\"client\":\"c{c}\"}}");
+                    let line = client.ask(&request).expect("round trip");
                     assert!(
                         !line.contains("\"error\""),
                         "request failed under bench load: {line}"
@@ -227,19 +205,13 @@ fn measure(args: &Args, loaded: bool) -> f64 {
     if loaded {
         // The gate is only meaningful if the split actually ran: the
         // per-variant labeled counters must have seen the traffic.
-        let stream = TcpStream::connect(server.addr).expect("connect metrics");
-        let mut writer = BufWriter::new(stream.try_clone().expect("clone metrics"));
-        let mut reader = BufReader::new(stream);
-        writeln!(writer, "{{\"op\":\"metrics\"}}").expect("write metrics");
-        writer.flush().expect("flush metrics");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read metrics");
+        let snap = metrics().expect("read metrics").to_string();
         assert!(
-            line.contains("serve_variant_requests_total") && line.contains("canary"),
+            snap.contains("serve_variant_requests_total") && snap.contains("canary"),
             "loaded run never ticked variant-labeled counters"
         );
     }
-    server.shutdown();
+    server.shutdown().expect("server loop");
     (per_conn * args.conns.max(1)) as f64 / elapsed
 }
 

@@ -8,17 +8,12 @@
 //! baselines, and what lets `smgcn-loadgen` promise byte-identical
 //! request schedules.
 
-use std::net::SocketAddr;
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::Rng;
 use smgcn_core::prelude::*;
 use smgcn_data::{Corpus, GeneratorConfig, SyndromeModel};
 use smgcn_graph::{GraphOperators, SynergyThresholds};
-use smgcn_obs::{EventJournal, Registry};
-use smgcn_serve::server::StopHandle;
-use smgcn_serve::{FrozenModel, ModelSlot, Server, ServerConfig, ServingVocab};
+use smgcn_serve::{FrozenModel, ServingVocab};
 use smgcn_tensor::Matrix;
 
 /// The two scales the perf benches run at (distinct from the paper-repro
@@ -167,62 +162,6 @@ pub fn synthetic_vocab(n_symptoms: usize, n_herbs: usize, tag: u64) -> ServingVo
         (0..n_symptoms).map(|i| format!("s{i}")).collect(),
         (0..n_herbs).map(|i| format!("g{tag}-h{i}")).collect(),
     )
-}
-
-/// An in-process `smgcn-serve` server running on its own thread — the
-/// "replica" shape the cluster bench and every routed load scenario
-/// stand up.
-pub struct SpawnedServer {
-    /// The ephemeral address it serves on.
-    pub addr: SocketAddr,
-    /// Makes the accept loop exit.
-    pub stop: StopHandle,
-    /// The serving thread.
-    pub handle: std::thread::JoinHandle<()>,
-    /// The server's metric registry (shareable: co-located components
-    /// can register their own metrics into the same `{"op":"metrics"}`
-    /// snapshot).
-    pub registry: Arc<Registry>,
-    /// The server's event journal, shareable like `registry`.
-    pub events: Arc<EventJournal>,
-}
-
-impl SpawnedServer {
-    /// Stops the server and joins its thread.
-    pub fn shutdown(self) {
-        self.stop.stop();
-        let _ = self.handle.join();
-    }
-}
-
-/// Binds an ephemeral port, spawns the serve loop on a thread.
-pub fn spawn_server(
-    model: FrozenModel,
-    vocab: ServingVocab,
-    config: ServerConfig,
-) -> SpawnedServer {
-    spawn(Server::bind("127.0.0.1:0", model, vocab, config).expect("bind server"))
-}
-
-/// [`spawn_server`] over an externally-owned [`ModelSlot`] (the online
-/// hot-swap deployment shape).
-pub fn spawn_server_slot(slot: Arc<ModelSlot>, config: ServerConfig) -> SpawnedServer {
-    spawn(Server::bind_slot("127.0.0.1:0", slot, config).expect("bind server"))
-}
-
-fn spawn(server: Server) -> SpawnedServer {
-    let addr = server.local_addr().expect("server addr");
-    let stop = server.stop_handle();
-    let registry = server.registry();
-    let events = server.events();
-    let handle = std::thread::spawn(move || server.run().expect("server run"));
-    SpawnedServer {
-        addr,
-        stop,
-        handle,
-        registry,
-        events,
-    }
 }
 
 /// Zipf-ish index pick over `len` items: with probability `hot_p` draws

@@ -35,11 +35,12 @@ use smgcn_experiment::guardrail::VariantStats;
 use smgcn_experiment::interleave::{self, DuelCredit, InterleaveSummary};
 pub use smgcn_experiment::DEFAULT_SPLIT_SEED;
 use smgcn_experiment::{fnv1a64, splitmix64, SplitPlan, CONTROL};
+use smgcn_serve::client::Unanswered;
 use smgcn_serve::json::{self, Json};
 use smgcn_serve::DuelSample;
 
-use crate::pool::{PoolConfig, ReplicaConn, ReplicaPool};
-use crate::publish::{PublishOutcome, PublishReport};
+use crate::pool::{ask, PoolConfig, Replica, ReplicaPool};
+use crate::publish::{members, roll, PublishReport};
 
 /// Permutation rounds behind the comparison report's p-value.
 pub const PERMUTATION_ROUNDS: usize = 1024;
@@ -70,121 +71,59 @@ impl FleetOutcome {
     }
 }
 
-/// One admin round trip on a dedicated connection (experiment verbs are
-/// rare; stealing pooled request connections would add tail latency).
-fn admin_round_trip(addr: SocketAddr, config: &PoolConfig, request: &str) -> Result<Json, String> {
-    let mut conn = ReplicaConn::connect_admin(addr, config).map_err(|e| format!("connect: {e}"))?;
-    let response = conn
-        .round_trip(request)
-        .map_err(|e| format!("round trip: {e}"))?;
-    json::parse(&response).map_err(|e| format!("unparseable ack: {e}"))
+/// The `{"op":"experiment","action":…}` request line, `fields` added.
+pub(crate) fn action_line(
+    action: &str,
+    fields: impl IntoIterator<Item = (&'static str, Json)>,
+) -> String {
+    let verb = [
+        ("op", Json::Str("experiment".into())),
+        ("action", Json::Str(action.to_string())),
+    ];
+    json::obj(verb.into_iter().chain(fields)).to_string()
 }
 
-/// Sends one experiment action to one replica and demands `ack[ok_field]
-/// == true`; any `"error"` in the ack comes back as `Err`.
+/// Sends one experiment action to one replica. With an `ok_field` the
+/// ack must carry `ack[ok_field] == true`; without one (halt: a replica
+/// that has no plan answers `{"halted":false}`) any answer that is not
+/// a refusal will do.
 fn experiment_ack(
-    addr: SocketAddr,
+    replica: &Replica,
     config: &PoolConfig,
-    request: &Json,
-    ok_field: &str,
-) -> Result<Json, String> {
-    let ack = admin_round_trip(addr, config, &request.to_string())?;
-    if let Some(err) = ack.get("error") {
-        return Err(format!("replica refused: {err}"));
-    }
-    if ack.get(ok_field) != Some(&Json::Bool(true)) {
-        return Err(format!("unexpected ack: {ack}"));
-    }
-    Ok(ack)
-}
-
-/// Sends the candidate-publish request `line` to one replica, mirroring
-/// `publish_one`'s rejected-vs-failed split.
-fn candidate_publish_one(addr: SocketAddr, line: &str, config: &PoolConfig) -> PublishOutcome {
-    let fail = |error: String| PublishOutcome {
-        addr,
-        ok: false,
-        generation: None,
-        error: Some(error),
-        rejected: false,
+    request: &str,
+    ok_field: Option<&str>,
+) -> FleetOutcome {
+    let error = match ask(replica.addr, config, request) {
+        Ok(ack) if ok_field.is_none_or(|f| ack.get(f) == Some(&Json::Bool(true))) => None,
+        Ok(ack) => Some(format!("unexpected ack: {ack}")),
+        Err(refusal @ Unanswered::Refused(_)) => Some(format!("replica refused: {refusal}")),
+        Err(transport) => Some(transport.to_string()),
     };
-    let ack = match admin_round_trip(addr, config, line) {
-        Ok(ack) => ack,
-        Err(e) => return fail(e),
-    };
-    if let Some(err) = ack.get("error") {
-        // Same split as control publishes: a retryable error is an
-        // overload shed (transient, rollout continues past it); any
-        // other error is the replica refusing the blob, which stops
-        // the rollout — every other replica would refuse the same bytes.
-        if err.get("retryable") == Some(&Json::Bool(true)) {
-            return fail(format!("replica shed the publish: {err}"));
-        }
-        return PublishOutcome {
-            addr,
-            ok: false,
-            generation: None,
-            error: Some(format!("replica rejected candidate publish: {err}")),
-            rejected: true,
-        };
-    }
-    match (
-        ack.get("published"),
-        ack.get("generation").and_then(Json::as_num),
-    ) {
-        (Some(&Json::Bool(true)), Some(generation)) => PublishOutcome {
-            addr,
-            ok: true,
-            generation: Some(generation as u64),
-            error: None,
-            rejected: false,
-        },
-        _ => fail(format!("unexpected candidate publish ack: {ack}")),
+    FleetOutcome {
+        addr: replica.addr,
+        ok: error.is_none(),
+        error,
     }
 }
 
-/// Rolls a candidate artifact across the pool one replica at a time,
-/// skipping ejected replicas (reported, never silent) and stopping at
-/// the first rejection — identical rollout discipline to
-/// [`crate::publish::rolling_publish`], aimed at a candidate slot.
+/// Rolls a candidate artifact across the pool — the rollout discipline
+/// of [`crate::publish::rolling_publish`] (it is the same walk), aimed
+/// at a candidate slot.
 pub fn rolling_candidate_publish(
     pool: &ReplicaPool,
     variant: &str,
     artifact_b64: &str,
 ) -> PublishReport {
     // One request line for the whole rollout: it is as large as the model.
-    let line = json::obj([
-        ("op", Json::Str("experiment".into())),
-        ("action", Json::Str("publish".into())),
-        ("variant", Json::Str(variant.to_string())),
-        ("artifact", Json::Str(artifact_b64.to_string())),
-    ])
-    .to_string();
-    let mut outcomes = Vec::with_capacity(pool.len());
-    for replica in pool.replicas() {
-        if !replica.available() {
-            outcomes.push(PublishOutcome {
-                addr: replica.addr,
-                ok: false,
-                generation: None,
-                error: Some("skipped: ejected".into()),
-                rejected: false,
-            });
-            continue;
-        }
-        let outcome = candidate_publish_one(replica.addr, &line, &pool.config());
-        let rejected = outcome.rejected;
-        if outcome.ok {
-            replica.note_success();
-        } else if !rejected {
-            replica.note_failure("candidate publish failed");
-        }
-        outcomes.push(outcome);
-        if rejected {
-            break;
-        }
-    }
-    PublishReport { outcomes }
+    let line = action_line(
+        "publish",
+        [
+            ("variant", Json::Str(variant.to_string())),
+            ("artifact", Json::Str(artifact_b64.to_string())),
+        ],
+    );
+    let wording = ("candidate publish", "candidate publish failed");
+    roll(members(pool), &pool.config(), &line, wording)
 }
 
 /// Install preflight: every replica must be reachable and must already
@@ -205,11 +144,8 @@ pub fn preflight_install(
         .filter(|(name, weight)| name != CONTROL && *weight > 0)
         .map(|(name, _)| name.as_str())
         .collect();
-    let status_req = json::obj([
-        ("op", Json::Str("experiment".into())),
-        ("action", Json::Str("status".into())),
-    ])
-    .to_string();
+    let status_req = action_line("status", []);
+    let config = pool.config();
     for replica in pool.replicas() {
         if !replica.available() {
             return Err((
@@ -220,7 +156,7 @@ pub fn preflight_install(
                 ),
             ));
         }
-        let status = admin_round_trip(replica.addr, &pool.config(), &status_req)
+        let status = ask(replica.addr, &config, &status_req)
             .map_err(|e| (codes::PARTIAL, format!("replica {}: {e}", replica.addr)))?;
         let served: Vec<&str> = status
             .get("variants")
@@ -249,89 +185,43 @@ pub fn preflight_install(
 /// Installs `plan` on every replica in pool order. The caller preflights
 /// first and rolls back (fleet halt) if any outcome failed.
 pub fn install_everywhere(pool: &ReplicaPool, plan: &SplitPlan) -> Vec<FleetOutcome> {
-    let request = json::obj([
-        ("op", Json::Str("experiment".into())),
-        ("action", Json::Str("install".into())),
-        ("plan", Json::Str(plan.to_canonical())),
-    ]);
-    pool.replicas()
-        .iter()
-        .map(
-            |replica| match experiment_ack(replica.addr, &pool.config(), &request, "installed") {
-                Ok(_) => FleetOutcome {
-                    addr: replica.addr,
-                    ok: true,
-                    error: None,
-                },
-                Err(e) => FleetOutcome {
-                    addr: replica.addr,
-                    ok: false,
-                    error: Some(e),
-                },
-            },
-        )
-        .collect()
+    let request = action_line("install", [("plan", Json::Str(plan.to_canonical()))]);
+    let config = pool.config();
+    let install = |replica| experiment_ack(replica, &config, &request, Some("installed"));
+    pool.replicas().iter().map(install).collect()
 }
 
 /// Broadcasts a halt to every replica, ejected or not — collapsing
 /// traffic back to control is the emergency path and must reach
 /// whatever answers.
 pub fn halt_everywhere(pool: &ReplicaPool) -> Vec<FleetOutcome> {
-    let request = json::obj([
-        ("op", Json::Str("experiment".into())),
-        ("action", Json::Str("halt".into())),
-    ])
-    .to_string();
-    pool.replicas()
-        .iter()
-        .map(
-            |replica| match admin_round_trip(replica.addr, &pool.config(), &request) {
-                Ok(ack) if ack.get("error").is_none() => FleetOutcome {
-                    addr: replica.addr,
-                    ok: true,
-                    error: None,
-                },
-                Ok(refusal) => FleetOutcome {
-                    addr: replica.addr,
-                    ok: false,
-                    error: Some(format!("replica refused halt: {refusal}")),
-                },
-                Err(e) => FleetOutcome {
-                    addr: replica.addr,
-                    ok: false,
-                    error: Some(e),
-                },
-            },
-        )
-        .collect()
+    let request = action_line("halt", []);
+    let config = pool.config();
+    let halt = |replica| experiment_ack(replica, &config, &request, None);
+    pool.replicas().iter().map(halt).collect()
 }
 
 /// Rolls `promote-local` across the fleet one replica at a time,
 /// stopping at the first failure (the caller reports how far it got —
 /// replicas already promoted keep the new control, exactly like a
 /// rolling publish that stops midway).
+///
+/// Not `publish::roll`: that walk continues past a transport
+/// failure and steers ejection, while a promotion must stop at *any*
+/// failure — there is no artifact to blame, and a fleet half on the
+/// new control is what the caller has to report — and observes health
+/// without touching it.
 pub fn promote_everywhere(pool: &ReplicaPool, variant: &str) -> Vec<FleetOutcome> {
-    let request = json::obj([
-        ("op", Json::Str("experiment".into())),
-        ("action", Json::Str("promote-local".into())),
-        ("variant", Json::Str(variant.to_string())),
-    ]);
+    let request = action_line(
+        "promote-local",
+        [("variant", Json::Str(variant.to_string()))],
+    );
+    let config = pool.config();
     let mut outcomes = Vec::with_capacity(pool.len());
     for replica in pool.replicas() {
-        match experiment_ack(replica.addr, &pool.config(), &request, "promoted") {
-            Ok(_) => outcomes.push(FleetOutcome {
-                addr: replica.addr,
-                ok: true,
-                error: None,
-            }),
-            Err(e) => {
-                outcomes.push(FleetOutcome {
-                    addr: replica.addr,
-                    ok: false,
-                    error: Some(e),
-                });
-                break;
-            }
+        outcomes.push(experiment_ack(replica, &config, &request, Some("promoted")));
+        if outcomes.last().is_some_and(|o| !o.ok) {
+            break;
         }
     }
     outcomes

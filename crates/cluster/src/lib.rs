@@ -14,7 +14,10 @@
 //! - [`pool`] — [`ReplicaPool`]: persistent per-replica connections with
 //!   bounded in-flight leases, passive failure detection, active
 //!   `{"op":"stats"}` health probes (which also eject *slow* replicas by
-//!   served p99) and exponential-backoff ejection;
+//!   served p99) and exponential-backoff ejection; [`pool::ask`] is the
+//!   one way the cluster asks a replica an admin question (the
+//!   `smgcn_serve::client` reading of the reply: a refusal is never an
+//!   answer);
 //! - [`router`] — [`Router`]: a front-end speaking the exact
 //!   `smgcn-serve` NDJSON protocol, routing by ring key with
 //!   retry-on-next-replica failover. Requests are pure reads, so a
@@ -23,7 +26,10 @@
 //! - [`publish`] — rolling publishes: the serialized model+vocab
 //!   artifact (`smgcn_serve::artifact`) is pushed to one replica at a
 //!   time via `{"op":"publish"}`, so the fleet never goes dark and each
-//!   response still comes from exactly one generation.
+//!   response still comes from exactly one generation. One walk
+//!   (`publish::roll`) serves control, candidate and CLI rollouts;
+//! - [`experiment`] — fleet-level A/B coordination: candidate rollouts,
+//!   atomic split installs, guardrailed promotion.
 //!
 //! The multi-process failover test (`tests/cluster_failover.rs` at the
 //! workspace root) kills a replica and rolls a publish mid-load with
@@ -39,7 +45,7 @@ pub mod ring;
 pub mod router;
 
 pub use experiment::{rolling_candidate_publish, FleetOutcome};
-pub use pool::{ClusterObs, Health, Lease, PoolConfig, Replica, ReplicaConn, ReplicaPool};
+pub use pool::{ask, ClusterObs, Health, Lease, PoolConfig, Replica, ReplicaConn, ReplicaPool};
 pub use publish::{rolling_publish, rolling_publish_addrs, PublishOutcome, PublishReport};
 pub use ring::{key_of_ids, key_of_names, HashRing};
-pub use router::{merge_metric_value, merge_metrics, Router, RouterConfig, RouterStopHandle};
+pub use router::{merge_metric_value, merge_metrics, Router, RouterConfig};

@@ -22,15 +22,15 @@
 //! decides between recovery and doubling the backoff. Success resets
 //! the backoff to its base.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use smgcn_faults::{sites, FaultAction};
 use smgcn_obs::{Counter, EventJournal};
-use smgcn_serve::json::{self, Json};
+use smgcn_serve::client::{classify, LineClient, Step, Unanswered};
+use smgcn_serve::json::Json;
 
 /// Observability hooks shared by every replica in a pool: health
 /// *transitions* (not every repeated failure) land in the fleet event
@@ -85,10 +85,10 @@ impl Default for PoolConfig {
     }
 }
 
-/// One persistent NDJSON connection to a replica.
+/// One persistent NDJSON connection to a replica: the plain
+/// [`LineClient`] plus the fault site its round trips pass.
 pub struct ReplicaConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    client: LineClient,
     /// Which fault-injection site this connection's round trips consume
     /// (`pool.forward.net` for data-path leases, `pool.admin.net` for
     /// probes/publishes/fleet fetches). Near-zero cost unless a plan is
@@ -100,34 +100,18 @@ impl ReplicaConn {
     /// Opens a *data-path* connection with the pool's connect timeout
     /// and the tight `replica_timeout` read budget.
     pub fn connect(addr: SocketAddr, config: &PoolConfig) -> std::io::Result<Self> {
-        Self::open(
-            addr,
-            config,
-            config.replica_timeout,
-            sites::POOL_FORWARD_NET,
-        )
+        Ok(Self {
+            client: LineClient::connect(addr, config.connect_timeout, config.replica_timeout)?,
+            fault_site: sites::POOL_FORWARD_NET,
+        })
     }
 
     /// Opens an *admin* connection (publish, stats/metrics/events
     /// fetches, health probes) with the larger `admin_timeout` budget.
     pub fn connect_admin(addr: SocketAddr, config: &PoolConfig) -> std::io::Result<Self> {
-        Self::open(addr, config, config.admin_timeout, sites::POOL_ADMIN_NET)
-    }
-
-    fn open(
-        addr: SocketAddr,
-        config: &PoolConfig,
-        read_timeout: Duration,
-        fault_site: &'static str,
-    ) -> std::io::Result<Self> {
-        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-        stream.set_read_timeout(Some(read_timeout))?;
-        stream.set_write_timeout(Some(read_timeout))?;
-        stream.set_nodelay(true)?;
         Ok(Self {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-            fault_site,
+            client: LineClient::connect(addr, config.connect_timeout, config.admin_timeout)?,
+            fault_site: sites::POOL_ADMIN_NET,
         })
     }
 
@@ -149,19 +133,19 @@ impl ReplicaConn {
                 Some(FaultAction::ShortWrite { .. } | FaultAction::Corrupt { .. }) | None => {}
             }
         }
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "replica closed the connection",
-            ));
-        }
-        Ok(response.trim_end().to_string())
+        self.client.ask(line)
     }
+}
+
+/// One admin request to a replica on a connection of its own (admin
+/// traffic is rare and can carry a whole model; borrowing a pooled
+/// data-path connection for it would add tail latency to live
+/// traffic), read the one way every caller must read it: a refusal is
+/// not an answer. Touches no health record — what a failure means for
+/// the replica is the caller's call.
+pub fn ask(addr: SocketAddr, config: &PoolConfig, line: &str) -> Result<Json, Unanswered> {
+    let mut conn = ReplicaConn::connect_admin(addr, config).map_err(Unanswered::connect)?;
+    classify(conn.round_trip(line))
 }
 
 /// Mutable health record of one replica.
@@ -399,33 +383,23 @@ impl Replica {
         if !self.available() {
             return None;
         }
-        let mut conn = match ReplicaConn::connect_admin(self.addr, &self.config) {
-            Ok(conn) => conn,
-            Err(_) => {
-                self.note_failure("probe connect failed");
+        let stats = match ask(self.addr, &self.config, r#"{"op":"stats"}"#) {
+            Ok(stats) => stats,
+            Err(unanswered) => {
+                self.note_failure(match unanswered {
+                    Unanswered::Transport(Step::Connect, _) => "probe connect failed",
+                    Unanswered::Transport(Step::RoundTrip, _) => "probe failed",
+                    Unanswered::Transport(Step::Parse, _) => "probe returned garbage",
+                    // A refusal is not a health report: a replica at its
+                    // connection cap answers the probe's connect with an
+                    // `overloaded` shed line. Treating that as success
+                    // would mark exactly the saturated replicas healthy
+                    // and wipe their recorded generation/p99.
+                    Unanswered::Refused(_) => "probe refused",
+                });
                 return None;
             }
         };
-        let response = match conn.round_trip(r#"{"op":"stats"}"#) {
-            Ok(line) => line,
-            Err(_) => {
-                self.note_failure("probe failed");
-                return None;
-            }
-        };
-        let Ok(stats) = json::parse(&response) else {
-            self.note_failure("probe returned garbage");
-            return None;
-        };
-        // An error object is a refusal, not a health report: a replica at
-        // its connection cap answers the probe's connect with an
-        // `overloaded` shed line. Treating that as success would mark
-        // exactly the saturated replicas healthy and wipe their recorded
-        // generation/p99.
-        if stats.get("error").is_some() {
-            self.note_failure("probe refused");
-            return None;
-        }
         let generation = stats.get("generation").and_then(Json::as_num);
         let p99 = stats
             .get("latency")
@@ -524,6 +498,8 @@ impl ReplicaPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpListener;
 
     fn test_config() -> PoolConfig {
         PoolConfig {
@@ -539,7 +515,7 @@ mod tests {
 
     /// A trivial NDJSON echo server: replies `{"echo":<line-length>}`.
     fn echo_server() -> (SocketAddr, std::thread::JoinHandle<()>) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
             // Serve exactly a few connections then exit; enough for tests.
@@ -579,6 +555,40 @@ mod tests {
         assert_eq!(lease.conn.round_trip("hi").unwrap(), r#"{"echo":2}"#);
         replica.discard(lease, "test discard");
         assert!(!replica.health().healthy, "discard ejects");
+    }
+
+    /// One segment per forward: the request and its newline leave in one
+    /// `write(2)`. The accepting side looks at what each first `read`
+    /// returns — with the newline written on its own to a `TCP_NODELAY`
+    /// socket, some read in a few hundred sees the line without it.
+    #[test]
+    fn a_round_trip_reaches_the_replica_as_one_complete_line() {
+        const ROUNDS: usize = 300;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let replica = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 256];
+            let mut complete = 0;
+            for _ in 0..ROUNDS {
+                let mut n = stream.read(&mut buf).unwrap();
+                complete += usize::from(buf[..n].ends_with(b"\n"));
+                while !buf[..n].ends_with(b"\n") {
+                    n = stream.read(&mut buf).unwrap();
+                }
+                stream.write_all(b"{}\n").unwrap();
+            }
+            complete
+        });
+        let mut conn = ReplicaConn::connect(addr, &test_config()).unwrap();
+        for _ in 0..ROUNDS {
+            assert_eq!(
+                conn.round_trip(r#"{"symptom_ids":[1,2,3],"k":10}"#)
+                    .unwrap(),
+                "{}"
+            );
+        }
+        assert_eq!(replica.join().unwrap(), ROUNDS);
     }
 
     #[test]

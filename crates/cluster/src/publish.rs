@@ -18,12 +18,18 @@
 //!   they re-probe as healthy but stale, and the operator (or the next
 //!   publish) catches them up — the outcome list says exactly who needs
 //!   it.
+//!
+//! That discipline is written once, in `roll`; a control publish, a
+//! candidate publish ([`crate::experiment`]) and the CLI's pool-less
+//! rollout differ only in the line they send and the words of their
+//! outcomes.
 
 use std::net::SocketAddr;
 
+use smgcn_serve::client::Unanswered;
 use smgcn_serve::json::{self, Json};
 
-use crate::pool::{PoolConfig, ReplicaConn, ReplicaPool};
+use crate::pool::{ask, PoolConfig, Replica, ReplicaPool};
 
 /// What one replica did with the publish.
 #[derive(Clone, Debug)]
@@ -42,6 +48,19 @@ pub struct PublishOutcome {
     /// the rollout stops on a rejection because every other replica
     /// would refuse the same bytes.
     pub rejected: bool,
+}
+
+impl PublishOutcome {
+    /// A replica that did not take the publish, and why.
+    fn failed(addr: SocketAddr, error: String) -> Self {
+        Self {
+            addr,
+            ok: false,
+            generation: None,
+            error: Some(error),
+            rejected: false,
+        }
+    }
 }
 
 /// A whole fleet's publish result.
@@ -125,45 +144,29 @@ fn publish_line(artifact_b64: &str) -> String {
     .to_string()
 }
 
-/// Sends the publish `line` to one replica over a dedicated connection
-/// (publishes are rare; stealing pooled request connections for a
-/// potentially large admin line would add tail latency to live traffic).
-fn publish_one(addr: SocketAddr, line: &str, config: &PoolConfig) -> PublishOutcome {
-    let fail = |error: String| PublishOutcome {
-        addr,
-        ok: false,
-        generation: None,
-        error: Some(error),
-        rejected: false,
-    };
-    let mut conn = match ReplicaConn::connect_admin(addr, config) {
-        Ok(conn) => conn,
-        Err(e) => return fail(format!("connect: {e}")),
-    };
-    let response = match conn.round_trip(line) {
-        Ok(line) => line,
-        Err(e) => return fail(format!("publish round trip: {e}")),
-    };
-    let Ok(ack) = json::parse(&response) else {
-        return fail(format!("unparseable publish ack: {response}"));
-    };
-    if let Some(err) = ack.get("error") {
-        // A retryable error is an overload shed (the accept loop refused
-        // the admin connection) — transient, not a verdict on the
-        // artifact; the rollout continues past this replica. Any other
-        // error is the replica refusing the blob itself, which stops the
-        // rollout: every other replica would refuse the same bytes.
-        if err.get("retryable") == Some(&Json::Bool(true)) {
-            return fail(format!("replica shed the publish: {err}"));
+/// Reads one replica's answer to a publish — `what` names it in the
+/// outcome (`publish`, `candidate publish`). A retryable refusal is an
+/// overload shed (the accept loop refused the admin connection):
+/// transient, not a verdict on the artifact. Any other refusal is the
+/// replica rejecting the blob itself.
+fn publish_outcome(
+    addr: SocketAddr,
+    what: &str,
+    answer: Result<Json, Unanswered>,
+) -> PublishOutcome {
+    let ack = match answer {
+        Ok(ack) => ack,
+        Err(shed) if shed.retryable() => {
+            return PublishOutcome::failed(addr, format!("replica shed the publish: {shed}"))
         }
-        return PublishOutcome {
-            addr,
-            ok: false,
-            generation: None,
-            error: Some(format!("replica rejected publish: {err}")),
-            rejected: true,
-        };
-    }
+        Err(refusal @ Unanswered::Refused(_)) => {
+            return PublishOutcome {
+                rejected: true,
+                ..PublishOutcome::failed(addr, format!("replica rejected {what}: {refusal}"))
+            }
+        }
+        Err(transport) => return PublishOutcome::failed(addr, transport.to_string()),
+    };
     match (
         ack.get("published"),
         ack.get("generation").and_then(Json::as_num),
@@ -175,64 +178,74 @@ fn publish_one(addr: SocketAddr, line: &str, config: &PoolConfig) -> PublishOutc
             error: None,
             rejected: false,
         },
-        _ => fail(format!("unexpected publish ack: {ack}")),
+        _ => PublishOutcome::failed(addr, format!("unexpected {what} ack: {ack}")),
     }
 }
 
-/// Rolls `artifact_b64` across the pool's replicas in id order, skipping
-/// ejected ones (reported as failures so nothing is silently stale) and
-/// stopping at the first rejection — a bad artifact must not take down
-/// generation consistency fleet-wide.
-pub fn rolling_publish(pool: &ReplicaPool, artifact_b64: &str) -> PublishReport {
-    let line = publish_line(artifact_b64);
-    let mut outcomes = Vec::with_capacity(pool.len());
-    for replica in pool.replicas() {
-        if !replica.available() {
-            outcomes.push(PublishOutcome {
-                addr: replica.addr,
-                ok: false,
-                generation: None,
-                error: Some("skipped: ejected".into()),
-                rejected: false,
-            });
+/// How a rollout names itself: in its outcomes (`unexpected <what>
+/// ack`, `replica rejected <what>`), and as the eject reason of a
+/// replica it could not reach.
+pub(crate) type Wording = (&'static str, &'static str);
+
+const CONTROL_PUBLISH: Wording = ("publish", "publish failed");
+
+/// The one rolling walk: `line` goes to one replica at a time, in
+/// order. A pool member that is ejected is skipped and reported (so
+/// nothing is silently stale); a transport failure or a shed is blamed
+/// on the replica (`failed` becomes its eject reason) and the walk
+/// moves on; a rejection is a verdict on the artifact — every other
+/// replica would refuse the same bytes — so the walk stops there and
+/// the rest keep the old generation rather than each rejecting it in
+/// turn. Targets without a pool member (the CLI path) have no health
+/// record to consult or update.
+pub(crate) fn roll<'a>(
+    targets: impl IntoIterator<Item = (SocketAddr, Option<&'a Replica>)>,
+    config: &PoolConfig,
+    line: &str,
+    (what, failed): Wording,
+) -> PublishReport {
+    let mut outcomes = Vec::new();
+    for (addr, member) in targets {
+        if member.is_some_and(|replica| !replica.available()) {
+            outcomes.push(PublishOutcome::failed(addr, "skipped: ejected".into()));
             continue;
         }
-        let outcome = publish_one(replica.addr, &line, &pool.config());
-        let rejected = outcome.rejected;
-        if outcome.ok {
-            replica.note_success();
-        } else if !rejected {
-            // Transport-level failure: blame the replica. A *rejection*
-            // blames the artifact — the replica is healthy and still
-            // serving its current generation.
-            replica.note_failure("publish failed");
+        let outcome = publish_outcome(addr, what, ask(addr, config, line));
+        if let Some(replica) = member {
+            if outcome.ok {
+                replica.note_success();
+            } else if !outcome.rejected {
+                replica.note_failure(failed);
+            }
         }
+        let rejected = outcome.rejected;
         outcomes.push(outcome);
         if rejected {
-            // The artifact itself is bad; the remaining replicas keep the
-            // old generation rather than each rejecting it in turn.
             break;
         }
     }
     PublishReport { outcomes }
 }
 
+/// [`roll`]'s targets for a pool: every replica, in id order.
+pub(crate) fn members(pool: &ReplicaPool) -> impl Iterator<Item = (SocketAddr, Option<&Replica>)> {
+    pool.replicas().iter().map(|r| (r.addr, Some(r)))
+}
+
+/// Rolls `artifact_b64` across the pool's replicas, one at a time.
+pub fn rolling_publish(pool: &ReplicaPool, artifact_b64: &str) -> PublishReport {
+    let line = publish_line(artifact_b64);
+    roll(members(pool), &pool.config(), &line, CONTROL_PUBLISH)
+}
+
 /// Rolls an artifact across explicit addresses (the CLI path — no pool,
-/// fresh connection per replica, same one-at-a-time semantics).
+/// same one-at-a-time walk).
 pub fn rolling_publish_addrs(
     addrs: &[SocketAddr],
     artifact: &[u8],
     config: &PoolConfig,
 ) -> PublishReport {
     let line = publish_line(&smgcn_serve::artifact::to_base64(artifact));
-    let mut outcomes = Vec::with_capacity(addrs.len());
-    for &addr in addrs {
-        let outcome = publish_one(addr, &line, config);
-        let rejected = outcome.rejected;
-        outcomes.push(outcome);
-        if rejected {
-            break;
-        }
-    }
-    PublishReport { outcomes }
+    let targets = addrs.iter().map(|&addr| (addr, None));
+    roll(targets, config, &line, CONTROL_PUBLISH)
 }

@@ -9,9 +9,11 @@
 //! 2. intercept admin ops: `{"op":"stats"}` answers with *router* stats
 //!    merged with each replica's live report, `{"op":"metrics"}` /
 //!    `{"op":"events"}` aggregate the fleet's telemetry (per-replica
-//!    plus a merged view; unreachable replicas carry a structured
-//!    `{"code":"partial"}` marker), `{"op":"publish"}` runs a rolling
-//!    publish across the fleet (see [`crate::publish`]);
+//!    plus a merged view), `{"op":"publish"}` runs a rolling publish
+//!    across the fleet (see [`crate::publish`]). Every fleet-wide read
+//!    is the same walk (`gather`): one [`crate::pool::ask`] per
+//!    replica, and a replica that refuses or cannot be reached keeps
+//!    its entry under a structured `{"code":"partial"}` marker;
 //! 3. hash the canonical symptom-set key onto the consistent-hash ring
 //!    ([`crate::ring`]) — the same presentation always lands on the same
 //!    replica, so replica LRU caches stay hot;
@@ -27,7 +29,7 @@
 //! what keep one hot key from queueing the world behind a single
 //! backend.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,17 +41,20 @@ use smgcn_obs::{
     mint_trace_id, Counter, EventJournal, LatencyHistogram, ProfileHandle, Profiler, Registry,
     TraceBuilder,
 };
+use smgcn_serve::client::Unanswered;
 use smgcn_serve::errors::codes;
 use smgcn_serve::json::{self, Json};
-use smgcn_serve::ops::{AdminOp, OpHandler};
+use smgcn_serve::ops::{
+    candidate_of, event_json, events_limit, trace_json, AdminOp, ApiError, OpHandler,
+};
 use smgcn_serve::reactor::{Reactor, ReactorConfig, Service};
-use smgcn_serve::server::samples_to_json;
+use smgcn_serve::server::{samples_to_json, Running, StopHandle};
 use smgcn_serve::DuelSample;
 
 use crate::experiment as fleet;
 use crate::experiment::FleetOutcome;
-use crate::pool::{ClusterObs, PoolConfig, ReplicaConn, ReplicaPool};
-use crate::publish::rolling_publish;
+use crate::pool::{ask, ClusterObs, PoolConfig, Replica, ReplicaPool};
+use crate::publish::{rolling_publish, PublishReport};
 use crate::ring::{key_of_ids, key_of_names, HashRing};
 
 /// Router tuning knobs.
@@ -270,18 +275,19 @@ impl RouterEngine {
     fn deadline_shed(&self, detail: &str) -> String {
         self.deadline_sheds.inc();
         self.events.record("deadline_shed", detail.to_string());
-        json::obj([(
-            "error",
-            json::obj([
-                ("code", Json::Str(codes::DEADLINE_EXCEEDED.into())),
-                (
-                    "message",
-                    Json::Str(format!("deadline_ms budget exhausted: {detail}")),
-                ),
-                ("retryable", Json::Bool(false)),
-            ]),
-        )])
-        .to_string()
+        let shed = ApiError::new(
+            codes::DEADLINE_EXCEEDED,
+            format!("deadline_ms budget exhausted: {detail}"),
+        );
+        let mut reply = shed.to_json();
+        // Unlike a replica's, the router's shed says `"retryable":false`
+        // out loud.
+        if let Json::Obj(reply) = &mut reply {
+            if let Some(Json::Obj(error)) = reply.get_mut("error") {
+                error.insert("retryable".to_string(), Json::Bool(false));
+            }
+        }
+        reply.to_string()
     }
 
     /// Forwards one request line, walking the candidate list with
@@ -356,17 +362,11 @@ impl RouterEngine {
                 self.exhausted.inc();
                 self.events
                     .record("exhausted", "every replica shed the request");
-                return json::obj([(
-                    "error",
-                    json::obj([
-                        ("code", Json::Str(codes::OVERLOADED.into())),
-                        (
-                            "message",
-                            Json::Str("every replica shed the request (fleet saturated)".into()),
-                        ),
-                        ("retryable", Json::Bool(true)),
-                    ]),
-                )])
+                return ApiError::retryable(
+                    codes::OVERLOADED,
+                    "every replica shed the request (fleet saturated)",
+                )
+                .to_json()
                 .to_string();
             }
             if Instant::now() >= deadline {
@@ -375,17 +375,11 @@ impl RouterEngine {
                     "exhausted",
                     "lease patience expired (all ejected or saturated)",
                 );
-                return json::obj([(
-                    "error",
-                    json::obj([
-                        ("code", Json::Str(codes::NO_REPLICAS.into())),
-                        (
-                            "message",
-                            Json::Str("no replica available (all ejected or saturated)".into()),
-                        ),
-                        ("retryable", Json::Bool(true)),
-                    ]),
-                )])
+                return ApiError::retryable(
+                    codes::NO_REPLICAS,
+                    "no replica available (all ejected or saturated)",
+                )
+                .to_json()
                 .to_string();
             }
             // A request whose own budget dies before the next pass is
@@ -404,78 +398,75 @@ impl RouterEngine {
         }
     }
 
-    /// One-shot admin fetch against a replica on a dedicated connection.
-    /// Deliberately does *not* touch the replica's health record — an
+    /// The one walk behind every fleet-wide read: asks each replica
+    /// `request` on a dedicated admin connection and renders one entry
+    /// per replica — its `addr` plus whatever `fields` makes of the
+    /// answer. A replica that refuses or cannot be reached still gets
+    /// its entry (`fields` sees `None`), carrying a structured
+    /// `{"code":"partial"}` marker that says why, so callers see exactly
+    /// which replica is missing instead of a silently smaller
+    /// aggregate. Returns the entries and whether any was partial.
+    ///
+    /// Deliberately does *not* touch the replicas' health records — an
     /// admin snapshot must observe the fleet, not steer ejection.
-    fn fetch_direct(&self, addr: SocketAddr, request: &str) -> Result<Json, String> {
-        let mut conn = ReplicaConn::connect_admin(addr, &self.config.pool)
-            .map_err(|e| format!("connect: {e}"))?;
-        let raw = conn
-            .round_trip(request)
-            .map_err(|e| format!("round trip: {e}"))?;
-        json::parse(&raw).map_err(|e| format!("parse: {e}"))
-    }
-
-    /// The structured marker for a replica that could not contribute to
-    /// a fleet-wide merge: callers see exactly which replica is missing
-    /// and why, instead of a silently smaller aggregate.
-    fn partial_marker(message: String) -> Json {
-        json::obj([
-            ("code", Json::Str(codes::PARTIAL.into())),
-            ("message", Json::Str(message)),
-        ])
+    fn gather(
+        &self,
+        verb: &str,
+        request: &str,
+        mut fields: impl FnMut(&Replica, Option<Json>) -> Vec<(&'static str, Json)>,
+    ) -> (Json, bool) {
+        let mut partial = false;
+        let entries = self.pool.replicas().iter().map(|replica| {
+            let (answer, unanswered) = match ask(replica.addr, &self.config.pool, request) {
+                Ok(answer) => (Some(answer), None),
+                Err(unanswered) => (None, Some(unanswered)),
+            };
+            let mut entry = fields(replica, answer);
+            entry.push(("addr", Json::Str(replica.addr.to_string())));
+            if let Some(unanswered) = unanswered {
+                partial = true;
+                let message = match unanswered {
+                    Unanswered::Refused(reply) => format!("replica refused {verb}: {reply}"),
+                    transport => transport.to_string(),
+                };
+                let marker = [
+                    ("code", Json::Str(codes::PARTIAL.into())),
+                    ("message", Json::Str(message)),
+                ];
+                entry.push(("error", json::obj(marker)));
+            }
+            json::obj(entry)
+        });
+        (Json::Arr(entries.collect()), partial)
     }
 
     /// Router-level `{"op":"stats"}`: fleet health plus routing
     /// counters, merged with each replica's own live stats report. A
-    /// replica that cannot answer keeps its health entry but carries a
-    /// structured `{"code":"partial"}` error, and the top-level
-    /// `partial` flag is set.
+    /// replica that cannot answer keeps its health entry beside the
+    /// `partial` marker.
     fn stats(&self) -> Json {
-        let mut partial = false;
-        let replicas: Vec<Json> = self
-            .pool
-            .replicas()
-            .iter()
-            .map(|r| {
-                let h = r.health();
-                let mut fields = vec![
-                    ("addr", Json::Str(r.addr.to_string())),
-                    ("healthy", Json::Bool(h.healthy)),
-                    ("in_flight", Json::Num(r.in_flight() as f64)),
-                    (
-                        "consecutive_failures",
-                        Json::Num(f64::from(h.consecutive_failures)),
-                    ),
-                ];
-                if let Some(g) = h.generation {
-                    fields.push(("generation", Json::Num(g as f64)));
-                }
-                if let Some(p99) = h.p99_us {
-                    fields.push(("p99_us", Json::Num(p99)));
-                }
-                if let Some(reason) = h.eject_reason {
-                    fields.push(("eject_reason", Json::Str(reason.to_string())));
-                }
-                match self.fetch_direct(r.addr, r#"{"op":"stats"}"#) {
-                    Ok(stats) if stats.get("error").is_none() => {
-                        fields.push(("stats", stats));
-                    }
-                    Ok(refusal) => {
-                        partial = true;
-                        fields.push((
-                            "error",
-                            Self::partial_marker(format!("replica refused stats: {refusal}")),
-                        ));
-                    }
-                    Err(e) => {
-                        partial = true;
-                        fields.push(("error", Self::partial_marker(e)));
-                    }
-                }
-                json::obj(fields)
-            })
-            .collect();
+        let (replicas, partial) = self.gather("stats", r#"{"op":"stats"}"#, |r, stats| {
+            let h = r.health();
+            let mut fields = vec![
+                ("healthy", Json::Bool(h.healthy)),
+                ("in_flight", Json::Num(r.in_flight() as f64)),
+                (
+                    "consecutive_failures",
+                    Json::Num(f64::from(h.consecutive_failures)),
+                ),
+            ];
+            if let Some(g) = h.generation {
+                fields.push(("generation", Json::Num(g as f64)));
+            }
+            if let Some(p99) = h.p99_us {
+                fields.push(("p99_us", Json::Num(p99)));
+            }
+            if let Some(reason) = h.eject_reason {
+                fields.push(("eject_reason", Json::Str(reason.to_string())));
+            }
+            fields.extend(stats.map(|stats| ("stats", stats)));
+            fields
+        });
         json::obj([
             ("router", Json::Bool(true)),
             ("uptime_s", Json::Num(self.started.elapsed().as_secs_f64())),
@@ -490,60 +481,31 @@ impl RouterEngine {
                 Json::Num(self.deadline_sheds.get() as f64),
             ),
             ("partial", Json::Bool(partial)),
-            ("replicas", Json::Arr(replicas)),
+            ("replicas", replicas),
         ])
     }
 
     /// The `{"op":"metrics"}` admin verb, fleet-wide: the router's own
     /// registry, every replica's snapshot, and a merged view (counters
     /// sum; gauges and quantiles take the fleet max; histogram counts
-    /// sum). Unreachable replicas are marked `{"code":"partial"}`.
+    /// sum).
     fn metrics(&self) -> Json {
-        let mut partial = false;
         let mut merged = std::collections::BTreeMap::new();
         let router_metrics = samples_to_json(&self.registry.samples());
         merge_metrics(&mut merged, &router_metrics);
-        let replicas: Vec<Json> = self
-            .pool
-            .replicas()
-            .iter()
-            .map(|r| {
-                let addr = ("addr", Json::Str(r.addr.to_string()));
-                match self.fetch_direct(r.addr, r#"{"op":"metrics"}"#) {
-                    Ok(snap) if snap.get("error").is_none() => {
-                        if let Some(metrics) = snap.get("metrics") {
-                            merge_metrics(&mut merged, metrics);
-                        }
-                        let mut fields = vec![addr];
-                        if let Some(g) = snap.get("generation") {
-                            fields.push(("generation", g.clone()));
-                        }
-                        fields.push((
-                            "metrics",
-                            snap.get("metrics").cloned().unwrap_or(Json::Null),
-                        ));
-                        json::obj(fields)
-                    }
-                    Ok(refusal) => {
-                        partial = true;
-                        json::obj([
-                            addr,
-                            (
-                                "error",
-                                Self::partial_marker(format!("replica refused metrics: {refusal}")),
-                            ),
-                        ])
-                    }
-                    Err(e) => {
-                        partial = true;
-                        json::obj([addr, ("error", Self::partial_marker(e))])
-                    }
-                }
-            })
-            .collect();
+        let (replicas, partial) = self.gather("metrics", r#"{"op":"metrics"}"#, |_, snap| {
+            let Some(snap) = snap else {
+                return Vec::new();
+            };
+            let metrics = snap.get("metrics").cloned().unwrap_or(Json::Null);
+            merge_metrics(&mut merged, &metrics);
+            let mut fields = vec![("metrics", metrics)];
+            fields.extend(snap.get("generation").map(|g| ("generation", g.clone())));
+            fields
+        });
         json::obj([
             ("router", router_metrics),
-            ("replicas", Json::Arr(replicas)),
+            ("replicas", replicas),
             ("merged", Json::Obj(merged)),
             ("partial", Json::Bool(partial)),
         ])
@@ -555,62 +517,30 @@ impl RouterEngine {
     /// replica co-hosts an online pipeline) training. Stacks merge by
     /// summing microseconds per identical frame path; the totals sum
     /// too, so the coverage ratio (`profile_total_us` vs
-    /// `latency_total_us`) stays meaningful fleet-wide. Unreachable
-    /// replicas are marked `{"code":"partial"}`.
+    /// `latency_total_us`) stays meaningful fleet-wide.
     fn profile(&self) -> Json {
-        let mut partial = false;
         let mut merged = std::collections::BTreeMap::new();
         merge_folded(&mut merged, &self.profiler.fold());
         let mut latency_total = 0.0;
-        let replicas: Vec<Json> = self
-            .pool
-            .replicas()
-            .iter()
-            .map(|r| {
-                let addr = ("addr", Json::Str(r.addr.to_string()));
-                match self.fetch_direct(r.addr, r#"{"op":"profile"}"#) {
-                    Ok(snap) if snap.get("error").is_none() => {
-                        if let Some(folded) = snap.get("folded").and_then(Json::as_str) {
-                            merge_folded(&mut merged, folded);
-                        }
-                        latency_total += snap
-                            .get("latency_total_us")
-                            .and_then(Json::as_num)
-                            .unwrap_or(0.0);
-                        json::obj([
-                            addr,
-                            ("folded", snap.get("folded").cloned().unwrap_or(Json::Null)),
-                            (
-                                "profile_total_us",
-                                snap.get("profile_total_us").cloned().unwrap_or(Json::Null),
-                            ),
-                            (
-                                "latency_total_us",
-                                snap.get("latency_total_us").cloned().unwrap_or(Json::Null),
-                            ),
-                        ])
-                    }
-                    Ok(refusal) => {
-                        partial = true;
-                        json::obj([
-                            addr,
-                            (
-                                "error",
-                                Self::partial_marker(format!("replica refused profile: {refusal}")),
-                            ),
-                        ])
-                    }
-                    Err(e) => {
-                        partial = true;
-                        json::obj([addr, ("error", Self::partial_marker(e))])
-                    }
-                }
-            })
-            .collect();
+        let (replicas, partial) = self.gather("profile", r#"{"op":"profile"}"#, |_, snap| {
+            let Some(snap) = snap else {
+                return Vec::new();
+            };
+            if let Some(folded) = snap.get("folded").and_then(Json::as_str) {
+                merge_folded(&mut merged, folded);
+            }
+            let field = |key| snap.get(key).cloned().unwrap_or(Json::Null);
+            latency_total += field("latency_total_us").as_num().unwrap_or(0.0);
+            vec![
+                ("folded", field("folded")),
+                ("profile_total_us", field("profile_total_us")),
+                ("latency_total_us", field("latency_total_us")),
+            ]
+        });
         let profile_total: u64 = merged.values().sum();
         json::obj([
             ("router", Json::Str(self.profiler.fold())),
-            ("replicas", Json::Arr(replicas)),
+            ("replicas", replicas),
             ("folded", Json::Str(render_folded(&merged))),
             ("profile_total_us", Json::Num(profile_total as f64)),
             ("latency_total_us", Json::Num(latency_total)),
@@ -621,78 +551,29 @@ impl RouterEngine {
     /// The `{"op":"events"}` admin verb, fleet-wide: the router's own
     /// journal tail plus each replica's (optional `"limit"`, default 64).
     fn events_report(&self, req: &Json) -> Json {
-        let limit = match req.get("limit").and_then(Json::as_num) {
-            Some(n) if n >= 1.0 => n as usize,
-            _ => 64,
-        };
-        let own: Vec<Json> = self
-            .events
-            .recent(limit)
-            .iter()
-            .map(|e| {
-                json::obj([
-                    ("seq", Json::Num(e.seq as f64)),
-                    ("unix_ms", Json::Num(e.unix_ms as f64)),
-                    ("kind", Json::Str(e.kind.clone())),
-                    ("detail", Json::Str(e.detail.clone())),
-                ])
-            })
-            .collect();
-        let mut partial = false;
+        let limit = events_limit(req);
+        let own = self.events.recent(limit);
         let request = json::obj([
             ("op", Json::Str("events".into())),
             ("limit", Json::Num(limit as f64)),
         ])
         .to_string();
-        let replicas: Vec<Json> = self
-            .pool
-            .replicas()
-            .iter()
-            .map(|r| {
-                let addr = ("addr", Json::Str(r.addr.to_string()));
-                match self.fetch_direct(r.addr, &request) {
-                    Ok(snap) if snap.get("error").is_none() => json::obj([
-                        addr,
-                        ("events", snap.get("events").cloned().unwrap_or(Json::Null)),
-                        (
-                            "events_total",
-                            snap.get("events_total").cloned().unwrap_or(Json::Null),
-                        ),
-                    ]),
-                    Ok(refusal) => {
-                        partial = true;
-                        json::obj([
-                            addr,
-                            (
-                                "error",
-                                Self::partial_marker(format!("replica refused events: {refusal}")),
-                            ),
-                        ])
-                    }
-                    Err(e) => {
-                        partial = true;
-                        json::obj([addr, ("error", Self::partial_marker(e))])
-                    }
-                }
-            })
-            .collect();
+        let (replicas, partial) = self.gather("events", &request, |_, snap| {
+            let Some(snap) = snap else {
+                return Vec::new();
+            };
+            let field = |key| snap.get(key).cloned().unwrap_or(Json::Null);
+            vec![
+                ("events", field("events")),
+                ("events_total", field("events_total")),
+            ]
+        });
         json::obj([
-            ("router", Json::Arr(own)),
+            ("router", Json::Arr(own.iter().map(event_json).collect())),
             ("events_total", Json::Num(self.events.total() as f64)),
-            ("replicas", Json::Arr(replicas)),
+            ("replicas", replicas),
             ("partial", Json::Bool(partial)),
         ])
-    }
-
-    /// A structured non-retryable error response.
-    fn error_json(code: &str, message: String) -> Json {
-        json::obj([(
-            "error",
-            json::obj([
-                ("code", Json::Str(code.into())),
-                ("message", Json::Str(message)),
-            ]),
-        )])
     }
 
     /// The split plan currently mirrored on this router, if any.
@@ -724,62 +605,32 @@ impl RouterEngine {
             Some("status") => self.experiment_status(),
             Some("compare") => self.compare_json(&self.collect_compare()),
             Some("promote") => self.experiment_promote(req),
-            other => Self::error_json(
+            other => ApiError::new(
                 codes::BAD_REQUEST,
                 format!("unknown experiment action {other:?}"),
-            ),
-        }
-    }
-
-    /// The candidate name of an experiment request (`"control"` is
-    /// managed by the plain publish verb and never a valid target).
-    fn candidate_of(req: &Json) -> Result<String, Json> {
-        match req.get("variant").and_then(Json::as_str) {
-            Some(name) if name != CONTROL => Ok(name.to_string()),
-            Some(_) => Err(Self::error_json(
-                codes::BAD_REQUEST,
-                "the control slot is managed by {\"op\":\"publish\"}".into(),
-            )),
-            None => Err(Self::error_json(
-                codes::BAD_REQUEST,
-                "experiment action needs \"variant\"".into(),
-            )),
+            )
+            .to_json(),
         }
     }
 
     fn experiment_publish(&self, req: &Json) -> Json {
-        let name = match Self::candidate_of(req) {
+        let name = match candidate_of(req) {
             Ok(name) => name,
-            Err(e) => return e,
+            Err(e) => return e.to_json(),
         };
         let Some(artifact) = req.get("artifact").and_then(Json::as_str) else {
-            return Self::error_json(
+            return ApiError::new(
                 codes::BAD_REQUEST,
-                "candidate publish needs \"artifact\" (base64)".into(),
-            );
+                "candidate publish needs \"artifact\" (base64)",
+            )
+            .to_json();
         };
         let _rollout = self.publish_lock.lock().expect("publish lock");
         let report = fleet::rolling_candidate_publish(&self.pool, &name, artifact);
-        self.publishes.inc();
-        if let Some(addr) = report.rejected_by() {
-            self.events.record(
-                "experiment_publish_aborted",
-                format!(
-                    "replica {addr} rejected candidate {name:?}; rollout stopped after {}/{} replicas",
-                    report.published(),
-                    self.pool.len()
-                ),
-            );
-        } else {
-            self.events.record(
-                "experiment_publish",
-                format!(
-                    "candidate {name:?} rolled to {}/{} replicas",
-                    report.published(),
-                    self.pool.len()
-                ),
-            );
-        }
+        let what = format!("candidate {name:?}");
+        self.journal_rollout("experiment_publish", &what, &report, |reach| {
+            format!("{what} rolled to {reach}")
+        });
         let Json::Obj(mut fields) = report.to_json() else {
             unreachable!("publish report is an object");
         };
@@ -795,12 +646,12 @@ impl RouterEngine {
         let plan = if let Some(text) = req.get("plan").and_then(Json::as_str) {
             match SplitPlan::from_canonical(text) {
                 Ok(plan) => plan,
-                Err(e) => return Self::error_json(codes::BAD_PLAN, e.to_string()),
+                Err(e) => return ApiError::new(codes::BAD_PLAN, e.to_string()).to_json(),
             }
         } else if let Some(spec) = req.get("weights").and_then(Json::as_str) {
             let weights = match parse_weight_spec(spec) {
                 Ok(w) => w,
-                Err(e) => return Self::error_json(codes::BAD_PLAN, e.to_string()),
+                Err(e) => return ApiError::new(codes::BAD_PLAN, e.to_string()).to_json(),
             };
             let built = match self.active_split() {
                 Some(current) => current.update(&weights),
@@ -815,13 +666,14 @@ impl RouterEngine {
             };
             match built {
                 Ok(plan) => plan,
-                Err(e) => return Self::error_json(codes::BAD_PLAN, e.to_string()),
+                Err(e) => return ApiError::new(codes::BAD_PLAN, e.to_string()).to_json(),
             }
         } else {
-            return Self::error_json(
+            return ApiError::new(
                 codes::BAD_REQUEST,
-                "install needs \"plan\" (canonical) or \"weights\" (name:weight,...)".into(),
-            );
+                "install needs \"plan\" (canonical) or \"weights\" (name:weight,...)",
+            )
+            .to_json();
         };
         // Serialized with publishes: an install racing a rollout could
         // pin a variant to a generation the rollout is replacing.
@@ -831,7 +683,7 @@ impl RouterEngine {
                 "experiment_install_rejected",
                 format!("split v{} refused: {message}", plan.version()),
             );
-            return Self::error_json(code, message);
+            return ApiError::new(code, message).to_json();
         }
         let outcomes = fleet::install_everywhere(&self.pool, &plan);
         let ok = outcomes.iter().filter(|o| o.ok).count();
@@ -852,17 +704,14 @@ impl RouterEngine {
                     outcomes.len()
                 ),
             );
-            let Json::Obj(mut fields) = Self::error_json(
+            return ApiError::new(
                 codes::PARTIAL,
-                "split install failed mid-roll; fleet halted back to control".into(),
-            ) else {
-                unreachable!("error response is an object");
-            };
-            fields.insert(
-                "outcomes".to_string(),
+                "split install failed mid-roll; fleet halted back to control",
+            )
+            .to_json_with([(
+                "outcomes",
                 Json::Arr(outcomes.iter().map(FleetOutcome::to_json).collect()),
-            );
-            return Json::Obj(fields);
+            )]);
         }
         let version = plan.version();
         let digest = format!("{:016x}", plan.digest());
@@ -912,39 +761,10 @@ impl RouterEngine {
     }
 
     fn experiment_status(&self) -> Json {
-        let request = json::obj([
-            ("op", Json::Str("experiment".into())),
-            ("action", Json::Str("status".into())),
-        ])
-        .to_string();
-        let mut partial = false;
-        let replicas: Vec<Json> = self
-            .pool
-            .replicas()
-            .iter()
-            .map(|r| {
-                let addr = ("addr", Json::Str(r.addr.to_string()));
-                match self.fetch_direct(r.addr, &request) {
-                    Ok(status) if status.get("error").is_none() => {
-                        json::obj([addr, ("status", status)])
-                    }
-                    Ok(refusal) => {
-                        partial = true;
-                        json::obj([
-                            addr,
-                            (
-                                "error",
-                                Self::partial_marker(format!("replica refused status: {refusal}")),
-                            ),
-                        ])
-                    }
-                    Err(e) => {
-                        partial = true;
-                        json::obj([addr, ("error", Self::partial_marker(e))])
-                    }
-                }
-            })
-            .collect();
+        let request = fleet::action_line("status", []);
+        let (replicas, partial) = self.gather("status", &request, |_, status| {
+            Vec::from_iter(status.map(|status| ("status", status)))
+        });
         let mut fields = Vec::new();
         match self.active_split() {
             Some(plan) => {
@@ -954,61 +774,46 @@ impl RouterEngine {
             }
             None => fields.push(("plan", Json::Null)),
         }
-        fields.push(("replicas", Json::Arr(replicas)));
+        fields.push(("replicas", replicas));
         fields.push(("partial", Json::Bool(partial)));
         json::obj(fields)
     }
 
     /// Gathers the comparison inputs from the fleet: every variant name
     /// any replica serves, the merged variant-labeled metrics, and the
-    /// journaled duel samples.
+    /// journaled duel samples. A replica that cannot contribute to any
+    /// of the three makes the report `partial`.
     fn collect_compare(&self) -> CompareData {
-        let status_req = json::obj([
-            ("op", Json::Str("experiment".into())),
-            ("action", Json::Str("status".into())),
-        ])
-        .to_string();
-        let samples_req = json::obj([
-            ("op", Json::Str("experiment".into())),
-            ("action", Json::Str("samples".into())),
-        ])
-        .to_string();
-        let mut partial = false;
         let mut names: Vec<String> = vec![CONTROL.to_string()];
         let mut merged = std::collections::BTreeMap::new();
         let mut samples: Vec<DuelSample> = Vec::new();
-        for r in self.pool.replicas() {
-            match self.fetch_direct(r.addr, &status_req) {
-                Ok(status) if status.get("error").is_none() => {
-                    if let Some(variants) = status.get("variants").and_then(Json::as_arr) {
-                        for v in variants {
-                            if let Some(name) = v.get("name").and_then(Json::as_str) {
-                                if !names.iter().any(|n| n == name) {
-                                    names.push(name.to_string());
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => partial = true,
-            }
-            match self.fetch_direct(r.addr, r#"{"op":"metrics"}"#) {
-                Ok(snap) if snap.get("error").is_none() => {
-                    if let Some(metrics) = snap.get("metrics") {
-                        merge_metrics(&mut merged, metrics);
-                    }
-                }
-                _ => partial = true,
-            }
-            match self.fetch_direct(r.addr, &samples_req) {
-                Ok(snap) if snap.get("error").is_none() => {
-                    if let Some(list) = snap.get("samples").and_then(Json::as_arr) {
-                        samples.extend(list.iter().filter_map(DuelSample::from_json));
-                    }
-                }
-                _ => partial = true,
-            }
+        /// What one replica listed under `key` (nothing, if it did not answer).
+        fn listed<'a>(answer: &'a Option<Json>, key: &str) -> &'a [Json] {
+            let items = answer.as_ref().and_then(|a| a.get(key)?.as_arr());
+            items.unwrap_or_default()
         }
+        let request = fleet::action_line("status", []);
+        let (_, no_status) = self.gather("status", &request, |_, status| {
+            for variant in listed(&status, "variants") {
+                match variant.get("name").and_then(Json::as_str) {
+                    Some(name) if !names.iter().any(|n| n == name) => names.push(name.to_string()),
+                    _ => {}
+                }
+            }
+            Vec::new()
+        });
+        let (_, no_metrics) = self.gather("metrics", r#"{"op":"metrics"}"#, |_, snap| {
+            if let Some(metrics) = snap.as_ref().and_then(|snap| snap.get("metrics")) {
+                merge_metrics(&mut merged, metrics);
+            }
+            Vec::new()
+        });
+        let request = fleet::action_line("samples", []);
+        let (_, no_samples) = self.gather("samples", &request, |_, snap| {
+            let duels = listed(&snap, "samples");
+            samples.extend(duels.iter().filter_map(DuelSample::from_json));
+            Vec::new()
+        });
         names.sort();
         // Control leads the report whatever the sort said.
         if let Some(pos) = names.iter().position(|n| n == CONTROL) {
@@ -1019,7 +824,7 @@ impl RouterEngine {
         CompareData {
             stats,
             samples,
-            partial,
+            partial: no_status || no_metrics || no_samples,
         }
     }
 
@@ -1066,9 +871,9 @@ impl RouterEngine {
     }
 
     fn experiment_promote(&self, req: &Json) -> Json {
-        let name = match Self::candidate_of(req) {
+        let name = match candidate_of(req) {
             Ok(name) => name,
-            Err(e) => return e,
+            Err(e) => return e.to_json(),
         };
         let defaults = Guardrails::default();
         let rails = Guardrails {
@@ -1089,10 +894,11 @@ impl RouterEngine {
         let data = self.collect_compare();
         let find = |needle: &str| data.stats.iter().find(|s| s.name == needle);
         let (Some(control), Some(candidate)) = (find(CONTROL), find(&name)) else {
-            return Self::error_json(
+            return ApiError::new(
                 codes::UNKNOWN_VARIANT,
                 format!("no serving stats for variant {name:?} — is it published and split?"),
-            );
+            )
+            .to_json();
         };
         let violations = guardrail::check(control, candidate, &rails);
         if !violations.is_empty() {
@@ -1100,17 +906,14 @@ impl RouterEngine {
                 "promote_refused",
                 format!("candidate {name:?}: {}", violations.join("; ")),
             );
-            let Json::Obj(mut fields) = Self::error_json(
+            return ApiError::new(
                 codes::GUARDRAIL,
                 format!("candidate {name:?} does not clear the guardrails"),
-            ) else {
-                unreachable!("error response is an object");
-            };
-            fields.insert(
-                "violations".to_string(),
+            )
+            .to_json_with([(
+                "violations",
                 Json::Arr(violations.into_iter().map(Json::Str).collect()),
-            );
-            return Json::Obj(fields);
+            )]);
         }
         let _rollout = self.publish_lock.lock().expect("publish lock");
         let outcomes = fleet::promote_everywhere(&self.pool, &name);
@@ -1128,14 +931,11 @@ impl RouterEngine {
                     self.pool.len()
                 ),
             );
-            let Json::Obj(mut fields) = Self::error_json(
+            return ApiError::new(
                 codes::PARTIAL,
                 format!("promotion stopped after {ok}/{} replicas", self.pool.len()),
-            ) else {
-                unreachable!("error response is an object");
-            };
-            fields.insert("outcomes".to_string(), outcomes_json);
-            return Json::Obj(fields);
+            )
+            .to_json_with([("outcomes", outcomes_json)]);
         }
         // Candidate and control are now the same model everywhere;
         // keeping the split running would only skew future metrics.
@@ -1165,14 +965,9 @@ impl RouterEngine {
         let req = match json::parse(line) {
             Ok(req) => req,
             Err(e) => {
-                return json::obj([(
-                    "error",
-                    json::obj([
-                        ("code", Json::Str(codes::BAD_JSON.into())),
-                        ("message", Json::Str(format!("bad request JSON: {e}"))),
-                    ]),
-                )])
-                .to_string()
+                return ApiError::new(codes::BAD_JSON, format!("bad request JSON: {e}"))
+                    .to_json()
+                    .to_string()
             }
         };
         // A known admin verb is answered here, fleet-aggregated.
@@ -1219,18 +1014,11 @@ impl RouterEngine {
                 Some(arrived + Duration::from_millis(*n as u64))
             }
             Some(other) => {
-                return json::obj([(
-                    "error",
-                    json::obj([
-                        ("code", Json::Str(codes::BAD_REQUEST.into())),
-                        (
-                            "message",
-                            Json::Str(format!(
-                                "bad deadline_ms: {other} (want a non-negative integer)"
-                            )),
-                        ),
-                    ]),
-                )])
+                return ApiError::new(
+                    codes::BAD_REQUEST,
+                    format!("bad deadline_ms: {other} (want a non-negative integer)"),
+                )
+                .to_json()
                 .to_string();
             }
         };
@@ -1308,24 +1096,7 @@ impl RouterEngine {
             builder.push("net", wall_us.saturating_sub(replica_sum));
         }
         builder.cover_to_now("relay");
-        let spans: Vec<Json> = builder
-            .spans()
-            .iter()
-            .map(|s| {
-                json::obj([
-                    ("name", Json::Str(s.name.clone())),
-                    ("start_us", Json::Num(s.start_us as f64)),
-                    ("us", Json::Num(s.dur_us as f64)),
-                ])
-            })
-            .collect();
-        response.insert(
-            "trace".to_string(),
-            json::obj([
-                ("trace_id", Json::Str(trace_id)),
-                ("spans", Json::Arr(spans)),
-            ]),
-        );
+        response.insert("trace".to_string(), trace_json(&trace_id, builder.spans()));
         Json::Obj(response).to_string()
     }
 
@@ -1334,43 +1105,38 @@ impl RouterEngine {
     /// [`crate::publish`]).
     fn rolling_publish_report(&self, req: &Json) -> Json {
         let Some(artifact) = req.get("artifact").and_then(Json::as_str) else {
-            return json::obj([(
-                "error",
-                json::obj([
-                    ("code", Json::Str(codes::BAD_REQUEST.into())),
-                    (
-                        "message",
-                        Json::Str("publish needs \"artifact\" (base64)".into()),
-                    ),
-                ]),
-            )]);
+            return ApiError::new(codes::BAD_REQUEST, "publish needs \"artifact\" (base64)")
+                .to_json();
         };
         let _rollout = self.publish_lock.lock().expect("publish lock");
         let report = rolling_publish(&self.pool, artifact);
-        self.publishes.inc();
-        if let Some(addr) = report.rejected_by() {
-            // A rejection is a verdict on the artifact, not the replica:
-            // journal who refused it so the operator knows where the
-            // rollout stopped.
-            self.events.record(
-                "publish_aborted",
-                format!(
-                    "replica {addr} rejected the artifact; rollout stopped after {}/{} replicas",
-                    report.published(),
-                    self.pool.len()
-                ),
-            );
-        } else {
-            self.events.record(
-                "publish",
-                format!(
-                    "rolling publish: {}/{} replicas ok",
-                    report.published(),
-                    self.pool.len()
-                ),
-            );
-        }
+        self.journal_rollout("publish", "the artifact", &report, |reach| {
+            format!("rolling publish: {reach} ok")
+        });
         report.to_json()
+    }
+
+    /// Counts a finished rollout of `what` and journals it under `kind`:
+    /// how far it got, in `done`'s words — or, under `<kind>_aborted`,
+    /// who stopped it. A rejection is a verdict on the artifact, not
+    /// the replica: the journal names who refused it so the operator
+    /// knows where the rollout stopped.
+    fn journal_rollout(
+        &self,
+        kind: &str,
+        what: &str,
+        report: &PublishReport,
+        done: impl FnOnce(&str) -> String,
+    ) {
+        self.publishes.inc();
+        let reach = format!("{}/{} replicas", report.published(), self.pool.len());
+        match report.rejected_by() {
+            Some(addr) => self.events.record(
+                &format!("{kind}_aborted"),
+                format!("replica {addr} rejected {what}; rollout stopped after {reach}"),
+            ),
+            None => self.events.record(kind, done(&reach)),
+        }
     }
 }
 
@@ -1547,11 +1313,14 @@ impl Router {
     }
 
     /// A handle that makes [`Router::run`] return.
-    pub fn stop_handle(&self) -> RouterStopHandle {
-        RouterStopHandle {
-            stop: Arc::clone(&self.stop),
-            addr: self.listener.local_addr().ok(),
-        }
+    pub fn stop_handle(&self) -> StopHandle {
+        StopHandle::new(Arc::clone(&self.stop), self.listener.local_addr().ok())
+    }
+
+    /// [`Router::run`] on a thread of its own, behind the same guard a
+    /// spawned replica server gets: it stops and joins on drop.
+    pub fn spawn(self) -> std::io::Result<Running> {
+        Running::start(self.local_addr()?, self.stop_handle(), move || self.run())
     }
 
     /// Serves until the stop handle fires: a health-probe thread plus
@@ -1603,36 +1372,14 @@ impl Service for RouterEngine {
         self.sheds.inc();
         self.events
             .record("shed", "client connection refused at capacity");
-        json::obj([(
-            "error",
-            json::obj([
-                ("code", Json::Str(codes::OVERLOADED.into())),
-                ("message", Json::Str("router at connection capacity".into())),
-                ("retryable", Json::Bool(true)),
-            ]),
-        )])
-        .to_string()
+        ApiError::retryable(codes::OVERLOADED, "router at connection capacity")
+            .to_json()
+            .to_string()
     }
 
     fn on_drain(&self) {
         self.events
             .record("drain", "graceful drain: idle client connections closed");
-    }
-}
-
-/// Makes a running router's accept loop exit.
-pub struct RouterStopHandle {
-    stop: Arc<AtomicBool>,
-    addr: Option<SocketAddr>,
-}
-
-impl RouterStopHandle {
-    /// Signals shutdown and unblocks the accept loop.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(addr) = self.addr {
-            let _ = TcpStream::connect(addr);
-        }
     }
 }
 

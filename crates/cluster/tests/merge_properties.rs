@@ -1,5 +1,6 @@
-//! Property tests for the fleet metrics merge, plus the
-//! `{"code":"partial"}` degraded-aggregate path against live sockets.
+//! Property tests for the fleet metrics merge (the degraded,
+//! `{"code":"partial"}` aggregates are driven against live sockets in
+//! `fleet_walks.rs`).
 //!
 //! The router's `{"op":"metrics"}` merge is a fold over per-replica
 //! snapshots, and its laws are what make the merged view trustworthy:
@@ -15,14 +16,10 @@
 //!   never look better than its worst replica).
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
 
 use proptest::prelude::*;
-use smgcn_cluster::{merge_metrics, PoolConfig, Router, RouterConfig};
+use smgcn_cluster::merge_metrics;
 use smgcn_serve::json::{self, Json};
-use smgcn_serve::{FrozenModel, Server, ServerConfig, ServingVocab};
-use smgcn_tensor::Matrix;
 
 /// One synthetic per-replica metrics snapshot: a few counters, a gauge,
 /// and a histogram stats object, all integer-valued so float summation
@@ -140,107 +137,4 @@ proptest! {
             }
         }
     }
-}
-
-/// An address that accepts nothing: bind, note the port, drop the
-/// listener. Connections to it are refused immediately.
-fn dead_addr() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    drop(listener);
-    addr
-}
-
-/// Fleet aggregation with an unreachable replica: the live replica's
-/// numbers still merge, and the dead one carries a structured
-/// `{"code":"partial"}` marker instead of silently shrinking the
-/// aggregate — on `{"op":"metrics"}` and `{"op":"profile"}` alike.
-#[test]
-fn unreachable_replica_marks_aggregates_partial() {
-    let symptoms = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) % 4) as f32 - 1.5);
-    let herbs = Matrix::from_fn(7, 3, |r, c| ((r * 2 + c * 5) % 6) as f32 - 2.5);
-    let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
-    let server = Server::bind(
-        "127.0.0.1:0",
-        model,
-        ServingVocab::default(),
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let live = server.local_addr().unwrap();
-    let server_stop = server.stop_handle();
-    let server_handle = std::thread::spawn(move || server.run().unwrap());
-
-    let router = Router::bind(
-        "127.0.0.1:0",
-        vec![live, dead_addr()],
-        RouterConfig {
-            pool: PoolConfig {
-                replica_timeout: Duration::from_secs(2),
-                ..PoolConfig::default()
-            },
-            probe_interval: Duration::ZERO,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
-    let router_addr = router.local_addr().unwrap();
-    let router_stop = router.stop_handle();
-    let router_handle = std::thread::spawn(move || router.run().unwrap());
-
-    let stream = TcpStream::connect(router_addr).unwrap();
-    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-    let mut writer = std::io::BufWriter::new(stream);
-    let mut request = |line: &str| -> Json {
-        use std::io::{BufRead, Write};
-        writeln!(writer, "{line}").unwrap();
-        writer.flush().unwrap();
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        json::parse(response.trim()).unwrap()
-    };
-
-    // A ranking first, so the live replica has non-zero counters.
-    let resp = request(r#"{"symptom_ids":[0,1],"k":3}"#);
-    assert!(resp.get("error").is_none(), "{resp}");
-
-    for op in ["metrics", "profile"] {
-        let snap = request(&format!(r#"{{"op":"{op}"}}"#));
-        assert_eq!(
-            snap.get("partial"),
-            Some(&Json::Bool(true)),
-            "{op} must flag the dead replica: {snap}"
-        );
-        let replicas = snap.get("replicas").and_then(Json::as_arr).unwrap();
-        assert_eq!(replicas.len(), 2);
-        let markers: Vec<&Json> = replicas.iter().filter_map(|r| r.get("error")).collect();
-        assert_eq!(markers.len(), 1, "exactly one unreachable replica: {snap}");
-        assert_eq!(
-            markers[0].get("code").and_then(Json::as_str),
-            Some("partial"),
-            "{snap}"
-        );
-    }
-
-    // The merged metrics still carry the live replica's contribution.
-    let snap = request(r#"{"op":"metrics"}"#);
-    let merged = snap.get("merged").expect("merged object");
-    assert!(
-        merged
-            .get("serve_requests_total")
-            .and_then(Json::as_num)
-            .unwrap()
-            >= 1.0,
-        "{snap}"
-    );
-    // And the merged profile still folds the live replica's stacks.
-    let prof = request(r#"{"op":"profile"}"#);
-    let folded = prof.get("folded").and_then(Json::as_str).unwrap();
-    assert!(folded.contains("router;forward "), "{folded}");
-    assert!(folded.contains("serve;request;"), "{folded}");
-
-    router_stop.stop();
-    router_handle.join().unwrap();
-    server_stop.stop();
-    server_handle.join().unwrap();
 }

@@ -13,14 +13,12 @@
 //! - the same plan over the same request sequence injects the same
 //!   faults (the replay guarantee the fault-storm scenario builds on).
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use smgcn_cluster::{PoolConfig, Router, RouterConfig};
 use smgcn_faults::{sites, FaultAction, FaultPlan};
-use smgcn_serve::json::{self, Json};
-use smgcn_serve::{FrozenModel, Server, ServerConfig, ServingVocab};
+use smgcn_serve::json::Json;
+use smgcn_serve::{FrozenModel, LineClient, Running, Server, ServerConfig, ServingVocab};
 use smgcn_tensor::Matrix;
 
 const N_SYMPTOMS: usize = 6;
@@ -36,20 +34,6 @@ fn vocab() -> ServingVocab {
         (0..N_SYMPTOMS).map(|i| format!("s{i}")).collect(),
         (0..9).map(|i| format!("h{i}")).collect(),
     )
-}
-
-struct Replica {
-    addr: SocketAddr,
-    stop: smgcn_serve::server::StopHandle,
-    handle: std::thread::JoinHandle<()>,
-}
-
-fn start_replica() -> Replica {
-    let server = Server::bind("127.0.0.1:0", model(), vocab(), ServerConfig::default()).unwrap();
-    let addr = server.local_addr().unwrap();
-    let stop = server.stop_handle();
-    let handle = std::thread::spawn(move || server.run().unwrap());
-    Replica { addr, stop, handle }
 }
 
 /// Probing disabled: these tests pin *passive* behaviour, and a probe
@@ -72,47 +56,22 @@ fn quiet_router() -> RouterConfig {
     }
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        Self {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: BufWriter::new(stream),
-        }
-    }
-
-    fn request(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut response = String::new();
-        self.reader.read_line(&mut response).unwrap();
-        json::parse(response.trim()).unwrap()
-    }
-}
-
 /// Runs `f` against a fresh 3-replica fleet behind a fresh router and
-/// tears everything down afterwards. Returns `f`'s value.
-fn with_fleet<T>(f: impl FnOnce(&mut Client) -> T) -> T {
-    let replicas: Vec<Replica> = (0..3).map(|_| start_replica()).collect();
-    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr).collect();
-    let router = Router::bind("127.0.0.1:0", addrs, quiet_router()).unwrap();
-    let router_addr = router.local_addr().unwrap();
-    let stop = router.stop_handle();
-    let handle = std::thread::spawn(move || router.run().unwrap());
-    let mut client = Client::connect(router_addr);
-    let out = f(&mut client);
-    stop.stop();
-    handle.join().unwrap();
-    for r in replicas {
-        r.stop.stop();
-        r.handle.join().unwrap();
-    }
-    out
+/// tears everything down afterwards (the router first). Returns `f`'s
+/// value. The client is the plain one: its own round trips pass no
+/// fault site, so every hit counted below is the router's.
+fn with_fleet<T>(f: impl FnOnce(&mut LineClient) -> T) -> T {
+    let replica = |_| {
+        Server::bind("127.0.0.1:0", model(), vocab(), ServerConfig::default())
+            .and_then(Server::spawn)
+            .unwrap()
+    };
+    let replicas: Vec<Running> = (0..3).map(replica).collect();
+    let addrs = replicas.iter().map(Running::addr).collect();
+    let router = Router::bind("127.0.0.1:0", addrs, quiet_router())
+        .and_then(Router::spawn)
+        .unwrap();
+    f(&mut router.client().unwrap())
 }
 
 #[test]
@@ -131,7 +90,7 @@ fn injected_forward_drops_fail_over_to_the_next_replica() {
     plan.push(sites::POOL_FORWARD_NET, 1, FaultAction::Drop);
     smgcn_faults::with_plan(&plan, || {
         with_fleet(|client| {
-            let resp = client.request(r#"{"symptom_ids":[0,1],"k":3}"#);
+            let resp = client.ask_json(r#"{"symptom_ids":[0,1],"k":3}"#).unwrap();
             assert!(resp.get("error").is_none(), "{resp}");
             let ids: Vec<f64> = resp
                 .get("herb_ids")
@@ -141,7 +100,7 @@ fn injected_forward_drops_fail_over_to_the_next_replica() {
                 .filter_map(Json::as_num)
                 .collect();
             assert_eq!(ids, expected, "the surviving replica answers correctly");
-            let stats = client.request(r#"{"op":"stats"}"#);
+            let stats = client.ask_json(r#"{"op":"stats"}"#).unwrap();
             assert_eq!(
                 stats.get("retries").and_then(Json::as_num),
                 Some(2.0),
@@ -161,7 +120,7 @@ fn injected_admin_failure_degrades_to_partial_without_ejecting() {
     plan.push(sites::POOL_ADMIN_NET, 0, FaultAction::Drop);
     smgcn_faults::with_plan(&plan, || {
         with_fleet(|client| {
-            let stats = client.request(r#"{"op":"stats"}"#);
+            let stats = client.ask_json(r#"{"op":"stats"}"#).unwrap();
             assert_eq!(stats.get("partial"), Some(&Json::Bool(true)), "{stats}");
             let fleet = stats.get("replicas").and_then(Json::as_arr).unwrap();
             let markers = fleet
@@ -176,7 +135,7 @@ fn injected_admin_failure_degrades_to_partial_without_ejecting() {
             assert!(fleet
                 .iter()
                 .all(|r| r.get("healthy") == Some(&Json::Bool(true))));
-            let resp = client.request(r#"{"symptom_ids":[2,3],"k":3}"#);
+            let resp = client.ask_json(r#"{"symptom_ids":[2,3],"k":3}"#).unwrap();
             assert!(resp.get("error").is_none(), "{resp}");
         });
     });
@@ -191,10 +150,10 @@ fn same_plan_injects_the_same_faults_across_runs() {
         smgcn_faults::with_plan(&plan, || {
             let retries = with_fleet(|client| {
                 for _ in 0..4 {
-                    let resp = client.request(r#"{"symptom_ids":[1,4],"k":2}"#);
+                    let resp = client.ask_json(r#"{"symptom_ids":[1,4],"k":2}"#).unwrap();
                     assert!(resp.get("error").is_none(), "{resp}");
                 }
-                let stats = client.request(r#"{"op":"stats"}"#);
+                let stats = client.ask_json(r#"{"op":"stats"}"#).unwrap();
                 stats.get("retries").and_then(Json::as_num).unwrap()
             });
             assert_eq!(smgcn_faults::injected_total(), 2, "both planned hits fire");

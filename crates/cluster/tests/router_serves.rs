@@ -6,13 +6,11 @@
 //! the same replica's cache), replica-loss failover, router stats and a
 //! rolling publish driven through the router's admin verb.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use smgcn_cluster::{PoolConfig, Router, RouterConfig};
-use smgcn_serve::json::{self, Json};
-use smgcn_serve::{FrozenModel, Server, ServerConfig, ServingVocab};
+use smgcn_serve::json::Json;
+use smgcn_serve::{FrozenModel, Running, Server, ServerConfig, ServingVocab};
 use smgcn_tensor::Matrix;
 
 const N_SYMPTOMS: usize = 6;
@@ -31,47 +29,25 @@ fn vocab_for(generation: u64) -> ServingVocab {
     )
 }
 
-struct Replica {
-    addr: SocketAddr,
-    stop: smgcn_serve::server::StopHandle,
-    handle: std::thread::JoinHandle<()>,
-}
-
-fn start_replica() -> Replica {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        model_for(0),
-        vocab_for(0),
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let stop = server.stop_handle();
-    let handle = std::thread::spawn(move || server.run().unwrap());
-    Replica { addr, stop, handle }
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        Self {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: BufWriter::new(stream),
-        }
-    }
-
-    fn request(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut response = String::new();
-        self.reader.read_line(&mut response).unwrap();
-        json::parse(response.trim()).unwrap()
-    }
+/// `n` replicas on generation 0 and a [`fast_router`] in front of them.
+/// The router is declared last, so it stops first when a test ends.
+fn start_fleet(n: usize) -> (Vec<Running>, Running) {
+    let replica = |_| {
+        Server::bind(
+            "127.0.0.1:0",
+            model_for(0),
+            vocab_for(0),
+            ServerConfig::default(),
+        )
+        .and_then(Server::spawn)
+        .unwrap()
+    };
+    let replicas: Vec<Running> = (0..n).map(replica).collect();
+    let addrs = replicas.iter().map(Running::addr).collect();
+    let router = Router::bind("127.0.0.1:0", addrs, fast_router())
+        .and_then(Router::spawn)
+        .unwrap();
+    (replicas, router)
 }
 
 fn fast_router() -> RouterConfig {
@@ -90,21 +66,18 @@ fn fast_router() -> RouterConfig {
 
 #[test]
 fn routes_with_cache_affinity_and_answers_like_a_replica() {
-    let replicas: Vec<Replica> = (0..3).map(|_| start_replica()).collect();
-    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr).collect();
-    let router = Router::bind("127.0.0.1:0", addrs.clone(), fast_router()).unwrap();
-    let router_addr = router.local_addr().unwrap();
-    let stop = router.stop_handle();
-    let handle = std::thread::spawn(move || router.run().unwrap());
+    let (_replicas, router) = start_fleet(3);
 
     let reference = model_for(0);
-    let mut client = Client::connect(router_addr);
+    let mut client = router.client().unwrap();
     // Every 2-element set: the ranking through the router equals the
     // frozen model directly, and a repeat of the same canonical set is a
     // replica cache hit (affinity: both forms land on the same replica).
     for a in 0..N_SYMPTOMS as u32 {
         for b in (a + 1)..N_SYMPTOMS as u32 {
-            let cold = client.request(&format!(r#"{{"symptom_ids":[{a},{b}],"k":4}}"#));
+            let cold = client
+                .ask_json(&format!(r#"{{"symptom_ids":[{a},{b}],"k":4}}"#))
+                .unwrap();
             assert!(cold.get("error").is_none(), "{cold}");
             let ids: Vec<u32> = cold
                 .get("herb_ids")
@@ -115,7 +88,9 @@ fn routes_with_cache_affinity_and_answers_like_a_replica() {
                 .collect();
             assert_eq!(ids, reference.recommend(&[a, b], 4).unwrap());
             // Permuted ids: same canonical key -> same replica -> hit.
-            let warm = client.request(&format!(r#"{{"symptom_ids":[{b},{a}],"k":4}}"#));
+            let warm = client
+                .ask_json(&format!(r#"{{"symptom_ids":[{b},{a}],"k":4}}"#))
+                .unwrap();
             assert_eq!(
                 warm.get("cached"),
                 Some(&Json::Bool(true)),
@@ -125,7 +100,7 @@ fn routes_with_cache_affinity_and_answers_like_a_replica() {
     }
 
     // Router stats see the whole fleet as healthy.
-    let stats = client.request(r#"{"op":"stats"}"#);
+    let stats = client.ask_json(r#"{"op":"stats"}"#).unwrap();
     assert_eq!(stats.get("router"), Some(&Json::Bool(true)));
     let fleet = stats.get("replicas").and_then(Json::as_arr).unwrap();
     assert_eq!(fleet.len(), 3);
@@ -133,47 +108,36 @@ fn routes_with_cache_affinity_and_answers_like_a_replica() {
         .iter()
         .all(|r| r.get("healthy") == Some(&Json::Bool(true))));
     assert!(stats.get("forwarded").and_then(Json::as_num).unwrap() >= 30.0);
-
-    stop.stop();
-    handle.join().unwrap();
-    for r in replicas {
-        r.stop.stop();
-        r.handle.join().unwrap();
-    }
 }
 
 #[test]
 fn failover_hides_a_dead_replica_and_probe_ejects_it() {
-    let replicas: Vec<Replica> = (0..3).map(|_| start_replica()).collect();
-    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr).collect();
-    let router = Router::bind("127.0.0.1:0", addrs.clone(), fast_router()).unwrap();
-    let router_addr = router.local_addr().unwrap();
-    let stop = router.stop_handle();
-    let handle = std::thread::spawn(move || router.run().unwrap());
+    let (mut replicas, router) = start_fleet(3);
 
-    let mut client = Client::connect(router_addr);
+    let mut client = router.client().unwrap();
     let space: Vec<Vec<u32>> = (0..N_SYMPTOMS as u32)
         .flat_map(|a| ((a + 1)..N_SYMPTOMS as u32).map(move |b| vec![a, b]))
         .collect();
     for set in &space {
-        let resp = client.request(&format!(
-            r#"{{"symptom_ids":[{},{}],"k":3}}"#,
-            set[0], set[1]
-        ));
+        let resp = client
+            .ask_json(&format!(
+                r#"{{"symptom_ids":[{},{}],"k":3}}"#,
+                set[0], set[1]
+            ))
+            .unwrap();
         assert!(resp.get("error").is_none(), "{resp}");
     }
 
     // Kill one replica; every set must still answer without error.
-    let mut replicas = replicas;
-    let victim = replicas.remove(0);
-    victim.stop.stop();
-    victim.handle.join().unwrap();
+    replicas.remove(0).shutdown().unwrap();
     for _round in 0..3 {
         for set in &space {
-            let resp = client.request(&format!(
-                r#"{{"symptom_ids":[{},{}],"k":3}}"#,
-                set[0], set[1]
-            ));
+            let resp = client
+                .ask_json(&format!(
+                    r#"{{"symptom_ids":[{},{}],"k":3}}"#,
+                    set[0], set[1]
+                ))
+                .unwrap();
             assert!(
                 resp.get("error").is_none(),
                 "request failed after replica death: {resp}"
@@ -184,7 +148,7 @@ fn failover_hides_a_dead_replica_and_probe_ejects_it() {
     // The probe thread marks the victim unhealthy shortly after.
     let unhealthy = (0..100).any(|_| {
         std::thread::sleep(Duration::from_millis(20));
-        let stats = client.request(r#"{"op":"stats"}"#);
+        let stats = client.ask_json(r#"{"op":"stats"}"#).unwrap();
         let fleet = stats
             .get("replicas")
             .and_then(Json::as_arr)
@@ -195,35 +159,25 @@ fn failover_hides_a_dead_replica_and_probe_ejects_it() {
             .any(|r| r.get("healthy") == Some(&Json::Bool(false)))
     });
     assert!(unhealthy, "probe never ejected the dead replica");
-
-    stop.stop();
-    handle.join().unwrap();
-    for r in replicas {
-        r.stop.stop();
-        r.handle.join().unwrap();
-    }
 }
 
 #[test]
 fn fleet_metrics_events_and_partial_stats() {
-    let replicas: Vec<Replica> = (0..3).map(|_| start_replica()).collect();
-    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr).collect();
-    let router = Router::bind("127.0.0.1:0", addrs.clone(), fast_router()).unwrap();
-    let router_addr = router.local_addr().unwrap();
-    let stop = router.stop_handle();
-    let handle = std::thread::spawn(move || router.run().unwrap());
+    let (mut replicas, router) = start_fleet(3);
 
-    let mut client = Client::connect(router_addr);
+    let mut client = router.client().unwrap();
     for a in 0..N_SYMPTOMS as u32 {
         for b in (a + 1)..N_SYMPTOMS as u32 {
-            let resp = client.request(&format!(r#"{{"symptom_ids":[{a},{b}],"k":4}}"#));
+            let resp = client
+                .ask_json(&format!(r#"{{"symptom_ids":[{a},{b}],"k":4}}"#))
+                .unwrap();
             assert!(resp.get("error").is_none(), "{resp}");
         }
     }
 
     // Fleet metrics: router's own registry, all three replicas, and a
     // merged view whose request counter sums the fleet.
-    let snap = client.request(r#"{"op":"metrics"}"#);
+    let snap = client.ask_json(r#"{"op":"metrics"}"#).unwrap();
     assert_eq!(snap.get("partial"), Some(&Json::Bool(false)), "{snap}");
     let router_section = snap.get("router").unwrap();
     assert!(
@@ -258,7 +212,7 @@ fn fleet_metrics_events_and_partial_stats() {
     assert!(merged.get("serve_latency_us").is_some());
 
     // Fleet events: each replica section answers (possibly empty).
-    let events = client.request(r#"{"op":"events"}"#);
+    let events = client.ask_json(r#"{"op":"events"}"#).unwrap();
     assert_eq!(events.get("partial"), Some(&Json::Bool(false)), "{events}");
     assert_eq!(
         events.get("replicas").and_then(Json::as_arr).unwrap().len(),
@@ -267,12 +221,10 @@ fn fleet_metrics_events_and_partial_stats() {
 
     // Kill one replica: stats must keep naming it, with a structured
     // partial marker instead of a silent hole in the merge.
-    let mut replicas = replicas;
     let victim = replicas.remove(0);
-    let victim_addr = victim.addr.to_string();
-    victim.stop.stop();
-    victim.handle.join().unwrap();
-    let stats = client.request(r#"{"op":"stats"}"#);
+    let victim_addr = victim.addr().to_string();
+    victim.shutdown().unwrap();
+    let stats = client.ask_json(r#"{"op":"stats"}"#).unwrap();
     assert_eq!(stats.get("partial"), Some(&Json::Bool(true)), "{stats}");
     let fleet = stats.get("replicas").and_then(Json::as_arr).unwrap();
     assert_eq!(fleet.len(), 3, "the dead replica is still named");
@@ -292,32 +244,24 @@ fn fleet_metrics_events_and_partial_stats() {
             );
         }
     }
-
-    stop.stop();
-    handle.join().unwrap();
-    for r in replicas {
-        r.stop.stop();
-        r.handle.join().unwrap();
-    }
 }
 
 #[test]
 fn deadline_budget_is_enforced_at_the_router() {
-    let replicas: Vec<Replica> = (0..2).map(|_| start_replica()).collect();
-    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr).collect();
-    let router = Router::bind("127.0.0.1:0", addrs, fast_router()).unwrap();
-    let router_addr = router.local_addr().unwrap();
-    let stop = router.stop_handle();
-    let handle = std::thread::spawn(move || router.run().unwrap());
+    let (_replicas, router) = start_fleet(2);
 
-    let mut client = Client::connect(router_addr);
+    let mut client = router.client().unwrap();
     // A generous budget forwards and answers normally.
-    let ok = client.request(r#"{"symptom_ids":[0,1],"k":3,"deadline_ms":5000}"#);
+    let ok = client
+        .ask_json(r#"{"symptom_ids":[0,1],"k":3,"deadline_ms":5000}"#)
+        .unwrap();
     assert!(ok.get("error").is_none(), "{ok}");
     assert!(ok.get("herb_ids").is_some());
 
     // An exhausted budget is shed at the router — non-retryable, no hop.
-    let shed = client.request(r#"{"symptom_ids":[0,1],"k":3,"deadline_ms":0}"#);
+    let shed = client
+        .ask_json(r#"{"symptom_ids":[0,1],"k":3,"deadline_ms":0}"#)
+        .unwrap();
     let err = shed.get("error").expect("must be shed");
     assert_eq!(
         err.get("code"),
@@ -327,53 +271,45 @@ fn deadline_budget_is_enforced_at_the_router() {
     assert_eq!(err.get("retryable"), Some(&Json::Bool(false)));
 
     // A malformed budget is a client error, not a forward.
-    let bad = client.request(r#"{"symptom_ids":[0,1],"k":3,"deadline_ms":1.5}"#);
+    let bad = client
+        .ask_json(r#"{"symptom_ids":[0,1],"k":3,"deadline_ms":1.5}"#)
+        .unwrap();
     assert_eq!(
         bad.get("error").and_then(|e| e.get("code")),
         Some(&Json::Str("bad_request".into())),
         "{bad}"
     );
 
-    let stats = client.request(r#"{"op":"stats"}"#);
+    let stats = client.ask_json(r#"{"op":"stats"}"#).unwrap();
     assert_eq!(
         stats.get("deadline_sheds").and_then(Json::as_num),
         Some(1.0),
         "{stats}"
     );
-
-    stop.stop();
-    handle.join().unwrap();
-    for r in replicas {
-        r.stop.stop();
-        r.handle.join().unwrap();
-    }
 }
 
 #[test]
 fn rolling_publish_through_the_router_upgrades_the_fleet() {
-    let replicas: Vec<Replica> = (0..3).map(|_| start_replica()).collect();
-    let addrs: Vec<SocketAddr> = replicas.iter().map(|r| r.addr).collect();
-    let router = Router::bind("127.0.0.1:0", addrs.clone(), fast_router()).unwrap();
-    let router_addr = router.local_addr().unwrap();
-    let stop = router.stop_handle();
-    let handle = std::thread::spawn(move || router.run().unwrap());
+    let (replicas, router) = start_fleet(3);
 
-    let mut client = Client::connect(router_addr);
-    let before = client.request(r#"{"symptom_ids":[0,1],"k":3}"#);
+    let mut client = router.client().unwrap();
+    let before = client.ask_json(r#"{"symptom_ids":[0,1],"k":3}"#).unwrap();
     assert_eq!(before.get("generation").and_then(Json::as_num), Some(0.0));
 
     let new_model = model_for(1);
     let expected = new_model.recommend(&[0, 1], 3).unwrap();
     let artifact =
         smgcn_serve::artifact::to_base64(&smgcn_serve::artifact::encode(&new_model, &vocab_for(1)));
-    let ack = client.request(&format!(r#"{{"op":"publish","artifact":"{artifact}"}}"#));
+    let ack = client
+        .ask_json(&format!(r#"{{"op":"publish","artifact":"{artifact}"}}"#))
+        .unwrap();
     assert_eq!(ack.get("all_ok"), Some(&Json::Bool(true)), "{ack}");
     assert_eq!(ack.get("published").and_then(Json::as_num), Some(3.0));
 
     // Every replica now serves generation 1 (check each directly).
-    for &addr in &addrs {
-        let mut direct = Client::connect(addr);
-        let resp = direct.request(r#"{"symptom_ids":[0,1],"k":3}"#);
+    for replica in &replicas {
+        let mut direct = replica.client().unwrap();
+        let resp = direct.ask_json(r#"{"symptom_ids":[0,1],"k":3}"#).unwrap();
         assert_eq!(resp.get("generation").and_then(Json::as_num), Some(1.0));
         let ids: Vec<u32> = resp
             .get("herb_ids")
@@ -395,12 +331,14 @@ fn rolling_publish_through_the_router_upgrades_the_fleet() {
 
     // A garbage artifact is rejected, the rollout aborts naming the
     // replica that refused it, and generations are untouched.
-    let bad = client.request(r#"{"op":"publish","artifact":"AAAA"}"#);
+    let bad = client
+        .ask_json(r#"{"op":"publish","artifact":"AAAA"}"#)
+        .unwrap();
     assert_eq!(bad.get("all_ok"), Some(&Json::Bool(false)));
     assert_eq!(bad.get("aborted"), Some(&Json::Bool(true)), "{bad}");
     assert_eq!(
         bad.get("rejected_by").and_then(Json::as_str),
-        Some(addrs[0].to_string().as_str()),
+        Some(replicas[0].addr().to_string().as_str()),
         "the first replica in rollout order rejects and is named: {bad}"
     );
     assert_eq!(
@@ -408,8 +346,24 @@ fn rolling_publish_through_the_router_upgrades_the_fleet() {
         1,
         "replicas after the rejection are never contacted: {bad}"
     );
-    let check = client.request(r#"{"symptom_ids":[0,1],"k":3}"#);
+    let check = client.ask_json(r#"{"symptom_ids":[0,1],"k":3}"#).unwrap();
     assert_eq!(check.get("generation").and_then(Json::as_num), Some(1.0));
+
+    // The journal says how far each rollout got, and who stopped one.
+    let events = client.ask_json(r#"{"op":"events"}"#).unwrap();
+    let journal = events.get("router").and_then(Json::as_arr).unwrap();
+    let detail = |kind: &str| {
+        let entry = journal
+            .iter()
+            .find(|e| e.get("kind").and_then(Json::as_str) == Some(kind));
+        entry.and_then(|e| e.get("detail")?.as_str()).unwrap()
+    };
+    assert_eq!(detail("publish"), "rolling publish: 3/3 replicas ok");
+    let stopped_by = replicas[0].addr();
+    assert_eq!(
+        detail("publish_aborted"),
+        format!("replica {stopped_by} rejected the artifact; rollout stopped after 0/3 replicas")
+    );
 
     // A corrupted-but-plausible artifact (one bit flipped mid-payload)
     // fails the checksum at the first replica and aborts identically.
@@ -417,20 +371,15 @@ fn rolling_publish_through_the_router_upgrades_the_fleet() {
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x40;
     let corrupt_b64 = smgcn_serve::artifact::to_base64(&corrupt);
-    let bad = client.request(&format!(r#"{{"op":"publish","artifact":"{corrupt_b64}"}}"#));
+    let bad = client
+        .ask_json(&format!(r#"{{"op":"publish","artifact":"{corrupt_b64}"}}"#))
+        .unwrap();
     assert_eq!(bad.get("aborted"), Some(&Json::Bool(true)), "{bad}");
     assert_eq!(bad.get("published").and_then(Json::as_num), Some(0.0));
-    let check = client.request(r#"{"symptom_ids":[0,1],"k":3}"#);
+    let check = client.ask_json(r#"{"symptom_ids":[0,1],"k":3}"#).unwrap();
     assert_eq!(
         check.get("generation").and_then(Json::as_num),
         Some(1.0),
         "a corrupt publish must not move any replica's generation"
     );
-
-    stop.stop();
-    handle.join().unwrap();
-    for r in replicas {
-        r.stop.stop();
-        r.handle.join().unwrap();
-    }
 }

@@ -9,23 +9,21 @@
 //! generation-consistency invariant.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smgcn_bench::harness::{
-    percentiles_us, spawn_server, spawn_server_slot, synthetic_frozen, synthetic_vocab,
-    SpawnedServer,
-};
-use smgcn_cluster::{PoolConfig, Router, RouterConfig, RouterStopHandle};
+use smgcn_bench::harness::{percentiles_us, synthetic_frozen, synthetic_vocab};
+use smgcn_cluster::{PoolConfig, Router, RouterConfig};
 use smgcn_obs::alert::evaluate_series;
 use smgcn_obs::tsdb::{unix_ms_now, Scraper, SeriesEncoder, TsdbData};
 use smgcn_online::{FineTuneConfig, OnlineConfig, OnlinePipeline};
 use smgcn_serve::json::{self, Json};
 use smgcn_serve::server::flatten_metrics_json;
-use smgcn_serve::{BatcherConfig, FrozenModel, ServerConfig, ServingVocab};
+use smgcn_serve::{
+    BatcherConfig, FrozenModel, LineClient, Running, Server, ServerConfig, ServingVocab,
+};
 
 use crate::report::{Measured, ScenarioReport, WorkloadSummary};
 use crate::scenario::{
@@ -37,35 +35,37 @@ use crate::slo::{evaluate, GenCheck, SloInputs};
 /// Cap on collected violation samples (the verdict only needs a few).
 const MAX_VIOLATIONS: usize = 20;
 
-/// Worker-side read timeout: far above any SLO budget, so a hung stack
-/// surfaces as a failed request instead of a hung run.
+/// Client-side connect, read and write timeout: far above any SLO
+/// budget, so a hung stack surfaces as a failed request instead of a
+/// hung run.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
-fn start_replica(model: FrozenModel, vocab: ServingVocab) -> SpawnedServer {
-    spawn_server(
-        model,
-        vocab,
-        ServerConfig {
-            max_connections: 64,
-            batcher: BatcherConfig {
-                max_batch: 64,
-                ..BatcherConfig::default()
-            },
-            ..ServerConfig::default()
+fn start_server(model: FrozenModel, vocab: ServingVocab, config: ServerConfig) -> Running {
+    Server::bind("127.0.0.1:0", model, vocab, config)
+        .and_then(Server::spawn)
+        .expect("start a server")
+}
+
+fn start_replica(model: FrozenModel, vocab: ServingVocab) -> Running {
+    let config = ServerConfig {
+        max_connections: 64,
+        batcher: BatcherConfig {
+            max_batch: 64,
+            ..BatcherConfig::default()
         },
-    )
+        ..ServerConfig::default()
+    };
+    start_server(model, vocab, config)
 }
 
 /// The running stack behind one scenario. Owned by [`run`]'s thread:
 /// the online pipeline (not `Send` — it owns the training model) is
 /// only ever touched from the control lane, which runs right here.
 struct Stack {
-    /// Where workers connect (server or router).
-    front: SocketAddr,
+    /// What workers connect to: the router, or the only server.
+    front_end: Running,
     /// Routed replicas (None once killed by chaos).
-    replicas: Vec<Option<SpawnedServer>>,
-    router: Option<(RouterStopHandle, JoinHandle<()>)>,
-    server: Option<SpawnedServer>,
+    replicas: Vec<Option<Running>>,
     pipeline: Option<OnlinePipeline>,
 }
 
@@ -86,21 +86,19 @@ impl Stack {
                     },
                     None => ServerConfig::default(),
                 };
-                let server = spawn_server(
+                let server = start_server(
                     synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, 0),
                     synthetic_vocab(N_SYMPTOMS, N_HERBS, 0),
                     config,
                 );
                 Self {
-                    front: server.addr,
+                    front_end: server,
                     replicas: Vec::new(),
-                    router: None,
-                    server: Some(server),
                     pipeline: None,
                 }
             }
             Topology::Routed { replicas } => {
-                let procs: Vec<Option<SpawnedServer>> = (0..replicas)
+                let procs: Vec<Option<Running>> = (0..replicas)
                     .map(|_| {
                         Some(start_replica(
                             synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, 0),
@@ -108,8 +106,7 @@ impl Stack {
                         ))
                     })
                     .collect();
-                let addrs: Vec<SocketAddr> =
-                    procs.iter().map(|p| p.as_ref().unwrap().addr).collect();
+                let addrs = procs.iter().flatten().map(Running::addr).collect();
                 let router = Router::bind(
                     "127.0.0.1:0",
                     addrs,
@@ -130,15 +127,11 @@ impl Stack {
                         ..RouterConfig::default()
                     },
                 )
-                .expect("bind router");
-                let front = router.local_addr().expect("router addr");
-                let stop = router.stop_handle();
-                let handle = std::thread::spawn(move || router.run().expect("router run"));
+                .and_then(Router::spawn)
+                .expect("start the router");
                 Self {
-                    front,
+                    front_end: router,
                     replicas: procs,
-                    router: Some((stop, handle)),
-                    server: None,
                     pipeline: None,
                 }
             }
@@ -184,33 +177,33 @@ impl Stack {
                         seed: workload.config.seed,
                     },
                 );
-                let slot = pipeline.slot();
-                let server = spawn_server_slot(slot, ServerConfig::default());
+                let server =
+                    Server::bind_slot("127.0.0.1:0", pipeline.slot(), ServerConfig::default())
+                        .expect("bind server");
                 // The pipeline shares the server's registry and journal,
                 // so one `{"op":"metrics"}` snapshot covers both the
                 // serving and the refresh side of the deployment.
-                pipeline.observe(&server.registry, Arc::clone(&server.events));
+                pipeline.observe(&server.registry(), server.events());
+                let server = server.spawn().expect("start the server");
                 Self {
-                    front: server.addr,
+                    front_end: server,
                     replicas: Vec::new(),
-                    router: None,
-                    server: Some(server),
                     pipeline: Some(pipeline),
                 }
             }
         }
     }
 
+    /// Where workers connect.
+    fn front(&self) -> SocketAddr {
+        self.front_end.addr()
+    }
+
+    /// The front end stops before what it fronts.
     fn teardown(self) {
-        if let Some((stop, handle)) = self.router {
-            stop.stop();
-            let _ = handle.join();
-        }
-        for proc in self.replicas.into_iter().flatten() {
-            proc.shutdown();
-        }
-        if let Some(server) = self.server {
-            server.shutdown();
+        self.front_end.shutdown().expect("front-end loop");
+        for replica in self.replicas.into_iter().flatten() {
+            replica.shutdown().expect("replica loop");
         }
     }
 }
@@ -469,12 +462,7 @@ impl TsdbHistory {
 /// line: the raw response plus its parse. `None` on any transport
 /// hiccup — the run proceeds without the snapshot rather than failing.
 fn fetch_admin_line(front: SocketAddr, request: &str) -> Option<(String, Json)> {
-    let (mut reader, mut writer) = connect(front).ok()?;
-    writeln!(writer, "{request}").ok()?;
-    writer.flush().ok()?;
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
-    let raw = line.trim().to_string();
+    let raw = connect(front).ok()?.ask(request).ok()?;
     let parsed = json::parse(&raw).ok()?;
     Some((raw, parsed))
 }
@@ -484,16 +472,11 @@ fn fetch_admin(front: SocketAddr, op: &str) -> Option<(String, Json)> {
     fetch_admin_line(front, &format!("{{\"op\":\"{op}\"}}"))
 }
 
-/// Sends one `{"op":"experiment"}` verb through the router and returns
-/// the parsed ack; experiment chaos actions assert on the result (a
-/// failed install or halt is a scenario failure, not a shrug).
-fn experiment_rpc(front: SocketAddr, request: &str) -> Option<Json> {
+/// Sends one write-side admin verb through the front end and returns
+/// the parsed ack; chaos actions assert on the result (a failed publish,
+/// install or halt is a scenario failure, not a shrug).
+fn admin_rpc(front: SocketAddr, request: &str) -> Option<Json> {
     fetch_admin_line(front, request).map(|(_, parsed)| parsed)
-}
-
-/// The `{"op":"metrics"}` snapshot (see [`fetch_admin`]).
-fn fetch_metrics(front: SocketAddr) -> Option<(String, Json)> {
-    fetch_admin(front, "metrics")
 }
 
 /// The flat name -> value metric map inside a snapshot: single servers
@@ -557,11 +540,8 @@ fn counter_errors(deltas: &[(String, f64)], routed: bool) -> u64 {
         .sum()
 }
 
-fn connect(front: SocketAddr) -> std::io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
-    let stream = TcpStream::connect(front)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-    Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
+fn connect(front: SocketAddr) -> std::io::Result<LineClient> {
+    LineClient::connect(front, CLIENT_TIMEOUT, CLIENT_TIMEOUT)
 }
 
 /// One query lane: executes its schedule slice in arrival order, pacing
@@ -581,7 +561,6 @@ fn query_worker(
         generations: BTreeSet::new(),
     };
     let mut conn = connect(front).ok();
-    let mut line = String::new();
     let mut last_gen = 0u64;
     for idx in lane {
         let request = &workload.schedule.requests[idx];
@@ -614,16 +593,7 @@ fn query_worker(
         };
         let t0 = Instant::now();
         let attempted = conn.is_some();
-        let response = match &mut conn {
-            Some((reader, writer)) => (|| {
-                writeln!(writer, "{payload}").ok()?;
-                writer.flush().ok()?;
-                line.clear();
-                let n = reader.read_line(&mut line).ok()?;
-                (n > 0).then(|| line.trim().to_string())
-            })(),
-            None => None,
-        };
+        let response = conn.as_mut().and_then(|client| client.ask(&payload).ok());
         result.executed += 1;
         // A request that never reached the wire (reconnect refused) has
         // no meaningful latency — recording its ~0 µs would deflate the
@@ -723,7 +693,7 @@ fn control_lane(
                 match action {
                     ChaosAction::KillReplica(i) => {
                         if let Some(victim) = stack.replicas.get_mut(i).and_then(Option::take) {
-                            victim.shutdown();
+                            victim.shutdown().expect("victim loop");
                         }
                     }
                     ChaosAction::RollingPublish { tag } => {
@@ -733,19 +703,13 @@ fn control_lane(
                         let b64 = smgcn_serve::artifact::to_base64(&artifact);
                         // Through the router so the fleet-serializing
                         // path is the one exercised.
-                        let published = (|| {
-                            let (mut reader, mut writer) = connect(stack.front).ok()?;
-                            writeln!(writer, "{{\"op\":\"publish\",\"artifact\":\"{b64}\"}}")
-                                .ok()?;
-                            writer.flush().ok()?;
-                            let mut line = String::new();
-                            reader.read_line(&mut line).ok()?;
-                            let ack = json::parse(line.trim()).ok()?;
-                            (ack.get("error").is_none()).then_some(())
-                        })();
+                        let ack = admin_rpc(
+                            stack.front(),
+                            &format!("{{\"op\":\"publish\",\"artifact\":\"{b64}\"}}"),
+                        );
                         assert!(
-                            published.is_some(),
-                            "rolling publish through the router failed"
+                            ack.as_ref().is_some_and(|a| a.get("error").is_none()),
+                            "rolling publish through the router failed: {ack:?}"
                         );
                     }
                     ChaosAction::Refresh => {
@@ -765,23 +729,16 @@ fn control_lane(
                         let mid = artifact.len() / 2;
                         artifact[mid] ^= 0x40;
                         let b64 = smgcn_serve::artifact::to_base64(&artifact);
-                        let rejected = (|| {
-                            let (mut reader, mut writer) = connect(stack.front).ok()?;
-                            writeln!(writer, "{{\"op\":\"publish\",\"artifact\":\"{b64}\"}}")
-                                .ok()?;
-                            writer.flush().ok()?;
-                            let mut line = String::new();
-                            reader.read_line(&mut line).ok()?;
-                            let ack = json::parse(line.trim()).ok()?;
-                            Some(
-                                ack.get("aborted") == Some(&Json::Bool(true))
-                                    && ack.get("published").and_then(Json::as_num) == Some(0.0),
-                            )
-                        })();
-                        assert_eq!(
-                            rejected,
-                            Some(true),
-                            "a corrupt publish must abort with zero replicas published"
+                        let ack = admin_rpc(
+                            stack.front(),
+                            &format!("{{\"op\":\"publish\",\"artifact\":\"{b64}\"}}"),
+                        );
+                        assert!(
+                            ack.as_ref().is_some_and(|a| {
+                                a.get("aborted") == Some(&Json::Bool(true))
+                                    && a.get("published").and_then(Json::as_num) == Some(0.0)
+                            }),
+                            "a corrupt publish must abort with zero replicas published: {ack:?}"
                         );
                     }
                     ChaosAction::CandidatePublish { tag } => {
@@ -789,8 +746,8 @@ fn control_lane(
                         let vocab = synthetic_vocab(N_SYMPTOMS, N_HERBS, tag);
                         let artifact = smgcn_serve::artifact::encode(&model, &vocab);
                         let b64 = smgcn_serve::artifact::to_base64(&artifact);
-                        let ack = experiment_rpc(
-                            stack.front,
+                        let ack = admin_rpc(
+                            stack.front(),
                             &format!(
                                 "{{\"op\":\"experiment\",\"action\":\"publish\",\
                                  \"variant\":\"{CANDIDATE}\",\"artifact\":\"{b64}\"}}"
@@ -803,8 +760,8 @@ fn control_lane(
                         );
                     }
                     ChaosAction::InstallSplit { candidate_percent } => {
-                        let ack = experiment_rpc(
-                            stack.front,
+                        let ack = admin_rpc(
+                            stack.front(),
                             &format!(
                                 "{{\"op\":\"experiment\",\"action\":\"install\",\
                                  \"weights\":\"control:{},{CANDIDATE}:{candidate_percent}\"}}",
@@ -818,10 +775,8 @@ fn control_lane(
                         );
                     }
                     ChaosAction::HaltSplit => {
-                        let ack = experiment_rpc(
-                            stack.front,
-                            "{\"op\":\"experiment\",\"action\":\"halt\"}",
-                        );
+                        let ack =
+                            admin_rpc(stack.front(), "{\"op\":\"experiment\",\"action\":\"halt\"}");
                         assert!(
                             ack.as_ref()
                                 .is_some_and(|a| a.get("halted") == Some(&Json::Bool(true))),
@@ -846,7 +801,7 @@ pub fn run(workload: &Workload) -> ScenarioReport {
         smgcn_faults::install(plan);
     }
     let mut stack = Stack::build(workload);
-    let metrics_before = fetch_metrics(stack.front);
+    let metrics_before = fetch_admin(stack.front(), "metrics");
     // The retention layer: a scraper polls the front-end's metrics on
     // the scenario's cadence, appending each snapshot to an in-memory
     // tsdb — both the queryable index (for post-hoc burn-rate alert
@@ -855,11 +810,11 @@ pub fn run(workload: &Workload) -> ScenarioReport {
     let history = Arc::new(Mutex::new(TsdbHistory::new()));
     let scraper = {
         let history = Arc::clone(&history);
-        let front = stack.front;
+        let front = stack.front();
         Scraper::spawn(
             Duration::from_millis(scrape_interval_ms(workload.config.measure_ms)),
             Box::new(move || {
-                let (_, snap) = fetch_metrics(front)?;
+                let (_, snap) = fetch_admin(front, "metrics")?;
                 let inner = snap.get("merged").or_else(|| snap.get("metrics"))?;
                 Some(flatten_metrics_json(inner))
             }),
@@ -880,7 +835,7 @@ pub fn run(workload: &Workload) -> ScenarioReport {
     for lane in lanes.into_iter().filter(|l| !l.is_empty()) {
         let workload = Arc::clone(&workload);
         let validation = Arc::clone(&validation);
-        let front = stack.front;
+        let front = stack.front();
         handles.push(std::thread::spawn(move || {
             query_worker(workload, lane, front, validation, run_start)
         }));
@@ -892,7 +847,7 @@ pub fn run(workload: &Workload) -> ScenarioReport {
     // latencies never enter the percentile lane — the steady schedule
     // above is what the p99 budget judges.
     let storm_handle = workload.storm.map(|spec| {
-        let front = stack.front;
+        let front = stack.front();
         let hold_until = run_start + Duration::from_millis(workload.config.measure_ms);
         std::thread::spawn(move || crate::storm::run(front, &spec, hold_until))
     });
@@ -947,9 +902,9 @@ pub fn run(workload: &Workload) -> ScenarioReport {
             ("client_failures_total".to_string(), failures as f64),
         ],
     );
-    let metrics_after = fetch_metrics(stack.front);
-    let events_after = fetch_admin(stack.front, "events");
-    let profile_after = fetch_admin(stack.front, "profile");
+    let metrics_after = fetch_admin(stack.front(), "metrics");
+    let events_after = fetch_admin(stack.front(), "events");
+    let profile_after = fetch_admin(stack.front(), "profile");
     // Experiment scenarios also capture the fleet's A/B comparison
     // report (per-variant rates + interleaving verdict) before teardown
     // — duel samples and variant counters survive the halt, so the
@@ -960,7 +915,7 @@ pub fn run(workload: &Workload) -> ScenarioReport {
         .any(|e| matches!(e.action, ChaosAction::InstallSplit { .. }))
         .then(|| {
             fetch_admin_line(
-                stack.front,
+                stack.front(),
                 "{\"op\":\"experiment\",\"action\":\"compare\"}",
             )
         })

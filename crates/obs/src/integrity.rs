@@ -7,8 +7,7 @@
 //! between "accepted" and "served" is detected instead of decoded into
 //! garbage. One implementation lives here, at the bottom of the
 //! dependency graph, so the formats can never disagree on the
-//! polynomial (`smgcn_serve::integrity` re-exports these functions for
-//! the crates that grew up against that path).
+//! polynomial.
 
 /// CRC-32/ISO-HDLC (the IEEE 802.3 polynomial, reflected form
 /// `0xEDB88320`) — the same parameters as zlib/PNG/Ethernet, checkable
@@ -153,5 +152,16 @@ mod tests {
             c = crc32_update(c, chunk);
         }
         assert_eq!(c, oneshot);
+    }
+
+    #[test]
+    fn detects_every_single_byte_flip() {
+        let data: Vec<u8> = (0..64u8).collect();
+        let good = crc32(&data);
+        for i in 0..data.len() {
+            let mut bad = data.clone();
+            bad[i] ^= 0x01;
+            assert_ne!(crc32(&bad), good, "flip at byte {i} must change the crc");
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! ```
 //!
 //! The per-record CRC32 (shared with the publish artifact via
-//! `smgcn_serve::integrity`) makes crash damage *detectable*: a torn
+//! `smgcn_obs::integrity`) makes crash damage *detectable*: a torn
 //! final frame (short write during a crash) or a bit-flipped record
 //! fails its checksum, and replay recovers by truncating the file back
 //! to the last frame that verified — every record before the damage
@@ -51,7 +51,7 @@ use std::path::{Path, PathBuf};
 
 use smgcn_data::{Corpus, Prescription};
 use smgcn_faults::{sites, FaultAction};
-use smgcn_serve::integrity::crc32;
+use smgcn_obs::integrity::crc32;
 
 /// File magic opening every framed (v2) WAL.
 const WAL_MAGIC: &[u8; 8] = b"SMGNWAL2";

@@ -34,8 +34,8 @@
 //! workspace is std-only.
 
 use crate::frozen::{FrozenError, FrozenModel};
-use crate::integrity::crc32;
 use crate::server::ServingVocab;
+use smgcn_obs::integrity::crc32;
 use smgcn_tensor::checkpoint::CheckpointError;
 
 const MAGIC: &[u8; 4] = b"SMGA";

@@ -22,14 +22,16 @@
 //! - [`artifact`] — the publish artifact (model + vocabulary in one
 //!   blob, base64 codec) shipped by cluster rolling publishes and
 //!   accepted by the `{"op":"publish"}` admin verb;
-//! - [`histogram`] — lock-free per-request latency percentiles for
-//!   `{"op":"stats"}` (what lets a router eject *slow* replicas); the
-//!   type itself now lives in `smgcn-obs` and is re-exported here;
 //! - [`json`] — the minimal JSON reader/writer behind the wire protocol;
 //! - [`errors`] — the shared wire error-code constants and the router's
 //!   retryability classification, so serve and cluster can't drift;
-//! - [`integrity`] — the CRC32 used by both the publish-artifact trailer
-//!   and the ingest WAL's record framing;
+//! - [`ops`] — the server half of the protocol: the closed [`AdminOp`]
+//!   verb set, the [`OpHandler`] dispatch both the replica and the
+//!   cluster router implement, [`ApiError`] and the event / span wire
+//!   shapes;
+//! - [`client`] — the client half: [`LineClient`], a lockstep line
+//!   client with timeouts, and the one reading of a reply line as an
+//!   answer, a refusal or a transport failure ([`Unanswered`]);
 //! - [`reactor`] — a dependency-free epoll/poll readiness reactor:
 //!   one event-loop thread owns all socket I/O, a fixed worker pool
 //!   runs handlers, so concurrent connections are bounded by file
@@ -38,23 +40,21 @@
 //!   one-response write-backpressure, shared by the replica server
 //!   and the cluster router;
 //! - [`server`] — the `std::net` TCP server speaking newline-delimited
-//!   JSON over the reactor (`smgcn serve`).
+//!   JSON over the reactor (`smgcn serve`), and [`Running`], the
+//!   stop-and-join guard [`Server::spawn`] and the router's `spawn`
+//!   return;
+//! - [`variants`] — the replica half of the experiment plane: named
+//!   candidate slots, the active split plan and the duel journal.
 
 #![warn(missing_docs)]
 
 pub mod artifact;
 pub mod batcher;
 pub mod cache;
+pub mod client;
 pub mod conn;
 pub mod errors;
 pub mod frozen;
-pub mod integrity;
-/// The decaying latency histogram, migrated to [`smgcn_obs`] so every
-/// layer shares one implementation; re-exported under its historical
-/// path for existing callers.
-pub mod histogram {
-    pub use smgcn_obs::histogram::*;
-}
 pub mod json;
 pub mod ops;
 pub mod reactor;
@@ -65,13 +65,14 @@ pub mod variants;
 
 pub use batcher::{Batcher, BatcherConfig, ScoreTimings};
 pub use cache::{GenCacheStats, GenerationalCache, LruCache};
+pub use client::{LineClient, Unanswered};
 pub use conn::Connection;
 pub use errors::{codes, is_retryable};
 pub use frozen::{FrozenError, FrozenModel};
-pub use histogram::{LatencyHistogram, LatencySnapshot};
 pub use ops::{AdminOp, ApiError, OpHandler};
 pub use reactor::{Reactor, ReactorConfig, Service};
-pub use server::{Server, ServerConfig, ServingVocab};
+pub use server::{Running, Server, ServerConfig, ServingVocab};
 pub use slot::{Generation, ModelSlot};
+pub use smgcn_obs::{LatencyHistogram, LatencySnapshot};
 pub use topk::partial_top_k;
 pub use variants::{DuelSample, VariantTable};

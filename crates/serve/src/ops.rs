@@ -14,7 +14,12 @@
 //!   verb is one enum variant + one trait method and the compiler finds
 //!   every implementer;
 //! - [`ApiError`] is the structured wire error
-//!   (`{"error":{code,message[,retryable]}}`) both layers answer with.
+//!   (`{"error":{code,message[,retryable]}}`) both layers answer with;
+//! - [`event_json`] and [`trace_json`] are the wire shapes of a journal
+//!   entry and of a span timeline, rendered here for both layers.
+//!
+//! The other side of the wire — how a caller reads the reply line —
+//! lives in [`crate::client`].
 //!
 //! The replica [`Engine`](crate::server) and the cluster router both
 //! implement [`OpHandler`]; what differs is only *how* each verb is
@@ -26,6 +31,7 @@
 use std::sync::Arc;
 
 use smgcn_experiment::{SplitPlan, CONTROL};
+use smgcn_obs::{Event, SpanRecord};
 
 use crate::errors::codes;
 use crate::frozen::FrozenModel;
@@ -68,6 +74,13 @@ impl ApiError {
 
     /// The wire shape: `{"error":{"code":…,"message":…[,"retryable":true]}}`.
     pub fn to_json(&self) -> Json {
+        self.to_json_with([])
+    }
+
+    /// [`ApiError::to_json`] with `context` fields beside `"error"`:
+    /// what an operator needs to act on it (per-replica outcomes,
+    /// guardrail violations).
+    pub fn to_json_with(&self, context: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
         let mut fields = vec![
             ("code", Json::Str(self.code.to_string())),
             ("message", Json::Str(self.message.clone())),
@@ -75,8 +88,42 @@ impl ApiError {
         if self.retryable {
             fields.push(("retryable", Json::Bool(true)));
         }
-        json::obj([("error", json::obj(fields))])
+        json::obj([("error", json::obj(fields))].into_iter().chain(context))
     }
+}
+
+/// How many journal entries an `{"op":"events"}` request asks for
+/// (`"limit"`, default 64).
+pub fn events_limit(req: &Json) -> usize {
+    match req.get("limit").and_then(Json::as_num) {
+        Some(n) if n >= 1.0 => n as usize,
+        _ => 64,
+    }
+}
+
+/// The wire shape of one event-journal entry.
+pub fn event_json(e: &Event) -> Json {
+    json::obj([
+        ("seq", Json::Num(e.seq as f64)),
+        ("unix_ms", Json::Num(e.unix_ms as f64)),
+        ("kind", Json::Str(e.kind.clone())),
+        ("detail", Json::Str(e.detail.clone())),
+    ])
+}
+
+/// Renders a span list as the wire `trace` object.
+pub fn trace_json(trace_id: &str, spans: &[SpanRecord]) -> Json {
+    let spans = spans.iter().map(|s| {
+        json::obj([
+            ("name", Json::Str(s.name.clone())),
+            ("start_us", Json::Num(s.start_us as f64)),
+            ("us", Json::Num(s.dur_us as f64)),
+        ])
+    });
+    json::obj([
+        ("trace_id", Json::Str(trace_id.to_string())),
+        ("spans", Json::Arr(spans.collect())),
+    ])
 }
 
 /// The closed set of admin verbs in the wire protocol, parsed from a
@@ -263,26 +310,9 @@ impl OpHandler for Engine {
 
     /// The tail of the event journal (optional `"limit"`, default 64).
     fn op_events(&self, req: &Json) -> Json {
-        let limit = match req.get("limit").and_then(Json::as_num) {
-            Some(n) if n >= 1.0 => n as usize,
-            _ => 64,
-        };
-        let events = self
-            .obs
-            .events
-            .recent(limit)
-            .iter()
-            .map(|e| {
-                json::obj([
-                    ("seq", Json::Num(e.seq as f64)),
-                    ("unix_ms", Json::Num(e.unix_ms as f64)),
-                    ("kind", Json::Str(e.kind.clone())),
-                    ("detail", Json::Str(e.detail.clone())),
-                ])
-            })
-            .collect();
+        let events = self.obs.events.recent(events_limit(req));
         json::obj([
-            ("events", Json::Arr(events)),
+            ("events", Json::Arr(events.iter().map(event_json).collect())),
             ("events_total", Json::Num(self.obs.events.total() as f64)),
         ])
     }
@@ -326,6 +356,18 @@ impl OpHandler for Engine {
             Err(e) => e.to_json(),
         }
     }
+}
+
+/// The candidate an experiment request names in `"variant"`
+/// (`"control"` is managed by the plain publish verb and never a valid
+/// target).
+pub fn candidate_of(req: &Json) -> Result<String, ApiError> {
+    let refusal = match req.get("variant").and_then(Json::as_str) {
+        Some(name) if name != CONTROL => return Ok(name.to_string()),
+        Some(_) => "the control slot is managed by {\"op\":\"publish\"}",
+        None => "experiment action needs \"variant\"",
+    };
+    Err(ApiError::new(codes::BAD_REQUEST, refusal))
 }
 
 /// Moves the `"artifact"` text out of a publish request.
@@ -403,22 +445,9 @@ impl Engine {
     /// - `"status"` — plan, per-variant generation/weight, duel count;
     /// - `"samples"` — the journaled duel samples (optional `"limit"`).
     pub(crate) fn experiment_admin(&self, mut req: Json) -> Result<Json, ApiError> {
-        let variant_of = |req: &Json| -> Result<String, ApiError> {
-            match req.get("variant").and_then(Json::as_str) {
-                Some(name) if name != CONTROL => Ok(name.to_string()),
-                Some(_) => Err(ApiError::new(
-                    codes::BAD_REQUEST,
-                    "the control slot is managed by {\"op\":\"publish\"}",
-                )),
-                None => Err(ApiError::new(
-                    codes::BAD_REQUEST,
-                    "experiment action needs \"variant\"",
-                )),
-            }
-        };
         match req.get("action").and_then(Json::as_str) {
             Some("publish") => {
-                let name = variant_of(&req)?;
+                let name = candidate_of(&req)?;
                 let text = take_artifact(&mut req)?;
                 let reject = |e: ApiError| {
                     self.obs.publish_rejected.inc();
@@ -482,7 +511,7 @@ impl Engine {
                 Ok(json::obj([("halted", Json::Bool(had_plan))]))
             }
             Some("promote-local") => {
-                let name = variant_of(&req)?;
+                let name = candidate_of(&req)?;
                 let entry = self.variants.get(&name).ok_or_else(|| {
                     ApiError::new(
                         codes::UNKNOWN_VARIANT,

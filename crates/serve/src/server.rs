@@ -27,7 +27,7 @@
 //! entries lazily through the tag rather than flushing under the lock.
 
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -41,10 +41,11 @@ use smgcn_experiment::CONTROL;
 
 use crate::batcher::{Batcher, BatcherConfig, ScoreTimings};
 use crate::cache::{GenerationalCache, QueryKey};
+use crate::client::LineClient;
 use crate::errors::codes;
 use crate::frozen::{FrozenError, FrozenModel};
 use crate::json::{self, Json};
-use crate::ops::{AdminOp, ApiError, OpHandler};
+use crate::ops::{trace_json, AdminOp, ApiError, OpHandler};
 use crate::reactor::{Reactor, ReactorConfig, Service};
 use crate::slot::{Generation, ModelSlot};
 use crate::topk::partial_top_k;
@@ -840,28 +841,6 @@ fn unix_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Renders a span list as the wire `trace` object.
-fn trace_json(trace_id: &str, spans: &[SpanRecord]) -> Json {
-    json::obj([
-        ("trace_id", Json::Str(trace_id.to_string())),
-        (
-            "spans",
-            Json::Arr(
-                spans
-                    .iter()
-                    .map(|s| {
-                        json::obj([
-                            ("name", Json::Str(s.name.clone())),
-                            ("start_us", Json::Num(s.start_us as f64)),
-                            ("us", Json::Num(s.dur_us as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// Converts registry samples to the wire JSON shape: counters and
 /// gauges become numbers, histograms become stat objects. Public so the
 /// cluster router can render its own registry in the same shape.
@@ -1044,16 +1023,19 @@ impl Server {
     }
 
     /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
     /// A handle that makes [`Server::run`] return.
     pub fn stop_handle(&self) -> StopHandle {
-        StopHandle {
-            stop: Arc::clone(&self.stop),
-            addr: self.listener.local_addr().ok(),
-        }
+        StopHandle::new(Arc::clone(&self.stop), self.listener.local_addr().ok())
+    }
+
+    /// [`Server::run`] on a thread of its own, behind a guard that
+    /// stops and joins it.
+    pub fn spawn(self) -> std::io::Result<Running> {
+        Running::start(self.local_addr()?, self.stop_handle(), move || self.run())
     }
 
     /// Serves until the stop handle fires, on the readiness
@@ -1104,13 +1086,18 @@ impl Service for Engine {
     }
 }
 
-/// Makes a running server's accept loop exit.
+/// Makes a running server's (or router's) accept loop exit.
 pub struct StopHandle {
     stop: Arc<AtomicBool>,
-    addr: Option<std::net::SocketAddr>,
+    addr: Option<SocketAddr>,
 }
 
 impl StopHandle {
+    /// A handle over the `stop` flag a reactor polls, listening on `addr`.
+    pub fn new(stop: Arc<AtomicBool>, addr: Option<SocketAddr>) -> Self {
+        Self { stop, addr }
+    }
+
     /// Signals shutdown and unblocks the accept loop.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
@@ -1121,77 +1108,123 @@ impl StopHandle {
     }
 }
 
+/// A server or router serving on a thread of its own: what
+/// [`Server::spawn`] and the cluster router's `spawn` return. Dropping
+/// the guard stops the loop and joins the thread, so a test that panics
+/// cannot leak a listener; [`Running::shutdown`] does the same and
+/// hands back what the loop returned.
+pub struct Running {
+    addr: SocketAddr,
+    stop: StopHandle,
+    thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+}
+
+impl Running {
+    /// Runs `run` — a bound server's serve loop, listening on `addr` and
+    /// ended by `stop` — on a new thread.
+    pub fn start(
+        addr: SocketAddr,
+        stop: StopHandle,
+        run: impl FnOnce() -> std::io::Result<()> + Send + 'static,
+    ) -> std::io::Result<Self> {
+        let thread = std::thread::Builder::new().spawn(run)?;
+        Ok(Self {
+            addr,
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// The address being served.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// A client of this server for a harness: every step is bounded by
+    /// 30 s, far above any request's latency, so a stuck server fails
+    /// its test or bench instead of hanging it.
+    pub fn client(&self) -> std::io::Result<LineClient> {
+        let bound = Duration::from_secs(30);
+        LineClient::connect(self.addr, bound, bound)
+    }
+
+    /// Stops the loop, waits for its graceful drain, and returns what
+    /// it returned (a panic on the serving thread comes back as an
+    /// error).
+    pub fn shutdown(mut self) -> std::io::Result<()> {
+        self.stop_and_join()
+    }
+
+    fn stop_and_join(&mut self) -> std::io::Result<()> {
+        let Some(thread) = self.thread.take() else {
+            return Ok(());
+        };
+        self.stop.stop();
+        thread
+            .join()
+            .unwrap_or_else(|_| Err(std::io::Error::other("the serving thread panicked")))
+    }
+}
+
+/// Cannot return the loop's result, so a failure is at least said out
+/// loud; callers that must act on it call [`Running::shutdown`].
+impl Drop for Running {
+    fn drop(&mut self) {
+        if let Err(e) = self.stop_and_join() {
+            eprintln!("smgcn: the serve loop on {} failed: {e}", self.addr);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use smgcn_tensor::Matrix;
-    use std::io::{BufRead, BufReader, BufWriter, Write};
+    use std::io::Read;
 
-    fn test_server() -> (
-        std::net::SocketAddr,
-        StopHandle,
-        std::thread::JoinHandle<()>,
-    ) {
+    fn test_model() -> FrozenModel {
         let symptoms = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) % 4) as f32 - 1.5);
         let herbs = Matrix::from_fn(7, 3, |r, c| ((r * 2 + c * 5) % 6) as f32 - 2.5);
-        let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
+        FrozenModel::from_parts(symptoms, herbs, None).unwrap()
+    }
+
+    fn spawn_with(vocab: ServingVocab, config: ServerConfig) -> Running {
+        let server = Server::bind("127.0.0.1:0", test_model(), vocab, config).unwrap();
+        server.spawn().unwrap()
+    }
+
+    fn test_server() -> Running {
         let vocab = ServingVocab::new(
             (0..5).map(|i| format!("s{i}")).collect(),
             (0..7).map(|i| format!("h{i}")).collect(),
         );
-        let server = Server::bind(
-            "127.0.0.1:0",
-            model,
-            vocab,
-            ServerConfig {
-                max_connections: 16,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = server.local_addr().unwrap();
-        let stop = server.stop_handle();
-        let handle = std::thread::spawn(move || server.run().unwrap());
-        (addr, stop, handle)
+        let config = ServerConfig {
+            max_connections: 16,
+            ..ServerConfig::default()
+        };
+        spawn_with(vocab, config)
     }
 
-    fn roundtrip(addr: std::net::SocketAddr, request: &str) -> Json {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        writeln!(writer, "{request}").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        json::parse(line.trim()).unwrap()
+    /// One request on a connection of its own.
+    fn roundtrip(server: &Running, request: &str) -> Json {
+        server.client().unwrap().ask_json(request).unwrap()
     }
 
     #[test]
     fn shutdown_under_load_drains_and_journals() {
-        let symptoms = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) % 4) as f32 - 1.5);
-        let herbs = Matrix::from_fn(7, 3, |r, c| ((r * 2 + c * 5) % 6) as f32 - 2.5);
-        let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
-        let vocab = ServingVocab::new(
-            (0..5).map(|i| format!("s{i}")).collect(),
-            (0..7).map(|i| format!("h{i}")).collect(),
-        );
         let server = Server::bind(
             "127.0.0.1:0",
-            model,
-            vocab,
-            ServerConfig {
-                max_connections: 16,
-                ..ServerConfig::default()
-            },
+            test_model(),
+            ServingVocab::default(),
+            ServerConfig::default(),
         )
         .unwrap();
-        let addr = server.local_addr().unwrap();
         let events = server.events();
-        let stop = server.stop_handle();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let server = server.spawn().unwrap();
+        let addr = server.addr();
         // An idle keep-alive opened before the stop: the drain must
         // close it promptly instead of waiting it out.
-        let idle = TcpStream::connect(addr).unwrap();
+        let mut idle = TcpStream::connect(addr).unwrap();
         idle.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         // Pipelining clients that stay busy across the stop. Every
@@ -1199,43 +1232,29 @@ mod tests {
         // the connection must end in a clean EOF, never a torn write.
         let mut clients = Vec::new();
         for t in 0..4usize {
+            let mut client = server.client().unwrap();
             clients.push(std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).unwrap();
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(10)))
-                    .unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut writer = BufWriter::new(stream);
+                let req = format!(r#"{{"symptom_ids": [{}, {}], "k": 3}}"#, t % 5, (t + 1) % 5);
                 let mut served = 0u32;
                 loop {
-                    let req = format!(r#"{{"symptom_ids": [{}, {}], "k": 3}}"#, t % 5, (t + 1) % 5);
-                    if writeln!(writer, "{req}")
-                        .and_then(|_| writer.flush())
-                        .is_err()
-                    {
-                        break; // server closed after draining: fine
-                    }
-                    let mut line = String::new();
-                    match reader.read_line(&mut line) {
-                        Ok(0) | Err(_) => break, // clean EOF, never mid-line
-                        Ok(_) => {
-                            json::parse(line.trim()).expect("complete, well-formed response");
-                            served += 1;
+                    match client.ask_json(&req) {
+                        Ok(_) => served += 1, // complete and well-formed
+                        Err(closed) => {
+                            // The server closed after draining: fine,
+                            // as long as no reply line was cut short.
+                            assert_ne!(closed.kind(), std::io::ErrorKind::InvalidData);
+                            break served;
                         }
                     }
                 }
-                served
             }));
         }
         std::thread::sleep(Duration::from_millis(100)); // load in flight
-        stop.stop();
-        handle.join().unwrap(); // run() returns once the drain completes
+        server.shutdown().unwrap(); // returns once the drain completes
         let total: u32 = clients.into_iter().map(|c| c.join().unwrap()).sum();
         assert!(total > 0, "clients should have been served across the stop");
-        let mut idle_reader = BufReader::new(idle);
-        let mut line = String::new();
         assert_eq!(
-            idle_reader.read_line(&mut line).unwrap(),
+            idle.read(&mut [0u8; 1]).unwrap(),
             0,
             "idle keep-alive must see EOF promptly, not a request timeout"
         );
@@ -1247,9 +1266,10 @@ mod tests {
 
     #[test]
     fn serves_concurrent_clients_with_names_and_ids() {
-        let (addr, stop, handle) = test_server();
+        let server = test_server();
         let mut clients = Vec::new();
         for t in 0..8 {
+            let mut client = server.client().unwrap();
             clients.push(std::thread::spawn(move || {
                 let req = if t % 2 == 0 {
                     format!(
@@ -1260,7 +1280,7 @@ mod tests {
                 } else {
                     format!(r#"{{"symptom_ids": [{}, {}], "k": 3}}"#, t % 5, (t + 1) % 5)
                 };
-                let resp = roundtrip(addr, &req);
+                let resp = client.ask_json(&req).unwrap();
                 assert!(resp.get("error").is_none(), "unexpected error: {resp}");
                 assert_eq!(resp.get("herb_ids").unwrap().as_arr().unwrap().len(), 3);
                 assert_eq!(resp.get("herbs").unwrap().as_arr().unwrap().len(), 3);
@@ -1269,15 +1289,13 @@ mod tests {
         for c in clients {
             c.join().unwrap();
         }
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn name_and_id_requests_agree_and_cache_hits() {
-        let (addr, stop, handle) = test_server();
-        let by_name = roundtrip(addr, r#"{"symptoms": ["s1", "s2"], "k": 4}"#);
-        let by_ids = roundtrip(addr, r#"{"symptom_ids": [2, 1], "k": 4}"#);
+        let server = test_server();
+        let by_name = roundtrip(&server, r#"{"symptoms": ["s1", "s2"], "k": 4}"#);
+        let by_ids = roundtrip(&server, r#"{"symptom_ids": [2, 1], "k": 4}"#);
         assert_eq!(
             by_name.get("herb_ids").unwrap(),
             by_ids.get("herb_ids").unwrap(),
@@ -1289,16 +1307,12 @@ mod tests {
             Some(&Json::Bool(true)),
             "permuted ids are the same cache key"
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn multiple_requests_per_connection_and_errors() {
-        let (addr, stop, handle) = test_server();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
+        let server = test_server();
+        let mut client = server.client().unwrap();
         for (req, expect_code) in [
             (r#"{"symptoms": ["s0"]}"#, None),
             (r#"{"symptoms": ["nope"]}"#, Some("unknown_symptom")),
@@ -1318,30 +1332,24 @@ mod tests {
             ),
             (r#"{"op": "nope"}"#, Some("unknown_op")),
         ] {
-            writeln!(writer, "{req}").unwrap();
-            writer.flush().unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let resp = json::parse(line.trim()).unwrap();
+            let resp = client.ask_json(req).unwrap();
             let code = resp
                 .get("error")
                 .and_then(|e| e.get("code"))
                 .and_then(Json::as_str);
             assert_eq!(code, expect_code, "req {req}: {resp}");
         }
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn stats_op_reports_generation_cache_and_uptime() {
-        let (addr, stop, handle) = test_server();
+        let server = test_server();
         // Two identical queries: one miss, one hit.
-        let _ = roundtrip(addr, r#"{"symptom_ids": [0, 1], "k": 3}"#);
-        let warm = roundtrip(addr, r#"{"symptom_ids": [0, 1], "k": 3}"#);
+        let _ = roundtrip(&server, r#"{"symptom_ids": [0, 1], "k": 3}"#);
+        let warm = roundtrip(&server, r#"{"symptom_ids": [0, 1], "k": 3}"#);
         assert_eq!(warm.get("cached"), Some(&Json::Bool(true)));
         assert_eq!(warm.get("generation").and_then(Json::as_num), Some(0.0));
-        let stats = roundtrip(addr, r#"{"op": "stats"}"#);
+        let stats = roundtrip(&server, r#"{"op": "stats"}"#);
         assert_eq!(stats.get("generation").and_then(Json::as_num), Some(0.0));
         assert!(stats.get("uptime_s").and_then(Json::as_num).unwrap() >= 0.0);
         assert!(stats.get("requests").and_then(Json::as_num).unwrap() >= 2.0);
@@ -1353,14 +1361,12 @@ mod tests {
         let model = stats.get("model").unwrap();
         assert_eq!(model.get("symptoms").and_then(Json::as_num), Some(5.0));
         assert_eq!(model.get("herbs").and_then(Json::as_num), Some(7.0));
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn publish_op_swaps_generation_over_the_wire() {
-        let (addr, stop, handle) = test_server();
-        let before = roundtrip(addr, r#"{"symptom_ids": [0, 1], "k": 3}"#);
+        let server = test_server();
+        let before = roundtrip(&server, r#"{"symptom_ids": [0, 1], "k": 3}"#);
         assert_eq!(before.get("generation").and_then(Json::as_num), Some(0.0));
 
         // Ship a distinguishable model (8 herbs, generation-tagged names).
@@ -1375,14 +1381,14 @@ mod tests {
         let artifact = crate::artifact::to_base64(&crate::artifact::encode(&new_model, &new_vocab));
 
         let ack = roundtrip(
-            addr,
+            &server,
             &format!(r#"{{"op":"publish","artifact":"{artifact}"}}"#),
         );
         assert_eq!(ack.get("published"), Some(&Json::Bool(true)), "{ack}");
         assert_eq!(ack.get("generation").and_then(Json::as_num), Some(1.0));
         assert_eq!(ack.get("herbs").and_then(Json::as_num), Some(8.0));
 
-        let after = roundtrip(addr, r#"{"symptom_ids": [0, 1], "k": 3}"#);
+        let after = roundtrip(&server, r#"{"symptom_ids": [0, 1], "k": 3}"#);
         assert_eq!(after.get("generation").and_then(Json::as_num), Some(1.0));
         let ids: Vec<u32> = after
             .get("herb_ids")
@@ -1405,25 +1411,25 @@ mod tests {
         assert!(names.iter().all(|n| n.starts_with("g1-")), "{names:?}");
 
         // A corrupt artifact is rejected and the generation stays put.
-        let bad = roundtrip(addr, r#"{"op":"publish","artifact":"not base64!"}"#);
+        let bad = roundtrip(&server, r#"{"op":"publish","artifact":"not base64!"}"#);
         assert_eq!(
             bad.get("error")
                 .and_then(|e| e.get("code"))
                 .and_then(Json::as_str),
             Some("bad_artifact")
         );
-        let stats = roundtrip(addr, r#"{"op": "stats"}"#);
+        let stats = roundtrip(&server, r#"{"op": "stats"}"#);
         assert_eq!(stats.get("generation").and_then(Json::as_num), Some(1.0));
 
         // The rejection is counted and journaled for the fleet to see.
-        let snap = roundtrip(addr, r#"{"op": "metrics"}"#);
+        let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
         assert_eq!(
             snap.get("metrics")
                 .and_then(|m| m.get("serve_publish_rejected_total"))
                 .and_then(Json::as_num),
             Some(1.0)
         );
-        let report = roundtrip(addr, r#"{"op": "events"}"#);
+        let report = roundtrip(&server, r#"{"op": "events"}"#);
         let events = report.get("events").and_then(Json::as_arr).unwrap();
         assert!(
             events
@@ -1431,22 +1437,23 @@ mod tests {
                 .any(|e| e.get("kind").and_then(Json::as_str) == Some("publish_rejected")),
             "publish_rejected event missing: {report}"
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn deadline_budget_is_enforced_end_to_end() {
-        let (addr, stop, handle) = test_server();
+        let server = test_server();
         // A generous budget scores normally.
         let ok = roundtrip(
-            addr,
+            &server,
             r#"{"symptom_ids": [0, 1], "k": 3, "deadline_ms": 5000}"#,
         );
         assert!(ok.get("error").is_none(), "{ok}");
         // A pre-spent budget is shed with the structured, terminal code
         // before it costs a queue slot.
-        let shed = roundtrip(addr, r#"{"symptom_ids": [0, 1], "k": 3, "deadline_ms": 0}"#);
+        let shed = roundtrip(
+            &server,
+            r#"{"symptom_ids": [0, 1], "k": 3, "deadline_ms": 0}"#,
+        );
         let err = shed.get("error").expect("zero budget must be shed");
         assert_eq!(
             err.get("code").and_then(Json::as_str),
@@ -1457,7 +1464,10 @@ mod tests {
             "deadline sheds are terminal"
         );
         // Malformed budgets are a client bug, not a shed.
-        let bad = roundtrip(addr, r#"{"symptom_ids": [0], "k": 2, "deadline_ms": 1.5}"#);
+        let bad = roundtrip(
+            &server,
+            r#"{"symptom_ids": [0], "k": 2, "deadline_ms": 1.5}"#,
+        );
         assert_eq!(
             bad.get("error")
                 .and_then(|e| e.get("code"))
@@ -1465,62 +1475,39 @@ mod tests {
             Some(codes::BAD_REQUEST)
         );
         // The shed is visible in the metrics snapshot.
-        let snap = roundtrip(addr, r#"{"op": "metrics"}"#);
+        let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
         assert_eq!(
             snap.get("metrics")
                 .and_then(|m| m.get("serve_deadline_sheds_total"))
                 .and_then(Json::as_num),
             Some(1.0)
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn connection_overload_sheds_with_structured_error() {
-        let symptoms = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) % 4) as f32 - 1.5);
-        let herbs = Matrix::from_fn(7, 3, |r, c| ((r * 2 + c * 5) % 6) as f32 - 2.5);
-        let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
-        let server = Server::bind(
-            "127.0.0.1:0",
-            model,
+        let server = spawn_with(
             ServingVocab::default(),
             ServerConfig {
                 max_connections: 1,
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
-        let addr = server.local_addr().unwrap();
-        let stop = server.stop_handle();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        );
 
         // Occupy the only slot (a roundtrip proves the handler is live).
-        let held = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(held.try_clone().unwrap());
-        let mut writer = BufWriter::new(held);
-        writeln!(writer, r#"{{"symptom_ids": [0], "k": 2}}"#).unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(json::parse(line.trim()).unwrap().get("error").is_none());
+        let mut held = server.client().unwrap();
+        let first = held.ask_json(r#"{"symptom_ids": [0], "k": 2}"#).unwrap();
+        assert!(first.get("error").is_none());
 
-        // The next connection is shed with a retryable structured error.
-        let extra = TcpStream::connect(addr).unwrap();
-        let mut extra_reader = BufReader::new(extra);
-        let mut refusal = String::new();
-        extra_reader.read_line(&mut refusal).unwrap();
-        let refusal = json::parse(refusal.trim()).unwrap();
+        // The next connection is shed with a retryable structured error
+        // — the refusal line is what its first request reads.
+        let refusal = roundtrip(&server, r#"{"op": "stats"}"#);
         let err = refusal.get("error").expect("shed response is an error");
         assert_eq!(err.get("code").and_then(Json::as_str), Some("overloaded"));
         assert_eq!(err.get("retryable"), Some(&Json::Bool(true)));
 
         // The shed is counted and latency percentiles are reported.
-        writeln!(writer, r#"{{"op": "stats"}}"#).unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let stats = json::parse(line.trim()).unwrap();
+        let stats = held.ask_json(r#"{"op": "stats"}"#).unwrap();
         assert_eq!(stats.get("sheds").and_then(Json::as_num), Some(1.0));
         assert_eq!(
             stats.get("queue_rejections").and_then(Json::as_num),
@@ -1533,15 +1520,13 @@ mod tests {
             latency.get("p99_us").and_then(Json::as_num).unwrap()
                 >= latency.get("p50_us").and_then(Json::as_num).unwrap()
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn traced_request_returns_partitioned_monotonic_spans() {
-        let (addr, stop, handle) = test_server();
+        let server = test_server();
         let resp = roundtrip(
-            addr,
+            &server,
             r#"{"symptom_ids": [0, 2], "k": 3, "trace": true, "trace_id": "cafe0123"}"#,
         );
         assert!(resp.get("error").is_none(), "{resp}");
@@ -1589,7 +1574,7 @@ mod tests {
         );
 
         // A cache hit traces too, with the outcome in the span name.
-        let warm = roundtrip(addr, r#"{"symptom_ids": [0, 2], "k": 3, "trace": true}"#);
+        let warm = roundtrip(&server, r#"{"symptom_ids": [0, 2], "k": 3, "trace": true}"#);
         assert_eq!(warm.get("cached"), Some(&Json::Bool(true)));
         let warm_names: Vec<String> = warm
             .get("trace")
@@ -1610,29 +1595,28 @@ mod tests {
             .and_then(Json::as_str)
             .unwrap()
             .is_empty());
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn untraced_responses_carry_no_trace_section() {
-        let (addr, stop, handle) = test_server();
-        let resp = roundtrip(addr, r#"{"symptom_ids": [1, 3], "k": 3}"#);
+        let server = test_server();
+        let resp = roundtrip(&server, r#"{"symptom_ids": [1, 3], "k": 3}"#);
         assert!(resp.get("trace").is_none(), "{resp}");
         // A trace_id alone (no "trace": true) does not opt in.
-        let resp = roundtrip(addr, r#"{"symptom_ids": [1, 3], "k": 3, "trace_id": "x"}"#);
+        let resp = roundtrip(
+            &server,
+            r#"{"symptom_ids": [1, 3], "k": 3, "trace_id": "x"}"#,
+        );
         assert!(resp.get("trace").is_none(), "{resp}");
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn metrics_op_snapshots_registry_in_both_formats() {
-        let (addr, stop, handle) = test_server();
-        let _ = roundtrip(addr, r#"{"symptom_ids": [0, 1], "k": 3}"#);
-        let _ = roundtrip(addr, r#"{"symptom_ids": [0, 1], "k": 3}"#);
-        let _ = roundtrip(addr, r#"{"symptoms": ["nope"]}"#);
-        let snap = roundtrip(addr, r#"{"op": "metrics"}"#);
+        let server = test_server();
+        let _ = roundtrip(&server, r#"{"symptom_ids": [0, 1], "k": 3}"#);
+        let _ = roundtrip(&server, r#"{"symptom_ids": [0, 1], "k": 3}"#);
+        let _ = roundtrip(&server, r#"{"symptoms": ["nope"]}"#);
+        let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
         assert_eq!(snap.get("generation").and_then(Json::as_num), Some(0.0));
         let metrics = snap.get("metrics").expect("metrics object");
         assert!(
@@ -1658,31 +1642,29 @@ mod tests {
         let gemm = metrics.get("serve_gemm_us").expect("gemm histogram");
         assert!(gemm.get("count").and_then(Json::as_num).unwrap() >= 1.0);
 
-        let prom = roundtrip(addr, r#"{"op": "metrics", "format": "prometheus"}"#);
+        let prom = roundtrip(&server, r#"{"op": "metrics", "format": "prometheus"}"#);
         let text = prom.get("prometheus").and_then(Json::as_str).unwrap();
         assert!(
             text.contains("# TYPE serve_requests_total counter"),
             "{text}"
         );
         assert!(text.contains("# TYPE serve_latency_us summary"), "{text}");
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn events_op_reports_publishes_and_sheds() {
-        let (addr, stop, handle) = test_server();
+        let server = test_server();
         let symptoms = Matrix::from_fn(5, 3, |r, c| ((r + 2 * c) % 3) as f32 - 1.0);
         let herbs = Matrix::from_fn(7, 3, |r, c| ((r * 7 + c) % 5) as f32 - 2.0);
         let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
         let artifact =
             crate::artifact::to_base64(&crate::artifact::encode(&model, &ServingVocab::default()));
         let ack = roundtrip(
-            addr,
+            &server,
             &format!(r#"{{"op":"publish","artifact":"{artifact}"}}"#),
         );
         assert_eq!(ack.get("published"), Some(&Json::Bool(true)), "{ack}");
-        let report = roundtrip(addr, r#"{"op": "events"}"#);
+        let report = roundtrip(&server, r#"{"op": "events"}"#);
         let events = report.get("events").and_then(Json::as_arr).unwrap();
         assert!(
             events.iter().any(|e| {
@@ -1691,53 +1673,46 @@ mod tests {
             }),
             "publish event missing: {report}"
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn background_sampling_fills_journal_without_touching_responses() {
-        let symptoms = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) % 4) as f32 - 1.5);
-        let herbs = Matrix::from_fn(7, 3, |r, c| ((r * 2 + c * 5) % 6) as f32 - 2.5);
-        let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
-        let server = Server::bind(
-            "127.0.0.1:0",
-            model,
+        let server = spawn_with(
             ServingVocab::default(),
             ServerConfig {
                 max_connections: 16,
                 trace_sample_every: 2,
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
-        let addr = server.local_addr().unwrap();
-        let stop = server.stop_handle();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        );
         for i in 0..6 {
-            let resp = roundtrip(addr, &format!(r#"{{"symptom_ids": [{}], "k": 2}}"#, i % 5));
+            let resp = roundtrip(
+                &server,
+                &format!(r#"{{"symptom_ids": [{}], "k": 2}}"#, i % 5),
+            );
             assert!(
                 resp.get("trace").is_none(),
                 "sampling must not leak: {resp}"
             );
         }
-        let snap = roundtrip(addr, r#"{"op": "metrics"}"#);
+        let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
         assert!(
             snap.get("traces_recorded").and_then(Json::as_num).unwrap() >= 3.0,
             "1-in-2 sampling over 6 requests: {snap}"
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn profile_op_folds_phase_stacks_covering_wall_time() {
-        let (addr, stop, handle) = test_server();
+        let server = test_server();
         for i in 0..12 {
-            let resp = roundtrip(addr, &format!(r#"{{"symptom_ids": [{}], "k": 3}}"#, i % 5));
+            let resp = roundtrip(
+                &server,
+                &format!(r#"{{"symptom_ids": [{}], "k": 3}}"#, i % 5),
+            );
             assert!(resp.get("error").is_none(), "{resp}");
         }
-        let report = roundtrip(addr, r#"{"op": "profile"}"#);
+        let report = roundtrip(&server, r#"{"op": "profile"}"#);
         assert_eq!(report.get("enabled"), Some(&Json::Bool(true)));
         let folded = report.get("folded").and_then(Json::as_str).unwrap();
         // Sub-microsecond phases (cache lookups, sometimes parse) are
@@ -1768,48 +1743,35 @@ mod tests {
             profiled >= 0.9 * measured,
             "folded stacks cover {profiled}µs of {measured}µs measured"
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn profiling_disabled_leaves_stacks_empty() {
-        let symptoms = Matrix::from_fn(5, 3, |r, c| ((r * 3 + c) % 4) as f32 - 1.5);
-        let herbs = Matrix::from_fn(7, 3, |r, c| ((r * 2 + c * 5) % 6) as f32 - 2.5);
-        let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
-        let server = Server::bind(
-            "127.0.0.1:0",
-            model,
+        let server = spawn_with(
             ServingVocab::default(),
             ServerConfig {
                 profile: false,
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
-        let addr = server.local_addr().unwrap();
-        let stop = server.stop_handle();
-        let handle = std::thread::spawn(move || server.run().unwrap());
-        let _ = roundtrip(addr, r#"{"symptom_ids": [0], "k": 2}"#);
-        let report = roundtrip(addr, r#"{"op": "profile"}"#);
+        );
+        let _ = roundtrip(&server, r#"{"symptom_ids": [0], "k": 2}"#);
+        let report = roundtrip(&server, r#"{"op": "profile"}"#);
         assert_eq!(report.get("enabled"), Some(&Json::Bool(false)));
         assert_eq!(
             report.get("profile_total_us").and_then(Json::as_num),
             Some(0.0),
             "{report}"
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn error_requests_are_always_trace_retained() {
         // No client-requested traces and no background sampling: only
         // the tail-retention path can put records in the journal.
-        let (addr, stop, handle) = test_server();
-        let _ = roundtrip(addr, r#"{"symptom_ids": [0, 0], "k": 2}"#); // duplicate_symptom
-        let _ = roundtrip(addr, r#"{"symptom_ids": [99], "k": 2}"#); // symptom_out_of_range
-        let snap = roundtrip(addr, r#"{"op": "metrics"}"#);
+        let server = test_server();
+        let _ = roundtrip(&server, r#"{"symptom_ids": [0, 0], "k": 2}"#); // duplicate_symptom
+        let _ = roundtrip(&server, r#"{"symptom_ids": [99], "k": 2}"#); // symptom_out_of_range
+        let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
         assert!(
             snap.get("traces_recorded").and_then(Json::as_num).unwrap() >= 2.0,
             "errors must be force-retained in the trace journal: {snap}"
@@ -1822,15 +1784,13 @@ mod tests {
             Some(0.0),
             "journal far from capacity, nothing may drop: {snap}"
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn flatten_metrics_json_splits_histograms_into_series() {
-        let (addr, stop, handle) = test_server();
-        let _ = roundtrip(addr, r#"{"symptom_ids": [1], "k": 2}"#);
-        let snap = roundtrip(addr, r#"{"op": "metrics"}"#);
+        let server = test_server();
+        let _ = roundtrip(&server, r#"{"symptom_ids": [1], "k": 2}"#);
+        let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
         let flat = flatten_metrics_json(snap.get("metrics").unwrap());
         let names: Vec<&str> = flat.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"serve_requests_total"), "{names:?}");
@@ -1849,14 +1809,15 @@ mod tests {
             .unwrap()
             .1;
         assert!(requests >= 1.0);
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn scores_align_with_ranking() {
-        let (addr, stop, handle) = test_server();
-        let resp = roundtrip(addr, r#"{"symptom_ids": [0, 3], "k": 5, "scores": true}"#);
+        let server = test_server();
+        let resp = roundtrip(
+            &server,
+            r#"{"symptom_ids": [0, 3], "k": 5, "scores": true}"#,
+        );
         let scores: Vec<f64> = resp
             .get("scores")
             .unwrap()
@@ -1870,13 +1831,11 @@ mod tests {
             scores.windows(2).all(|w| w[0] >= w[1]),
             "scores must be descending: {scores:?}"
         );
-        stop.stop();
-        handle.join().unwrap();
     }
 
     #[test]
     fn experiment_verbs_split_and_promote_over_the_wire() {
-        let (addr, stop, handle) = test_server();
+        let server = test_server();
         // A distinguishable candidate model with the same shape.
         let symptoms = Matrix::from_fn(5, 3, |r, c| ((r * 7 + c * 3) % 5) as f32 - 2.0);
         let herbs = Matrix::from_fn(7, 3, |r, c| ((r + c * 4) % 5) as f32 - 1.0);
@@ -1889,7 +1848,7 @@ mod tests {
 
         // Install before publish must fail atomically.
         let premature = roundtrip(
-            addr,
+            &server,
             r#"{"op":"experiment","action":"install","plan":"not-a-plan"}"#,
         );
         assert_eq!(
@@ -1906,7 +1865,7 @@ mod tests {
         )
         .unwrap();
         let missing = roundtrip(
-            addr,
+            &server,
             &format!(
                 r#"{{"op":"experiment","action":"install","plan":"{}"}}"#,
                 plan.to_canonical()
@@ -1924,7 +1883,7 @@ mod tests {
         // Publish the candidate, then install a 0/100 split: every
         // request (sticky key or not) must land on the candidate.
         let published = roundtrip(
-            addr,
+            &server,
             &format!(
                 r#"{{"op":"experiment","action":"publish","variant":"cand","artifact":"{artifact}"}}"#
             ),
@@ -1935,7 +1894,7 @@ mod tests {
             "{published}"
         );
         let installed = roundtrip(
-            addr,
+            &server,
             &format!(
                 r#"{{"op":"experiment","action":"install","plan":"{}"}}"#,
                 plan.to_canonical()
@@ -1947,7 +1906,7 @@ mod tests {
             "{installed}"
         );
 
-        let resp = roundtrip(addr, r#"{"symptom_ids":[0,1],"k":3,"client":"alice"}"#);
+        let resp = roundtrip(&server, r#"{"symptom_ids":[0,1],"k":3,"client":"alice"}"#);
         assert_eq!(
             resp.get("variant").and_then(Json::as_str),
             Some("cand"),
@@ -1962,7 +1921,7 @@ mod tests {
         );
         // Explicit override pins control regardless of the plan.
         let ctrl = roundtrip(
-            addr,
+            &server,
             r#"{"symptom_ids":[0,1],"k":3,"variant":"control","client":"alice"}"#,
         );
         assert_eq!(ctrl.get("variant").and_then(Json::as_str), Some("control"));
@@ -1978,7 +1937,7 @@ mod tests {
         // defaults to 8; drive enough requests with distinct keys).
         for i in 0..32 {
             let _ = roundtrip(
-                addr,
+                &server,
                 &format!(
                     r#"{{"symptom_ids":[{},{}],"k":3,"client":"c{i}"}}"#,
                     i % 4,
@@ -1986,7 +1945,7 @@ mod tests {
                 ),
             );
         }
-        let samples = roundtrip(addr, r#"{"op":"experiment","action":"samples"}"#);
+        let samples = roundtrip(&server, r#"{"op":"experiment","action":"samples"}"#);
         assert!(
             samples.get("duels_total").and_then(Json::as_num).unwrap() >= 1.0,
             "{samples}"
@@ -1995,7 +1954,7 @@ mod tests {
         // Promote: control slot now serves the candidate's model+vocab
         // as a new generation; halt drops the plan.
         let promoted = roundtrip(
-            addr,
+            &server,
             r#"{"op":"experiment","action":"promote-local","variant":"cand"}"#,
         );
         assert_eq!(
@@ -2004,9 +1963,9 @@ mod tests {
             "{promoted}"
         );
         assert_eq!(promoted.get("generation").and_then(Json::as_num), Some(1.0));
-        let halted = roundtrip(addr, r#"{"op":"experiment","action":"halt"}"#);
+        let halted = roundtrip(&server, r#"{"op":"experiment","action":"halt"}"#);
         assert_eq!(halted.get("halted"), Some(&Json::Bool(true)));
-        let after = roundtrip(addr, r#"{"symptom_ids":[0,1],"k":3,"client":"alice"}"#);
+        let after = roundtrip(&server, r#"{"symptom_ids":[0,1],"k":3,"client":"alice"}"#);
         assert!(
             after.get("variant").is_none(),
             "no experiment context: {after}"
@@ -2020,11 +1979,9 @@ mod tests {
             .iter()
             .all(|h| h.as_str().unwrap().starts_with("cand-")));
 
-        let status = roundtrip(addr, r#"{"op":"experiment","action":"status"}"#);
+        let status = roundtrip(&server, r#"{"op":"experiment","action":"status"}"#);
         assert_eq!(status.get("plan"), Some(&Json::Null));
         let variants = status.get("variants").unwrap().as_arr().unwrap();
         assert_eq!(variants.len(), 2, "{status}");
-        stop.stop();
-        handle.join().unwrap();
     }
 }

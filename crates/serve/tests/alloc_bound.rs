@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use smgcn_serve::integrity::crc32;
+use smgcn_obs::integrity::crc32;
 use smgcn_serve::{artifact, FrozenError, FrozenModel, ServingVocab};
 use smgcn_tensor::checkpoint;
 use smgcn_tensor::Matrix;

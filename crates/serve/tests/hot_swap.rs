@@ -11,14 +11,12 @@
 //!    model.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use smgcn_serve::json::{self, Json};
+use smgcn_serve::json::Json;
 use smgcn_serve::{
-    Batcher, BatcherConfig, FrozenModel, ModelSlot, Server, ServerConfig, ServingVocab,
+    Batcher, BatcherConfig, FrozenModel, LineClient, ModelSlot, Server, ServerConfig, ServingVocab,
 };
 use smgcn_tensor::Matrix;
 
@@ -70,35 +68,10 @@ fn expected_rankings(generations: u64) -> HashMap<(u64, Vec<u32>), Vec<u32>> {
     expected
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        Self {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: BufWriter::new(stream),
-        }
-    }
-
-    fn request(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut response = String::new();
-        self.reader.read_line(&mut response).unwrap();
-        json::parse(response.trim()).unwrap()
-    }
-
-    fn recommend(&mut self, set: &[u32]) -> Json {
-        let ids: Vec<String> = set.iter().map(u32::to_string).collect();
-        self.request(&format!(
-            r#"{{"symptom_ids": [{}], "k": {K}}}"#,
-            ids.join(", ")
-        ))
-    }
+fn recommend(client: &mut LineClient, set: &[u32]) -> Json {
+    let ids: Vec<String> = set.iter().map(u32::to_string).collect();
+    let request = format!(r#"{{"symptom_ids": [{}], "k": {K}}}"#, ids.join(", "));
+    client.ask_json(&request).unwrap()
 }
 
 /// Asserts one response is internally consistent with exactly one
@@ -153,10 +126,8 @@ fn hammer_recommend_across_two_hot_swaps() {
             ..ServerConfig::default()
         },
     )
+    .and_then(Server::spawn)
     .unwrap();
-    let addr = server.local_addr().unwrap();
-    let stop = server.stop_handle();
-    let server_handle = std::thread::spawn(move || server.run().unwrap());
 
     let total = Arc::new(AtomicU64::new(0));
     let gen2_live = Arc::new(AtomicBool::new(false));
@@ -167,8 +138,8 @@ fn hammer_recommend_across_two_hot_swaps() {
         let total = Arc::clone(&total);
         let gen2_live = Arc::clone(&gen2_live);
         let space = space.clone();
+        let mut client = server.client().unwrap();
         clients.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr);
             let mut seen = [0u64; 3];
             let mut last = 0u64;
             for i in 0..400u64 {
@@ -183,7 +154,7 @@ fn hammer_recommend_across_two_hot_swaps() {
                     }
                 }
                 let set = &space[((t * 131 + i * 7) % space.len() as u64) as usize];
-                let resp = client.recommend(set);
+                let resp = recommend(&mut client, set);
                 let generation = check_response(&resp, set, &expected);
                 assert!(
                     generation >= last,
@@ -238,17 +209,15 @@ fn hammer_recommend_across_two_hot_swaps() {
         vocab_for(2),
         ServerConfig::default(),
     )
+    .and_then(Server::spawn)
     .unwrap();
-    let fresh_addr = fresh_server.local_addr().unwrap();
-    let fresh_stop = fresh_server.stop_handle();
-    let fresh_handle = std::thread::spawn(move || fresh_server.run().unwrap());
 
-    let mut swapped = Client::connect(addr);
-    let mut fresh = Client::connect(fresh_addr);
+    let mut swapped = server.client().unwrap();
+    let mut fresh = fresh_server.client().unwrap();
     for set in &space {
-        let a = swapped.recommend(set);
+        let a = recommend(&mut swapped, set);
         assert_eq!(check_response(&a, set, &expected), 2);
-        let b = fresh.recommend(set);
+        let b = recommend(&mut fresh, set);
         assert_eq!(
             a.get("herb_ids"),
             b.get("herb_ids"),
@@ -259,7 +228,7 @@ fn hammer_recommend_across_two_hot_swaps() {
 
     // The swapped server's stats reflect the final generation and the
     // lazily-invalidated cache (stale lookups happened across the swaps).
-    let stats = swapped.request(r#"{"op": "stats"}"#);
+    let stats = swapped.ask_json(r#"{"op": "stats"}"#).unwrap();
     assert_eq!(stats.get("generation").and_then(Json::as_num), Some(2.0));
     assert_eq!(
         stats
@@ -269,11 +238,6 @@ fn hammer_recommend_across_two_hot_swaps() {
         Some(8.0),
         "generation 2 grew the herb vocabulary"
     );
-
-    stop.stop();
-    server_handle.join().unwrap();
-    fresh_stop.stop();
-    fresh_handle.join().unwrap();
 }
 
 /// Each generation's herbs and `W_mlp` live only as GEMM panels packed

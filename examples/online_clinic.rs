@@ -12,11 +12,9 @@
 //! cargo run --release --example online_clinic
 //! ```
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
-
 use smgcn_repro::prelude::*;
-use smgcn_repro::serve::json::{self, Json};
+use smgcn_repro::serve::json::Json;
+use smgcn_repro::serve::Running;
 
 /// A returning patient whose presentation the server sees continuously.
 const PATIENT_SYMPTOMS: [&str; 2] = ["daohan (night sweat)", "fare (fever)"];
@@ -25,21 +23,16 @@ const PATIENT_SYMPTOMS: [&str; 2] = ["daohan (night sweat)", "fare (fever)"];
 /// vocabulary has never seen (an imported materia medica, say).
 const NEW_HERB: &str = "xiyangshen (american ginseng)";
 
-fn request(addr: std::net::SocketAddr, line: &str) -> Json {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = BufWriter::new(stream);
-    writeln!(writer, "{line}").expect("send");
-    writer.flush().expect("flush");
-    let mut response = String::new();
-    reader.read_line(&mut response).expect("receive");
-    json::parse(response.trim()).expect("parse response")
+/// One request on a connection of its own, as a walk-in client would.
+fn request(server: &Running, line: &str) -> Json {
+    let mut client = server.client().expect("connect");
+    client.ask_json(line).expect("round trip")
 }
 
-fn show_recommendation(addr: std::net::SocketAddr, label: &str) -> Json {
+fn show_recommendation(server: &Running, label: &str) -> Json {
     let names: Vec<String> = PATIENT_SYMPTOMS.iter().map(|s| format!("{s:?}")).collect();
     let resp = request(
-        addr,
+        server,
         &format!(r#"{{"symptoms": [{}], "k": 5}}"#, names.join(", ")),
     );
     let generation = resp.get("generation").and_then(Json::as_num).unwrap();
@@ -99,14 +92,12 @@ fn main() {
 
     // The server shares the pipeline's model slot: generations published
     // by `refresh` go live without a restart.
-    let server =
-        Server::bind_slot("127.0.0.1:0", pipeline.slot(), ServerConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let stop = server.stop_handle();
-    let server_thread = std::thread::spawn(move || server.run().expect("serve"));
-    println!("\nserving on {addr}");
+    let server = Server::bind_slot("127.0.0.1:0", pipeline.slot(), ServerConfig::default())
+        .and_then(Server::spawn)
+        .expect("start the server");
+    println!("\nserving on {}", server.addr());
 
-    let before = show_recommendation(addr, "recommendation before refresh");
+    let before = show_recommendation(&server, "recommendation before refresh");
     assert_eq!(before.get("generation").and_then(Json::as_num), Some(0.0));
 
     // New prescriptions arrive. One mentions an unseen herb: the
@@ -154,7 +145,7 @@ fn main() {
         report.delta_ms, report.finetune_ms, report.freeze_ms, report.publish_ms
     );
 
-    let after = show_recommendation(addr, "recommendation after refresh");
+    let after = show_recommendation(&server, "recommendation after refresh");
     assert_eq!(after.get("generation").and_then(Json::as_num), Some(1.0));
 
     // The swapped-in model knows the appended herb: score the patient
@@ -166,7 +157,7 @@ fn main() {
         generation.vocab.herb_name(new_id)
     );
 
-    let stats = request(addr, r#"{"op": "stats"}"#);
+    let stats = request(&server, r#"{"op": "stats"}"#);
     println!(
         "server stats: generation {}, {} herbs, {} requests served",
         stats.get("generation").and_then(Json::as_num).unwrap(),
@@ -178,7 +169,6 @@ fn main() {
         stats.get("requests").and_then(Json::as_num).unwrap(),
     );
 
-    stop.stop();
-    server_thread.join().expect("server thread");
+    server.shutdown().expect("serve");
     println!("\ndone: ingested -> delta'd -> fine-tuned -> frozen -> swapped, zero restarts.");
 }

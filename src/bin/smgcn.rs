@@ -358,6 +358,15 @@ fn load_frozen(flags: &HashMap<String, String>, corpus: &smgcn_repro::data::Corp
     }
 }
 
+/// The corpus's names as the vocabulary a server answers with and a
+/// publish artifact carries.
+fn serving_vocab(corpus: &smgcn_repro::data::Corpus) -> ServingVocab {
+    let names = |vocab: &smgcn_repro::data::Vocabulary| {
+        vocab.iter().map(|(_, name)| name.to_string()).collect()
+    };
+    ServingVocab::new(names(corpus.symptom_vocab()), names(corpus.herb_vocab()))
+}
+
 fn parse_symptom_ids(spec: &str, corpus: &smgcn_repro::data::Corpus) -> Vec<u32> {
     let vocab = corpus.symptom_vocab();
     let mut ids = Vec::new();
@@ -435,18 +444,7 @@ fn cmd_serve(flags: HashMap<String, String>) {
     if let Some(b) = flags.get("batch-max") {
         config.batcher.max_batch = b.parse().unwrap_or_else(|_| usage());
     }
-    let vocab = ServingVocab::new(
-        corpus
-            .symptom_vocab()
-            .iter()
-            .map(|(_, n)| n.to_string())
-            .collect(),
-        corpus
-            .herb_vocab()
-            .iter()
-            .map(|(_, n)| n.to_string())
-            .collect(),
-    );
+    let vocab = serving_vocab(&corpus);
     let server = Server::bind(addr, frozen, vocab, config.clone()).unwrap_or_else(|e| {
         eprintln!("error: cannot bind {addr}: {e}");
         exit(1);
@@ -758,41 +756,31 @@ fn cmd_route(flags: HashMap<String, String>) {
     }
 }
 
-/// One-shot admin fetch: connects to `addr`, sends `{"op":"<op>"}`,
-/// parses the one-line reply. `None` on any transport or parse failure.
-fn fetch_admin_op(addr: &str, op: &str) -> Option<smgcn_repro::serve::json::Json> {
-    use std::io::{BufRead, BufReader, BufWriter, Write};
-    let stream = std::net::TcpStream::connect(addr).ok()?;
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .ok()?;
-    let mut writer = BufWriter::new(stream.try_clone().ok()?);
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "{{\"op\":\"{op}\"}}").ok()?;
-    writer.flush().ok()?;
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
-    smgcn_repro::serve::json::parse(line.trim()).ok()
+/// The CLI's one admin client: `request` to `addr` on a connection of
+/// its own, under the timeouts the fleet itself uses for admin traffic
+/// ([`PoolConfig::default`](smgcn_repro::cluster::PoolConfig)). An
+/// `{"error":…}` reply comes back as a refusal, never as a report.
+fn ask_admin(
+    addr: &str,
+    request: &str,
+) -> Result<smgcn_repro::serve::json::Json, smgcn_repro::serve::Unanswered> {
+    let fleet = smgcn_repro::cluster::PoolConfig::default();
+    smgcn_repro::serve::client::ask(addr, fleet.connect_timeout, fleet.admin_timeout, request)
 }
 
-/// Sends one prebuilt admin request line and parses the reply. Unlike
-/// [`fetch_admin_op`] the caller controls every field — the experiment
-/// verbs carry actions, weight specs and artifacts.
-fn fetch_admin_line(addr: &str, request: &str) -> Option<smgcn_repro::serve::json::Json> {
-    use std::io::{BufRead, BufReader, BufWriter, Write};
-    let stream = std::net::TcpStream::connect(addr).ok()?;
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-        .ok()?;
-    let mut writer = BufWriter::new(stream.try_clone().ok()?);
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "{request}").ok()?;
-    writer.flush().ok()?;
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
-    smgcn_repro::serve::json::parse(line.trim()).ok()
+/// [`ask_admin`] for a command that has nothing to show without an
+/// answer: a refusal prints as `error [code]: message`, silence names
+/// the address, and either way the command exits 1.
+fn admin_or_exit(addr: &str, request: &str) -> smgcn_repro::serve::json::Json {
+    use smgcn_repro::serve::Unanswered;
+    match ask_admin(addr, request) {
+        Ok(reply) => reply,
+        Err(Unanswered::Refused(reply)) => exit_refused(&reply),
+        Err(silence) => {
+            eprintln!("error: no response from {addr} ({silence})");
+            exit(1);
+        }
+    }
 }
 
 /// The default availability burn-rate rule a self-scraping `serve` or
@@ -852,7 +840,8 @@ fn spawn_self_scrape(
     Scraper::spawn(
         std::time::Duration::from_millis(scrape_ms),
         Box::new(move || {
-            let snap = fetch_admin_op(&front.to_string(), "metrics")?;
+            // A refused or unanswered scrape is skipped, not recorded.
+            let snap = ask_admin(&front.to_string(), r#"{"op":"metrics"}"#).ok()?;
             let inner = snap.get("merged").or_else(|| snap.get("metrics"))?;
             Some(smgcn_repro::serve::server::flatten_metrics_json(inner))
         }),
@@ -872,10 +861,7 @@ fn cmd_profile(flags: HashMap<String, String>) {
         eprintln!("error: profile needs --addr");
         usage();
     };
-    let Some(report) = fetch_admin_op(addr, "profile") else {
-        eprintln!("error: no profile response from {addr}");
-        exit(1);
-    };
+    let report = admin_or_exit(addr, r#"{"op":"profile"}"#);
     let folded = report.get("folded").and_then(Json::as_str).unwrap_or("");
     let profiled = report
         .get("profile_total_us")
@@ -979,22 +965,28 @@ fn cmd_query(flags: HashMap<String, String>) {
     }
 }
 
-/// Exits with the structured error of an experiment-verb reply, if any.
-fn check_admin_error(reply: &smgcn_repro::serve::json::Json) {
+/// Exits with the structured error of a refused admin request.
+fn exit_refused(reply: &smgcn_repro::serve::json::Json) -> ! {
     use smgcn_repro::serve::json::Json;
-    if let Some(err) = reply.get("error") {
-        let code = err.get("code").and_then(Json::as_str).unwrap_or("?");
-        let message = err.get("message").and_then(Json::as_str).unwrap_or("?");
-        eprintln!("error [{code}]: {message}");
-        if let Some(violations) = reply.get("violations").and_then(Json::as_arr) {
-            for v in violations {
-                if let Some(v) = v.as_str() {
-                    eprintln!("  guardrail: {v}");
-                }
-            }
+    let field = |key| {
+        let err = reply.get("error")?;
+        err.get(key)?.as_str()
+    };
+    eprintln!(
+        "error [{}]: {}",
+        field("code").unwrap_or("?"),
+        field("message").unwrap_or("?")
+    );
+    for v in reply
+        .get("violations")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+    {
+        if let Some(v) = v.as_str() {
+            eprintln!("  guardrail: {v}");
         }
-        exit(1);
     }
+    exit(1);
 }
 
 /// Pretty-prints the `{"action":"compare"}` report.
@@ -1050,7 +1042,7 @@ fn cmd_experiment(rest: &[String]) {
         eprintln!("error: experiment needs --addr");
         usage();
     };
-    let reply = match action.as_str() {
+    let request = match action.as_str() {
         "publish" => {
             let Some(variant) = flags.get("variant") else {
                 eprintln!("error: experiment publish needs --variant");
@@ -1058,18 +1050,7 @@ fn cmd_experiment(rest: &[String]) {
             };
             let corpus = load_corpus_only(&flags);
             let frozen = load_frozen(&flags, &corpus);
-            let vocab = ServingVocab::new(
-                corpus
-                    .symptom_vocab()
-                    .iter()
-                    .map(|(_, n)| n.to_string())
-                    .collect(),
-                corpus
-                    .herb_vocab()
-                    .iter()
-                    .map(|(_, n)| n.to_string())
-                    .collect(),
-            );
+            let vocab = serving_vocab(&corpus);
             let artifact = smgcn_repro::serve::artifact::encode(&frozen, &vocab);
             println!(
                 "publishing candidate {variant:?} ({} symptoms x {} herbs, artifact {} KiB) via {addr}",
@@ -1077,7 +1058,7 @@ fn cmd_experiment(rest: &[String]) {
                 frozen.n_herbs(),
                 artifact.len() / 1024
             );
-            let request = json::obj([
+            json::obj([
                 ("op", Json::Str("experiment".into())),
                 ("action", Json::Str("publish".into())),
                 ("variant", Json::Str(variant.clone())),
@@ -1085,8 +1066,7 @@ fn cmd_experiment(rest: &[String]) {
                     "artifact",
                     Json::Str(smgcn_repro::serve::artifact::to_base64(&artifact)),
                 ),
-            ]);
-            fetch_admin_line(addr, &request.to_string())
+            ])
         }
         "install" => {
             let Some(split) = flags.get("split") else {
@@ -1102,39 +1082,21 @@ fn cmd_experiment(rest: &[String]) {
                 let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
                 fields.push(("seed", Json::Num(seed as f64)));
             }
-            fetch_admin_line(addr, &json::obj(fields).to_string())
+            json::obj(fields)
         }
-        "halt" | "abort" => {
-            let request = json::obj([
+        "halt" | "abort" | "status" | "compare" => {
+            let action = if action == "abort" { "halt" } else { action };
+            json::obj([
                 ("op", Json::Str("experiment".into())),
-                ("action", Json::Str("halt".into())),
-            ]);
-            fetch_admin_line(addr, &request.to_string())
-        }
-        "status" => {
-            let request = json::obj([
-                ("op", Json::Str("experiment".into())),
-                ("action", Json::Str("status".into())),
-            ]);
-            fetch_admin_line(addr, &request.to_string())
-        }
-        "compare" => {
-            let request = json::obj([
-                ("op", Json::Str("experiment".into())),
-                ("action", Json::Str("compare".into())),
-            ]);
-            fetch_admin_line(addr, &request.to_string())
+                ("action", Json::Str(action.to_string())),
+            ])
         }
         other => {
             eprintln!("error: unknown experiment action {other:?}");
             usage();
         }
     };
-    let Some(reply) = reply else {
-        eprintln!("error: no response from {addr}");
-        exit(1);
-    };
-    check_admin_error(&reply);
+    let reply = admin_or_exit(addr, &request.to_string());
     match action.as_str() {
         "compare" => {
             print_compare_report(&reply);
@@ -1183,11 +1145,7 @@ fn cmd_promote(flags: HashMap<String, String>) {
     if let Some(v) = numeric("min-samples") {
         fields.push(("min_samples", Json::Num(v)));
     }
-    let Some(reply) = fetch_admin_line(addr, &json::obj(fields).to_string()) else {
-        eprintln!("error: no response from {addr}");
-        exit(1);
-    };
-    check_admin_error(&reply);
+    let reply = admin_or_exit(addr, &json::obj(fields).to_string());
     let replicas = reply.get("replicas").and_then(Json::as_num).unwrap_or(0.0);
     println!(
         "promoted {variant:?} to control on {replicas:.0} replica(s); split halted, traffic on the new control"
@@ -1230,18 +1188,7 @@ fn cmd_cluster_refresh(flags: HashMap<String, String>) {
     let replicas = parse_replicas(flags.get("replicas").unwrap_or_else(|| usage()));
     let corpus = load_corpus_only(&flags);
     let frozen = load_frozen(&flags, &corpus);
-    let vocab = ServingVocab::new(
-        corpus
-            .symptom_vocab()
-            .iter()
-            .map(|(_, n)| n.to_string())
-            .collect(),
-        corpus
-            .herb_vocab()
-            .iter()
-            .map(|(_, n)| n.to_string())
-            .collect(),
-    );
+    let vocab = serving_vocab(&corpus);
     let artifact = smgcn_repro::serve::artifact::encode(&frozen, &vocab);
     println!(
         "rolling {} symptoms x {} herbs (d = {}, artifact {} KiB) across {} replica(s):",
@@ -1516,9 +1463,7 @@ fn variant_rows(
 }
 
 fn cmd_top(flags: HashMap<String, String>) {
-    use smgcn_repro::serve::json::{self, Json};
-    use std::io::{BufRead, BufReader, BufWriter, Write};
-    use std::net::TcpStream;
+    use smgcn_repro::serve::json::Json;
 
     let Some(addr) = flags.get("addr") else {
         eprintln!("error: top needs --addr");
@@ -1533,23 +1478,13 @@ fn cmd_top(flags: HashMap<String, String>) {
         .map(|v| v.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(0);
 
-    let fetch = || -> Option<Json> {
-        let stream = TcpStream::connect(addr.as_str()).ok()?;
-        stream.set_nodelay(true).ok();
-        let mut writer = BufWriter::new(stream.try_clone().ok()?);
-        let mut reader = BufReader::new(stream);
-        writeln!(writer, "{{\"op\":\"metrics\"}}").ok()?;
-        writer.flush().ok()?;
-        let mut line = String::new();
-        reader.read_line(&mut line).ok()?;
-        json::parse(line.trim()).ok()
-    };
-
     let mut prev: HashMap<String, f64> = HashMap::new();
     let mut frame: u64 = 0;
     let mut last = std::time::Instant::now();
     loop {
-        let snapshot = fetch();
+        // A front end that refuses or goes silent ends the session: a
+        // frame of zeros would read as an idle fleet.
+        let snap = admin_or_exit(addr, r#"{"op":"metrics"}"#);
         let now = std::time::Instant::now();
         let elapsed_s = if frame == 0 {
             0.0
@@ -1563,40 +1498,35 @@ fn cmd_top(flags: HashMap<String, String>) {
             "{:<24} {:>4} {:>9} {:>9} {:>7} {:>7}",
             "REPLICA", "GEN", "QPS", "P99_MS", "CACHE", "SHEDS"
         );
-        match snapshot {
-            None => println!("  (no response from {addr})"),
-            Some(snap) => {
-                if let Some(Json::Arr(replicas)) = snap.get("replicas") {
-                    for entry in replicas {
-                        let label = entry
-                            .get("addr")
-                            .and_then(Json::as_str)
-                            .unwrap_or("?")
-                            .to_string();
-                        match entry.get("metrics") {
-                            Some(metrics) => top_row(
-                                &label,
-                                metrics,
-                                entry.get("generation"),
-                                &mut prev,
-                                elapsed_s,
-                            ),
-                            None => println!("{label:<24} (unreachable)"),
-                        }
-                    }
-                    if let Some(merged) = snap.get("merged") {
-                        top_row("fleet (merged)", merged, None, &mut prev, elapsed_s);
-                    }
-                } else if let Some(metrics) = snap.get("metrics") {
-                    top_row(addr, metrics, snap.get("generation"), &mut prev, elapsed_s);
-                } else {
-                    println!("  (response has no metrics section)");
+        if let Some(Json::Arr(replicas)) = snap.get("replicas") {
+            for entry in replicas {
+                let label = entry
+                    .get("addr")
+                    .and_then(Json::as_str)
+                    .unwrap_or("?")
+                    .to_string();
+                match entry.get("metrics") {
+                    Some(metrics) => top_row(
+                        &label,
+                        metrics,
+                        entry.get("generation"),
+                        &mut prev,
+                        elapsed_s,
+                    ),
+                    None => println!("{label:<24} (unreachable)"),
                 }
             }
+            if let Some(merged) = snap.get("merged") {
+                top_row("fleet (merged)", merged, None, &mut prev, elapsed_s);
+            }
+        } else if let Some(metrics) = snap.get("metrics") {
+            top_row(addr, metrics, snap.get("generation"), &mut prev, elapsed_s);
+        } else {
+            println!("  (response has no metrics section)");
         }
         // The alerting tail: recent burn-rate pages (and resolutions)
         // from the fleet's event journal, newest last.
-        let alert_events: Vec<(f64, String, String)> = fetch_admin_op(addr, "events")
+        let alert_events: Vec<(f64, String, String)> = ask_admin(addr, r#"{"op":"events"}"#)
             .map(|r| {
                 r.get("events")
                     .and_then(Json::as_arr)

@@ -22,14 +22,14 @@
 //! invariant is broken.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use smgcn_repro::cluster::{Router, RouterConfig};
 use smgcn_repro::experiment::{SplitPlan, DEFAULT_SPLIT_SEED};
-use smgcn_repro::serve::json::{self, Json};
-use smgcn_repro::serve::{artifact, FrozenModel, Server, ServerConfig, ServingVocab};
+use smgcn_repro::serve::json::Json;
+use smgcn_repro::serve::{
+    artifact, FrozenModel, LineClient, Running, Server, ServerConfig, ServingVocab,
+};
 use smgcn_repro::tensor::Matrix;
 
 const N_SYMPTOMS: usize = 8;
@@ -57,58 +57,28 @@ fn synthetic(tag: u64) -> (FrozenModel, ServingVocab) {
     (model, vocab)
 }
 
-struct Replica {
-    stop: smgcn_repro::serve::server::StopHandle,
-    handle: std::thread::JoinHandle<()>,
-}
-
-fn spawn_fleet(n: usize) -> (Vec<Replica>, Vec<SocketAddr>) {
-    let mut replicas = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..n {
+/// `n` replicas serving `synthetic(0)` and a default router in front
+/// of them (declared last, so it stops first).
+fn spawn_fleet(n: usize) -> (Vec<Running>, Running) {
+    let replica = |_| {
         let (model, vocab) = synthetic(0);
-        let server = Server::bind("127.0.0.1:0", model, vocab, ServerConfig::default())
-            .expect("bind replica");
-        addrs.push(server.local_addr().expect("replica addr"));
-        let stop = server.stop_handle();
-        let handle = std::thread::spawn(move || server.run().expect("replica run"));
-        replicas.push(Replica { stop, handle });
-    }
-    (replicas, addrs)
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    line: String,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect front");
-        stream.set_nodelay(true).ok();
-        Self {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: BufWriter::new(stream),
-            line: String::new(),
-        }
-    }
-
-    fn round_trip(&mut self, request: &str) -> Json {
-        writeln!(self.writer, "{request}").expect("write request");
-        self.writer.flush().expect("flush request");
-        self.line.clear();
-        let n = self.reader.read_line(&mut self.line).expect("read reply");
-        assert!(n > 0, "front closed mid-request");
-        json::parse(self.line.trim()).expect("reply parses")
-    }
+        Server::bind("127.0.0.1:0", model, vocab, ServerConfig::default())
+            .and_then(Server::spawn)
+            .expect("start replica")
+    };
+    let replicas: Vec<Running> = (0..n).map(replica).collect();
+    let addrs = replicas.iter().map(Running::addr).collect();
+    let router = Router::bind("127.0.0.1:0", addrs, RouterConfig::default())
+        .and_then(Router::spawn)
+        .expect("start router");
+    (replicas, router)
 }
 
 /// One validated query: asserts the response matches `want_variant`
 /// (None = no experiment context) and that ranking, names and
 /// generation all belong to `model`/`tag`/`generation`.
 fn query_and_check(
-    client: &mut Client,
+    client: &mut LineClient,
     sticky: &str,
     symptoms: &[u32],
     model: &FrozenModel,
@@ -117,10 +87,12 @@ fn query_and_check(
     want_variant: Option<&str>,
 ) {
     let ids: Vec<String> = symptoms.iter().map(ToString::to_string).collect();
-    let resp = client.round_trip(&format!(
-        "{{\"symptom_ids\":[{}],\"k\":{K},\"client\":\"{sticky}\"}}",
-        ids.join(",")
-    ));
+    let resp = client
+        .ask_json(&format!(
+            "{{\"symptom_ids\":[{}],\"k\":{K},\"client\":\"{sticky}\"}}",
+            ids.join(",")
+        ))
+        .unwrap();
     assert!(resp.get("error").is_none(), "query failed: {resp}");
     assert_eq!(
         resp.get("variant").and_then(Json::as_str),
@@ -153,11 +125,8 @@ fn query_and_check(
 
 #[test]
 fn canary_split_compare_promote_and_abort() {
-    let (replicas, addrs) = spawn_fleet(3);
-    let router = Router::bind("127.0.0.1:0", addrs, RouterConfig::default()).expect("bind router");
-    let front = router.local_addr().expect("router addr");
-    let router_stop = router.stop_handle();
-    let router_handle = std::thread::spawn(move || router.run().expect("router run"));
+    let (_replicas, router) = spawn_fleet(3);
+    let connect = || router.client().expect("connect front");
 
     let (control_model, _) = synthetic(0);
     let (candidate_model, candidate_vocab) = synthetic(1);
@@ -168,19 +137,19 @@ fn canary_split_compare_promote_and_abort() {
         .flat_map(|a| ((a + 1)..N_SYMPTOMS as u32).map(move |b| vec![a, b]))
         .collect();
 
-    let mut admin = Client::connect(front);
+    let mut admin = connect();
 
     // Phase 0 — no experiment context: plain control serving.
     for (i, set) in sets.iter().take(6).enumerate() {
-        let mut c = Client::connect(front);
+        let mut c = connect();
         query_and_check(&mut c, &format!("c{i}"), set, &control_model, 0, 0, None);
     }
 
     // Phase 1 — candidate publish fleet-wide via the router.
     let b64 = artifact::to_base64(&artifact::encode(&candidate_model, &candidate_vocab));
-    let ack = admin.round_trip(&format!(
+    let ack = admin.ask_json(&format!(
         "{{\"op\":\"experiment\",\"action\":\"publish\",\"variant\":\"{CANDIDATE}\",\"artifact\":\"{b64}\"}}"
-    ));
+    )).unwrap();
     assert!(
         ack.get("error").is_none(),
         "candidate publish failed: {ack}"
@@ -189,9 +158,11 @@ fn canary_split_compare_promote_and_abort() {
 
     // Installing a split naming an unpublished variant must be rejected
     // atomically — no replica may be left splitting traffic.
-    let bad = admin.round_trip(
-        "{\"op\":\"experiment\",\"action\":\"install\",\"weights\":\"control:50,ghost:50\"}",
-    );
+    let bad = admin
+        .ask_json(
+            "{\"op\":\"experiment\",\"action\":\"install\",\"weights\":\"control:50,ghost:50\"}",
+        )
+        .unwrap();
     let code = bad
         .get("error")
         .and_then(|e| e.get("code"))
@@ -206,9 +177,11 @@ fn canary_split_compare_promote_and_abort() {
         &[("control".to_string(), 90), (CANDIDATE.to_string(), 10)],
     )
     .expect("canonical plan");
-    let ack = admin.round_trip(&format!(
+    let ack = admin
+        .ask_json(&format!(
         "{{\"op\":\"experiment\",\"action\":\"install\",\"weights\":\"control:90,{CANDIDATE}:10\"}}"
-    ));
+    ))
+        .unwrap();
     assert_eq!(ack.get("installed"), Some(&Json::Bool(true)), "{ack}");
     assert_eq!(ack.get("version").and_then(Json::as_num), Some(1.0));
     assert_eq!(
@@ -234,8 +207,8 @@ fn canary_split_compare_promote_and_abort() {
         let control_model = Arc::clone(&control_model);
         let candidate_model = Arc::clone(&candidate_model);
         let plan = plan.clone();
+        let mut client = connect();
         workers.push(std::thread::spawn(move || {
-            let mut client = Client::connect(front);
             let mut seen: HashMap<String, &'static str> = HashMap::new();
             for i in 0..200u32 {
                 let sticky = format!("c{}", (w * 7 + i) % N_CLIENTS);
@@ -276,7 +249,9 @@ fn canary_split_compare_promote_and_abort() {
 
     // Phase 4 — the comparison report sees both variants and journaled
     // duels (800 requests, ~10% candidate share, 1-in-8 duel sampling).
-    let report = admin.round_trip("{\"op\":\"experiment\",\"action\":\"compare\"}");
+    let report = admin
+        .ask_json("{\"op\":\"experiment\",\"action\":\"compare\"}")
+        .unwrap();
     let variants = report
         .get("variants")
         .and_then(Json::as_arr)
@@ -298,15 +273,17 @@ fn canary_split_compare_promote_and_abort() {
 
     // Phase 5 — promotion is refused while guardrails fail (an absurd
     // sample floor), and the split stays live.
-    let refused = admin.round_trip(&format!(
+    let refused = admin.ask_json(&format!(
         "{{\"op\":\"experiment\",\"action\":\"promote\",\"variant\":\"{CANDIDATE}\",\"min_samples\":1000000}}"
-    ));
+    )).unwrap();
     let code = refused
         .get("error")
         .and_then(|e| e.get("code"))
         .and_then(Json::as_str);
     assert_eq!(code, Some("guardrail"), "{refused}");
-    let status = admin.round_trip("{\"op\":\"experiment\",\"action\":\"status\"}");
+    let status = admin
+        .ask_json("{\"op\":\"experiment\",\"action\":\"status\"}")
+        .unwrap();
     assert!(
         status.get("plan").is_some_and(|p| *p != Json::Null),
         "refused promotion must leave the split live: {status}"
@@ -318,17 +295,19 @@ fn canary_split_compare_promote_and_abort() {
     let background = {
         let stop = Arc::clone(&stop_load);
         let sets = sets.clone();
+        let mut client = connect();
         std::thread::spawn(move || {
-            let mut client = Client::connect(front);
             let mut n = 0u32;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let set = &sets[n as usize % sets.len()];
                 let ids: Vec<String> = set.iter().map(ToString::to_string).collect();
-                let resp = client.round_trip(&format!(
-                    "{{\"symptom_ids\":[{}],\"k\":{K},\"client\":\"c{}\"}}",
-                    ids.join(","),
-                    n % N_CLIENTS
-                ));
+                let resp = client
+                    .ask_json(&format!(
+                        "{{\"symptom_ids\":[{}],\"k\":{K},\"client\":\"c{}\"}}",
+                        ids.join(","),
+                        n % N_CLIENTS
+                    ))
+                    .unwrap();
                 assert!(
                     resp.get("error").is_none(),
                     "failure during promote: {resp}"
@@ -341,9 +320,9 @@ fn canary_split_compare_promote_and_abort() {
     // The latency rail is relaxed for the drill: with power-of-two
     // histogram buckets and a 10% share, the candidate's p99 sits a
     // bucket or two above control's even when both are microseconds.
-    let promoted = admin.round_trip(&format!(
+    let promoted = admin.ask_json(&format!(
         "{{\"op\":\"experiment\",\"action\":\"promote\",\"variant\":\"{CANDIDATE}\",\"min_samples\":10,\"max_p99_delta\":100}}"
-    ));
+    )).unwrap();
     assert_eq!(
         promoted.get("promoted"),
         Some(&Json::Bool(true)),
@@ -361,27 +340,24 @@ fn canary_split_compare_promote_and_abort() {
     // Control now serves the promoted artifact (tag 1) as generation 1,
     // with no experiment context left.
     for (i, set) in sets.iter().take(6).enumerate() {
-        let mut c = Client::connect(front);
+        let mut c = connect();
         query_and_check(&mut c, &format!("c{i}"), set, &candidate_model, 1, 1, None);
     }
 
     // Phase 7 — abort drill: a fresh split, then one halt collapses all
     // traffic back to control instantly.
-    let ack = admin.round_trip(&format!(
+    let ack = admin
+        .ask_json(&format!(
         "{{\"op\":\"experiment\",\"action\":\"install\",\"weights\":\"control:80,{CANDIDATE}:20\"}}"
-    ));
+    ))
+        .unwrap();
     assert_eq!(ack.get("installed"), Some(&Json::Bool(true)), "{ack}");
-    let halted = admin.round_trip("{\"op\":\"experiment\",\"action\":\"halt\"}");
+    let halted = admin
+        .ask_json("{\"op\":\"experiment\",\"action\":\"halt\"}")
+        .unwrap();
     assert_eq!(halted.get("halted"), Some(&Json::Bool(true)), "{halted}");
     for (i, set) in sets.iter().take(6).enumerate() {
-        let mut c = Client::connect(front);
+        let mut c = connect();
         query_and_check(&mut c, &format!("c{i}"), set, &candidate_model, 1, 1, None);
-    }
-
-    router_stop.stop();
-    router_handle.join().expect("router thread");
-    for replica in replicas {
-        replica.stop.stop();
-        replica.handle.join().expect("replica thread");
     }
 }

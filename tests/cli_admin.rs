@@ -1,0 +1,101 @@
+//! The CLI's admin commands against front ends that do not answer: a
+//! refusal is not a report, and every admin call has a deadline.
+//!
+//! Drives the built `smgcn` binary against two scripted listeners — one
+//! that sheds every connection the way a server at its connection cap
+//! does, one that accepts and never says a word.
+
+use std::io::Write;
+use std::net::TcpListener;
+use std::process::{Command, Output, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use smgcn_repro::cluster::PoolConfig;
+use smgcn_repro::serve::server::StopHandle;
+use smgcn_repro::serve::Running;
+
+const SHED: &str =
+    r#"{"error":{"code":"overloaded","message":"server at connection capacity","retryable":true}}"#;
+
+/// A front end that answers every connection with `reply` on accept,
+/// or — with `None` — holds it open and never answers.
+fn scripted(reply: Option<&'static str>) -> Running {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = Arc::clone(&stop);
+    let serve = move || {
+        let mut silent = Vec::new();
+        for stream in listener.incoming() {
+            if stopped.load(Ordering::SeqCst) {
+                break;
+            }
+            let mut stream = stream?;
+            match reply {
+                Some(reply) => {
+                    stream.write_all(format!("{reply}\n").as_bytes())?;
+                    // Closing over the unread request would reset the
+                    // reply away: wait for the client to hang up.
+                    let _ = std::io::copy(&mut stream, &mut std::io::sink());
+                }
+                None => silent.push(stream),
+            }
+        }
+        Ok(())
+    };
+    Running::start(addr, StopHandle::new(stop, Some(addr)), serve).unwrap()
+}
+
+/// Runs `smgcn <args> --addr <front>`; a run still going at `deadline`
+/// is killed and fails the test.
+fn smgcn(front: &Running, args: &[&str], deadline: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_smgcn"))
+        .args(args)
+        .args(["--addr", &front.addr().to_string()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("start smgcn");
+    let started = Instant::now();
+    while child.try_wait().expect("poll smgcn").is_none() {
+        if started.elapsed() > deadline {
+            child.kill().expect("kill smgcn");
+            panic!("smgcn {args:?} still running after {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect smgcn output")
+}
+
+#[test]
+fn a_refusal_is_an_error_not_an_empty_report() {
+    let front = scripted(Some(SHED));
+    for args in [&["profile"][..], &["top", "--iterations", "1"]] {
+        let run = smgcn(&front, args, Duration::from_secs(10));
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&run.stdout),
+            String::from_utf8_lossy(&run.stderr),
+        );
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stdout}{stderr}");
+        assert!(
+            stderr.contains("error [overloaded]: server at connection capacity"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !stdout.contains("coverage") && !stdout.contains("REPLICA"),
+            "{args:?} rendered a refusal as a report: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn a_silent_front_end_costs_the_admin_timeout_not_a_hang() {
+    let front = scripted(None);
+    let bound = PoolConfig::default().admin_timeout + Duration::from_secs(1);
+    let run = smgcn(&front, &["top", "--iterations", "1"], bound);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: no response from"), "{stderr}");
+}

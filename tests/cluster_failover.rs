@@ -19,8 +19,8 @@
 //! claimed generation's model verbatim or the invariant is broken.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,8 +31,8 @@ use smgcn_repro::core::Recommender;
 use smgcn_repro::data::io as corpus_io;
 use smgcn_repro::graph::GraphOperators;
 use smgcn_repro::prelude::*;
-use smgcn_repro::serve::json::{self, Json};
-use smgcn_repro::serve::{artifact, FrozenModel};
+use smgcn_repro::serve::json::Json;
+use smgcn_repro::serve::{artifact, FrozenModel, LineClient};
 
 const K: usize = 5;
 /// Query space: all 2-element sets over the first QUERY_SYMPTOMS ids.
@@ -91,33 +91,10 @@ fn spawn_replica(
     (ChildGuard(child), addr)
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).ok();
-        Self {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: BufWriter::new(stream),
-        }
-    }
-
-    fn request(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut response = String::new();
-        self.reader.read_line(&mut response).unwrap();
-        json::parse(response.trim()).unwrap()
-    }
-
-    fn recommend(&mut self, set: &[u32]) -> Json {
-        let ids: Vec<String> = set.iter().map(u32::to_string).collect();
-        self.request(&format!(r#"{{"symptom_ids":[{}],"k":{K}}}"#, ids.join(",")))
-    }
+fn recommend(client: &mut LineClient, set: &[u32]) -> Json {
+    let ids: Vec<String> = set.iter().map(u32::to_string).collect();
+    let request = format!(r#"{{"symptom_ids":[{}],"k":{K}}}"#, ids.join(","));
+    client.ask_json(&request).unwrap()
 }
 
 fn query_space() -> Vec<Vec<u32>> {
@@ -254,10 +231,8 @@ fn three_process_replicas_survive_kill_and_rolling_publish_mid_load() {
             ..RouterConfig::default()
         },
     )
+    .and_then(Router::spawn)
     .unwrap();
-    let router_addr = router.local_addr().unwrap();
-    let router_stop = router.stop_handle();
-    let router_handle = std::thread::spawn(move || router.run().unwrap());
 
     // --- stage 2: hammer while killing and publishing -------------------
     let total = Arc::new(AtomicU64::new(0));
@@ -266,12 +241,12 @@ fn three_process_replicas_survive_kill_and_rolling_publish_mid_load() {
         let expected = Arc::clone(&expected);
         let total = Arc::clone(&total);
         let space = space.clone();
+        let mut client = router.client().unwrap();
         clients.push(std::thread::spawn(move || {
-            let mut client = Client::connect(router_addr);
             let mut seen = [0u64; 2];
             for i in 0..250u64 {
                 let set = &space[((t * 131 + i * 7) % space.len() as u64) as usize];
-                let resp = client.recommend(set);
+                let resp = recommend(&mut client, set);
                 let generation = expected.check(&resp, set);
                 seen[generation as usize] += 1;
                 total.fetch_add(1, Ordering::Relaxed);
@@ -298,10 +273,12 @@ fn three_process_replicas_survive_kill_and_rolling_publish_mid_load() {
 
     // Rolling-publish generation 1 through the router mid-load.
     wait_for(400);
-    let mut admin = Client::connect(router_addr);
-    let ack = admin.request(&format!(
-        r#"{{"op":"publish","artifact":"{artifact_b64}"}}"#
-    ));
+    let mut admin = router.client().unwrap();
+    let ack = admin
+        .ask_json(&format!(
+            r#"{{"op":"publish","artifact":"{artifact_b64}"}}"#
+        ))
+        .unwrap();
     assert_eq!(
         ack.get("published").and_then(Json::as_num),
         Some(2.0),
@@ -328,9 +305,9 @@ fn three_process_replicas_survive_kill_and_rolling_publish_mid_load() {
     assert!(seen[0] > 0, "generation 0 must have served before the swap");
 
     // --- stage 3: post-publish, the fleet serves only generation 1 ------
-    let mut sweep = Client::connect(router_addr);
+    let mut sweep = router.client().unwrap();
     for set in &space {
-        let resp = sweep.recommend(set);
+        let resp = recommend(&mut sweep, set);
         assert_eq!(
             expected.check(&resp, set),
             1,
@@ -339,7 +316,7 @@ fn three_process_replicas_survive_kill_and_rolling_publish_mid_load() {
     }
 
     // Router stats: the kill was observed, traffic was rerouted.
-    let stats = sweep.request(r#"{"op":"stats"}"#);
+    let stats = sweep.ask_json(r#"{"op":"stats"}"#).unwrap();
     let fleet = stats.get("replicas").and_then(Json::as_arr).unwrap();
     assert_eq!(fleet.len(), 3);
     let healthy = fleet
@@ -352,8 +329,7 @@ fn three_process_replicas_survive_kill_and_rolling_publish_mid_load() {
         "the kill must have forced at least one failover retry: {stats}"
     );
 
-    router_stop.stop();
-    router_handle.join().unwrap();
+    router.shutdown().unwrap();
     drop(children);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,14 +21,13 @@
 //! One `#[test]` in its own binary: the installed plan is
 //! process-global, so nothing else may share the process.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
-
 use smgcn_repro::cluster::{Router, RouterConfig};
 use smgcn_repro::data::{Corpus, Prescription, Vocabulary};
 use smgcn_repro::online::Ingestor;
-use smgcn_repro::serve::json::{self, Json};
-use smgcn_repro::serve::{artifact, FrozenModel, Server, ServerConfig, ServingVocab};
+use smgcn_repro::serve::json::Json;
+use smgcn_repro::serve::{
+    artifact, FrozenModel, LineClient, Running, Server, ServerConfig, ServingVocab,
+};
 use smgcn_repro::tensor::Matrix;
 
 fn base_corpus() -> Corpus {
@@ -118,26 +117,17 @@ fn artifact_invariants_hold() {
 }
 
 fn routing_invariants_hold() {
-    let replicas: Vec<(SocketAddr, _, _)> = (0..3)
-        .map(|_| {
-            let server = Server::bind(
-                "127.0.0.1:0",
-                smoke_model(),
-                smoke_vocab(),
-                ServerConfig::default(),
-            )
-            .unwrap();
-            let addr = server.local_addr().unwrap();
-            let stop = server.stop_handle();
-            let handle = std::thread::spawn(move || server.run().unwrap());
-            (addr, stop, handle)
-        })
-        .collect();
-    let addrs: Vec<SocketAddr> = replicas.iter().map(|(a, _, _)| *a).collect();
-    let router = Router::bind("127.0.0.1:0", addrs, RouterConfig::default()).unwrap();
-    let front = router.local_addr().unwrap();
-    let stop = router.stop_handle();
-    let handle = std::thread::spawn(move || router.run().unwrap());
+    let replica = |_| {
+        let config = ServerConfig::default();
+        Server::bind("127.0.0.1:0", smoke_model(), smoke_vocab(), config)
+            .and_then(Server::spawn)
+            .unwrap()
+    };
+    let replicas: Vec<Running> = (0..3).map(replica).collect();
+    let addrs = replicas.iter().map(Running::addr).collect();
+    let router = Router::bind("127.0.0.1:0", addrs, RouterConfig::default())
+        .and_then(Router::spawn)
+        .unwrap();
 
     let expected: Vec<f64> = smoke_model()
         .recommend(&[0, 1], 3)
@@ -145,15 +135,13 @@ fn routing_invariants_hold() {
         .into_iter()
         .map(f64::from)
         .collect();
-    let stream = TcpStream::connect(front).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = BufWriter::new(stream);
+    // The plain client passes no fault site: the storm hits the stack
+    // under test, never the harness's own round trips.
+    let mut client = router.client().unwrap();
     for _ in 0..40 {
-        writeln!(writer, r#"{{"symptom_ids":[0,1],"k":3}}"#).unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let resp = json::parse(line.trim()).expect("every response is valid json");
+        let resp = client
+            .ask_json(r#"{"symptom_ids":[0,1],"k":3}"#)
+            .expect("every response is valid json");
         match resp.get("error") {
             None => {
                 let ids: Vec<f64> = resp
@@ -177,30 +165,18 @@ fn routing_invariants_hold() {
         }
     }
 
-    experiment_atomicity_holds(&mut reader, &mut writer);
-
-    stop.stop();
-    handle.join().unwrap();
-    for (_, stop, handle) in replicas {
-        stop.stop();
-        handle.join().unwrap();
-    }
+    experiment_atomicity_holds(&mut client);
 }
 
 /// Experiment-plane atomicity under the storm: a corrupted candidate
 /// artifact must never become resident on any replica, and an install
 /// naming a never-published variant must leave the whole fleet
 /// planless — partial states are the one unacceptable outcome.
-fn experiment_atomicity_holds(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-) {
+fn experiment_atomicity_holds(client: &mut LineClient) {
     let mut rpc = |request: String| -> Json {
-        writeln!(writer, "{request}").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        json::parse(line.trim()).expect("experiment responses are valid json")
+        client
+            .ask_json(&request)
+            .expect("experiment responses are valid json")
     };
 
     // A candidate artifact with a flipped byte: the CRC trailer means

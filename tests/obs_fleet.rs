@@ -17,59 +17,13 @@
 //!    metrics snapshot carries 20+ distinct metric names across the
 //!    `serve_*`, `router_*`/`cluster_*` and `online_*` families.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use smgcn_repro::prelude::*;
 use smgcn_repro::serve::json::{self, Json};
-use smgcn_repro::serve::server::StopHandle;
+use smgcn_repro::serve::Running;
 
 const K: usize = 5;
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).ok();
-        Self {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: BufWriter::new(stream),
-        }
-    }
-
-    /// Sends one line, returns the raw response line (no trailing
-    /// newline) — raw so byte-identity can be asserted.
-    fn request_raw(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut response = String::new();
-        self.reader.read_line(&mut response).unwrap();
-        response.trim_end().to_string()
-    }
-
-    fn request(&mut self, line: &str) -> Json {
-        json::parse(&self.request_raw(line)).unwrap()
-    }
-}
-
-struct Spawned {
-    addr: SocketAddr,
-    stop: StopHandle,
-    handle: JoinHandle<()>,
-}
-
-fn spawn(server: Server) -> Spawned {
-    let addr = server.local_addr().unwrap();
-    let stop = server.stop_handle();
-    let handle = std::thread::spawn(move || server.run().unwrap());
-    Spawned { addr, stop, handle }
-}
 
 /// Canonicalizes a response for byte-comparison: the `micros` field is
 /// per-request wall time and varies by nature (it predates tracing);
@@ -145,11 +99,12 @@ fn routed_fleet_merges_metrics_and_propagates_traces() {
     // Replica 0 is slot-backed by the online pipeline and shares its
     // server's registry, so its metrics snapshot spans serving AND the
     // online loop. Replicas 1 and 2 serve the same frozen generation.
-    let plain: Vec<Spawned> = (0..2)
-        .map(|_| {
-            spawn(Server::bind("127.0.0.1:0", frozen(), vocab(), ServerConfig::default()).unwrap())
-        })
-        .collect();
+    let plain = |_| {
+        Server::bind("127.0.0.1:0", frozen(), vocab(), ServerConfig::default())
+            .and_then(Server::spawn)
+            .unwrap()
+    };
+    let plain: Vec<Running> = (0..2).map(plain).collect();
     let mut pipeline = OnlinePipeline::new(
         corpus.clone(),
         model,
@@ -168,24 +123,20 @@ fn routed_fleet_merges_metrics_and_propagates_traces() {
     let server0 =
         Server::bind_slot("127.0.0.1:0", pipeline.slot(), ServerConfig::default()).unwrap();
     pipeline.observe(&server0.registry(), server0.events());
-    let online_replica = spawn(server0);
-
-    let mut addrs = vec![online_replica.addr];
-    addrs.extend(plain.iter().map(|r| r.addr));
-    let router = smgcn_repro::cluster::Router::bind(
+    let mut replicas = vec![server0.spawn().unwrap()];
+    replicas.extend(plain);
+    let router = Router::bind(
         "127.0.0.1:0",
-        addrs.clone(),
-        smgcn_repro::cluster::RouterConfig {
+        replicas.iter().map(Running::addr).collect(),
+        RouterConfig {
             probe_interval: Duration::from_millis(100),
-            ..smgcn_repro::cluster::RouterConfig::default()
+            ..RouterConfig::default()
         },
     )
+    .and_then(Router::spawn)
     .unwrap();
-    let router_addr = router.local_addr().unwrap();
-    let router_stop = router.stop_handle();
-    let router_handle = std::thread::spawn(move || router.run().unwrap());
 
-    let mut client = Client::connect(router_addr);
+    let mut client = router.client().unwrap();
     let query = format!(r#"{{"symptom_ids":[0,1,2],"k":{K}}}"#);
 
     // --- 1: untraced responses are byte-identical -------------------
@@ -196,14 +147,14 @@ fn routed_fleet_merges_metrics_and_propagates_traces() {
     // every replica's cache first so each comparison is the same
     // cache-hit response (`"cached"` is part of the payload), and
     // compare modulo the pre-existing per-request `micros` timing.
-    for addr in &addrs {
-        Client::connect(*addr).request_raw(&query);
+    for replica in &replicas {
+        replica.client().unwrap().ask(&query).unwrap();
     }
-    let raw_via_router = client.request_raw(&query);
+    let raw_via_router = client.ask(&query).unwrap();
     let via_router = sans_micros(&raw_via_router);
-    assert_eq!(via_router, sans_micros(&client.request_raw(&query)));
-    for addr in &addrs {
-        let direct = sans_micros(&Client::connect(*addr).request_raw(&query));
+    assert_eq!(via_router, sans_micros(&client.ask(&query).unwrap()));
+    for replica in &replicas {
+        let direct = sans_micros(&replica.client().unwrap().ask(&query).unwrap());
         assert_eq!(
             via_router, direct,
             "router must relay untraced responses byte-identically"
@@ -222,9 +173,11 @@ fn routed_fleet_merges_metrics_and_propagates_traces() {
     let mut best: Option<(f64, Json)> = None;
     for _ in 0..8 {
         let t0 = Instant::now();
-        let response = client.request(&format!(
-            r#"{{"symptom_ids":[0,1,2],"k":{K},"trace":true,"trace_id":"{trace_id}"}}"#
-        ));
+        let response = client
+            .ask_json(&format!(
+                r#"{{"symptom_ids":[0,1,2],"k":{K},"trace":true,"trace_id":"{trace_id}"}}"#
+            ))
+            .unwrap();
         let wall = t0.elapsed().as_secs_f64() * 1e6;
         if best.as_ref().is_none_or(|(w, _)| wall < *w) {
             best = Some((wall, response));
@@ -267,13 +220,15 @@ fn routed_fleet_merges_metrics_and_propagates_traces() {
     // --- 3: traffic + one online refresh, then the merged snapshot --
     for i in 0..30u32 {
         let a = i % 6;
-        client.request(&format!(r#"{{"symptom_ids":[{a},{}],"k":{K}}}"#, a + 1));
+        client
+            .ask_json(&format!(r#"{{"symptom_ids":[{a},{}],"k":{K}}}"#, a + 1))
+            .unwrap();
     }
     assert!(pipeline.ingest_ids(ingest_a.0, ingest_a.1).is_ok());
     assert!(pipeline.ingest_ids(ingest_b.0, ingest_b.1).is_ok());
     pipeline.refresh().expect("online refresh");
 
-    let snapshot = client.request(r#"{"op":"metrics"}"#);
+    let snapshot = client.ask_json(r#"{"op":"metrics"}"#).unwrap();
     assert_eq!(snapshot.get("partial"), Some(&Json::Bool(false)));
     let replicas = snapshot.get("replicas").and_then(Json::as_arr).unwrap();
     assert_eq!(replicas.len(), 3);
@@ -299,7 +254,7 @@ fn routed_fleet_merges_metrics_and_propagates_traces() {
     );
 
     // And the swap landed in the fleet event journal.
-    let events = client.request(r#"{"op":"events"}"#);
+    let events = client.ask_json(r#"{"op":"events"}"#).unwrap();
     let fleet_events = events.get("replicas").and_then(Json::as_arr).unwrap();
     let kinds: Vec<&str> = fleet_events
         .iter()
@@ -311,11 +266,4 @@ fn routed_fleet_merges_metrics_and_propagates_traces() {
         kinds.contains(&"swap"),
         "the hot swap must appear in fleet events: {kinds:?}"
     );
-
-    router_stop.stop();
-    router_handle.join().unwrap();
-    for replica in plain.into_iter().chain(std::iter::once(online_replica)) {
-        replica.stop.stop();
-        let _ = replica.handle.join();
-    }
 }

@@ -24,16 +24,13 @@
 //! neither is replayable deterministically (their classification is
 //! unit-tested in `smgcn-serve::errors`).
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
 use smgcn_repro::cluster::{PoolConfig, Router, RouterConfig};
 use smgcn_repro::experiment::SplitPlan;
 use smgcn_repro::serve::json::{self, Json};
-use smgcn_repro::serve::server::StopHandle;
-use smgcn_repro::serve::{artifact, FrozenModel, Server, ServerConfig, ServingVocab};
+use smgcn_repro::serve::{artifact, FrozenModel, Running, Server, ServerConfig, ServingVocab};
 use smgcn_repro::tensor::Matrix;
 
 const N_SYMPTOMS: usize = 6;
@@ -144,43 +141,15 @@ fn mask_field(key: &str, value: &Json) -> Json {
 // Transcript machinery.
 // ---------------------------------------------------------------------------
 
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Conn {
-    fn open(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        Self {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: BufWriter::new(stream),
-        }
-    }
-
-    fn round_trip(&mut self, request: &str) -> String {
-        writeln!(self.writer, "{request}").expect("write request");
-        self.writer.flush().expect("flush request");
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response).expect("read response");
-        assert!(n > 0, "connection closed answering {request:?}");
-        response.trim_end().to_string()
-    }
-}
-
-/// Replays `corpus` over one persistent connection against `addr`,
+/// Replays `corpus` over one persistent connection against `front`,
 /// returning the masked transcript (request + masked response pairs).
-fn replay(addr: SocketAddr, corpus: &[Step]) -> String {
-    let mut conn = Conn::open(addr);
+fn replay(front: &Running, corpus: &[Step]) -> String {
+    let mut conn = front.client().expect("connect");
     let mut transcript = String::new();
     for step in corpus {
         match step {
             Step::Line(request) => {
-                let raw = conn.round_trip(request);
+                let raw = conn.ask(request).expect("round trip");
                 let parsed = json::parse(&raw)
                     .unwrap_or_else(|e| panic!("unparseable response to {request:?}: {e}: {raw}"));
                 transcript.push_str(&format!(">>> {request}\n{}\n\n", mask(&parsed)));
@@ -192,23 +161,18 @@ fn replay(addr: SocketAddr, corpus: &[Step]) -> String {
                 let mut held = Vec::new();
                 let refusal = loop {
                     assert!(held.len() < 64, "no shed after 64 extra connections");
-                    let mut extra = Conn::open(addr);
-                    let mut first = String::new();
+                    let mut extra = front.client().expect("connect");
                     // A refused connection gets one line then close; an
                     // accepted one stays silent until we speak. Probe by
                     // sending a request: accepted conns answer it,
                     // refused conns already wrote the shed line.
-                    writeln!(extra.writer, "{{\"op\":\"stats\"}}").expect("probe write");
-                    extra.writer.flush().expect("probe flush");
-                    let n = extra.reader.read_line(&mut first).expect("probe read");
-                    assert!(n > 0, "connection closed without a shed line");
-                    let parsed = json::parse(first.trim_end()).expect("parse probe response");
-                    let code = parsed
+                    let first = extra.ask_json("{\"op\":\"stats\"}").expect("probe");
+                    let code = first
                         .get("error")
                         .and_then(|e| e.get("code"))
                         .and_then(Json::as_str);
                     if code == Some("overloaded") {
-                        break parsed;
+                        break first;
                     }
                     held.push(extra);
                 };
@@ -388,8 +352,8 @@ fn router_corpus() -> Vec<Step> {
 // Stacks under test.
 // ---------------------------------------------------------------------------
 
-fn serve_stack() -> (SocketAddr, StopHandle, std::thread::JoinHandle<()>) {
-    let server = Server::bind(
+fn serve_stack() -> Running {
+    Server::bind(
         "127.0.0.1:0",
         model(0),
         vocab(0),
@@ -401,31 +365,13 @@ fn serve_stack() -> (SocketAddr, StopHandle, std::thread::JoinHandle<()>) {
             ..ServerConfig::default()
         },
     )
-    .expect("bind golden server");
-    let addr = server.local_addr().expect("server addr");
-    let stop = server.stop_handle();
-    let handle = std::thread::spawn(move || server.run().expect("server run"));
-    (addr, stop, handle)
+    .and_then(Server::spawn)
+    .expect("start golden server")
 }
 
-struct RouterStack {
-    addr: SocketAddr,
-    router_stop: smgcn_repro::cluster::RouterStopHandle,
-    router_handle: std::thread::JoinHandle<()>,
-    replica_stop: StopHandle,
-    replica_handle: std::thread::JoinHandle<()>,
-}
-
-impl RouterStack {
-    fn teardown(self) {
-        self.router_stop.stop();
-        self.router_handle.join().expect("router thread");
-        self.replica_stop.stop();
-        self.replica_handle.join().expect("replica thread");
-    }
-}
-
-fn router_stack() -> RouterStack {
+/// The router and, behind it, its replica: a tuple drops in field
+/// order, so the router stops first.
+fn router_stack() -> (Running, Running) {
     let replica = Server::bind(
         "127.0.0.1:0",
         model(0),
@@ -435,13 +381,11 @@ fn router_stack() -> RouterStack {
             ..ServerConfig::default()
         },
     )
-    .expect("bind golden replica");
-    let replica_addr = replica.local_addr().expect("replica addr");
-    let replica_stop = replica.stop_handle();
-    let replica_handle = std::thread::spawn(move || replica.run().expect("replica run"));
+    .and_then(Server::spawn)
+    .expect("start golden replica");
     let router = Router::bind(
         "127.0.0.1:0",
-        vec![replica_addr],
+        vec![replica.addr()],
         RouterConfig {
             // Replays on one connection: capacity 1 + the shed probe.
             max_connections: 1,
@@ -453,17 +397,9 @@ fn router_stack() -> RouterStack {
             ..RouterConfig::default()
         },
     )
-    .expect("bind golden router");
-    let addr = router.local_addr().expect("router addr");
-    let router_stop = router.stop_handle();
-    let router_handle = std::thread::spawn(move || router.run().expect("router run"));
-    RouterStack {
-        addr,
-        router_stop,
-        router_handle,
-        replica_stop,
-        replica_handle,
-    }
+    .and_then(Router::spawn)
+    .expect("start golden router");
+    (router, replica)
 }
 
 // ---------------------------------------------------------------------------
@@ -492,16 +428,8 @@ fn assert_deterministic(which: &str, first: &str, second: &str) {
 #[test]
 fn serve_protocol_matches_golden() {
     let corpus = serve_corpus();
-    let (addr_a, stop_a, handle_a) = serve_stack();
-    let first = replay(addr_a, &corpus);
-    stop_a.stop();
-    handle_a.join().expect("server thread");
-
-    let (addr_b, stop_b, handle_b) = serve_stack();
-    let second = replay(addr_b, &corpus);
-    stop_b.stop();
-    handle_b.join().expect("server thread");
-
+    let first = replay(&serve_stack(), &corpus);
+    let second = replay(&serve_stack(), &corpus);
     assert_deterministic("serve", &first, &second);
     check_golden("protocol_serve.golden", &first);
 }
@@ -509,14 +437,8 @@ fn serve_protocol_matches_golden() {
 #[test]
 fn router_protocol_matches_golden() {
     let corpus = router_corpus();
-    let stack_a = router_stack();
-    let first = replay(stack_a.addr, &corpus);
-    stack_a.teardown();
-
-    let stack_b = router_stack();
-    let second = replay(stack_b.addr, &corpus);
-    stack_b.teardown();
-
+    let first = replay(&router_stack().0, &corpus);
+    let second = replay(&router_stack().0, &corpus);
     assert_deterministic("router", &first, &second);
     check_golden("protocol_router.golden", &first);
 }
