@@ -13,9 +13,11 @@
 //!
 //! Phases, written to `BENCH_connection_storm.json`:
 //!
-//! 1. **dial** — helpers each dial their share and sweep it with one
-//!    request in flight per thread; the slow cohort dribbles request
-//!    bytes a few at a time (slowloris-shaped);
+//! 1. **dial** — helpers each hold their share of the cohort
+//!    (`smgcn_loadgen::storm::Cohort`, the same one the
+//!    `connection-storm` scenario holds in-process): sweeps with one
+//!    request in flight per thread, slow writers dribbling request bytes
+//!    a few at a time (slowloris-shaped);
 //! 2. **hold** — once the server's open-connection gauge reaches the
 //!    target, closed-loop lane clients measure request latency through
 //!    the held-open fleet for the measure window;
@@ -31,31 +33,30 @@
 //!                  [--measure-ms N] [--seed N] [--out PATH]
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smgcn_bench::harness::{percentiles_us, synthetic_frozen, synthetic_vocab};
 use smgcn_bench::report::{BenchReport, GateDirection};
+use smgcn_loadgen::scenario::{DIM, N_HERBS, N_SYMPTOMS};
+use smgcn_loadgen::shape::{percentiles_us, synthetic_frozen, synthetic_vocab};
+use smgcn_loadgen::storm::{self, Cohort, StormResult};
+use smgcn_loadgen::StormSpec;
+use smgcn_serve::client::classify;
 use smgcn_serve::json::{self, Json};
-use smgcn_serve::{Server, ServerConfig};
-
-const N_SYMPTOMS: usize = 64;
-const N_HERBS: usize = 256;
-const DIM: usize = 32;
+use smgcn_serve::{LineClient, Server, ServerConfig};
 
 /// Lane clients measuring latency through the held-open fleet.
 const LANE_CLIENTS: usize = 4;
 
 /// Fallback deadline after which an orphaned helper exits on its own.
-const HELPER_ORPHAN_MS: u64 = 120_000;
+const HELPER_ORPHAN: Duration = Duration::from_secs(120);
 
-/// Per-connection read timeout everywhere: a wedged server surfaces as
-/// failed requests, not a hung bench.
-const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// Threads sweeping one helper's share of the cohort.
+const HELPER_SWEEPERS: usize = 4;
 
 struct Args {
     connections: usize,
@@ -108,10 +109,6 @@ fn parse_args() -> Args {
                 helper.get_or_insert_with(HelperArgs::default).slow =
                     value("--helper-slow").parse().expect("numeric helper slow");
             }
-            "--helper-base" => {
-                helper.get_or_insert_with(HelperArgs::default).base =
-                    value("--helper-base").parse().expect("numeric helper base");
-            }
             other => {
                 eprintln!(
                     "error: unknown argument {other:?}\n\
@@ -134,71 +131,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Best-effort `RLIMIT_NOFILE` raise to the hard limit (each process —
-/// server side and every helper — raises its own).
-#[cfg(target_os = "linux")]
-fn raise_nofile_limit() {
-    #[repr(C)]
-    struct Rlimit {
-        cur: u64,
-        max: u64,
-    }
-    extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
-    }
-    const RLIMIT_NOFILE: i32 = 7;
-    let mut lim = Rlimit { cur: 0, max: 0 };
-    // SAFETY: plain-old-data out-param matching the kernel ABI struct.
-    unsafe {
-        if getrlimit(RLIMIT_NOFILE, &mut lim) == 0 && lim.cur < lim.max {
-            lim.cur = lim.max;
-            let _ = setrlimit(RLIMIT_NOFILE, &lim);
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn raise_nofile_limit() {}
-
-/// Resident set size in MiB from `/proc/self/statm` (best effort).
-#[cfg(target_os = "linux")]
-fn rss_mb() -> Option<f64> {
-    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
-    let resident_pages: f64 = statm.split_whitespace().nth(1)?.parse().ok()?;
-    Some(resident_pages * 4096.0 / (1024.0 * 1024.0))
-}
-
-#[cfg(not(target_os = "linux"))]
-fn rss_mb() -> Option<f64> {
-    None
-}
-
-/// A deterministic two-symptom query for cohort connection `i`, sweep
-/// round `round`.
-fn query_line(i: usize, round: usize) -> String {
-    let a = (i * 7 + round) % N_SYMPTOMS;
-    let b = (a + 1 + (round % 3)) % N_SYMPTOMS;
-    if a == b {
-        format!("{{\"symptom_ids\":[{a}],\"k\":10}}")
-    } else {
-        format!("{{\"symptom_ids\":[{a},{b}],\"k\":10}}")
-    }
-}
-
-fn response_ok(line: &str) -> bool {
-    json::parse(line.trim()).is_ok_and(|resp| resp.get("error").is_none())
-}
-
-/// One fd per held connection: reads through the `BufReader`, writes
-/// through `get_mut()`.
-fn dial(front: SocketAddr) -> std::io::Result<BufReader<TcpStream>> {
-    let stream = TcpStream::connect(front)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    Ok(BufReader::new(stream))
-}
-
 // ---------------------------------------------------------------------
 // Helper mode: the client end of a slice of the storm.
 // ---------------------------------------------------------------------
@@ -207,7 +139,6 @@ struct HelperArgs {
     addr: SocketAddr,
     conns: usize,
     slow: usize,
-    base: usize,
 }
 
 impl Default for HelperArgs {
@@ -216,152 +147,30 @@ impl Default for HelperArgs {
             addr: "127.0.0.1:0".parse().expect("placeholder addr"),
             conns: 0,
             slow: 0,
-            base: 0,
         }
     }
 }
 
-/// Sweeps `conns` held connections round-robin until `stop`.
-fn sweep_loop(
-    front: SocketAddr,
-    share: usize,
-    base_index: usize,
-    opened: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
-    deadline: Instant,
-) -> (usize, usize) {
-    let mut conns = Vec::with_capacity(share);
-    for i in 0..share {
-        if let Ok(reader) = dial(front) {
-            opened.fetch_add(1, Ordering::Relaxed);
-            conns.push((base_index + i, reader));
-        }
-    }
-    let (mut executed, mut failures) = (0usize, 0usize);
-    let mut line = String::new();
-    let mut round = 0usize;
-    'sweep: loop {
-        for (index, reader) in &mut conns {
-            if stop.load(Ordering::Relaxed) || Instant::now() >= deadline {
-                break 'sweep;
-            }
-            executed += 1;
-            let ok = (|| {
-                writeln!(reader.get_mut(), "{}", query_line(*index, round)).ok()?;
-                line.clear();
-                reader.read_line(&mut line).ok()?;
-                response_ok(&line).then_some(())
-            })()
-            .is_some();
-            if !ok {
-                failures += 1;
-            }
-        }
-        if conns.is_empty() {
-            break;
-        }
-        round += 1;
-        // Held-open is the point, not throughput.
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    (executed, failures)
-}
-
-/// Dribbles every slow connection's request a few bytes at a time with
-/// sleeps between chunk rounds, wave after wave, until `stop`.
-fn slow_loop(
-    front: SocketAddr,
-    share: usize,
-    base_index: usize,
-    opened: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
-    deadline: Instant,
-) -> (usize, usize) {
-    const CHUNK: usize = 3;
-    let mut conns = Vec::with_capacity(share);
-    for i in 0..share {
-        if let Ok(reader) = dial(front) {
-            opened.fetch_add(1, Ordering::Relaxed);
-            conns.push((base_index + i, reader));
-        }
-    }
-    let (mut executed, mut failures) = (0usize, 0usize);
-    let mut line = String::new();
-    let mut round = 0usize;
-    while !stop.load(Ordering::Relaxed) && Instant::now() < deadline && !conns.is_empty() {
-        let payloads: Vec<Vec<u8>> = conns
-            .iter()
-            .map(|(index, _)| {
-                let mut bytes = query_line(*index, round).into_bytes();
-                bytes.push(b'\n');
-                bytes
-            })
-            .collect();
-        let longest = payloads.iter().map(Vec::len).max().unwrap_or(0);
-        let mut offset = 0;
-        while offset < longest {
-            for ((_, reader), payload) in conns.iter_mut().zip(&payloads) {
-                let end = (offset + CHUNK).min(payload.len());
-                if offset < end {
-                    let _ = reader.get_mut().write_all(&payload[offset..end]);
-                }
-            }
-            offset += CHUNK;
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for (_, reader) in &mut conns {
-            executed += 1;
-            line.clear();
-            let ok = reader.read_line(&mut line).is_ok() && response_ok(&line);
-            if !ok {
-                failures += 1;
-            }
-        }
-        round += 1;
-    }
-    (executed, failures)
-}
-
-/// Helper process body: dial the slice, hold + sweep until the
-/// orchestrator writes a line to stdin (or the orphan deadline), then
-/// print the ledger as one JSON line and exit.
+/// Helper process body: hold the slice until the orchestrator writes a
+/// line to stdin (or the orphan deadline), then print the ledger as one
+/// JSON line and exit.
 fn run_helper(args: &HelperArgs) {
-    raise_nofile_limit();
-    let opened = Arc::new(AtomicUsize::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let deadline = Instant::now() + Duration::from_millis(HELPER_ORPHAN_MS);
-    let fast = args.conns.saturating_sub(args.slow);
-    let sweepers = 4usize.min(fast.max(1));
-    let mut handles = Vec::new();
-    for t in 0..sweepers {
-        let share = fast / sweepers + usize::from(t < fast % sweepers);
-        let base = args.base + t * (fast / sweepers + 1);
-        let (front, opened, stop) = (args.addr, Arc::clone(&opened), Arc::clone(&stop));
-        handles.push(std::thread::spawn(move || {
-            sweep_loop(front, share, base, opened, stop, deadline)
-        }));
-    }
-    if args.slow > 0 {
-        let (front, opened, stop) = (args.addr, Arc::clone(&opened), Arc::clone(&stop));
-        let (share, base) = (args.slow, args.base + fast);
-        handles.push(std::thread::spawn(move || {
-            slow_loop(front, share, base, opened, stop, deadline)
-        }));
-    }
+    let spec = StormSpec {
+        connections: args.conns,
+        openers: HELPER_SWEEPERS,
+        slow_writers: args.slow,
+        ..StormSpec::default()
+    };
+    let cohort = Cohort::hold(args.addr, &spec, Instant::now() + HELPER_ORPHAN);
     // Block on the stop signal: any line (or EOF, if the orchestrator
     // died) releases the fleet.
     let mut signal = String::new();
     let _ = std::io::stdin().read_line(&mut signal);
-    stop.store(true, Ordering::Relaxed);
-    let (mut executed, mut failures) = (0usize, 0usize);
-    for handle in handles {
-        let (e, f) = handle.join().expect("helper thread");
-        executed += e;
-        failures += f;
-    }
+    cohort.release();
+    let ledger = cohort.join();
     println!(
-        "{{\"opened\":{},\"executed\":{executed},\"failures\":{failures}}}",
-        opened.load(Ordering::Relaxed)
+        "{{\"opened\":{},\"executed\":{},\"failures\":{}}}",
+        ledger.opened, ledger.executed, ledger.failures
     );
 }
 
@@ -372,12 +181,11 @@ fn run_helper(args: &HelperArgs) {
 /// Closed-loop lane client measuring request latency through the
 /// held-open fleet. Waits for `go`, stops on `stop`.
 fn lane_client(
-    front: SocketAddr,
+    mut client: LineClient,
     seed: u64,
     go: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
 ) -> (Vec<f64>, usize) {
-    let mut reader = dial(front).expect("lane connect");
     while !go.load(Ordering::Relaxed) {
         if stop.load(Ordering::Relaxed) {
             return (Vec::new(), 0);
@@ -385,35 +193,22 @@ fn lane_client(
         std::thread::sleep(Duration::from_millis(2));
     }
     let (mut latencies, mut failed) = (Vec::new(), 0usize);
-    let mut line = String::new();
     let mut i = seed as usize;
     while !stop.load(Ordering::Relaxed) {
         i = i
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         let t0 = Instant::now();
-        let ok = (|| {
-            writeln!(reader.get_mut(), "{}", query_line(i >> 33, i >> 13)).ok()?;
-            line.clear();
-            reader.read_line(&mut line).ok()?;
-            response_ok(&line).then_some(())
-        })()
-        .is_some();
+        let reply = classify(client.ask(&storm::query_line(i >> 33, i >> 13)));
         latencies.push(t0.elapsed().as_secs_f64());
-        if !ok {
+        if reply.is_err() {
             failed += 1;
         }
     }
     (latencies, failed)
 }
 
-struct HelperLedger {
-    opened: usize,
-    executed: usize,
-    failures: usize,
-}
-
-fn spawn_helper(addr: SocketAddr, conns: usize, slow: usize, base: usize) -> Child {
+fn spawn_helper(addr: SocketAddr, conns: usize, slow: usize) -> Child {
     let exe = std::env::current_exe().expect("current exe");
     Command::new(exe)
         .arg("--helper-addr")
@@ -422,15 +217,14 @@ fn spawn_helper(addr: SocketAddr, conns: usize, slow: usize, base: usize) -> Chi
         .arg(conns.to_string())
         .arg("--helper-slow")
         .arg(slow.to_string())
-        .arg("--helper-base")
-        .arg(base.to_string())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn storm helper")
 }
 
-fn stop_helper(mut child: Child) -> HelperLedger {
+/// Releases one helper's slice and reads back the ledger it prints.
+fn stop_helper(mut child: Child) -> StormResult {
     if let Some(stdin) = child.stdin.as_mut() {
         let _ = stdin.write_all(b"stop\n");
     }
@@ -445,16 +239,18 @@ fn stop_helper(mut child: Child) -> HelperLedger {
             .and_then(Json::as_num)
             .unwrap_or_else(|| panic!("helper ledger missing {name}: {text}")) as usize
     };
-    HelperLedger {
+    StormResult {
         opened: field("opened"),
         executed: field("executed"),
         failures: field("failures"),
+        rss_growth_mb: None,
     }
 }
 
 fn main() {
     let args = parse_args();
-    raise_nofile_limit();
+    // The server's end of every socket lives in this process.
+    storm::raise_nofile_limit();
     println!("=== smgcn connection_storm ===");
     println!(
         "connections: {} ({} slow writers) across {} helper processes | \
@@ -467,7 +263,7 @@ fn main() {
         args.connections + 256
     );
 
-    let rss_before = rss_mb();
+    let rss_before = storm::rss_mb();
     let server = Server::bind(
         "127.0.0.1:0",
         synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, args.seed),
@@ -484,13 +280,11 @@ fn main() {
     // Dial phase: helpers split the cohort (and the slow share) evenly.
     let t_dial = Instant::now();
     let mut children = Vec::new();
-    let mut base = 0usize;
     for h in 0..args.helpers {
         let conns =
             args.connections / args.helpers + usize::from(h < args.connections % args.helpers);
         let slow = args.slow / args.helpers + usize::from(h < args.slow % args.helpers);
-        children.push(spawn_helper(server.addr(), conns, slow, base));
-        base += conns;
+        children.push(spawn_helper(server.addr(), conns, slow));
     }
 
     // Hold phase: wait for the server's own open-connection gauge to
@@ -501,8 +295,9 @@ fn main() {
     let lanes: Vec<_> = (0..LANE_CLIENTS)
         .map(|c| {
             let (go, stop) = (Arc::clone(&go), Arc::clone(&stop));
-            let (front, seed) = (server.addr(), args.seed ^ (c as u64 * 0x9e37));
-            std::thread::spawn(move || lane_client(front, seed, go, stop))
+            let client = server.client().expect("lane connect");
+            let seed = args.seed ^ (c as u64 * 0x9e37);
+            std::thread::spawn(move || lane_client(client, seed, go, stop))
         })
         .collect();
     let mut peak_open = 0u64;
@@ -529,7 +324,7 @@ fn main() {
         peak_open = peak_open.max(open_gauge.get());
         std::thread::sleep(Duration::from_millis(5));
     }
-    let rss_held = rss_mb();
+    let rss_held = storm::rss_mb();
     stop.store(true, Ordering::Relaxed);
 
     // Teardown: stop the lane, then the helpers, then the server.

@@ -35,16 +35,14 @@
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use smgcn_bench::harness::{synthetic_frozen, synthetic_vocab};
 use smgcn_bench::report::{BenchReport, GateDirection};
 use smgcn_experiment::{SplitPlan, DEFAULT_SPLIT_SEED};
+use smgcn_loadgen::scenario::{DIM, N_HERBS, N_SYMPTOMS};
+use smgcn_loadgen::shape::{synthetic_frozen, synthetic_vocab};
 use smgcn_obs::tsdb::{Scraper, TsdbData};
 use smgcn_serve::server::flatten_metrics_json;
 use smgcn_serve::{artifact, json, LineClient, Server, ServerConfig};
 
-const N_SYMPTOMS: usize = 64;
-const N_HERBS: usize = 256;
-const DIM: usize = 32;
 const K: usize = 10;
 
 /// Connect, read and write bound of every bench client: a hung server

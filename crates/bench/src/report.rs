@@ -7,13 +7,13 @@
 //! ```text
 //! {
 //!   "schema_version": 1,
-//!   "bench": "train_throughput",        // benchmark name
+//!   "bench": "online_refresh",          // benchmark name
 //!   "scale": "mid",                     // corpus/model scale label
 //!   "seed": 2020,
 //!   "hardware": {"arch": ..., "os": ..., "threads": N},
 //!   "replay": {"bin": ..., "args": [...]},   // how to reproduce this run
-//!   "metrics": {"speedup": 3.87, ...},       // flat name -> number map
-//!   "gates": {"speedup": "higher", ...},     // which metrics bench-gate checks
+//!   "metrics": {"epochs_ratio": 0.2, ...},   // flat name -> number map
+//!   "gates": {"epochs_ratio": "lower", ...}, // which metrics bench-gate checks
 //!   "extra": {...}                           // free-form context, never gated
 //! }
 //! ```
@@ -73,7 +73,7 @@ impl GateDirection {
 /// One benchmark run in the unified schema.
 #[derive(Clone, Debug)]
 pub struct BenchReport {
-    /// Benchmark name (`train_throughput`, `serve_latency`, ...).
+    /// Benchmark name (`online_refresh`, `connection_storm`, ...).
     pub bench: String,
     /// Scale label the run was measured at (`small`, `mid`, `smoke`, ...).
     pub scale: String,

@@ -33,8 +33,8 @@
 //!
 //! The multi-process failover test (`tests/cluster_failover.rs` at the
 //! workspace root) kills a replica and rolls a publish mid-load with
-//! zero failed client requests; the `cluster_scaling` bench records qps
-//! vs replica count and failover recovery into `BENCH_cluster.json`.
+//! zero failed client requests; the `replica-kill` loadgen scenario
+//! times the ejection, the benchmark's `routed_unique` the router hop.
 
 #![warn(missing_docs)]
 

@@ -55,8 +55,8 @@ pub use config::{LossKind, ModelConfig, TrainConfig};
 pub use embedding::{EmbeddingLayer, ForwardCtx};
 pub use model::{top_k_indices, Recommender, SmgcnEmbedding};
 pub use trainer::{
-    set_epoch_observer, train, train_unpooled, train_until, train_with_callback, EpochObserver,
-    EpochPhases, EpochStats, TrainingHistory,
+    set_epoch_observer, train, train_until, train_with_callback, EpochObserver, EpochPhases,
+    EpochStats, TrainingHistory,
 };
 pub use zoo::{build_model, ModelKind};
 
@@ -65,8 +65,6 @@ pub mod prelude {
     pub use crate::config::{LossKind, ModelConfig, TrainConfig};
     pub use crate::embedding::{EmbeddingLayer, ForwardCtx};
     pub use crate::model::{top_k_indices, Recommender};
-    pub use crate::trainer::{
-        train, train_unpooled, train_until, train_with_callback, TrainingHistory,
-    };
+    pub use crate::trainer::{train, train_until, train_with_callback, TrainingHistory};
     pub use crate::zoo::{build_model, ModelKind};
 }

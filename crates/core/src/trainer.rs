@@ -1,5 +1,9 @@
 //! The training loop: Adam + weighted multi-label loss over shuffled
 //! mini-batches of prescriptions (§IV-E).
+//!
+//! One path trains: every tape and gradient buffer comes from a
+//! step-scoped pool. The unpooled path survives only under
+//! `#[cfg(test)]`, as the oracle that pooling changes no bit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -118,9 +122,9 @@ impl TrainingHistory {
 /// The hot loop draws every tape and gradient buffer from a step-scoped
 /// [`BufferPool`]: after the first step has populated the pool, steady-
 /// state steps perform no heap allocation for tensor data. Pooling is
-/// bit-for-bit neutral — [`train_unpooled`] runs the identical
-/// computation without the pool and the test suite asserts equal
-/// histories.
+/// bit-for-bit neutral: this module's tests run the identical
+/// computation without the pool (`train_unpooled`) and assert equal
+/// histories and parameters.
 pub fn train_with_callback(
     model: &mut Recommender,
     train: &Corpus,
@@ -161,10 +165,11 @@ pub fn train_until(
 }
 
 /// Reference training path that allocates fresh buffers for every tape op
-/// (the pre-pooling behavior). Exists for validation — it must produce a
-/// bit-identical [`TrainingHistory`] to [`train`] — and as the baseline
-/// for the `train_throughput` benchmark.
-pub fn train_unpooled(
+/// (the pre-pooling behavior): the oracle of
+/// `pooled_training_is_bit_identical_to_unpooled`, which holds it to a
+/// bit-identical [`TrainingHistory`] and parameters against [`train`].
+#[cfg(test)]
+pub(crate) fn train_unpooled(
     model: &mut Recommender,
     train: &Corpus,
     cfg: &TrainConfig,

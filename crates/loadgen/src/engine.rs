@@ -14,7 +14,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smgcn_bench::harness::{percentiles_us, synthetic_frozen, synthetic_vocab};
 use smgcn_cluster::{PoolConfig, Router, RouterConfig};
 use smgcn_obs::alert::evaluate_series;
 use smgcn_obs::tsdb::{unix_ms_now, Scraper, SeriesEncoder, TsdbData};
@@ -30,6 +29,7 @@ use crate::scenario::{
     scrape_interval_ms, ChaosAction, ScenarioKind, Topology, Workload, CANDIDATE, DIM, N_HERBS,
     N_SYMPTOMS,
 };
+use crate::shape::{percentiles_us, synthetic_frozen, synthetic_vocab};
 use crate::slo::{evaluate, GenCheck, SloInputs};
 
 /// Cap on collected violation samples (the verdict only needs a few).
@@ -633,13 +633,36 @@ enum ControlItem {
     Chaos(ChaosAction),
 }
 
+/// A replica the chaos plan killed, as the detection timing needs it:
+/// whose `eject` to look for in the router's journal, and from when.
+struct Kill {
+    label: String,
+    addr: SocketAddr,
+    at_unix_ms: u64,
+}
+
+/// Milliseconds from `kill` to the first `eject` the router journaled
+/// for that replica (its wall-clock stamps, so whole milliseconds);
+/// `None` when the captured journal holds no such event.
+fn detect_ms(events: Option<&Json>, kill: &Kill) -> Option<f64> {
+    let victim = format!("{}:", kill.addr);
+    let after_kill = |event: &Json| {
+        let ejected_victim = event.get("kind")?.as_str()? == "eject"
+            && event.get("detail")?.as_str()?.starts_with(&victim);
+        let ms = event.get("unix_ms")?.as_num()? - kill.at_unix_ms as f64;
+        (ejected_victim && ms >= 0.0).then_some(ms)
+    };
+    let journal = events?.get("router")?.as_arr()?;
+    journal.iter().filter_map(after_kill).reduce(f64::min)
+}
+
 /// Executes the merged ingest + chaos timeline; returns the ingest
-/// counters and each chaos action's measured duration.
+/// counters, each chaos action's measured duration and the kills.
 fn control_lane(
     workload: &Workload,
     stack: &mut Stack,
     start: Instant,
-) -> (WorkerResult, Vec<(String, f64)>) {
+) -> (WorkerResult, Vec<(String, f64)>, Vec<Kill>) {
     let mut timeline: Vec<(u64, ControlItem)> = workload
         .schedule
         .ingest_lane()
@@ -666,6 +689,7 @@ fn control_lane(
         generations: BTreeSet::new(),
     };
     let mut timings = Vec::new();
+    let mut kills = Vec::new();
     for (at_us, item) in timeline {
         let target = start + Duration::from_micros(at_us);
         let now = Instant::now();
@@ -693,6 +717,11 @@ fn control_lane(
                 match action {
                     ChaosAction::KillReplica(i) => {
                         if let Some(victim) = stack.replicas.get_mut(i).and_then(Option::take) {
+                            kills.push(Kill {
+                                label: action.describe(),
+                                addr: victim.addr(),
+                                at_unix_ms: unix_ms_now(),
+                            });
                             victim.shutdown().expect("victim loop");
                         }
                     }
@@ -788,7 +817,7 @@ fn control_lane(
             }
         }
     }
-    (result, timings)
+    (result, timings, kills)
 }
 
 /// Runs one planned workload end to end and returns the report.
@@ -852,7 +881,7 @@ pub fn run(workload: &Workload) -> ScenarioReport {
         std::thread::spawn(move || crate::storm::run(front, &spec, hold_until))
     });
 
-    let (control_result, chaos_timings) = control_lane(&workload, &mut stack, run_start);
+    let (control_result, mut chaos_timings, kills) = control_lane(&workload, &mut stack, run_start);
 
     let mut latencies = Vec::new();
     let mut executed = control_result.executed;
@@ -905,6 +934,17 @@ pub fn run(workload: &Workload) -> ScenarioReport {
     let metrics_after = fetch_admin(stack.front(), "metrics");
     let events_after = fetch_admin(stack.front(), "events");
     let profile_after = fetch_admin(stack.front(), "profile");
+    // Failover detection is the router's own record: the kill → first
+    // `eject` interval, read from the journal captured just above.
+    for kill in &kills {
+        match detect_ms(events_after.as_ref().map(|(_, parsed)| parsed), kill) {
+            Some(ms) => chaos_timings.push((format!("{}-detect", kill.label), ms)),
+            None => validation.violation(format!(
+                "{}: the router journaled no eject of {} after the kill",
+                kill.label, kill.addr
+            )),
+        }
+    }
     // Experiment scenarios also capture the fleet's A/B comparison
     // report (per-variant rates + interleaving verdict) before teardown
     // — duel samples and variant counters survive the halt, so the
@@ -1025,4 +1065,41 @@ pub fn run_scenario(
     config: &crate::scenario::ScenarioConfig,
 ) -> ScenarioReport {
     run(&crate::scenario::build(kind, config))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn detection_is_the_victims_first_eject_after_the_kill() {
+        let kill = Kill {
+            label: "kill-replica-0".to_string(),
+            addr: "127.0.0.1:4001".parse().unwrap(),
+            at_unix_ms: 1_000,
+        };
+        let journal = |events: &[(&str, u64, &str)]| {
+            let events = events.iter().map(|(kind, at, detail)| {
+                json::obj([
+                    ("unix_ms", Json::Num(*at as f64)),
+                    ("kind", Json::Str(kind.to_string())),
+                    ("detail", Json::Str(detail.to_string())),
+                ])
+            });
+            json::obj([("router", Json::Arr(events.collect()))])
+        };
+        let seen = journal(&[
+            ("eject", 900, "127.0.0.1:4001: transport"), // before the kill
+            ("eject", 1_004, "127.0.0.1:4002: transport"), // another replica
+            ("recover", 1_005, "127.0.0.1:4001"),
+            ("eject", 1_007, "127.0.0.1:4001: probe"),
+            ("eject", 1_300, "127.0.0.1:4001: transport"),
+        ]);
+        assert_eq!(detect_ms(Some(&seen), &kill), Some(7.0));
+        // No eject of the victim after the kill, or no journal at all:
+        // the caller turns `None` into an SLO violation, never a 0.
+        let unseen = journal(&[("eject", 1_004, "127.0.0.1:4002: transport")]);
+        assert_eq!(detect_ms(Some(&unseen), &kill), None);
+        assert_eq!(detect_ms(None, &kill), None);
+    }
 }

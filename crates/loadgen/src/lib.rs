@@ -12,6 +12,11 @@
 //!   and their deterministic construction, including each scenario's
 //!   seeded fault-injection plan (the `fault-storm` scenario installs
 //!   one via `smgcn-faults`);
+//! - [`shape`] — what every load is built from: the tagged synthetic
+//!   model and vocabulary, the hot-pool index draw, and the p50/p99
+//!   rule. The `smgcn-bench` bins that drive a server take theirs from
+//!   here too — the load generator is the library, the benches are its
+//!   callers;
 //! - [`schedule`] — the request schedule: generated single-threaded
 //!   from the seed, byte-identical across runs and thread counts,
 //!   fingerprinted (FNV-1a) into every report;
@@ -24,7 +29,9 @@
 //!   fires the chaos plan, measures;
 //! - [`storm`] — the connection-storm cohort: 10k+ persistent
 //!   keep-alive connections plus a slow-writer sub-cohort, held open
-//!   against the reactor server for the whole window;
+//!   against the reactor server until a stop flag or a deadline (the
+//!   `connection-storm` scenario holds it in this process, the
+//!   `connection_storm` bench in helper processes);
 //! - [`report`] — the machine-readable scenario report, split into a
 //!   deterministic `workload` section (byte-identical per seed) and a
 //!   `measured` section (wall-clock truth, varies run to run).
@@ -39,6 +46,7 @@ pub mod engine;
 pub mod report;
 pub mod scenario;
 pub mod schedule;
+pub mod shape;
 pub mod slo;
 pub mod storm;
 

@@ -9,11 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smgcn_bench::harness::zipf_index;
 use smgcn_faults::{sites, FaultAction, FaultPlan};
 use smgcn_obs::alert::{SloRule, SLOW_PAIR};
 
 use crate::schedule::{Op, Request, Schedule};
+use crate::shape::zipf_index;
 use crate::slo::{GenCheck, Slo};
 
 /// Symptom-vocabulary width of the synthetic serving topologies.

@@ -155,3 +155,33 @@ fn executed_runs_reproduce_the_deterministic_report() {
         history.series_names()
     );
 }
+
+/// `replica-kill` reports failover detection — the kill → first-`eject`
+/// interval from the router's journal — as a measurement: present in
+/// `measured.chaos_timings`, absent from the deterministic section. (A
+/// router that never ejected would be an SLO violation, not a silent 0.)
+#[test]
+fn replica_kill_measures_detection_outside_the_deterministic_section() {
+    let config = ScenarioConfig {
+        measure_ms: 600,
+        workers: 4,
+        ..ScenarioConfig::default()
+    };
+    let report = smgcn_loadgen::run_scenario(ScenarioKind::ReplicaKill, &config);
+    assert!(
+        report.verdict.passed(),
+        "replica-kill smoke violated its SLO: {:?}",
+        report.verdict.violations
+    );
+    let timings = &report.measured.chaos_timings;
+    let detect = timings
+        .iter()
+        .find(|(label, _)| label == "kill-replica-0-detect")
+        .map(|(_, ms)| *ms);
+    assert!(
+        detect.is_some_and(|ms| (0.0..600.0).contains(&ms)),
+        "kill -> eject interval missing or outside the 600 ms run: {timings:?}"
+    );
+    assert!(report.to_json_string().contains("kill-replica-0-detect"));
+    assert!(!report.workload_json().contains("detect"));
+}

@@ -33,9 +33,10 @@
 //! code paths (MR blocks and remainder rows) share one semantics, so
 //! tiled results never depend on the thread count, non-finite or not.
 //!
-//! [`set_reference_kernels`] flips every product back to the naive loops
-//! at runtime; the `train_throughput` benchmark uses it to measure the
-//! tiled kernels against the pre-tiling baseline inside one process.
+//! The naive loops are the oracle, not a mode: each product is one
+//! function with no run-time dispatch, and the reference kernels are
+//! reachable only by name (`Matrix::*_reference`), for the tests that
+//! compare against them.
 //!
 //! ## Packing once: the serving kernels
 //!
@@ -68,7 +69,6 @@
 //! that checks the CPU feature and every length the pointers rely on.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::matrix::Matrix;
 use crate::par;
@@ -83,22 +83,6 @@ const SIMD_ROWS: usize = 8;
 /// AVX-512 main tile (two 16-wide panels). See [`Tier::for_cols`].
 const SIMD_MIN_COLS: usize = 32;
 
-static REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
-
-/// Routes all dense products through the naive reference loops (`true`)
-/// or the register-tiled kernels (`false`, the default).
-///
-/// The switch exists so benchmarks can compare both inside one process;
-/// results are bit-identical either way, only speed changes.
-pub fn set_reference_kernels(on: bool) {
-    REFERENCE_KERNELS.store(on, Ordering::Relaxed);
-}
-
-/// True when [`set_reference_kernels`] forced the naive loops.
-pub fn reference_kernels_enabled() -> bool {
-    REFERENCE_KERNELS.load(Ordering::Relaxed)
-}
-
 thread_local! {
     /// Scratch for packed right-hand-side panels, reused across calls so
     /// steady-state training performs no pack allocations.
@@ -111,16 +95,6 @@ pub(crate) fn matmul_into(lhs: &[f32], m: usize, k: usize, rhs: &[f32], n: usize
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if reference_kernels_enabled() {
-        matmul_reference_into(lhs, m, k, rhs, n, out);
-    } else {
-        matmul_tiled_into(lhs, m, k, rhs, n, out);
-    }
-}
-
-/// The tiled `A @ B` path, bypassing the runtime kernel switch (tests
-/// compare it against the reference directly, immune to the global flag).
-fn matmul_tiled_into(lhs: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
     if m == 0 || n == 0 {
         return;
     }
@@ -149,22 +123,6 @@ pub(crate) fn matmul_transb_into(
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    if reference_kernels_enabled() {
-        matmul_transb_reference_into(lhs, m, k, rhs, n, out);
-    } else {
-        matmul_transb_tiled_into(lhs, m, k, rhs, n, out);
-    }
-}
-
-/// The tiled `A @ B^T` path, bypassing the runtime kernel switch.
-fn matmul_transb_tiled_into(
-    lhs: &[f32],
-    m: usize,
-    k: usize,
-    rhs: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
     if m == 0 || n == 0 {
         return;
     }
@@ -194,22 +152,6 @@ pub(crate) fn matmul_transa_into(
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), m * n);
     debug_assert_eq!(out.len(), k * n);
-    if reference_kernels_enabled() {
-        matmul_transa_reference_into(lhs, m, k, rhs, n, out);
-    } else {
-        matmul_transa_tiled_into(lhs, m, k, rhs, n, out);
-    }
-}
-
-/// The tiled `A^T @ B` path, bypassing the runtime kernel switch.
-fn matmul_transa_tiled_into(
-    lhs: &[f32],
-    m: usize,
-    k: usize,
-    rhs: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
     if k == 0 || n == 0 {
         return;
     }
@@ -384,8 +326,7 @@ const BLOCK_COLS_MAX: usize = 512;
 /// two differ by at most the rounding of `k` steps — serving is exact
 /// per packed value, not across hosts of different tiers.
 ///
-/// [`set_reference_kernels`] does **not** apply: there is no row-major
-/// operand left for the naive loops to walk. [`unpack`](Self::unpack) /
+/// [`unpack`](Self::unpack) /
 /// [`unpack_transposed`](Self::unpack_transposed) recover the original
 /// matrix exactly on every tier.
 #[derive(Clone)]
@@ -1009,7 +950,7 @@ fn transa_chunk(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, chunk: 
 
 // ---------------------------------------------------------------------------
 // Reference kernels: the pre-tiling loops, byte-for-byte the same results.
-// Kept callable for property tests and as the benchmark baseline.
+// Kept callable as the oracle of the property tests.
 // ---------------------------------------------------------------------------
 
 /// Naive i-k-j product (the pre-tiling `Matrix::matmul` loop).
@@ -1117,9 +1058,7 @@ mod tests {
             let b = mat(k, n, |i| pseudo(i + 7));
             let mut tiled = vec![f32::NAN; m * n];
             let mut naive = vec![f32::NAN; m * n];
-            // Tiled path invoked directly so a concurrently-running
-            // `reference_switch_round_trips` cannot make this vacuous.
-            matmul_tiled_into(&a, m, k, &b, n, &mut tiled);
+            matmul_into(&a, m, k, &b, n, &mut tiled);
             matmul_reference_into(&a, m, k, &b, n, &mut naive);
             assert!(
                 tiled
@@ -1138,7 +1077,7 @@ mod tests {
             let b = mat(n, k, |i| pseudo(i + 3));
             let mut tiled = vec![f32::NAN; m * n];
             let mut naive = vec![f32::NAN; m * n];
-            matmul_transb_tiled_into(&a, m, k, &b, n, &mut tiled);
+            matmul_transb_into(&a, m, k, &b, n, &mut tiled);
             matmul_transb_reference_into(&a, m, k, &b, n, &mut naive);
             assert!(
                 tiled
@@ -1157,7 +1096,7 @@ mod tests {
             let g = mat(m, n, |i| pseudo(i + 11));
             let mut tiled = vec![f32::NAN; k * n];
             let mut naive = vec![f32::NAN; k * n];
-            matmul_transa_tiled_into(&a, m, k, &g, n, &mut tiled);
+            matmul_transa_into(&a, m, k, &g, n, &mut tiled);
             matmul_transa_reference_into(&a, m, k, &g, n, &mut naive);
             assert!(
                 tiled
@@ -1205,14 +1144,5 @@ mod tests {
             refused(&[1.0; 9 * 5], 9, &panels, 9 * 3 * w),
             "too many rows"
         );
-    }
-
-    #[test]
-    fn reference_switch_round_trips() {
-        assert!(!reference_kernels_enabled());
-        set_reference_kernels(true);
-        assert!(reference_kernels_enabled());
-        set_reference_kernels(false);
-        assert!(!reference_kernels_enabled());
     }
 }

@@ -67,7 +67,7 @@ pub mod pool;
 pub mod sparse;
 pub mod tape;
 
-pub use gemm::{reference_kernels_enabled, set_reference_kernels, PackedRhs, Tier, Tile};
+pub use gemm::{PackedRhs, Tier, Tile};
 pub use matrix::Matrix;
 pub use pool::{BufferPool, PoolStats};
 pub use sparse::{CsrMatrix, SharedCsr};

@@ -10,7 +10,7 @@
 //! loop, bit for bit), `mul` then `add` on the scalar tier (== `matmul`,
 //! bit for bit).
 
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 use proptest::prelude::*;
 use smgcn_tensor::init::seeded_rng;
@@ -30,6 +30,22 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
+/// The shapes one case of a tiled-vs-reference property checks: the
+/// drawn triple, its degenerate variants (a 1 in each slot: row vectors,
+/// column vectors, non-multiples of the tile) and — on the property's
+/// first case only, it is far larger than the rest together — the shape
+/// paper-scale training runs this product at (the ones the benchmark's
+/// `train_paper` probes: 1113 = 360 + 753 nodes, batch 1024, 753 herbs).
+fn shapes_with_training(
+    (m, k, n): (usize, usize, usize),
+    training: (usize, usize, usize),
+    first_case: &Once,
+) -> Vec<(usize, usize, usize)> {
+    let mut shapes = vec![(m, k, n), (1, k, n), (m, 1, n), (m, k, 1)];
+    first_case.call_once(|| shapes.push(training));
+    shapes
+}
+
 fn assert_bits_equal(a: &Matrix, b: &Matrix, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
     for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
@@ -42,12 +58,12 @@ fn assert_bits_equal(a: &Matrix, b: &Matrix, what: &str) {
 }
 
 proptest! {
-    /// Tiled `A @ B` == naive `A @ B`, including 1xN / Nx1 / odd shapes.
+    /// Tiled `A @ B` == naive `A @ B`, including 1xN / Nx1 / odd shapes
+    /// and a GCN layer's `1113x64 @ 64x128`.
     #[test]
     fn tiled_matmul_is_bit_identical(m in 1usize..34, k in 1usize..34, n in 1usize..34, seed in 0u64..500) {
-        // The drawn triple plus its degenerate variants (1 in each slot)
-        // covers row vectors, column vectors and non-multiple-of-tile dims.
-        for (m, k, n) in [(m, k, n), (1, k, n), (m, 1, n), (m, k, 1)] {
+        static FIRST: Once = Once::new();
+        for (m, k, n) in shapes_with_training((m, k, n), (1113, 64, 128), &FIRST) {
             let a = random_matrix(m, k, seed);
             let b = random_matrix(k, n, seed ^ 0x9e37);
             assert_bits_equal(
@@ -58,10 +74,12 @@ proptest! {
         }
     }
 
-    /// Tiled `A @ B^T` == naive `A @ B^T`.
+    /// Tiled `A @ B^T` == naive `A @ B^T`, including the prediction
+    /// layer's `1024x256 @ (753x256)^T`.
     #[test]
     fn tiled_transb_is_bit_identical(m in 1usize..34, k in 1usize..34, n in 1usize..34, seed in 0u64..500) {
-        for (m, k, n) in [(m, k, n), (1, k, n), (m, 1, n), (m, k, 1)] {
+        static FIRST: Once = Once::new();
+        for (m, k, n) in shapes_with_training((m, k, n), (1024, 256, 753), &FIRST) {
             let a = random_matrix(m, k, seed);
             let b = random_matrix(n, k, seed ^ 0x51f1);
             assert_bits_equal(
@@ -72,10 +90,12 @@ proptest! {
         }
     }
 
-    /// Tiled `A^T @ B` == naive `A^T @ B` == transpose-then-matmul.
+    /// Tiled `A^T @ B` == naive `A^T @ B` == transpose-then-matmul,
+    /// including the backward pass's `(1024x256)^T @ 1024x753`.
     #[test]
     fn tiled_transa_is_bit_identical(m in 1usize..34, k in 1usize..34, n in 1usize..34, seed in 0u64..500) {
-        for (m, k, n) in [(m, k, n), (1, k, n), (m, 1, n), (m, k, 1)] {
+        static FIRST: Once = Once::new();
+        for (m, k, n) in shapes_with_training((m, k, n), (1024, 256, 753), &FIRST) {
             let a = random_matrix(m, k, seed);
             let g = random_matrix(m, n, seed ^ 0x2bad);
             let tiled = a.matmul_transa(&g);

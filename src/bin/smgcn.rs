@@ -121,8 +121,10 @@ use smgcn_repro::eval::train_config_for;
 use smgcn_repro::graph::GraphOperators;
 use smgcn_repro::prelude::*;
 
-fn usage() -> ! {
-    eprintln!(
+fn usage_text() -> String {
+    use smgcn_repro::loadgen::ScenarioKind;
+    let scenarios: Vec<&str> = ScenarioKind::all().iter().map(|k| k.name()).collect();
+    format!(
         "usage:\n  smgcn generate  --out FILE [--scale smoke|paper] [--seed N]\n  \
          smgcn train     --corpus FILE --out FILE [--model NAME] [--epochs N] [--lr F] [--l2 F] [--seed N]\n  \
          smgcn eval      --corpus FILE --model-file FILE [--model NAME]\n  \
@@ -143,14 +145,24 @@ fn usage() -> ! {
          smgcn query     --tsdb FILE [--series SELECTOR] [--op last|delta|rate|avg|max|quantile] [--from MS] [--to MS] [--q F]\n\
          serve/route also take --tsdb FILE [--scrape-ms N]: self-scrape metrics history + live burn-rate alerts\n\
          models: smgcn (default), bipar-gcn, gcmc, pinsage, ngcf, hetegcn\n\
-         scenarios: steady-zipfian, flash-crowd, ingest-heavy, rolling-publish-under-load, replica-kill, fault-storm, ab-canary\n\
+         scenarios: {}\n\
          env: SMGCN_FAULT_SEED=N arms the seeded fault-injection storm plan in this process\n\
-         --model-file for recommend/serve: a frozen model (smgcn freeze) or a training checkpoint"
-    );
+         --model-file for recommend/serve: a frozen model (smgcn freeze) or a training checkpoint",
+        scenarios.join(", ")
+    )
+}
+
+/// A misuse: the usage text on stderr, exit 2.
+fn usage() -> ! {
+    eprintln!("{}", usage_text());
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parses `--name value` pairs for `command`, which reads exactly the
+/// flags in `known`: a name outside it is a typo, and running with the
+/// default it was meant to replace would be a wrong answer, not a
+/// convenience.
+fn parse_flags(command: &str, known: &[&str], args: &[String]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -158,6 +170,13 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             eprintln!("error: expected a --flag, found {:?}", args[i]);
             usage();
         };
+        if !known.contains(&key) {
+            eprintln!(
+                "error: smgcn {command} has no flag --{key} (it reads: --{})",
+                known.join(", --")
+            );
+            usage();
+        }
         let Some(value) = args.get(i + 1) else {
             eprintln!("error: flag --{key} needs a value");
             usage();
@@ -219,6 +238,7 @@ fn load_corpus_and_ops(
     (split.train, split.test, ops)
 }
 
+const GENERATE_FLAGS: &[&str] = &["out", "scale", "seed"];
 fn cmd_generate(flags: HashMap<String, String>) {
     let out = flags.get("out").unwrap_or_else(|| usage());
     let corpus = SyndromeModel::new(scale(&flags).generator().with_seed(seed(&flags))).generate();
@@ -233,6 +253,9 @@ fn cmd_generate(flags: HashMap<String, String>) {
     );
 }
 
+const TRAIN_FLAGS: &[&str] = &[
+    "corpus", "out", "model", "epochs", "lr", "l2", "scale", "seed",
+];
 fn cmd_train(flags: HashMap<String, String>) {
     let out = flags.get("out").unwrap_or_else(|| usage());
     let kind = model_kind(flags.get("model").map_or("smgcn", String::as_str));
@@ -293,6 +316,7 @@ fn rebuild_and_load(
     model
 }
 
+const EVAL_FLAGS: &[&str] = &["corpus", "model-file", "model", "scale", "seed"];
 fn cmd_eval(flags: HashMap<String, String>) {
     let (_, test_corpus, ops) = load_corpus_and_ops(&flags);
     let model = rebuild_and_load(&flags, &ops);
@@ -386,6 +410,7 @@ fn parse_symptom_ids(spec: &str, corpus: &smgcn_repro::data::Corpus) -> Vec<u32>
     ids
 }
 
+const FREEZE_FLAGS: &[&str] = &["corpus", "model-file", "out", "model", "scale", "seed"];
 fn cmd_freeze(flags: HashMap<String, String>) {
     let out = flags.get("out").unwrap_or_else(|| usage());
     let (_, _, ops) = load_corpus_and_ops(&flags);
@@ -405,6 +430,17 @@ fn cmd_freeze(flags: HashMap<String, String>) {
     );
 }
 
+// `--model`, `--scale` and `--seed` rebuild a training checkpoint given
+// as `--model-file`; a frozen model ignores them.
+const RECOMMEND_FLAGS: &[&str] = &[
+    "corpus",
+    "model-file",
+    "symptoms",
+    "k",
+    "model",
+    "scale",
+    "seed",
+];
 fn cmd_recommend(flags: HashMap<String, String>) {
     let corpus = load_corpus_only(&flags);
     let frozen = load_frozen(&flags, &corpus);
@@ -429,6 +465,19 @@ fn cmd_recommend(flags: HashMap<String, String>) {
     }
 }
 
+const SERVE_FLAGS: &[&str] = &[
+    "corpus",
+    "model-file",
+    "addr",
+    "connections",
+    "cache",
+    "batch-max",
+    "tsdb",
+    "scrape-ms",
+    "model",
+    "scale",
+    "seed",
+];
 fn cmd_serve(flags: HashMap<String, String>) {
     let corpus = load_corpus_only(&flags);
     let frozen = load_frozen(&flags, &corpus);
@@ -512,6 +561,7 @@ fn parse_add_spec(spec: &str) -> Vec<(Vec<String>, Vec<String>)> {
     records
 }
 
+const INGEST_FLAGS: &[&str] = &["corpus", "wal", "add", "allow-new"];
 fn cmd_ingest(flags: HashMap<String, String>) {
     use smgcn_repro::online::Ingestor;
     let corpus = load_corpus_only(&flags);
@@ -555,6 +605,19 @@ fn cmd_ingest(flags: HashMap<String, String>) {
     );
 }
 
+const REFRESH_FLAGS: &[&str] = &[
+    "corpus",
+    "wal",
+    "model-file",
+    "out",
+    "frozen-out",
+    "corpus-out",
+    "epochs",
+    "replicas",
+    "model",
+    "scale",
+    "seed",
+];
 fn cmd_refresh(flags: HashMap<String, String>) {
     use smgcn_repro::online::{FineTuneConfig, OnlineConfig, OnlinePipeline};
     let kind = model_kind(flags.get("model").map_or("smgcn", String::as_str));
@@ -692,6 +755,16 @@ fn parse_replicas(spec: &str) -> Vec<std::net::SocketAddr> {
     addrs
 }
 
+const ROUTE_FLAGS: &[&str] = &[
+    "replicas",
+    "addr",
+    "connections",
+    "replica-conns",
+    "probe-ms",
+    "slow-p99-ms",
+    "tsdb",
+    "scrape-ms",
+];
 fn cmd_route(flags: HashMap<String, String>) {
     use smgcn_repro::cluster::{Router, RouterConfig};
     let replicas = parse_replicas(flags.get("replicas").unwrap_or_else(|| usage()));
@@ -855,6 +928,7 @@ fn spawn_self_scrape(
     )
 }
 
+const PROFILE_FLAGS: &[&str] = &["addr"];
 fn cmd_profile(flags: HashMap<String, String>) {
     use smgcn_repro::serve::json::Json;
     let Some(addr) = flags.get("addr") else {
@@ -892,6 +966,7 @@ fn cmd_profile(flags: HashMap<String, String>) {
     }
 }
 
+const QUERY_FLAGS: &[&str] = &["tsdb", "series", "op", "from", "to", "q"];
 fn cmd_query(flags: HashMap<String, String>) {
     use smgcn_repro::obs::tsdb::TsdbData;
     let Some(path) = flags.get("tsdb") else {
@@ -1028,6 +1103,19 @@ fn print_compare_report(report: &smgcn_repro::serve::json::Json) {
     }
 }
 
+// One slice for every action: `publish` reads the model flags, `install`
+// `--split` and `--seed`, `compare` `--out`.
+const EXPERIMENT_FLAGS: &[&str] = &[
+    "addr",
+    "variant",
+    "corpus",
+    "model-file",
+    "split",
+    "out",
+    "model",
+    "scale",
+    "seed",
+];
 /// `smgcn experiment <publish|install|halt|status|compare>` — the
 /// operator half of the A/B experiment plane, driven through a router
 /// (or a single replica for publish/status).
@@ -1037,7 +1125,7 @@ fn cmd_experiment(rest: &[String]) {
         eprintln!("error: experiment needs an action (publish|install|halt|status|compare)");
         usage();
     };
-    let flags = parse_flags(rest);
+    let flags = parse_flags("experiment", EXPERIMENT_FLAGS, rest);
     let Some(addr) = flags.get("addr") else {
         eprintln!("error: experiment needs --addr");
         usage();
@@ -1112,6 +1200,13 @@ fn cmd_experiment(rest: &[String]) {
     }
 }
 
+const PROMOTE_FLAGS: &[&str] = &[
+    "addr",
+    "variant",
+    "max-error-rate",
+    "max-p99-delta",
+    "min-samples",
+];
 /// `smgcn promote --addr ... --variant NAME` — guardrail-checked
 /// candidate promotion: the router verifies the comparison report
 /// clears the error-rate / p99 / sample-count bars, rolls the candidate
@@ -1183,6 +1278,8 @@ fn report_publish(report: &smgcn_repro::cluster::PublishReport) {
     );
 }
 
+const CLUSTER_REFRESH_FLAGS: &[&str] =
+    &["replicas", "corpus", "model-file", "model", "scale", "seed"];
 fn cmd_cluster_refresh(flags: HashMap<String, String>) {
     use smgcn_repro::cluster::{rolling_publish_addrs, PoolConfig};
     let replicas = parse_replicas(flags.get("replicas").unwrap_or_else(|| usage()));
@@ -1205,13 +1302,23 @@ fn cmd_cluster_refresh(flags: HashMap<String, String>) {
     ));
 }
 
+const LOADGEN_FLAGS: &[&str] = &[
+    "seed",
+    "measure-ms",
+    "workers",
+    "k",
+    "storm-conns",
+    "out",
+    "out-dir",
+    "plan",
+];
 fn cmd_loadgen(rest: &[String]) {
     use smgcn_repro::loadgen::{build, run, ScenarioConfig, ScenarioKind};
     let Some((scenario_arg, rest)) = rest.split_first() else {
         eprintln!("error: loadgen needs a scenario (or \"all\")");
         usage();
     };
-    let flags = parse_flags(rest);
+    let flags = parse_flags("loadgen", LOADGEN_FLAGS, rest);
     let kinds: Vec<ScenarioKind> = if scenario_arg == "all" {
         ScenarioKind::all().to_vec()
     } else {
@@ -1462,6 +1569,7 @@ fn variant_rows(
     }
 }
 
+const TOP_FLAGS: &[&str] = &["addr", "interval-ms", "iterations"];
 fn cmd_top(flags: HashMap<String, String>) {
     use smgcn_repro::serve::json::Json;
 
@@ -1575,34 +1683,33 @@ fn main() {
         eprintln!("fault plane armed: storm plan seed {seed} (SMGCN_FAULT_SEED)");
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Asking for help is not a misuse: stdout, exit 0, wherever it sits.
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage_text());
+        return;
+    }
     let Some((command, rest)) = args.split_first() else {
         usage()
     };
-    // `loadgen` and `experiment` take a positional word before flags.
-    if command == "loadgen" {
-        cmd_loadgen(rest);
-        return;
-    }
-    if command == "experiment" {
-        cmd_experiment(rest);
-        return;
-    }
-    let flags = parse_flags(rest);
+    let flags = |known| parse_flags(command, known, rest);
     match command.as_str() {
-        "generate" => cmd_generate(flags),
-        "train" => cmd_train(flags),
-        "eval" => cmd_eval(flags),
-        "freeze" => cmd_freeze(flags),
-        "recommend" => cmd_recommend(flags),
-        "serve" => cmd_serve(flags),
-        "ingest" => cmd_ingest(flags),
-        "refresh" => cmd_refresh(flags),
-        "route" => cmd_route(flags),
-        "cluster-refresh" => cmd_cluster_refresh(flags),
-        "promote" => cmd_promote(flags),
-        "top" => cmd_top(flags),
-        "profile" => cmd_profile(flags),
-        "query" => cmd_query(flags),
+        "generate" => cmd_generate(flags(GENERATE_FLAGS)),
+        "train" => cmd_train(flags(TRAIN_FLAGS)),
+        "eval" => cmd_eval(flags(EVAL_FLAGS)),
+        "freeze" => cmd_freeze(flags(FREEZE_FLAGS)),
+        "recommend" => cmd_recommend(flags(RECOMMEND_FLAGS)),
+        "serve" => cmd_serve(flags(SERVE_FLAGS)),
+        "ingest" => cmd_ingest(flags(INGEST_FLAGS)),
+        "refresh" => cmd_refresh(flags(REFRESH_FLAGS)),
+        "route" => cmd_route(flags(ROUTE_FLAGS)),
+        "cluster-refresh" => cmd_cluster_refresh(flags(CLUSTER_REFRESH_FLAGS)),
+        // `loadgen` and `experiment` take a positional word before flags.
+        "loadgen" => cmd_loadgen(rest),
+        "experiment" => cmd_experiment(rest),
+        "promote" => cmd_promote(flags(PROMOTE_FLAGS)),
+        "top" => cmd_top(flags(TOP_FLAGS)),
+        "profile" => cmd_profile(flags(PROFILE_FLAGS)),
+        "query" => cmd_query(flags(QUERY_FLAGS)),
         _ => usage(),
     }
 }

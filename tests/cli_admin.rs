@@ -3,7 +3,9 @@
 //!
 //! Drives the built `smgcn` binary against two scripted listeners — one
 //! that sheds every connection the way a server at its connection cap
-//! does, one that accepts and never says a word.
+//! does, one that accepts and never says a word. The same binary is
+//! held to its own command line: a flag a command does not read is an
+//! error, and asking for help is not.
 
 use std::io::Write;
 use std::net::TcpListener;
@@ -48,12 +50,17 @@ fn scripted(reply: Option<&'static str>) -> Running {
     Running::start(addr, StopHandle::new(stop, Some(addr)), serve).unwrap()
 }
 
-/// Runs `smgcn <args> --addr <front>`; a run still going at `deadline`
-/// is killed and fails the test.
+/// Runs `smgcn <args> --addr <front>`.
 fn smgcn(front: &Running, args: &[&str], deadline: Duration) -> Output {
+    let addr = front.addr().to_string();
+    run_smgcn(&[args, &["--addr", &addr]].concat(), deadline)
+}
+
+/// Runs `smgcn <args>`; a run still going at `deadline` is killed and
+/// fails the test.
+fn run_smgcn(args: &[&str], deadline: Duration) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_smgcn"))
         .args(args)
-        .args(["--addr", &front.addr().to_string()])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -98,4 +105,46 @@ fn a_silent_front_end_costs_the_admin_timeout_not_a_hang() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("error: no response from"), "{stderr}");
+}
+
+const QUICK: Duration = Duration::from_secs(10);
+
+#[test]
+fn a_flag_the_command_does_not_read_is_an_error() {
+    let out = std::env::temp_dir().join(format!("smgcn-cli-typo-{}.tsv", std::process::id()));
+    let out_arg = out.to_str().unwrap();
+
+    // `--sclae paper --seeed 7` used to write a smoke-scale, seed-2020
+    // corpus and exit 0.
+    let typo = ["generate", "--out", out_arg, "--sclae", "paper"];
+    let run = run_smgcn(&typo, QUICK);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("smgcn generate has no flag --sclae")
+            && stderr.contains("--out, --scale, --seed"),
+        "{stderr}"
+    );
+    assert!(!out.exists(), "a rejected command line still wrote {out:?}");
+    // A flag another command reads is no more welcome here.
+    let run = run_smgcn(&["generate", "--out", out_arg, "--epochs", "3"], QUICK);
+    assert_eq!(run.status.code(), Some(2));
+    assert!(!out.exists());
+}
+
+/// Usage on stdout, exit 0, before or after a command — and never
+/// "flag --help needs a value".
+#[test]
+fn asking_for_help_is_not_an_error() {
+    for args in [&["--help"][..], &["-h"], &["generate", "--help"]] {
+        let run = run_smgcn(args, QUICK);
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        assert_eq!(run.status.code(), Some(0), "{args:?}");
+        assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
+        assert!(run.stderr.is_empty(), "{args:?}");
+        // The scenario list is the suite's own, not a copy of it.
+        for kind in smgcn_repro::loadgen::ScenarioKind::all() {
+            assert!(stdout.contains(kind.name()), "usage omits {}", kind.name());
+        }
+    }
 }
