@@ -1,0 +1,132 @@
+//! One hostile request line against a real `smgcn serve` process.
+//!
+//! `conn::MAX_READ_BUF` admits a 64 MiB line, and the JSON reader
+//! descends once per `[` or `{`: 400 KB of `[` is 400,000 frames on a
+//! worker's stack. The replica runs as its own OS process because the
+//! failure this pins is an abort (`stack overflow, aborting`), which no
+//! `catch_unwind` in a test harness would survive.
+
+use std::io::{BufRead, BufReader, Read};
+use std::net::SocketAddr;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
+
+use smgcn_repro::core::Recommender;
+use smgcn_repro::data::io as corpus_io;
+use smgcn_repro::graph::GraphOperators;
+use smgcn_repro::prelude::*;
+use smgcn_repro::serve::json::Json;
+use smgcn_repro::serve::{FrozenModel, LineClient};
+
+/// Kills the replica on drop so a failing test never leaks it.
+struct ChildGuard(Child);
+
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Starts `smgcn serve` on a tiny untrained model and an ephemeral port;
+/// returns the process (stderr piped) and the address from its banner.
+fn spawn_replica(tag: &str) -> (ChildGuard, SocketAddr) {
+    let dir = std::env::temp_dir().join(format!("smgcn-hostile-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (corpus_path, frozen_path) = (dir.join("corpus.tsv"), dir.join("frozen.smgt"));
+    let corpus = SyndromeModel::new(GeneratorConfig::tiny_scale()).generate();
+    corpus_io::save_corpus(&corpus, &corpus_path).unwrap();
+    let ops = GraphOperators::from_records(
+        corpus.records(),
+        corpus.n_symptoms(),
+        corpus.n_herbs(),
+        SynergyThresholds { x_s: 1, x_h: 1 },
+    );
+    let model_cfg = ModelConfig {
+        embedding_dim: 16,
+        layer_dims: vec![16],
+        ..ModelConfig::smgcn()
+    };
+    FrozenModel::from_recommender(&Recommender::smgcn(&ops, &model_cfg, 7))
+        .save(&frozen_path)
+        .unwrap();
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_smgcn"))
+        .arg("serve")
+        .arg("--corpus")
+        .arg(&corpus_path)
+        .arg("--model-file")
+        .arg(&frozen_path)
+        .arg("--addr")
+        .arg("127.0.0.1:0")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn smgcn serve");
+    let mut reader = BufReader::new(child.stdout.take().expect("child stdout"));
+    let addr = loop {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).expect("read child banner");
+        assert!(n > 0, "replica exited before announcing its address");
+        if let Some(rest) = line.strip_prefix("serving on ") {
+            let addr_text = rest.split_whitespace().next().expect("address token");
+            break addr_text.parse().expect("parse bound address");
+        }
+    };
+    // Drain the rest of the banner so the child never blocks on stdout.
+    std::thread::spawn(move || {
+        let mut sink = String::new();
+        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
+            sink.clear();
+        }
+    });
+    (ChildGuard(child), addr)
+}
+
+const RANKING: &str = r#"{"symptom_ids":[1,2],"k":3}"#;
+
+fn herb_ids(response: &Json) -> Vec<f64> {
+    response
+        .get("herb_ids")
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("not a ranking: {response}"))
+        .iter()
+        .filter_map(Json::as_num)
+        .collect()
+}
+
+/// What the replica did by `deadline`: `Some(stderr)` if it exited.
+fn exited_within(replica: &mut ChildGuard, deadline: Duration) -> Option<String> {
+    let started = Instant::now();
+    while started.elapsed() < deadline {
+        if replica.0.try_wait().expect("poll replica").is_some() {
+            let mut stderr = String::new();
+            let _ = replica
+                .0
+                .stderr
+                .take()
+                .expect("piped stderr")
+                .read_to_string(&mut stderr);
+            return Some(stderr);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    None
+}
+
+#[test]
+fn a_nesting_bomb_aborts_the_replica() {
+    let (mut replica, addr) = spawn_replica("bomb");
+    let mut client =
+        LineClient::connect(addr, Duration::from_secs(5), Duration::from_secs(30)).unwrap();
+    assert_eq!(herb_ids(&client.ask_json(RANKING).unwrap()).len(), 3);
+
+    let bomb = "[".repeat(400 * 1024);
+    let answer = client.ask(&bomb);
+    let stderr = exited_within(&mut replica, Duration::from_secs(10))
+        .unwrap_or_else(|| panic!("the replica survived; it answered {answer:?}"));
+    assert!(
+        stderr.contains("stack overflow"),
+        "the replica died another way: {stderr}"
+    );
+}
