@@ -168,10 +168,18 @@ pub fn score_array(scores: &[f32]) -> Json {
     Json::Arr(scores.iter().map(|&s| Json::Num(s as f64)).collect())
 }
 
-/// Parses one JSON document, rejecting trailing garbage.
+/// Deepest nesting of arrays and objects [`parse`] accepts. The reader
+/// descends one stack frame per level and a line may be 64 MiB long, so
+/// without a bound one line of `[` overflows the thread's stack — an
+/// abort, which nothing catches. Nothing this protocol exchanges comes
+/// near the bound: the deepest legal request nests 3 levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document, rejecting trailing garbage and nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut pos = 0usize;
-    let value = parse_value(text, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_ws(text.as_bytes(), &mut pos);
     if pos != text.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -196,10 +204,14 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
 
 /// The parser walks `text` by byte offset; it keeps the `&str` so that
 /// [`parse_string`] can copy slices of it without validating them again.
-fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+/// `depth` is the number of arrays and objects open around this value.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     let b = text.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
+        Some(b'[' | b'{') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|_| Json::Bool(true)),
@@ -214,7 +226,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(text, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -239,7 +251,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(text, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -374,6 +386,30 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,", "{\"a\"}", "nul", "1 2", "\"abc", "{\"a\":}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // (opener, what sits innermost, closer, levels one opener adds)
+        let shapes = [
+            ("[", "", "]", 1),
+            ("{\"a\":", "1", "}", 1),
+            ("[{\"a\":", "1", "}]", 2),
+        ];
+        for (open, innermost, close, levels) in shapes {
+            let doc = |depth: usize| {
+                let n = depth / levels;
+                format!("{}{innermost}{}", open.repeat(n), close.repeat(n))
+            };
+            assert!(parse(&doc(MAX_DEPTH)).is_ok(), "{open} at the bound");
+            let err = parse(&doc(MAX_DEPTH + levels)).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{open}: {err}");
+        }
+        // Unclosed, and far past any stack: refused at level 65, not walked.
+        for bomb in ["[".repeat(400 * 1024), "{\"a\":".repeat(100_000)] {
+            let err = parse(&bomb).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{err}");
         }
     }
 

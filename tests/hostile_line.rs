@@ -3,8 +3,8 @@
 //! `conn::MAX_READ_BUF` admits a 64 MiB line, and the JSON reader
 //! descends once per `[` or `{`: 400 KB of `[` is 400,000 frames on a
 //! worker's stack. The replica runs as its own OS process because the
-//! failure this pins is an abort (`stack overflow, aborting`), which no
-//! `catch_unwind` in a test harness would survive.
+//! failure this guards against is an abort (`stack overflow, aborting`),
+//! which no `catch_unwind` in a test harness would survive.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
@@ -115,18 +115,27 @@ fn exited_within(replica: &mut ChildGuard, deadline: Duration) -> Option<String>
 }
 
 #[test]
-fn a_nesting_bomb_aborts_the_replica() {
+fn a_nesting_bomb_is_refused_and_the_connection_lives() {
     let (mut replica, addr) = spawn_replica("bomb");
     let mut client =
         LineClient::connect(addr, Duration::from_secs(5), Duration::from_secs(30)).unwrap();
-    assert_eq!(herb_ids(&client.ask_json(RANKING).unwrap()).len(), 3);
+    let before = herb_ids(&client.ask_json(RANKING).unwrap());
+    assert_eq!(before.len(), 3);
 
-    let bomb = "[".repeat(400 * 1024);
-    let answer = client.ask(&bomb);
-    let stderr = exited_within(&mut replica, Duration::from_secs(10))
-        .unwrap_or_else(|| panic!("the replica survived; it answered {answer:?}"));
-    assert!(
-        stderr.contains("stack overflow"),
-        "the replica died another way: {stderr}"
-    );
+    // Until `json::MAX_DEPTH` this line overflowed a worker's stack and
+    // the process aborted (`stack overflow, aborting`), resetting every
+    // connection of the replica.
+    for bomb in ["[".repeat(400 * 1024), r#"{"a":"#.repeat(80_000)] {
+        let refusal = client.ask_json(&bomb).expect("an answer, not a close");
+        let error = refusal.get("error").expect("a structured error");
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("bad_json"));
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("nesting deeper than 64"), "{message}");
+    }
+
+    // Same connection, same process, same answer as before the bombs.
+    assert_eq!(herb_ids(&client.ask_json(RANKING).unwrap()), before);
+    if let Some(stderr) = exited_within(&mut replica, Duration::from_millis(200)) {
+        panic!("the replica exited: {stderr}");
+    }
 }
