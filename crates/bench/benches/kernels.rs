@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks for the substrate kernels behind every
-//! experiment: dense GEMM, sparse SpMM, graph construction, the SMGCN
+//! experiment: dense GEMM (training's and serving's, per kernel tier),
+//! sparse SpMM, the activation, graph construction, the SMGCN
 //! forward pass, one full forward+backward training step, metric
 //! computation, and the codecs a model publish passes through.
 
@@ -113,6 +114,95 @@ fn bench_score_large_fused(_: &mut Criterion) {
     };
     report("score_batch+partial_top_k", &unfused);
     report("recommend_batch", &fused);
+}
+
+fn bench_train_kernels(_: &mut Criterion) {
+    // The kernels under one paper-scale training step (`train_paper`),
+    // at the shapes the trainer calls them with — 1113 = 360 + 753
+    // nodes, batch 1024, 753 herbs, 256-wide syndromes — as output rows
+    // x reduction x output columns. Informational: the repository
+    // benchmark is the gate. Every tier computes the same bits here, so
+    // a row per tier is a pure speed comparison.
+    use smgcn_tensor::par::threads_for_macs;
+    use smgcn_tensor::Matrix;
+    println!("training kernel tier: {:?}", Tier::detect());
+    let time = |f: &dyn Fn()| {
+        const ITERS: u32 = 30;
+        for _ in 0..ITERS / 3 {
+            f();
+        }
+        let start = std::time::Instant::now();
+        for _ in 0..ITERS {
+            f();
+        }
+        start.elapsed().as_secs_f64() / f64::from(ITERS)
+    };
+    let mut rng = seeded_rng(8);
+    let mut dense = |rows, cols| xavier_uniform(rows, cols, &mut rng);
+    type Product = fn(Tier, &Matrix, &Matrix) -> Matrix;
+    let products: [(&str, Product, (usize, usize, usize)); 5] = [
+        ("matmul", Tier::matmul, (1113, 64, 128)),
+        ("matmul", Tier::matmul, (1024, 753, 256)),
+        ("transb", Tier::matmul_transb, (1024, 256, 753)),
+        ("transa", Tier::matmul_transa, (753, 1024, 256)),
+        ("transa", Tier::matmul_transa, (256, 1024, 256)),
+    ];
+    for (name, product, (m, k, n)) in products {
+        let (a, b) = match name {
+            "matmul" => (dense(m, k), dense(k, n)),
+            "transb" => (dense(m, k), dense(n, k)),
+            _ => (dense(k, m), dense(k, n)),
+        };
+        for tier in Tier::available() {
+            let s = time(&|| {
+                std::hint::black_box(product(tier, &a, &b));
+            });
+            println!(
+                "train_kernels/{name}/{:<14} {tier:<7?} {:>8.1} µs {:>6.1} GFLOP/s ({} threads)",
+                format!("{m}x{k}x{n}"),
+                s * 1e6,
+                2.0 * (m * k * n) as f64 / s / 1e9,
+                threads_for_macs(m * k * n),
+            );
+        }
+    }
+    let corpus = SyndromeModel::new(GeneratorConfig::paper_scale()).generate();
+    let ops = GraphOperators::from_records(
+        corpus.records(),
+        corpus.n_symptoms(),
+        corpus.n_herbs(),
+        SynergyThresholds::default(),
+    );
+    let bipartite = ops.sh_mean.forward();
+    for width in [64usize, 128] {
+        let x = dense(bipartite.cols(), width);
+        let s = time(&|| {
+            std::hint::black_box(bipartite.spmm(&x));
+        });
+        println!(
+            "train_kernels/spmm/{:<16} {:>8.1} µs {:>6.1} GFLOP/s ({} stored entries)",
+            format!("{}x{}x{width}", bipartite.rows(), bipartite.cols()),
+            s * 1e6,
+            2.0 * (bipartite.nnz() * width) as f64 / s / 1e9,
+            bipartite.nnz(),
+        );
+    }
+    let store = smgcn_tensor::ParamStore::new();
+    let x = dense(1113, 832).scale(40.0);
+    let s = time(&|| {
+        let mut tape = Tape::new(&store);
+        let v = tape.input(x.clone());
+        std::hint::black_box(tape.tanh(v));
+    });
+    let copy = time(&|| {
+        let mut tape = Tape::new(&store);
+        std::hint::black_box(tape.input(x.clone()));
+    });
+    println!(
+        "train_kernels/tanh/1113x832 {:>17.1} µs {:>6.2} ns / activation",
+        (s - copy) * 1e6,
+        (s - copy) * 1e9 / x.len() as f64,
+    );
 }
 
 fn bench_publish_codecs(c: &mut Criterion) {
@@ -292,6 +382,7 @@ criterion_group!(
     bench_matmul_transb,
     bench_matmul_packed,
     bench_score_large_fused,
+    bench_train_kernels,
     bench_publish_codecs,
     bench_spmm,
     bench_graph_build,

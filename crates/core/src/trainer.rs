@@ -369,6 +369,46 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// The bits of a short seeded run, recorded: what "training stays
+    /// bit-identical" is measured against when a kernel changes under
+    /// it. Every dense product and SpMM is one accumulator per output
+    /// walking the reduction ascending, `mul` then `add`, on every
+    /// tier, host and thread count, so the only thing here that is not
+    /// IEEE-exact arithmetic is the host's `tanhf`.
+    #[test]
+    fn short_seeded_run_is_pinned_to_the_bit() {
+        let (corpus, ops) = tiny_setup();
+        let mut model_cfg = tiny_model_cfg();
+        model_cfg.dropout = 0.3;
+        let cfg = TrainConfig {
+            epochs: 3,
+            batch_size: 64,
+            learning_rate: 5e-3,
+            l2_lambda: 1e-4,
+            loss: LossKind::MultiLabel,
+            bpr_negatives: 1,
+            weighted_labels: true,
+            seed: 9,
+        };
+        let mut model = Recommender::smgcn(&ops, &model_cfg, 5);
+        let final_loss = train(&mut model, &corpus, &cfg).final_loss();
+        // FNV-1a over every parameter's bits, in registration order.
+        let checksum = model
+            .store()
+            .iter()
+            .flat_map(|(_, _, p)| p.as_slice())
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(
+            (final_loss.to_bits(), checksum),
+            (0x4190_8b05, 0x7392_2478_7f8a_0673),
+            "final_loss {final_loss} = {:#x}, parameters {checksum:#x}",
+            final_loss.to_bits()
+        );
+    }
+
     #[test]
     fn pooled_training_is_bit_identical_to_unpooled() {
         let (corpus, ops) = tiny_setup();

@@ -1,25 +1,34 @@
 //! Register-tiled dense GEMM kernels.
 //!
 //! Every dense product in the workspace — `A @ B`, the prediction-layer
-//! `A @ B^T`, and the backward-pass `A^T @ B` — routes through this module.
-//! The kernels are plain scalar Rust shaped so LLVM autovectorizes them:
-//! a 4x8 register tile of accumulators lives across the entire reduction
-//! loop, the right-hand side is packed into contiguous 8-wide column
-//! panels, and the left-hand side streams row-major. Compared to the naive
-//! loops (kept below as the `*_reference_into` kernels) this removes the
-//! per-`k` reload/store of the output row and turns the transposed-B dot
-//! products into 32 independent dependency chains.
+//! `A @ B^T`, the backward-pass `A^T @ B`, and serving's products against
+//! a [`PackedRhs`] — runs through one driver in this module: the right
+//! operand lies in zero-padded column panels one vector register wide,
+//! a register tile of accumulators (8 rows x two 16-wide panels on
+//! AVX-512, 8 x 8 on AVX2) lives across the entire reduction, and each
+//! finished tile is handed to a visitor while it is still in L1. The
+//! tiles are explicit `std::arch` kernels chosen **at run time** from
+//! what the CPU reports ([`Tier::detect`]); a portable 4 x 8 tile written
+//! as plain Rust is the fallback, and the only tier off x86-64.
 //!
-//! ## Determinism contract
+//! ## Determinism contract: training
 //!
-//! Each output element is accumulated by a **single** accumulator walking
-//! the reduction dimension in increasing order — exactly the order the
-//! naive kernels use. Tiling only changes *which other elements* are
-//! computed alongside, never the per-element order, so results are
-//! bit-for-bit identical to the reference kernels and independent of the
-//! thread count (parallelism is over disjoint output-row ranges, as
-//! everywhere else in this crate). The property tests in
-//! `tests/gemm_props.rs` assert exact equality, not approximate.
+//! `Matrix::matmul`, `matmul_transb` and `matmul_transa` compute each
+//! output element with a **single** accumulator walking the reduction
+//! dimension in increasing order, a `mul` then an `add` per step (two
+//! roundings; never a fused multiply-add) — exactly the order and the
+//! arithmetic of the naive loops kept below as the `*_reference_into`
+//! kernels. Tiling and vector width only change *which other elements*
+//! are computed alongside, never the per-element order, so results are
+//! bit-for-bit identical to the reference kernels, to each other across
+//! tiers and hosts, and independent of the thread count (parallelism is
+//! over disjoint output-row ranges, as everywhere else in this crate).
+//! "Bit-identical" is measured against those reference loops: the
+//! property tests in `tests/gemm_props.rs` assert exact equality, not
+//! approximate, for every tier the host supports ([`Tier::matmul`] and
+//! its siblings run a chosen tier), and
+//! `short_seeded_run_is_pinned_to_the_bit` in `smgcn-core` pins the bits
+//! of a whole training run.
 //!
 //! One caveat: the reference kernels keep the historical `a == 0.0` term
 //! skip, the tiled kernels accumulate every term. Adding a `±0.0 · b`
@@ -29,90 +38,107 @@
 //! its zero — still `==` as floats); with non-finite operands
 //! (`0.0 · inf = NaN`) they can genuinely differ. The autograd layer
 //! debug-asserts finiteness of every node, so this only matters for
-//! direct kernel callers feeding inf/NaN. Within each tiled kernel all
-//! code paths (MR blocks and remainder rows) share one semantics, so
-//! tiled results never depend on the thread count, non-finite or not.
+//! direct kernel callers feeding inf/NaN. Within each tier all code
+//! paths (full tiles and remainder rows) share one semantics, so tiled
+//! results never depend on the thread count, non-finite or not.
 //!
-//! The naive loops are the oracle, not a mode: each product is one
-//! function with no run-time dispatch, and the reference kernels are
+//! The naive loops are the oracle, not a mode: the reference kernels are
 //! reachable only by name (`Matrix::*_reference`), for the tests that
 //! compare against them.
 //!
-//! ## Packing once: the serving kernels
+//! ## Packing: per call for training, once for serving
 //!
-//! `A @ B` and `A @ B^T` pack their right operand into panels on every
-//! call, into a thread-local scratch — right for training, where the
-//! weights change every step, and everything above is about them.
+//! Training's weights change every step, so its three products pack
+//! their right operand on every call, into a thread-local scratch that
+//! is reused from then on (`A^T @ B` also gathers each 8-column strip of
+//! `A` into rows, once per strip). Steady-state training performs no
+//! pack allocations.
 //!
 //! A right operand that outlives many products (frozen herb embeddings, a
 //! frozen SI head) is packed once into an owned [`PackedRhs`] and is
-//! **not** bound by training's bit-identity pin, so it gets its own
-//! kernels and its own, weaker-across-hosts contract (spelled out on
-//! [`PackedRhs`]): one accumulator per output walking `t` ascending,
-//! *fused* multiply-add where the CPU has one. Three [`Tier`]s, picked
-//! once from `is_x86_feature_detected!`: explicit `std::arch` AVX-512F
-//! tiles (8 rows x two 16-wide panels, 16 `zmm` accumulators), explicit
-//! AVX2 + FMA tiles (8 x 8, 8 `ymm` accumulators), and the scalar
-//! kernels above as the fallback and the reference. The two SIMD tiers
-//! agree bit for bit with each other and with a naive `f32::mul_add`
-//! loop; the scalar tier agrees bit for bit with `matmul`.
+//! **not** bound by training's bit-identity pin, so it gets the same
+//! tiles with a different step and its own, weaker-across-hosts contract
+//! (spelled out on [`PackedRhs`]): one accumulator per output walking `t`
+//! ascending, *fused* multiply-add where the CPU has one. The two SIMD
+//! tiers agree bit for bit with each other and with a naive
+//! `f32::mul_add` loop; the scalar tier agrees bit for bit with `matmul`.
 //!
-//! Every packed product runs through one driver,
-//! [`PackedRhs::for_each_tile`]: column blocks of panels (a constant
-//! ≈ 128 KiB of packed operand, so a block stays in L2 while every row
-//! block walks it) outer, row blocks inner, each `rows x width` tile
-//! handed to a visitor straight from the micro-kernel's stores. The
-//! serving layer selects its top-k from the tile while it is in L1 and
-//! never writes the score matrix; [`Matrix::matmul_packed`] is the
-//! visitor that copies tiles into an output. All `unsafe` of this crate's
-//! kernels lives in the private `simd` module, behind one safe function
-//! that checks the CPU feature and every length the pointers rely on.
+//! ## The driver
+//!
+//! Each thread's share of the output rows is walked in row blocks of
+//! the tile height and column blocks of panels (a constant ≈ 128 KiB of
+//! packed operand, so a block stays in L2 while every row block walks
+//! it); each `rows x width` tile goes to a visitor straight from the
+//! micro-kernel's stores. The serving layer selects its top-k from the
+//! tile while it is in L1 and never writes the score matrix;
+//! [`Matrix::matmul_packed`] and the training products are the visitor
+//! that copies tiles into an output. The thread split is sized by the
+//! product's multiply-adds (`m · n · k`), not its output elements, so a
+//! weight gradient — few outputs, long reduction — is shared out too.
+//! All `unsafe` of this crate's kernels lives in the private `simd`
+//! module, behind safe functions that check the CPU feature and every
+//! length the pointers rely on.
 
 use std::cell::RefCell;
 
 use crate::matrix::Matrix;
 use crate::par;
+#[cfg(target_arch = "x86_64")]
+use crate::simd;
 
-/// Register-tile height (rows of the left operand per micro-kernel call).
+/// Register-tile height of the portable kernels (rows of the left
+/// operand per micro-kernel call).
 const MR: usize = 4;
-/// Register-tile width (output columns per packed panel).
+/// Register-tile width of the portable kernels, and of an AVX2 panel.
 const NR: usize = 8;
-/// Tile height of the explicit SIMD kernels behind [`PackedRhs`].
-const SIMD_ROWS: usize = 8;
-/// Narrowest operand dispatch packs for a SIMD tier: the width of the
+/// Tile height of the explicit SIMD kernels.
+pub(crate) const SIMD_ROWS: usize = 8;
+/// Narrowest operand serving packs for a SIMD tier: the width of the
 /// AVX-512 main tile (two 16-wide panels). See [`Tier::for_cols`].
 const SIMD_MIN_COLS: usize = 32;
+/// Floats to a cache line.
+const LINE: usize = 16;
 
 thread_local! {
-    /// Scratch for packed right-hand-side panels, reused across calls so
-    /// steady-state training performs no pack allocations.
+    /// Scratch for the training products' packed right-hand-side panels,
+    /// reused across calls so steady-state training performs no pack
+    /// allocations.
     static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// `out = lhs @ rhs`; `lhs` is `m x k`, `rhs` is `k x n`, `out` is `m x n`
-/// and is fully overwritten.
-pub(crate) fn matmul_into(lhs: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+/// How a micro-kernel folds `a * b` into its accumulator.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Arith {
+    /// One fused multiply-add, one rounding: serving's SIMD tiers.
+    Fused,
+    /// A `mul` then an `add`, two roundings — the reference kernels'
+    /// arithmetic: training on every tier, and the scalar tier always.
+    Exact,
+}
+
+/// `out = lhs @ rhs` on `tier`'s exact kernels; `lhs` is `m x k`, `rhs`
+/// is `k x n`, `out` is `m x n` and is fully overwritten.
+pub(crate) fn matmul_into(
+    tier: Tier,
+    lhs: &[f32],
+    m: usize,
+    k: usize,
+    rhs: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    PACK.with(|pack| {
-        let mut pack = pack.borrow_mut();
-        grow_scratch(&mut pack, packed_len(k, n, NR));
-        pack_rhs::<NR>(rhs, k, n, &mut pack);
-        run_packed(lhs, k, n, &pack, m, out);
-    });
+    let pack = |w, panels: &mut [f32]| pack_rhs(w, rhs, k, n, panels);
+    exact_product(tier, Lhs::Rows(lhs), m, k, n, pack, out);
 }
 
-/// `out = lhs @ rhs^T`; `lhs` is `m x k`, `rhs` is `n x k` (row-major, so
-/// its rows are the logical columns), `out` is `m x n`, fully overwritten.
+/// `out = lhs @ rhs^T` on `tier`'s exact kernels; `lhs` is `m x k`, `rhs`
+/// is `n x k` (row-major, so its rows are the logical columns), `out` is
+/// `m x n`, fully overwritten.
 pub(crate) fn matmul_transb_into(
+    tier: Tier,
     lhs: &[f32],
     m: usize,
     k: usize,
@@ -123,25 +149,17 @@ pub(crate) fn matmul_transb_into(
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    PACK.with(|pack| {
-        let mut pack = pack.borrow_mut();
-        grow_scratch(&mut pack, packed_len(k, n, NR));
-        pack_rhs_transposed::<NR>(rhs, n, k, &mut pack);
-        run_packed(lhs, k, n, &pack, m, out);
-    });
+    let pack = |w, panels: &mut [f32]| pack_rhs_transposed(w, rhs, n, k, panels);
+    exact_product(tier, Lhs::Rows(lhs), m, k, n, pack, out);
 }
 
-/// `out = lhs^T @ rhs`; `lhs` is `m x k`, `rhs` is `m x n`, `out` is
-/// `k x n`, fully overwritten. This is the backward-pass kernel
-/// (`dW = X^T dY`) that previously required materialising a transpose.
+/// `out = lhs^T @ rhs` on `tier`'s exact kernels; `lhs` is `m x k`, `rhs`
+/// is `m x n`, `out` is `k x n`, fully overwritten. This is the
+/// backward-pass kernel (`dW = X^T dY`): the same product as the other
+/// two, with `m` as the reduction, once each strip of `lhs` columns has
+/// been gathered into rows.
 pub(crate) fn matmul_transa_into(
+    tier: Tier,
     lhs: &[f32],
     m: usize,
     k: usize,
@@ -152,22 +170,93 @@ pub(crate) fn matmul_transa_into(
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), m * n);
     debug_assert_eq!(out.len(), k * n);
-    if k == 0 || n == 0 {
+    let pack = |w, panels: &mut [f32]| pack_rhs(w, rhs, m, n, panels);
+    exact_product(tier, Lhs::Cols(lhs), k, m, n, pack, out);
+}
+
+/// One training product: `rows` output rows taken from `lhs`, reduction
+/// length `k`, `n` output columns whose operand `pack(panel_width,
+/// panels)` lays out in this thread's scratch.
+fn exact_product(
+    tier: Tier,
+    lhs: Lhs<'_>,
+    rows: usize,
+    k: usize,
+    n: usize,
+    pack: impl FnOnce(usize, &mut [f32]),
+    out: &mut [f32],
+) {
+    if rows == 0 || n == 0 {
         return;
     }
-    if m == 0 {
+    if k == 0 {
         out.fill(0.0);
         return;
     }
-    par::for_each_row_chunk(out, n, k, |i0, chunk| {
-        transa_chunk(lhs, k, rhs, n, i0, chunk);
+    assert!(tier.supported(), "{tier:?} is not supported here");
+    PACK.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let w = tier.panel_width();
+        let len = packed_len(k, n, w);
+        // Grown, never shrunk, and never cleared: the packers overwrite
+        // every float of the prefix they are given.
+        if scratch.len() < len + LINE - 1 {
+            scratch.resize(len + LINE - 1, 0.0);
+        }
+        let start = line_offset(&scratch);
+        let panels = &mut scratch[start..start + len];
+        pack(w, panels);
+        let rhs = PanelsRef {
+            k,
+            n,
+            tier,
+            arith: Arith::Exact,
+            panels,
+        };
+        rhs.for_each_tile(lhs, rows, out, store_tile(n));
     });
 }
 
+/// The visitor that copies every tile to its place in an `n`-wide output.
+fn store_tile(n: usize) -> impl Fn(&mut [f32], &Tile<'_>) + Sync {
+    move |out_rows, tile| {
+        for (r, out_row) in out_rows.chunks_exact_mut(n).enumerate() {
+            out_row[tile.col0..tile.col0 + tile.width()].copy_from_slice(tile.row(r));
+        }
+    }
+}
+
+/// Offset of the first float of `buf` that starts a cache line (0 if
+/// the allocation is not even float-aligned to one, which no allocator
+/// does), so a 64-byte vector load of a panel row never straddles two.
+/// Only speed depends on it; the kernels use unaligned loads.
+fn line_offset(buf: &[f32]) -> usize {
+    match buf.as_ptr().align_offset(LINE * 4) {
+        offset if offset < LINE => offset,
+        _ => 0,
+    }
+}
+
+/// [`pack_rhs_w`] at the panel width `w` of a tier.
+fn pack_rhs(w: usize, rhs: &[f32], k: usize, n: usize, packed: &mut [f32]) {
+    match w {
+        16 => pack_rhs_w::<16>(rhs, k, n, packed),
+        _ => pack_rhs_w::<NR>(rhs, k, n, packed),
+    }
+}
+
+/// [`pack_rhs_transposed_w`] at the panel width `w` of a tier.
+fn pack_rhs_transposed(w: usize, rhs: &[f32], n: usize, k: usize, packed: &mut [f32]) {
+    match w {
+        16 => pack_rhs_transposed_w::<16>(rhs, n, k, packed),
+        _ => pack_rhs_transposed_w::<NR>(rhs, n, k, packed),
+    }
+}
+
 /// Packs `rhs` (`k x n` row-major) into `ceil(n / W)` column panels, each
-/// `k x W` with `t`-major layout, zero-padded on the right edge. Training
-/// packs at `W = NR`; a [`PackedRhs`] packs at its tier's panel width.
-fn pack_rhs<const W: usize>(rhs: &[f32], k: usize, n: usize, packed: &mut [f32]) {
+/// `k x W` with `t`-major layout, zero-padded on the right edge, `W` the
+/// tier's panel width.
+fn pack_rhs_w<const W: usize>(rhs: &[f32], k: usize, n: usize, packed: &mut [f32]) {
     let panels = n.div_ceil(W);
     for p in 0..panels {
         let j0 = p * W;
@@ -183,8 +272,8 @@ fn pack_rhs<const W: usize>(rhs: &[f32], k: usize, n: usize, packed: &mut [f32])
 }
 
 /// Packs `rhs` (`n x k` row-major, logically transposed) into the same
-/// panel layout as [`pack_rhs`]: `panel[t * W + jj] = rhs[(j0 + jj) * k + t]`.
-fn pack_rhs_transposed<const W: usize>(rhs: &[f32], n: usize, k: usize, packed: &mut [f32]) {
+/// panel layout as [`pack_rhs_w`]: `panel[t * W + jj] = rhs[(j0 + jj) * k + t]`.
+fn pack_rhs_transposed_w<const W: usize>(rhs: &[f32], n: usize, k: usize, packed: &mut [f32]) {
     let panels = n.div_ceil(W);
     for p in 0..panels {
         let j0 = p * W;
@@ -210,28 +299,21 @@ fn packed_len(k: usize, n: usize, w: usize) -> usize {
     n.div_ceil(w) * k * w
 }
 
-/// Grows the pack scratch to at least `len` elements without touching the
-/// prefix the packers are about to overwrite anyway.
-fn grow_scratch(packed: &mut Vec<f32>, len: usize) {
-    if packed.len() < len {
-        packed.resize(len, 0.0);
-    }
-}
-
-/// The micro-kernel family a [`PackedRhs`] is packed for and multiplied
-/// by. Not an option: [`Tier::detect`] reads it off the CPU and the
-/// `pack_*` constructors use that ([`Tier::for_cols`]). The explicit-tier constructors
-/// ([`PackedRhs::from_rhs`], [`PackedRhs::from_transposed`]) exist so
+/// The micro-kernel family a product runs on. Not an option:
+/// [`Tier::detect`] reads it off the CPU, the training products use that
+/// and the `pack_*` constructors use [`Tier::for_cols`]. The
+/// explicit-tier entry points ([`Tier::matmul`] and its siblings,
+/// [`PackedRhs::from_rhs`], [`PackedRhs::from_transposed`]) exist so
 /// tests and benches can hold every tier a host supports to the contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// The autovectorised 4 x 8 `mul` + `add` kernels training uses:
+    /// Portable 4 x 8 `mul` + `add` tiles in plain Rust: the fallback,
     /// the reference, and the only tier off x86-64.
     Scalar,
-    /// Explicit FMA tiles of 8 `ymm` accumulators: 8 rows x one 8-wide
-    /// panel (AVX2 + FMA).
+    /// Explicit tiles of 8 `ymm` accumulators: 8 rows x one 8-wide
+    /// panel (AVX2, and FMA for serving's fused step).
     Avx2,
-    /// Explicit FMA tiles of 16 `zmm` accumulators: 8 rows x two 16-wide
+    /// Explicit tiles of 16 `zmm` accumulators: 8 rows x two 16-wide
     /// panels (AVX-512F).
     Avx512,
 }
@@ -239,7 +321,45 @@ pub enum Tier {
 impl Tier {
     /// The fastest tier this CPU supports.
     pub fn detect() -> Tier {
-        *Tier::available().last().expect("scalar is always there")
+        [Tier::Avx512, Tier::Avx2]
+            .into_iter()
+            .find(|tier| tier.supported())
+            .unwrap_or(Tier::Scalar)
+    }
+
+    /// `a @ b` on this tier's exact kernels: what [`Matrix::matmul`]
+    /// computes where [`Tier::detect`] is this tier — and, the contract
+    /// says, the same bits on every other.
+    ///
+    /// # Panics
+    /// Panics if `a.cols() != b.rows()` or this CPU does not support the
+    /// tier.
+    pub fn matmul(self, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        a.matmul_into_on(self, b, &mut out);
+        out
+    }
+
+    /// `a @ b^T` on this tier's exact kernels ([`Matrix::matmul_transb`]).
+    ///
+    /// # Panics
+    /// Panics if `a.cols() != b.cols()` or this CPU does not support the
+    /// tier.
+    pub fn matmul_transb(self, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        a.matmul_transb_into_on(self, b, &mut out);
+        out
+    }
+
+    /// `a^T @ b` on this tier's exact kernels ([`Matrix::matmul_transa`]).
+    ///
+    /// # Panics
+    /// Panics if `a.rows() != b.rows()` or this CPU does not support the
+    /// tier.
+    pub fn matmul_transa(self, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        a.matmul_transa_into_on(self, b, &mut out);
+        out
     }
 
     /// The tier [`Matrix::pack_rhs`] / [`Matrix::pack_transposed`] pick
@@ -267,7 +387,7 @@ impl Tier {
     }
 
     /// Whether this CPU can run the tier's kernels.
-    fn supported(self) -> bool {
+    pub(crate) fn supported(self) -> bool {
         match self {
             Tier::Scalar => true,
             #[cfg(target_arch = "x86_64")]
@@ -280,7 +400,7 @@ impl Tier {
     }
 
     /// Output columns per packed panel: one vector register of lanes.
-    fn panel_width(self) -> usize {
+    pub(crate) fn panel_width(self) -> usize {
         match self {
             Tier::Scalar | Tier::Avx2 => NR,
             Tier::Avx512 => 16,
@@ -349,16 +469,10 @@ struct Panels {
 }
 
 impl Panels {
-    /// Floats to a cache line.
-    const LINE: usize = 16;
-
     /// `len` floats, filled in place by `pack`.
     fn packed_by(len: usize, pack: impl FnOnce(&mut [f32])) -> Self {
-        let mut buf = vec![0.0f32; len + Self::LINE - 1];
-        let start = match buf.as_ptr().align_offset(Self::LINE * 4) {
-            offset if offset < Self::LINE => offset,
-            _ => 0,
-        };
+        let mut buf = vec![0.0f32; len + LINE - 1];
+        let start = line_offset(&buf);
         pack(&mut buf[start..start + len]);
         Self { buf, start, len }
     }
@@ -417,10 +531,7 @@ impl PackedRhs {
     /// Panics if this CPU does not support `tier`.
     pub fn from_rhs(rhs: &Matrix, tier: Tier) -> Self {
         let (k, n) = rhs.shape();
-        Self::packed_by(tier, k, n, |w, dst| match w {
-            16 => pack_rhs::<16>(rhs.as_slice(), k, n, dst),
-            _ => pack_rhs::<NR>(rhs.as_slice(), k, n, dst),
-        })
+        Self::packed_by(tier, k, n, |w, dst| pack_rhs(w, rhs.as_slice(), k, n, dst))
     }
 
     /// Packs the `n x k` right operand of `A @ B^T` for `tier`.
@@ -429,9 +540,8 @@ impl PackedRhs {
     /// Panics if this CPU does not support `tier`.
     pub fn from_transposed(rhs: &Matrix, tier: Tier) -> Self {
         let (n, k) = rhs.shape();
-        Self::packed_by(tier, k, n, |w, dst| match w {
-            16 => pack_rhs_transposed::<16>(rhs.as_slice(), n, k, dst),
-            _ => pack_rhs_transposed::<NR>(rhs.as_slice(), n, k, dst),
+        Self::packed_by(tier, k, n, |w, dst| {
+            pack_rhs_transposed(w, rhs.as_slice(), n, k, dst)
         })
     }
 
@@ -487,17 +597,17 @@ impl PackedRhs {
 
     /// Computes `lhs @ self` tile by tile and hands each tile to `visit`
     /// the moment the micro-kernel has stored it, instead of writing an
-    /// `m x n` product: the one driver behind every packed product.
+    /// `m x n` product: the one driver behind every dense product.
     ///
     /// `state` is the visitor's per-row storage, `state.len() / m`
     /// elements for each row of `lhs`; `visit(rows_state, tile)` gets the
     /// elements of exactly the tile's rows. Rows are split across threads
-    /// as in every other kernel of this crate (by output size, disjoint
-    /// row ranges), each thread walks column blocks outer and row blocks
-    /// inner, so per product row the tiles arrive **in ascending column
-    /// order** and cover every column exactly once. Returns the number of
-    /// threads the rows were split over (a visitor that times itself on
-    /// each needs it to turn summed time into wall time).
+    /// as in every other kernel of this crate (disjoint row ranges; how
+    /// many is decided by the product's multiply-adds), and per product
+    /// row the tiles arrive **in ascending column order** and cover
+    /// every column exactly once. Returns the number of threads the rows
+    /// were split over (a visitor that times itself on each needs it to
+    /// turn summed time into wall time).
     ///
     /// # Panics
     /// Panics if `lhs.cols() != self.rows()` or `state.len()` is not a
@@ -507,79 +617,143 @@ impl PackedRhs {
         S: Send,
         F: Fn(&mut [S], &Tile<'_>) + Sync,
     {
-        let (m, k, n) = (lhs.rows(), self.k, self.n);
         assert_eq!(
             lhs.cols(),
-            k,
-            "PackedRhs::for_each_tile: inner dimensions differ ({}x{} @ packed {k}x{n})",
-            m,
+            self.k,
+            "PackedRhs::for_each_tile: inner dimensions differ ({}x{} @ packed {}x{})",
+            lhs.rows(),
             lhs.cols(),
+            self.k,
+            self.n,
         );
+        let panels = PanelsRef {
+            k: self.k,
+            n: self.n,
+            tier: self.tier,
+            arith: Arith::Fused,
+            panels: self.panels.as_slice(),
+        };
+        panels.for_each_tile(Lhs::Rows(lhs.as_slice()), lhs.rows(), state, visit)
+    }
+
+    /// `out = lhs @ self`, fully overwritten.
+    pub(crate) fn matmul_into(&self, lhs: &Matrix, out: &mut [f32]) {
+        self.for_each_tile(lhs, out, store_tile(self.n));
+    }
+}
+
+/// Where the tile driver finds the rows of its left operand.
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    /// Row-major, `k` wide: row `i` is `a[i * k..][..k]`.
+    Rows(&'a [f32]),
+    /// The transpose of a row-major `k`-row matrix: row `i` is its
+    /// column `i`, which the driver gathers (a tile's rows at a time,
+    /// once per row block) before the kernel reads it.
+    Cols(&'a [f32]),
+}
+
+/// A right operand in panel layout, wherever the panels live — owned by
+/// a [`PackedRhs`], or in the training products' thread-local scratch —
+/// with the kernels to multiply it by.
+#[derive(Clone, Copy)]
+struct PanelsRef<'a> {
+    k: usize,
+    n: usize,
+    tier: Tier,
+    arith: Arith,
+    panels: &'a [f32],
+}
+
+impl PanelsRef<'_> {
+    /// The tile driver ([`PackedRhs::for_each_tile`] documents what a
+    /// visitor sees): `m` rows of `lhs` against these panels.
+    fn for_each_tile<S, F>(&self, lhs: Lhs<'_>, m: usize, state: &mut [S], visit: F) -> usize
+    where
+        S: Send,
+        F: Fn(&mut [S], &Tile<'_>) + Sync,
+    {
+        let (k, n) = (self.k, self.n);
         if m == 0 {
             return 1;
         }
         assert_eq!(
             state.len() % m,
             0,
-            "PackedRhs::for_each_tile: {} state elements do not split over {m} rows",
+            "for_each_tile: {} state elements do not split over {m} rows",
             state.len()
         );
         let per_row = state.len() / m;
         if n == 0 || per_row == 0 {
             return 1;
         }
-        let (lhs, packed) = (lhs.as_slice(), self.panels.as_slice());
         let (w, tile_rows) = (self.tier.panel_width(), self.tier.tile_rows());
         let block_cols = (BLOCK_BYTES / (4 * k.max(1))).min(BLOCK_COLS_MAX) / w;
         let block_cols = block_cols.max(1) * w;
-        par::for_each_row_chunk_of(state, per_row, m, m * n, |r0, state| {
+        let threads = par::threads_for_macs(m.saturating_mul(n).saturating_mul(k));
+        par::for_each_row_chunk_of(state, per_row, m, threads, |r0, state| {
             let rows = state.len() / per_row;
-            let mut tile = vec![0.0f32; rows.min(tile_rows) * block_cols];
-            for col0 in (0..n).step_by(block_cols) {
+            let tile_rows = tile_rows.min(rows);
+            let mut tile = vec![0.0f32; tile_rows * block_cols];
+            // `h` rows of the left operand, the chunk's `i`-th on,
+            // against the column block at `col0`.
+            let mut run = |a: &[f32], i: usize, h: usize, col0: usize, state: &mut [S]| {
                 let width = block_cols.min(n - col0);
-                let n_panels = width.div_ceil(w);
-                let stride = n_panels * w;
-                let panels = &packed[col0 * k..(col0 + stride) * k];
-                for i in (0..rows).step_by(tile_rows) {
-                    let h = tile_rows.min(rows - i);
-                    let a = &lhs[(r0 + i) * k..(r0 + i + h) * k];
-                    let data = &mut tile[..h * stride];
-                    match self.tier {
-                        Tier::Scalar => scalar_rows(a, h, k, panels, data),
-                        #[cfg(target_arch = "x86_64")]
-                        tier => simd::rows(tier, a, h, k, panels, data),
-                        #[cfg(not(target_arch = "x86_64"))]
-                        tier => unreachable!("{tier:?} is never supported, so never packed"),
+                let stride = width.div_ceil(w) * w;
+                let panels = &self.panels[col0 * k..(col0 + stride) * k];
+                let data = &mut tile[..h * stride];
+                match self.tier {
+                    Tier::Scalar => scalar_rows(a, h, k, panels, data),
+                    #[cfg(target_arch = "x86_64")]
+                    tier => simd::rows(tier, self.arith, a, h, k, panels, data),
+                    #[cfg(not(target_arch = "x86_64"))]
+                    tier => unreachable!("{tier:?} is never supported, so never packed"),
+                }
+                let tile = Tile {
+                    col0,
+                    width,
+                    stride,
+                    data,
+                };
+                visit(&mut state[i * per_row..(i + h) * per_row], &tile);
+            };
+            match lhs {
+                // Column blocks outer: a block of panels stays in L2
+                // while every row block walks it.
+                Lhs::Rows(a) => {
+                    for col0 in (0..n).step_by(block_cols) {
+                        for i in (0..rows).step_by(tile_rows) {
+                            let h = tile_rows.min(rows - i);
+                            run(&a[(r0 + i) * k..(r0 + i + h) * k], i, h, col0, state);
+                        }
                     }
-                    let tile = Tile {
-                        col0,
-                        width,
-                        stride,
-                        data,
-                    };
-                    visit(&mut state[i * per_row..(i + h) * per_row], &tile);
+                }
+                // Row blocks outer: each strip of columns is gathered
+                // into rows once and meets every column block.
+                Lhs::Cols(a) => {
+                    let cols = a.len() / k.max(1);
+                    let mut strip = vec![0.0f32; tile_rows * k];
+                    for i in (0..rows).step_by(tile_rows) {
+                        let h = tile_rows.min(rows - i);
+                        for (t, a_row) in a.chunks_exact(cols).enumerate() {
+                            for (r, &v) in a_row[r0 + i..r0 + i + h].iter().enumerate() {
+                                strip[r * k + t] = v;
+                            }
+                        }
+                        for col0 in (0..n).step_by(block_cols) {
+                            run(&strip[..h * k], i, h, col0, state);
+                        }
+                    }
                 }
             }
         })
-    }
-
-    /// `out = lhs @ self`, fully overwritten: the visitor that copies
-    /// every tile to its place.
-    pub(crate) fn matmul_into(&self, lhs: &Matrix, out: &mut [f32]) {
-        let n = self.n;
-        self.for_each_tile(lhs, out, |out_rows, tile| {
-            for (r, out_row) in out_rows.chunks_exact_mut(n).enumerate() {
-                out_row[tile.col0..tile.col0 + tile.width()].copy_from_slice(tile.row(r));
-            }
-        });
     }
 }
 
 /// The [`Tier::Scalar`] row block: `h <= MR` rows of `a` against every
 /// panel of one column block, into `out` (`h` rows of `panels x NR`).
-/// Same micro-kernels, so the same bits, as [`run_packed`]. (`k == 0`
-/// has no panels to walk and writes nothing: the driver's tile starts
-/// zeroed, which is the product.)
+/// (`k == 0` has no panels to walk and writes nothing: the driver's
+/// tile starts zeroed, which is the product.)
 fn scalar_rows(a: &[f32], h: usize, k: usize, panels: &[f32], out: &mut [f32]) {
     let stride = out.len() / h;
     let panels = panels.chunks_exact((k * NR).max(1)).take(stride / NR);
@@ -598,45 +772,6 @@ fn scalar_rows(a: &[f32], h: usize, k: usize, panels: &[f32], out: &mut [f32]) {
             }
         }
     }
-}
-
-/// Shared driver for the packed-panel kernels: splits output rows across
-/// threads, then walks MR-row blocks against every panel.
-fn run_packed(lhs: &[f32], k: usize, n: usize, packed: &[f32], m: usize, out: &mut [f32]) {
-    par::for_each_row_chunk(out, n, m, |r0, chunk| {
-        let rows = chunk.len() / n;
-        let mut i = 0;
-        while i + MR <= rows {
-            let base = (r0 + i) * k;
-            let l = [
-                &lhs[base..base + k],
-                &lhs[base + k..base + 2 * k],
-                &lhs[base + 2 * k..base + 3 * k],
-                &lhs[base + 3 * k..base + 4 * k],
-            ];
-            for (p, j0) in (0..n).step_by(NR).enumerate() {
-                let panel = &packed[p * k * NR..(p + 1) * k * NR];
-                let acc = kernel_mr(l, panel);
-                let w = NR.min(n - j0);
-                for (ii, acc_row) in acc.iter().enumerate() {
-                    let at = (i + ii) * n + j0;
-                    chunk[at..at + w].copy_from_slice(&acc_row[..w]);
-                }
-            }
-            i += MR;
-        }
-        while i < rows {
-            let base = (r0 + i) * k;
-            let lrow = &lhs[base..base + k];
-            for (p, j0) in (0..n).step_by(NR).enumerate() {
-                let panel = &packed[p * k * NR..(p + 1) * k * NR];
-                let acc = kernel_1(lrow, panel);
-                let w = NR.min(n - j0);
-                chunk[i * n + j0..i * n + j0 + w].copy_from_slice(&acc[..w]);
-            }
-            i += 1;
-        }
-    });
 }
 
 /// The MR x NR micro-kernel: MR lhs row streams against one packed panel.
@@ -677,275 +812,6 @@ fn kernel_1(l: &[f32], panel: &[f32]) -> [f32; NR] {
         }
     }
     acc
-}
-
-/// The explicit FMA micro-kernels, and all of this module's `unsafe`.
-///
-/// [`rows`] is the only way in. It checks, in safe code, everything the
-/// kernels rely on — the CPU feature, and the three slice lengths that
-/// bound every pointer offset they form — so no caller can reach the
-/// `unsafe` with arguments that make it unsound.
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    use super::{Tier, SIMD_ROWS};
-
-    /// Computes `h` rows of `a` (`h x k`) against `out.len() / h / W`
-    /// consecutive panels (`k x W` each, `W` the tier's vector width)
-    /// into `out` (`h` rows, one `W`-wide group per panel).
-    ///
-    /// # Panics
-    /// Panics if `tier` is scalar or unsupported by this CPU, `h` is not
-    /// in `1..=SIMD_ROWS`, or the slice lengths disagree with `h` and `k`.
-    pub(super) fn rows(tier: Tier, a: &[f32], h: usize, k: usize, panels: &[f32], out: &mut [f32]) {
-        let w = tier.panel_width();
-        assert!((1..=SIMD_ROWS).contains(&h), "tile height {h}");
-        assert_eq!(a.len(), h * k, "left rows");
-        assert_eq!(out.len() % (h * w), 0, "tile is whole panels wide");
-        let n_panels = out.len() / (h * w);
-        assert_eq!(panels.len(), n_panels * k * w, "panel block");
-        assert!(tier.supported(), "{tier:?} kernels on a CPU without them");
-        let (a, panels, out) = (a.as_ptr(), panels.as_ptr(), out.as_mut_ptr());
-        match tier {
-            // SAFETY: `tier.supported()` was just asserted, so the CPU has
-            // AVX-512F; `a` is `h * k` floats, `panels` is `n_panels`
-            // panels of `k * 16`, `out` is `h` rows of `n_panels * 16`
-            // (all asserted above), which is what `rows` requires.
-            Tier::Avx512 => unsafe { avx512::rows(a, h, k, panels, n_panels, out) },
-            // SAFETY: as above, for AVX2 + FMA and 8-wide panels.
-            Tier::Avx2 => unsafe { avx2::rows(a, h, k, panels, n_panels, out) },
-            Tier::Scalar => panic!("the scalar tier has no SIMD kernel"),
-        }
-    }
-
-    /// One kernel source for both vector widths. `tile::<R, P>` keeps an
-    /// `R x P` grid of accumulator registers (`R` rows of `a`, `P`
-    /// consecutive panels) across the whole reduction: each accumulator
-    /// is one `fma` chain over `t` ascending from zero — the contract —
-    /// and the grid gives the FMA units `R * P` independent chains.
-    /// `$x` scales `P` to the register file: 1 for the 16 `ymm` registers
-    /// (8 x 1 main tile), 2 for the 32 `zmm` ones (8 x 2: measured 157
-    /// against 113 GFLOP/s for 8 x 1 on one core of the build host).
-    macro_rules! fma_tier {
-        ($tier:ident, $features:literal, $lanes:literal, $x:literal, $zero:ident,
-         $set1:ident, $load:ident, $store:ident, $fma:ident) => {
-            mod $tier {
-                use std::arch::x86_64::*;
-
-                const LANES: usize = $lanes;
-
-                /// `R` rows of `a` against `P` consecutive panels at `b`,
-                /// stored at `out` (row stride `stride`).
-                ///
-                /// # Safety
-                /// The CPU must support the enabled features; `a` must be
-                /// valid for reads of `R * k` floats, `b` of
-                /// `P * k * LANES`, and `out` for writes of `P * LANES`
-                /// floats at each of `R` row offsets `r * stride`.
-                #[inline]
-                #[target_feature(enable = $features)]
-                unsafe fn tile<const R: usize, const P: usize>(
-                    a: *const f32,
-                    k: usize,
-                    b: *const f32,
-                    out: *mut f32,
-                    stride: usize,
-                ) {
-                    let mut acc = [[$zero(); P]; R];
-                    for t in 0..k {
-                        let mut bv = [$zero(); P];
-                        for (p, bv) in bv.iter_mut().enumerate() {
-                            // SAFETY: `p < P` and `t < k`, so the `LANES`
-                            // floats read end inside `P * k * LANES`.
-                            *bv = unsafe { $load(b.add((p * k + t) * LANES)) };
-                        }
-                        for (r, acc_row) in acc.iter_mut().enumerate() {
-                            // SAFETY: `r < R` and `t < k`: inside `R * k`.
-                            let av = $set1(unsafe { *a.add(r * k + t) });
-                            for (acc, &bv) in acc_row.iter_mut().zip(&bv) {
-                                *acc = $fma(av, bv, *acc);
-                            }
-                        }
-                    }
-                    for (r, acc_row) in acc.iter().enumerate() {
-                        for (p, &acc) in acc_row.iter().enumerate() {
-                            // SAFETY: `r < R`, `p < P`: one of the
-                            // `P * LANES` floats of row `r` the caller
-                            // vouched for.
-                            unsafe { $store(out.add(r * stride + p * LANES), acc) };
-                        }
-                    }
-                }
-
-                /// `R` rows against all `n_panels` panels, `P` at a time
-                /// and the last few one by one.
-                ///
-                /// # Safety
-                /// As [`rows`], with `h = R`.
-                #[inline]
-                #[target_feature(enable = $features)]
-                unsafe fn span<const R: usize, const P: usize>(
-                    a: *const f32,
-                    k: usize,
-                    panels: *const f32,
-                    n_panels: usize,
-                    out: *mut f32,
-                ) {
-                    let stride = n_panels * LANES;
-                    let mut p = 0;
-                    while p + P <= n_panels {
-                        // SAFETY: panels `p .. p + P` exist, and so do
-                        // their `P * LANES` columns of each output row.
-                        unsafe {
-                            tile::<R, P>(
-                                a,
-                                k,
-                                panels.add(p * k * LANES),
-                                out.add(p * LANES),
-                                stride,
-                            )
-                        };
-                        p += P;
-                    }
-                    while p < n_panels {
-                        // SAFETY: panel `p` exists, with its output columns.
-                        unsafe {
-                            tile::<R, 1>(
-                                a,
-                                k,
-                                panels.add(p * k * LANES),
-                                out.add(p * LANES),
-                                stride,
-                            )
-                        };
-                        p += 1;
-                    }
-                }
-
-                /// `h` rows of `a` against `n_panels` panels into `out`.
-                /// Short row blocks trade rows for panels so that a
-                /// 1- or 2-row product (one query, the paper-shape
-                /// serving case) still runs four or more chains.
-                ///
-                /// # Safety
-                /// The CPU must support the enabled features, `h` must be
-                /// in `1..=8`, and `a` must be valid for reads of `h * k`
-                /// floats, `panels` of `n_panels * k * LANES`, `out` for
-                /// writes of `h * n_panels * LANES`.
-                #[target_feature(enable = $features)]
-                pub(super) unsafe fn rows(
-                    a: *const f32,
-                    h: usize,
-                    k: usize,
-                    panels: *const f32,
-                    n_panels: usize,
-                    out: *mut f32,
-                ) {
-                    // SAFETY: each arm passes the caller's guarantees on
-                    // with `R = h`.
-                    unsafe {
-                        match h {
-                            8 => span::<8, { 1 * $x }>(a, k, panels, n_panels, out),
-                            7 => span::<7, { 1 * $x }>(a, k, panels, n_panels, out),
-                            6 => span::<6, { 1 * $x }>(a, k, panels, n_panels, out),
-                            5 => span::<5, { 1 * $x }>(a, k, panels, n_panels, out),
-                            4 => span::<4, { 2 * $x }>(a, k, panels, n_panels, out),
-                            3 => span::<3, { 2 * $x }>(a, k, panels, n_panels, out),
-                            2 => span::<2, { 4 * $x }>(a, k, panels, n_panels, out),
-                            1 => span::<1, { 4 * $x }>(a, k, panels, n_panels, out),
-                            _ => unreachable!("tile height {h}"),
-                        }
-                    }
-                }
-            }
-        };
-    }
-
-    fma_tier!(
-        avx512,
-        "avx512f",
-        16,
-        2,
-        _mm512_setzero_ps,
-        _mm512_set1_ps,
-        _mm512_loadu_ps,
-        _mm512_storeu_ps,
-        _mm512_fmadd_ps
-    );
-    fma_tier!(
-        avx2,
-        "avx2,fma",
-        8,
-        1,
-        _mm256_setzero_ps,
-        _mm256_set1_ps,
-        _mm256_loadu_ps,
-        _mm256_storeu_ps,
-        _mm256_fmadd_ps
-    );
-}
-
-/// One thread's share of `lhs^T @ rhs`: output rows `i0..i0 + rows(chunk)`.
-/// The reduction walks source rows `r` in increasing order; per `r` the MR
-/// lhs values (`lhs[r][ic..ic+MR]`) and NR rhs values (`rhs[r][j0..j0+NR]`)
-/// are contiguous loads, so no packing is needed.
-fn transa_chunk(lhs: &[f32], k: usize, rhs: &[f32], n: usize, i0: usize, chunk: &mut [f32]) {
-    let cols = chunk.len() / n;
-    let mut i = 0;
-    while i + MR <= cols {
-        let ic = i0 + i;
-        let mut j0 = 0;
-        while j0 + NR <= n {
-            let mut acc = [[0.0f32; NR]; MR];
-            for (a_row, g_row) in lhs.chunks_exact(k).zip(rhs.chunks_exact(n)) {
-                let a = &a_row[ic..ic + MR];
-                let g = &g_row[j0..j0 + NR];
-                for (acc_row, &av) in acc.iter_mut().zip(a) {
-                    for (o, &gv) in acc_row.iter_mut().zip(g) {
-                        *o += av * gv;
-                    }
-                }
-            }
-            for (ii, acc_row) in acc.iter().enumerate() {
-                let at = (i + ii) * n + j0;
-                chunk[at..at + NR].copy_from_slice(acc_row);
-            }
-            j0 += NR;
-        }
-        if j0 < n {
-            let w = n - j0;
-            let mut acc = [[0.0f32; NR]; MR];
-            for (a_row, g_row) in lhs.chunks_exact(k).zip(rhs.chunks_exact(n)) {
-                let a = &a_row[ic..ic + MR];
-                let g = &g_row[j0..];
-                for (acc_row, &av) in acc.iter_mut().zip(a) {
-                    for (o, &gv) in acc_row.iter_mut().zip(g) {
-                        *o += av * gv;
-                    }
-                }
-            }
-            for (ii, acc_row) in acc.iter().enumerate() {
-                let at = (i + ii) * n + j0;
-                chunk[at..at + w].copy_from_slice(&acc_row[..w]);
-            }
-        }
-        i += MR;
-    }
-    while i < cols {
-        let ic = i0 + i;
-        let out_row = &mut chunk[i * n..(i + 1) * n];
-        out_row.fill(0.0);
-        // No zero-skip here: which rows take this remainder path depends
-        // on the per-thread chunk split, so it must share the MR block's
-        // exact semantics (accumulate every term) to keep results
-        // independent of the thread count even for non-finite inputs.
-        for (a_row, g_row) in lhs.chunks_exact(k).zip(rhs.chunks_exact(n)) {
-            let a = a_row[ic];
-            for (o, &gv) in out_row.iter_mut().zip(g_row) {
-                *o += a * gv;
-            }
-        }
-        i += 1;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1044,6 +910,10 @@ mod tests {
         ((i * 2654435761) % 1000) as f32 / 500.0 - 1.0
     }
 
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     #[test]
     fn tiled_matmul_matches_reference_bitwise() {
         for &(m, k, n) in &[
@@ -1056,17 +926,13 @@ mod tests {
         ] {
             let a = mat(m, k, pseudo);
             let b = mat(k, n, |i| pseudo(i + 7));
-            let mut tiled = vec![f32::NAN; m * n];
             let mut naive = vec![f32::NAN; m * n];
-            matmul_into(&a, m, k, &b, n, &mut tiled);
             matmul_reference_into(&a, m, k, &b, n, &mut naive);
-            assert!(
-                tiled
-                    .iter()
-                    .zip(&naive)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "mismatch at ({m}, {k}, {n})"
-            );
+            for tier in Tier::available() {
+                let mut tiled = vec![f32::NAN; m * n];
+                matmul_into(tier, &a, m, k, &b, n, &mut tiled);
+                assert!(same_bits(&tiled, &naive), "{tier:?} at ({m}, {k}, {n})");
+            }
         }
     }
 
@@ -1075,17 +941,13 @@ mod tests {
         for &(m, k, n) in &[(1, 3, 1), (4, 8, 8), (6, 5, 11), (17, 64, 3)] {
             let a = mat(m, k, pseudo);
             let b = mat(n, k, |i| pseudo(i + 3));
-            let mut tiled = vec![f32::NAN; m * n];
             let mut naive = vec![f32::NAN; m * n];
-            matmul_transb_into(&a, m, k, &b, n, &mut tiled);
             matmul_transb_reference_into(&a, m, k, &b, n, &mut naive);
-            assert!(
-                tiled
-                    .iter()
-                    .zip(&naive)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "mismatch at ({m}, {k}, {n})"
-            );
+            for tier in Tier::available() {
+                let mut tiled = vec![f32::NAN; m * n];
+                matmul_transb_into(tier, &a, m, k, &b, n, &mut tiled);
+                assert!(same_bits(&tiled, &naive), "{tier:?} at ({m}, {k}, {n})");
+            }
         }
     }
 
@@ -1094,17 +956,13 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (8, 4, 8), (9, 6, 10), (3, 21, 33)] {
             let a = mat(m, k, pseudo);
             let g = mat(m, n, |i| pseudo(i + 11));
-            let mut tiled = vec![f32::NAN; k * n];
             let mut naive = vec![f32::NAN; k * n];
-            matmul_transa_into(&a, m, k, &g, n, &mut tiled);
             matmul_transa_reference_into(&a, m, k, &g, n, &mut naive);
-            assert!(
-                tiled
-                    .iter()
-                    .zip(&naive)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "mismatch at ({m}, {k}, {n})"
-            );
+            for tier in Tier::available() {
+                let mut tiled = vec![f32::NAN; k * n];
+                matmul_transa_into(tier, &a, m, k, &g, n, &mut tiled);
+                assert!(same_bits(&tiled, &naive), "{tier:?} at ({m}, {k}, {n})");
+            }
         }
     }
 
@@ -1116,33 +974,5 @@ mod tests {
             Matrix::zeros(9, 0).matmul_packed_into(&packed, &mut out);
             assert!(out.as_slice().iter().all(|&v| v == 0.0), "{tier:?}");
         }
-    }
-
-    /// The safe door to the SIMD kernels refuses slices that do not
-    /// bound the offsets the kernels form.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn simd_entry_checks_lengths_before_any_pointer_is_formed() {
-        let Some(&tier) = Tier::available().iter().find(|&&t| t != Tier::Scalar) else {
-            return;
-        };
-        let (w, k) = (tier.panel_width(), 5);
-        let (a, panels) = (vec![1.0f32; 2 * k], vec![1.0f32; 3 * k * w]);
-        let refused = |a: &[f32], h: usize, panels: &[f32], out_len: usize| {
-            let mut out = vec![0.0f32; out_len];
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                simd::rows(tier, a, h, k, panels, &mut out)
-            }))
-            .is_err()
-        };
-        assert!(!refused(&a, 2, &panels, 2 * 3 * w), "a well-formed call");
-        assert!(refused(&a[1..], 2, &panels, 2 * 3 * w), "short left rows");
-        assert!(refused(&a, 2, &panels[w..], 2 * 3 * w), "short panel block");
-        assert!(refused(&a, 2, &panels, 2 * 3 * w - 1), "ragged tile");
-        assert!(refused(&a, 0, &panels, 0), "no rows");
-        assert!(
-            refused(&[1.0; 9 * 5], 9, &panels, 9 * 3 * w),
-            "too many rows"
-        );
     }
 }

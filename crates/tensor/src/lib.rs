@@ -7,9 +7,11 @@
 //! - [`matrix`] — dense row-major `f32` matrices with the kernels every
 //!   layer is built from (GEMM, transposed GEMM, concat/split, reductions),
 //!   parallelised deterministically over output rows;
-//! - [`gemm`] — the register-tiled GEMM micro-kernels behind every dense
-//!   product, bit-identical to the naive reference loops they replace,
-//!   and [`PackedRhs`], a right operand packed once for many products;
+//! - [`gemm`] — the register-tiled GEMM driver and micro-kernels behind
+//!   every dense product (explicit SIMD tiles picked from the CPU at run
+//!   time), bit-identical in training to the naive reference loops they
+//!   replace, and [`PackedRhs`], a right operand packed once for many
+//!   products;
 //! - [`sparse`] — CSR adjacency matrices and sparse-dense products for
 //!   graph convolutions and set pooling, nnz-balanced across threads;
 //! - [`pool`] — a step-scoped buffer recycler so steady-state training
@@ -64,6 +66,8 @@ pub mod matrix;
 pub mod optim;
 pub mod par;
 pub mod pool;
+#[cfg(target_arch = "x86_64")]
+mod simd;
 pub mod sparse;
 pub mod tape;
 

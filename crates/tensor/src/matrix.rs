@@ -364,10 +364,11 @@ impl Matrix {
     /// Dense matrix product `self @ other`.
     ///
     /// Routes through the register-tiled kernels in [`crate::gemm`]
-    /// (4x8 tiles over a packed RHS panel). Each output element is still
-    /// accumulated in increasing-`k` order by a single accumulator, and
+    /// (the widest exact tile this CPU has, over packed RHS panels).
+    /// Each output element is still accumulated in increasing-`k` order
+    /// by a single accumulator, a `mul` then an `add` per step, and
     /// parallelism is over disjoint output-row chunks, so results are
-    /// bit-for-bit deterministic regardless of thread count — and
+    /// bit-for-bit the same on every tier, host and thread count — and
     /// bit-identical to the naive reference kernel.
     ///
     /// # Panics
@@ -384,6 +385,11 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension or output-shape mismatch.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.matmul_into_on(Tier::detect(), other, out);
+    }
+
+    /// [`matmul_into`](Self::matmul_into) on a named tier.
+    pub(crate) fn matmul_into_on(&self, tier: Tier, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "Matrix::matmul: inner dimensions differ ({}x{} @ {}x{})",
@@ -398,6 +404,7 @@ impl Matrix {
             other.cols
         );
         gemm::matmul_into(
+            tier,
             &self.data,
             self.rows,
             self.cols,
@@ -429,6 +436,11 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension or output-shape mismatch.
     pub fn matmul_transb_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.matmul_transb_into_on(Tier::detect(), other, out);
+    }
+
+    /// [`matmul_transb_into`](Self::matmul_transb_into) on a named tier.
+    pub(crate) fn matmul_transb_into_on(&self, tier: Tier, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
             "Matrix::matmul_transb: inner dimensions differ ({}x{} @ ({}x{})^T)",
@@ -443,6 +455,7 @@ impl Matrix {
             other.rows
         );
         gemm::matmul_transb_into(
+            tier,
             &self.data,
             self.rows,
             self.cols,
@@ -529,6 +542,11 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension or output-shape mismatch.
     pub fn matmul_transa_into(&self, other: &Matrix, out: &mut Matrix) {
+        self.matmul_transa_into_on(Tier::detect(), other, out);
+    }
+
+    /// [`matmul_transa_into`](Self::matmul_transa_into) on a named tier.
+    pub(crate) fn matmul_transa_into_on(&self, tier: Tier, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "Matrix::matmul_transa: inner dimensions differ (({}x{})^T @ {}x{})",
@@ -543,6 +561,7 @@ impl Matrix {
             other.cols
         );
         gemm::matmul_transa_into(
+            tier,
             &self.data,
             self.rows,
             self.cols,

@@ -28,11 +28,24 @@ fn thread_count() -> usize {
     })
 }
 
+/// A dense product's thread threshold, in multiply-adds: what one
+/// [`PAR_THRESHOLD`] of outputs costs at a reduction length of 64, about
+/// 100 µs of one core on the exact tiles.
+const PAR_THRESHOLD_MACS: usize = 64 * PAR_THRESHOLD;
+
 /// Threads worth spawning for `work` output elements: never more than the
 /// configured count, and never so many that a thread owns less than one
 /// [`PAR_THRESHOLD`] of work (the spawn would cost more than it saves).
 fn threads_for(work: usize) -> usize {
     thread_count().min(work / PAR_THRESHOLD).max(1)
+}
+
+/// Threads worth spawning for a dense product of `macs` multiply-adds
+/// (`m * n * k`). Counting the reduction, not just the outputs, is what
+/// shares out a weight gradient: 256 x 256 outputs, each a thousand
+/// steps long.
+pub fn threads_for_macs(macs: usize) -> usize {
+    thread_count().min(macs / PAR_THRESHOLD_MACS).max(1)
 }
 
 /// Splits `data` (a row-major buffer of `rows` rows of `row_len` values)
@@ -45,18 +58,18 @@ pub fn for_each_row_chunk<F>(data: &mut [f32], row_len: usize, rows: usize, f: F
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    for_each_row_chunk_of(data, row_len, rows, data.len(), f);
+    for_each_row_chunk_of(data, row_len, rows, threads_for(data.len()), f);
 }
 
-/// [`for_each_row_chunk`] over rows of any per-row state, for kernels
-/// whose output is not an `f32` buffer: `work` is the output-element
-/// count the thread decision is made from (what `data.len()` is there).
-/// Returns the number of chunks — threads — the rows were split into.
+/// [`for_each_row_chunk`] over rows of any per-row state, split over at
+/// most `threads` threads (the caller's decision: [`threads_for_macs`]
+/// for a dense product). Returns the number of chunks — threads — the
+/// rows were split into.
 pub fn for_each_row_chunk_of<T, F>(
     data: &mut [T],
     row_len: usize,
     rows: usize,
-    work: usize,
+    threads: usize,
     f: F,
 ) -> usize
 where
@@ -64,7 +77,6 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     debug_assert_eq!(data.len(), row_len * rows);
-    let threads = threads_for(work);
     if threads <= 1 || rows < 2 {
         f(0, data);
         return 1;

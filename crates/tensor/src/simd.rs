@@ -1,0 +1,273 @@
+//! The explicit `std::arch` micro-kernels, and all of this crate's
+//! `unsafe`.
+//!
+//! [`rows`] is the only way in. It checks, in safe code, everything the
+//! kernels rely on — the CPU feature, and the three slice lengths that
+//! bound every pointer offset they form — so no caller can reach the
+//! `unsafe` with arguments that make it unsound.
+
+use crate::gemm::{Arith, Tier, SIMD_ROWS};
+
+/// Computes `h` rows of `a` (`h x k`) against `out.len() / h / W`
+/// consecutive panels (`k x W` each, `W` the tier's vector width)
+/// into `out` (`h` rows, one `W`-wide group per panel). Every output is
+/// one accumulator walking `t` ascending from zero; `arith` says whether
+/// a step rounds once ([`Arith::Fused`]) or twice ([`Arith::Exact`]).
+///
+/// # Panics
+/// Panics if `tier` is scalar or unsupported by this CPU, `h` is not
+/// in `1..=SIMD_ROWS`, or the slice lengths disagree with `h` and `k`.
+pub(crate) fn rows(
+    tier: Tier,
+    arith: Arith,
+    a: &[f32],
+    h: usize,
+    k: usize,
+    panels: &[f32],
+    out: &mut [f32],
+) {
+    let w = tier.panel_width();
+    assert!((1..=SIMD_ROWS).contains(&h), "tile height {h}");
+    assert_eq!(a.len(), h * k, "left rows");
+    assert_eq!(out.len() % (h * w), 0, "tile is whole panels wide");
+    let n_panels = out.len() / (h * w);
+    assert_eq!(panels.len(), n_panels * k * w, "panel block");
+    assert!(tier.supported(), "{tier:?} kernels on a CPU without them");
+    let (a, panels, out) = (a.as_ptr(), panels.as_ptr(), out.as_mut_ptr());
+    // SAFETY (all four arms): `tier.supported()` was just asserted, so
+    // the CPU has AVX-512F, or AVX2 and FMA; `a` is `h * k` floats,
+    // `panels` is `n_panels` panels of `k * W`, `out` is `h` rows of
+    // `n_panels * W` (all asserted above), which is what `rows` requires.
+    match (tier, arith) {
+        (Tier::Avx512, Arith::Fused) => unsafe { avx512::rows(a, h, k, panels, n_panels, out) },
+        (Tier::Avx512, Arith::Exact) => unsafe {
+            avx512_exact::rows(a, h, k, panels, n_panels, out)
+        },
+        (Tier::Avx2, Arith::Fused) => unsafe { avx2::rows(a, h, k, panels, n_panels, out) },
+        (Tier::Avx2, Arith::Exact) => unsafe { avx2_exact::rows(a, h, k, panels, n_panels, out) },
+        (Tier::Scalar, _) => panic!("the scalar tier has no SIMD kernel"),
+    }
+}
+
+/// One kernel source for both vector widths and both arithmetics.
+/// `tile::<R, P>` keeps an `R x P` grid of accumulator registers (`R`
+/// rows of `a`, `P` consecutive panels) across the whole reduction: each
+/// accumulator is one chain over `t` ascending from zero — the contract —
+/// and the grid gives the arithmetic units `R * P` independent chains.
+/// `$x` scales `P` to the register file: 1 for the 16 `ymm` registers
+/// (8 x 1 main tile), 2 for the 32 `zmm` ones (8 x 2: measured 157
+/// against 113 GFLOP/s for 8 x 1 on one core of the build host, fused).
+/// The last argument is the step that folds `a * b` into `acc`: one
+/// `fmadd` for serving's tiers, `add(acc, mul(a, b))` — two roundings,
+/// the reference kernels' bits — for training's.
+macro_rules! tile_tier {
+    ($tier:ident, $features:literal, $lanes:literal, $x:literal, $zero:ident,
+     $set1:ident, $load:ident, $store:ident, |$a:ident, $b:ident, $acc:ident| $step:expr) => {
+        mod $tier {
+            use std::arch::x86_64::*;
+
+            const LANES: usize = $lanes;
+
+            /// `R` rows of `a` against `P` consecutive panels at `b`,
+            /// stored at `out` (row stride `stride`).
+            ///
+            /// # Safety
+            /// The CPU must support the enabled features; `a` must be
+            /// valid for reads of `R * k` floats, `b` of
+            /// `P * k * LANES`, and `out` for writes of `P * LANES`
+            /// floats at each of `R` row offsets `r * stride`.
+            #[inline]
+            #[target_feature(enable = $features)]
+            unsafe fn tile<const R: usize, const P: usize>(
+                a: *const f32,
+                k: usize,
+                b: *const f32,
+                out: *mut f32,
+                stride: usize,
+            ) {
+                let mut acc = [[$zero(); P]; R];
+                for t in 0..k {
+                    let mut bv = [$zero(); P];
+                    for (p, bv) in bv.iter_mut().enumerate() {
+                        // SAFETY: `p < P` and `t < k`, so the `LANES`
+                        // floats read end inside `P * k * LANES`.
+                        *bv = unsafe { $load(b.add((p * k + t) * LANES)) };
+                    }
+                    for (r, acc_row) in acc.iter_mut().enumerate() {
+                        // SAFETY: `r < R` and `t < k`: inside `R * k`.
+                        let av = $set1(unsafe { *a.add(r * k + t) });
+                        for (acc, &bv) in acc_row.iter_mut().zip(&bv) {
+                            let ($a, $b, $acc) = (av, bv, *acc);
+                            *acc = $step;
+                        }
+                    }
+                }
+                for (r, acc_row) in acc.iter().enumerate() {
+                    for (p, &acc) in acc_row.iter().enumerate() {
+                        // SAFETY: `r < R`, `p < P`: one of the
+                        // `P * LANES` floats of row `r` the caller
+                        // vouched for.
+                        unsafe { $store(out.add(r * stride + p * LANES), acc) };
+                    }
+                }
+            }
+
+            /// `R` rows against all `n_panels` panels, `P` at a time
+            /// and the last few one by one.
+            ///
+            /// # Safety
+            /// As [`rows`], with `h = R`.
+            #[inline]
+            #[target_feature(enable = $features)]
+            unsafe fn span<const R: usize, const P: usize>(
+                a: *const f32,
+                k: usize,
+                panels: *const f32,
+                n_panels: usize,
+                out: *mut f32,
+            ) {
+                let stride = n_panels * LANES;
+                let mut p = 0;
+                while p + P <= n_panels {
+                    // SAFETY: panels `p .. p + P` exist, and so do
+                    // their `P * LANES` columns of each output row.
+                    unsafe {
+                        tile::<R, P>(a, k, panels.add(p * k * LANES), out.add(p * LANES), stride)
+                    };
+                    p += P;
+                }
+                while p < n_panels {
+                    // SAFETY: panel `p` exists, with its output columns.
+                    unsafe {
+                        tile::<R, 1>(a, k, panels.add(p * k * LANES), out.add(p * LANES), stride)
+                    };
+                    p += 1;
+                }
+            }
+
+            /// `h` rows of `a` against `n_panels` panels into `out`.
+            /// Short row blocks trade rows for panels so that a
+            /// 1- or 2-row product (one query, the paper-shape
+            /// serving case) still runs four or more chains.
+            ///
+            /// # Safety
+            /// The CPU must support the enabled features, `h` must be
+            /// in `1..=8`, and `a` must be valid for reads of `h * k`
+            /// floats, `panels` of `n_panels * k * LANES`, `out` for
+            /// writes of `h * n_panels * LANES`.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn rows(
+                a: *const f32,
+                h: usize,
+                k: usize,
+                panels: *const f32,
+                n_panels: usize,
+                out: *mut f32,
+            ) {
+                // SAFETY: each arm passes the caller's guarantees on
+                // with `R = h`.
+                unsafe {
+                    match h {
+                        8 => span::<8, { 1 * $x }>(a, k, panels, n_panels, out),
+                        7 => span::<7, { 1 * $x }>(a, k, panels, n_panels, out),
+                        6 => span::<6, { 1 * $x }>(a, k, panels, n_panels, out),
+                        5 => span::<5, { 1 * $x }>(a, k, panels, n_panels, out),
+                        4 => span::<4, { 2 * $x }>(a, k, panels, n_panels, out),
+                        3 => span::<3, { 2 * $x }>(a, k, panels, n_panels, out),
+                        2 => span::<2, { 4 * $x }>(a, k, panels, n_panels, out),
+                        1 => span::<1, { 4 * $x }>(a, k, panels, n_panels, out),
+                        _ => unreachable!("tile height {h}"),
+                    }
+                }
+            }
+        }
+    };
+}
+
+tile_tier!(
+    avx512,
+    "avx512f",
+    16,
+    2,
+    _mm512_setzero_ps,
+    _mm512_set1_ps,
+    _mm512_loadu_ps,
+    _mm512_storeu_ps,
+    |a, b, acc| _mm512_fmadd_ps(a, b, acc)
+);
+tile_tier!(
+    avx2,
+    "avx2,fma",
+    8,
+    1,
+    _mm256_setzero_ps,
+    _mm256_set1_ps,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    |a, b, acc| _mm256_fmadd_ps(a, b, acc)
+);
+// Training's tiers: the same tiles, stepping by a separate `mul` and
+// `add`. Neither rustc nor LLVM contracts the pair into an `fmadd`
+// (that needs a fast-math flag nothing here sets), and the AVX2 one does
+// not even enable the `fma` feature.
+tile_tier!(
+    avx512_exact,
+    "avx512f",
+    16,
+    2,
+    _mm512_setzero_ps,
+    _mm512_set1_ps,
+    _mm512_loadu_ps,
+    _mm512_storeu_ps,
+    |a, b, acc| _mm512_add_ps(acc, _mm512_mul_ps(a, b))
+);
+tile_tier!(
+    avx2_exact,
+    "avx2",
+    8,
+    1,
+    _mm256_setzero_ps,
+    _mm256_set1_ps,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    |a, b, acc| _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn refused(call: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).is_err()
+    }
+
+    fn simd_tier() -> Option<Tier> {
+        Tier::available().into_iter().find(|&t| t != Tier::Scalar)
+    }
+
+    /// The safe door to the tile kernels refuses slices that do not
+    /// bound the offsets the kernels form.
+    #[test]
+    fn rows_checks_lengths_before_any_pointer_is_formed() {
+        let Some(tier) = simd_tier() else {
+            return;
+        };
+        let (w, k) = (tier.panel_width(), 5);
+        let (a, panels) = (vec![1.0f32; 2 * k], vec![1.0f32; 3 * k * w]);
+        for arith in [Arith::Fused, Arith::Exact] {
+            let refused = |a: &[f32], h: usize, panels: &[f32], out_len: usize| {
+                let mut out = vec![0.0f32; out_len];
+                refused(|| rows(tier, arith, a, h, k, panels, &mut out))
+            };
+            assert!(!refused(&a, 2, &panels, 2 * 3 * w), "a well-formed call");
+            assert!(refused(&a[1..], 2, &panels, 2 * 3 * w), "short left rows");
+            assert!(refused(&a, 2, &panels[w..], 2 * 3 * w), "short panel block");
+            assert!(refused(&a, 2, &panels, 2 * 3 * w - 1), "ragged tile");
+            assert!(refused(&a, 0, &panels, 0), "no rows");
+            assert!(
+                refused(&[1.0; 9 * 5], 9, &panels, 9 * 3 * w),
+                "too many rows"
+            );
+        }
+    }
+}

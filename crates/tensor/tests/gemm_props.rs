@@ -1,11 +1,12 @@
 //! Property tests for the training hot path: the tiled GEMM kernels must
 //! match the naive reference kernels **bit for bit** (not approximately —
-//! the per-element accumulation order is part of the contract), and a
+//! the per-element accumulation order and the two roundings per step are
+//! the contract) on **every kernel tier this CPU supports**, and a
 //! buffer-pooled tape must produce bit-identical gradients to an unpooled
 //! one, including when its recycled buffers are full of stale garbage.
 //! The serving side's pack-once operand (`PackedRhs`) is held to its own
-//! contract on **every kernel tier this CPU supports**, each called
-//! directly rather than through dispatch: one accumulator per output
+//! contract on every tier too, each called directly rather than
+//! through dispatch: one accumulator per output
 //! walking `t` ascending — fused on the SIMD tiers (== a naive `mul_add`
 //! loop, bit for bit), `mul` then `add` on the scalar tier (== `matmul`,
 //! bit for bit).
@@ -31,18 +32,19 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// The shapes one case of a tiled-vs-reference property checks: the
-/// drawn triple, its degenerate variants (a 1 in each slot: row vectors,
-/// column vectors, non-multiples of the tile) and — on the property's
-/// first case only, it is far larger than the rest together — the shape
-/// paper-scale training runs this product at (the ones the benchmark's
-/// `train_paper` probes: 1113 = 360 + 753 nodes, batch 1024, 753 herbs).
+/// drawn triple (any slot may be 0), its degenerate variants (a 1 in
+/// each slot: row vectors, column vectors, one-step reductions) and — on
+/// the property's first case only, they are far larger than the rest
+/// together — the shapes paper-scale training runs this product at (the
+/// ones the benchmark's `train_paper` probes: 1113 = 360 + 753 nodes,
+/// batch 1024, 753 herbs, 256-wide syndromes).
 fn shapes_with_training(
     (m, k, n): (usize, usize, usize),
-    training: (usize, usize, usize),
+    training: &[(usize, usize, usize)],
     first_case: &Once,
 ) -> Vec<(usize, usize, usize)> {
     let mut shapes = vec![(m, k, n), (1, k, n), (m, 1, n), (m, k, 1)];
-    first_case.call_once(|| shapes.push(training));
+    first_case.call_once(|| shapes.extend_from_slice(training));
     shapes
 }
 
@@ -58,57 +60,61 @@ fn assert_bits_equal(a: &Matrix, b: &Matrix, what: &str) {
 }
 
 proptest! {
-    /// Tiled `A @ B` == naive `A @ B`, including 1xN / Nx1 / odd shapes
-    /// and a GCN layer's `1113x64 @ 64x128`.
+    /// `A @ B` on every tier this CPU has == naive `A @ B`: empty and
+    /// one-step reductions, heights off the 8-row tile, widths off the
+    /// 16-lane panel and under the 32-column main tile, and a GCN
+    /// layer's `1113x64 @ 64x128`.
     #[test]
-    fn tiled_matmul_is_bit_identical(m in 1usize..34, k in 1usize..34, n in 1usize..34, seed in 0u64..500) {
+    fn tiled_matmul_is_bit_identical(m in 0usize..34, k in 0usize..34, n in 0usize..70, seed in 0u64..500) {
         static FIRST: Once = Once::new();
-        for (m, k, n) in shapes_with_training((m, k, n), (1113, 64, 128), &FIRST) {
+        for (m, k, n) in shapes_with_training((m, k, n), &[(1113, 64, 128), (1024, 753, 256)], &FIRST) {
             let a = random_matrix(m, k, seed);
             let b = random_matrix(k, n, seed ^ 0x9e37);
-            assert_bits_equal(
-                &a.matmul(&b),
-                &a.matmul_reference(&b),
-                &format!("matmul {m}x{k}x{n}"),
-            );
+            let naive = a.matmul_reference(&b);
+            assert_bits_equal(&a.matmul(&b), &naive, &format!("matmul {m}x{k}x{n}"));
+            for tier in Tier::available() {
+                assert_bits_equal(&tier.matmul(&a, &b), &naive, &format!("{tier:?} matmul {m}x{k}x{n}"));
+            }
         }
     }
 
-    /// Tiled `A @ B^T` == naive `A @ B^T`, including the prediction
-    /// layer's `1024x256 @ (753x256)^T`.
+    /// `A @ B^T` on every tier == naive `A @ B^T`, including the
+    /// prediction layer's `1024x256 @ (753x256)^T`.
     #[test]
-    fn tiled_transb_is_bit_identical(m in 1usize..34, k in 1usize..34, n in 1usize..34, seed in 0u64..500) {
+    fn tiled_transb_is_bit_identical(m in 0usize..34, k in 0usize..34, n in 0usize..70, seed in 0u64..500) {
         static FIRST: Once = Once::new();
-        for (m, k, n) in shapes_with_training((m, k, n), (1024, 256, 753), &FIRST) {
+        for (m, k, n) in shapes_with_training((m, k, n), &[(1024, 256, 753)], &FIRST) {
             let a = random_matrix(m, k, seed);
             let b = random_matrix(n, k, seed ^ 0x51f1);
-            assert_bits_equal(
-                &a.matmul_transb(&b),
-                &a.matmul_transb_reference(&b),
-                &format!("transb {m}x{k}x{n}"),
-            );
+            let naive = a.matmul_transb_reference(&b);
+            assert_bits_equal(&a.matmul_transb(&b), &naive, &format!("transb {m}x{k}x{n}"));
+            for tier in Tier::available() {
+                assert_bits_equal(&tier.matmul_transb(&a, &b), &naive, &format!("{tier:?} transb {m}x{k}x{n}"));
+            }
         }
     }
 
-    /// Tiled `A^T @ B` == naive `A^T @ B` == transpose-then-matmul,
-    /// including the backward pass's `(1024x256)^T @ 1024x753`.
+    /// `A^T @ B` on every tier == naive `A^T @ B` == transpose-then-
+    /// matmul, including the backward pass's weight gradients: the herb
+    /// table's `(1024x753)^T @ 1024x256`, an MLP's `(1024x256)^T @
+    /// 1024x256`, and the benchmark probe's `(1024x256)^T @ 1024x753`.
     #[test]
-    fn tiled_transa_is_bit_identical(m in 1usize..34, k in 1usize..34, n in 1usize..34, seed in 0u64..500) {
+    fn tiled_transa_is_bit_identical(m in 0usize..34, k in 0usize..34, n in 0usize..70, seed in 0u64..500) {
         static FIRST: Once = Once::new();
-        for (m, k, n) in shapes_with_training((m, k, n), (1024, 256, 753), &FIRST) {
+        let training = [(1024, 753, 256), (1024, 256, 256), (1024, 256, 753)];
+        for (m, k, n) in shapes_with_training((m, k, n), &training, &FIRST) {
             let a = random_matrix(m, k, seed);
             let g = random_matrix(m, n, seed ^ 0x2bad);
-            let tiled = a.matmul_transa(&g);
+            let naive = a.matmul_transa_reference(&g);
+            assert_bits_equal(&a.matmul_transa(&g), &naive, &format!("transa {m}x{k}x{n}"));
             assert_bits_equal(
-                &tiled,
-                &a.matmul_transa_reference(&g),
-                &format!("transa {m}x{k}x{n}"),
-            );
-            assert_bits_equal(
-                &tiled,
                 &a.transpose().matmul(&g),
+                &naive,
                 &format!("transa-vs-transpose {m}x{k}x{n}"),
             );
+            for tier in Tier::available() {
+                assert_bits_equal(&tier.matmul_transa(&a, &g), &naive, &format!("{tier:?} transa {m}x{k}x{n}"));
+            }
         }
     }
 
@@ -266,7 +272,7 @@ fn mul_add_oracle(a: &Matrix, b: &Matrix) -> Matrix {
 #[test]
 fn prints_the_tiers_that_ran() {
     println!(
-        "PackedRhs tiers exercised: {:?} (dispatch picks {:?})",
+        "kernel tiers exercised: {:?} (dispatch picks {:?})",
         Tier::available(),
         Tier::detect()
     );
