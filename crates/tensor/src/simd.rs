@@ -1,10 +1,13 @@
 //! The explicit `std::arch` micro-kernels, and all of this crate's
 //! `unsafe`.
 //!
-//! [`rows`] is the only way in. It checks, in safe code, everything the
-//! kernels rely on — the CPU feature, and the three slice lengths that
-//! bound every pointer offset they form — so no caller can reach the
-//! `unsafe` with arguments that make it unsound.
+//! Two safe functions are the only way in: [`rows`] (a block of a dense
+//! product against packed panels) and [`spmm_row`] (one output row of a
+//! sparse-dense product). Each checks, in safe code, everything its
+//! kernel relies on — the CPU feature, every slice length that bounds a
+//! pointer offset and, for the sparse kernel, every column index — before
+//! a pointer is formed, so no caller can reach the `unsafe` with
+//! arguments that make it unsound.
 
 use crate::gemm::{Arith, Tier, SIMD_ROWS};
 
@@ -46,6 +49,53 @@ pub(crate) fn rows(
         (Tier::Avx2, Arith::Fused) => unsafe { avx2::rows(a, h, k, panels, n_panels, out) },
         (Tier::Avx2, Arith::Exact) => unsafe { avx2_exact::rows(a, h, k, panels, n_panels, out) },
         (Tier::Scalar, _) => panic!("the scalar tier has no SIMD kernel"),
+    }
+}
+
+/// Whether [`spmm_row`] has a kernel for output rows `n` wide on `tier`:
+/// a SIMD tier, and a whole number of its vectors (ragged widths stay on
+/// the scalar loop).
+pub(crate) fn spmm_row_fits(tier: Tier, n: usize) -> bool {
+    tier != Tier::Scalar && n > 0 && n.is_multiple_of(tier.panel_width())
+}
+
+/// One output row of a sparse-dense product:
+/// `out[j] = sum_e vals[e] * dense[cols[e]][j]`, where `dense` is
+/// row-major with rows as wide as `out`. Every `out[j]` is one
+/// accumulator starting at `0.0` and taking the stored entries in order,
+/// `mul` then `add` — the scalar loop's order and roundings, so its
+/// bits — held in registers across the whole row instead of being
+/// reloaded and stored per entry.
+///
+/// # Panics
+/// Panics unless [`spmm_row_fits`]`(tier, out.len())`, the CPU supports
+/// `tier`, `cols` and `vals` are equally long, `dense` is whole rows,
+/// and every column index names one of them.
+pub(crate) fn spmm_row(tier: Tier, cols: &[u32], vals: &[f32], dense: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    assert!(
+        spmm_row_fits(tier, n),
+        "{tier:?} has no row kernel for width {n}"
+    );
+    assert_eq!(cols.len(), vals.len(), "one value per column index");
+    assert_eq!(dense.len() % n, 0, "dense operand is whole rows");
+    let dense_rows = dense.len() / n;
+    assert!(
+        cols.iter().all(|&c| (c as usize) < dense_rows),
+        "column index past the dense operand's {dense_rows} rows"
+    );
+    assert!(tier.supported(), "{tier:?} kernels on a CPU without them");
+    let (nnz, cols, vals) = (cols.len(), cols.as_ptr(), vals.as_ptr());
+    let (dense, out) = (dense.as_ptr(), out.as_mut_ptr());
+    // SAFETY (both arms): the CPU supports the tier; `cols` and `vals`
+    // are `nnz` long; every `cols[e] < dense_rows` and `dense` is
+    // `dense_rows * n` floats, so each row the kernel reads is inside it;
+    // `out` is `n` floats and `n` is a multiple of the vector width (all
+    // asserted above).
+    match tier {
+        Tier::Avx512 => unsafe { spmm_avx512::row(cols, vals, nnz, dense, n, out) },
+        Tier::Avx2 => unsafe { spmm_avx2::row(cols, vals, nnz, dense, n, out) },
+        Tier::Scalar => unreachable!("refused by spmm_row_fits"),
     }
 }
 
@@ -233,6 +283,119 @@ tile_tier!(
     |a, b, acc| _mm256_add_ps(acc, _mm256_mul_ps(a, b))
 );
 
+/// The sparse row kernel for one vector width: `strip::<V>` holds `V`
+/// vectors of the output row in registers while it walks the row's
+/// stored entries once; `row` covers the width with strips of 8, 4, 2
+/// and 1 vectors (8 independent `add` chains keep both ports busy; a
+/// 64-wide row on AVX-512 is one strip of 4).
+macro_rules! spmm_tier {
+    ($tier:ident, $features:literal, $lanes:literal, $zero:ident, $set1:ident,
+     $load:ident, $store:ident, $mul:ident, $add:ident) => {
+        mod $tier {
+            use std::arch::x86_64::*;
+
+            const LANES: usize = $lanes;
+
+            /// Columns `0 .. V * LANES` of the row at `out`, from the
+            /// same columns of the dense rows at `dense`.
+            ///
+            /// # Safety
+            /// The CPU must support the enabled features; `cols` and
+            /// `vals` must be valid for reads of `nnz` elements; for
+            /// every `e < nnz`, `dense` must be valid for reads of
+            /// `V * LANES` floats at offset `cols[e] * n`; `out` must be
+            /// valid for writes of `V * LANES` floats.
+            #[inline]
+            #[target_feature(enable = $features)]
+            unsafe fn strip<const V: usize>(
+                cols: *const u32,
+                vals: *const f32,
+                nnz: usize,
+                dense: *const f32,
+                n: usize,
+                out: *mut f32,
+            ) {
+                let mut acc = [$zero(); V];
+                for e in 0..nnz {
+                    // SAFETY: `e < nnz`, the length of both arrays.
+                    let (c, a) = unsafe { (*cols.add(e) as usize, $set1(*vals.add(e))) };
+                    for (v, acc) in acc.iter_mut().enumerate() {
+                        // SAFETY: `v < V`: inside the `V * LANES` floats
+                        // at `cols[e] * n` the caller vouched for.
+                        let b = unsafe { $load(dense.add(c * n + v * LANES)) };
+                        *acc = $add(*acc, $mul(a, b));
+                    }
+                }
+                for (v, &acc) in acc.iter().enumerate() {
+                    // SAFETY: `v < V`: inside `out`'s `V * LANES` floats.
+                    unsafe { $store(out.add(v * LANES), acc) };
+                }
+            }
+
+            /// The whole `n`-wide row.
+            ///
+            /// # Safety
+            /// The CPU must support the enabled features; `n` must be a
+            /// multiple of `LANES`; `cols` and `vals` must be valid for
+            /// reads of `nnz` elements; `dense` for reads of `n` floats
+            /// at offset `cols[e] * n` for every `e < nnz`; `out` for
+            /// writes of `n` floats.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn row(
+                cols: *const u32,
+                vals: *const f32,
+                nnz: usize,
+                dense: *const f32,
+                n: usize,
+                out: *mut f32,
+            ) {
+                let mut j = 0;
+                // SAFETY (all four): columns `j .. j + V * LANES` are
+                // inside the `n` the caller vouched for, of `out` and of
+                // every dense row read.
+                while j + 8 * LANES <= n {
+                    unsafe { strip::<8>(cols, vals, nnz, dense.add(j), n, out.add(j)) };
+                    j += 8 * LANES;
+                }
+                if j + 4 * LANES <= n {
+                    unsafe { strip::<4>(cols, vals, nnz, dense.add(j), n, out.add(j)) };
+                    j += 4 * LANES;
+                }
+                if j + 2 * LANES <= n {
+                    unsafe { strip::<2>(cols, vals, nnz, dense.add(j), n, out.add(j)) };
+                    j += 2 * LANES;
+                }
+                if j + LANES <= n {
+                    unsafe { strip::<1>(cols, vals, nnz, dense.add(j), n, out.add(j)) };
+                }
+            }
+        }
+    };
+}
+
+spmm_tier!(
+    spmm_avx512,
+    "avx512f",
+    16,
+    _mm512_setzero_ps,
+    _mm512_set1_ps,
+    _mm512_loadu_ps,
+    _mm512_storeu_ps,
+    _mm512_mul_ps,
+    _mm512_add_ps
+);
+spmm_tier!(
+    spmm_avx2,
+    "avx2",
+    8,
+    _mm256_setzero_ps,
+    _mm256_set1_ps,
+    _mm256_loadu_ps,
+    _mm256_storeu_ps,
+    _mm256_mul_ps,
+    _mm256_add_ps
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,5 +432,40 @@ mod tests {
                 "too many rows"
             );
         }
+    }
+
+    /// The safe door to the sparse row kernel refuses a column index
+    /// past the dense operand — and everything else its pointers would
+    /// rely on — before any load.
+    #[test]
+    fn spmm_row_checks_every_index_before_any_load() {
+        let Some(tier) = simd_tier() else {
+            return;
+        };
+        let n = 2 * tier.panel_width();
+        let dense = vec![1.0f32; 3 * n];
+        let refused_on = |tier, cols: &[u32], vals: &[f32], dense: &[f32], width: usize| {
+            let mut out = vec![f32::NAN; width];
+            let refused = refused(|| spmm_row(tier, cols, vals, dense, &mut out));
+            // A refusal wrote nothing.
+            assert!(!refused || out.iter().all(|v| v.is_nan()));
+            refused
+        };
+        let refused = |cols, vals, dense, width| refused_on(tier, cols, vals, dense, width);
+        assert!(
+            !refused(&[0, 2], &[1.0, 2.0], &dense, n),
+            "a well-formed row"
+        );
+        assert!(!refused(&[], &[], &dense, n), "an empty row");
+        assert!(refused(&[0, 3], &[1.0, 2.0], &dense, n), "index one past");
+        assert!(refused(&[u32::MAX], &[1.0], &dense, n), "index far past");
+        assert!(refused(&[0, 1], &[1.0], &dense, n), "a value short");
+        assert!(refused(&[0], &[1.0], &dense[1..], n), "ragged dense");
+        assert!(refused(&[0], &[1.0], &dense, n - 1), "ragged width");
+        assert!(refused(&[0], &[1.0], &dense, 0), "no width");
+        assert!(
+            refused_on(Tier::Scalar, &[0], &[1.0], &dense, n),
+            "the scalar tier has no row kernel"
+        );
     }
 }

@@ -6,8 +6,11 @@
 //! training. The autograd layer therefore treats CSR matrices as constants
 //! and only differentiates through the dense operand of [`CsrMatrix::spmm`].
 
+use crate::gemm::Tier;
 use crate::matrix::Matrix;
 use crate::par;
+#[cfg(target_arch = "x86_64")]
+use crate::simd;
 
 /// A sparse matrix in compressed-sparse-row format.
 #[derive(Clone, Debug, PartialEq)]
@@ -222,6 +225,15 @@ impl CsrMatrix {
     /// # Panics
     /// Panics on inner-dimension or output-shape mismatch.
     pub fn spmm_into(&self, dense: &Matrix, out: &mut Matrix) {
+        self.spmm_into_on(Tier::detect(), dense, out);
+    }
+
+    /// [`spmm_into`](Self::spmm_into) with `tier`'s row kernel where it
+    /// has one for this width, the scalar row loop otherwise. Either way
+    /// an output element is one accumulator starting at `0.0` and taking
+    /// its row's stored entries in order, a `mul` then an `add` each: the
+    /// same bits on every tier.
+    fn spmm_into_on(&self, tier: Tier, dense: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
             dense.rows(),
@@ -248,9 +260,11 @@ impl CsrMatrix {
             &self.indptr,
             |r0, chunk| {
                 for (local_r, out_row) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
+                    let (cols, vals) = self.row(r0 + local_r);
+                    if simd_row(tier, cols, vals, dense_data, out_row) {
+                        continue;
+                    }
                     out_row.fill(0.0);
-                    let r = r0 + local_r;
-                    let (cols, vals) = self.row(r);
                     for (&c, &a) in cols.iter().zip(vals) {
                         let dense_row = &dense_data[c as usize * n..(c as usize + 1) * n];
                         for (o, &b) in out_row.iter_mut().zip(dense_row) {
@@ -275,6 +289,25 @@ impl CsrMatrix {
     pub fn is_symmetric(&self) -> bool {
         self.rows == self.cols && *self == self.transpose()
     }
+}
+
+/// Computes one output row of a sparse-dense product with `tier`'s SIMD
+/// kernel, which holds the row in registers across its stored entries;
+/// `false`, with `out_row` untouched, where the tier has no kernel for
+/// this width (a ragged one, or the scalar tier).
+#[cfg(target_arch = "x86_64")]
+fn simd_row(tier: Tier, cols: &[u32], vals: &[f32], dense: &[f32], out_row: &mut [f32]) -> bool {
+    let fits = simd::spmm_row_fits(tier, out_row.len());
+    if fits {
+        simd::spmm_row(tier, cols, vals, dense, out_row);
+    }
+    fits
+}
+
+/// Off x86-64 there is only the scalar row loop.
+#[cfg(not(target_arch = "x86_64"))]
+fn simd_row(_: Tier, _: &[u32], _: &[f32], _: &[f32], _: &mut [f32]) -> bool {
+    false
 }
 
 /// A sparse operator paired with its precomputed transpose, shared by
@@ -375,6 +408,44 @@ mod tests {
         let sparse_result = s.spmm(&d);
         let dense_result = s.to_dense().matmul(&d);
         assert!(sparse_result.approx_eq(&dense_result, 1e-6));
+    }
+
+    /// Every tier's row kernel against the scalar row loop, bit for bit:
+    /// a hub row storing every column, empty rows, sparse rows, and
+    /// widths on and off every vector width (1, 15 and 100 take the
+    /// scalar loop on every tier; that is the point of listing them).
+    #[test]
+    fn simd_rows_match_the_scalar_loop_bitwise() {
+        use rand::Rng;
+        let (rows, cols) = (41usize, 90usize);
+        let mut rng = crate::init::seeded_rng(17);
+        let mut triplets: Vec<(u32, u32, f32)> = (0..cols as u32)
+            .map(|c| (0, c, rng.gen_range(-2.0f32..2.0)))
+            .collect();
+        for r in (1..rows as u32).filter(|r| r % 5 != 3) {
+            for _ in 0..rng.gen_range(1..12u32) {
+                let c = rng.gen_range(0..cols as u32);
+                triplets.push((r, c, rng.gen_range(-2.0f32..2.0)));
+            }
+        }
+        let a = CsrMatrix::from_triplets(rows, cols, &triplets);
+        assert_eq!(a.row_nnz(0), cols, "a hub row");
+        assert_eq!(a.row_nnz(3), 0, "an empty row");
+        for width in [1usize, 15, 16, 64, 100, 128, 256] {
+            let dense = Matrix::from_fn(cols, width, |_, _| rng.gen_range(-3.0f32..3.0));
+            let mut scalar = Matrix::filled(rows, width, f32::NAN);
+            a.spmm_into_on(Tier::Scalar, &dense, &mut scalar);
+            for tier in Tier::available() {
+                let mut out = Matrix::filled(rows, width, f32::NAN);
+                a.spmm_into_on(tier, &dense, &mut out);
+                let same = out
+                    .as_slice()
+                    .iter()
+                    .zip(scalar.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "{tier:?} at width {width}");
+            }
+        }
     }
 
     #[test]
