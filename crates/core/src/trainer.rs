@@ -373,8 +373,12 @@ mod tests {
     /// bit-identical" is measured against when a kernel changes under
     /// it. Every dense product and SpMM is one accumulator per output
     /// walking the reduction ascending, `mul` then `add`, on every
-    /// tier, host and thread count, so the only thing here that is not
-    /// IEEE-exact arithmetic is the host's `tanhf`.
+    /// tier, host and thread count, and the activation is plain
+    /// arithmetic too (`smgcn_tensor::tape::tanh`), so nothing in the
+    /// forward or backward pass depends on the host's libm. Recorded once
+    /// before the training kernels moved to explicit SIMD tiles (they
+    /// left it untouched) and once more when `tanh` stopped calling
+    /// libm, which moved the parameters and not the rounded loss.
     #[test]
     fn short_seeded_run_is_pinned_to_the_bit() {
         let (corpus, ops) = tiny_setup();
@@ -403,7 +407,7 @@ mod tests {
             });
         assert_eq!(
             (final_loss.to_bits(), checksum),
-            (0x4190_8b05, 0x7392_2478_7f8a_0673),
+            (0x4190_8b05, 0xfd86_6c10_5d3d_eced),
             "final_loss {final_loss} = {:#x}, parameters {checksum:#x}",
             final_loss.to_bits()
         );

@@ -416,9 +416,10 @@ impl<'s> Tape<'s> {
         self.push(op, value)
     }
 
-    /// Element-wise `tanh` — the paper's activation throughout Bipar-GCN/SGE.
+    /// Element-wise [`tanh`] — the paper's activation throughout
+    /// Bipar-GCN/SGE.
     pub fn tanh(&mut self, x: Var) -> Var {
-        self.unary_map(x, Op::Tanh(x), f32::tanh)
+        self.unary_map(x, Op::Tanh(x), tanh)
     }
 
     /// Element-wise ReLU (Eq. 12's syndrome-induction MLP).
@@ -835,6 +836,49 @@ impl Tape<'_> {
     }
 }
 
+/// `tanh(x)` as [`Tape::tanh`] computes it: branch-free and in plain
+/// arithmetic, so an element-wise loop over it vectorises (a libm
+/// `tanhf` call per activation was 12% of a paper-scale training step),
+/// and the same bits on every libc.
+///
+/// `tanh |x| = (1 - t) / (1 + t)` with `t = e^(-2|x|) = 2^k · 2^f`: `k`
+/// an integer and `f` in `[0, 1]` by the add-a-large-constant rounding
+/// trick, `2^f` a degree-6 polynomial with positive coefficients
+/// (relative error 1e-8), `2^k` assembled from `k`'s bits. Within 1.2e-7
+/// of the true value everywhere (glibc's `tanhf`: 1.0e-7) — absolutely, not
+/// relatively: below `|x|` ≈ 1e-3 the result is quantised in steps of
+/// about 3e-8. Exactly odd, `tanh(±0) = ±0`, exactly `±1` from `|x|` =
+/// 8.7 on (inputs are clamped to ±9), NaN in gives NaN out, and
+/// **monotone non-decreasing over every `f32`**: each step is a rounded
+/// `+`, `·` or `/` that is monotone in its non-negative operands, the
+/// polynomial is capped at 2 so `t` cannot rise across a change of `k`,
+/// and `(1 - t) / (1 + t)` falls as `t` rises.
+#[inline]
+pub fn tanh(x: f32) -> f32 {
+    /// `1.5 · 2^23`: adding it rounds to an integer (ties to even) and
+    /// leaves that integer in the low bits of the sum.
+    const ROUND: f32 = 12_582_912.0;
+    let a = x.clamp(-9.0, 9.0).abs();
+    let z = a * -2.885_39; // -2|x| / ln 2, in [-26, 0]
+    let rounded = (z - 0.5) + ROUND;
+    let k = rounded - ROUND;
+    let f = z - k;
+    // (2^f - 1) / f on [0, 1]: Chebyshev fit, error 1.1e-8.
+    let mut g = 2.081_791_5e-4;
+    g = g * f + 1.269_216_6e-3;
+    g = g * f + 9.652_195e-3;
+    g = g * f + 5.549_602_4e-2;
+    g = g * f + 2.402_272e-1;
+    g = g * f + 6.931_472e-1;
+    let p = g * f + 1.0;
+    // Not `p.min(2.0)`, which would turn a NaN into 2.
+    let p = if p > 2.0 { 2.0 } else { p };
+    // `k + 127` in the exponent field: `k` is in [-27, 0].
+    let scale = f32::from_bits((rounded.to_bits() << 23).wrapping_add(127 << 23));
+    let t = p * scale;
+    ((1.0 - t) / (1.0 + t)).copysign(x)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1084,6 +1128,46 @@ mod tests {
         // row0: 2*y[0,c]*x[0,c] summed = 2*(2*1 + 4*2) = 20
         // row1: 2*(-3*3 + -4*4) = -50
         assert_eq!(gs.as_slice(), &[20.0, -50.0]);
+    }
+
+    #[test]
+    fn tanh_is_close_odd_monotone_and_saturates() {
+        // A dense sweep of [-10, 10] against f64's tanh (glibc's `tanhf`
+        // reads 1.0e-7 here; this reads 1.2e-7).
+        const STEPS: u32 = 4_000_000;
+        let (mut worst, mut below) = (0.0f64, -1.0f32);
+        for i in 0..=STEPS {
+            let x = -10.0 + 20.0 * (i as f32 / STEPS as f32);
+            let y = tanh(x);
+            worst = worst.max((f64::from(y) - f64::from(x).tanh()).abs());
+            assert!(y >= below, "tanh({x}) = {y} after {below}");
+            assert_eq!(tanh(-x).to_bits(), (-y).to_bits(), "odd at {x}");
+            below = y;
+        }
+        assert!(worst <= 1.5e-7, "max abs error {worst:e}");
+        // Monotone between neighbouring floats too, where a sweep's steps
+        // are coarsest against the function's: around 0 and the clamp.
+        for start in [0.0f32, 1e-3, 0.5, 3.0, 8.6] {
+            let mut below = tanh(start);
+            for bits in start.to_bits()..start.to_bits() + 200_000 {
+                let y = tanh(f32::from_bits(bits));
+                assert!(
+                    y >= below,
+                    "tanh({}) = {y} after {below}",
+                    f32::from_bits(bits)
+                );
+                below = y;
+            }
+        }
+        assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+        for beyond in [8.7f32, 9.0, 9.000001, 100.0, f32::MAX, f32::INFINITY] {
+            assert_eq!(tanh(beyond), 1.0, "tanh({beyond})");
+            assert_eq!(tanh(-beyond), -1.0, "tanh(-{beyond})");
+        }
+        assert!(tanh(8.5) < 1.0);
+        assert!(tanh(f32::NAN).is_nan());
+        assert!(tanh(f32::MIN_POSITIVE) >= 0.0 && tanh(1e-3) > 0.0);
     }
 
     #[test]
