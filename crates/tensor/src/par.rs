@@ -29,9 +29,11 @@ fn thread_count() -> usize {
 }
 
 /// A dense product's thread threshold, in multiply-adds: what one
-/// [`PAR_THRESHOLD`] of outputs costs at a reduction length of 64, about
-/// 100 µs of one core on the exact tiles.
-const PAR_THRESHOLD_MACS: usize = 64 * PAR_THRESHOLD;
+/// [`PAR_THRESHOLD`] of outputs costs at a reduction length of 256 (the
+/// paper's widest layer), about 400 µs of one core on the exact tiles.
+/// Measured on the build host, a second thread only starts to pay
+/// between 25M and 50M multiply-adds in all.
+const PAR_THRESHOLD_MACS: usize = 256 * PAR_THRESHOLD;
 
 /// Threads worth spawning for `work` output elements: never more than the
 /// configured count, and never so many that a thread owns less than one
