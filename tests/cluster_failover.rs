@@ -18,10 +18,10 @@
 //! checkpoint round trip is bit-exact, so a response either matches its
 //! claimed generation's model verbatim or the invariant is broken.
 
+mod common;
+
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
+use std::process::Stdio;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,59 +37,6 @@ use smgcn_repro::serve::{artifact, FrozenModel, LineClient};
 const K: usize = 5;
 /// Query space: all 2-element sets over the first QUERY_SYMPTOMS ids.
 const QUERY_SYMPTOMS: u32 = 8;
-
-/// Kills the child process on drop so a panicking test never leaks
-/// replica processes.
-struct ChildGuard(Child);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Spawns `smgcn serve` on an ephemeral port and parses the bound
-/// address from its startup banner.
-fn spawn_replica(
-    corpus_path: &std::path::Path,
-    frozen_path: &std::path::Path,
-) -> (ChildGuard, SocketAddr) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_smgcn"))
-        .arg("serve")
-        .arg("--corpus")
-        .arg(corpus_path)
-        .arg("--model-file")
-        .arg(frozen_path)
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn smgcn serve");
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut reader = BufReader::new(stdout);
-    let addr = loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("read child banner");
-        assert!(n > 0, "replica exited before announcing its address");
-        if let Some(rest) = line.strip_prefix("serving on ") {
-            let addr_text = rest.split_whitespace().next().expect("address token");
-            break addr_text
-                .parse::<SocketAddr>()
-                .expect("parse bound address");
-        }
-    };
-    // Drain the rest of the banner in the background so the child can
-    // never block on a full stdout pipe.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
-        }
-    });
-    (ChildGuard(child), addr)
-}
 
 fn recommend(client: &mut LineClient, set: &[u32]) -> Json {
     let ids: Vec<String> = set.iter().map(u32::to_string).collect();
@@ -211,7 +158,7 @@ fn three_process_replicas_survive_kill_and_rolling_publish_mid_load() {
     let mut children = Vec::new();
     let mut addrs = Vec::new();
     for _ in 0..3 {
-        let (child, addr) = spawn_replica(&corpus_path, &frozen_path);
+        let (child, addr) = common::spawn_replica(&corpus_path, &frozen_path, Stdio::null());
         children.push(child);
         addrs.push(addr);
     }

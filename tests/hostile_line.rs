@@ -6,9 +6,11 @@
 //! failure this guards against is an abort (`stack overflow, aborting`),
 //! which no `catch_unwind` in a test harness would survive.
 
-use std::io::{BufRead, BufReader, Read};
+mod common;
+
+use std::io::Read;
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
+use std::process::Stdio;
 use std::time::{Duration, Instant};
 
 use smgcn_repro::core::Recommender;
@@ -18,20 +20,10 @@ use smgcn_repro::prelude::*;
 use smgcn_repro::serve::json::Json;
 use smgcn_repro::serve::{FrozenModel, LineClient};
 
-/// Kills the replica on drop so a failing test never leaks it.
-struct ChildGuard(Child);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
 /// Starts `smgcn serve` on a tiny untrained model and an ephemeral port;
 /// returns the process (stderr piped) and the address from its banner.
-fn spawn_replica(tag: &str) -> (ChildGuard, SocketAddr) {
-    let dir = std::env::temp_dir().join(format!("smgcn-hostile-{tag}-{}", std::process::id()));
+fn spawn_replica() -> (common::ChildGuard, SocketAddr) {
+    let dir = std::env::temp_dir().join(format!("smgcn-hostile-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (corpus_path, frozen_path) = (dir.join("corpus.tsv"), dir.join("frozen.smgt"));
     let corpus = SyndromeModel::new(GeneratorConfig::tiny_scale()).generate();
@@ -51,36 +43,7 @@ fn spawn_replica(tag: &str) -> (ChildGuard, SocketAddr) {
         .save(&frozen_path)
         .unwrap();
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_smgcn"))
-        .arg("serve")
-        .arg("--corpus")
-        .arg(&corpus_path)
-        .arg("--model-file")
-        .arg(&frozen_path)
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn smgcn serve");
-    let mut reader = BufReader::new(child.stdout.take().expect("child stdout"));
-    let addr = loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line).expect("read child banner");
-        assert!(n > 0, "replica exited before announcing its address");
-        if let Some(rest) = line.strip_prefix("serving on ") {
-            let addr_text = rest.split_whitespace().next().expect("address token");
-            break addr_text.parse().expect("parse bound address");
-        }
-    };
-    // Drain the rest of the banner so the child never blocks on stdout.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
-        }
-    });
-    (ChildGuard(child), addr)
+    common::spawn_replica(&corpus_path, &frozen_path, Stdio::piped())
 }
 
 const RANKING: &str = r#"{"symptom_ids":[1,2],"k":3}"#;
@@ -96,7 +59,7 @@ fn herb_ids(response: &Json) -> Vec<f64> {
 }
 
 /// What the replica did by `deadline`: `Some(stderr)` if it exited.
-fn exited_within(replica: &mut ChildGuard, deadline: Duration) -> Option<String> {
+fn exited_within(replica: &mut common::ChildGuard, deadline: Duration) -> Option<String> {
     let started = Instant::now();
     while started.elapsed() < deadline {
         if replica.0.try_wait().expect("poll replica").is_some() {
@@ -116,7 +79,7 @@ fn exited_within(replica: &mut ChildGuard, deadline: Duration) -> Option<String>
 
 #[test]
 fn a_nesting_bomb_is_refused_and_the_connection_lives() {
-    let (mut replica, addr) = spawn_replica("bomb");
+    let (mut replica, addr) = spawn_replica();
     let mut client =
         LineClient::connect(addr, Duration::from_secs(5), Duration::from_secs(30)).unwrap();
     let before = herb_ids(&client.ask_json(RANKING).unwrap());
