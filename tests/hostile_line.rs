@@ -43,7 +43,10 @@ fn spawn_replica() -> (common::ChildGuard, SocketAddr) {
         .save(&frozen_path)
         .unwrap();
 
-    common::spawn_replica(&corpus_path, &frozen_path, Stdio::piped())
+    let replica = common::spawn_replica(&corpus_path, &frozen_path, Stdio::piped());
+    // It announced its address, so it has read both files.
+    let _ = std::fs::remove_dir_all(&dir);
+    replica
 }
 
 const RANKING: &str = r#"{"symptom_ids":[1,2],"k":3}"#;
