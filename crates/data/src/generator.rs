@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on a public TCM corpus (ref. \[5\]) that is not redistributable
 //! here, so this module generates a corpus with the *same statistical
-//! structure* (DESIGN.md §2 documents the substitution):
+//! structure* (README.md, "The corpus", documents the substitution):
 //!
 //! 1. **Latent syndrome layer.** `K` latent syndromes each own a weighted
 //!    symptom distribution and a weighted herb distribution over modest

@@ -10,7 +10,7 @@
 //! - [`vocab`] — id ↔ name mapping seeded with real pinyin TCM entities so
 //!   the Fig. 10 case study stays readable;
 //! - [`generator`] — the latent-syndrome synthetic generator (the dataset
-//!   substitution; see DESIGN.md §2 for the fidelity argument);
+//!   substitution; see README.md, "The corpus", for what it preserves);
 //! - [`split`] — seeded train/test partitioning matching Table II's ratio;
 //! - [`stats`] — Table II statistics, Fig. 5 frequency series, and the
 //!   Eq. 15 loss weights;

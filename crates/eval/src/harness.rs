@@ -1,6 +1,9 @@
 //! The experiment harness: corpus preparation, the unified ranker
-//! interface, and train-and-evaluate plumbing shared by every table/figure
-//! reproduction binary.
+//! interface, and train-and-evaluate plumbing shared by the `paper`
+//! driver, `smgcn train` / `smgcn eval` and the integration tests. Every
+//! ranking comes from the path that serves: a neural model is frozen and
+//! ranked by [`FrozenModel::rank_batch`], the other rankers select with
+//! [`partial_top_k`]; no `B x H` score matrix is built.
 
 use std::time::Instant;
 
@@ -10,39 +13,45 @@ use smgcn_data::{
     PAPER_TEST_FRACTION,
 };
 use smgcn_graph::{BipartiteGraph, CooccurrenceCounts, GraphOperators, SynergyThresholds};
-use smgcn_topics::HcKgetm;
+use smgcn_serve::{partial_top_k, FrozenModel};
+use smgcn_topics::{HcKgetm, KgetmConfig};
 
 use crate::metrics::{mean_metrics, RankingMetrics, PAPER_KS};
+use crate::significance::per_prescription_precision;
 
 /// The paper truncates ranked lists at 20 (§V-B).
 pub const RANK_TRUNCATION: usize = 20;
 
-/// Anything that can score all herbs for symptom sets.
+/// Anything that can rank the herbs for symptom sets.
 pub trait HerbRanker {
     /// Row label for report tables.
     fn label(&self) -> String;
 
-    /// For each symptom set, a score per herb (higher = more recommended).
-    fn score_sets(&self, sets: &[&[u32]]) -> Vec<Vec<f32>>;
+    /// For each symptom set, the `k` most recommended herb ids, best
+    /// first (ties to the lower id).
+    fn rank_sets(&self, sets: &[&[u32]], k: usize) -> Vec<Vec<u32>>;
 }
 
+impl HerbRanker for FrozenModel {
+    fn label(&self) -> String {
+        "frozen model".to_string()
+    }
+
+    fn rank_sets(&self, sets: &[&[u32]], k: usize) -> Vec<Vec<u32>> {
+        self.recommend_batch(sets, k)
+            .expect("evaluation queries come from the corpus the model was built on")
+    }
+}
+
+/// Every zoo model is `embed -> induce -> matmul_transb`, so all of them
+/// freeze: a recommender is ranked as it would be served.
 impl HerbRanker for Recommender {
     fn label(&self) -> String {
         self.name().to_string()
     }
 
-    fn score_sets(&self, sets: &[&[u32]]) -> Vec<Vec<f32>> {
-        // Batch to bound the B x H score matrix size; one buffer pool
-        // across chunks so only the first forward pass allocates.
-        let pool = smgcn_tensor::BufferPool::new();
-        let mut out = Vec::with_capacity(sets.len());
-        for chunk in sets.chunks(512) {
-            let scores = self.predict_with_pool(chunk, &pool);
-            for r in 0..scores.rows() {
-                out.push(scores.row(r).to_vec());
-            }
-        }
-        out
+    fn rank_sets(&self, sets: &[&[u32]], k: usize) -> Vec<Vec<u32>> {
+        FrozenModel::from_recommender(self).rank_sets(sets, k)
     }
 }
 
@@ -51,9 +60,12 @@ impl HerbRanker for HcKgetm {
         "HC-KGETM".to_string()
     }
 
-    fn score_sets(&self, sets: &[&[u32]]) -> Vec<Vec<f32>> {
+    fn rank_sets(&self, sets: &[&[u32]], k: usize) -> Vec<Vec<u32>> {
         sets.iter()
-            .map(|set| self.score_set(set).into_iter().map(|v| v as f32).collect())
+            .map(|set| {
+                let scores: Vec<f32> = self.score_set(set).into_iter().map(|v| v as f32).collect();
+                partial_top_k(&scores, k)
+            })
             .collect()
     }
 }
@@ -81,9 +93,18 @@ impl HerbRanker for PopularityRanker {
         "Popularity".to_string()
     }
 
-    fn score_sets(&self, sets: &[&[u32]]) -> Vec<Vec<f32>> {
-        sets.iter().map(|_| self.scores.clone()).collect()
+    fn rank_sets(&self, sets: &[&[u32]], k: usize) -> Vec<Vec<u32>> {
+        vec![partial_top_k(&self.scores, k); sets.len()]
     }
+}
+
+/// One `rank_sets` pass over a test corpus: every prescription's top-20
+/// list beside its ground-truth herbs.
+fn rank_test<'a>(ranker: &dyn HerbRanker, test: &'a Corpus) -> (Vec<Vec<u32>>, Vec<&'a [u32]>) {
+    assert!(!test.is_empty(), "rank_test: empty test corpus");
+    let sets: Vec<&[u32]> = test.prescriptions().iter().map(|p| p.symptoms()).collect();
+    let truths = test.prescriptions().iter().map(|p| p.herbs()).collect();
+    (ranker.rank_sets(&sets, RANK_TRUNCATION), truths)
 }
 
 /// Evaluates a ranker on a test corpus: mean P/R/NDCG at each cutoff.
@@ -92,14 +113,7 @@ pub fn evaluate_ranker(
     test: &Corpus,
     ks: &[usize],
 ) -> Vec<(usize, RankingMetrics)> {
-    assert!(!test.is_empty(), "evaluate_ranker: empty test corpus");
-    let sets: Vec<&[u32]> = test.prescriptions().iter().map(|p| p.symptoms()).collect();
-    let truths: Vec<&[u32]> = test.prescriptions().iter().map(|p| p.herbs()).collect();
-    let scores = ranker.score_sets(&sets);
-    let ranked: Vec<Vec<u32>> = scores
-        .iter()
-        .map(|row| top_k_indices(row, RANK_TRUNCATION))
-        .collect();
+    let (ranked, truths) = rank_test(ranker, test);
     mean_metrics(&ranked, &truths, ks)
 }
 
@@ -138,14 +152,6 @@ impl Scale {
         }
     }
 
-    /// The training configuration for this scale.
-    pub fn train_config(self) -> TrainConfig {
-        match self {
-            Self::Smoke => TrainConfig::smoke(),
-            Self::Paper => TrainConfig::smgcn(),
-        }
-    }
-
     /// Synergy thresholds. At paper scale these are Table III's
     /// `x_s = 5, x_h = 40`; the smoke corpus is smaller, and its calibrated
     /// optimum (an interior point of the Fig. 7 sweep, like the paper's) is
@@ -162,7 +168,7 @@ impl Scale {
 /// grid-searching each model separately (Table III). The learning rates
 /// below are the grid optima *on the synthetic corpus* (the paper's exact
 /// values transfer poorly because the corpus and epoch budget differ; see
-/// EXPERIMENTS.md). λ ratios follow Table III's ordering.
+/// README.md, "Reproducing the paper"). λ ratios follow Table III's ordering.
 pub fn train_config_for(kind: ModelKind, scale: Scale) -> TrainConfig {
     let (epochs, batch) = match scale {
         Scale::Smoke => (60, 256),
@@ -198,8 +204,10 @@ pub struct Prepared {
     pub train: Corpus,
     /// Held-out test corpus.
     pub test: Corpus,
-    /// Operators built from the training split at the chosen thresholds.
+    /// Operators built from the training split at `thresholds`.
     pub ops: GraphOperators,
+    /// The synergy thresholds `ops` was built at.
+    pub thresholds: SynergyThresholds,
     /// Bipartite graph of the training split.
     pub bipartite: BipartiteGraph,
     /// Symptom-pair counts of the training split.
@@ -247,6 +255,7 @@ pub fn prepare_with(
         train: split.train,
         test: split.test,
         ops,
+        thresholds,
         bipartite,
         ss_counts,
         hh_counts,
@@ -260,6 +269,9 @@ pub struct EvalRow {
     pub label: String,
     /// `(K, metrics)` pairs in ascending K.
     pub at: Vec<(usize, RankingMetrics)>,
+    /// Precision@5 of each test prescription, in corpus order — the
+    /// paired unit of [`crate::significance::paired_bootstrap`].
+    pub p5: Vec<f64>,
     /// Training wall-clock seconds.
     pub train_seconds: f64,
 }
@@ -271,7 +283,8 @@ impl EvalRow {
     }
 }
 
-/// Trains a neural model (from the zoo) and evaluates it on the test split.
+/// Trains a neural model (from the zoo) and evaluates it, frozen, on the
+/// test split.
 pub fn run_neural(
     kind: ModelKind,
     prepared: &Prepared,
@@ -279,43 +292,70 @@ pub fn run_neural(
     train_cfg: &TrainConfig,
     seed: u64,
 ) -> EvalRow {
-    run_neural_with_ops(kind, &prepared.ops, prepared, model_cfg, train_cfg, seed)
+    let recipe = Recipe {
+        kind,
+        model: model_cfg.clone(),
+        train: train_cfg.clone(),
+        thresholds: prepared.thresholds,
+    };
+    Lab::new(prepared).row(kind.label(), &recipe, &[seed])
 }
 
-/// [`run_neural`] against externally supplied operators (threshold sweeps).
-pub fn run_neural_with_ops(
-    kind: ModelKind,
-    ops: &GraphOperators,
-    prepared: &Prepared,
-    model_cfg: &ModelConfig,
-    train_cfg: &TrainConfig,
-    seed: u64,
-) -> EvalRow {
-    let start = Instant::now();
-    let mut model = build_model(kind, ops, model_cfg, seed);
-    train(&mut model, &prepared.train, train_cfg);
-    let train_seconds = start.elapsed().as_secs_f64();
-    let at = evaluate_ranker(&model, &prepared.test, &PAPER_KS);
-    EvalRow {
-        label: model.name().to_string(),
-        at,
-        train_seconds,
-    }
-}
-
-/// Evaluates any ranker without training (already-trained or non-neural).
+/// Evaluates any ranker without training (already-trained or non-neural),
+/// from one ranking pass over the test split.
 pub fn run_ranker(ranker: &dyn HerbRanker, prepared: &Prepared, train_seconds: f64) -> EvalRow {
-    let at = evaluate_ranker(ranker, &prepared.test, &PAPER_KS);
+    let (ranked, truths) = rank_test(ranker, &prepared.test);
     EvalRow {
         label: ranker.label(),
-        at,
+        at: mean_metrics(&ranked, &truths, &PAPER_KS),
+        p5: per_prescription_precision(&ranked, &truths, 5),
         train_seconds,
     }
 }
 
-/// Averages rows produced by the same model across seeds (metric means,
-/// summed wall-clock). Neural-model margins on the reproduction corpus are
-/// within single-seed noise, so the table binaries report seed averages.
+/// Table IV's rows that are not neural: the popularity floor and
+/// HC-KGETM (topic model + TransE over the derived knowledge graph).
+pub fn non_neural_rows(prepared: &Prepared, scale: Scale) -> Vec<EvalRow> {
+    let popularity = PopularityRanker::from_corpus(&prepared.train);
+    let config = match scale {
+        Scale::Smoke => KgetmConfig::smoke(),
+        Scale::Paper => KgetmConfig::default(),
+    };
+    let start = Instant::now();
+    let kgetm = HcKgetm::train(&prepared.train, &prepared.ops, &config);
+    let seconds = start.elapsed().as_secs_f64();
+    vec![
+        run_ranker(&popularity, prepared, 0.0),
+        run_ranker(&kgetm, prepared, seconds),
+    ]
+}
+
+/// Fig. 10's cases for [`crate::report::format_case_study`]: the `n` test
+/// prescriptions with the richest symptom sets, so the study shows real
+/// set-level induction, each as `(symptoms, ground-truth herbs, as many
+/// recommended herbs)`.
+pub fn case_study(
+    ranker: &dyn HerbRanker,
+    test: &Corpus,
+    n: usize,
+) -> Vec<(Vec<u32>, Vec<u32>, Vec<u32>)> {
+    let mut richest: Vec<_> = test.prescriptions().iter().collect();
+    richest.sort_by_key(|p| std::cmp::Reverse(p.symptoms().len()));
+    richest
+        .iter()
+        .take(n)
+        .map(|p| {
+            let mut recommended = ranker.rank_sets(&[p.symptoms()], p.herbs().len());
+            let recommended = recommended.pop().expect("one list per set");
+            (p.symptoms().to_vec(), p.herbs().to_vec(), recommended)
+        })
+        .collect()
+}
+
+/// Averages rows produced by the same model across seeds (metric and
+/// per-prescription means, summed wall-clock). Neural-model margins on
+/// the reproduction corpus are within single-seed noise, so the `paper`
+/// driver reports seed averages.
 ///
 /// # Panics
 /// Panics on an empty slice or mismatched labels/cutoffs.
@@ -337,29 +377,115 @@ pub fn average_rows(rows: &[EvalRow]) -> EvalRow {
             (k, acc.scaled(inv))
         })
         .collect();
+    let p5 = (0..rows[0].p5.len())
+        .map(|i| rows.iter().map(|r| r.p5[i]).sum::<f64>() * inv)
+        .collect();
     EvalRow {
         label,
         at,
+        p5,
         train_seconds: rows.iter().map(|r| r.train_seconds).sum(),
     }
 }
 
-/// Trains and evaluates a neural model once per seed and averages.
-pub fn run_neural_seeds(
-    kind: ModelKind,
-    prepared: &Prepared,
-    model_cfg: &ModelConfig,
-    train_cfg: &TrainConfig,
-    seeds: &[u64],
-) -> EvalRow {
-    let rows: Vec<EvalRow> = seeds
-        .iter()
-        .map(|&s| run_neural(kind, prepared, model_cfg, train_cfg, s))
-        .collect();
-    average_rows(&rows)
+/// Everything one training depends on besides its seed.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Recipe {
+    /// Which zoo model.
+    pub kind: ModelKind,
+    /// Its architecture.
+    pub model: ModelConfig,
+    /// Its optimisation settings.
+    pub train: TrainConfig,
+    /// The synergy thresholds of the graphs it is built on.
+    pub thresholds: SynergyThresholds,
 }
 
-/// The seed set used by the smoke-scale table binaries.
+impl Recipe {
+    /// `kind` at `scale`'s calibrated optimum, with `epochs` overriding
+    /// the scale's budget when given.
+    pub fn tuned(kind: ModelKind, scale: Scale, epochs: Option<usize>) -> Self {
+        let mut train = train_config_for(kind, scale);
+        train.epochs = epochs.unwrap_or(train.epochs);
+        Self {
+            kind,
+            model: scale.model_config(),
+            train,
+            thresholds: scale.thresholds(),
+        }
+    }
+}
+
+/// A prepared corpus and the models trained on it so far. Experiments
+/// that share a configuration share its training: each distinct
+/// `(recipe, seed)` is trained, frozen and scored once.
+pub struct Lab<'a> {
+    /// The shared corpus.
+    pub prepared: &'a Prepared,
+    trained: Vec<(Recipe, u64, EvalRow, FrozenModel)>,
+    /// Trainings asked for so far, repeats included.
+    pub requested: usize,
+}
+
+impl<'a> Lab<'a> {
+    /// An empty lab over `prepared`.
+    pub fn new(prepared: &'a Prepared) -> Self {
+        Self {
+            prepared,
+            trained: Vec::new(),
+            requested: 0,
+        }
+    }
+
+    /// Distinct trainings run so far.
+    pub fn distinct(&self) -> usize {
+        self.trained.len()
+    }
+
+    /// The test-split scores and the served form of `recipe` at `seed`,
+    /// trained on first use.
+    pub fn trained(&mut self, recipe: &Recipe, seed: u64) -> (&EvalRow, &FrozenModel) {
+        self.requested += 1;
+        let found = self
+            .trained
+            .iter()
+            .position(|(r, s, ..)| r == recipe && *s == seed);
+        let at = found.unwrap_or_else(|| {
+            let prepared = self.prepared;
+            let rebuilt;
+            let ops = if recipe.thresholds == prepared.thresholds {
+                &prepared.ops
+            } else {
+                rebuilt = prepared.ops_at(recipe.thresholds);
+                &rebuilt
+            };
+            let start = Instant::now();
+            let mut model = build_model(recipe.kind, ops, &recipe.model, seed);
+            train(&mut model, &prepared.train, &recipe.train);
+            let seconds = start.elapsed().as_secs_f64();
+            let frozen = FrozenModel::from_recommender(&model);
+            let row = run_ranker(&frozen, prepared, seconds);
+            self.trained.push((recipe.clone(), seed, row, frozen));
+            self.trained.len() - 1
+        });
+        let (_, _, row, frozen) = &self.trained[at];
+        (row, frozen)
+    }
+
+    /// The row of `recipe` averaged over `seeds`, under `label`.
+    pub fn row(&mut self, label: &str, recipe: &Recipe, seeds: &[u64]) -> EvalRow {
+        let rows: Vec<EvalRow> = seeds
+            .iter()
+            .map(|&seed| self.trained(recipe, seed).0.clone())
+            .collect();
+        EvalRow {
+            label: label.to_string(),
+            ..average_rows(&rows)
+        }
+    }
+}
+
+/// The training seeds the `paper` driver averages at smoke scale.
 pub const SMOKE_SEEDS: [u64; 3] = [11, 12, 13];
 
 #[cfg(test)]
@@ -422,6 +548,7 @@ mod tests {
                     ndcg: 0.4,
                 },
             )],
+            p5: vec![0.2, 0.4],
             train_seconds: 1.0,
         };
         assert!(row.at_k(5).is_some());
@@ -434,19 +561,15 @@ mod tests {
         let model_cfg = ModelConfig {
             embedding_dim: 16,
             layer_dims: vec![16],
-            dropout: 0.0,
-            use_sge: true,
-            use_si_mlp: true,
+            ..ModelConfig::smgcn()
         };
         let train_cfg = TrainConfig {
             epochs: 3,
             batch_size: 128,
             learning_rate: 3e-3,
             l2_lambda: 1e-4,
-            loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
-            weighted_labels: true,
             seed: 4,
+            ..TrainConfig::smgcn()
         };
         let row = run_neural(ModelKind::Smgcn, &p, &model_cfg, &train_cfg, 5);
         assert_eq!(row.label, "SMGCN");
@@ -456,5 +579,76 @@ mod tests {
             "trained model should hit something: {m5:?}"
         );
         assert!(row.train_seconds > 0.0);
+        assert_eq!(row.p5.len(), p.test.len());
+        let mean_p5 = row.p5.iter().sum::<f64>() / row.p5.len() as f64;
+        assert!((mean_p5 - m5.precision).abs() < 1e-12);
+
+        // A lab trains a recipe it is asked for twice once; another
+        // threshold is another training, on rebuilt operators.
+        let mut lab = Lab::new(&p);
+        let mut recipe = Recipe::tuned(ModelKind::BiparGcn, Scale::Smoke, Some(1));
+        recipe.thresholds = p.thresholds;
+        let both = lab.row("a", &recipe, &[1, 2]);
+        assert_eq!(lab.row("b", &recipe, &[2]).p5, lab.trained(&recipe, 2).0.p5);
+        assert_eq!(
+            (both.label.as_str(), lab.requested, lab.distinct()),
+            ("a", 4, 2)
+        );
+        recipe.thresholds.x_h += 1;
+        lab.trained(&recipe, 1);
+        assert_eq!(lab.distinct(), 3);
+    }
+
+    /// How evaluation scored before it froze, kept as the oracle for the
+    /// served path: the autodiff forward pass and a full sort. Every kind
+    /// under the paper's loss (Bipar-GCN, + SGE and HeteGCN have no SI
+    /// head) and one trained with BPR; 50 herbs, so the frozen scorer
+    /// runs its SIMD tier, not the scalar one under 32 herbs.
+    #[test]
+    fn served_rankings_match_the_tape_oracle_for_every_model_kind() {
+        let p = tiny_prepared();
+        let model_cfg = ModelConfig::smgcn().smoke();
+        let sets: Vec<&[u32]> = p
+            .test
+            .prescriptions()
+            .iter()
+            .map(|x| x.symptoms())
+            .collect();
+        let ablations = ModelKind::table_v().into_iter().skip(1).take(3);
+        let kinds = ModelKind::table_iv().into_iter().chain(ablations);
+        let mut cases: Vec<_> = kinds.map(|kind| (kind, LossKind::MultiLabel)).collect();
+        cases.push((ModelKind::Ngcf, LossKind::Bpr));
+        for (kind, loss) in cases {
+            let mut model = build_model(kind, &p.ops, &model_cfg, 5);
+            train(
+                &mut model,
+                &p.train,
+                &TrainConfig::smoke().with_epochs(3).with_loss(loss),
+            );
+            let (served, truths) = rank_test(&model, &p.test);
+            let scores = model.predict(&sets);
+            let oracle: Vec<Vec<u32>> = (0..scores.rows())
+                .map(|r| top_k_indices(scores.row(r), RANK_TRUNCATION))
+                .collect();
+            for (i, (a, b)) in served.iter().zip(&oracle).enumerate() {
+                assert_eq!(a.len(), RANK_TRUNCATION);
+                for (&x, &y) in a.iter().zip(b) {
+                    let gap = (scores.get(i, x as usize) - scores.get(i, y as usize)).abs();
+                    assert!(
+                        x == y || gap <= 2e-6,
+                        "{kind:?}/{loss:?} set {i}: {x} vs {y}, {gap}"
+                    );
+                }
+            }
+            let served = mean_metrics(&served, &truths, &PAPER_KS);
+            let oracle = mean_metrics(&oracle, &truths, &PAPER_KS);
+            for ((k, a), (_, b)) in served.iter().zip(&oracle) {
+                let gap = (a.precision - b.precision)
+                    .abs()
+                    .max((a.recall - b.recall).abs());
+                let gap = gap.max((a.ndcg - b.ndcg).abs());
+                assert!(gap < 1e-3, "{kind:?}/{loss:?} @{k}: {a:?} vs {b:?}");
+            }
+        }
     }
 }

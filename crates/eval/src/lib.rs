@@ -3,11 +3,12 @@
 //! - [`metrics`] — Precision@K / Recall@K / NDCG@K exactly as defined in
 //!   §V-B (Eqs. 16–18), truncated at 20;
 //! - [`harness`] — corpus preparation at smoke/paper scale, the unified
-//!   [`harness::HerbRanker`] interface over neural models, HC-KGETM and a
-//!   popularity sanity baseline, and train-and-evaluate helpers;
-//! - [`report`] — paper-style tables (Table IV layout with `%Improv.`
-//!   rows), paper-vs-measured comparisons, sweep series (Figs. 7–9) and the
-//!   Fig. 10 case study rendering.
+//!   [`harness::HerbRanker`] interface over frozen neural models,
+//!   HC-KGETM and a popularity sanity baseline (all ranked the way
+//!   `smgcn-serve` ranks), and train-and-evaluate helpers;
+//! - [`report`] — the paper's Table IV layout and the Fig. 10 case study
+//!   rendering;
+//! - [`significance`] — the paired bootstrap that judges "A beats B".
 
 #![warn(missing_docs)]
 
@@ -17,15 +18,15 @@ pub mod report;
 pub mod significance;
 
 pub use harness::{
-    average_rows, evaluate_ranker, prepare, prepare_with, run_neural, run_neural_seeds,
-    run_neural_with_ops, run_ranker, train_config_for, EvalRow, HerbRanker, PopularityRanker,
-    Prepared, Scale, RANK_TRUNCATION, SMOKE_SEEDS,
+    average_rows, case_study, evaluate_ranker, non_neural_rows, prepare, prepare_with, run_neural,
+    run_ranker, train_config_for, EvalRow, HerbRanker, Lab, PopularityRanker, Prepared, Recipe,
+    Scale, RANK_TRUNCATION, SMOKE_SEEDS,
 };
 pub use metrics::{
     mean_metrics, metrics_at_k, ndcg_at_k, precision_at_k, recall_at_k, RankingMetrics, PAPER_KS,
 };
 pub use report::{
-    format_case_study, format_improvement_rows, format_metrics_table, format_paper_comparison,
-    format_sweep_series, shape_violations, PAPER_TABLE_IV, PAPER_TABLE_V,
+    format_calibrated_optima, format_case_study, format_corpus_statistics, format_herb_frequencies,
+    format_metrics_table,
 };
 pub use significance::{paired_bootstrap, per_prescription_precision, BootstrapComparison};

@@ -1,66 +1,14 @@
-//! Paper-style report rendering: metric tables with improvement rows,
-//! paper-reference comparisons, figure-style series, and the Fig. 10 case
-//! study.
+//! Paper-style report rendering: metric tables in the paper's layout,
+//! Table II's corpus statistics, Table III's calibrated optima, Fig. 5's
+//! frequency histogram and the Fig. 10 case study. The paper's own
+//! numbers and the ordering claims live with the experiment table in
+//! `smgcn-bench`'s `paper` bin.
 
-use smgcn_data::Corpus;
+use smgcn_data::{corpus_stats, top_herbs, Corpus};
 
-use crate::harness::EvalRow;
-use crate::metrics::RankingMetrics;
+use smgcn_core::ModelKind;
 
-/// The paper's Table IV reference values (full TCM corpus) for
-/// paper-vs-measured reporting. Order: p@5/10/20, r@5/10/20, ndcg@5/10/20.
-pub const PAPER_TABLE_IV: &[(&str, [f64; 9])] = &[
-    (
-        "HC-KGETM",
-        [
-            0.2783, 0.2197, 0.1626, 0.1959, 0.3072, 0.4523, 0.3717, 0.4491, 0.5501,
-        ],
-    ),
-    (
-        "GC-MC",
-        [
-            0.2788, 0.2223, 0.1647, 0.1933, 0.3100, 0.4553, 0.3765, 0.4568, 0.5610,
-        ],
-    ),
-    (
-        "PinSage",
-        [
-            0.2841, 0.2236, 0.1650, 0.1995, 0.3135, 0.4567, 0.3841, 0.4613, 0.5647,
-        ],
-    ),
-    (
-        "NGCF",
-        [
-            0.2787, 0.2219, 0.1634, 0.1933, 0.3085, 0.4505, 0.3790, 0.4571, 0.5599,
-        ],
-    ),
-    (
-        "HeteGCN",
-        [
-            0.2864, 0.2268, 0.1676, 0.2018, 0.3192, 0.4667, 0.3837, 0.4620, 0.5665,
-        ],
-    ),
-    (
-        "SMGCN",
-        [
-            0.2928, 0.2295, 0.1683, 0.2076, 0.3245, 0.4689, 0.3923, 0.4687, 0.5716,
-        ],
-    ),
-];
-
-/// The paper's Table V ablation reference values at K = 5
-/// (p@5, r@5, ndcg@5).
-pub const PAPER_TABLE_V: &[(&str, [f64; 3])] = &[
-    ("PinSage", [0.2841, 0.1995, 0.3841]),
-    ("Bipar-GCN", [0.2859, 0.2003, 0.3820]),
-    ("Bipar-GCN w/ SGE", [0.2916, 0.2064, 0.3900]),
-    ("Bipar-GCN w/ SI", [0.2914, 0.2060, 0.3885]),
-    ("SMGCN", [0.2928, 0.2076, 0.3923]),
-];
-
-fn fmt4(v: f64) -> String {
-    format!("{v:.4}")
-}
+use crate::harness::{EvalRow, Recipe, Scale};
 
 /// Renders rows in the paper's Table IV layout:
 /// `model | p@K... | r@K... | ndcg@K...`.
@@ -82,7 +30,7 @@ pub fn format_metrics_table(rows: &[EvalRow], ks: &[usize]) -> String {
                     1 => m.recall,
                     _ => m.ndcg,
                 };
-                line.push(fmt4(v));
+                line.push(format!("{v:.4}"));
             }
         }
         table.push(line);
@@ -90,116 +38,63 @@ pub fn format_metrics_table(rows: &[EvalRow], ks: &[usize]) -> String {
     render_aligned(&table)
 }
 
-/// Appends the paper's `%Improv.` rows: how much `subject` improves on each
-/// `baseline` row, per metric at each K.
-pub fn format_improvement_rows(
-    rows: &[EvalRow],
-    subject: &str,
-    baselines: &[&str],
-    ks: &[usize],
-) -> String {
-    let Some(subj) = rows.iter().find(|r| r.label == subject) else {
-        return format!("(subject {subject} missing)\n");
-    };
-    let mut table: Vec<Vec<String>> = Vec::new();
-    for base in baselines {
-        let Some(b) = rows.iter().find(|r| r.label == *base) else {
-            continue;
-        };
-        let mut line = vec![format!("%Improv. vs {base}")];
-        for metric in 0..3usize {
-            for &k in ks {
-                let (s, bv) = (
-                    subj.at_k(k).unwrap_or_default(),
-                    b.at_k(k).unwrap_or_default(),
-                );
-                let (sv, bvv) = match metric {
-                    0 => (s.precision, bv.precision),
-                    1 => (s.recall, bv.recall),
-                    _ => (s.ndcg, bv.ndcg),
-                };
-                let imp = if bvv > 0.0 {
-                    (sv - bvv) / bvv * 100.0
-                } else {
-                    f64::NAN
-                };
-                line.push(format!("{imp:+.2}%"));
-            }
-        }
+/// Renders Table II: prescriptions and the symptoms / herbs in use, for
+/// the whole corpus and both splits, and the mean set sizes.
+pub fn format_corpus_statistics(all: &Corpus, train: &Corpus, test: &Corpus) -> String {
+    let header = ["dataset", "#prescriptions", "#symptoms", "#herbs"];
+    let mut table = vec![header.map(String::from).to_vec()];
+    for (name, corpus) in [("All", all), ("Train", train), ("Test", test)] {
+        let s = corpus_stats(corpus);
+        let mut line = vec![name.to_string()];
+        line.extend([s.n_prescriptions, s.n_symptoms_used, s.n_herbs_used].map(|c| c.to_string()));
         table.push(line);
     }
-    render_aligned(&table)
+    let s = corpus_stats(all);
+    format!(
+        "{}\nmean set sizes: {:.2} symptoms / {:.2} herbs per prescription\n",
+        render_aligned(&table),
+        s.mean_symptoms_per_rx,
+        s.mean_herbs_per_rx
+    )
 }
 
-/// Side-by-side paper-vs-measured lines for a named reference table.
-pub fn format_paper_comparison(
-    rows: &[EvalRow],
-    reference: &[(&str, [f64; 9])],
-    ks: &[usize],
-) -> String {
+/// Renders this reproduction's side of Table III: each Table IV model's
+/// calibrated optimum on the synthetic corpus at `scale` (the paper's own
+/// are in README.md, "Reproducing the paper").
+pub fn format_calibrated_optima(scale: Scale, epochs: Option<usize>) -> String {
     let mut out = String::new();
-    out.push_str("paper reference (left) vs measured (right), per metric@K:\n");
-    for (name, vals) in reference {
-        let Some(row) = rows.iter().find(|r| r.label == *name) else {
-            continue;
-        };
-        out.push_str(&format!("  {name:<18}"));
-        for (i, prefix) in ["p", "r", "ndcg"].iter().enumerate() {
-            for (j, &k) in ks.iter().enumerate() {
-                let m = row.at_k(k).unwrap_or_default();
-                let measured = match i {
-                    0 => m.precision,
-                    1 => m.recall,
-                    _ => m.ndcg,
-                };
-                out.push_str(&format!(
-                    " {prefix}@{k}: {:.4}/{measured:.4}",
-                    vals[i * ks.len() + j]
-                ));
-            }
-        }
-        out.push('\n');
+    for kind in ModelKind::table_iv() {
+        let Recipe { train, model, .. } = Recipe::tuned(kind, scale, epochs);
+        out.push_str(&format!(
+            "{:<10} lr = {:.0e}, dropout = {}, λ = {:.0e}, epochs = {}, batch = {}\n",
+            kind.label(),
+            train.learning_rate,
+            model.dropout,
+            train.l2_lambda,
+            train.epochs,
+            train.batch_size
+        ));
     }
-    out
+    let (th, model) = (scale.thresholds(), scale.model_config());
+    out + &format!(
+        "thresholds x_s = {}, x_h = {} | embedding {} | layers {:?}\n",
+        th.x_s, th.x_h, model.embedding_dim, model.layer_dims
+    )
 }
 
-/// Checks the *shape* claim of Table IV on measured rows: SMGCN must be the
-/// best row for the given metric extractor. Returns the offending rows.
-pub fn shape_violations(
-    rows: &[EvalRow],
-    subject: &str,
-    k: usize,
-    metric: impl Fn(&RankingMetrics) -> f64,
-) -> Vec<String> {
-    let Some(sub) = rows.iter().find(|r| r.label == subject) else {
-        return vec![format!("missing subject {subject}")];
-    };
-    let subject_value = sub.at_k(k).map(|m| metric(&m)).unwrap_or(f64::NAN);
-    rows.iter()
-        .filter(|r| r.label != subject)
-        .filter(|r| r.at_k(k).map(|m| metric(&m)).unwrap_or(f64::NAN) > subject_value)
-        .map(|r| r.label.clone())
-        .collect()
-}
-
-/// A figure-style series: one metric against a swept parameter
-/// (Figs. 7–9 are all of this shape).
-pub fn format_sweep_series(param_name: &str, points: &[(String, RankingMetrics)]) -> String {
-    let mut table: Vec<Vec<String>> = vec![vec![
-        param_name.to_string(),
-        "p@5".into(),
-        "r@5".into(),
-        "ndcg@5".into(),
-    ]];
-    for (value, m) in points {
-        table.push(vec![
-            value.clone(),
-            fmt4(m.precision),
-            fmt4(m.recall),
-            fmt4(m.ndcg),
-        ]);
+/// Renders Fig. 5: the `n` most frequent herbs as a histogram, and how
+/// many times the first outnumbers the last.
+pub fn format_herb_frequencies(corpus: &Corpus, n: usize) -> String {
+    let top = top_herbs(corpus, n);
+    let head = top.first().map_or(1, |&(_, c)| c).max(1) as f64;
+    let tail = top.last().map_or(1, |&(_, c)| c).max(1) as f64;
+    let mut out = "rank   herb                         frequency  histogram\n".to_string();
+    for (rank, &(id, count)) in top.iter().enumerate() {
+        let bar = "#".repeat((f64::from(count) / head * 50.0).round() as usize);
+        let name = corpus.herb_vocab().name(id);
+        out.push_str(&format!("{rank:<6} {name:<28} {count:>9}  {bar}\n"));
     }
-    render_aligned(&table)
+    out + &format!("\nhead/rank-{n} frequency ratio: {:.1}x\n", head / tail)
 }
 
 /// Renders the Fig. 10 case study: named symptom sets, the model's top-K
@@ -268,6 +163,7 @@ fn render_aligned(table: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RankingMetrics;
 
     fn row(label: &str, p5: f64) -> EvalRow {
         EvalRow {
@@ -290,6 +186,7 @@ mod tests {
                     },
                 ),
             ],
+            p5: Vec::new(),
             train_seconds: 1.0,
         }
     }
@@ -306,54 +203,33 @@ mod tests {
     }
 
     #[test]
-    fn improvement_rows_compute_percent() {
-        let rows = vec![row("base", 0.20), row("subj", 0.22)];
-        let s = format_improvement_rows(&rows, "subj", &["base"], &[5]);
-        assert!(s.contains("+10.00%"), "{s}");
-    }
-
-    #[test]
-    fn shape_violations_detects_losers_and_winners() {
-        let rows = vec![row("A", 0.25), row("B", 0.30), row("S", 0.28)];
-        let v = shape_violations(&rows, "S", 5, |m| m.precision);
-        assert_eq!(v, vec!["B".to_string()]);
-        let none = shape_violations(&rows, "B", 5, |m| m.precision);
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn sweep_series_lists_points() {
-        let pts = vec![
-            (
-                "10".to_string(),
-                RankingMetrics {
-                    precision: 0.1,
-                    recall: 0.2,
-                    ndcg: 0.3,
-                },
-            ),
-            (
-                "20".to_string(),
-                RankingMetrics {
-                    precision: 0.4,
-                    recall: 0.5,
-                    ndcg: 0.6,
-                },
-            ),
+    fn corpus_renderers_count_and_rank() {
+        use smgcn_data::{Prescription, Vocabulary};
+        let rx = vec![
+            Prescription::new(vec![0], vec![0, 1]),
+            Prescription::new(vec![0, 1], vec![0]),
         ];
-        let s = format_sweep_series("x_h", &pts);
-        assert!(s.contains("x_h"));
-        assert!(s.contains("0.4000"));
-    }
-
-    #[test]
-    fn paper_reference_is_complete() {
-        assert_eq!(PAPER_TABLE_IV.len(), 6);
-        assert_eq!(PAPER_TABLE_V.len(), 5);
-        // SMGCN must be the best row of the reference table at p@5 —
-        // sanity-checking our transcription of the paper.
-        let best = PAPER_TABLE_IV.iter().map(|(_, v)| v[0]).fold(0.0, f64::max);
-        assert_eq!(best, 0.2928);
+        let (symptoms, herbs) = (["s0", "s1"], ["h0", "h1", "h2"]);
+        let corpus = Corpus::new(
+            Vocabulary::from_names(symptoms),
+            Vocabulary::from_names(herbs),
+            rx,
+        );
+        let s = format_corpus_statistics(&corpus, &corpus, &corpus);
+        assert!(
+            s.contains("Train") && s.contains("1.50 symptoms / 1.50 herbs"),
+            "{s}"
+        );
+        let s = format_herb_frequencies(&corpus, 2);
+        assert!(
+            s.contains("h0") && !s.contains("h2") && s.contains("ratio: 2.0x"),
+            "{s}"
+        );
+        let s = format_calibrated_optima(Scale::Smoke, Some(3));
+        assert!(
+            s.contains("SMGCN      lr = 3e-3") && s.contains("epochs = 3"),
+            "{s}"
+        );
     }
 
     #[test]

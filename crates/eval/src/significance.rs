@@ -1,10 +1,11 @@
 //! Paired bootstrap significance testing for model comparisons.
 //!
-//! The reproduction corpus makes top-model margins small (EXPERIMENTS.md),
-//! so "A beats B" claims need uncertainty estimates. This module implements
-//! the standard paired bootstrap over test prescriptions: resample the test
-//! set with replacement, recompute each model's mean metric on the
-//! resample, and report how often A's mean exceeds B's.
+//! The reproduction corpus makes top-model margins small (README.md,
+//! "Reproducing the paper"), so "A beats B" claims need uncertainty
+//! estimates. This module implements the standard paired bootstrap over
+//! test prescriptions: resample the test set with replacement, recompute
+//! each model's mean metric on the resample, and report how often A's
+//! mean exceeds B's.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,9 +24,17 @@ pub struct BootstrapComparison {
 }
 
 impl BootstrapComparison {
-    /// True when the 95% CI of the difference excludes zero.
-    pub fn significant(&self) -> bool {
-        self.diff_ci.0 > 0.0 || self.diff_ci.1 < 0.0
+    /// The claim "A outranks B", judged by the interval: `holds` or
+    /// `violated` when it excludes zero on that side, `tie` when it
+    /// does not.
+    pub fn verdict(&self) -> &'static str {
+        if self.diff_ci.0 > 0.0 {
+            "holds"
+        } else if self.diff_ci.1 < 0.0 {
+            "violated"
+        } else {
+            "tie"
+        }
     }
 }
 
@@ -71,22 +80,13 @@ pub fn paired_bootstrap(a: &[f64], b: &[f64], resamples: usize, seed: u64) -> Bo
     }
 }
 
-/// Per-prescription precision@k for a ranker on a test corpus — the paired
-/// unit for bootstrap comparisons.
-pub fn per_prescription_precision(
-    ranker: &dyn crate::harness::HerbRanker,
-    test: &smgcn_data::Corpus,
-    k: usize,
-) -> Vec<f64> {
-    let sets: Vec<&[u32]> = test.prescriptions().iter().map(|p| p.symptoms()).collect();
-    let scores = ranker.score_sets(&sets);
-    scores
+/// Per-prescription precision@k of ranked lists against their ground
+/// truths — the paired unit for bootstrap comparisons.
+pub fn per_prescription_precision(ranked: &[Vec<u32>], truths: &[&[u32]], k: usize) -> Vec<f64> {
+    ranked
         .iter()
-        .zip(test.prescriptions())
-        .map(|(row, p)| {
-            let ranked = smgcn_core::top_k_indices(row, crate::harness::RANK_TRUNCATION);
-            crate::metrics::precision_at_k(&ranked, p.herbs(), k)
-        })
+        .zip(truths)
+        .map(|(list, truth)| crate::metrics::precision_at_k(list, truth, k))
         .collect()
 }
 
@@ -98,7 +98,7 @@ mod tests {
     fn identical_models_are_not_significant() {
         let a = vec![0.3, 0.5, 0.2, 0.8, 0.4, 0.6, 0.1, 0.7];
         let cmp = paired_bootstrap(&a, &a, 500, 1);
-        assert!(!cmp.significant());
+        assert_eq!(cmp.verdict(), "tie");
         assert_eq!(cmp.mean_a, cmp.mean_b);
         assert!((cmp.diff_ci.0, cmp.diff_ci.1) == (0.0, 0.0));
     }
@@ -108,7 +108,8 @@ mod tests {
         let a: Vec<f64> = (0..100).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect();
         let b: Vec<f64> = (0..100).map(|i| 0.2 + (i % 5) as f64 * 0.01).collect();
         let cmp = paired_bootstrap(&a, &b, 500, 2);
-        assert!(cmp.significant(), "{cmp:?}");
+        assert_eq!(cmp.verdict(), "holds", "{cmp:?}");
+        assert_eq!(paired_bootstrap(&b, &a, 500, 2).verdict(), "violated");
         assert!(cmp.win_rate_a > 0.99);
         assert!(cmp.diff_ci.0 > 0.25 && cmp.diff_ci.1 < 0.35);
     }
@@ -124,7 +125,7 @@ mod tests {
             .map(|i| 0.5 + if i % 2 == 0 { -0.01 } else { 0.01 })
             .collect();
         let cmp = paired_bootstrap(&a, &b, 500, 3);
-        assert!(!cmp.significant(), "{cmp:?}");
+        assert_eq!(cmp.verdict(), "tie", "{cmp:?}");
     }
 
     #[test]

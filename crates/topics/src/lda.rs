@@ -2,7 +2,7 @@
 //! sampling.
 //!
 //! This is the topic-model core of the HC-KGETM baseline substitute (see
-//! DESIGN.md §2). Each prescription is a document whose tokens come from
+//! README.md, "The corpus"). Each prescription's tokens come from
 //! two vocabularies — symptoms and herbs — sharing one latent topic
 //! ("syndrome") assignment space, as in the TCM topic models the paper
 //! cites (refs. \[5\], \[13\]): a topic `z` has a distribution over symptoms `φ_s(z)`

@@ -4,7 +4,7 @@
 //! 2019), fuses a prescription topic model with TransE embeddings of a
 //! curated TCM knowledge graph. The curated graph is not available, so
 //! this crate rebuilds the method on a knowledge graph *derived from the
-//! corpus itself* (DESIGN.md §2):
+//! corpus itself* (README.md, "The corpus"):
 //!
 //! - [`lda`] — collapsed-Gibbs syndrome-topic model over symptom+herb
 //!   tokens;

@@ -3,7 +3,7 @@
 //!
 //! HC-KGETM (ref. \[13\]) regularises its topic model with TransE embeddings of a
 //! curated TCM knowledge graph. That graph is proprietary, so the
-//! substitute (DESIGN.md §2) derives triples from the corpus itself:
+//! substitute (README.md, "The corpus") takes triples from the corpus:
 //!
 //! - `(s, treats-with, h)` for bipartite edges,
 //! - `(s, co-manifests, s')` for symptom synergy edges,

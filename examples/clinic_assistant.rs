@@ -54,9 +54,7 @@ fn main() {
     println!("\ntop-8 herb recommendations per model:");
     let smgcn_top = model.recommend(&symptom_ids, 8);
     let kgetm_top = kgetm.recommend(&symptom_ids, 8);
-    let sets: Vec<&[u32]> = vec![&symptom_ids];
-    let pop_scores = popularity.score_sets(&sets);
-    let pop_top = top_k_indices(&pop_scores[0], 8);
+    let pop_top = &popularity.rank_sets(&[&symptom_ids], 8)[0];
 
     println!(
         "{:<4} {:<30} {:<30} {:<30}",

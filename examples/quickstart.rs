@@ -9,7 +9,7 @@ use smgcn_repro::prelude::*;
 
 fn main() {
     // 1. A synthetic TCM prescription corpus (latent-syndrome generative
-    //    model; see DESIGN.md §2 for the dataset substitution).
+    //    model; README.md, "The corpus", on the dataset substitution).
     let corpus = SyndromeModel::new(GeneratorConfig::smoke_scale()).generate();
     let split = train_test_split_fraction(&corpus, PAPER_TEST_FRACTION, 2020);
     println!(

@@ -34,7 +34,7 @@
 //!   with per-scenario SLO assertions (`smgcn loadgen`), including the
 //!   `fault-storm` scenario driven by the fault plane.
 //!
-//! See README.md for a tour and DESIGN.md for the experiment index.
+//! See README.md for a tour and, there, "Reproducing the paper".
 
 pub use smgcn_cluster as cluster;
 pub use smgcn_core as core;

@@ -1,6 +1,6 @@
 //! Shape tests: cheap, statistical versions of the paper's headline claims,
 //! run on the tiny corpus so they fit the test budget. The full-strength
-//! versions are the `smgcn-bench` binaries (DESIGN.md §4).
+//! versions are the rows of `smgcn-bench`'s `paper` driver (README.md).
 
 use smgcn_repro::graph::SynergyThresholds;
 use smgcn_repro::prelude::*;
