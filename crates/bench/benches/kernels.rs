@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the substrate kernels behind every
 //! experiment: dense GEMM (training's and serving's, per kernel tier),
-//! sparse SpMM, the activation, graph construction, the SMGCN
+//! sparse SpMM, the activation, the worker team's handoff, graph
+//! construction, the SMGCN
 //! forward pass, one full forward+backward training step, metric
 //! computation, and the codecs a model publish passes through.
 
@@ -205,6 +206,47 @@ fn bench_train_kernels(_: &mut Criterion) {
     );
 }
 
+fn bench_par_handoff(_: &mut Criterion) {
+    // What a chunked call costs beyond its work: `for_each_chunk` over two
+    // chunks that each spin for a fixed time, wall time minus one chunk's.
+    // `hot` calls follow each other at once, so the worker is spinning
+    // when the call is published; `parked` calls come after a pause longer
+    // than the worker's spin budget, so it is woken through its condvar
+    // (the cold path: the caller may take both chunks before it arrives).
+    // With one configured thread both chunks run on the caller and the
+    // "handoff" reads as one chunk's time.
+    use smgcn_tensor::par::for_each_chunk;
+    use std::time::{Duration, Instant};
+    let busy = |us: u64| {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_micros(us) {
+            std::hint::spin_loop();
+        }
+    };
+    for (state, pause) in [
+        ("hot", Duration::ZERO),
+        ("parked", Duration::from_millis(2)),
+    ] {
+        for us in [0u64, 50, 200, 800] {
+            let calls = if pause.is_zero() { 2000 } else { 200 };
+            let mut over: Vec<f64> = (0..calls)
+                .map(|_| {
+                    std::thread::sleep(pause);
+                    let start = Instant::now();
+                    for_each_chunk(2, 0..2, |_| busy(us));
+                    start.elapsed().as_secs_f64() * 1e6 - us as f64
+                })
+                .collect();
+            over.sort_by(f64::total_cmp);
+            println!(
+                "par_handoff/{state:<6} 2 x {us:>3} µs chunks: wall - work {:>7.2} µs median {:>7.2} µs p90",
+                over[calls / 2],
+                over[calls * 9 / 10],
+            );
+        }
+    }
+}
+
 fn bench_publish_codecs(c: &mut Criterion) {
     // Every stage one `{"op":"publish"}` of the paper-shape model (360 x
     // 753, d = 256, SI head) passes through on a replica, each on the
@@ -383,6 +425,7 @@ criterion_group!(
     bench_matmul_packed,
     bench_score_large_fused,
     bench_train_kernels,
+    bench_par_handoff,
     bench_publish_codecs,
     bench_spmm,
     bench_graph_build,

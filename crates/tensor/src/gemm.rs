@@ -51,8 +51,11 @@
 //! Training's weights change every step, so its three products pack
 //! their right operand on every call, into a thread-local scratch that
 //! is reused from then on (`A^T @ B` also gathers each 8-column strip of
-//! `A` into rows, once per strip). Steady-state training performs no
-//! pack allocations.
+//! `A` into rows, once per strip). The driver's output tile and that
+//! strip live in a second scratch of the same kind, one per thread that
+//! runs chunks — the caller's and each resident worker's, which outlive
+//! the call ([`crate::par`]). Steady-state training performs no pack and
+//! no tile allocations.
 //!
 //! A right operand that outlives many products (frozen herb embeddings, a
 //! frozen SI head) is packed once into an owned [`PackedRhs`] and is
@@ -74,12 +77,17 @@
 //! [`Matrix::matmul_packed`] and the training products are the visitor
 //! that copies tiles into an output. The thread split is sized by the
 //! product's multiply-adds (`m · n · k`), not its output elements, so a
-//! weight gradient — few outputs, long reduction — is shared out too.
+//! weight gradient — few outputs, long reduction — is shared out too
+//! (from 2M multiply-adds a thread: `par::threads_for_macs`). The shares
+//! are the chunks of one `par::for_each_chunk` call: the calling thread
+//! takes one and the process's resident workers the others, so a
+//! product spawns no thread, and runs whole on its caller when the team
+//! is busy with another call.
 //! All `unsafe` of this crate's kernels lives in the private `simd`
 //! module, behind safe functions that check the CPU feature and every
 //! length the pointers rely on.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use crate::matrix::Matrix;
 use crate::par;
@@ -104,6 +112,12 @@ thread_local! {
     /// reused across calls so steady-state training performs no pack
     /// allocations.
     static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Scratch for the tile driver's output tile and, for a transposed
+    /// left operand, its gathered strip: one per thread that runs chunks
+    /// (the caller's and each resident worker's), grown and never shrunk
+    /// like `PACK`. Taken out for the length of a chunk and put back, so
+    /// a visitor that multiplies finds it empty instead of borrowed.
+    static TILE: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// How a micro-kernel folds `a * b` into its accumulator.
@@ -694,7 +708,21 @@ impl PanelsRef<'_> {
         par::for_each_row_chunk_of(state, per_row, m, threads, |r0, state| {
             let rows = state.len() / per_row;
             let tile_rows = tile_rows.min(rows);
-            let mut tile = vec![0.0f32; tile_rows * block_cols];
+            let tile_len = tile_rows * block_cols;
+            let strip_len = match lhs {
+                Lhs::Rows(_) => 0,
+                Lhs::Cols(_) => tile_rows * k,
+            };
+            let mut scratch = TILE.take();
+            if scratch.len() < tile_len + strip_len {
+                scratch.resize(tile_len + strip_len, 0.0);
+            }
+            let (tile, strip) = scratch.split_at_mut(tile_len);
+            if k == 0 {
+                // No kernel writes a tile it has no panel to walk for:
+                // the product is the zeros the tile then has to hold.
+                tile.fill(0.0);
+            }
             // `h` rows of the left operand, the chunk's `i`-th on,
             // against the column block at `col0`.
             let mut run = |a: &[f32], i: usize, h: usize, col0: usize, state: &mut [S]| {
@@ -732,7 +760,6 @@ impl PanelsRef<'_> {
                 // into rows once and meets every column block.
                 Lhs::Cols(a) => {
                     let cols = a.len() / k.max(1);
-                    let mut strip = vec![0.0f32; tile_rows * k];
                     for i in (0..rows).step_by(tile_rows) {
                         let h = tile_rows.min(rows - i);
                         for (t, a_row) in a.chunks_exact(cols).enumerate() {
@@ -746,14 +773,15 @@ impl PanelsRef<'_> {
                     }
                 }
             }
+            TILE.set(scratch);
         })
     }
 }
 
 /// The [`Tier::Scalar`] row block: `h <= MR` rows of `a` against every
 /// panel of one column block, into `out` (`h` rows of `panels x NR`).
-/// (`k == 0` has no panels to walk and writes nothing: the driver's
-/// tile starts zeroed, which is the product.)
+/// (`k == 0` has no panels to walk and writes nothing: the driver
+/// zeroes the tile for it, which is the product.)
 fn scalar_rows(a: &[f32], h: usize, k: usize, panels: &[f32], out: &mut [f32]) {
     let stride = out.len() / h;
     let panels = panels.chunks_exact((k * NR).max(1)).take(stride / NR);
@@ -828,7 +856,8 @@ pub(crate) fn matmul_reference_into(
     n: usize,
     out: &mut [f32],
 ) {
-    par::for_each_row_chunk(out, n, m, |r0, chunk| {
+    let threads = par::threads_for_macs(m * n * k);
+    par::for_each_row_chunk_of(out, n, m, threads, |r0, chunk| {
         for (local_r, out_row) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
             out_row.fill(0.0);
             let r = r0 + local_r;
@@ -855,7 +884,8 @@ pub(crate) fn matmul_transb_reference_into(
     n: usize,
     out: &mut [f32],
 ) {
-    par::for_each_row_chunk(out, n, m, |r0, chunk| {
+    let threads = par::threads_for_macs(m * n * k);
+    par::for_each_row_chunk_of(out, n, m, threads, |r0, chunk| {
         for (local_r, out_row) in chunk.chunks_exact_mut(n.max(1)).enumerate() {
             let r = r0 + local_r;
             let lhs_row = &lhs[r * k..(r + 1) * k];
@@ -875,13 +905,14 @@ pub(crate) fn matmul_transb_reference_into(
 /// pre-PR backward path, without materialising the transpose).
 pub(crate) fn matmul_transa_reference_into(
     lhs: &[f32],
-    _m: usize,
+    m: usize,
     k: usize,
     rhs: &[f32],
     n: usize,
     out: &mut [f32],
 ) {
-    par::for_each_row_chunk(out, n, k, |i0, chunk| {
+    let threads = par::threads_for_macs(m * n * k);
+    par::for_each_row_chunk_of(out, n, k, threads, |i0, chunk| {
         chunk.fill(0.0);
         let cols = chunk.len() / n.max(1);
         for (a_row, g_row) in lhs.chunks_exact(k.max(1)).zip(rhs.chunks_exact(n.max(1))) {

@@ -14,6 +14,9 @@
 //!   products;
 //! - [`sparse`] — CSR adjacency matrices and sparse-dense products for
 //!   graph convolutions and set pooling, nnz-balanced across threads;
+//! - [`par`] — the one resident team of worker threads every kernel and
+//!   element-wise map shares its chunks with, and the thresholds that
+//!   decide when a second thread is worth it;
 //! - [`pool`] — a step-scoped buffer recycler so steady-state training
 //!   allocates nothing in the hot loop;
 //! - [`tape`] — define-by-run reverse-mode autograd over a persistent

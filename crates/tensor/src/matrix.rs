@@ -10,6 +10,7 @@
 //! not recoverable conditions.
 
 use crate::gemm::{self, PackedRhs, Tier};
+use crate::par;
 
 /// A dense row-major matrix of `f32` values.
 #[derive(Clone, PartialEq)]
@@ -232,9 +233,7 @@ impl Matrix {
     /// In-place element-wise accumulation `self += other`.
     pub fn add_assign(&mut self, other: &Matrix) {
         self.assert_same_shape(other, "Matrix::add_assign");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += *b;
-        }
+        self.zip_map_assign(other, |a, b| a + b);
     }
 
     /// In-place scaled accumulation `self += alpha * other`.
@@ -307,9 +306,7 @@ impl Matrix {
     /// Panics if shapes differ.
     pub fn hadamard_assign(&mut self, other: &Matrix) {
         self.assert_same_shape(other, "Matrix::hadamard_assign");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
-        }
+        self.zip_map_assign(other, |a, b| a * b);
     }
 
     /// Scalar multiple, producing a new matrix.
@@ -350,15 +347,38 @@ impl Matrix {
         }
     }
 
-    /// `out[i] = f(self[i])` for every entry, fully overwriting `out`.
+    /// `out[i] = f(self[i])` for every entry, fully overwriting `out`;
+    /// disjoint runs of entries on separate threads when there are
+    /// enough of them (32k a thread, see [`crate::par`]).
     ///
     /// # Panics
     /// Panics if shapes differ.
-    pub fn map_into(&self, out: &mut Matrix, f: impl Fn(f32) -> f32) {
+    pub fn map_into(&self, out: &mut Matrix, f: impl Fn(f32) -> f32 + Sync) {
         self.assert_same_shape(out, "Matrix::map_into");
-        for (o, &a) in out.data.iter_mut().zip(&self.data) {
-            *o = f(a);
-        }
+        let (threads, len) = par::split_elems(self.data.len());
+        let chunks = out.data.chunks_mut(len).zip(self.data.chunks(len));
+        par::for_each_chunk(threads, chunks, |(out, a)| {
+            for (o, &a) in out.iter_mut().zip(a) {
+                *o = f(a);
+            }
+        });
+    }
+
+    /// `self[i] = f(self[i], other[i])` for every entry, split like
+    /// [`map_into`](Self::map_into): the in-place form every activation's
+    /// backward map takes.
+    ///
+    /// # Panics
+    /// Panics if shapes differ.
+    pub fn zip_map_assign(&mut self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) {
+        self.assert_same_shape(other, "Matrix::zip_map_assign");
+        let (threads, len) = par::split_elems(self.data.len());
+        let chunks = self.data.chunks_mut(len).zip(other.data.chunks(len));
+        par::for_each_chunk(threads, chunks, |(a, b)| {
+            for (a, &b) in a.iter_mut().zip(b) {
+                *a = f(*a, b);
+            }
+        });
     }
 
     /// Dense matrix product `self @ other`.
@@ -817,7 +837,7 @@ impl Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
@@ -996,5 +1016,50 @@ mod tests {
         assert!(a.all_finite());
         a.set(0, 1, f32::NAN);
         assert!(!a.all_finite());
+    }
+
+    /// Shapes on both sides of a map's split: one value, one long row, a
+    /// ragged block, and the trainer's two largest activations.
+    pub(crate) const MAP_SHAPES: [(usize, usize); 5] =
+        [(1, 1), (1, 100_003), (37, 1009), (1113, 256), (1024, 753)];
+
+    /// Values in `[-4, 4]`, scrambled over the matrix.
+    pub(crate) fn scrambled(rows: usize, cols: usize, salt: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            (((r * cols + c) * 2_654_435_761 + salt * 97) % 2001) as f32 / 250.0 - 4.0
+        })
+    }
+
+    pub(crate) fn assert_same_bits(got: &[f32], plain: impl Iterator<Item = f32>, what: &str) {
+        let plain: Vec<f32> = plain.collect();
+        assert_eq!(got.len(), plain.len(), "{what}");
+        let diff = got
+            .iter()
+            .zip(&plain)
+            .position(|(a, b)| a.to_bits() != b.to_bits());
+        assert_eq!(diff, None, "{what}: first differing element");
+    }
+
+    #[test]
+    fn split_maps_match_a_sequential_loop_bitwise() {
+        let act = crate::tape::tanh;
+        let slope = |g: f32, y: f32| g * (1.0 - y * y);
+        for (rows, cols) in MAP_SHAPES {
+            let what = format!("{rows}x{cols}");
+            let (x, y) = (scrambled(rows, cols, 1), scrambled(rows, cols, 2));
+            let pairs = || x.as_slice().iter().zip(y.as_slice());
+            let mut out = Matrix::filled(rows, cols, f32::NAN);
+            x.map_into(&mut out, act);
+            assert_same_bits(out.as_slice(), x.as_slice().iter().map(|&v| act(v)), &what);
+            let mut z = x.clone();
+            z.zip_map_assign(&y, slope);
+            assert_same_bits(z.as_slice(), pairs().map(|(&a, &b)| slope(a, b)), &what);
+            let mut z = x.clone();
+            z.add_assign(&y);
+            assert_same_bits(z.as_slice(), pairs().map(|(&a, &b)| a + b), &what);
+            let mut z = x.clone();
+            z.hadamard_assign(&y);
+            assert_same_bits(z.as_slice(), pairs().map(|(&a, &b)| a * b), &what);
+        }
     }
 }

@@ -10,6 +10,7 @@
 //! passes `c = 2 λ_Θ` so the update matches the paper's objective exactly.
 
 use crate::matrix::Matrix;
+use crate::par;
 use crate::tape::{Gradients, ParamStore};
 
 /// Shared optimizer interface: apply one update step given gradients.
@@ -153,22 +154,30 @@ impl Optimizer for Adam {
                 (self.weight_decay, self.beta1, self.beta2, self.eps, self.lr);
             // Zipped slice walk: same arithmetic in the same order as the
             // indexed formulation, minus per-element bounds checks — this
-            // loop runs once per scalar parameter per step. Zip would
+            // loop runs once per scalar parameter per step, a large
+            // parameter's in disjoint runs on separate threads. Zip would
             // silently truncate on a length mismatch, so assert it away.
             debug_assert_eq!(theta.len(), g.len(), "gradient/parameter size mismatch");
-            let iter = theta
+            let (threads, len) = par::split_elems(theta.len());
+            let chunks = theta
                 .as_mut_slice()
-                .iter_mut()
-                .zip(g.as_slice())
-                .zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice()));
-            for ((ti, &gi0), (mi, vi)) in iter {
-                let gi = gi0 * clip_scale + wd * *ti;
-                *mi = b1 * *mi + (1.0 - b1) * gi;
-                *vi = b2 * *vi + (1.0 - b2) * gi * gi;
-                let m_hat = *mi / bc1;
-                let v_hat = *vi / bc2;
-                *ti -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
+                .chunks_mut(len)
+                .zip(g.as_slice().chunks(len))
+                .zip(
+                    m.as_mut_slice()
+                        .chunks_mut(len)
+                        .zip(v.as_mut_slice().chunks_mut(len)),
+                );
+            par::for_each_chunk(threads, chunks, |((theta, g), (m, v))| {
+                for ((ti, &gi0), (mi, vi)) in theta.iter_mut().zip(g).zip(m.iter_mut().zip(v)) {
+                    let gi = gi0 * clip_scale + wd * *ti;
+                    *mi = b1 * *mi + (1.0 - b1) * gi;
+                    *vi = b2 * *vi + (1.0 - b2) * gi * gi;
+                    let m_hat = *mi / bc1;
+                    let v_hat = *vi / bc2;
+                    *ti -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+            });
         }
     }
 
@@ -280,5 +289,32 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.01);
         opt.set_learning_rate(0.002);
         assert_eq!(opt.learning_rate(), 0.002);
+    }
+
+    #[test]
+    fn adam_on_a_split_parameter_matches_the_scalar_loop_bitwise() {
+        use crate::matrix::tests::{assert_same_bits, scrambled};
+        let (rows, cols) = (1113, 256);
+        let mut store = ParamStore::new();
+        let id = store.add("w", scrambled(rows, cols, 6));
+        let mut opt = Adam::new(0.01).with_weight_decay(0.014);
+        let mut theta = store.get(id).as_slice().to_vec();
+        let (mut m, mut v) = (vec![0.0f32; theta.len()], vec![0.0f32; theta.len()]);
+        for t in 1..=2 {
+            let mut tape = Tape::new(&store);
+            let w = tape.param(id);
+            let loss = tape.sum_squares(w); // g = 2w
+            let grads = tape.backward(loss);
+            let g = grads.get(id).unwrap().as_slice().to_vec();
+            opt.step(&mut store, &grads);
+            let (bc1, bc2) = (1.0 - 0.9f32.powi(t), 1.0 - 0.999f32.powi(t));
+            for i in 0..theta.len() {
+                let gi = g[i] * 1.0 + 0.014 * theta[i];
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * gi;
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * gi * gi;
+                theta[i] -= 0.01 * (m[i] / bc1) / ((v[i] / bc2).sqrt() + 1e-8);
+            }
+            assert_same_bits(store.get(id).as_slice(), theta.iter().copied(), "step");
+        }
     }
 }

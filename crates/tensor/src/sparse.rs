@@ -207,9 +207,10 @@ impl CsrMatrix {
     /// Parallelised over output-row chunks balanced by *stored-entry
     /// count*, not row count: the co-occurrence graphs are heavily skewed
     /// (hub symptoms/herbs own most edges), so equal-row chunks would
-    /// leave most threads idle. Each output row still accumulates
-    /// sequentially, so results are deterministic and independent of the
-    /// thread count.
+    /// leave most threads idle; how many chunks is decided like a dense
+    /// product's, by multiply-adds (`nnz · dense.cols()`). Each output
+    /// row still accumulates sequentially, so results are deterministic
+    /// and independent of the thread count.
     ///
     /// # Panics
     /// Panics if `self.cols != dense.rows`.

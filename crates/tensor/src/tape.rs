@@ -30,6 +30,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use crate::matrix::Matrix;
+use crate::par;
 use crate::pool::BufferPool;
 use crate::sparse::SharedCsr;
 
@@ -409,7 +410,7 @@ impl<'s> Tape<'s> {
     }
 
     /// Records a unary element-wise op whose forward value is `f(x)`.
-    fn unary_map(&mut self, x: Var, op: Op, f: impl Fn(f32) -> f32) -> Var {
+    fn unary_map(&mut self, x: Var, op: Op, f: impl Fn(f32) -> f32 + Sync) -> Var {
         let xm = self.value(x);
         let mut value = self.alloc(xm.rows(), xm.cols());
         xm.map_into(&mut value, f);
@@ -702,31 +703,21 @@ impl<'s> Tape<'s> {
                     self.acc(&mut node_grads, *s, gs);
                 }
                 Op::Tanh(x) => {
-                    let y = &self.nodes[idx].value;
-                    for (gv, &yv) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                        *gv *= 1.0 - yv * yv;
-                    }
+                    g.zip_map_assign(&self.nodes[idx].value, |gv, yv| gv * (1.0 - yv * yv));
                     self.acc(&mut node_grads, *x, g);
                 }
                 Op::Relu(x) => {
-                    let y = &self.nodes[idx].value;
-                    for (gv, &yv) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                        *gv = if yv > 0.0 { *gv } else { 0.0 };
-                    }
+                    let live = |gv, yv| if yv > 0.0 { gv } else { 0.0 };
+                    g.zip_map_assign(&self.nodes[idx].value, live);
                     self.acc(&mut node_grads, *x, g);
                 }
                 Op::LeakyRelu(x, slope) => {
-                    let xin = self.value(*x);
-                    for (gv, &xv) in g.as_mut_slice().iter_mut().zip(xin.as_slice()) {
-                        *gv = if xv > 0.0 { *gv } else { slope * *gv };
-                    }
+                    let leak = |gv, xv| if xv > 0.0 { gv } else { slope * gv };
+                    g.zip_map_assign(self.value(*x), leak);
                     self.acc(&mut node_grads, *x, g);
                 }
                 Op::Sigmoid(x) => {
-                    let y = &self.nodes[idx].value;
-                    for (gv, &yv) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                        *gv = *gv * yv * (1.0 - yv);
-                    }
+                    g.zip_map_assign(&self.nodes[idx].value, |gv, yv| gv * yv * (1.0 - yv));
                     self.acc(&mut node_grads, *x, g);
                 }
                 Op::ConcatCols(a, b) => {
@@ -769,13 +760,16 @@ impl<'s> Tape<'s> {
                     let p = self.value(*pred);
                     let gscalar = g.get(0, 0);
                     let batch = p.rows().max(1) as f32;
-                    let mut gp = self.alloc(p.rows(), p.cols());
-                    for r in 0..p.rows() {
-                        let (ps, ts) = (p.row(r), target.row(r));
-                        for (c, o) in gp.row_mut(r).iter_mut().enumerate() {
-                            *o = gscalar * 2.0 * weights[c] * (ps[c] - ts[c]) / batch;
+                    let (rows, cols) = p.shape();
+                    let mut gp = self.alloc(rows, cols);
+                    par::for_each_row_chunk(gp.as_mut_slice(), cols, rows, |r0, chunk| {
+                        for (i, out) in chunk.chunks_exact_mut(cols.max(1)).enumerate() {
+                            let (ps, ts) = (p.row(r0 + i), target.row(r0 + i));
+                            for (c, o) in out.iter_mut().enumerate() {
+                                *o = gscalar * 2.0 * weights[c] * (ps[c] - ts[c]) / batch;
+                            }
                         }
-                    }
+                    });
                     self.acc(&mut node_grads, *pred, gp);
                     self.release(g);
                 }
@@ -1207,5 +1201,54 @@ mod tests {
         let mut tape = Tape::new(&store);
         let a = tape.param(ids[0]);
         let _ = tape.backward(a);
+    }
+
+    #[test]
+    fn split_tape_maps_match_sequential_loops_bitwise() {
+        use crate::matrix::tests::{assert_same_bits, scrambled, MAP_SHAPES};
+        // affine -> relu -> dropout -> tanh -> weighted MSE: every map the
+        // trainer splits, forward and backward, against plain loops.
+        for (rows, cols) in MAP_SHAPES {
+            let what = format!("{rows}x{cols}");
+            let (store, ids) = store_with(&[("x", scrambled(rows, cols, 3))]);
+            let mask =
+                Arc::new(scrambled(rows, cols, 4).map(|v| if v > -2.0 { 1.25 } else { 0.0 }));
+            let target =
+                Arc::new(scrambled(rows, cols, 5).map(|v| if v > 3.0 { 1.0 } else { 0.0 }));
+            let weights: Arc<Vec<f32>> =
+                Arc::new((0..cols).map(|c| 1.0 + (c % 7) as f32).collect());
+            let mut tape = Tape::new(&store);
+            let x = tape.param(ids[0]);
+            let a = tape.affine(x, 0.5, 0.25);
+            let r = tape.relu(a);
+            let d = tape.dropout_with_mask(r, Arc::clone(&mask));
+            let t = tape.tanh(d);
+            let loss = tape.weighted_mse(t, Arc::clone(&target), Arc::clone(&weights));
+            let grads = tape.backward(loss);
+
+            let xs = store.get(ids[0]).as_slice();
+            let plain_a: Vec<f32> = xs.iter().map(|&v| 0.5 * v + 0.25).collect();
+            let plain_r: Vec<f32> = plain_a.iter().map(|&v| v.max(0.0)).collect();
+            let plain_d: Vec<f32> = plain_r
+                .iter()
+                .zip(mask.as_slice())
+                .map(|(&v, &m)| v * m)
+                .collect();
+            let plain_t: Vec<f32> = plain_d.iter().map(|&v| tanh(v)).collect();
+            assert_same_bits(tape.value(a).as_slice(), plain_a.iter().copied(), &what);
+            assert_same_bits(tape.value(r).as_slice(), plain_r.iter().copied(), &what);
+            assert_same_bits(tape.value(t).as_slice(), plain_t.iter().copied(), &what);
+
+            let batch = rows as f32;
+            let plain_grad = (0..rows * cols).map(|i| {
+                let mut g =
+                    1.0 * 2.0 * weights[i % cols] * (plain_t[i] - target.as_slice()[i]) / batch;
+                g *= 1.0 - plain_t[i] * plain_t[i];
+                g *= mask.as_slice()[i];
+                g = if plain_r[i] > 0.0 { g } else { 0.0 };
+                g * 0.5
+            });
+            assert_same_bits(grads.get(ids[0]).unwrap().as_slice(), plain_grad, &what);
+        }
     }
 }
