@@ -25,17 +25,17 @@
 //! ```text
 //! obs_overhead [--queries N] [--conns N] [--trials N]
 //!              [--sample-every N] [--scrape-ms N] [--max-regress F]
-//!              [--out PATH]
 //! ```
 //!
 //! Trials interleave the two configurations (bare, loaded, bare, …) and
 //! each side keeps its best run, so a shared runner throttling mid-way
-//! depresses both sides instead of reading as telemetry overhead.
+//! depresses both sides instead of reading as telemetry overhead. The
+//! bin prints both rates and their ratio and exits nonzero when the
+//! ratio breaks the budget.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use smgcn_bench::report::{BenchReport, GateDirection};
 use smgcn_experiment::{SplitPlan, DEFAULT_SPLIT_SEED};
 use smgcn_loadgen::scenario::{DIM, N_HERBS, N_SYMPTOMS};
 use smgcn_loadgen::shape::{synthetic_frozen, synthetic_vocab};
@@ -56,7 +56,6 @@ struct Args {
     sample_every: u64,
     scrape_ms: u64,
     max_regress: f64,
-    out: String,
 }
 
 fn parse_args() -> Args {
@@ -67,7 +66,6 @@ fn parse_args() -> Args {
         sample_every: 100,
         scrape_ms: 0,
         max_regress: 0.05,
-        out: "BENCH_obs.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -90,12 +88,11 @@ fn parse_args() -> Args {
             "--max-regress" => {
                 args.max_regress = value("--max-regress").parse().expect("numeric fraction");
             }
-            "--out" => args.out = value("--out"),
             other => {
                 eprintln!(
                     "error: unknown argument {other:?}\n\
                      usage: obs_overhead [--queries N] [--conns N] [--trials N] \
-                     [--sample-every N] [--scrape-ms N] [--max-regress F] [--out PATH]"
+                     [--sample-every N] [--scrape-ms N] [--max-regress F]"
                 );
                 std::process::exit(2);
             }
@@ -250,37 +247,4 @@ fn main() {
         "OK: the full telemetry stack keeps {:.1}% of bare throughput",
         ratio * 100.0
     );
-
-    let queries_arg = args.queries.to_string();
-    let conns_arg = args.conns.to_string();
-    let trials_arg = args.trials.to_string();
-    let sample_arg = args.sample_every.to_string();
-    let scrape_arg = args.scrape_ms.to_string();
-    let mut out = BenchReport::new(
-        "obs_overhead",
-        "synthetic",
-        0,
-        "obs_overhead",
-        &[
-            "--queries",
-            &queries_arg,
-            "--conns",
-            &conns_arg,
-            "--trials",
-            &trials_arg,
-            "--sample-every",
-            &sample_arg,
-            "--scrape-ms",
-            &scrape_arg,
-        ],
-    );
-    out.gated("sampled_qps_ratio", ratio, GateDirection::Higher)
-        .metric("qps_off", qps_off)
-        .metric("qps_sampled", qps_sampled)
-        .metric("queries", args.queries as f64)
-        .metric("conns", args.conns as f64)
-        .metric("sample_every", args.sample_every as f64)
-        .metric("scrape_ms", args.scrape_ms as f64);
-    out.write(&args.out).expect("write BENCH_obs.json");
-    println!("wrote {}", args.out);
 }

@@ -13,19 +13,20 @@
 //!
 //! The benchmark asserts the warm path reaches the cold plateau loss
 //! (within 5%) inside that cap — the acceptance criterion that makes
-//! online refresh honest, not just fast — and records every stage's wall
-//! time in `BENCH_online.json` (unified schema; `bench-gate` gates
-//! `epochs_ratio` and `reached_target` — both deterministic given the
-//! seed; the wall-clock stages are recorded ungated).
+//! online refresh honest, not just fast — and, tighter, in at most one
+//! of the eight cold epochs, the count it has taken since it was first
+//! recorded. Both are deterministic given the seed (training is
+//! bit-reproducible), so they never flake. Every stage's wall time is
+//! printed, not asserted: a ~40 ms window is too throttling-sensitive
+//! to be a contract.
 //!
 //! ```text
-//! online_refresh [--scale small|mid] [--seed N] [--out PATH]
+//! online_refresh [--scale small|mid] [--seed N]
 //! ```
 
 use std::time::Instant;
 
 use smgcn_bench::harness::{generate_corpus, BenchScale};
-use smgcn_bench::report::{BenchReport, GateDirection};
 use smgcn_core::prelude::*;
 use smgcn_data::Corpus;
 use smgcn_graph::GraphOperators;
@@ -36,17 +37,19 @@ const COLD_EPOCHS: usize = 8;
 /// Fraction of the grown corpus that arrives as the online batch.
 const APPEND_FRACTION: f64 = 0.1;
 
+/// The most cold epochs the warm fine-tune may take to reach the
+/// plateau.
+const WARM_EPOCHS_MAX: usize = 1;
+
 struct Args {
     scale: BenchScale,
     seed: u64,
-    out: String,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         scale: BenchScale::Mid,
         seed: 2020,
-        out: "BENCH_online.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -64,11 +67,10 @@ fn parse_args() -> Args {
                 })
             }
             "--seed" => args.seed = value("--seed").parse().expect("numeric seed"),
-            "--out" => args.out = value("--out"),
             other => {
                 eprintln!(
                     "error: unknown argument {other:?}\n\
-                     usage: online_refresh [--scale small|mid] [--seed N] [--out PATH]"
+                     usage: online_refresh [--scale small|mid] [--seed N]"
                 );
                 std::process::exit(2);
             }
@@ -191,7 +193,8 @@ fn main() {
     );
 
     // The honesty criteria: the warm path must reach the cold plateau
-    // (within 5%) inside a quarter of the cold epoch budget.
+    // (within 5%) inside its cap of a quarter of the cold epoch budget,
+    // and in no more epochs than it has ever needed.
     let epochs_ratio = report.epochs_run as f64 / COLD_EPOCHS as f64;
     println!(
         "convergence: warm loss {:.4} vs plateau {plateau:.4} (target {target:.4}) \
@@ -206,47 +209,12 @@ fn main() {
         report.final_loss
     );
     assert!(
-        epochs_ratio <= 0.25 + 1e-9,
-        "warm-start needed {epochs_ratio:.2} of the cold epochs (cap 0.25)"
+        report.epochs_run <= WARM_EPOCHS_MAX,
+        "warm-start needed {} of {COLD_EPOCHS} cold epochs (at most {WARM_EPOCHS_MAX})",
+        report.epochs_run
     );
-    println!("OK: plateau reached in <= 25% of cold epochs");
-
-    let seed_arg = args.seed.to_string();
-    let mut out = BenchReport::new(
-        "online_refresh",
-        scale.name(),
-        args.seed,
-        "online_refresh",
-        &["--scale", scale.name(), "--seed", &seed_arg],
+    println!(
+        "OK: plateau reached in {} of {COLD_EPOCHS} cold epochs (at most {WARM_EPOCHS_MAX})",
+        report.epochs_run
     );
-    // The convergence gates are deterministic given the seed (training
-    // is bit-reproducible), so they never flake; ingest_to_swap_ms is a
-    // single ~40 ms window and stays ungated — recorded for the
-    // trajectory, too throttling-sensitive to be a contract.
-    out.gated("epochs_ratio", epochs_ratio, GateDirection::Lower)
-        .gated(
-            "reached_target",
-            f64::from(u8::from(report.reached_target)),
-            GateDirection::Exact,
-        )
-        .metric("ingest_to_swap_ms", ingest_to_swap_ms)
-        .metric("base_prescriptions", n_base as f64)
-        .metric("appended_prescriptions", n_append as f64)
-        .metric("cold_epochs", COLD_EPOCHS as f64)
-        .metric("cold_wall_s", cold_wall)
-        .metric("graph_rebuild_ms", graph_rebuild_ms)
-        .metric("plateau_loss", f64::from(plateau))
-        .metric("warm_epochs", report.epochs_run as f64)
-        .metric("warm_final_loss", f64::from(report.final_loss))
-        .metric("ingest_ms", ingest_ms)
-        .metric("delta_ms", report.delta_ms)
-        .metric("finetune_ms", report.finetune_ms)
-        .metric("freeze_ms", report.freeze_ms)
-        .metric("publish_ms", report.publish_ms)
-        .metric(
-            "delta_vs_rebuild_speedup",
-            graph_rebuild_ms / report.delta_ms.max(1e-6),
-        );
-    out.write(&args.out).expect("write BENCH_online.json");
-    println!("wrote {}", args.out);
 }

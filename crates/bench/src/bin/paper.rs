@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use smgcn_bench::report::hardware_json;
 use smgcn_core::prelude::*;
 use smgcn_data::{Corpus, SyndromeModel};
 use smgcn_eval::*;
@@ -537,6 +536,17 @@ fn drive(args: &Args, prepared: &Prepared) -> (Json, Vec<String>) {
         ("experiments", Json::Arr(experiments)),
     ]);
     (report, run.violated)
+}
+
+/// The hardware note: enough to explain why two records differ, not
+/// enough to pretend numbers are portable.
+fn hardware_json() -> Json {
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    json::obj([
+        ("arch", Json::Str(std::env::consts::ARCH.to_string())),
+        ("os", Json::Str(std::env::consts::OS.to_string())),
+        ("threads", Json::Num(threads as f64)),
+    ])
 }
 
 /// `value` with objects and arrays above `depth` one member a line, so

@@ -2,11 +2,11 @@
 //! generated for one.
 //!
 //! Deterministic given a seed, so two runs at the same scale build
-//! bit-identical inputs — which is what lets `bench-gate` compare a fresh
-//! run against the checked-in baseline. The bins that drive a server
-//! (`connection_storm`, `obs_overhead`) take their synthetic model and
-//! percentile rule from `smgcn_loadgen::shape` instead: the load
-//! generator is the library, the bench bins are its callers.
+//! bit-identical inputs and train to the same bits — which is what lets
+//! `online_refresh` assert an exact epoch count. `obs_overhead`, which
+//! drives a server, takes its synthetic model from
+//! `smgcn_loadgen::shape` instead: the load generator is the library,
+//! the bench bins are its callers.
 
 use smgcn_core::prelude::*;
 use smgcn_data::{Corpus, GeneratorConfig, SyndromeModel};

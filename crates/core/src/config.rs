@@ -168,12 +168,6 @@ impl TrainConfig {
         }
     }
 
-    /// Override the learning rate.
-    pub fn with_lr(mut self, lr: f32) -> Self {
-        self.learning_rate = lr;
-        self
-    }
-
     /// Override the L2 strength.
     pub fn with_l2(mut self, lambda: f32) -> Self {
         self.l2_lambda = lambda;

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smgcn_graph::GraphOperators;
-use smgcn_tensor::{BufferPool, Matrix, ParamStore, SharedCsr, Tape, Var};
+use smgcn_tensor::{Matrix, ParamStore, SharedCsr, Tape, Var};
 
 use crate::batch::set_pool_matrix;
 use crate::bipar_gcn::BiparGcn;
@@ -46,11 +46,6 @@ impl SmgcnEmbedding {
             )
         });
         Self { bipar, sge }
-    }
-
-    /// Whether the synergy component is active.
-    pub fn has_sge(&self) -> bool {
-        self.sge.is_some()
     }
 }
 
@@ -206,30 +201,13 @@ impl Recommender {
     /// # Panics
     /// Panics on empty input, empty sets or out-of-range symptom ids.
     pub fn predict(&self, symptom_sets: &[&[u32]]) -> Matrix {
-        self.predict_impl(symptom_sets, None)
-    }
-
-    /// [`predict`](Self::predict) drawing all forward buffers from `pool`
-    /// — bit-identical results. Callers scoring many batches (the eval
-    /// harness, batch experiments) keep one pool across calls so repeated
-    /// forward passes stop allocating.
-    pub fn predict_with_pool(&self, symptom_sets: &[&[u32]], pool: &BufferPool) -> Matrix {
-        self.predict_impl(symptom_sets, Some(pool))
-    }
-
-    fn predict_impl(&self, symptom_sets: &[&[u32]], buffers: Option<&BufferPool>) -> Matrix {
         assert!(!symptom_sets.is_empty(), "predict: no symptom sets given");
         let pool = SharedCsr::new(set_pool_matrix(symptom_sets, self.n_symptoms));
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx = ForwardCtx::inference(&mut rng);
-        let mut tape = match buffers {
-            Some(b) => Tape::with_pool(&self.store, b),
-            None => Tape::new(&self.store),
-        };
+        let mut tape = Tape::new(&self.store);
         let scores = self.forward_scores(&mut tape, &pool, &mut ctx);
-        let out = tape.value(scores).clone();
-        tape.recycle();
-        out
+        tape.value(scores).clone()
     }
 
     /// Top-`k` herb ids for one symptom set, by descending score (the

@@ -894,27 +894,12 @@ pub fn run(workload: &Workload) -> ScenarioReport {
         failures += result.failures;
         generations.extend(result.generations);
     }
-    if let Some(handle) = storm_handle {
-        let storm = handle.join().expect("storm thread");
-        let spec = workload.storm.expect("storm handle implies a spec");
+    let storm = storm_handle.map(|handle| handle.join().expect("storm thread"));
+    let mut storm_failures = Vec::new();
+    if let (Some(storm), Some(spec)) = (&storm, &workload.storm) {
         executed += storm.executed;
         failures += storm.failures;
-        if storm.opened < spec.connections {
-            validation.violation(format!(
-                "connection storm opened {} of {} planned connections",
-                storm.opened, spec.connections
-            ));
-        }
-        match storm.rss_growth_mb {
-            Some(growth) if growth > spec.max_rss_mb as f64 => {
-                validation.violation(format!(
-                    "connection storm grew resident memory by {growth:.0} MiB, \
-                     budget {} MiB",
-                    spec.max_rss_mb
-                ));
-            }
-            _ => {}
-        }
+        storm_failures = spec.violations(storm);
     }
     let wall_s = run_start.elapsed().as_secs_f64();
     let (p50_us, p99_us) = percentiles_us(&mut latencies);
@@ -1034,6 +1019,7 @@ pub fn run(workload: &Workload) -> ScenarioReport {
         faults_injected,
         alerts_fired,
         alert_firings: alerts.len(),
+        storm_peak_open: storm.map(|s| s.peak_open),
     };
     let verdict = evaluate(
         &workload.slo,
@@ -1045,6 +1031,7 @@ pub fn run(workload: &Workload) -> ScenarioReport {
             counter_errors: counter_errs,
             violations,
             alert_failures,
+            storm_failures,
         },
     );
     ScenarioReport {

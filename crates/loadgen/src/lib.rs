@@ -14,9 +14,9 @@
 //!   one via `smgcn-faults`);
 //! - [`shape`] — what every load is built from: the tagged synthetic
 //!   model and vocabulary, the hot-pool index draw, and the p50/p99
-//!   rule. The `smgcn-bench` bins that drive a server take theirs from
-//!   here too — the load generator is the library, the benches are its
-//!   callers;
+//!   rule. The `smgcn-bench` bin that drives a server takes its model
+//!   from here too — the load generator is the library, the benches
+//!   are its callers;
 //! - [`schedule`] — the request schedule: generated single-threaded
 //!   from the seed, byte-identical across runs and thread counts,
 //!   fingerprinted (FNV-1a) into every report;
@@ -29,9 +29,9 @@
 //!   fires the chaos plan, measures;
 //! - [`storm`] — the connection-storm cohort: 10k+ persistent
 //!   keep-alive connections plus a slow-writer sub-cohort, held open
-//!   against the reactor server until a stop flag or a deadline (the
-//!   `connection-storm` scenario holds it in this process, the
-//!   `connection_storm` bench in helper processes);
+//!   against the reactor server until the `connection-storm`
+//!   scenario's window ends, while it reads the server's own
+//!   open-connection gauge;
 //! - [`report`] — the machine-readable scenario report, split into a
 //!   deterministic `workload` section (byte-identical per seed) and a
 //!   `measured` section (wall-clock truth, varies run to run).

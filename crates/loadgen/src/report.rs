@@ -54,6 +54,10 @@ pub struct Measured {
     /// Total rule firings across all evaluation instants (one rule
     /// firing at many scrape timestamps counts each).
     pub alert_firings: usize,
+    /// The most connections the server held open at once during a
+    /// connection storm, by its own `reactor_open_fds` gauge; `None`
+    /// when the scenario holds no cohort.
+    pub storm_peak_open: Option<usize>,
 }
 
 /// A complete scenario run: the plan and what happened.
@@ -247,6 +251,9 @@ impl ScenarioReport {
                 .map(|name| Json::Str(name.clone()))
                 .collect(),
         );
+        let storm_peak = m
+            .storm_peak_open
+            .map_or(Json::Null, |peak| Json::Num(peak as f64));
         format!(
             "{{\n  \"workload\": {},\n  \"measured\": {{\n    \"executed\": {},\n    \
              \"failures\": {},\n    \"wall_ms\": {:.3},\n    \"qps\": {:.1},\n    \
@@ -254,7 +261,8 @@ impl ScenarioReport {
              \"generations_seen\": {generations},\n    \"chaos_timings_ms\": {chaos},\n    \
              \"workers\": {},\n    \"counter_deltas\": {deltas},\n    \
              \"cache_hit_rate\": {:.4},\n    \"faults_injected\": {},\n    \
-             \"alerts_fired\": {alerts},\n    \"alert_firings\": {}\n  }},\n  \
+             \"alerts_fired\": {alerts},\n    \"alert_firings\": {},\n    \
+             \"storm_peak_open\": {storm_peak}\n  }},\n  \
              \"slo_passed\": {},\n  \
              \"violations\": {violations}\n}}\n",
             self.workload.to_json_lines(),
@@ -347,6 +355,7 @@ mod tests {
             measured.get("cache_hit_rate").and_then(Json::as_num),
             Some(0.5)
         );
+        assert_eq!(measured.get("storm_peak_open"), Some(&Json::Null));
     }
 
     #[test]

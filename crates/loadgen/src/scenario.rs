@@ -15,6 +15,7 @@ use smgcn_obs::alert::{SloRule, SLOW_PAIR};
 use crate::schedule::{Op, Request, Schedule};
 use crate::shape::zipf_index;
 use crate::slo::{GenCheck, Slo};
+use crate::storm::StormResult;
 
 /// Symptom-vocabulary width of the synthetic serving topologies.
 pub const N_SYMPTOMS: usize = 64;
@@ -67,7 +68,8 @@ pub enum ScenarioKind {
     /// must stay within budget. Connections are bounded by file
     /// descriptors (the readiness reactor), not threads — the scenario
     /// asserts every connection opens, zero requests fail, the server
-    /// never sheds, and resident memory stays bounded.
+    /// never sheds, the server's own open-connection gauge reaches the
+    /// planned cohort, and resident memory stays bounded.
     ConnectionStorm,
 }
 
@@ -142,7 +144,9 @@ pub struct ScenarioConfig {
     /// fd-constrained hosts: one loadgen process holds **both** ends of
     /// every storm socket, so the default cohort needs
     /// `RLIMIT_NOFILE` hard-capped no lower than ~2x the cohort (the
-    /// engine raises the soft limit itself).
+    /// engine raises the soft limit itself). Below that the server
+    /// holds fewer connections than planned, and the run fails its SLO
+    /// naming the limit.
     pub storm_connections: Option<usize>,
 }
 
@@ -347,6 +351,41 @@ impl StormSpec {
             "storm-{}-conns-{}-slow-writers",
             self.connections, self.slow_writers
         )
+    }
+
+    /// Judges what the held cohort measured against this plan: every
+    /// connection dialed, the server itself held them all at once, and
+    /// resident memory stayed inside its budget. One message per broken
+    /// promise; none means the storm held.
+    pub fn violations(&self, storm: &StormResult) -> Vec<String> {
+        let mut out = Vec::new();
+        if storm.opened < self.connections {
+            out.push(format!(
+                "connection storm opened {} of {} planned connections",
+                storm.opened, self.connections
+            ));
+        }
+        if storm.peak_open < self.connections {
+            let limit = storm
+                .nofile_hard
+                .map_or_else(|| "unknown".to_string(), |n| n.to_string());
+            out.push(format!(
+                "connection storm: the server held at most {} of {} planned connections \
+                 open at once (reactor_open_fds); the hard RLIMIT_NOFILE is {limit} and \
+                 this process holds both ends of every socket — --storm-conns sizes the \
+                 cohort to fit",
+                storm.peak_open, self.connections
+            ));
+        }
+        if let Some(growth) = storm.rss_growth_mb {
+            if growth > self.max_rss_mb as f64 {
+                out.push(format!(
+                    "connection storm grew resident memory by {growth:.0} MiB, budget {} MiB",
+                    self.max_rss_mb
+                ));
+            }
+        }
+        out
     }
 }
 
@@ -936,6 +975,38 @@ mod tests {
         );
         assert_eq!(w.chaos.len(), 3);
         assert_eq!(w.slo.generation_consistency, GenCheck::VariantRankings);
+    }
+
+    #[test]
+    fn a_storm_the_server_never_fully_held_is_a_violation() {
+        let spec = StormSpec::default();
+        let held = StormResult {
+            opened: spec.connections,
+            peak_open: spec.connections + 9,
+            nofile_hard: Some(20_000),
+            ..StormResult::default()
+        };
+        assert!(
+            spec.violations(&held).is_empty(),
+            "{:?}",
+            spec.violations(&held)
+        );
+        // Every dial completed its handshake, but the reactor, out of
+        // descriptors, accepted fewer: only its own gauge says so.
+        let capped = StormResult {
+            peak_open: 9_744,
+            ..held
+        };
+        let violations = spec.violations(&capped);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        let message = &violations[0];
+        for part in [
+            "held at most 9744 of 10240",
+            "RLIMIT_NOFILE is 20000",
+            "--storm-conns",
+        ] {
+            assert!(message.contains(part), "{part:?} missing from {message:?}");
+        }
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! - **generation consistency** — every response matches the model
 //!   generation it claims (exact precomputed rankings for synthetic
 //!   topologies, per-connection monotonicity under live refreshes).
+//!
+//! Beside them ride the alert contract and, for `connection-storm`, the
+//! cohort's own promises (every connection held by the server at once,
+//! bounded memory).
 
 /// How generation consistency is checked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,6 +83,9 @@ pub struct SloInputs {
     /// expected to fire that stayed silent, or one it expected silent
     /// that paged. Empty when the alert plan held (or had no rules).
     pub alert_failures: Vec<String>,
+    /// Connection-storm promises the held cohort broke
+    /// ([`crate::StormSpec::violations`]); empty without a storm.
+    pub storm_failures: Vec<String>,
 }
 
 /// The verdict: empty `violations` means the SLO held.
@@ -134,6 +141,7 @@ pub fn evaluate(slo: &Slo, inputs: &SloInputs) -> SloVerdict {
     for f in &inputs.alert_failures {
         violations.push(format!("alert contract violated: {f}"));
     }
+    violations.extend(inputs.storm_failures.iter().cloned());
     SloVerdict { violations }
 }
 
@@ -158,6 +166,7 @@ mod tests {
             counter_errors: Some(0),
             violations: Vec::new(),
             alert_failures: Vec::new(),
+            storm_failures: Vec::new(),
         }
     }
 

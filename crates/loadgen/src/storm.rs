@@ -1,12 +1,11 @@
 //! The connection-storm cohort: a fleet of persistent keep-alive
-//! connections held open against one reactor server until a stop flag
-//! or a deadline, whichever comes first.
+//! connections held open against one reactor server until a deadline.
 //!
 //! The cohort exists to prove the fd-bounded claim of the readiness
 //! reactor: ten thousand registered sockets must cost the server file
 //! descriptors and per-connection buffers, not threads — while a
 //! steady query lane (driven separately by the engine) keeps its p99
-//! inside budget. Three sub-cohorts:
+//! inside budget. Two sub-cohorts and two probes:
 //!
 //! - **openers** — threads that share the dialing, then sweep their
 //!   connections round-robin with one request in flight each, so every
@@ -16,28 +15,28 @@
 //!   must buffer the partial lines without dedicating a thread or
 //!   starving the fast lanes; their latencies are never mixed into the
 //!   percentile lane but their failures still count;
+//! - the **server's own count** — the front's `reactor_open_fds` gauge,
+//!   polled over `{"op":"metrics"}` while the cohort is held. A dial
+//!   counts as opened once the kernel completes the handshake, before
+//!   the reactor accepts it; a reactor out of descriptors never does, so
+//!   only this gauge says the server really held the fleet;
 //! - the **resident-memory probe** — `/proc/self/statm` sampled before
 //!   dialing and at peak hold, bounding the whole storm's RSS growth
 //!   (client and server share this process, so the bound covers both
 //!   sides of every socket).
 //!
-//! Two callers hold a cohort. The `connection-storm` scenario calls
-//! [`run`] beside its query lanes: one process, the window's end as the
-//! deadline, the flag never set. The `connection_storm` bench splits the
-//! client ends across helper processes, each of which [`Cohort::hold`]s
-//! its slice until the orchestrator says stop, with the deadline only as
-//! the point an orphaned helper gives up.
-//!
-//! Everything here measures; the [`crate::scenario::StormSpec`] decides.
+//! The `connection-storm` scenario calls [`run`] beside its query
+//! lanes, with the window's end as the deadline. Everything here
+//! measures; [`crate::scenario::StormSpec::violations`] decides.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smgcn_serve::json;
+use smgcn_serve::{json, LineClient};
 
 use crate::scenario::StormSpec;
 
@@ -60,18 +59,23 @@ pub struct StormResult {
     pub executed: usize,
     /// Failed requests (transport errors or error responses).
     pub failures: usize,
-    /// Resident-set growth across the held window, MiB, as [`run`]
-    /// samples it. `None` when `/proc/self/statm` is unavailable
-    /// (non-Linux), and from [`Cohort::join`], which takes no samples.
+    /// The most connections the server's reactor held open at once, by
+    /// its own `reactor_open_fds` gauge (the query lanes and the probe
+    /// itself included).
+    pub peak_open: usize,
+    /// This process's hard `RLIMIT_NOFILE`; `None` off Linux.
+    pub nofile_hard: Option<u64>,
+    /// Resident-set growth across the held window, MiB. `None` when
+    /// `/proc/self/statm` is unavailable (non-Linux).
     pub rss_growth_mb: Option<f64>,
 }
 
-/// Best-effort `RLIMIT_NOFILE` raise to the hard limit: the default soft
-/// limit (often 1024) is far below a storm's descriptor bill — one per
-/// connection on each side, ~2x`connections` where one process holds
-/// both ends. Every process with an end raises its own.
+/// Best-effort `RLIMIT_NOFILE` raise to the hard limit, which it
+/// returns: the default soft limit (often 1024) is far below a storm's
+/// descriptor bill — one per connection on each side, ~2x`connections`
+/// since this process holds both ends.
 #[cfg(target_os = "linux")]
-pub fn raise_nofile_limit() {
+fn raise_nofile_limit() -> Option<u64> {
     #[repr(C)]
     struct Rlimit {
         cur: u64,
@@ -85,22 +89,28 @@ pub fn raise_nofile_limit() {
     let mut lim = Rlimit { cur: 0, max: 0 };
     // SAFETY: plain-old-data out-param matching the kernel ABI struct.
     unsafe {
-        if getrlimit(RLIMIT_NOFILE, &mut lim) == 0 && lim.cur < lim.max {
+        if getrlimit(RLIMIT_NOFILE, &mut lim) != 0 {
+            return None;
+        }
+        if lim.cur < lim.max {
             lim.cur = lim.max;
             let _ = setrlimit(RLIMIT_NOFILE, &lim);
         }
     }
+    Some(lim.max)
 }
 
 /// No descriptor limit to raise off Linux.
 #[cfg(not(target_os = "linux"))]
-pub fn raise_nofile_limit() {}
+fn raise_nofile_limit() -> Option<u64> {
+    None
+}
 
 /// Resident set size in MiB from `/proc/self/statm` (best effort; the
 /// conventional 4 KiB page size is assumed — a bound this coarse does
 /// not need `sysconf`).
 #[cfg(target_os = "linux")]
-pub fn rss_mb() -> Option<f64> {
+fn rss_mb() -> Option<f64> {
     let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
     let resident_pages: f64 = statm.split_whitespace().nth(1)?.parse().ok()?;
     Some(resident_pages * 4096.0 / (1024.0 * 1024.0))
@@ -108,14 +118,14 @@ pub fn rss_mb() -> Option<f64> {
 
 /// No `/proc/self/statm` off Linux.
 #[cfg(not(target_os = "linux"))]
-pub fn rss_mb() -> Option<f64> {
+fn rss_mb() -> Option<f64> {
     None
 }
 
 /// A deterministic two-symptom query for cohort connection `i`, sweep
 /// round `round` — distinct enough to exercise the scoring path, no RNG
 /// needed.
-pub fn query_line(i: usize, round: usize) -> String {
+fn query_line(i: usize, round: usize) -> String {
     let a = (i * 7 + round) % crate::scenario::N_SYMPTOMS;
     let b = (a + 1 + (round % 3)) % crate::scenario::N_SYMPTOMS;
     if a == b {
@@ -140,19 +150,23 @@ fn dial(front: SocketAddr) -> std::io::Result<BufReader<TcpStream>> {
     Ok(BufReader::new(stream))
 }
 
+/// The server's own `reactor_open_fds` gauge, read over `probe`.
+fn open_fds(probe: &mut LineClient) -> Option<usize> {
+    let reply = probe.ask_json(r#"{"op":"metrics"}"#).ok()?;
+    let open = reply.get("metrics")?.get("reactor_open_fds")?.as_num()?;
+    Some(open as usize)
+}
+
 /// What a cohort's threads share: how many connections have landed, and
-/// when to let go of them — the stop flag or the deadline, whichever
-/// comes first.
+/// when to let go of them.
 struct Hold {
     opened: AtomicUsize,
-    stop: AtomicBool,
     deadline: Instant,
 }
 
 impl Hold {
     fn released(&self) -> bool {
-        // Relaxed: the flag publishes nothing but itself.
-        self.stop.load(Ordering::Relaxed) || Instant::now() >= self.deadline
+        Instant::now() >= self.deadline
     }
 }
 
@@ -207,7 +221,7 @@ fn sweep_loop(front: SocketAddr, share: usize, base_index: usize, hold: &Hold) -
         // so the cohort idles registered rather than hammering.
         std::thread::sleep(Duration::from_millis(50));
     }
-    // Conns drop (close) here — after the release, by construction.
+    // Conns drop (close) here — after the deadline, by construction.
     (executed, failures)
 }
 
@@ -258,105 +272,96 @@ fn slow_loop(front: SocketAddr, share: usize, base_index: usize, hold: &Hold) ->
     (executed, failures)
 }
 
-/// A cohort being held: its threads dial, sweep and dribble until
-/// [`Cohort::release`] or the deadline, whichever comes first.
-#[must_use = "join the cohort: its threads hold the connections and the ledger"]
-pub struct Cohort {
-    hold: Arc<Hold>,
-    threads: Vec<JoinHandle<(usize, usize)>>,
+/// Starts `spec`'s cohort threads against `front`; the connections
+/// land as they dial, and each thread lets go at `hold`'s deadline.
+fn dial_cohort(
+    front: SocketAddr,
+    spec: &StormSpec,
+    hold: &Arc<Hold>,
+) -> Vec<JoinHandle<(usize, usize)>> {
+    let openers = spec.openers.max(1);
+    let slow_threads = if spec.slow_writers > 0 {
+        (openers / 4).max(1)
+    } else {
+        0
+    };
+    let fast_total = spec.connections.saturating_sub(spec.slow_writers);
+
+    type Body = fn(SocketAddr, usize, usize, &Hold) -> (usize, usize);
+    let mut threads = Vec::new();
+    let mut spawn = |body: Body, share: usize, base_index: usize| {
+        let hold = Arc::clone(hold);
+        threads.push(std::thread::spawn(move || {
+            body(front, share, base_index, &hold)
+        }));
+    };
+    for t in 0..openers {
+        // Spread the remainder across the first few openers.
+        let share = fast_total / openers + usize::from(t < fast_total % openers);
+        spawn(sweep_loop, share, t * (fast_total / openers + 1));
+    }
+    for t in 0..slow_threads {
+        let per_thread = spec.slow_writers / slow_threads;
+        let share = per_thread + usize::from(t < spec.slow_writers % slow_threads);
+        spawn(slow_loop, share, fast_total + t * (per_thread + 1));
+    }
+    threads
 }
 
-impl Cohort {
-    /// Starts `spec`'s cohort against `front` and returns at once; the
-    /// connections land as the threads dial.
-    pub fn hold(front: SocketAddr, spec: &StormSpec, deadline: Instant) -> Self {
-        raise_nofile_limit();
-        let hold = Arc::new(Hold {
-            opened: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            deadline,
-        });
-        let openers = spec.openers.max(1);
-        let slow_threads = if spec.slow_writers > 0 {
-            (openers / 4).max(1)
-        } else {
-            0
-        };
-        let fast_total = spec.connections.saturating_sub(spec.slow_writers);
-
-        type Body = fn(SocketAddr, usize, usize, &Hold) -> (usize, usize);
-        let mut threads = Vec::new();
-        let mut spawn = |body: Body, share: usize, base_index: usize| {
-            let hold = Arc::clone(&hold);
-            threads.push(std::thread::spawn(move || {
-                body(front, share, base_index, &hold)
-            }));
-        };
-        for t in 0..openers {
-            // Spread the remainder across the first few openers.
-            let share = fast_total / openers + usize::from(t < fast_total % openers);
-            spawn(sweep_loop, share, t * (fast_total / openers + 1));
-        }
-        for t in 0..slow_threads {
-            let per_thread = spec.slow_writers / slow_threads;
-            let share = per_thread + usize::from(t < spec.slow_writers % slow_threads);
-            spawn(slow_loop, share, fast_total + t * (per_thread + 1));
-        }
-        Self { hold, threads }
-    }
-
-    /// Connections dialed so far.
-    pub fn opened(&self) -> usize {
-        self.hold.opened.load(Ordering::Relaxed)
-    }
-
-    /// Sets the stop flag: every thread finishes the request (or the
-    /// dribbled wave) it is in and lets go.
-    pub fn release(&self) {
-        self.hold.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Waits for every thread to let go — closing its connections — and
-    /// adds up the ledger.
-    pub fn join(self) -> StormResult {
-        let (mut executed, mut failures) = (0usize, 0usize);
-        for thread in self.threads {
-            let (e, f) = thread.join().expect("storm thread");
-            executed += e;
-            failures += f;
-        }
-        StormResult {
-            opened: self.hold.opened.load(Ordering::Relaxed),
-            executed,
-            failures,
-            rss_growth_mb: None,
-        }
-    }
-}
-
-/// Holds the whole cohort against `front` until `hold_until` and probes
-/// this process's resident memory around it. Blocks for the full
-/// window; the engine runs it on its own thread beside the query lanes.
+/// Holds the whole cohort against `front` until `hold_until`, reads the
+/// server's own open-connection count while it is held, and probes this
+/// process's resident memory around it. Blocks for the full window; the
+/// engine runs it on its own thread beside the query lanes.
 pub fn run(front: SocketAddr, spec: &StormSpec, hold_until: Instant) -> StormResult {
+    let nofile_hard = raise_nofile_limit();
     let rss_before = rss_mb();
-    let cohort = Cohort::hold(front, spec, hold_until);
+    let connect = || LineClient::connect(front, READ_TIMEOUT, READ_TIMEOUT).ok();
+    // Dialed before the cohort: once the cohort has spent this process's
+    // descriptors, a new connection to ask on may not open.
+    let mut probe = connect();
+    let hold = Arc::new(Hold {
+        opened: AtomicUsize::new(0),
+        deadline: hold_until,
+    });
+    let threads = dial_cohort(front, spec, &hold);
 
-    // Sample peak RSS while the fleet is fully dialed and still held:
-    // wait for every connection to land (or the window to near its
-    // end), then read the probe with the sockets all open.
+    // Poll the server's gauge until it holds the whole plan (or the
+    // window nears its end) — the peak does not hang on the scraper's
+    // cadence — then sample RSS with the sockets all open.
     let sample_by = hold_until
         .checked_sub(Duration::from_millis(100))
         .unwrap_or(hold_until);
-    while Instant::now() < sample_by && cohort.opened() < spec.connections {
+    let mut peak_open = 0;
+    loop {
+        match probe.as_mut().and_then(open_fds) {
+            Some(open) => peak_open = peak_open.max(open),
+            // A failed ask leaves the connection out of step.
+            None => probe = connect(),
+        }
+        let whole = hold.opened.load(Ordering::Relaxed) >= spec.connections
+            && peak_open >= spec.connections;
+        if whole || Instant::now() >= sample_by {
+            break;
+        }
         std::thread::sleep(Duration::from_millis(10));
     }
     let rss_peak = rss_mb();
 
+    let (mut executed, mut failures) = (0usize, 0usize);
+    for thread in threads {
+        let (e, f) = thread.join().expect("storm thread");
+        executed += e;
+        failures += f;
+    }
     StormResult {
+        opened: hold.opened.load(Ordering::Relaxed),
+        executed,
+        failures,
+        peak_open,
+        nofile_hard,
         rss_growth_mb: match (rss_before, rss_peak) {
             (Some(before), Some(peak)) => Some((peak - before).max(0.0)),
             _ => None,
         },
-        ..cohort.join()
     }
 }

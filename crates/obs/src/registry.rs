@@ -247,40 +247,6 @@ impl Registry {
             .collect()
     }
 
-    /// A compact JSON object mapping each metric key to its value
-    /// (numbers for counters/gauges, an object for histograms).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, s) in self.samples().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(&s.key, &mut out);
-            out.push(':');
-            match &s.value {
-                SampleValue::Counter(v) | SampleValue::Gauge(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                SampleValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"count\":{},\"p50_us\":{},\"p99_us\":{},\"mean_us\":{},\
-                         \"total_count\":{},\"total_p50_us\":{},\"total_p99_us\":{}}}",
-                        h.count,
-                        h.p50_us,
-                        h.p99_us,
-                        h.mean_us,
-                        h.total_count,
-                        h.total_p50_us,
-                        h.total_p99_us
-                    );
-                }
-            }
-        }
-        out.push('}');
-        out
-    }
-
     /// Prometheus text exposition (format 0.0.4). Counters and gauges
     /// become single samples; histograms render as summaries with
     /// windowed `quantile` samples plus undecayed `_count`/`_sum`.
@@ -396,21 +362,6 @@ fn split_key(key: &str) -> (String, Vec<(String, String)>) {
     (name, labels)
 }
 
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,19 +402,6 @@ mod tests {
         let r = Registry::new();
         r.counter("x");
         r.gauge("x");
-    }
-
-    #[test]
-    fn json_snapshot_contains_every_kind() {
-        let r = Registry::new();
-        r.counter("c").add(7);
-        r.gauge("g").set(3);
-        r.histogram("h_us").record(100);
-        let json = r.to_json();
-        assert!(json.contains("\"c\":7"), "{json}");
-        assert!(json.contains("\"g\":3"), "{json}");
-        assert!(json.contains("\"h_us\":{\"count\":1"), "{json}");
-        assert!(json.contains("\"total_p99_us\":128"), "{json}");
     }
 
     #[test]

@@ -39,7 +39,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use crate::integrity::crc32;
-use crate::registry::{Sample, SampleValue};
 
 /// File magic: the first four bytes of every tsdb file.
 pub const TSDB_MAGIC: [u8; 4] = *b"SMTS";
@@ -450,38 +449,6 @@ pub fn selector_matches(selector: &str, key: &str) -> bool {
         }
         _ => false,
     }
-}
-
-/// Flattens a registry snapshot into scalar series: counters and gauges
-/// keep their key, histograms expand into `<key>.<field>` series for
-/// both the decaying window (`count`, `p50_us`, `p99_us`, `mean_us`)
-/// and the since-start totals (`total_count`, `total_sum_us`,
-/// `total_p50_us`, `total_p99_us`).
-pub fn flatten_samples(samples: &[Sample]) -> Vec<(String, f64)> {
-    let mut flat = Vec::with_capacity(samples.len() * 2);
-    for sample in samples {
-        match &sample.value {
-            SampleValue::Counter(v) | SampleValue::Gauge(v) => {
-                flat.push((sample.key.clone(), *v as f64));
-            }
-            SampleValue::Histogram(h) => {
-                let fields: [(&str, f64); 8] = [
-                    ("count", h.count as f64),
-                    ("p50_us", h.p50_us),
-                    ("p99_us", h.p99_us),
-                    ("mean_us", h.mean_us),
-                    ("total_count", h.total_count as f64),
-                    ("total_sum_us", h.total_sum_us as f64),
-                    ("total_p50_us", h.total_p50_us),
-                    ("total_p99_us", h.total_p99_us),
-                ];
-                for (field, value) in fields {
-                    flat.push((format!("{}.{field}", sample.key), value));
-                }
-            }
-        }
-    }
-    flat
 }
 
 /// A file-backed tsdb: create or recover, then append one record per

@@ -2,9 +2,12 @@
 //! through the `wal.append.write` / `wal.replay.read` sites.
 //!
 //! These live in their own integration-test binary (their own process):
-//! an installed fault plan is process-global, and `with_plan`'s guard
-//! only serializes tests that opt in — unit tests elsewhere must never
-//! see a live plan.
+//! an installed fault plan is process-global, so unit tests elsewhere
+//! never see a live plan. Within this binary the tests run on parallel
+//! threads and share that one plan: `with_plan`'s guard serializes only
+//! the code inside it, so every WAL write or read here — even one meant
+//! to be clean — runs under `with_plan` (an empty plan where no fault is
+//! wanted), or another test's plan fires on it.
 //!
 //! The invariant under test is the acceptance criterion of the fault
 //! plane: **no accepted-then-lost ingests**. An append that takes an
@@ -97,12 +100,14 @@ fn injected_short_write_repairs_the_torn_frame_before_the_next_ack() {
 #[test]
 fn injected_replay_corruption_is_detected_and_reported() {
     let path = tmp_path("replaycorrupt");
-    // Write a clean two-record log with no plan installed.
-    {
+    // Write a clean two-record log under an empty plan: it schedules no
+    // fault, but holding `with_plan`'s guard keeps another test's plan
+    // from firing on these appends.
+    smgcn_faults::with_plan(&FaultPlan::new(0), || {
         let mut ing = Ingestor::with_wal(base_corpus(), &path).unwrap();
         ing.append_ids(vec![2], vec![1]).unwrap();
         ing.append_ids(vec![0, 3], vec![0, 2]).unwrap();
-    }
+    });
     let mut plan = FaultPlan::new(13);
     // The second frame read comes back corrupted, as if the sector
     // rotted under the file.

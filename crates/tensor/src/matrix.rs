@@ -88,12 +88,6 @@ impl Matrix {
         m
     }
 
-    /// A `1 x values.len()` row vector.
-    pub fn row_vector(values: Vec<f32>) -> Self {
-        let cols = values.len();
-        Self::from_vec(1, cols, values)
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -165,11 +159,6 @@ impl Matrix {
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Returns the transpose as a new matrix.

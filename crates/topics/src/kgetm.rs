@@ -62,7 +62,6 @@ impl KgetmConfig {
 
 /// The trained HC-KGETM ranker.
 pub struct HcKgetm {
-    topics: TopicModel,
     transe: TransE,
     /// Per-symptom cached herb evidence from the topic model.
     topic_scores: Vec<Vec<f64>>,
@@ -81,18 +80,12 @@ impl HcKgetm {
             .map(|s| topics.herb_scores_for_symptom(s))
             .collect();
         Self {
-            topics,
             transe,
             topic_scores,
             gamma: config.gamma,
             n_symptoms: corpus.n_symptoms(),
             n_herbs: corpus.n_herbs(),
         }
-    }
-
-    /// The underlying topic model.
-    pub fn topic_model(&self) -> &TopicModel {
-        &self.topics
     }
 
     /// Scores all herbs for one symptom set (higher = better).

@@ -58,7 +58,6 @@ pub struct TopicModel {
     topic_symptom_total: Vec<f64>,
     /// Total herb tokens per topic.
     topic_herb_total: Vec<f64>,
-    n_symptoms: usize,
     n_herbs: usize,
 }
 
@@ -159,7 +158,6 @@ impl TopicModel {
             topic_herb,
             topic_symptom_total,
             topic_herb_total,
-            n_symptoms: n_s,
             n_herbs: n_h,
         }
     }
@@ -205,11 +203,6 @@ impl TopicModel {
             }
         }
         scores
-    }
-
-    /// Vocabulary sizes `(S, H)`.
-    pub fn vocab_sizes(&self) -> (usize, usize) {
-        (self.n_symptoms, self.n_herbs)
     }
 }
 
