@@ -36,6 +36,7 @@
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use smgcn_bench::harness::number_arg;
 use smgcn_experiment::{SplitPlan, DEFAULT_SPLIT_SEED};
 use smgcn_loadgen::scenario::{DIM, N_HERBS, N_SYMPTOMS};
 use smgcn_loadgen::shape::{synthetic_frozen, synthetic_vocab};
@@ -76,18 +77,12 @@ fn parse_args() -> Args {
             })
         };
         match arg.as_str() {
-            "--queries" => args.queries = value("--queries").parse().expect("numeric queries"),
-            "--conns" => args.conns = value("--conns").parse().expect("numeric conns"),
-            "--trials" => args.trials = value("--trials").parse().expect("numeric trials"),
-            "--sample-every" => {
-                args.sample_every = value("--sample-every").parse().expect("numeric rate");
-            }
-            "--scrape-ms" => {
-                args.scrape_ms = value("--scrape-ms").parse().expect("numeric interval");
-            }
-            "--max-regress" => {
-                args.max_regress = value("--max-regress").parse().expect("numeric fraction");
-            }
+            "--queries" => args.queries = number_arg(&arg, &value(&arg)),
+            "--conns" => args.conns = number_arg(&arg, &value(&arg)),
+            "--trials" => args.trials = number_arg(&arg, &value(&arg)),
+            "--sample-every" => args.sample_every = number_arg(&arg, &value(&arg)),
+            "--scrape-ms" => args.scrape_ms = number_arg(&arg, &value(&arg)),
+            "--max-regress" => args.max_regress = number_arg(&arg, &value(&arg)),
             other => {
                 eprintln!(
                     "error: unknown argument {other:?}\n\

@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use smgcn_bench::harness::{generate_corpus, BenchScale};
+use smgcn_bench::harness::{generate_corpus, number_arg, BenchScale};
 use smgcn_core::prelude::*;
 use smgcn_data::Corpus;
 use smgcn_graph::GraphOperators;
@@ -66,7 +66,7 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 })
             }
-            "--seed" => args.seed = value("--seed").parse().expect("numeric seed"),
+            "--seed" => args.seed = number_arg(&arg, &value(&arg)),
             other => {
                 eprintln!(
                     "error: unknown argument {other:?}\n\

@@ -1,5 +1,6 @@
 //! What `online_refresh` runs at: the perf-bench scales and the corpus
-//! generated for one.
+//! generated for one; and the numeric-argument check both perf bins
+//! share.
 //!
 //! Deterministic given a seed, so two runs at the same scale build
 //! bit-identical inputs and train to the same bits — which is what lets
@@ -99,4 +100,13 @@ impl BenchScale {
 /// operators itself.
 pub fn generate_corpus(generator: GeneratorConfig, seed: u64) -> Corpus {
     SyndromeModel::new(generator.with_seed(seed)).generate()
+}
+
+/// `value` of `flag` as a number; anything else is a misuse: an error
+/// naming the flag on stderr, exit 2.
+pub fn number_arg<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("error: {flag} needs a number");
+        std::process::exit(2)
+    })
 }

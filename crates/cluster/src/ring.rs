@@ -19,6 +19,8 @@
 //! walk, which preserves affinity for the surviving replicas (every key
 //! not owned by a dead replica keeps its owner).
 
+use smgcn_experiment::{fnv1a64, splitmix64 as mix};
+
 /// A consistent-hash ring over small integer replica ids.
 #[derive(Clone, Debug)]
 pub struct HashRing {
@@ -28,14 +30,6 @@ pub struct HashRing {
     vnodes: usize,
     /// Number of distinct replicas on the ring.
     replicas: usize,
-}
-
-/// SplitMix64: a statistically strong, dependency-free 64-bit mixer.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Hashes a sorted symptom-id set into a ring key. Callers must pass the
@@ -56,17 +50,10 @@ pub fn key_of_ids(sorted_ids: &[u32]) -> u64 {
 /// cache optimisation, not a correctness requirement, and clinic clients
 /// stick to one form.
 pub fn key_of_names<S: AsRef<str>>(names: &[S]) -> u64 {
+    // FNV-1a, then mixed: stable across platforms and runs.
     let mut hashes: Vec<u64> = names
         .iter()
-        .map(|n| {
-            // FNV-1a, then mixed: stable across platforms and runs.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in n.as_ref().bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            mix(h)
-        })
+        .map(|n| mix(fnv1a64(n.as_ref().as_bytes())))
         .collect();
     hashes.sort_unstable();
     let mut h = 0x5a17_c0de_0b5e_0001u64;

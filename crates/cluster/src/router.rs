@@ -47,7 +47,7 @@ use smgcn_serve::json::{self, Json};
 use smgcn_serve::ops::{
     candidate_of, event_json, events_limit, trace_json, AdminOp, ApiError, OpHandler,
 };
-use smgcn_serve::reactor::{Reactor, ReactorConfig, Service};
+use smgcn_serve::reactor::{Reactor, Service};
 use smgcn_serve::server::{samples_to_json, Running, StopHandle};
 use smgcn_serve::DuelSample;
 
@@ -72,12 +72,6 @@ pub struct RouterConfig {
     /// How long a request may wait for an in-flight slot on some replica
     /// before the router gives up and sheds it.
     pub lease_patience: Duration,
-    /// Deadline minted for requests that arrive *without* their own
-    /// `deadline_ms` (None leaves them unbounded, the default). A
-    /// client-supplied budget always wins; either way the router
-    /// decrements the remaining budget per failover hop and forwards it,
-    /// so replicas shed work the client has already given up on.
-    pub default_deadline: Option<Duration>,
 }
 
 impl Default for RouterConfig {
@@ -88,7 +82,6 @@ impl Default for RouterConfig {
             pool: PoolConfig::default(),
             probe_interval: Duration::from_millis(200),
             lease_patience: Duration::from_secs(2),
-            default_deadline: None,
         }
     }
 }
@@ -1004,9 +997,11 @@ impl RouterEngine {
         let line = line.as_ref();
         // Everything else — rankings and any future replica-side op —
         // forwards with affinity + failover, under a deadline when the
-        // client supplied one (or the router mints one).
+        // client supplied one. The router decrements the remaining budget
+        // per failover hop and forwards it, so replicas shed work the
+        // client has already given up on.
         let deadline = match req.get("deadline_ms") {
-            None => self.config.default_deadline.map(|d| arrived + d),
+            None => None,
             Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => {
                 if *n == 0.0 {
                     return self.deadline_shed("deadline_ms arrived already exhausted");
@@ -1346,12 +1341,10 @@ impl Router {
                     .expect("spawn probe thread")
             })
         };
-        let config = ReactorConfig {
-            max_connections: self.engine.config.max_connections.max(1),
-            ..ReactorConfig::default()
-        };
+        let max_conns = self.engine.config.max_connections;
         let registry = Arc::clone(&self.engine.registry);
-        let result = Reactor::new(self.listener, self.engine, self.stop, config, &registry).run();
+        let result =
+            Reactor::new(self.listener, self.engine, self.stop, max_conns, &registry).run();
         if let Some(p) = prober {
             let _ = p.join();
         }

@@ -36,6 +36,7 @@ pub const BUCKETS: usize = 100;
 pub const DEFAULT_SPLIT_SEED: u64 = 0x534d_4743_4e20;
 
 /// FNV-1a 64-bit hash — stable across platforms and releases.
+#[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -46,6 +47,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// splitmix64 finalizer — decorrelates the FNV output from the seed.
+/// Inline: the router's hash ring mixes with it on every request.
+#[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;

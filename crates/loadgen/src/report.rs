@@ -3,7 +3,7 @@
 //!
 //! The split is the honesty mechanism. Everything derived from the seed
 //! — scenario, schedule digest, request counts, topology, chaos plan,
-//! SLO contract — lands in `workload`, and [`ScenarioReport::workload_json`]
+//! SLO contract — lands in `workload`, and [`WorkloadSummary::workload_json`]
 //! is **byte-identical** for the same seed across runs and thread counts
 //! (property-tested). Everything the wall clock touched — latencies,
 //! qps, chaos timings, violations — lands in `measured`, which varies
@@ -199,18 +199,15 @@ impl WorkloadSummary {
             Json::Str(self.slo_generation.clone()),
         )
     }
-}
 
-impl ScenarioReport {
     /// The deterministic report: byte-identical for the same seed and
     /// scenario config, independent of execution (run it twice, diff it).
     pub fn workload_json(&self) -> String {
-        format!(
-            "{{\n  \"workload\": {}\n}}\n",
-            self.workload.to_json_lines()
-        )
+        format!("{{\n  \"workload\": {}\n}}\n", self.to_json_lines())
     }
+}
 
+impl ScenarioReport {
     /// The full report: the deterministic workload section verbatim,
     /// plus the run's measurements and verdict.
     pub fn to_json_string(&self) -> String {
@@ -335,8 +332,8 @@ mod tests {
     fn workload_json_is_deterministic_and_parses() {
         let a = report();
         let b = report();
-        assert_eq!(a.workload_json(), b.workload_json());
-        smgcn_serve::json::parse(a.workload_json().trim()).expect("valid json");
+        assert_eq!(a.workload.workload_json(), b.workload.workload_json());
+        smgcn_serve::json::parse(a.workload.workload_json().trim()).expect("valid json");
     }
 
     #[test]
@@ -363,7 +360,7 @@ mod tests {
         // Worker count and metric deltas are execution details; the
         // deterministic section must not mention them (the determinism
         // guarantee spans thread counts and wall clocks).
-        assert!(!report().workload_json().contains("workers"));
-        assert!(!report().workload_json().contains("counter_deltas"));
+        assert!(!report().workload.workload_json().contains("workers"));
+        assert!(!report().workload.workload_json().contains("counter_deltas"));
     }
 }

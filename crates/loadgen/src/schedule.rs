@@ -152,12 +152,7 @@ impl Schedule {
     /// embedded in scenario reports so two runs are comparable at a
     /// glance.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.canonical_string().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        hash
+        smgcn_experiment::fnv1a64(self.canonical_string().as_bytes())
     }
 }
 

@@ -7,26 +7,13 @@
 //! difference is the stack's behaviour, not the load's.
 
 use proptest::prelude::*;
-use smgcn_loadgen::report::{ScenarioReport, WorkloadSummary};
-use smgcn_loadgen::slo::SloVerdict;
-use smgcn_loadgen::{build, Measured, ScenarioConfig, ScenarioKind};
+use smgcn_loadgen::report::WorkloadSummary;
+use smgcn_loadgen::{build, ScenarioConfig, ScenarioKind};
 
-/// A deterministic report skeleton for a workload (what `--plan` emits:
-/// the workload section only, no execution).
+/// The deterministic report section for a workload (what `--plan`
+/// emits, no execution).
 fn plan_report(kind: ScenarioKind, config: &ScenarioConfig) -> String {
-    ScenarioReport {
-        workload: WorkloadSummary::from_workload(&build(kind, config)),
-        measured: Measured::default(),
-        verdict: SloVerdict {
-            violations: Vec::new(),
-        },
-        metrics_json: None,
-        events_json: None,
-        tsdb: None,
-        profile_json: None,
-        experiment_json: None,
-    }
-    .workload_json()
+    WorkloadSummary::from_workload(&build(kind, config)).workload_json()
 }
 
 proptest! {
@@ -106,8 +93,8 @@ fn executed_runs_reproduce_the_deterministic_report() {
         },
     );
     assert_eq!(
-        first.workload_json(),
-        wide.workload_json(),
+        first.workload.workload_json(),
+        wide.workload.workload_json(),
         "deterministic report section varied across runs/thread counts"
     );
     assert!(
@@ -183,5 +170,5 @@ fn replica_kill_measures_detection_outside_the_deterministic_section() {
         "kill -> eject interval missing or outside the 600 ms run: {timings:?}"
     );
     assert!(report.to_json_string().contains("kill-replica-0-detect"));
-    assert!(!report.workload_json().contains("detect"));
+    assert!(!report.workload.workload_json().contains("detect"));
 }

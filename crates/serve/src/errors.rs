@@ -17,7 +17,7 @@ pub mod codes {
     pub const BAD_JSON: &str = "bad_json";
     /// The request was structurally wrong (missing/mistyped fields).
     pub const BAD_REQUEST: &str = "bad_request";
-    /// `k` was missing its bounds (zero, non-integer, above `max_k`).
+    /// `k` was missing its bounds (zero, non-integer, above `MAX_K`).
     pub const BAD_K: &str = "bad_k";
     /// A symptom name not in the serving vocabulary.
     pub const UNKNOWN_SYMPTOM: &str = "unknown_symptom";

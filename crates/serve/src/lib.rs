@@ -70,7 +70,7 @@ pub use conn::Connection;
 pub use errors::{codes, is_retryable};
 pub use frozen::{FrozenError, FrozenModel};
 pub use ops::{AdminOp, ApiError, OpHandler};
-pub use reactor::{Reactor, ReactorConfig, Service};
+pub use reactor::{Reactor, Service};
 pub use server::{Running, Server, ServerConfig, ServingVocab};
 pub use slot::{Generation, ModelSlot};
 pub use smgcn_obs::{LatencyHistogram, LatencySnapshot};

@@ -26,8 +26,7 @@
 //!   into the wrong connection;
 //! - a write **deadline**: a peer that stops reading has its
 //!   connection closed once its response has been stuck for
-//!   [`ReactorConfig::write_timeout`] (slowloris-style readers cannot
-//!   pin buffers);
+//!   `WRITE_TIMEOUT` (slowloris-style readers cannot pin buffers);
 //! - **graceful drain**: on stop the listener closes, idle
 //!   keep-alives are closed immediately, in-flight requests finish
 //!   and their responses flush, then the loop exits.
@@ -296,45 +295,14 @@ pub trait Service: Send + Sync + 'static {
     fn on_drain(&self) {}
 }
 
-/// Reactor tuning knobs.
-#[derive(Clone, Debug)]
-pub struct ReactorConfig {
-    /// Connections beyond this are shed with a structured, retryable
-    /// refusal at accept time. The bound is fds, not threads.
-    pub max_connections: usize,
-    /// Worker threads running [`Service::handle`]. `0` picks
-    /// `max_connections` clamped to `4..=32` — wide enough to keep
-    /// the micro-batcher fed, far below one-thread-per-connection.
-    pub workers: usize,
-    /// A response stuck behind a non-reading peer for longer than
-    /// this closes the connection (the old per-stream write timeout,
-    /// now enforced by deadline sweep instead of a blocking write).
-    pub write_timeout: Duration,
-    /// Poll-wait upper bound; paces deadline sweeps and stop checks
-    /// when no I/O is happening.
-    pub tick: Duration,
-}
+/// A response stuck behind a non-reading peer for longer than this
+/// closes the connection (the old per-stream write timeout, now
+/// enforced by deadline sweep instead of a blocking write).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        Self {
-            max_connections: 64,
-            workers: 0,
-            write_timeout: Duration::from_secs(2),
-            tick: Duration::from_millis(100),
-        }
-    }
-}
-
-impl ReactorConfig {
-    fn resolved_workers(&self) -> usize {
-        if self.workers == 0 {
-            self.max_connections.clamp(4, 32)
-        } else {
-            self.workers
-        }
-    }
-}
+/// Poll-wait upper bound; paces deadline sweeps and stop checks when no
+/// I/O is happening.
+const TICK: Duration = Duration::from_millis(100);
 
 /// Reactor health metrics, registered alongside the service's own
 /// registry so `{"op":"metrics"}` exposes them per replica/router.
@@ -426,19 +394,21 @@ pub struct Reactor<S: Service> {
     listener: TcpListener,
     service: Arc<S>,
     stop: Arc<AtomicBool>,
-    config: ReactorConfig,
+    max_connections: usize,
     metrics: ReactorMetrics,
 }
 
 impl<S: Service> Reactor<S> {
-    /// Prepares a reactor over an already-bound listener. Metrics are
-    /// registered into `registry` immediately so they appear in
+    /// Prepares a reactor over an already-bound listener. Connections
+    /// beyond `max_connections` are shed with a structured, retryable
+    /// refusal at accept time; the bound is fds, not threads. Metrics
+    /// are registered into `registry` immediately so they appear in
     /// `{"op":"metrics"}` snapshots even before traffic arrives.
     pub fn new(
         listener: TcpListener,
         service: Arc<S>,
         stop: Arc<AtomicBool>,
-        config: ReactorConfig,
+        max_connections: usize,
         registry: &Registry,
     ) -> Self {
         let metrics = ReactorMetrics::register(registry);
@@ -446,7 +416,7 @@ impl<S: Service> Reactor<S> {
             listener,
             service,
             stop,
-            config,
+            max_connections: max_connections.max(1),
             metrics,
         }
     }
@@ -481,7 +451,9 @@ impl<S: Service> Reactor<S> {
         let job_rx = Arc::new(Mutex::new(job_rx));
         let waker_tx = Arc::new(waker_tx);
         let mut workers = Vec::new();
-        for i in 0..self.config.resolved_workers() {
+        // Wide enough to keep the micro-batcher fed, far below
+        // one-thread-per-connection.
+        for i in 0..self.max_connections.clamp(4, 32) {
             let rx = Arc::clone(&job_rx);
             let done = Arc::clone(&completions);
             let wake = Arc::clone(&waker_tx);
@@ -515,15 +487,14 @@ impl<S: Service> Reactor<S> {
             open: 0,
             next_conn_id: 0,
             draining: false,
-            write_timeout: self.config.write_timeout,
         };
-        let max_connections = self.config.max_connections.max(1);
+        let max_connections = self.max_connections;
         let mut listener = Some(self.listener);
         let mut events: Vec<(u64, bool, bool)> = Vec::new();
 
         loop {
             events.clear();
-            poller.wait(&mut events, self.config.tick)?;
+            poller.wait(&mut events, TICK)?;
             if !events.is_empty() {
                 state.metrics.wakeups.inc();
                 state.metrics.ready_batch.record(events.len() as u64);
@@ -606,7 +577,6 @@ struct LoopState<'a, S: Service> {
     open: usize,
     next_conn_id: u64,
     draining: bool,
-    write_timeout: Duration,
 }
 
 impl<S: Service> LoopState<'_, S> {
@@ -824,7 +794,7 @@ impl<S: Service> LoopState<'_, S> {
         for idx in 0..self.slots.len() {
             let expired = self.slots[idx]
                 .as_ref()
-                .map(|c| c.stalled_for(now) >= self.write_timeout)
+                .map(|c| c.stalled_for(now) >= WRITE_TIMEOUT)
                 .unwrap_or(false);
             if expired {
                 self.metrics.slow_closed.inc();
@@ -879,10 +849,7 @@ mod tests {
             listener,
             Arc::clone(&service),
             Arc::clone(&stop),
-            ReactorConfig {
-                max_connections,
-                ..ReactorConfig::default()
-            },
+            max_connections,
             &registry,
         );
         let handle = std::thread::spawn(move || reactor.run().unwrap());

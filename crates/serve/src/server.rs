@@ -46,7 +46,7 @@ use crate::errors::codes;
 use crate::frozen::{FrozenError, FrozenModel};
 use crate::json::{self, Json};
 use crate::ops::{trace_json, AdminOp, ApiError, OpHandler};
-use crate::reactor::{Reactor, ReactorConfig, Service};
+use crate::reactor::{Reactor, Service};
 use crate::slot::{Generation, ModelSlot};
 use crate::topk::partial_top_k;
 use crate::variants::{DuelSample, VariantEntry, VariantObs, VariantTable};
@@ -105,6 +105,12 @@ impl ServingVocab {
     }
 }
 
+/// Ranking depth when a request omits `k`.
+const DEFAULT_K: usize = 10;
+
+/// Upper bound on a requested `k` (guards allocation per request).
+const MAX_K: usize = 100;
+
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -114,10 +120,6 @@ pub struct ServerConfig {
     /// persistent connections are fine; the worker pool — not this
     /// cap — bounds the largest possible micro-batch.
     pub max_connections: usize,
-    /// Default ranking depth when a request omits `k`.
-    pub default_k: usize,
-    /// Upper bound on requested `k` (guards allocation per request).
-    pub max_k: usize,
     /// LRU entries; 0 disables caching.
     pub cache_capacity: usize,
     /// Micro-batching configuration.
@@ -143,8 +145,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_connections: 64,
-            default_k: 10,
-            max_k: 100,
             cache_capacity: 4096,
             batcher: BatcherConfig::default(),
             trace_sample_every: 0,
@@ -576,14 +576,14 @@ impl Engine {
             }
         }
         let k = match req.get("k") {
-            None => self.config.default_k,
+            None => DEFAULT_K,
             Some(Json::Num(n)) if *n >= 1.0 && n.fract() == 0.0 => *n as usize,
             Some(other) => return Err(ApiError::new(codes::BAD_K, format!("bad k: {other}"))),
         };
-        if k > self.config.max_k {
+        if k > MAX_K {
             return Err(ApiError::new(
                 codes::BAD_K,
-                format!("k {k} exceeds maximum {}", self.config.max_k),
+                format!("k {k} exceeds maximum {MAX_K}"),
             ));
         }
         // The end-to-end latency budget, anchored at line arrival: the
@@ -1048,12 +1048,9 @@ impl Server {
     /// before closing — idle keep-alives now close promptly and the
     /// drain is journaled as a `drain` event.
     pub fn run(self) -> std::io::Result<()> {
-        let config = ReactorConfig {
-            max_connections: self.engine.config.max_connections.max(1),
-            ..ReactorConfig::default()
-        };
+        let max_conns = self.engine.config.max_connections;
         let registry = Arc::clone(&self.engine.obs.registry);
-        Reactor::new(self.listener, self.engine, self.stop, config, &registry).run()
+        Reactor::new(self.listener, self.engine, self.stop, max_conns, &registry).run()
     }
 }
 

@@ -1,42 +1,9 @@
 //! `smgcn` — command-line interface to the herb recommender.
 //!
-//! ```text
-//! smgcn generate  --out corpus.tsv [--scale smoke|paper] [--seed N]
-//! smgcn train     --corpus corpus.tsv --out model.smgt [--model smgcn|...]
-//!                 [--epochs N] [--lr F] [--l2 F] [--seed N]
-//! smgcn eval      --corpus corpus.tsv --model-file model.smgt [--model ...]
-//! smgcn freeze    --corpus corpus.tsv --model-file model.smgt --out frozen.smgt
-//! smgcn recommend --corpus corpus.tsv --model-file FILE
-//!                 --symptoms "name1,name2,..." [--k N]
-//! smgcn serve     --corpus corpus.tsv --model-file FILE [--addr HOST:PORT]
-//!                 [--connections N] [--cache N] [--batch-max N]
-//!                 [--tsdb FILE] [--scrape-ms N]
-//! smgcn ingest    --corpus corpus.tsv --wal wal.log
-//!                 --add "s1,s2 => h1,h2 ; s3 => h4" [--allow-new true|false]
-//! smgcn refresh   --corpus corpus.tsv --wal wal.log --model-file model.smgt
-//!                 --out model2.smgt [--frozen-out frozen2.smgt]
-//!                 [--corpus-out FILE] [--epochs N] [--scale ...] [--seed N]
-//!                 [--replicas HOST:PORT,...]
-//! smgcn route     --replicas HOST:PORT,HOST:PORT[,...] [--addr HOST:PORT]
-//!                 [--connections N] [--replica-conns N] [--probe-ms N]
-//!                 [--slow-p99-ms F] [--tsdb FILE] [--scrape-ms N]
-//! smgcn cluster-refresh --replicas HOST:PORT,... --model-file frozen.smgt
-//!                 --corpus corpus.tsv
-//! smgcn loadgen   <scenario|all> [--seed N] [--measure-ms N] [--workers N]
-//!                 [--k N] [--storm-conns N] [--out FILE] [--out-dir DIR]
-//!                 [--plan true]
-//! smgcn experiment publish --addr HOST:PORT --variant NAME
-//!                 --corpus corpus.tsv --model-file FILE
-//! smgcn experiment install --addr HOST:PORT --split "control:90,cand:10" [--seed N]
-//! smgcn experiment halt|status --addr HOST:PORT
-//! smgcn experiment compare --addr HOST:PORT [--out FILE]
-//! smgcn promote   --addr HOST:PORT --variant NAME
-//!                 [--max-error-rate F] [--max-p99-delta F] [--min-samples N]
-//! smgcn top       --addr HOST:PORT [--interval-ms N] [--iterations N]
-//! smgcn profile   --addr HOST:PORT
-//! smgcn query     --tsdb FILE [--series SELECTOR] [--op last|delta|rate|avg|max|quantile]
-//!                 [--from MS] [--to MS] [--q F]
-//! ```
+//! `smgcn --help` lists every command with the flags it reads, which of
+//! them are required, and their defaults. The help, the parser and every
+//! default come from one table, `COMMANDS`: a flag the help does not list
+//! is one the command rejects.
 //!
 //! `ingest` validates prescriptions against the corpus vocabularies
 //! (appending unseen names with stable ids unless `--allow-new false`),
@@ -114,138 +81,475 @@
 
 use std::collections::HashMap;
 use std::process::exit;
+use std::str::FromStr;
 
 use smgcn_repro::data::io as corpus_io;
-use smgcn_repro::data::train_test_split_fraction;
+use smgcn_repro::data::{train_test_split_fraction, Split};
 use smgcn_repro::eval::train_config_for;
 use smgcn_repro::graph::GraphOperators;
 use smgcn_repro::prelude::*;
+use smgcn_repro::serve::json::{self, Json};
+
+/// A flag's value when the command line leaves it out.
+#[derive(Clone, Copy)]
+enum Absent {
+    /// None: the command cannot run without it.
+    Required,
+    /// This value.
+    DefaultsTo(&'static str),
+    /// None; the note says for `--help` what the command does instead.
+    Optional(&'static str),
+}
+use Absent::{DefaultsTo, Optional, Required};
+
+/// One `--name VALUE` flag, as `--help` shows it and the parser takes it.
+struct Flag {
+    name: &'static str,
+    /// What `--help` shows for the value; for a flag that takes one of a
+    /// few words, those words (`smoke|paper`).
+    value: &'static str,
+    absent: Absent,
+}
+
+const fn flag(name: &'static str, value: &'static str, absent: Absent) -> Flag {
+    Flag {
+        name,
+        value,
+        absent,
+    }
+}
+
+/// One command: its name, the word it takes before its flags, every
+/// flag it reads, and the function that runs it.
+struct Command {
+    name: &'static str,
+    /// `loadgen SCENARIO|all`, `experiment ACTION`.
+    word: Option<&'static str>,
+    /// Its own flags, then the shared groups it reads.
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args),
+}
+
+/// A command that takes no word before its flags.
+const fn cmd(name: &'static str, flags: &'static [&'static [Flag]], run: fn(&Args)) -> Command {
+    Command {
+        name,
+        word: None,
+        flags,
+        run,
+    }
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    /// This command's entry in `--help`.
+    fn usage(&self) -> String {
+        let word = self.word.map(|w| format!(" {w}")).unwrap_or_default();
+        let mut text = format!("\n  smgcn {}{word}\n", self.name);
+        for flag in self.flags() {
+            let absent = match flag.absent {
+                Required => "required".to_string(),
+                DefaultsTo(value) => format!("default {value}"),
+                Optional(note) => note.to_string(),
+            };
+            let shape = format!("--{} {}", flag.name, flag.value);
+            text.push_str(&format!("      {shape:<34} {absent}\n"));
+        }
+        text
+    }
+}
+
+const CORPUS: Flag = flag("corpus", "FILE", Required);
+const MODEL_FILE: Flag = flag("model-file", "FILE", Required);
+const OUT: Flag = flag("out", "FILE", Required);
+const ADDR: Flag = flag("addr", "HOST:PORT", Required);
+const REPLICAS: Flag = flag("replicas", "HOST:PORT,...", Required);
+const SCALE: Flag = flag("scale", "smoke|paper", DefaultsTo("smoke"));
+const SEED: Flag = flag("seed", "N", DefaultsTo("2020"));
+const MODELS: &str = "smgcn|bipar-gcn|gcmc|pinsage|ngcf|hetegcn";
+const TUNED: Absent = Optional("tuned per --model and --scale");
+const SERVER: Absent = Optional("ServerConfig's default");
+const ROUTER: Absent = Optional("RouterConfig's default");
+const SCENARIO: Absent = Optional("the scenario's default");
+const GUARDRAIL: Absent = Optional("the router's guardrail default");
+
+/// What rebuilds a training checkpoint given as `--model-file`; a frozen
+/// model ignores them.
+const REBUILD: &[Flag] = &[flag("model", MODELS, DefaultsTo("smgcn")), SCALE, SEED];
+
+/// The self-scrape sidecar of `serve` and `route`.
+const SCRAPE: &[Flag] = &[
+    flag("tsdb", "FILE", Optional("off: no history, no alerts")),
+    flag("scrape-ms", "N", DefaultsTo("1000")),
+];
+
+const COMMANDS: &[Command] = &[
+    cmd("generate", &[&[OUT, SCALE, SEED]], cmd_generate),
+    cmd(
+        "train",
+        &[
+            &[
+                CORPUS,
+                OUT,
+                flag("epochs", "N", TUNED),
+                flag("lr", "F", TUNED),
+                flag("l2", "F", TUNED),
+            ],
+            REBUILD,
+        ],
+        cmd_train,
+    ),
+    cmd("eval", &[&[CORPUS, MODEL_FILE], REBUILD], cmd_eval),
+    cmd("freeze", &[&[CORPUS, MODEL_FILE, OUT], REBUILD], cmd_freeze),
+    cmd(
+        "recommend",
+        &[
+            &[
+                CORPUS,
+                MODEL_FILE,
+                flag("symptoms", "\"name1,name2,...\"", Required),
+                flag("k", "N", DefaultsTo("10")),
+            ],
+            REBUILD,
+        ],
+        cmd_recommend,
+    ),
+    cmd(
+        "serve",
+        &[
+            &[
+                CORPUS,
+                MODEL_FILE,
+                flag("addr", "HOST:PORT", DefaultsTo("127.0.0.1:7878")),
+                flag("connections", "N", SERVER),
+                flag("cache", "N", SERVER),
+                flag("batch-max", "N", SERVER),
+            ],
+            SCRAPE,
+            REBUILD,
+        ],
+        cmd_serve,
+    ),
+    cmd(
+        "ingest",
+        &[&[
+            CORPUS,
+            flag("wal", "FILE", Required),
+            flag("add", "\"s1,s2 => h1,h2 ; s3 => h4\"", Required),
+            flag("allow-new", "true|false", DefaultsTo("true")),
+        ]],
+        cmd_ingest,
+    ),
+    cmd(
+        "refresh",
+        &[
+            &[
+                CORPUS,
+                flag("wal", "FILE", Required),
+                MODEL_FILE,
+                OUT,
+                flag("frozen-out", "FILE", Optional("not written")),
+                flag("corpus-out", "FILE", Optional("the --corpus file")),
+                flag("epochs", "N", DefaultsTo("5")),
+                flag("replicas", "HOST:PORT,...", Optional("no fleet rollout")),
+            ],
+            REBUILD,
+        ],
+        cmd_refresh,
+    ),
+    cmd(
+        "route",
+        &[
+            &[
+                REPLICAS,
+                flag("addr", "HOST:PORT", DefaultsTo("127.0.0.1:7979")),
+                flag("connections", "N", ROUTER),
+                flag("replica-conns", "N", ROUTER),
+                flag("probe-ms", "N", ROUTER),
+                flag("slow-p99-ms", "F", ROUTER),
+            ],
+            SCRAPE,
+        ],
+        cmd_route,
+    ),
+    cmd(
+        "cluster-refresh",
+        &[&[REPLICAS, CORPUS, MODEL_FILE], REBUILD],
+        cmd_cluster_refresh,
+    ),
+    Command {
+        name: "loadgen",
+        word: Some("SCENARIO|all"),
+        flags: &[&[
+            SEED,
+            flag("measure-ms", "N", SCENARIO),
+            flag("workers", "N", SCENARIO),
+            flag("k", "N", SCENARIO),
+            flag("storm-conns", "N", SCENARIO),
+            flag("out", "FILE", Optional("OUT-DIR/LOADGEN_<scenario>.json")),
+            flag("out-dir", "DIR", DefaultsTo(".")),
+            flag("plan", "true|false", DefaultsTo("false")),
+        ]],
+        run: cmd_loadgen,
+    },
+    Command {
+        name: "experiment",
+        word: Some("publish|install|halt|status|compare"),
+        flags: &[
+            &[
+                ADDR,
+                flag("variant", "NAME", Optional("publish: required")),
+                flag("corpus", "FILE", Optional("publish: required")),
+                flag("model-file", "FILE", Optional("publish: required")),
+                flag("split", "NAME:PCT,...", Optional("install: required")),
+                flag("out", "FILE", Optional("compare: not written")),
+            ],
+            REBUILD,
+        ],
+        run: cmd_experiment,
+    },
+    cmd(
+        "promote",
+        &[&[
+            ADDR,
+            flag("variant", "NAME", Required),
+            flag("max-error-rate", "F", GUARDRAIL),
+            flag("max-p99-delta", "F", GUARDRAIL),
+            flag("min-samples", "N", GUARDRAIL),
+        ]],
+        cmd_promote,
+    ),
+    cmd(
+        "top",
+        &[&[
+            ADDR,
+            flag("interval-ms", "N", DefaultsTo("1000")),
+            flag("iterations", "N", DefaultsTo("0")),
+        ]],
+        cmd_top,
+    ),
+    cmd("profile", &[&[ADDR]], cmd_profile),
+    cmd(
+        "query",
+        &[&[
+            flag("tsdb", "FILE", Required),
+            flag("series", "SELECTOR", Optional("list every series")),
+            flag("op", "last|delta|rate|avg|max|quantile", DefaultsTo("last")),
+            flag("from", "MS", Optional("the history's start")),
+            flag("to", "MS", Optional("the history's end")),
+            flag("q", "F", DefaultsTo("0.99")),
+        ]],
+        cmd_query,
+    ),
+];
 
 fn usage_text() -> String {
     use smgcn_repro::loadgen::ScenarioKind;
     let scenarios: Vec<&str> = ScenarioKind::all().iter().map(|k| k.name()).collect();
-    format!(
-        "usage:\n  smgcn generate  --out FILE [--scale smoke|paper] [--seed N]\n  \
-         smgcn train     --corpus FILE --out FILE [--model NAME] [--epochs N] [--lr F] [--l2 F] [--seed N]\n  \
-         smgcn eval      --corpus FILE --model-file FILE [--model NAME]\n  \
-         smgcn freeze    --corpus FILE --model-file FILE --out FILE [--model NAME]\n  \
-         smgcn recommend --corpus FILE --model-file FILE --symptoms \"a,b,c\" [--k N]\n  \
-         smgcn serve     --corpus FILE --model-file FILE [--addr HOST:PORT] [--connections N] [--cache N] [--batch-max N]\n  \
-         smgcn ingest    --corpus FILE --wal FILE --add \"s1,s2 => h1,h2 ; ...\" [--allow-new true|false]\n  \
-         smgcn refresh   --corpus FILE --wal FILE --model-file FILE --out FILE [--frozen-out FILE] [--corpus-out FILE] [--epochs N] [--replicas LIST]\n  \
-         smgcn route     --replicas HOST:PORT,... [--addr HOST:PORT] [--connections N] [--replica-conns N] [--probe-ms N] [--slow-p99-ms F]\n  \
-         smgcn cluster-refresh --replicas HOST:PORT,... --model-file FILE --corpus FILE\n  \
-         smgcn loadgen   SCENARIO|all [--seed N] [--measure-ms N] [--workers N] [--k N] [--storm-conns N] [--out FILE] [--out-dir DIR] [--plan true]\n  \
-         smgcn experiment publish --addr HOST:PORT --variant NAME --corpus FILE --model-file FILE\n  \
-         smgcn experiment install --addr HOST:PORT --split \"control:90,cand:10\" [--seed N]\n  \
-         smgcn experiment halt|status|compare --addr HOST:PORT [--out FILE]\n  \
-         smgcn promote   --addr HOST:PORT --variant NAME [--max-error-rate F] [--max-p99-delta F] [--min-samples N]\n  \
-         smgcn top       --addr HOST:PORT [--interval-ms N] [--iterations N]\n  \
-         smgcn profile   --addr HOST:PORT\n  \
-         smgcn query     --tsdb FILE [--series SELECTOR] [--op last|delta|rate|avg|max|quantile] [--from MS] [--to MS] [--q F]\n\
-         serve/route also take --tsdb FILE [--scrape-ms N]: self-scrape metrics history + live burn-rate alerts\n\
-         models: smgcn (default), bipar-gcn, gcmc, pinsage, ngcf, hetegcn\n\
-         scenarios: {}\n\
-         env: SMGCN_FAULT_SEED=N arms the seeded fault-injection storm plan in this process\n\
-         --model-file for recommend/serve: a frozen model (smgcn freeze) or a training checkpoint",
+    let mut text = String::from(
+        "usage: smgcn COMMAND [WORD] [--flag VALUE]...\n\
+         (--help or -h anywhere prints this; a flag a command does not list is an error)\n",
+    );
+    for command in COMMANDS {
+        text.push_str(&command.usage());
+    }
+    text.push_str(&format!(
+        "\nscenarios: {}\n\
+         experiment: publish reads --variant, --corpus, --model-file and --model/--scale/--seed; \
+         install --split and --seed (sent only when given); compare --out\n\
+         --model-file for recommend/serve: a frozen model (smgcn freeze) or a training checkpoint\n\
+         env: SMGCN_FAULT_SEED=N arms the seeded fault-injection storm plan in this process\n",
         scenarios.join(", ")
-    )
+    ));
+    text
 }
 
-/// A misuse: the usage text on stderr, exit 2.
-fn usage() -> ! {
-    eprintln!("{}", usage_text());
+/// A misuse: the error, then the usage of `command` (of every command
+/// when there is none) on stderr; exit 2.
+fn misuse(command: Option<&Command>, message: &str) -> ! {
+    let usage = command.map_or_else(usage_text, |c| format!("usage:{}", c.usage()));
+    eprint!("error: {message}\n{usage}");
     exit(2)
 }
 
-/// Parses `--name value` pairs for `command`, which reads exactly the
-/// flags in `known`: a name outside it is a typo, and running with the
-/// default it was meant to replace would be a wrong answer, not a
-/// convenience.
-fn parse_flags(command: &str, known: &[&str], args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let Some(key) = args[i].strip_prefix("--") else {
-            eprintln!("error: expected a --flag, found {:?}", args[i]);
-            usage();
+/// A command line checked against `COMMANDS`: a known command, its word,
+/// only flags it reads, each with a value, none of its required flags
+/// missing and every word-valued flag one of its words. The getters
+/// default and type a flag in one call; a number that does not parse is
+/// a misuse that names the command and the flag.
+struct Args {
+    command: &'static Command,
+    /// `smgcn COMMAND [WORD]`, as errors name the command.
+    label: String,
+    /// The word before the flags; empty for a command that takes none.
+    word: String,
+    given: HashMap<&'static str, String>,
+}
+
+impl Args {
+    fn parse(argv: &[String]) -> Self {
+        let Some((name, mut rest)) = argv.split_first() else {
+            misuse(None, "smgcn needs a command");
         };
-        if !known.contains(&key) {
-            eprintln!(
-                "error: smgcn {command} has no flag --{key} (it reads: --{})",
-                known.join(", --")
-            );
-            usage();
-        }
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("error: flag --{key} needs a value");
-            usage();
+        let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+            misuse(None, &format!("smgcn has no command {name:?}"));
         };
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
+        let mut args = Self {
+            command,
+            label: format!("smgcn {name}"),
+            word: String::new(),
+            given: HashMap::new(),
+        };
+        if let Some(expected) = command.word {
+            match rest.split_first() {
+                Some((word, tail)) if !word.starts_with("--") => {
+                    args.label = format!("{} {word}", args.label);
+                    args.word = word.clone();
+                    rest = tail;
+                }
+                _ => args.misuse(format!(" needs {expected} first")),
+            }
+        }
+        // `--name value` pairs, each name one this command reads: a typo
+        // run with the default it was meant to replace would be a wrong
+        // answer, not a convenience.
+        let mut pairs = rest.iter();
+        while let Some(arg) = pairs.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                args.misuse(format!(": expected a --flag, found {arg:?}"));
+            };
+            let Some(flag) = command.flags().find(|f| f.name == key) else {
+                let names: Vec<&str> = command.flags().map(|f| f.name).collect();
+                args.misuse(format!(
+                    " has no flag --{key} (it reads: --{})",
+                    names.join(", --")
+                ));
+            };
+            let Some(value) = pairs.next() else {
+                args.misuse(format!(": --{key} needs a value"));
+            };
+            args.given.insert(flag.name, value.clone());
+        }
+        // Misuse shows before any work.
+        for flag in command.flags() {
+            let is_word = |value: &str| flag.value.split('|').any(|word| word == value);
+            match args.get(flag.name) {
+                None if matches!(flag.absent, Required) => {
+                    args.misuse(format!(" needs --{}", flag.name))
+                }
+                Some(value) if flag.value.contains('|') && !is_word(value) => args.bad(flag.name),
+                _ => {}
+            }
+        }
+        args
     }
-    flags
-}
 
-fn model_kind(name: &str) -> ModelKind {
-    match name {
-        "smgcn" => ModelKind::Smgcn,
-        "bipar-gcn" => ModelKind::BiparGcn,
-        "gcmc" => ModelKind::GcMc,
-        "pinsage" => ModelKind::PinSage,
-        "ngcf" => ModelKind::Ngcf,
-        "hetegcn" => ModelKind::HeteGcn,
-        other => {
-            eprintln!("error: unknown model {other:?}");
-            usage();
+    /// A misuse of this command. `what` follows its label directly:
+    /// ` needs --corpus`, `: --epochs "abc" is not a number`.
+    fn misuse(&self, what: impl std::fmt::Display) -> ! {
+        misuse(Some(self.command), &format!("{}{what}", self.label))
+    }
+
+    fn flag(&self, name: &str) -> &'static Flag {
+        let flag = self.command.flags().find(|f| f.name == name);
+        flag.unwrap_or_else(|| panic!("{} reads undeclared --{name}", self.label))
+    }
+
+    /// `--name` as given, else its default.
+    fn get(&self, name: &str) -> Option<&str> {
+        let given = self.given.get(name).map(String::as_str);
+        match self.flag(name).absent {
+            DefaultsTo(value) => Some(given.unwrap_or(value)),
+            _ => given,
         }
     }
+
+    /// `--name` as given or defaulted; absent, a misuse.
+    fn need(&self, name: &str) -> &str {
+        self.get(name)
+            .unwrap_or_else(|| self.misuse(format!(" needs --{name}")))
+    }
+
+    /// `--name` as a number, when given or defaulted.
+    fn opt<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.get(name)
+            .map(|v| v.parse().unwrap_or_else(|_| self.bad(name)))
+    }
+
+    /// `--name` as a number the command cannot do without.
+    fn num<T: FromStr>(&self, name: &str) -> T {
+        self.need(name).parse().unwrap_or_else(|_| self.bad(name))
+    }
+
+    /// `--name` as one of the words its table entry lists, which `parse`
+    /// must map for every word.
+    fn choice<T>(&self, name: &str, parse: impl FnOnce(&str) -> Option<T>) -> T {
+        parse(self.need(name)).expect("parse checks a word against its flag's words")
+    }
+
+    /// `--name`'s value does not parse.
+    fn bad(&self, name: &str) -> ! {
+        let words = self.flag(name).value;
+        let want = if words.contains('|') {
+            format!("one of {words}")
+        } else {
+            "a number".to_string()
+        };
+        self.misuse(format!(": --{name} {:?} is not {want}", self.need(name)))
+    }
 }
 
-fn scale(flags: &HashMap<String, String>) -> Scale {
-    flags
-        .get("scale")
-        .map(|s| Scale::from_arg(s).unwrap_or_else(|| usage()))
-        .unwrap_or(Scale::Smoke)
+fn model_kind(args: &Args) -> ModelKind {
+    args.choice("model", |name| match name {
+        "smgcn" => Some(ModelKind::Smgcn),
+        "bipar-gcn" => Some(ModelKind::BiparGcn),
+        "gcmc" => Some(ModelKind::GcMc),
+        "pinsage" => Some(ModelKind::PinSage),
+        "ngcf" => Some(ModelKind::Ngcf),
+        "hetegcn" => Some(ModelKind::HeteGcn),
+        _ => None,
+    })
 }
 
-fn seed(flags: &HashMap<String, String>) -> u64 {
-    flags
-        .get("seed")
-        .map(|s| s.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(2020)
+/// A runtime failure, as opposed to a misuse: the error on stderr, exit 1.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}");
+    exit(1)
 }
 
-fn load_corpus_and_ops(
-    flags: &HashMap<String, String>,
-) -> (
-    smgcn_repro::data::Corpus,
-    smgcn_repro::data::Corpus,
-    GraphOperators,
-) {
-    let path = flags.get("corpus").unwrap_or_else(|| usage());
-    let corpus = corpus_io::load_corpus(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read corpus {path:?}: {e}");
-        exit(1);
-    });
-    let split = train_test_split_fraction(&corpus, PAPER_TEST_FRACTION, seed(flags));
+trait OrFail<T> {
+    /// The value, or [`fail`] with `doing` and the error.
+    fn or_fail(self, doing: impl std::fmt::Display) -> T;
+}
+
+impl<T, E: std::fmt::Display> OrFail<T> for Result<T, E> {
+    fn or_fail(self, doing: impl std::fmt::Display) -> T {
+        self.unwrap_or_else(|e| fail(format!("{doing}: {e}")))
+    }
+}
+
+/// The split of `corpus` that `--seed` picks and the graph operators over
+/// its training side at `--scale`'s thresholds: what a checkpoint was
+/// trained on.
+fn split_and_ops(args: &Args, corpus: &Corpus) -> (Split, GraphOperators) {
+    let split = train_test_split_fraction(corpus, PAPER_TEST_FRACTION, args.num("seed"));
     let ops = GraphOperators::from_records(
         split.train.records(),
         corpus.n_symptoms(),
         corpus.n_herbs(),
-        scale(flags).thresholds(),
+        args.choice("scale", Scale::from_arg).thresholds(),
     );
-    (split.train, split.test, ops)
+    (split, ops)
 }
 
-const GENERATE_FLAGS: &[&str] = &["out", "scale", "seed"];
-fn cmd_generate(flags: HashMap<String, String>) {
-    let out = flags.get("out").unwrap_or_else(|| usage());
-    let corpus = SyndromeModel::new(scale(&flags).generator().with_seed(seed(&flags))).generate();
-    corpus_io::save_corpus(&corpus, out).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {out:?}: {e}");
-        exit(1);
-    });
+fn cmd_generate(args: &Args) {
+    let out = args.need("out");
+    let config = args.choice("scale", Scale::from_arg).generator();
+    let corpus = SyndromeModel::new(config.with_seed(args.num("seed"))).generate();
+    corpus_io::save_corpus(&corpus, out).or_fail(format!("cannot write {out:?}"));
     let stats = corpus_stats(&corpus);
     println!(
         "wrote {out}: {} prescriptions, {} symptoms, {} herbs",
@@ -253,79 +557,60 @@ fn cmd_generate(flags: HashMap<String, String>) {
     );
 }
 
-const TRAIN_FLAGS: &[&str] = &[
-    "corpus", "out", "model", "epochs", "lr", "l2", "scale", "seed",
-];
-fn cmd_train(flags: HashMap<String, String>) {
-    let out = flags.get("out").unwrap_or_else(|| usage());
-    let kind = model_kind(flags.get("model").map_or("smgcn", String::as_str));
-    let (train_corpus, test_corpus, ops) = load_corpus_and_ops(&flags);
-    let sc = scale(&flags);
+fn cmd_train(args: &Args) {
+    let out = args.need("out");
+    let kind = model_kind(args);
+    let sc = args.choice("scale", Scale::from_arg);
     let mut cfg = train_config_for(kind, sc);
-    if let Some(e) = flags.get("epochs") {
-        cfg.epochs = e.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(lr) = flags.get("lr") {
-        cfg.learning_rate = lr.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(l2) = flags.get("l2") {
-        cfg.l2_lambda = l2.parse().unwrap_or_else(|_| usage());
-    }
-    let mut model = build_model(kind, &ops, &sc.model_config(), seed(&flags));
+    cfg.epochs = args.opt("epochs").unwrap_or(cfg.epochs);
+    cfg.learning_rate = args.opt("lr").unwrap_or(cfg.learning_rate);
+    cfg.l2_lambda = args.opt("l2").unwrap_or(cfg.l2_lambda);
+    let (split, ops) = split_and_ops(args, &load_corpus_only(args));
+    let mut model = build_model(kind, &ops, &sc.model_config(), args.num("seed"));
     println!(
         "training {} on {} prescriptions ({} epochs, lr {:.0e}, λ {:.0e})...",
         model.name(),
-        train_corpus.len(),
+        split.train.len(),
         cfg.epochs,
         cfg.learning_rate,
         cfg.l2_lambda
     );
-    train_with_callback(&mut model, &train_corpus, &cfg, |stats, _| {
+    train_with_callback(&mut model, &split.train, &cfg, |stats, _| {
         if stats.epoch % 10 == 0 || stats.epoch + 1 == cfg.epochs {
             println!("  epoch {:>3}: loss {:.3}", stats.epoch, stats.mean_loss);
         }
     });
-    let metrics = evaluate_ranker(&model, &test_corpus, &PAPER_KS);
+    let metrics = evaluate_ranker(&model, &split.test, &PAPER_KS);
     for (k, m) in &metrics {
         println!(
             "test p@{k} = {:.4}  r@{k} = {:.4}  ndcg@{k} = {:.4}",
             m.precision, m.recall, m.ndcg
         );
     }
-    model.save(out).unwrap_or_else(|e| {
-        eprintln!("error: cannot save checkpoint: {e}");
-        exit(1);
-    });
+    model.save(out).or_fail("cannot save checkpoint");
     println!("saved checkpoint to {out}");
 }
 
-fn rebuild_and_load(
-    flags: &HashMap<String, String>,
-    ops: &GraphOperators,
-) -> smgcn_repro::core::Recommender {
-    let kind = model_kind(flags.get("model").map_or("smgcn", String::as_str));
-    let model_file = flags.get("model-file").unwrap_or_else(|| usage());
-    let mut model = build_model(kind, ops, &scale(flags).model_config(), seed(flags));
-    model.load(model_file).unwrap_or_else(|e| {
-        eprintln!(
-            "error: cannot restore {model_file:?} into a fresh {} (wrong --model/--scale?): {e}",
-            model.name()
-        );
-        exit(1);
-    });
+fn rebuild_and_load(args: &Args, ops: &GraphOperators) -> smgcn_repro::core::Recommender {
+    let model_file = args.need("model-file");
+    let model_config = args.choice("scale", Scale::from_arg).model_config();
+    let mut model = build_model(model_kind(args), ops, &model_config, args.num("seed"));
+    let name = model.name().to_string();
+    model.load(model_file).or_fail(format!(
+        "cannot restore {model_file:?} into a fresh {name} (wrong --model/--scale?)"
+    ));
     model
 }
 
-const EVAL_FLAGS: &[&str] = &["corpus", "model-file", "model", "scale", "seed"];
-fn cmd_eval(flags: HashMap<String, String>) {
-    let (_, test_corpus, ops) = load_corpus_and_ops(&flags);
-    let model = rebuild_and_load(&flags, &ops);
+fn cmd_eval(args: &Args) {
+    let (split, ops) = split_and_ops(args, &load_corpus_only(args));
+    let model = rebuild_and_load(args, &ops);
     println!(
         "{} on {} held-out prescriptions:",
         model.name(),
-        test_corpus.len()
+        split.test.len()
     );
-    for (k, m) in evaluate_ranker(&model, &test_corpus, &PAPER_KS) {
+    for (k, m) in evaluate_ranker(&model, &split.test, &PAPER_KS) {
         println!(
             "  p@{k} = {:.4}  r@{k} = {:.4}  ndcg@{k} = {:.4}",
             m.precision, m.recall, m.ndcg
@@ -335,12 +620,9 @@ fn cmd_eval(flags: HashMap<String, String>) {
 
 /// Loads the corpus alone (no split, no graphs) — all the frozen fast
 /// path needs is the vocabulary.
-fn load_corpus_only(flags: &HashMap<String, String>) -> smgcn_repro::data::Corpus {
-    let path = flags.get("corpus").unwrap_or_else(|| usage());
-    corpus_io::load_corpus(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read corpus {path:?}: {e}");
-        exit(1);
-    })
+fn load_corpus_only(args: &Args) -> Corpus {
+    let path = args.need("corpus");
+    corpus_io::load_corpus(path).or_fail(format!("cannot read corpus {path:?}"))
 }
 
 /// Loads `--model-file` as a [`FrozenModel`]: directly when it already is
@@ -349,8 +631,8 @@ fn load_corpus_only(flags: &HashMap<String, String>) -> smgcn_repro::data::Corpu
 /// freezing it in-process. Either way, scoring goes through the
 /// serve-layer path. `corpus` is the already-loaded corpus, reused by
 /// the fallback so the file is never parsed twice.
-fn load_frozen(flags: &HashMap<String, String>, corpus: &smgcn_repro::data::Corpus) -> FrozenModel {
-    let model_file = flags.get("model-file").unwrap_or_else(|| usage());
+fn load_frozen(args: &Args, corpus: &Corpus) -> FrozenModel {
+    let model_file = args.need("model-file");
     match FrozenModel::load(model_file) {
         Ok(frozen) => {
             eprintln!(
@@ -366,60 +648,45 @@ fn load_frozen(flags: &HashMap<String, String>, corpus: &smgcn_repro::data::Corp
             // only path that needs the graphs), restore the parameters,
             // then run the convolutions once.
             eprintln!("training checkpoint given; freezing in-process (tip: smgcn freeze)");
-            let split = train_test_split_fraction(corpus, PAPER_TEST_FRACTION, seed(flags));
-            let ops = GraphOperators::from_records(
-                split.train.records(),
-                corpus.n_symptoms(),
-                corpus.n_herbs(),
-                scale(flags).thresholds(),
-            );
-            FrozenModel::from_recommender(&rebuild_and_load(flags, &ops))
+            let (_, ops) = split_and_ops(args, corpus);
+            FrozenModel::from_recommender(&rebuild_and_load(args, &ops))
         }
-        Err(e) => {
-            eprintln!("error: cannot load {model_file:?}: {e}");
-            exit(1);
-        }
+        Err(e) => fail(format!("cannot load {model_file:?}: {e}")),
     }
 }
 
 /// The corpus's names as the vocabulary a server answers with and a
 /// publish artifact carries.
-fn serving_vocab(corpus: &smgcn_repro::data::Corpus) -> ServingVocab {
+fn serving_vocab(corpus: &Corpus) -> ServingVocab {
     let names = |vocab: &smgcn_repro::data::Vocabulary| {
         vocab.iter().map(|(_, name)| name.to_string()).collect()
     };
     ServingVocab::new(names(corpus.symptom_vocab()), names(corpus.herb_vocab()))
 }
 
-fn parse_symptom_ids(spec: &str, corpus: &smgcn_repro::data::Corpus) -> Vec<u32> {
+fn parse_symptom_ids(spec: &str, corpus: &Corpus) -> Vec<u32> {
     let vocab = corpus.symptom_vocab();
     let mut ids = Vec::new();
     for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         match vocab.id(name) {
             Some(id) => ids.push(id),
-            None => {
-                eprintln!("error: unknown symptom {name:?} (names are vocabulary entries)");
-                exit(1);
-            }
+            None => fail(format!(
+                "unknown symptom {name:?} (names are vocabulary entries)"
+            )),
         }
     }
     if ids.is_empty() {
-        eprintln!("error: --symptoms produced an empty set");
-        exit(1);
+        fail("--symptoms produced an empty set");
     }
     ids
 }
 
-const FREEZE_FLAGS: &[&str] = &["corpus", "model-file", "out", "model", "scale", "seed"];
-fn cmd_freeze(flags: HashMap<String, String>) {
-    let out = flags.get("out").unwrap_or_else(|| usage());
-    let (_, _, ops) = load_corpus_and_ops(&flags);
-    let model = rebuild_and_load(&flags, &ops);
+fn cmd_freeze(args: &Args) {
+    let out = args.need("out");
+    let (_, ops) = split_and_ops(args, &load_corpus_only(args));
+    let model = rebuild_and_load(args, &ops);
     let frozen = FrozenModel::from_recommender(&model);
-    frozen.save(out).unwrap_or_else(|e| {
-        eprintln!("error: cannot save frozen model: {e}");
-        exit(1);
-    });
+    frozen.save(out).or_fail("cannot save frozen model");
     println!(
         "froze {} into {out}: {} symptoms x {} herbs, d = {}, si_mlp = {}",
         model.name(),
@@ -430,106 +697,45 @@ fn cmd_freeze(flags: HashMap<String, String>) {
     );
 }
 
-// `--model`, `--scale` and `--seed` rebuild a training checkpoint given
-// as `--model-file`; a frozen model ignores them.
-const RECOMMEND_FLAGS: &[&str] = &[
-    "corpus",
-    "model-file",
-    "symptoms",
-    "k",
-    "model",
-    "scale",
-    "seed",
-];
-fn cmd_recommend(flags: HashMap<String, String>) {
-    let corpus = load_corpus_only(&flags);
-    let frozen = load_frozen(&flags, &corpus);
-    let k: usize = flags
-        .get("k")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(10);
-    let spec = flags.get("symptoms").unwrap_or_else(|| usage());
-    let ids = parse_symptom_ids(spec, &corpus);
+fn cmd_recommend(args: &Args) {
+    let k: usize = args.num("k");
+    let corpus = load_corpus_only(args);
+    let frozen = load_frozen(args, &corpus);
+    let ids = parse_symptom_ids(args.need("symptoms"), &corpus);
     let vocab = corpus.symptom_vocab();
     println!("symptom set:");
     for &s in &ids {
         println!("  - {}", vocab.name(s));
     }
-    let ranking = frozen.recommend(&ids, k).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(1);
-    });
+    let ranking = frozen.recommend(&ids, k).unwrap_or_else(|e| fail(e));
     println!("top-{k} herbs (frozen scorer):");
     for (rank, h) in ranking.into_iter().enumerate() {
         println!("  {:>2}. {}", rank + 1, corpus.herb_vocab().name(h));
     }
 }
 
-const SERVE_FLAGS: &[&str] = &[
-    "corpus",
-    "model-file",
-    "addr",
-    "connections",
-    "cache",
-    "batch-max",
-    "tsdb",
-    "scrape-ms",
-    "model",
-    "scale",
-    "seed",
-];
-fn cmd_serve(flags: HashMap<String, String>) {
-    let corpus = load_corpus_only(&flags);
-    let frozen = load_frozen(&flags, &corpus);
-    let default_addr = "127.0.0.1:7878".to_string();
-    let addr = flags.get("addr").unwrap_or(&default_addr);
+fn cmd_serve(args: &Args) {
     let mut config = ServerConfig::default();
-    if let Some(t) = flags.get("connections") {
-        config.max_connections = t.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(c) = flags.get("cache") {
-        config.cache_capacity = c.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(b) = flags.get("batch-max") {
-        config.batcher.max_batch = b.parse().unwrap_or_else(|_| usage());
-    }
+    config.max_connections = args.opt("connections").unwrap_or(config.max_connections);
+    config.cache_capacity = args.opt("cache").unwrap_or(config.cache_capacity);
+    config.batcher.max_batch = args.opt("batch-max").unwrap_or(config.batcher.max_batch);
+    let addr = args.need("addr");
+    let corpus = load_corpus_only(args);
+    let frozen = load_frozen(args, &corpus);
     let vocab = serving_vocab(&corpus);
-    let server = Server::bind(addr, frozen, vocab, config.clone()).unwrap_or_else(|e| {
-        eprintln!("error: cannot bind {addr}: {e}");
-        exit(1);
-    });
+    let server =
+        Server::bind(addr, frozen, vocab, config.clone()).or_fail(format!("cannot bind {addr}"));
     println!(
         "serving on {} (max {} connections, cache {}, max batch {})",
         server
             .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| addr.clone()),
+            .map_or_else(|_| addr.to_string(), |a| a.to_string()),
         config.max_connections,
         config.cache_capacity,
         config.batcher.max_batch
     );
     println!(r#"protocol: one JSON object per line, e.g. {{"symptoms": ["s1", "s2"], "k": 10}}"#);
-    let _scraper = flags.get("tsdb").map(|path| {
-        let scrape_ms: u64 = flags
-            .get("scrape-ms")
-            .map(|v| v.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(1000);
-        let front = server.local_addr().unwrap_or_else(|e| {
-            eprintln!("error: cannot resolve own address for self-scrape: {e}");
-            exit(1);
-        });
-        println!(
-            "self-scraping metrics to {path} every {scrape_ms} ms \
-             (burn-rate alerts land in the event journal)"
-        );
-        spawn_self_scrape(
-            front,
-            path,
-            scrape_ms,
-            vec![default_availability_rule(false, scrape_ms)],
-            server.events(),
-        )
-    });
+    let _scraper = self_scrape(args, server.local_addr(), false, server.events());
     if let Err(e) = server.run() {
         eprintln!("server error: {e}");
         exit(1);
@@ -542,8 +748,7 @@ fn parse_add_spec(spec: &str) -> Vec<(Vec<String>, Vec<String>)> {
     let mut records = Vec::new();
     for chunk in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
         let Some((sym_text, herb_text)) = chunk.split_once("=>") else {
-            eprintln!("error: record {chunk:?} needs \"symptoms => herbs\"");
-            exit(1);
+            fail(format!("record {chunk:?} needs \"symptoms => herbs\""));
         };
         let names = |text: &str| -> Vec<String> {
             text.split(',')
@@ -555,27 +760,18 @@ fn parse_add_spec(spec: &str) -> Vec<(Vec<String>, Vec<String>)> {
         records.push((names(sym_text), names(herb_text)));
     }
     if records.is_empty() {
-        eprintln!("error: --add produced no records");
-        exit(1);
+        fail("--add produced no records");
     }
     records
 }
 
-const INGEST_FLAGS: &[&str] = &["corpus", "wal", "add", "allow-new"];
-fn cmd_ingest(flags: HashMap<String, String>) {
+fn cmd_ingest(args: &Args) {
     use smgcn_repro::online::Ingestor;
-    let corpus = load_corpus_only(&flags);
-    let wal = flags.get("wal").unwrap_or_else(|| usage());
-    let allow_new = match flags.get("allow-new").map(String::as_str) {
-        None | Some("true") => true,
-        Some("false") => false,
-        Some(_) => usage(),
-    };
-    let spec = flags.get("add").unwrap_or_else(|| usage());
-    let mut ingestor = Ingestor::with_wal(corpus, wal).unwrap_or_else(|e| {
-        eprintln!("error: cannot open WAL {wal:?}: {e}");
-        exit(1);
-    });
+    let wal = args.need("wal");
+    let allow_new: bool = args.choice("allow-new", |v| v.parse().ok());
+    let spec = args.need("add");
+    let corpus = load_corpus_only(args);
+    let mut ingestor = Ingestor::with_wal(corpus, wal).or_fail(format!("cannot open WAL {wal:?}"));
     let replayed = ingestor.pending().len();
     if replayed > 0 {
         println!("replayed {replayed} pending record(s) from {wal}");
@@ -587,10 +783,7 @@ fn cmd_ingest(flags: HashMap<String, String>) {
                 symptoms.join(","),
                 herbs.join(",")
             ),
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit(1);
-            }
+            Err(e) => fail(e),
         }
     }
     let stats = ingestor.stats();
@@ -605,31 +798,17 @@ fn cmd_ingest(flags: HashMap<String, String>) {
     );
 }
 
-const REFRESH_FLAGS: &[&str] = &[
-    "corpus",
-    "wal",
-    "model-file",
-    "out",
-    "frozen-out",
-    "corpus-out",
-    "epochs",
-    "replicas",
-    "model",
-    "scale",
-    "seed",
-];
-fn cmd_refresh(flags: HashMap<String, String>) {
+fn cmd_refresh(args: &Args) {
     use smgcn_repro::online::{FineTuneConfig, OnlineConfig, OnlinePipeline};
-    let kind = model_kind(flags.get("model").map_or("smgcn", String::as_str));
+    let kind = model_kind(args);
+    let sc = args.choice("scale", Scale::from_arg);
+    let seed = args.num("seed");
+    let ft_epochs = args.num("epochs");
+    let (corpus_path, wal, out) = (args.need("corpus"), args.need("wal"), args.need("out"));
     if kind != ModelKind::Smgcn {
-        eprintln!("error: refresh warm-starts the full SMGCN only (--model smgcn)");
-        exit(1);
+        fail("refresh warm-starts the full SMGCN only (--model smgcn)");
     }
-    let corpus_path = flags.get("corpus").unwrap_or_else(|| usage());
-    let wal = flags.get("wal").unwrap_or_else(|| usage());
-    let out = flags.get("out").unwrap_or_else(|| usage());
-    let corpus = load_corpus_only(&flags);
-    let sc = scale(&flags);
+    let corpus = load_corpus_only(args);
     let model_cfg = sc.model_config();
     let thresholds = sc.thresholds();
     // The online loop trains over the whole live corpus; rebuild the
@@ -640,13 +819,9 @@ fn cmd_refresh(flags: HashMap<String, String>) {
         corpus.n_herbs(),
         thresholds,
     );
-    let model = rebuild_and_load(&flags, &ops);
+    let model = rebuild_and_load(args, &ops);
     let mut train_cfg = train_config_for(kind, sc);
-    train_cfg.seed = seed(&flags);
-    let ft_epochs: usize = flags
-        .get("epochs")
-        .map(|e| e.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(5);
+    train_cfg.seed = seed;
     let mut pipeline = OnlinePipeline::with_wal(
         corpus,
         model,
@@ -658,20 +833,14 @@ fn cmd_refresh(flags: HashMap<String, String>) {
                 max_epochs: ft_epochs,
                 ..FineTuneConfig::default()
             },
-            seed: seed(&flags),
+            seed,
         },
         wal,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("error: cannot open WAL {wal:?}: {e}");
-        exit(1);
-    });
+    .or_fail(format!("cannot open WAL {wal:?}"));
     let pending = pipeline.ingestor().pending().len();
     println!("replayed {pending} pending record(s) from {wal}");
-    let report = pipeline.refresh().unwrap_or_else(|e| {
-        eprintln!("error: refresh failed: {e}");
-        exit(1);
-    });
+    let report = pipeline.refresh().or_fail("refresh failed");
     if report.appended == 0 {
         println!("nothing pending; no new generation published");
         return;
@@ -684,39 +853,26 @@ fn cmd_refresh(flags: HashMap<String, String>) {
         "timings: delta {:.1} ms | finetune {:.1} ms | freeze {:.1} ms | publish {:.3} ms | total {:.1} ms",
         report.delta_ms, report.finetune_ms, report.freeze_ms, report.publish_ms, report.total_ms
     );
-    pipeline.model().save(out).unwrap_or_else(|e| {
-        eprintln!("error: cannot save checkpoint: {e}");
-        exit(1);
-    });
+    pipeline.model().save(out).or_fail("cannot save checkpoint");
     println!("saved refreshed checkpoint to {out}");
-    if let Some(frozen_out) = flags.get("frozen-out") {
-        pipeline
-            .slot()
-            .load()
-            .model
-            .save(frozen_out)
-            .unwrap_or_else(|e| {
-                eprintln!("error: cannot save frozen model: {e}");
-                exit(1);
-            });
+    if let Some(frozen_out) = args.get("frozen-out") {
+        let frozen = &pipeline.slot().load().model;
+        frozen.save(frozen_out).or_fail("cannot save frozen model");
         println!("saved frozen model to {frozen_out}");
     }
-    let corpus_out = flags.get("corpus-out").unwrap_or(corpus_path);
-    corpus_io::save_corpus(pipeline.corpus(), corpus_out).unwrap_or_else(|e| {
-        eprintln!("error: cannot write merged corpus {corpus_out:?}: {e}");
-        exit(1);
-    });
+    let corpus_out = args.get("corpus-out").unwrap_or(corpus_path);
+    corpus_io::save_corpus(pipeline.corpus(), corpus_out)
+        .or_fail(format!("cannot write merged corpus {corpus_out:?}"));
     // Checkpoint and merged corpus are on disk; only now is it safe to
     // drop the log (a failure above keeps the WAL covering the records).
-    pipeline.truncate_wal().unwrap_or_else(|e| {
-        eprintln!("error: cannot truncate WAL {wal:?}: {e}");
-        exit(1);
-    });
+    pipeline
+        .truncate_wal()
+        .or_fail(format!("cannot truncate WAL {wal:?}"));
     println!(
         "merged corpus written to {corpus_out} ({} prescriptions); WAL truncated",
         pipeline.corpus().len()
     );
-    if let Some(spec) = flags.get("replicas") {
+    if let Some(spec) = args.get("replicas") {
         // Roll the just-published generation across the serving fleet,
         // one replica at a time (outputs are already durable above, so a
         // partial rollout is recoverable by re-running cluster-refresh).
@@ -727,11 +883,7 @@ fn cmd_refresh(flags: HashMap<String, String>) {
             report.generation,
             replicas.len()
         );
-        report_publish(&smgcn_repro::cluster::rolling_publish_addrs(
-            &replicas,
-            &artifact,
-            &smgcn_repro::cluster::PoolConfig::default(),
-        ));
+        roll_out(&replicas, &artifact);
     }
 }
 
@@ -742,87 +894,45 @@ fn parse_replicas(spec: &str) -> Vec<std::net::SocketAddr> {
     for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         match part.to_socket_addrs().ok().and_then(|mut it| it.next()) {
             Some(addr) => addrs.push(addr),
-            None => {
-                eprintln!("error: cannot resolve replica address {part:?}");
-                exit(1);
-            }
+            None => fail(format!("cannot resolve replica address {part:?}")),
         }
     }
     if addrs.is_empty() {
-        eprintln!("error: --replicas produced no addresses");
-        exit(1);
+        fail("--replicas produced no addresses");
     }
     addrs
 }
 
-const ROUTE_FLAGS: &[&str] = &[
-    "replicas",
-    "addr",
-    "connections",
-    "replica-conns",
-    "probe-ms",
-    "slow-p99-ms",
-    "tsdb",
-    "scrape-ms",
-];
-fn cmd_route(flags: HashMap<String, String>) {
-    use smgcn_repro::cluster::{Router, RouterConfig};
-    let replicas = parse_replicas(flags.get("replicas").unwrap_or_else(|| usage()));
-    let default_addr = "127.0.0.1:7979".to_string();
-    let addr = flags.get("addr").unwrap_or(&default_addr);
+fn cmd_route(args: &Args) {
+    use smgcn_repro::cluster::Router;
     let mut config = RouterConfig::default();
-    if let Some(n) = flags.get("connections") {
-        config.max_connections = n.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(n) = flags.get("replica-conns") {
-        config.pool.max_conns_per_replica = n.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(ms) = flags.get("probe-ms") {
-        let ms: u64 = ms.parse().unwrap_or_else(|_| usage());
+    config.max_connections = args.opt("connections").unwrap_or(config.max_connections);
+    config.pool.max_conns_per_replica = args
+        .opt("replica-conns")
+        .unwrap_or(config.pool.max_conns_per_replica);
+    if let Some(ms) = args.opt("probe-ms") {
         config.probe_interval = std::time::Duration::from_millis(ms);
     }
-    if let Some(ms) = flags.get("slow-p99-ms") {
-        let ms: f64 = ms.parse().unwrap_or_else(|_| usage());
+    if let Some(ms) = args.opt::<f64>("slow-p99-ms") {
         config.pool.slow_p99_us = Some(ms * 1e3);
     }
+    let addr = args.need("addr");
+    let replicas = parse_replicas(args.need("replicas"));
     let n_replicas = replicas.len();
-    let router = Router::bind(addr, replicas, config.clone()).unwrap_or_else(|e| {
-        eprintln!("error: cannot bind {addr}: {e}");
-        exit(1);
-    });
+    let router =
+        Router::bind(addr, replicas, config.clone()).or_fail(format!("cannot bind {addr}"));
     println!(
         "routing on {} over {} replica(s) (max {} client connections, {} conns/replica, probe every {:?})",
         router
             .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| addr.clone()),
+            .map_or_else(|_| addr.to_string(), |a| a.to_string()),
         n_replicas,
         config.max_connections,
         config.pool.max_conns_per_replica,
         config.probe_interval
     );
     println!("protocol: identical to smgcn serve; admin: {{\"op\":\"stats\"}}, {{\"op\":\"publish\",...}}");
-    let _scraper = flags.get("tsdb").map(|path| {
-        let scrape_ms: u64 = flags
-            .get("scrape-ms")
-            .map(|v| v.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(1000);
-        let front = router.local_addr().unwrap_or_else(|e| {
-            eprintln!("error: cannot resolve own address for self-scrape: {e}");
-            exit(1);
-        });
-        println!(
-            "self-scraping merged fleet metrics to {path} every {scrape_ms} ms \
-             (burn-rate alerts land in the event journal)"
-        );
-        spawn_self_scrape(
-            front,
-            path,
-            scrape_ms,
-            vec![default_availability_rule(true, scrape_ms)],
-            router.events(),
-        )
-    });
+    let _scraper = self_scrape(args, router.local_addr(), true, router.events());
     if let Err(e) = router.run() {
         eprintln!("router error: {e}");
         exit(1);
@@ -833,10 +943,7 @@ fn cmd_route(flags: HashMap<String, String>) {
 /// its own, under the timeouts the fleet itself uses for admin traffic
 /// ([`PoolConfig::default`](smgcn_repro::cluster::PoolConfig)). An
 /// `{"error":…}` reply comes back as a refusal, never as a report.
-fn ask_admin(
-    addr: &str,
-    request: &str,
-) -> Result<smgcn_repro::serve::json::Json, smgcn_repro::serve::Unanswered> {
+fn ask_admin(addr: &str, request: &str) -> Result<Json, smgcn_repro::serve::Unanswered> {
     let fleet = smgcn_repro::cluster::PoolConfig::default();
     smgcn_repro::serve::client::ask(addr, fleet.connect_timeout, fleet.admin_timeout, request)
 }
@@ -844,15 +951,12 @@ fn ask_admin(
 /// [`ask_admin`] for a command that has nothing to show without an
 /// answer: a refusal prints as `error [code]: message`, silence names
 /// the address, and either way the command exits 1.
-fn admin_or_exit(addr: &str, request: &str) -> smgcn_repro::serve::json::Json {
+fn admin_or_exit(addr: &str, request: &str) -> Json {
     use smgcn_repro::serve::Unanswered;
     match ask_admin(addr, request) {
         Ok(reply) => reply,
         Err(Unanswered::Refused(reply)) => exit_refused(&reply),
-        Err(silence) => {
-            eprintln!("error: no response from {addr} ({silence})");
-            exit(1);
-        }
+        Err(silence) => fail(format!("no response from {addr} ({silence})")),
     }
 }
 
@@ -862,55 +966,55 @@ fn admin_or_exit(addr: &str, request: &str) -> smgcn_repro::serve::json::Json {
 /// windows never dip under four scrape intervals.
 fn default_availability_rule(routed: bool, scrape_ms: u64) -> smgcn_repro::obs::alert::SloRule {
     use smgcn_repro::obs::alert::SloRule;
-    let s = |n: &str| n.to_string();
+    let names = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
     let (bad, total) = if routed {
         (
-            vec![s("router_exhausted_total")],
-            vec![s("router_requests_total")],
+            names(&["router_exhausted_total"]),
+            names(&["router_requests_total"]),
         )
     } else {
-        (
-            vec![
-                s("serve_errors_total"),
-                s("serve_sheds_total"),
-                s("serve_queue_rejections_total"),
-            ],
-            vec![s("serve_requests_total")],
-        )
+        let bad = [
+            "serve_errors_total",
+            "serve_sheds_total",
+            "serve_queue_rejections_total",
+        ];
+        (names(&bad), names(&["serve_requests_total"]))
     };
     SloRule::availability("availability-burn", bad, total, 1e-4)
         .with_min_window(scrape_ms.saturating_mul(4))
 }
 
-/// Starts the self-scrape sidecar behind `--tsdb`: polls this process's
-/// own front-end every `scrape_ms`, appends each flattened snapshot to
-/// the on-disk tsdb at `path` (resuming a previous history if the file
-/// already has one), and ticks the burn-rate alert engine so firings
-/// land in the process's own event journal (`{"op":"events"}`, `smgcn
-/// top`). The returned scraper runs until the process exits.
-fn spawn_self_scrape(
-    front: std::net::SocketAddr,
-    path: &str,
-    scrape_ms: u64,
-    rules: Vec<smgcn_repro::obs::alert::SloRule>,
+/// Starts the self-scrape sidecar behind `--tsdb`, when given: polls
+/// this process's own front end at `front` every `--scrape-ms`, appends
+/// each flattened snapshot to the on-disk tsdb (resuming a previous
+/// history if the file already has one), and ticks the burn-rate alert
+/// engine so firings land in the process's own event journal
+/// (`{"op":"events"}`, `smgcn top`). The returned scraper runs until
+/// the process exits.
+fn self_scrape(
+    args: &Args,
+    front: std::io::Result<std::net::SocketAddr>,
+    routed: bool,
     events: std::sync::Arc<smgcn_repro::obs::EventJournal>,
-) -> smgcn_repro::obs::tsdb::Scraper {
+) -> Option<smgcn_repro::obs::tsdb::Scraper> {
     use smgcn_repro::obs::alert::AlertEngine;
     use smgcn_repro::obs::tsdb::{Scraper, Tsdb, TsdbData};
+    let path = args.get("tsdb")?;
+    let scrape_ms = args.num("scrape-ms");
+    let front = front.or_fail("cannot resolve own address for self-scrape");
+    let what = if routed { "merged fleet " } else { "" };
+    println!(
+        "self-scraping {what}metrics to {path} every {scrape_ms} ms \
+         (burn-rate alerts land in the event journal)"
+    );
     let (mut tsdb, mut data) = if std::path::Path::new(path).exists() {
-        Tsdb::open(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open tsdb {path:?}: {e}");
-            exit(1);
-        })
+        Tsdb::open(path).or_fail(format!("cannot open tsdb {path:?}"))
     } else {
-        let tsdb = Tsdb::create(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot create tsdb {path:?}: {e}");
-            exit(1);
-        });
+        let tsdb = Tsdb::create(path).or_fail(format!("cannot create tsdb {path:?}"));
         (tsdb, TsdbData::default())
     };
-    let mut engine = AlertEngine::new(rules);
-    Scraper::spawn(
+    let mut engine = AlertEngine::new(vec![default_availability_rule(routed, scrape_ms)]);
+    Some(Scraper::spawn(
         std::time::Duration::from_millis(scrape_ms),
         Box::new(move || {
             // A refused or unanswered scrape is skipped, not recorded.
@@ -925,26 +1029,15 @@ fn spawn_self_scrape(
             data.push(at_ms, samples);
             engine.tick(&data, at_ms, &events);
         }),
-    )
+    ))
 }
 
-const PROFILE_FLAGS: &[&str] = &["addr"];
-fn cmd_profile(flags: HashMap<String, String>) {
-    use smgcn_repro::serve::json::Json;
-    let Some(addr) = flags.get("addr") else {
-        eprintln!("error: profile needs --addr");
-        usage();
-    };
+fn cmd_profile(args: &Args) {
+    let addr = args.need("addr");
     let report = admin_or_exit(addr, r#"{"op":"profile"}"#);
     let folded = report.get("folded").and_then(Json::as_str).unwrap_or("");
-    let profiled = report
-        .get("profile_total_us")
-        .and_then(Json::as_num)
-        .unwrap_or(0.0);
-    let measured = report
-        .get("latency_total_us")
-        .and_then(Json::as_num)
-        .unwrap_or(0.0);
+    let num = |key| report.get(key).and_then(Json::as_num).unwrap_or(0.0);
+    let (profiled, measured) = (num("profile_total_us"), num("latency_total_us"));
     if report.get("replicas").is_some() {
         println!("# fleet-merged folded stacks via {addr}");
     }
@@ -966,17 +1059,13 @@ fn cmd_profile(flags: HashMap<String, String>) {
     }
 }
 
-const QUERY_FLAGS: &[&str] = &["tsdb", "series", "op", "from", "to", "q"];
-fn cmd_query(flags: HashMap<String, String>) {
+fn cmd_query(args: &Args) {
     use smgcn_repro::obs::tsdb::TsdbData;
-    let Some(path) = flags.get("tsdb") else {
-        eprintln!("error: query needs --tsdb FILE");
-        usage();
-    };
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path:?}: {e}");
-        exit(1);
-    });
+    let path = args.need("tsdb");
+    let (from, to, q): (Option<u64>, Option<u64>, f64) =
+        (args.opt("from"), args.opt("to"), args.num("q"));
+    let op = args.need("op");
+    let bytes = std::fs::read(path).or_fail(format!("cannot read {path:?}"));
     let recovered = TsdbData::parse(&bytes);
     if recovered.valid_len < bytes.len() {
         eprintln!(
@@ -990,7 +1079,7 @@ fn cmd_query(flags: HashMap<String, String>) {
         println!("{path}: empty history");
         return;
     };
-    let Some(selector) = flags.get("series") else {
+    let Some(selector) = args.get("series") else {
         // No selector: the catalogue. Name + point count + last value.
         println!(
             "{path}: {} series over {:.1} s ({start} .. {end} unix ms)",
@@ -1004,45 +1093,24 @@ fn cmd_query(flags: HashMap<String, String>) {
         }
         return;
     };
-    let t0: u64 = flags
-        .get("from")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(start);
-    let t1: u64 = flags
-        .get("to")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(end);
-    let op = flags.get("op").map_or("last", String::as_str);
+    let (t0, t1) = (from.unwrap_or(start), to.unwrap_or(end));
     let value = match op {
         "last" => data.last(selector),
         "delta" => Some(data.delta(selector, t0, t1)),
         "rate" => Some(data.rate(selector, t0, t1)),
         "avg" => data.avg_over_time(selector, t0, t1),
         "max" => data.max_over_time(selector, t0, t1),
-        "quantile" => {
-            let q: f64 = flags
-                .get("q")
-                .map(|v| v.parse().unwrap_or_else(|_| usage()))
-                .unwrap_or(0.99);
-            data.quantile_over_time(selector, t0, t1, q)
-        }
-        _ => {
-            eprintln!("error: --op must be last|delta|rate|avg|max|quantile");
-            usage();
-        }
+        "quantile" => data.quantile_over_time(selector, t0, t1, q),
+        _ => unreachable!("parse checks --op against its words"),
     };
     match value {
         Some(v) => println!("{op}({selector}) [{t0} .. {t1}] = {v}"),
-        None => {
-            eprintln!("error: no series matches {selector:?} in the window");
-            exit(1);
-        }
+        None => fail(format!("no series matches {selector:?} in the window")),
     }
 }
 
 /// Exits with the structured error of a refused admin request.
-fn exit_refused(reply: &smgcn_repro::serve::json::Json) -> ! {
-    use smgcn_repro::serve::json::Json;
+fn exit_refused(reply: &Json) -> ! {
     let field = |key| {
         let err = reply.get("error")?;
         err.get(key)?.as_str()
@@ -1065,8 +1133,7 @@ fn exit_refused(reply: &smgcn_repro::serve::json::Json) -> ! {
 }
 
 /// Pretty-prints the `{"action":"compare"}` report.
-fn print_compare_report(report: &smgcn_repro::serve::json::Json) {
-    use smgcn_repro::serve::json::Json;
+fn print_compare_report(report: &Json) {
     println!(
         "{:<12} {:>6} {:>10} {:>9} {:>9} {:>9}",
         "VARIANT", "WEIGHT", "REQUESTS", "ERR_RATE", "QPS", "P99_MS"
@@ -1103,142 +1170,68 @@ fn print_compare_report(report: &smgcn_repro::serve::json::Json) {
     }
 }
 
-// One slice for every action: `publish` reads the model flags, `install`
-// `--split` and `--seed`, `compare` `--out`.
-const EXPERIMENT_FLAGS: &[&str] = &[
-    "addr",
-    "variant",
-    "corpus",
-    "model-file",
-    "split",
-    "out",
-    "model",
-    "scale",
-    "seed",
-];
 /// `smgcn experiment <publish|install|halt|status|compare>` — the
 /// operator half of the A/B experiment plane, driven through a router
 /// (or a single replica for publish/status).
-fn cmd_experiment(rest: &[String]) {
-    use smgcn_repro::serve::json::{self, Json};
-    let Some((action, rest)) = rest.split_first() else {
-        eprintln!("error: experiment needs an action (publish|install|halt|status|compare)");
-        usage();
+fn cmd_experiment(args: &Args) {
+    let addr = args.need("addr");
+    let action = match args.word.as_str() {
+        "abort" => "halt",
+        action => action,
     };
-    let flags = parse_flags("experiment", EXPERIMENT_FLAGS, rest);
-    let Some(addr) = flags.get("addr") else {
-        eprintln!("error: experiment needs --addr");
-        usage();
-    };
-    let request = match action.as_str() {
+    let mut fields = vec![
+        ("op", Json::Str("experiment".into())),
+        ("action", Json::Str(action.to_string())),
+    ];
+    match action {
         "publish" => {
-            let Some(variant) = flags.get("variant") else {
-                eprintln!("error: experiment publish needs --variant");
-                usage();
-            };
-            let corpus = load_corpus_only(&flags);
-            let frozen = load_frozen(&flags, &corpus);
-            let vocab = serving_vocab(&corpus);
-            let artifact = smgcn_repro::serve::artifact::encode(&frozen, &vocab);
-            println!(
-                "publishing candidate {variant:?} ({} symptoms x {} herbs, artifact {} KiB) via {addr}",
-                frozen.n_symptoms(),
-                frozen.n_herbs(),
-                artifact.len() / 1024
-            );
-            json::obj([
-                ("op", Json::Str("experiment".into())),
-                ("action", Json::Str("publish".into())),
-                ("variant", Json::Str(variant.clone())),
-                (
-                    "artifact",
-                    Json::Str(smgcn_repro::serve::artifact::to_base64(&artifact)),
-                ),
-            ])
+            let variant = args.need("variant");
+            let (artifact, about) = publish_artifact(args);
+            println!("publishing candidate {variant:?} ({about}) via {addr}");
+            let artifact = smgcn_repro::serve::artifact::to_base64(&artifact);
+            fields.push(("variant", Json::Str(variant.to_string())));
+            fields.push(("artifact", Json::Str(artifact)));
         }
         "install" => {
-            let Some(split) = flags.get("split") else {
-                eprintln!("error: experiment install needs --split \"control:90,cand:10\"");
-                usage();
-            };
-            let mut fields = vec![
-                ("op", Json::Str("experiment".into())),
-                ("action", Json::Str("install".into())),
-                ("weights", Json::Str(split.clone())),
-            ];
-            if let Some(seed) = flags.get("seed") {
-                let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
-                fields.push(("seed", Json::Num(seed as f64)));
-            }
-            json::obj(fields)
-        }
-        "halt" | "abort" | "status" | "compare" => {
-            let action = if action == "abort" { "halt" } else { action };
-            json::obj([
-                ("op", Json::Str("experiment".into())),
-                ("action", Json::Str(action.to_string())),
-            ])
-        }
-        other => {
-            eprintln!("error: unknown experiment action {other:?}");
-            usage();
-        }
-    };
-    let reply = admin_or_exit(addr, &request.to_string());
-    match action.as_str() {
-        "compare" => {
-            print_compare_report(&reply);
-            if let Some(path) = flags.get("out") {
-                std::fs::write(path, format!("{reply}\n")).unwrap_or_else(|e| {
-                    eprintln!("error: cannot write {path}: {e}");
-                    exit(1);
-                });
-                println!("wrote {path}");
+            fields.push(("weights", Json::Str(args.need("split").to_string())));
+            if args.given.contains_key("seed") {
+                fields.push(("seed", Json::Num(args.num::<u64>("seed") as f64)));
             }
         }
-        _ => println!("{reply}"),
+        "halt" | "status" | "compare" => {}
+        other => args.misuse(format!(": {other:?} is not an action")),
+    }
+    let reply = admin_or_exit(addr, &json::obj(fields).to_string());
+    if action != "compare" {
+        println!("{reply}");
+        return;
+    }
+    print_compare_report(&reply);
+    if let Some(path) = args.get("out") {
+        std::fs::write(path, format!("{reply}\n")).or_fail(format!("cannot write {path}"));
+        println!("wrote {path}");
     }
 }
 
-const PROMOTE_FLAGS: &[&str] = &[
-    "addr",
-    "variant",
-    "max-error-rate",
-    "max-p99-delta",
-    "min-samples",
-];
 /// `smgcn promote --addr ... --variant NAME` — guardrail-checked
 /// candidate promotion: the router verifies the comparison report
 /// clears the error-rate / p99 / sample-count bars, rolls the candidate
 /// into every control slot, and halts the split.
-fn cmd_promote(flags: HashMap<String, String>) {
-    use smgcn_repro::serve::json::{self, Json};
-    let Some(addr) = flags.get("addr") else {
-        eprintln!("error: promote needs --addr");
-        usage();
-    };
-    let Some(variant) = flags.get("variant") else {
-        eprintln!("error: promote needs --variant");
-        usage();
-    };
+fn cmd_promote(args: &Args) {
+    let (addr, variant) = (args.need("addr"), args.need("variant"));
     let mut fields = vec![
         ("op", Json::Str("experiment".into())),
         ("action", Json::Str("promote".into())),
-        ("variant", Json::Str(variant.clone())),
+        ("variant", Json::Str(variant.to_string())),
     ];
-    let numeric = |key: &str| -> Option<f64> {
-        flags
-            .get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| usage()))
-    };
-    if let Some(v) = numeric("max-error-rate") {
-        fields.push(("max_error_rate", Json::Num(v)));
-    }
-    if let Some(v) = numeric("max-p99-delta") {
-        fields.push(("max_p99_delta", Json::Num(v)));
-    }
-    if let Some(v) = numeric("min-samples") {
-        fields.push(("min_samples", Json::Num(v)));
+    for (flag, field) in [
+        ("max-error-rate", "max_error_rate"),
+        ("max-p99-delta", "max_p99_delta"),
+        ("min-samples", "min_samples"),
+    ] {
+        if let Some(v) = args.opt(flag) {
+            fields.push((field, Json::Num(v)));
+        }
     }
     let reply = admin_or_exit(addr, &json::obj(fields).to_string());
     let replicas = reply.get("replicas").and_then(Json::as_num).unwrap_or(0.0);
@@ -1247,9 +1240,27 @@ fn cmd_promote(flags: HashMap<String, String>) {
     );
 }
 
-/// Reports a rolling-publish outcome list, exiting nonzero unless every
-/// replica acknowledged.
-fn report_publish(report: &smgcn_repro::cluster::PublishReport) {
+/// The publish artifact of `--model-file` with `--corpus`'s names, and
+/// what it holds, for a progress line.
+fn publish_artifact(args: &Args) -> (Vec<u8>, String) {
+    let corpus = load_corpus_only(args);
+    let frozen = load_frozen(args, &corpus);
+    let artifact = smgcn_repro::serve::artifact::encode(&frozen, &serving_vocab(&corpus));
+    let about = format!(
+        "{} symptoms x {} herbs, d = {}, artifact {} KiB",
+        frozen.n_symptoms(),
+        frozen.n_herbs(),
+        frozen.dim(),
+        artifact.len() / 1024
+    );
+    (artifact, about)
+}
+
+/// Rolls `artifact` across `replicas` one at a time and reports each
+/// outcome, exiting nonzero unless every replica acknowledged.
+fn roll_out(replicas: &[std::net::SocketAddr], artifact: &[u8]) {
+    use smgcn_repro::cluster::{rolling_publish_addrs, PoolConfig};
+    let report = rolling_publish_addrs(replicas, artifact, &PoolConfig::default());
     for outcome in &report.outcomes {
         match (&outcome.error, outcome.generation) {
             (None, Some(generation)) => {
@@ -1265,12 +1276,11 @@ fn report_publish(report: &smgcn_repro::cluster::PublishReport) {
         }
     }
     if !report.all_ok() {
-        eprintln!(
-            "error: rolling publish incomplete ({} of {} replicas updated)",
+        fail(format!(
+            "rolling publish incomplete ({} of {} replicas updated)",
             report.published(),
             report.outcomes.len()
-        );
-        exit(1);
+        ));
     }
     println!(
         "rolling publish complete: {} replica(s) updated, fleet never dark",
@@ -1278,97 +1288,41 @@ fn report_publish(report: &smgcn_repro::cluster::PublishReport) {
     );
 }
 
-const CLUSTER_REFRESH_FLAGS: &[&str] =
-    &["replicas", "corpus", "model-file", "model", "scale", "seed"];
-fn cmd_cluster_refresh(flags: HashMap<String, String>) {
-    use smgcn_repro::cluster::{rolling_publish_addrs, PoolConfig};
-    let replicas = parse_replicas(flags.get("replicas").unwrap_or_else(|| usage()));
-    let corpus = load_corpus_only(&flags);
-    let frozen = load_frozen(&flags, &corpus);
-    let vocab = serving_vocab(&corpus);
-    let artifact = smgcn_repro::serve::artifact::encode(&frozen, &vocab);
-    println!(
-        "rolling {} symptoms x {} herbs (d = {}, artifact {} KiB) across {} replica(s):",
-        frozen.n_symptoms(),
-        frozen.n_herbs(),
-        frozen.dim(),
-        artifact.len() / 1024,
-        replicas.len()
-    );
-    report_publish(&rolling_publish_addrs(
-        &replicas,
-        &artifact,
-        &PoolConfig::default(),
-    ));
+fn cmd_cluster_refresh(args: &Args) {
+    let replicas = parse_replicas(args.need("replicas"));
+    let (artifact, about) = publish_artifact(args);
+    println!("rolling {about} across {} replica(s):", replicas.len());
+    roll_out(&replicas, &artifact);
 }
 
-const LOADGEN_FLAGS: &[&str] = &[
-    "seed",
-    "measure-ms",
-    "workers",
-    "k",
-    "storm-conns",
-    "out",
-    "out-dir",
-    "plan",
-];
-fn cmd_loadgen(rest: &[String]) {
-    use smgcn_repro::loadgen::{build, run, ScenarioConfig, ScenarioKind};
-    let Some((scenario_arg, rest)) = rest.split_first() else {
-        eprintln!("error: loadgen needs a scenario (or \"all\")");
-        usage();
-    };
-    let flags = parse_flags("loadgen", LOADGEN_FLAGS, rest);
-    let kinds: Vec<ScenarioKind> = if scenario_arg == "all" {
-        ScenarioKind::all().to_vec()
-    } else {
-        match ScenarioKind::from_arg(scenario_arg) {
+fn cmd_loadgen(args: &Args) {
+    use smgcn_repro::loadgen::{build, run, ScenarioConfig, ScenarioKind, WorkloadSummary};
+    let kinds: Vec<ScenarioKind> = match args.word.as_str() {
+        "all" => ScenarioKind::all().to_vec(),
+        name => match ScenarioKind::from_arg(name) {
             Some(kind) => vec![kind],
-            None => {
-                eprintln!("error: unknown scenario {scenario_arg:?}");
-                usage();
-            }
-        }
+            None => args.misuse(format!(": {name:?} is not a scenario")),
+        },
     };
     let mut config = ScenarioConfig {
-        seed: seed(&flags),
+        seed: args.num("seed"),
         ..ScenarioConfig::default()
     };
-    if let Some(ms) = flags.get("measure-ms") {
-        config.measure_ms = ms.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(w) = flags.get("workers") {
-        config.workers = w.parse().unwrap_or_else(|_| usage());
-    }
-    if let Some(k) = flags.get("k") {
-        config.k = k.parse().unwrap_or_else(|_| usage());
-    }
+    config.measure_ms = args.opt("measure-ms").unwrap_or(config.measure_ms);
+    config.workers = args.opt("workers").unwrap_or(config.workers);
+    config.k = args.opt("k").unwrap_or(config.k);
     // connection-storm cohort override for fd-constrained hosts (the
     // single loadgen process holds both ends of every storm socket).
-    if let Some(conns) = flags.get("storm-conns") {
-        config.storm_connections = Some(conns.parse().unwrap_or_else(|_| usage()));
+    config.storm_connections = args.opt("storm-conns").or(config.storm_connections);
+    let plan_only: bool = args.choice("plan", |v| v.parse().ok());
+    let out_dir = args.need("out-dir");
+    let out = args.get("out");
+    if kinds.len() > 1 && out.is_some() {
+        args.misuse(": --out names one file; use --out-dir with multiple scenarios");
     }
-    let plan_only = match flags.get("plan").map(String::as_str) {
-        None | Some("false") => false,
-        Some("true") => true,
-        Some(_) => usage(),
-    };
-    let out_dir = flags.get("out-dir").cloned().unwrap_or_else(|| ".".into());
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("error: cannot create --out-dir {out_dir}: {e}");
-        exit(2);
+    if let Err(e) = std::fs::create_dir_all(out_dir) {
+        args.misuse(format!(": cannot create --out-dir {out_dir}: {e}"));
     }
-    let n_kinds = kinds.len();
-    if n_kinds > 1 && flags.contains_key("out") {
-        eprintln!("error: --out names one file; use --out-dir with multiple scenarios");
-        exit(2);
-    }
-    let out_path = |kind: ScenarioKind| -> String {
-        match (n_kinds, flags.get("out")) {
-            (1, Some(path)) => path.clone(),
-            _ => format!("{out_dir}/LOADGEN_{}.json", kind.name().replace('-', "_")),
-        }
-    };
 
     let mut failed = Vec::new();
     for kind in kinds {
@@ -1384,19 +1338,10 @@ fn cmd_loadgen(rest: &[String]) {
             config.seed
         );
         if plan_only {
-            let report = smgcn_repro::loadgen::ScenarioReport {
-                workload: smgcn_repro::loadgen::WorkloadSummary::from_workload(&workload),
-                measured: smgcn_repro::loadgen::Measured::default(),
-                verdict: smgcn_repro::loadgen::SloVerdict {
-                    violations: Vec::new(),
-                },
-                metrics_json: None,
-                events_json: None,
-                tsdb: None,
-                profile_json: None,
-                experiment_json: None,
-            };
-            print!("{}", report.workload_json());
+            print!(
+                "{}",
+                WorkloadSummary::from_workload(&workload).workload_json()
+            );
             continue;
         }
         let report = run(&workload);
@@ -1407,54 +1352,24 @@ fn cmd_loadgen(rest: &[String]) {
         for violation in &report.verdict.violations {
             eprintln!("  SLO VIOLATION: {violation}");
         }
-        let path = out_path(kind);
-        std::fs::write(&path, report.to_json_string()).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            exit(1);
-        });
-        println!("  wrote {path}");
-        if let Some(metrics) = &report.metrics_json {
-            let mpath = format!("{out_dir}/METRICS_{}.json", kind.name().replace('-', "_"));
-            std::fs::write(&mpath, format!("{metrics}\n")).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {mpath}: {e}");
-                exit(1);
-            });
-            println!("  wrote {mpath}");
-        }
-        if let Some(events) = &report.events_json {
-            let epath = format!("{out_dir}/EVENTS_{}.json", kind.name().replace('-', "_"));
-            std::fs::write(&epath, format!("{events}\n")).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {epath}: {e}");
-                exit(1);
-            });
-            println!("  wrote {epath}");
-        }
-        if let Some(tsdb) = &report.tsdb {
-            let tpath = format!("{out_dir}/TSDB_{}.bin", kind.name().replace('-', "_"));
-            std::fs::write(&tpath, tsdb).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {tpath}: {e}");
-                exit(1);
-            });
-            println!("  wrote {tpath} (inspect with `smgcn query --tsdb {tpath}`)");
-        }
-        if let Some(profile) = &report.profile_json {
-            let ppath = format!("{out_dir}/PROFILE_{}.json", kind.name().replace('-', "_"));
-            std::fs::write(&ppath, format!("{profile}\n")).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {ppath}: {e}");
-                exit(1);
-            });
-            println!("  wrote {ppath}");
-        }
-        if let Some(experiment) = &report.experiment_json {
-            let xpath = format!(
-                "{out_dir}/EXPERIMENT_{}.json",
-                kind.name().replace('-', "_")
-            );
-            std::fs::write(&xpath, format!("{experiment}\n")).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {xpath}: {e}");
-                exit(1);
-            });
-            println!("  wrote {xpath}");
+        // The report, then what the front end said at the end of the run.
+        let line = |text: &Option<String>| text.as_ref().map(|t| format!("{t}\n").into_bytes());
+        for (prefix, contents) in [
+            ("LOADGEN", Some(report.to_json_string().into_bytes())),
+            ("METRICS", line(&report.metrics_json)),
+            ("EVENTS", line(&report.events_json)),
+            ("TSDB", report.tsdb.clone()),
+            ("PROFILE", line(&report.profile_json)),
+            ("EXPERIMENT", line(&report.experiment_json)),
+        ] {
+            let Some(contents) = contents else { continue };
+            let ext = if prefix == "TSDB" { "bin" } else { "json" };
+            let path = match out {
+                Some(out) if prefix == "LOADGEN" => out.to_string(),
+                _ => format!("{out_dir}/{prefix}_{}.{ext}", kind.name().replace('-', "_")),
+            };
+            std::fs::write(&path, contents).or_fail(format!("cannot write {path}"));
+            println!("  wrote {path}");
         }
         if !report.measured.alerts_fired.is_empty() {
             println!(
@@ -1478,18 +1393,14 @@ fn cmd_loadgen(rest: &[String]) {
 /// request counter so qps can be derived from frame-to-frame deltas.
 fn top_row(
     label: &str,
-    metrics: &smgcn_repro::serve::json::Json,
-    generation: Option<&smgcn_repro::serve::json::Json>,
+    metrics: &Json,
+    generation: Option<&Json>,
     prev: &mut HashMap<String, f64>,
     elapsed_s: f64,
 ) {
-    use smgcn_repro::serve::json::Json;
     let num = |name: &str| metrics.get(name).and_then(Json::as_num).unwrap_or(0.0);
     let requests = num("serve_requests_total");
-    let qps = match prev.insert(label.to_string(), requests) {
-        Some(last) if elapsed_s > 0.0 => format!("{:.0}", (requests - last).max(0.0) / elapsed_s),
-        _ => "-".to_string(),
-    };
+    let qps = qps(prev, label.to_string(), requests, elapsed_s);
     let generation = generation
         .and_then(Json::as_num)
         .unwrap_or_else(|| num("serve_generation"));
@@ -1511,18 +1422,21 @@ fn top_row(
     variant_rows(label, metrics, prev, elapsed_s);
 }
 
+/// Requests per second since the previous frame saw row `key` at `prev`,
+/// or `-` on the row's first frame.
+fn qps(prev: &mut HashMap<String, f64>, key: String, requests: f64, elapsed_s: f64) -> String {
+    match prev.insert(key, requests) {
+        Some(last) if elapsed_s > 0.0 => format!("{:.0}", (requests - last).max(0.0) / elapsed_s),
+        _ => "-".to_string(),
+    }
+}
+
 /// Per-variant breakdown rows under a replica (or merged) row, one per
 /// `variant` label found in the metrics: weight, generation, qps, p99
 /// and cumulative error rate of each arm of a live traffic split.
 /// Silent when the replica has no variant-labeled metrics (no
 /// experiment running), so plain deployments see the classic table.
-fn variant_rows(
-    label: &str,
-    metrics: &smgcn_repro::serve::json::Json,
-    prev: &mut HashMap<String, f64>,
-    elapsed_s: f64,
-) {
-    use smgcn_repro::serve::json::Json;
+fn variant_rows(label: &str, metrics: &Json, prev: &mut HashMap<String, f64>, elapsed_s: f64) {
     let Json::Obj(map) = metrics else {
         return;
     };
@@ -1538,13 +1452,7 @@ fn variant_rows(
                 .unwrap_or(0.0)
         };
         let requests = num("serve_variant_requests_total");
-        let row_key = format!("{label}//{variant}");
-        let qps = match prev.insert(row_key, requests) {
-            Some(last) if elapsed_s > 0.0 => {
-                format!("{:.0}", (requests - last).max(0.0) / elapsed_s)
-            }
-            _ => "-".to_string(),
-        };
+        let qps = qps(prev, format!("{label}//{variant}"), requests, elapsed_s);
         let p99_ms = map
             .get(&format!(
                 "serve_variant_latency_us{{variant=\"{variant}\"}}"
@@ -1569,22 +1477,10 @@ fn variant_rows(
     }
 }
 
-const TOP_FLAGS: &[&str] = &["addr", "interval-ms", "iterations"];
-fn cmd_top(flags: HashMap<String, String>) {
-    use smgcn_repro::serve::json::Json;
-
-    let Some(addr) = flags.get("addr") else {
-        eprintln!("error: top needs --addr");
-        usage();
-    };
-    let interval_ms: u64 = flags
-        .get("interval-ms")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(1000);
-    let iterations: u64 = flags
-        .get("iterations")
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(0);
+fn cmd_top(args: &Args) {
+    let addr = args.need("addr");
+    let interval_ms: u64 = args.num("interval-ms");
+    let iterations: u64 = args.num("iterations");
 
     let mut prev: HashMap<String, f64> = HashMap::new();
     let mut frame: u64 = 0;
@@ -1634,38 +1530,24 @@ fn cmd_top(flags: HashMap<String, String>) {
         }
         // The alerting tail: recent burn-rate pages (and resolutions)
         // from the fleet's event journal, newest last.
-        let alert_events: Vec<(f64, String, String)> = ask_admin(addr, r#"{"op":"events"}"#)
-            .map(|r| {
-                r.get("events")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(|e| {
-                        let kind = e.get("kind").and_then(Json::as_str)?;
-                        if kind != "alert" && kind != "alert_resolved" {
-                            return None;
-                        }
-                        Some((
-                            e.get("unix_ms").and_then(Json::as_num).unwrap_or(0.0),
-                            kind.to_string(),
-                            e.get("detail")
-                                .and_then(Json::as_str)
-                                .unwrap_or("")
-                                .to_string(),
-                        ))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        if !alert_events.is_empty() {
+        let journal = ask_admin(addr, r#"{"op":"events"}"#).ok();
+        let events = journal.as_ref().and_then(|r| r.get("events")?.as_arr());
+        fn text<'a>(e: &'a Json, key: &str) -> &'a str {
+            e.get(key).and_then(Json::as_str).unwrap_or("")
+        }
+        let alerts: Vec<&Json> = (events.unwrap_or_default().iter())
+            .filter(|e| matches!(text(e, "kind"), "alert" | "alert_resolved"))
+            .collect();
+        if !alerts.is_empty() {
             println!("\nALERTS (journal tail):");
-            for (unix_ms, kind, detail) in alert_events.iter().rev().take(5).rev() {
-                let mark = if kind == "alert" {
+            for e in &alerts[alerts.len().saturating_sub(5)..] {
+                let mark = if text(e, "kind") == "alert" {
                     "FIRING "
                 } else {
                     "resolved"
                 };
-                println!("  [{unix_ms:.0}] {mark} {detail}");
+                let unix_ms = e.get("unix_ms").and_then(Json::as_num).unwrap_or(0.0);
+                println!("  [{unix_ms:.0}] {mark} {}", text(e, "detail"));
             }
         }
         frame += 1;
@@ -1682,34 +1564,12 @@ fn main() {
     if let Some(seed) = smgcn_repro::faults::init_from_env() {
         eprintln!("fault plane armed: storm plan seed {seed} (SMGCN_FAULT_SEED)");
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     // Asking for help is not a misuse: stdout, exit 0, wherever it sits.
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage_text());
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage_text());
         return;
     }
-    let Some((command, rest)) = args.split_first() else {
-        usage()
-    };
-    let flags = |known| parse_flags(command, known, rest);
-    match command.as_str() {
-        "generate" => cmd_generate(flags(GENERATE_FLAGS)),
-        "train" => cmd_train(flags(TRAIN_FLAGS)),
-        "eval" => cmd_eval(flags(EVAL_FLAGS)),
-        "freeze" => cmd_freeze(flags(FREEZE_FLAGS)),
-        "recommend" => cmd_recommend(flags(RECOMMEND_FLAGS)),
-        "serve" => cmd_serve(flags(SERVE_FLAGS)),
-        "ingest" => cmd_ingest(flags(INGEST_FLAGS)),
-        "refresh" => cmd_refresh(flags(REFRESH_FLAGS)),
-        "route" => cmd_route(flags(ROUTE_FLAGS)),
-        "cluster-refresh" => cmd_cluster_refresh(flags(CLUSTER_REFRESH_FLAGS)),
-        // `loadgen` and `experiment` take a positional word before flags.
-        "loadgen" => cmd_loadgen(rest),
-        "experiment" => cmd_experiment(rest),
-        "promote" => cmd_promote(flags(PROMOTE_FLAGS)),
-        "top" => cmd_top(flags(TOP_FLAGS)),
-        "profile" => cmd_profile(flags(PROFILE_FLAGS)),
-        "query" => cmd_query(flags(QUERY_FLAGS)),
-        _ => usage(),
-    }
+    let args = Args::parse(&argv);
+    (args.command.run)(&args);
 }

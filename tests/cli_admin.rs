@@ -4,8 +4,10 @@
 //! Drives the built `smgcn` binary against two scripted listeners — one
 //! that sheds every connection the way a server at its connection cap
 //! does, one that accepts and never says a word. The same binary is
-//! held to its own command line: a flag a command does not read is an
-//! error, and asking for help is not.
+//! held to its own command line: a flag a command does not read, a value
+//! that does not parse and a missing required flag are errors that name
+//! the flag; asking for help is not an error, and the help lists every
+//! flag.
 
 use std::io::Write;
 use std::net::TcpListener;
@@ -146,5 +148,63 @@ fn asking_for_help_is_not_an_error() {
         for kind in smgcn_repro::loadgen::ScenarioKind::all() {
             assert!(stdout.contains(kind.name()), "usage omits {}", kind.name());
         }
+    }
+}
+
+/// A value that does not parse, or a required flag left out, is a misuse
+/// that names the command and the flag, and nothing runs.
+#[test]
+fn a_misuse_names_its_flag_and_writes_nothing() {
+    let dir = std::env::temp_dir();
+    let corpus = dir.join(format!("smgcn-cli-corpus-{}.tsv", std::process::id()));
+    let out = dir.join(format!("smgcn-cli-model-{}.smgt", std::process::id()));
+    let (corpus_arg, out_arg) = (corpus.to_str().unwrap(), out.to_str().unwrap());
+    let run = run_smgcn(&["generate", "--out", corpus_arg], QUICK);
+    assert_eq!(run.status.code(), Some(0));
+
+    let not_a_number = [
+        "train", "--corpus", corpus_arg, "--out", out_arg, "--epochs", "abc",
+    ];
+    let missing = ["freeze", "--out", out_arg];
+    for (args, error) in [
+        (
+            &not_a_number[..],
+            r#"error: smgcn train: --epochs "abc" is not a number"#,
+        ),
+        (&missing, "error: smgcn freeze needs --corpus"),
+    ] {
+        let run = run_smgcn(args, QUICK);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains(error), "{stderr}");
+        assert!(!out.exists(), "a rejected command line still wrote {out:?}");
+    }
+    let _ = std::fs::remove_file(&corpus);
+}
+
+/// `--help` is rendered from the table the parser reads, so no entry
+/// can leave out a flag its command takes.
+#[test]
+fn help_lists_every_flag_a_command_reads() {
+    let run = run_smgcn(&["--help"], QUICK);
+    let help = String::from_utf8_lossy(&run.stdout);
+    let entry = |command: &str| {
+        let head = format!("  smgcn {command}\n");
+        let at = help
+            .find(&head)
+            .unwrap_or_else(|| panic!("no {command} entry"));
+        let rest = &help[at..];
+        rest[..rest.find("\n\n").unwrap_or(rest.len())].to_string()
+    };
+    for (command, flag) in [
+        ("train", "--scale"),
+        ("serve", "--tsdb"),
+        ("route", "--tsdb"),
+    ] {
+        assert!(
+            entry(command).contains(flag),
+            "{command}: {}",
+            entry(command)
+        );
     }
 }
