@@ -127,17 +127,6 @@ fn bench_train_kernels(_: &mut Criterion) {
     use smgcn_tensor::par::threads_for_macs;
     use smgcn_tensor::Matrix;
     println!("training kernel tier: {:?}", Tier::detect());
-    let time = |f: &dyn Fn()| {
-        const ITERS: u32 = 30;
-        for _ in 0..ITERS / 3 {
-            f();
-        }
-        let start = std::time::Instant::now();
-        for _ in 0..ITERS {
-            f();
-        }
-        start.elapsed().as_secs_f64() / f64::from(ITERS)
-    };
     let mut rng = seeded_rng(8);
     let mut dense = |rows, cols| xavier_uniform(rows, cols, &mut rng);
     type Product = fn(Tier, &Matrix, &Matrix) -> Matrix;
@@ -155,55 +144,112 @@ fn bench_train_kernels(_: &mut Criterion) {
             _ => (dense(k, m), dense(k, n)),
         };
         for tier in Tier::available() {
-            let s = time(&|| {
+            let us = mean_us(&mut || {
                 std::hint::black_box(product(tier, &a, &b));
             });
             println!(
                 "train_kernels/{name}/{:<14} {tier:<7?} {:>8.1} µs {:>6.1} GFLOP/s ({} threads)",
                 format!("{m}x{k}x{n}"),
-                s * 1e6,
-                2.0 * (m * k * n) as f64 / s / 1e9,
+                us,
+                2.0 * (m * k * n) as f64 / us / 1e3,
                 threads_for_macs(m * k * n),
             );
         }
     }
-    let corpus = SyndromeModel::new(GeneratorConfig::paper_scale()).generate();
-    let ops = GraphOperators::from_records(
-        corpus.records(),
-        corpus.n_symptoms(),
-        corpus.n_herbs(),
-        SynergyThresholds::default(),
-    );
+    let ops = paper_ops();
     let bipartite = ops.sh_mean.forward();
     for width in [64usize, 128] {
         let x = dense(bipartite.cols(), width);
-        let s = time(&|| {
+        let us = mean_us(&mut || {
             std::hint::black_box(bipartite.spmm(&x));
         });
         println!(
             "train_kernels/spmm/{:<16} {:>8.1} µs {:>6.1} GFLOP/s ({} stored entries)",
             format!("{}x{}x{width}", bipartite.rows(), bipartite.cols()),
-            s * 1e6,
-            2.0 * (bipartite.nnz() * width) as f64 / s / 1e9,
+            us,
+            2.0 * (bipartite.nnz() * width) as f64 / us / 1e3,
             bipartite.nnz(),
         );
     }
     let store = smgcn_tensor::ParamStore::new();
     let x = dense(1113, 832).scale(40.0);
-    let s = time(&|| {
+    let us = mean_us(&mut || {
         let mut tape = Tape::new(&store);
         let v = tape.input(x.clone());
         std::hint::black_box(tape.tanh(v));
     });
-    let copy = time(&|| {
+    let copy_us = mean_us(&mut || {
         let mut tape = Tape::new(&store);
         std::hint::black_box(tape.input(x.clone()));
     });
     println!(
         "train_kernels/tanh/1113x832 {:>17.1} µs {:>6.2} ns / activation",
-        (s - copy) * 1e6,
-        (s - copy) * 1e9 / x.len() as f64,
+        us - copy_us,
+        (us - copy_us) * 1e3 / x.len() as f64,
     );
+}
+
+/// The paper-scale corpus's graph operators.
+fn paper_ops() -> GraphOperators {
+    let corpus = SyndromeModel::new(GeneratorConfig::paper_scale()).generate();
+    GraphOperators::from_records(
+        corpus.records(),
+        corpus.n_symptoms(),
+        corpus.n_herbs(),
+        SynergyThresholds::default(),
+    )
+}
+
+/// Mean µs of `f` over 30 calls, after 10 unmeasured ones.
+fn mean_us(f: &mut dyn FnMut()) -> f64 {
+    const ITERS: u32 = 30;
+    for _ in 0..ITERS / 3 {
+        f();
+    }
+    let start = std::time::Instant::now();
+    for _ in 0..ITERS {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e6 / f64::from(ITERS)
+}
+
+fn bench_spmm_vs_dense(_: &mut Criterion) {
+    // Every graph operator of a paper-scale step, and its transpose (the
+    // backward product), at the layer widths: the SpMM row kernel against
+    // an exact dense GEMM on the densified operator, which computes the
+    // same bits. The record behind `SharedCsr`'s choice of the dense form
+    // from two fifths of the entries stored: the bipartite operators store
+    // 61%, the synergy graphs 10% and less.
+    use smgcn_tensor::Matrix;
+    let ops = paper_ops();
+    let mut rng = seeded_rng(9);
+    for (name, shared) in [
+        ("sh_mean", &ops.sh_mean),
+        ("hs_mean", &ops.hs_mean),
+        ("ss_sum", &ops.ss_sum),
+        ("hh_sum", &ops.hh_sum),
+    ] {
+        for (side, a) in [("A", shared.forward()), ("A^T", shared.backward())] {
+            let dense_a = a.to_dense();
+            for width in [64usize, 128] {
+                let x = xavier_uniform(a.cols(), width, &mut rng);
+                let (mut sparse, mut gemm) = (
+                    Matrix::zeros(a.rows(), width),
+                    Matrix::zeros(a.rows(), width),
+                );
+                let sparse_us = mean_us(&mut || a.spmm_into(&x, &mut sparse));
+                let gemm_us = mean_us(&mut || dense_a.matmul_into(&x, &mut gemm));
+                let same = sparse.as_slice() == gemm.as_slice();
+                println!(
+                    "spmm_vs_dense/{name}/{side:<3} {:>9} {:>4.0}% stored: spmm {sparse_us:>7.1} µs, dense {gemm_us:>7.1} µs ({:.2}x){}",
+                    format!("{}x{}x{width}", a.rows(), a.cols()),
+                    100.0 * a.nnz() as f64 / (a.rows() * a.cols()) as f64,
+                    sparse_us / gemm_us,
+                    if same { "" } else { "  RESULTS DIFFER" },
+                );
+            }
+        }
+    }
 }
 
 fn bench_par_handoff(_: &mut Criterion) {
@@ -378,16 +424,15 @@ fn bench_train_step(c: &mut Criterion) {
     let model = Recommender::smgcn(&ops, &smgcn_eval::Scale::Smoke.model_config(), 1);
     let selected: Vec<&smgcn_data::Prescription> =
         corpus.prescriptions().iter().take(256).collect();
-    let batch = make_batch(&selected, corpus.n_symptoms(), corpus.n_herbs());
+    let batch = make_batch(&selected, corpus.n_symptoms());
     let weights = std::sync::Arc::new(vec![1.0f32; corpus.n_herbs()]);
-    let target = std::sync::Arc::new(batch.targets.clone());
     c.bench_function("smgcn_forward_backward_256", |bencher| {
         bencher.iter(|| {
             let mut rng = seeded_rng(4);
             let mut ctx = ForwardCtx::training(0.0, &mut rng);
             let mut tape = Tape::new(model.store());
             let scores = model.forward_scores(&mut tape, &batch.set_pool, &mut ctx);
-            let loss = tape.weighted_mse(scores, target.clone(), weights.clone());
+            let loss = tape.weighted_mse(scores, batch.herbs.clone(), weights.clone());
             std::hint::black_box(tape.backward(loss))
         });
     });
@@ -425,6 +470,7 @@ criterion_group!(
     bench_matmul_packed,
     bench_score_large_fused,
     bench_train_kernels,
+    bench_spmm_vs_dense,
     bench_par_handoff,
     bench_publish_codecs,
     bench_spmm,

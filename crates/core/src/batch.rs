@@ -1,21 +1,23 @@
-//! Mini-batch assembly: set-pooling operators, multi-hot targets, BPR pair
+//! Mini-batch assembly: set-pooling operators, herb label sets, BPR pair
 //! sampling and the shuffled batch iterator.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use smgcn_data::Prescription;
-use smgcn_tensor::{CsrMatrix, Matrix, SharedCsr};
+use smgcn_tensor::{CsrMatrix, LabelSets, SharedCsr};
 
 /// One training batch: the symptom-set pooling operator plus targets.
 pub struct Batch {
     /// `B x S` row-normalised incidence matrix: row `b` averages the fused
     /// embeddings of prescription `b`'s symptom set (Eq. 12's mean pooling).
     pub set_pool: SharedCsr,
-    /// `B x H` multi-hot ground-truth herb sets (`hc'` in Eq. 13).
-    pub targets: Matrix,
-    /// The prescriptions behind the batch (for negative sampling).
-    pub herb_sets: Vec<Vec<u32>>,
+    /// Row `b` is prescription `b`'s herb set, ascending: the ones of the
+    /// multi-hot ground truth `hc'` of Eq. 13, and what BPR samples
+    /// negatives around.
+    pub herbs: Arc<LabelSets>,
 }
 
 /// Builds the `B x S` mean-pooling operator for a batch of symptom sets.
@@ -41,29 +43,14 @@ pub fn set_pool_matrix(sets: &[&[u32]], n_symptoms: usize) -> CsrMatrix {
     CsrMatrix::from_triplets(sets.len(), n_symptoms, &triplets)
 }
 
-/// Builds the `B x H` multi-hot target matrix.
-pub fn multi_hot_targets(herb_sets: &[&[u32]], n_herbs: usize) -> Matrix {
-    let mut m = Matrix::zeros(herb_sets.len(), n_herbs);
-    for (b, set) in herb_sets.iter().enumerate() {
-        for &h in *set {
-            assert!(
-                (h as usize) < n_herbs,
-                "multi_hot_targets: herb {h} out of range {n_herbs}"
-            );
-            m.set(b, h as usize, 1.0);
-        }
-    }
-    m
-}
-
 /// Assembles a batch from prescriptions.
-pub fn make_batch(prescriptions: &[&Prescription], n_symptoms: usize, n_herbs: usize) -> Batch {
+pub fn make_batch(prescriptions: &[&Prescription], n_symptoms: usize) -> Batch {
     let symptom_sets: Vec<&[u32]> = prescriptions.iter().map(|p| p.symptoms()).collect();
-    let herb_sets_slices: Vec<&[u32]> = prescriptions.iter().map(|p| p.herbs()).collect();
     Batch {
         set_pool: SharedCsr::new(set_pool_matrix(&symptom_sets, n_symptoms)),
-        targets: multi_hot_targets(&herb_sets_slices, n_herbs),
-        herb_sets: prescriptions.iter().map(|p| p.herbs().to_vec()).collect(),
+        herbs: Arc::new(LabelSets::from_rows(
+            prescriptions.iter().map(|p| p.herbs()),
+        )),
     }
 }
 
@@ -71,7 +58,7 @@ pub fn make_batch(prescriptions: &[&Prescription], n_symptoms: usize, n_herbs: u
 /// herb of every prescription, `negatives_per_pos` herbs outside the
 /// prescription's herb set, uniformly.
 pub fn sample_bpr_pairs(
-    herb_sets: &[Vec<u32>],
+    herb_sets: &LabelSets,
     n_herbs: usize,
     negatives_per_pos: usize,
     rng: &mut StdRng,
@@ -126,32 +113,24 @@ mod tests {
     }
 
     #[test]
-    fn multi_hot_marks_members() {
-        let sets: Vec<&[u32]> = vec![&[1, 3], &[0]];
-        let m = multi_hot_targets(&sets, 4);
-        assert_eq!(m.row(0), &[0.0, 1.0, 0.0, 1.0]);
-        assert_eq!(m.row(1), &[1.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn batch_assembly() {
         let p1 = Prescription::new(vec![0, 1], vec![2, 0]);
         let p2 = Prescription::new(vec![2], vec![1]);
-        let batch = make_batch(&[&p1, &p2], 3, 3);
+        let batch = make_batch(&[&p1, &p2], 3);
         assert_eq!(batch.set_pool.shape(), (2, 3));
-        assert_eq!(batch.targets.shape(), (2, 3));
-        assert_eq!(batch.targets.row(0), &[1.0, 0.0, 1.0]);
-        assert_eq!(batch.herb_sets, vec![vec![0, 2], vec![1]]);
+        assert_eq!(batch.herbs.rows(), 2);
+        assert_eq!(batch.herbs.row(0), &[0, 2]);
+        assert_eq!(batch.herbs.row(1), &[1]);
     }
 
     #[test]
     fn bpr_pairs_avoid_positives() {
-        let herb_sets = vec![vec![0, 1], vec![2]];
+        let herb_sets = LabelSets::from_rows([&[0u32, 1][..], &[2]]);
         let mut rng = StdRng::seed_from_u64(3);
         let pairs = sample_bpr_pairs(&herb_sets, 10, 2, &mut rng);
         assert_eq!(pairs.len(), (2 + 1) * 2);
         for &(b, pos, neg) in &pairs {
-            let set = &herb_sets[b as usize];
+            let set = herb_sets.row(b as usize);
             assert!(set.contains(&pos));
             assert!(
                 !set.contains(&neg),

@@ -30,11 +30,10 @@ pub fn attach_loss(
 ) -> Var {
     match kind {
         LossKind::MultiLabel => {
-            let target = Arc::new(batch.targets.clone());
-            tape.weighted_mse(scores, target, herb_weights.clone())
+            tape.weighted_mse(scores, Arc::clone(&batch.herbs), herb_weights.clone())
         }
         LossKind::Bpr => {
-            let pairs = sample_bpr_pairs(&batch.herb_sets, n_herbs, bpr_negatives, rng);
+            let pairs = sample_bpr_pairs(&batch.herbs, n_herbs, bpr_negatives, rng);
             tape.bpr_loss(scores, Arc::new(pairs))
         }
     }
@@ -51,7 +50,12 @@ mod tests {
     fn batch() -> Batch {
         let p1 = Prescription::new(vec![0, 1], vec![0, 2]);
         let p2 = Prescription::new(vec![2], vec![1]);
-        make_batch(&[&p1, &p2], 3, 4)
+        make_batch(&[&p1, &p2], 3)
+    }
+
+    /// [`batch`]'s herb sets as the multi-hot `2 x 4` target.
+    fn targets() -> Matrix {
+        Matrix::from_vec(2, 4, vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     }
 
     #[test]
@@ -76,8 +80,8 @@ mod tests {
             );
             tape.value(loss).get(0, 0)
         };
-        let perfect = loss_of(b.targets.clone());
-        let wrong = loss_of(b.targets.map(|v| 1.0 - v));
+        let perfect = loss_of(targets());
+        let wrong = loss_of(targets().map(|v| 1.0 - v));
         assert!(perfect < 1e-9);
         assert!(wrong > perfect);
     }
@@ -96,8 +100,8 @@ mod tests {
             tape.value(loss).get(0, 0)
         };
         // Positives scored high ⇒ small loss; inverted ⇒ large loss.
-        let good = loss_of(b.targets.scale(5.0), &mut rng);
-        let bad = loss_of(b.targets.map(|v| (1.0 - v) * 5.0), &mut rng);
+        let good = loss_of(targets().scale(5.0), &mut rng);
+        let bad = loss_of(targets().map(|v| (1.0 - v) * 5.0), &mut rng);
         assert!(good < bad, "good {good} vs bad {bad}");
     }
 }

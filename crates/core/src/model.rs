@@ -359,9 +359,9 @@ mod tests {
         let mut ctx = ForwardCtx::training(0.0, &mut rng);
         let mut tape = Tape::new(model.store());
         let scores = model.forward_scores(&mut tape, &pool, &mut ctx);
-        let target = std::sync::Arc::new(Matrix::from_fn(2, 4, |r, c| ((r + c) % 2) as f32));
+        let target = smgcn_tensor::LabelSets::from_rows([&[0u32, 2][..], &[1, 3]]);
         let weights = std::sync::Arc::new(vec![1.0f32; 4]);
-        let loss = tape.weighted_mse(scores, target, weights);
+        let loss = tape.weighted_mse(scores, std::sync::Arc::new(target), weights);
         let grads = tape.backward(loss);
         assert_eq!(
             grads.present_count(),

@@ -28,7 +28,7 @@ use crate::model::Recommender;
 pub struct EpochPhases {
     /// Epoch index (0-based).
     pub epoch: usize,
-    /// Batch selection + dense batch assembly.
+    /// Batch selection + batch assembly.
     pub prep_us: u64,
     /// Forward pass + loss attachment.
     pub forward_us: u64,
@@ -226,7 +226,7 @@ fn train_impl(
             let mut timer = PhaseTimer::start(observing);
             let selected: Vec<&smgcn_data::Prescription> =
                 indices.iter().map(|&i| &prescriptions[i]).collect();
-            let batch = make_batch(&selected, n_symptoms, n_herbs);
+            let batch = make_batch(&selected, n_symptoms);
             timer.lap(&mut phases.prep_us);
             let grads = {
                 let mut tape = if pooled {
@@ -378,7 +378,10 @@ mod tests {
     /// forward or backward pass depends on the host's libm. Recorded once
     /// before the training kernels moved to explicit SIMD tiles (they
     /// left it untouched) and once more when `tanh` stopped calling
-    /// libm, which moved the parameters and not the rounded loss.
+    /// libm, which moved the parameters and not the rounded loss. This
+    /// tiny corpus's bipartite operators and `HH` (59% and 40% stored)
+    /// run as dense GEMMs through `SharedCsr`'s dense form, so the pin
+    /// holds that path to the CSR kernel's bits too.
     #[test]
     fn short_seeded_run_is_pinned_to_the_bit() {
         let (corpus, ops) = tiny_setup();

@@ -211,4 +211,32 @@ mod tests {
         let t = SynergyThresholds::default();
         assert_eq!((t.x_s, t.x_h), (5, 40));
     }
+
+    /// At the paper's shape the two bipartite mean operators (61% stored)
+    /// run as dense GEMMs, and the synergy graphs and a batch's
+    /// set-pooling operator stay sparse (see `SharedCsr`).
+    #[test]
+    fn paper_shape_bipartite_operators_get_the_dense_form() {
+        use smgcn_data::{GeneratorConfig, SyndromeModel};
+        let corpus = SyndromeModel::new(GeneratorConfig::paper_scale()).generate();
+        let ops = GraphOperators::from_records(
+            corpus.records(),
+            corpus.n_symptoms(),
+            corpus.n_herbs(),
+            SynergyThresholds::default(),
+        );
+        assert!(ops.sh_mean.is_dense() && ops.hs_mean.is_dense());
+        assert!(!ops.ss_sum.is_dense() && !ops.hh_sum.is_dense());
+        // Eq. 12's mean pooling over one batch of 1024 symptom sets.
+        let pool: Vec<(u32, u32, f32)> = corpus.prescriptions()[..1024]
+            .iter()
+            .enumerate()
+            .flat_map(|(b, p)| {
+                let w = 1.0 / p.symptoms().len() as f32;
+                p.symptoms().iter().map(move |&s| (b as u32, s, w))
+            })
+            .collect();
+        let pool = CsrMatrix::from_triplets(1024, corpus.n_symptoms(), &pool);
+        assert!(!SharedCsr::new(pool).is_dense());
+    }
 }

@@ -48,14 +48,20 @@
 //!
 //! ## Packing: per call for training, once for serving
 //!
-//! Training's weights change every step, so its three products pack
-//! their right operand on every call, into a thread-local scratch that
-//! is reused from then on (`A^T @ B` also gathers each 8-column strip of
-//! `A` into rows, once per strip). The driver's output tile and that
-//! strip live in a second scratch of the same kind, one per thread that
-//! runs chunks — the caller's and each resident worker's, which outlive
-//! the call ([`crate::par`]). Steady-state training performs no pack and
-//! no tile allocations.
+//! Training's weights change every step, and most of its right operands
+//! are activations and gradients that meet one product, so its three
+//! products pack their right operand on every call, into the calling
+//! thread's scratch, reused from then on. The pack is a copy into runs
+//! of whole panels, and the runs are chunks on the worker team, split
+//! like an element-wise map (32k floats a thread). Packing a
+//! paper-scale step's operands on one thread measured 2.1 ms on the
+//! build host, 0.46 ms of it weights, so a cache of packed weights would
+//! buy a fifth of what sharing the copy does. `A^T @ B` also gathers each 8-column strip of `A` into rows,
+//! once per strip. The driver's output tile and that strip live in a
+//! second scratch of the same kind, one per thread that runs chunks —
+//! the caller's and each resident worker's, which outlive the call
+//! ([`crate::par`]). Steady-state training performs no pack and no tile
+//! allocations.
 //!
 //! A right operand that outlives many products (frozen herb embeddings, a
 //! frozen SI head) is packed once into an owned [`PackedRhs`] and is
@@ -109,7 +115,8 @@ const LINE: usize = 16;
 
 thread_local! {
     /// Scratch for the training products' packed right-hand-side panels,
-    /// reused across calls so steady-state training performs no pack
+    /// the calling thread's (workers write disjoint runs of it), reused
+    /// across calls so steady-state training performs no pack
     /// allocations.
     static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Scratch for the tile driver's output tile and, for a transposed
@@ -144,7 +151,7 @@ pub(crate) fn matmul_into(
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let pack = |w, panels: &mut [f32]| pack_rhs(w, rhs, k, n, panels);
+    let pack = |w, p0, panels: &mut [f32]| pack_rhs(w, rhs, k, n, p0, panels);
     exact_product(tier, Lhs::Rows(lhs), m, k, n, pack, out);
 }
 
@@ -163,7 +170,7 @@ pub(crate) fn matmul_transb_into(
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    let pack = |w, panels: &mut [f32]| pack_rhs_transposed(w, rhs, n, k, panels);
+    let pack = |w, p0, panels: &mut [f32]| pack_rhs_transposed(w, rhs, n, k, p0, panels);
     exact_product(tier, Lhs::Rows(lhs), m, k, n, pack, out);
 }
 
@@ -184,20 +191,22 @@ pub(crate) fn matmul_transa_into(
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), m * n);
     debug_assert_eq!(out.len(), k * n);
-    let pack = |w, panels: &mut [f32]| pack_rhs(w, rhs, m, n, panels);
+    let pack = |w, p0, panels: &mut [f32]| pack_rhs(w, rhs, m, n, p0, panels);
     exact_product(tier, Lhs::Cols(lhs), k, m, n, pack, out);
 }
 
 /// One training product: `rows` output rows taken from `lhs`, reduction
 /// length `k`, `n` output columns whose operand `pack(panel_width,
-/// panels)` lays out in this thread's scratch.
+/// first_panel, panels)` lays out in this thread's scratch, a run of
+/// whole panels at a time. The runs are chunks on the worker team
+/// (a copy changes no bit, wherever it runs).
 fn exact_product(
     tier: Tier,
     lhs: Lhs<'_>,
     rows: usize,
     k: usize,
     n: usize,
-    pack: impl FnOnce(usize, &mut [f32]),
+    pack: impl Fn(usize, usize, &mut [f32]) + Sync,
     out: &mut [f32],
 ) {
     if rows == 0 || n == 0 {
@@ -219,7 +228,11 @@ fn exact_product(
         }
         let start = line_offset(&scratch);
         let panels = &mut scratch[start..start + len];
-        pack(w, panels);
+        let (threads, per_thread) = par::split_elems(len);
+        let run = per_thread.div_ceil(k * w) * k * w;
+        par::for_each_chunk(threads, panels.chunks_mut(run).enumerate(), |(i, dst)| {
+            pack(w, i * run / (k * w), dst);
+        });
         let rhs = PanelsRef {
             k,
             n,
@@ -252,30 +265,28 @@ fn line_offset(buf: &[f32]) -> usize {
 }
 
 /// [`pack_rhs_w`] at the panel width `w` of a tier.
-fn pack_rhs(w: usize, rhs: &[f32], k: usize, n: usize, packed: &mut [f32]) {
+fn pack_rhs(w: usize, rhs: &[f32], k: usize, n: usize, p0: usize, packed: &mut [f32]) {
     match w {
-        16 => pack_rhs_w::<16>(rhs, k, n, packed),
-        _ => pack_rhs_w::<NR>(rhs, k, n, packed),
+        16 => pack_rhs_w::<16>(rhs, k, n, p0, packed),
+        _ => pack_rhs_w::<NR>(rhs, k, n, p0, packed),
     }
 }
 
 /// [`pack_rhs_transposed_w`] at the panel width `w` of a tier.
-fn pack_rhs_transposed(w: usize, rhs: &[f32], n: usize, k: usize, packed: &mut [f32]) {
+fn pack_rhs_transposed(w: usize, rhs: &[f32], n: usize, k: usize, p0: usize, packed: &mut [f32]) {
     match w {
-        16 => pack_rhs_transposed_w::<16>(rhs, n, k, packed),
-        _ => pack_rhs_transposed_w::<NR>(rhs, n, k, packed),
+        16 => pack_rhs_transposed_w::<16>(rhs, n, k, p0, packed),
+        _ => pack_rhs_transposed_w::<NR>(rhs, n, k, p0, packed),
     }
 }
 
-/// Packs `rhs` (`k x n` row-major) into `ceil(n / W)` column panels, each
-/// `k x W` with `t`-major layout, zero-padded on the right edge, `W` the
-/// tier's panel width.
-fn pack_rhs_w<const W: usize>(rhs: &[f32], k: usize, n: usize, packed: &mut [f32]) {
-    let panels = n.div_ceil(W);
-    for p in 0..panels {
+/// Packs `rhs` (`k x n` row-major) into its column panels `p0 ..`, as many
+/// as `packed` holds of the `ceil(n / W)`: each `k x W` with `t`-major
+/// layout, zero-padded on the right edge, `W` the tier's panel width.
+fn pack_rhs_w<const W: usize>(rhs: &[f32], k: usize, n: usize, p0: usize, packed: &mut [f32]) {
+    for (p, dst) in (p0..).zip(packed.chunks_exact_mut((k * W).max(1))) {
         let j0 = p * W;
         let w = W.min(n - j0);
-        let dst = &mut packed[p * k * W..(p + 1) * k * W];
         for t in 0..k {
             dst[t * W..t * W + w].copy_from_slice(&rhs[t * n + j0..t * n + j0 + w]);
             // Only the right-edge panel has padding lanes; zero exactly
@@ -286,13 +297,18 @@ fn pack_rhs_w<const W: usize>(rhs: &[f32], k: usize, n: usize, packed: &mut [f32
 }
 
 /// Packs `rhs` (`n x k` row-major, logically transposed) into the same
-/// panel layout as [`pack_rhs_w`]: `panel[t * W + jj] = rhs[(j0 + jj) * k + t]`.
-fn pack_rhs_transposed_w<const W: usize>(rhs: &[f32], n: usize, k: usize, packed: &mut [f32]) {
-    let panels = n.div_ceil(W);
-    for p in 0..panels {
+/// panel layout as [`pack_rhs_w`], panels `p0 ..` as many as `packed`
+/// holds: `panel[t * W + jj] = rhs[(j0 + jj) * k + t]`.
+fn pack_rhs_transposed_w<const W: usize>(
+    rhs: &[f32],
+    n: usize,
+    k: usize,
+    p0: usize,
+    packed: &mut [f32],
+) {
+    for (p, dst) in (p0..).zip(packed.chunks_exact_mut((k * W).max(1))) {
         let j0 = p * W;
         let w = W.min(n - j0);
-        let dst = &mut packed[p * k * W..(p + 1) * k * W];
         for jj in 0..w {
             let src = &rhs[(j0 + jj) * k..(j0 + jj + 1) * k];
             for (t, &v) in src.iter().enumerate() {
@@ -545,7 +561,9 @@ impl PackedRhs {
     /// Panics if this CPU does not support `tier`.
     pub fn from_rhs(rhs: &Matrix, tier: Tier) -> Self {
         let (k, n) = rhs.shape();
-        Self::packed_by(tier, k, n, |w, dst| pack_rhs(w, rhs.as_slice(), k, n, dst))
+        Self::packed_by(tier, k, n, |w, dst| {
+            pack_rhs(w, rhs.as_slice(), k, n, 0, dst)
+        })
     }
 
     /// Packs the `n x k` right operand of `A @ B^T` for `tier`.
@@ -555,7 +573,7 @@ impl PackedRhs {
     pub fn from_transposed(rhs: &Matrix, tier: Tier) -> Self {
         let (n, k) = rhs.shape();
         Self::packed_by(tier, k, n, |w, dst| {
-            pack_rhs_transposed(w, rhs.as_slice(), n, k, dst)
+            pack_rhs_transposed(w, rhs.as_slice(), n, k, 0, dst)
         })
     }
 

@@ -78,7 +78,7 @@ pub use gemm::{PackedRhs, Tier, Tile};
 pub use matrix::Matrix;
 pub use pool::{BufferPool, PoolStats};
 pub use sparse::{CsrMatrix, SharedCsr};
-pub use tape::{Gradients, ParamId, ParamStore, Tape, Var};
+pub use tape::{Gradients, LabelSets, ParamId, ParamStore, Tape, Var};
 
 /// Common imports for model code.
 pub mod prelude {
@@ -87,5 +87,5 @@ pub mod prelude {
     pub use crate::matrix::Matrix;
     pub use crate::optim::{Adam, Optimizer, Sgd};
     pub use crate::sparse::{CsrMatrix, SharedCsr};
-    pub use crate::tape::{Gradients, ParamId, ParamStore, Tape, Var};
+    pub use crate::tape::{Gradients, LabelSets, ParamId, ParamStore, Tape, Var};
 }

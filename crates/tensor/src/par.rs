@@ -62,15 +62,16 @@ const PAR_THRESHOLD_ELEMS: usize = 32 * 1024;
 
 /// How long an idle worker spins before it parks. Of the gaps between
 /// two chunked calls of a paper-scale training step (≈ 55 calls a step;
-/// packing, `Tape::param` copies and small ops fall in them) the median
-/// is 52 µs and 90% are under 203 µs. The rest are the step's long
-/// serial stretches — the loss's forward sum, Adam and the next batch's
-/// preparation, 1–1.5 ms each — which no budget of this order bridges:
-/// the worker parks in them and is woken after (13 µs of the caller's
-/// time, the worker 50–80 µs late, ≈ 3 times a 30 ms step). `train_paper`
-/// reads the same at 100, 200 and 400 µs within run-to-run noise (see
-/// CHANGES.md); an idle process pays one budget of spinning per worker
-/// after its last call, then nothing.
+/// small ops fall in them) the median was 52 µs and 90% were under
+/// 203 µs. The step's millisecond-long serial stretches are gone: the
+/// loss's sum, the panel packing and the gradient norm run on the team,
+/// and no multi-hot target is built. What is left serial between calls
+/// is Adam's small parameters and the next batch's set-pooling operator
+/// (≈ 0.25 ms), where the worker may park and is woken after (13 µs of
+/// the caller's time, the worker 50–80 µs late). `train_paper` read the
+/// same at 100, 200 and 400 µs within run-to-run noise (see CHANGES.md);
+/// an idle process pays one budget of spinning per worker after its
+/// last call, then nothing.
 const SPIN: Duration = Duration::from_micros(200);
 
 fn thread_count() -> usize {

@@ -6,6 +6,8 @@
 //! training. The autograd layer therefore treats CSR matrices as constants
 //! and only differentiates through the dense operand of [`CsrMatrix::spmm`].
 
+use std::sync::Arc;
+
 use crate::gemm::Tier;
 use crate::matrix::Matrix;
 use crate::par;
@@ -277,11 +279,12 @@ impl CsrMatrix {
         );
     }
 
-    /// Densifies into a [`Matrix`] (test and debugging helper).
+    /// Densifies into a [`Matrix`]: each stored value at its place (a
+    /// stored `-0.0` stays `-0.0`), zeros elsewhere.
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for (r, c, v) in self.iter() {
-            out.set(r as usize, c as usize, out.get(r as usize, c as usize) + v);
+            out.set(r as usize, c as usize, v);
         }
         out
     }
@@ -311,22 +314,55 @@ fn simd_row(_: Tier, _: &[u32], _: &[f32], _: &[f32], _: &mut [f32]) -> bool {
     false
 }
 
+/// Smallest share of its entries an operator must store for
+/// [`SharedCsr`] to keep it dense as well. `spmm_vs_dense` in
+/// `benches/kernels.rs` prints the record, on the build host (2 cores,
+/// AVX-512) at widths 64 and 128: the paper-shape bipartite operators
+/// store 61% and run 1.1–2x faster as a dense GEMM than through the SpMM
+/// row kernel; the synergy graphs store 10% and 2% and run 4–5x and
+/// 11–17x slower dense (two runs). Scaling each operator's SpMM time
+/// with the share it stores puts the break-even between about a third
+/// and a half stored. A batch's set-pooling operator stores under 2%.
+const DENSE_SHARE: f64 = 0.4;
+
 /// A sparse operator paired with its precomputed transpose, shared by
-/// forward and backward passes of [`spmm`](CsrMatrix::spmm) in the autograd
-/// tape. Graphs are fixed across training, so the transpose is built once.
+/// forward and backward passes of [`Tape::spmm`](crate::Tape::spmm).
+/// Graphs are fixed across training, so the transpose is built once.
+///
+/// An operator that stores at least two fifths of its entries (the
+/// paper-shape symptom–herb mean operators) also keeps `A` and `A^T` as
+/// row-major dense matrices, and its products run as exact dense GEMMs
+/// on them (a GCN's `bmm(adjacency, support)`). That changes no bit: a
+/// CSR row holds its columns ascending, and the SpMM kernel walks them
+/// as the GEMM walks the reduction, one accumulator from `+0.0`, a `mul`
+/// then an `add` each. The GEMM's extra terms are `±0` products, and
+/// adding `±0` never changes an accumulator that starts at `+0.0` (no
+/// sum of finite values rounds to `-0.0` unless both addends are `-0.0`).
 #[derive(Clone, Debug)]
 pub struct SharedCsr {
-    forward: std::sync::Arc<CsrMatrix>,
-    backward: std::sync::Arc<CsrMatrix>,
+    forward: Arc<CsrMatrix>,
+    backward: Arc<CsrMatrix>,
+    /// `[A, A^T]` row-major, for an operator at least [`DENSE_SHARE`]
+    /// stored.
+    dense: Option<Arc<[Matrix; 2]>>,
 }
 
 impl SharedCsr {
-    /// Wraps a CSR matrix, precomputing its transpose.
+    /// Wraps a CSR matrix, precomputing its transpose, and its dense form
+    /// when it stores at least two fifths of its entries.
     pub fn new(m: CsrMatrix) -> Self {
+        let entries = (m.rows() * m.cols()).max(1);
+        let dense = m.nnz() as f64 / entries as f64 >= DENSE_SHARE;
+        Self::with_dense_form(m, dense)
+    }
+
+    /// [`new`](Self::new) with the dense form kept, or not, by the caller.
+    fn with_dense_form(m: CsrMatrix, dense: bool) -> Self {
         let backward = m.transpose();
         Self {
-            forward: std::sync::Arc::new(m),
-            backward: std::sync::Arc::new(backward),
+            dense: dense.then(|| Arc::new([m.to_dense(), backward.to_dense()])),
+            forward: Arc::new(m),
+            backward: Arc::new(backward),
         }
     }
 
@@ -343,6 +379,37 @@ impl SharedCsr {
     /// Shape of the forward operator.
     pub fn shape(&self) -> (usize, usize) {
         self.forward.shape()
+    }
+
+    /// Whether products run as dense GEMMs (see the type's docs).
+    pub fn is_dense(&self) -> bool {
+        self.dense.is_some()
+    }
+
+    /// `out = A @ x`, fully overwritten.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension or output-shape mismatch.
+    pub fn spmm_into(&self, x: &Matrix, out: &mut Matrix) {
+        self.product_on(Tier::detect(), false, x, out);
+    }
+
+    /// `out = A^T @ g`, fully overwritten: the backward product.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension or output-shape mismatch.
+    pub fn spmm_transposed_into(&self, g: &Matrix, out: &mut Matrix) {
+        self.product_on(Tier::detect(), true, g, out);
+    }
+
+    /// `A @ x`, or `A^T @ x`, on `tier`: the dense copy's GEMM where there
+    /// is one, the CSR kernel otherwise.
+    fn product_on(&self, tier: Tier, transposed: bool, x: &Matrix, out: &mut Matrix) {
+        match (&self.dense, transposed) {
+            (Some(dense), _) => dense[usize::from(transposed)].matmul_into_on(tier, x, out),
+            (None, false) => self.forward.spmm_into_on(tier, x, out),
+            (None, true) => self.backward.spmm_into_on(tier, x, out),
+        }
     }
 }
 
@@ -488,5 +555,108 @@ mod tests {
         let s = SharedCsr::new(sample());
         assert_eq!(s.backward().shape(), (3, 3));
         assert_eq!(s.forward().get(2, 0), s.backward().get(0, 2));
+    }
+
+    /// A `rows x cols` operator storing about `share` of its entries, with
+    /// row 0 storing every column, row 1 none, and the rest a mix of
+    /// positive, negative and `-0.0` values.
+    fn operator(rows: usize, cols: usize, share: f64, seed: u64) -> CsrMatrix {
+        use rand::Rng;
+        let mut rng = crate::init::seeded_rng(seed);
+        let mut triplets: Vec<(u32, u32, f32)> = (0..cols as u32)
+            .map(|c| (0, c, rng.gen_range(-1.0f32..1.0)))
+            .collect();
+        for r in 2..rows as u32 {
+            for c in 0..cols as u32 {
+                if rng.gen_range(0.0..1.0) < share {
+                    let v = match rng.gen_range(0..8u32) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => rng.gen_range(-2.0f32..2.0),
+                    };
+                    triplets.push((r, c, v));
+                }
+            }
+        }
+        let m = CsrMatrix::from_triplets(rows, cols, &triplets);
+        assert_eq!((m.row_nnz(0), m.row_nnz(1)), (cols, 0));
+        m
+    }
+
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// The dense form computes the CSR kernel's bits, forward (`A @ x`)
+    /// and backward (`A^T @ g`), on every tier, at SIMD and ragged widths,
+    /// for operators on both sides of `DENSE_SHARE`; and so does
+    /// `Tape::spmm` through it. The operands hold zeros, `-0.0` and
+    /// negatives too.
+    #[test]
+    fn dense_form_matches_the_csr_kernel_bitwise() {
+        use crate::tape::{ParamStore, Tape};
+        use rand::Rng;
+        let mut rng = crate::init::seeded_rng(29);
+        for (share, seed) in [(0.05, 1), (0.3, 2), (0.62, 3), (0.9, 4)] {
+            let a = operator(37, 53, share, seed);
+            let shared = SharedCsr::with_dense_form(a.clone(), true);
+            let at = a.transpose();
+            for width in [64usize, 128, 37, 1] {
+                let what = format!("share {share}, width {width}");
+                let mut operand = |rows| {
+                    Matrix::from_fn(rows, width, |_, _| match rng.gen_range(0..6u32) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-3.0f32..3.0),
+                    })
+                };
+                let (x, g) = (operand(a.cols()), operand(a.rows()));
+                let mut want_y = Matrix::filled(a.rows(), width, f32::NAN);
+                a.spmm_into_on(Tier::Scalar, &x, &mut want_y);
+                let mut want_gx = Matrix::filled(a.cols(), width, f32::NAN);
+                at.spmm_into_on(Tier::Scalar, &g, &mut want_gx);
+                for tier in Tier::available() {
+                    let mut y = Matrix::filled(a.rows(), width, f32::NAN);
+                    shared.product_on(tier, false, &x, &mut y);
+                    assert!(same_bits(&y, &want_y), "{tier:?} forward, {what}");
+                    let mut gx = Matrix::filled(a.cols(), width, f32::NAN);
+                    shared.product_on(tier, true, &g, &mut gx);
+                    assert!(same_bits(&gx, &want_gx), "{tier:?} backward, {what}");
+                }
+                // Through the tape: d(Σ y²)/dx = A^T (2 y).
+                let mut store = ParamStore::new();
+                let id = store.add("x", x.clone());
+                let mut tape = Tape::new(&store);
+                let vx = tape.param(id);
+                let y = tape.spmm(&shared, vx);
+                assert!(same_bits(tape.value(y), &want_y), "tape forward, {what}");
+                let loss = tape.sum_squares(y);
+                let grads = tape.backward(loss);
+                let want = at.spmm(&want_y.scale(2.0));
+                assert!(
+                    same_bits(grads.get(id).unwrap(), &want),
+                    "tape backward, {what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_dense_form_is_kept_from_two_fifths_of_the_entries_stored() {
+        for (share, dense) in [(0.05, false), (0.3, false), (0.62, true), (0.9, true)] {
+            let a = operator(40, 60, share, 7);
+            let stored = a.nnz() as f64 / (40.0 * 60.0);
+            assert_eq!(
+                SharedCsr::new(a).is_dense(),
+                dense,
+                "{stored:.2} of the entries stored"
+            );
+        }
+        assert!(!SharedCsr::new(CsrMatrix::zeros(0, 3)).is_dense());
+        assert!(SharedCsr::new(CsrMatrix::identity(1)).is_dense());
     }
 }

@@ -151,14 +151,17 @@ impl Gradients {
         self.grads.iter().filter(|g| g.is_some()).count()
     }
 
-    /// Global gradient L2 norm (diagnostics / clipping).
+    /// Global gradient L2 norm (diagnostics / clipping): each gradient's
+    /// [`Matrix::sum_squares`] as a chunk of its own on the worker team,
+    /// the results added in registration order.
     pub fn l2_norm(&self) -> f32 {
-        self.grads
-            .iter()
-            .flatten()
-            .map(Matrix::sum_squares)
-            .sum::<f32>()
-            .sqrt()
+        let present: Vec<&Matrix> = self.grads.iter().flatten().collect();
+        let mut sums = vec![0.0f32; present.len()];
+        let (threads, _) = par::split_elems(present.iter().map(|m| m.len()).sum());
+        par::for_each_chunk(threads, sums.iter_mut().zip(&present), |(sum, m)| {
+            *sum = m.sum_squares();
+        });
+        sums.into_iter().sum::<f32>().sqrt()
     }
 
     /// Scales all gradients in place (used for gradient clipping).
@@ -174,6 +177,54 @@ impl Gradients {
         for m in self.grads.into_iter().flatten() {
             pool.release(m);
         }
+    }
+}
+
+/// The rows of a multi-hot `B x L` target held as each row's label ids,
+/// flat: row `r`'s ids are `ids[offsets[r]..offsets[r + 1]]`, strictly
+/// ascending. [`Tape::weighted_mse`] reads a row's ones off its list, so
+/// the `B x L` matrix of zeros is never built.
+#[derive(Clone, Debug)]
+pub struct LabelSets {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl LabelSets {
+    /// One row per set, in order.
+    ///
+    /// # Panics
+    /// Panics if a set is not strictly ascending.
+    pub fn from_rows<'a>(sets: impl IntoIterator<Item = &'a [u32]>) -> Self {
+        let mut labels = Self {
+            offsets: vec![0],
+            ids: Vec::new(),
+        };
+        for set in sets {
+            assert!(
+                set.windows(2).all(|w| w[0] < w[1]),
+                "LabelSets: row {} is not strictly ascending",
+                labels.rows()
+            );
+            labels.ids.extend_from_slice(set);
+            labels.offsets.push(labels.ids.len());
+        }
+        labels
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Row `r`'s label ids, ascending.
+    pub fn row(&self, r: usize) -> &[u32] {
+        &self.ids[self.offsets[r]..self.offsets[r + 1]]
+    }
+
+    /// Every row's label ids, in row order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.offsets.windows(2).map(|w| &self.ids[w[0]..w[1]])
     }
 }
 
@@ -205,7 +256,7 @@ enum Op {
     Dropout(Var, Arc<Matrix>),
     WeightedMse {
         pred: Var,
-        target: Arc<Matrix>,
+        labels: Arc<LabelSets>,
         weights: Arc<Vec<f32>>,
     },
     Bpr {
@@ -286,9 +337,15 @@ impl<'s> Tape<'s> {
         self.nodes.is_empty()
     }
 
-    /// The forward value of a node.
+    /// The forward value of a node: a parameter's is read in place from
+    /// the store.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        match &self.nodes[v.0] {
+            Node {
+                op: Op::Param(id), ..
+            } => self.store.get(*id),
+            node => &node.value,
+        }
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
@@ -297,10 +354,11 @@ impl<'s> Tape<'s> {
         Var(self.nodes.len() - 1)
     }
 
-    /// Brings a parameter onto the tape as a leaf.
+    /// Brings a parameter onto the tape as a leaf, without a copy:
+    /// [`value`](Self::value) reads it from the store.
     pub fn param(&mut self, id: ParamId) -> Var {
-        let value = self.alloc_copy(self.store.get(id));
-        self.push(Op::Param(id), value)
+        debug_assert!(self.store.get(id).all_finite(), "non-finite parameter");
+        self.push(Op::Param(id), Matrix::zeros(0, 0))
     }
 
     /// Brings a constant matrix onto the tape (no gradient flows into it).
@@ -351,12 +409,15 @@ impl<'s> Tape<'s> {
             xm.cols(),
             bm.cols()
         );
-        let mut value = self.alloc_copy(xm);
-        for r in 0..value.rows() {
-            for (v, &b) in value.row_mut(r).iter_mut().zip(bm.row(0)) {
-                *v += b;
+        let (rows, cols) = xm.shape();
+        let mut value = self.alloc(rows, cols);
+        par::for_each_row_chunk(value.as_mut_slice(), cols, rows, |r0, chunk| {
+            for (i, out) in chunk.chunks_exact_mut(cols.max(1)).enumerate() {
+                for ((o, &v), &b) in out.iter_mut().zip(xm.row(r0 + i)).zip(bm.row(0)) {
+                    *o = v + b;
+                }
             }
-        }
+        });
         self.push(Op::AddBias(x, bias), value)
     }
 
@@ -458,11 +519,12 @@ impl<'s> Tape<'s> {
     /// merge (Eqs. 2/3/7/9); with a raw 0/1 adjacency it is the *sum*
     /// aggregation used on the synergy graphs (Eq. 10); with a
     /// row-normalised symptom-set incidence matrix it is the average pooling
-    /// of Eq. 12.
+    /// of Eq. 12. An operator dense enough to keep dense copies runs as an
+    /// exact GEMM on them, to the same bits ([`SharedCsr`]).
     pub fn spmm(&mut self, a: &SharedCsr, x: Var) -> Var {
         let xm = self.value(x);
-        let mut value = self.alloc(a.forward().rows(), xm.cols());
-        a.forward().spmm_into(xm, &mut value);
+        let mut value = self.alloc(a.shape().0, xm.cols());
+        a.spmm_into(xm, &mut value);
         self.push(Op::SpMM(a.clone(), x), value)
     }
 
@@ -508,40 +570,60 @@ impl<'s> Tape<'s> {
     }
 
     /// The paper's multi-label objective (Eqs. 13–15): mean over batch rows
-    /// of `Σ_i w_i (target_i - pred_i)²`, as a `1x1` scalar node.
+    /// of `Σ_i w_i (target_i - pred_i)²`, as a `1x1` scalar node, where
+    /// row `r`'s target is 1 at the ids of `labels.row(r)` and 0 elsewhere.
     ///
     /// `weights[i]` is the per-herb imbalance weight
     /// `max_k freq(k) / freq(i)`.
     ///
+    /// Each row's sum is one `f64` chain over the columns in order; the
+    /// rows run on the worker team, four interleaved per thread so that
+    /// their adds do not wait on each other, and the row sums are added
+    /// in row order. The gradient never reads this value.
+    ///
     /// # Panics
-    /// Panics if shapes disagree or `weights.len() != pred.cols()`.
-    pub fn weighted_mse(&mut self, pred: Var, target: Arc<Matrix>, weights: Arc<Vec<f32>>) -> Var {
+    /// Panics if `labels` has not one row per row of `pred`, a label id is
+    /// not a column of `pred`, or `weights.len() != pred.cols()`.
+    pub fn weighted_mse(
+        &mut self,
+        pred: Var,
+        labels: Arc<LabelSets>,
+        weights: Arc<Vec<f32>>,
+    ) -> Var {
         let p = self.value(pred);
+        let (rows, cols) = p.shape();
         assert_eq!(
-            p.shape(),
-            target.shape(),
-            "weighted_mse: pred/target shape mismatch"
+            labels.rows(),
+            rows,
+            "weighted_mse: {} label rows for {rows} prediction rows",
+            labels.rows()
+        );
+        assert!(
+            labels
+                .iter()
+                .all(|set| set.last().is_none_or(|&id| (id as usize) < cols)),
+            "weighted_mse: a label id is not below the label count {cols}"
         );
         assert_eq!(
             weights.len(),
-            p.cols(),
-            "weighted_mse: weights length {} != label count {}",
+            cols,
+            "weighted_mse: weights length {} != label count {cols}",
             weights.len(),
-            p.cols()
         );
-        let batch = p.rows().max(1) as f32;
-        let mut acc = 0.0f64;
-        for r in 0..p.rows() {
-            for ((&pv, &tv), &w) in p.row(r).iter().zip(target.row(r)).zip(weights.iter()) {
-                let d = (tv - pv) as f64;
-                acc += w as f64 * d * d;
+        let mut sums = vec![0.0f64; rows];
+        let (threads, _) = par::split_elems(rows * cols);
+        par::for_each_row_chunk_of(&mut sums, 1, rows, threads, |r0, sums| {
+            for (i, group) in sums.chunks_mut(LOSS_ROWS).enumerate() {
+                squared_error_rows(p, &labels, &weights, r0 + i * LOSS_ROWS, group);
             }
-        }
+        });
+        let acc = sums.iter().fold(0.0f64, |acc, &s| acc + s);
+        let batch = rows.max(1) as f32;
         let value = self.scalar((acc / batch as f64) as f32);
         self.push(
             Op::WeightedMse {
                 pred,
-                target,
+                labels,
                 weights,
             },
             value,
@@ -730,8 +812,8 @@ impl<'s> Tape<'s> {
                     self.release(g);
                 }
                 Op::SpMM(shared, x) => {
-                    let mut gx = self.alloc(shared.backward().rows(), g.cols());
-                    shared.backward().spmm_into(&g, &mut gx);
+                    let mut gx = self.alloc(shared.shape().1, g.cols());
+                    shared.spmm_transposed_into(&g, &mut gx);
                     self.acc(&mut node_grads, *x, gx);
                     self.release(g);
                 }
@@ -754,19 +836,26 @@ impl<'s> Tape<'s> {
                 }
                 Op::WeightedMse {
                     pred,
-                    target,
+                    labels,
                     weights,
                 } => {
                     let p = self.value(*pred);
                     let gscalar = g.get(0, 0);
                     let batch = p.rows().max(1) as f32;
                     let (rows, cols) = p.shape();
+                    let grad =
+                        |c: usize, pv: f32, t: f32| gscalar * 2.0 * weights[c] * (pv - t) / batch;
                     let mut gp = self.alloc(rows, cols);
                     par::for_each_row_chunk(gp.as_mut_slice(), cols, rows, |r0, chunk| {
                         for (i, out) in chunk.chunks_exact_mut(cols.max(1)).enumerate() {
-                            let (ps, ts) = (p.row(r0 + i), target.row(r0 + i));
+                            let ps = p.row(r0 + i);
+                            // Every column as a 0, then the row's labels as 1s.
                             for (c, o) in out.iter_mut().enumerate() {
-                                *o = gscalar * 2.0 * weights[c] * (ps[c] - ts[c]) / batch;
+                                *o = grad(c, ps[c], 0.0);
+                            }
+                            for &id in labels.row(r0 + i) {
+                                let c = id as usize;
+                                out[c] = grad(c, ps[c], 1.0);
                             }
                         }
                     });
@@ -828,6 +917,35 @@ impl Tape<'_> {
             }
         }
     }
+}
+
+/// Rows of [`Tape::weighted_mse`]'s sum a thread interleaves: enough
+/// independent `f64` add chains to hide the add's latency.
+const LOSS_ROWS: usize = 4;
+
+/// `sums[i] = Σ_c w_c (t_c - p_c)²` for row `r0 + i` of `p`, its targets
+/// `t` read off `labels`, for at most [`LOSS_ROWS`] rows: one `f64` chain
+/// per row, columns ascending, the rows' chains stepped side by side (a
+/// short group repeats its last row to fill the lanes).
+fn squared_error_rows(p: &Matrix, labels: &LabelSets, w: &[f32], r0: usize, sums: &mut [f64]) {
+    let last = r0 + sums.len() - 1;
+    let ps: [&[f32]; LOSS_ROWS] = std::array::from_fn(|i| p.row((r0 + i).min(last)));
+    let ids: [&[u32]; LOSS_ROWS] = std::array::from_fn(|i| labels.row((r0 + i).min(last)));
+    let mut next = [0usize; LOSS_ROWS];
+    let mut acc = [0.0f64; LOSS_ROWS];
+    for (c, &wc) in w.iter().enumerate() {
+        for i in 0..LOSS_ROWS {
+            let t = if ids[i].get(next[i]) == Some(&(c as u32)) {
+                next[i] += 1;
+                1.0
+            } else {
+                0.0
+            };
+            let d = (t - ps[i][c]) as f64;
+            acc[i] += wc as f64 * d * d;
+        }
+    }
+    sums.copy_from_slice(&acc[..sums.len()]);
 }
 
 /// `tanh(x)` as [`Tape::tanh`] computes it: branch-free and in plain
@@ -1015,7 +1133,7 @@ mod tests {
     #[test]
     fn weighted_mse_value_and_gradient() {
         let pred = Matrix::from_vec(2, 2, vec![0.5, 0.0, 1.0, 1.0]);
-        let target = Arc::new(Matrix::from_vec(2, 2, vec![1.0, 0.0, 1.0, 0.0]));
+        let target = Arc::new(LabelSets::from_rows([&[0u32][..], &[0]]));
         let weights = Arc::new(vec![2.0f32, 1.0]);
         let (store, ids) = store_with(&[("p", pred)]);
         let mut tape = Tape::new(&store);
@@ -1213,8 +1331,7 @@ mod tests {
             let (store, ids) = store_with(&[("x", scrambled(rows, cols, 3))]);
             let mask =
                 Arc::new(scrambled(rows, cols, 4).map(|v| if v > -2.0 { 1.25 } else { 0.0 }));
-            let target =
-                Arc::new(scrambled(rows, cols, 5).map(|v| if v > 3.0 { 1.0 } else { 0.0 }));
+            let target = multi_hot(rows, cols, 5);
             let weights: Arc<Vec<f32>> =
                 Arc::new((0..cols).map(|c| 1.0 + (c % 7) as f32).collect());
             let mut tape = Tape::new(&store);
@@ -1223,7 +1340,7 @@ mod tests {
             let r = tape.relu(a);
             let d = tape.dropout_with_mask(r, Arc::clone(&mask));
             let t = tape.tanh(d);
-            let loss = tape.weighted_mse(t, Arc::clone(&target), Arc::clone(&weights));
+            let loss = tape.weighted_mse(t, Arc::new(label_sets(&target)), Arc::clone(&weights));
             let grads = tape.backward(loss);
 
             let xs = store.get(ids[0]).as_slice();
@@ -1250,5 +1367,71 @@ mod tests {
             });
             assert_same_bits(grads.get(ids[0]).unwrap().as_slice(), plain_grad, &what);
         }
+    }
+
+    /// A 0/1 matrix with about one entry in eight set.
+    fn multi_hot(rows: usize, cols: usize, salt: usize) -> Matrix {
+        crate::matrix::tests::scrambled(rows, cols, salt).map(|v| if v > 3.0 { 1.0 } else { 0.0 })
+    }
+
+    /// The rows of a 0/1 matrix as label sets.
+    fn label_sets(target: &Matrix) -> LabelSets {
+        let rows: Vec<Vec<u32>> = (0..target.rows())
+            .map(|r| {
+                let ones = target.row(r).iter().enumerate().filter(|(_, &t)| t == 1.0);
+                ones.map(|(c, _)| c as u32).collect()
+            })
+            .collect();
+        LabelSets::from_rows(rows.iter().map(Vec::as_slice))
+    }
+
+    /// The multi-label loss over a dense `B x L` target, as the tape
+    /// computed it before targets became label lists: its value (one `f64`
+    /// chain over every element, rows in order) and its gradient with
+    /// respect to `pred`. The oracle the list form is held to.
+    fn weighted_mse_dense(pred: &Matrix, target: &Matrix, weights: &[f32]) -> (f32, Matrix) {
+        let batch = pred.rows().max(1) as f32;
+        let mut acc = 0.0f64;
+        for r in 0..pred.rows() {
+            for ((&pv, &tv), &w) in pred.row(r).iter().zip(target.row(r)).zip(weights) {
+                let d = (tv - pv) as f64;
+                acc += w as f64 * d * d;
+            }
+        }
+        let gscalar = 1.0f32;
+        let grad = Matrix::from_fn(pred.rows(), pred.cols(), |r, c| {
+            gscalar * 2.0 * weights[c] * (pred.get(r, c) - target.get(r, c)) / batch
+        });
+        ((acc / batch as f64) as f32, grad)
+    }
+
+    #[test]
+    fn list_loss_matches_the_dense_target_oracle() {
+        use crate::matrix::tests::{assert_same_bits, scrambled, MAP_SHAPES};
+        for (rows, cols) in MAP_SHAPES {
+            let what = format!("{rows}x{cols}");
+            let target = multi_hot(rows, cols, 6);
+            let weights: Vec<f32> = (0..cols).map(|c| 0.5 + (c % 5) as f32).collect();
+            let (store, ids) = store_with(&[("p", scrambled(rows, cols, 7).scale(0.3))]);
+            let mut tape = Tape::new(&store);
+            let p = tape.param(ids[0]);
+            let labels = Arc::new(label_sets(&target));
+            let loss = tape.weighted_mse(p, labels, Arc::new(weights.clone()));
+            let (want, want_grad) = weighted_mse_dense(store.get(ids[0]), &target, &weights);
+            let got = tape.value(loss).get(0, 0);
+            assert!(
+                got.to_bits().abs_diff(want.to_bits()) <= 1,
+                "{what}: {got} is more than 1 ulp from {want}"
+            );
+            let grads = tape.backward(loss);
+            let got_grad = grads.get(ids[0]).unwrap().as_slice();
+            assert_same_bits(got_grad, want_grad.as_slice().iter().copied(), &what);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn label_sets_refuse_an_unsorted_row() {
+        let _ = LabelSets::from_rows([&[1u32, 3][..], &[2, 2]]);
     }
 }

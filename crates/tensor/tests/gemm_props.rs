@@ -15,7 +15,9 @@ use std::sync::{Arc, Once};
 
 use proptest::prelude::*;
 use smgcn_tensor::init::seeded_rng;
-use smgcn_tensor::{BufferPool, CsrMatrix, Matrix, PackedRhs, ParamStore, SharedCsr, Tape, Tier};
+use smgcn_tensor::{
+    BufferPool, CsrMatrix, LabelSets, Matrix, PackedRhs, ParamStore, SharedCsr, Tape, Tier,
+};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     use rand::Rng;
@@ -206,7 +208,13 @@ proptest! {
                 .collect();
             SharedCsr::new(CsrMatrix::from_triplets(rows, rows, &triplets).row_normalized())
         };
-        let target = Arc::new(random_matrix(rows, dim, seed ^ 21));
+        let target = {
+            let signs = random_matrix(rows, dim, seed ^ 21);
+            let ones: Vec<Vec<u32>> = (0..rows)
+                .map(|r| (0..dim as u32).filter(|&c| signs.get(r, c as usize) > 0.0).collect())
+                .collect();
+            Arc::new(LabelSets::from_rows(ones.iter().map(Vec::as_slice)))
+        };
         let weights = Arc::new(vec![1.5f32; dim]);
 
         let run = |tape: &mut Tape<'_>| {

@@ -252,7 +252,13 @@ fn gradcheck_dropout_mask() {
 fn gradcheck_weighted_mse() {
     let mut store = ParamStore::new();
     store.add("pred", rand_matrix(4, 5, 22));
-    let target = Arc::new(Matrix::from_fn(4, 5, |r, c| ((r + c) % 2) as f32));
+    // The 4 x 5 multi-hot target whose ones are where `r + c` is odd.
+    let target = Arc::new(LabelSets::from_rows([
+        &[1u32, 3][..],
+        &[0, 2, 4],
+        &[1, 3],
+        &[0, 2, 4],
+    ]));
     let weights = Arc::new(vec![1.0f32, 3.0, 0.5, 2.0, 1.5]);
     check_all(&mut store, move |s, tape| {
         let p = s.iter().next().unwrap().0;
@@ -287,7 +293,7 @@ fn gradcheck_deep_composite_like_smgcn() {
         3,
         &[(0, 0, 0.5), (0, 1, 0.5), (1, 2, 1.0)],
     ));
-    let target = Arc::new(Matrix::from_fn(2, 4, |r, c| ((r * 2 + c) % 2) as f32));
+    let target = Arc::new(LabelSets::from_rows([&[1u32, 3][..], &[1, 3]]));
     let weights = Arc::new(vec![1.0f32, 2.0, 1.0, 0.5]);
 
     let mut store = ParamStore::new();
