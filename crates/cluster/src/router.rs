@@ -45,7 +45,8 @@ use smgcn_serve::client::Unanswered;
 use smgcn_serve::errors::codes;
 use smgcn_serve::json::{self, Json};
 use smgcn_serve::ops::{
-    candidate_of, event_json, events_limit, trace_json, AdminOp, ApiError, OpHandler,
+    candidate_of, deadline_budget, event_json, events_limit, trace_json, AdminOp, ApiError,
+    OpHandler,
 };
 use smgcn_serve::reactor::{Reactor, Service};
 use smgcn_serve::server::{samples_to_json, Running, StopHandle};
@@ -1000,22 +1001,12 @@ impl RouterEngine {
         // client supplied one. The router decrements the remaining budget
         // per failover hop and forwards it, so replicas shed work the
         // client has already given up on.
-        let deadline = match req.get("deadline_ms") {
-            None => None,
-            Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => {
-                if *n == 0.0 {
-                    return self.deadline_shed("deadline_ms arrived already exhausted");
-                }
-                Some(arrived + Duration::from_millis(*n as u64))
+        let deadline = match deadline_budget(&req) {
+            Ok(Some(budget)) if budget.is_zero() => {
+                return self.deadline_shed("deadline_ms arrived already exhausted");
             }
-            Some(other) => {
-                return ApiError::new(
-                    codes::BAD_REQUEST,
-                    format!("bad deadline_ms: {other} (want a non-negative integer)"),
-                )
-                .to_json()
-                .to_string();
-            }
+            Ok(budget) => budget.map(|budget| arrived + budget),
+            Err(e) => return e.to_json().to_string(),
         };
         let key = Self::route_key(&req);
         if req.get("trace") == Some(&Json::Bool(true)) {

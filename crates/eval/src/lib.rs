@@ -8,12 +8,16 @@
 //!   `smgcn-serve` ranks), and train-and-evaluate helpers;
 //! - [`report`] — the paper's Table IV layout and the Fig. 10 case study
 //!   rendering;
-//! - [`significance`] — the paired bootstrap that judges "A beats B".
+//! - [`significance`] — the paired bootstrap that judges "A beats B";
+//! - [`paper`] — every table and figure of §V as a row of one experiment
+//!   table, each ordering claim judged, behind `smgcn paper`;
+//!   `benches/kernels.rs` holds the substrate kernels' microbenchmarks.
 
 #![warn(missing_docs)]
 
 pub mod harness;
 pub mod metrics;
+pub mod paper;
 pub mod report;
 pub mod significance;
 

@@ -1,29 +1,32 @@
-//! `paper` — the paper's evaluation (§V: Tables II–VIII, Figs. 5–10 and
-//! one extension ablation): each experiment is a row of [`TABLE`], and
-//! one loop runs the selected rows over a single prepared corpus.
-//! `smgcn_eval::Lab` trains each distinct (model kind, `ModelConfig`,
+//! The paper's evaluation (§V: Tables II–VIII, Figs. 5–10 and one
+//! extension ablation), behind `smgcn paper`: each experiment is a row of
+//! [`TABLE`], and [`drive`] runs the selected rows over a single prepared
+//! corpus. [`Lab`] trains each distinct (model kind, `ModelConfig`,
 //! `TrainConfig`, thresholds, seed) once and ranks it frozen, the way
 //! `smgcn serve` would; every ordering claim is judged `holds`, `tie` or
 //! `violated` by a paired bootstrap over the test prescriptions' p@5.
 //!
-//! No id runs all thirteen; `--help` prints the table. Writes
-//! `EVAL_paper.json` (or `--out`) and exits 1, naming the claim, when one
-//! is violated. README.md, "Reproducing the paper", is the index.
+//! The report is what `EVAL_paper.json` holds ([`pretty`] lays it out);
+//! a violated claim is named in it and fails the run. README.md,
+//! "Reproducing the paper", is the index.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use smgcn_core::prelude::*;
 use smgcn_data::{Corpus, SyndromeModel};
-use smgcn_eval::*;
 use smgcn_serve::json::{self, Json};
 
-const USAGE: &str = "usage: paper [ID...] [--scale smoke|paper] [--seed N] [--epochs N] \
-                     [--seeds N] [--out PATH]";
+use crate::{
+    case_study, format_calibrated_optima, format_case_study, format_corpus_statistics,
+    format_herb_frequencies, format_metrics_table, non_neural_rows, paired_bootstrap, EvalRow, Lab,
+    Prepared, Recipe, Scale, PAPER_KS, SMOKE_SEEDS,
+};
 
 /// One table or figure of the paper.
-struct Experiment {
-    id: &'static str,
+pub struct Experiment {
+    /// What `smgcn paper --only` names it by.
+    pub id: &'static str,
     title: &'static str,
     /// What the paper reports, with its numbers (original TCM corpus).
     claim: &'static str,
@@ -83,7 +86,8 @@ const RECORDED: Experiment = Experiment {
     claims: &[],
 };
 
-const TABLE: &[Experiment] = &[
+/// Every experiment, in the order a full run reports them.
+pub const TABLE: &[Experiment] = &[
     Experiment {
         id: "table_ii",
         title: "Table II — dataset statistics",
@@ -283,69 +287,33 @@ const TABLE: &[Experiment] = &[
     },
 ];
 
-/// The command line: the old per-table bins' four flags, `--out`, and
-/// the experiment ids in place of thirteen binary names.
-struct Args {
-    experiments: Vec<&'static Experiment>,
-    scale: Scale,
-    seed: u64,
-    epochs: Option<usize>,
-    train_seeds: Vec<u64>,
-    out: String,
-    /// The arguments that reproduce the run (everything but `--out`).
-    replay: Vec<String>,
+/// What one run does; `smgcn paper` fills it from its flags.
+pub struct Args {
+    /// The experiments to run, in order.
+    pub experiments: Vec<&'static Experiment>,
+    /// The corpus, model and training scale.
+    pub scale: Scale,
+    /// The train/test split's seed.
+    pub seed: u64,
+    /// Every training's epochs; `None` keeps each recipe's tuned count.
+    pub epochs: Option<usize>,
+    /// The training seeds each row averages over ([`train_seeds`]).
+    pub train_seeds: Vec<u64>,
+    /// The command line that reproduces the run, recorded in the report.
+    pub replay: Vec<String>,
+}
+
+/// `n` training seeds counting up from the first of [`SMOKE_SEEDS`];
+/// unless given, all three at smoke scale and one at paper scale.
+pub fn train_seeds(scale: Scale, n: Option<u64>) -> Vec<u64> {
+    let n = n.unwrap_or(match scale {
+        Scale::Smoke => SMOKE_SEEDS.len() as u64,
+        Scale::Paper => 1,
+    });
+    (0..n).map(|i| SMOKE_SEEDS[0] + i).collect()
 }
 
 impl Args {
-    fn from_iter(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut parsed = Self {
-            experiments: Vec::new(),
-            scale: Scale::Smoke,
-            seed: 2020,
-            epochs: None,
-            train_seeds: Vec::new(),
-            out: "EVAL_paper.json".to_string(),
-            replay: Vec::new(),
-        };
-        let mut n_seeds = None;
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let Some(flag) = arg.strip_prefix("--") else {
-                let known = TABLE.iter().find(|e| e.id == arg);
-                let known = known.ok_or_else(|| format!("unknown experiment {arg:?}"))?;
-                parsed.experiments.push(known);
-                parsed.replay.push(arg);
-                continue;
-            };
-            let value = it.next().unwrap_or_default();
-            let bad = || format!("bad {arg} value {value:?}");
-            match flag {
-                "scale" => parsed.scale = Scale::from_arg(&value).ok_or_else(bad)?,
-                "seed" => parsed.seed = value.parse().map_err(|_| bad())?,
-                "epochs" => parsed.epochs = Some(value.parse().map_err(|_| bad())?),
-                "seeds" => {
-                    let n = value.parse::<u64>().ok().filter(|&n| n > 0);
-                    n_seeds = Some(n.ok_or_else(bad)?);
-                }
-                "out" if !value.is_empty() => {
-                    parsed.out = value;
-                    continue;
-                }
-                _ => return Err(format!("unknown flag or missing value: {arg}")),
-            }
-            parsed.replay.extend([arg, value]);
-        }
-        if parsed.experiments.is_empty() {
-            parsed.experiments = TABLE.iter().collect();
-        }
-        let n_seeds = n_seeds.unwrap_or(match parsed.scale {
-            Scale::Smoke => SMOKE_SEEDS.len() as u64,
-            Scale::Paper => 1,
-        });
-        parsed.train_seeds = (0..n_seeds).map(|i| SMOKE_SEEDS[0] + i).collect();
-        Ok(parsed)
-    }
-
     /// `kind` at this run's calibrated defaults.
     fn recipe(&self, kind: ModelKind) -> Recipe {
         Recipe::tuned(kind, self.scale, self.epochs)
@@ -377,15 +345,6 @@ impl Args {
                 })
                 .collect(),
         }
-    }
-}
-
-fn print_help() {
-    println!("{USAGE}\n\nexperiments (no ID runs them all; claims are ordering claims on p@5):");
-    for e in TABLE {
-        let gated = e.claims.len();
-        println!("  {:<17}{} ({gated} claims gated)", e.id, e.title);
-        println!("  {:<17}paper: {}", "", e.claim);
     }
 }
 
@@ -500,7 +459,7 @@ fn fig_10(run: &mut Run) -> String {
 
 /// Runs `args.experiments` over `prepared`; returns the report and the
 /// violated claims.
-fn drive(args: &Args, prepared: &Prepared) -> (Json, Vec<String>) {
+pub fn drive(args: &Args, prepared: &Prepared) -> (Json, Vec<String>) {
     let start = Instant::now();
     let scale = format!("{:?}", args.scale).to_lowercase();
     println!(
@@ -520,7 +479,7 @@ fn drive(args: &Args, prepared: &Prepared) -> (Json, Vec<String>) {
     let strings = |items: &[String]| Json::Arr(items.iter().cloned().map(Json::Str).collect());
     let seeds = args.train_seeds.iter().map(|&s| Json::Num(s as f64));
     let replay = [
-        ("bin", Json::Str("paper".into())),
+        ("bin", Json::Str("smgcn".into())),
         ("args", strings(&args.replay)),
     ];
     let report = json::obj([
@@ -551,7 +510,7 @@ fn hardware_json() -> Json {
 
 /// `value` with objects and arrays above `depth` one member a line, so
 /// the checked-in record diffs by row and by claim.
-fn pretty(value: &Json, depth: usize, indent: usize) -> String {
+pub fn pretty(value: &Json, depth: usize, indent: usize) -> String {
     let inner = |v: &Json| pretty(v, depth - 1, indent + 2);
     let keyed = |(k, v): (&String, &Json)| format!("{}: {}", Json::Str(k.clone()), inner(v));
     let (brackets, members): (_, Vec<String>) = match value {
@@ -568,59 +527,21 @@ fn pretty(value: &Json, depth: usize, indent: usize) -> String {
     format!("{open}{pad}{members}\n{}{close}", " ".repeat(indent))
 }
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.iter().any(|a| a == "--help" || a == "-h") {
-        return print_help();
-    }
-    let args = Args::from_iter(raw).unwrap_or_else(|err| {
-        eprintln!("error: {err}\n{USAGE}");
-        std::process::exit(2)
-    });
-    let (report, violated) = drive(&args, &prepare(args.scale, args.seed));
-    std::fs::write(&args.out, pretty(&report, 4, 0) + "\n").unwrap_or_else(|err| {
-        eprintln!("error: cannot write {}: {err}", args.out);
-        std::process::exit(1)
-    });
-    println!("wrote {}", args.out);
-    if !violated.is_empty() {
-        eprintln!("violated: {}", violated.join("; "));
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepare_with;
     use smgcn_data::GeneratorConfig;
 
-    fn parse(line: &str) -> Result<Args, String> {
-        Args::from_iter(line.split_whitespace().map(String::from))
-    }
-
-    #[test]
-    fn command_line_defaults_flags_and_ids() {
-        let a = parse("").unwrap();
-        assert_eq!((a.scale, a.seed, a.epochs), (Scale::Smoke, 2020, None));
-        assert_eq!(
-            (a.experiments.len(), a.out.as_str()),
-            (13, "EVAL_paper.json")
-        );
-        assert_eq!(a.train_seeds, SMOKE_SEEDS.to_vec());
-        let line = "table_v fig_8 --scale paper --seed 7 --epochs 5 --seeds 2";
-        let a = parse(&format!("{line} --out x.json")).unwrap();
-        let ids: Vec<&str> = a.experiments.iter().map(|e| e.id).collect();
-        assert_eq!((ids, a.out.as_str()), (vec!["table_v", "fig_8"], "x.json"));
-        assert_eq!((a.scale, a.seed, a.train_seeds.len()), (Scale::Paper, 7, 2));
-        assert_eq!(a.recipe(ModelKind::Smgcn).train.epochs, 5);
-        assert_eq!(a.replay.join(" "), line);
-        assert_eq!(parse("--scale paper").unwrap().train_seeds.len(), 1);
-    }
-
-    #[test]
-    fn bad_command_lines_are_refused() {
-        for line in "--seeds 0;--seeds x;table_x;--scale huge;--bogus 1;--seed".split(';') {
-            assert!(parse(line).is_err(), "{line}");
+    /// Every experiment at `scale`, as `smgcn paper` runs it by default.
+    fn all_at(scale: Scale) -> Args {
+        Args {
+            experiments: TABLE.iter().collect(),
+            scale,
+            seed: 2020,
+            epochs: None,
+            train_seeds: train_seeds(scale, None),
+            replay: Vec::new(),
         }
     }
 
@@ -630,7 +551,9 @@ mod tests {
                    fig_5 fig_7 fig_8 fig_9 fig_10 ablation_weights";
         let ids: Vec<&str> = TABLE.iter().map(|e| e.id).collect();
         assert_eq!(ids, old.split_whitespace().collect::<Vec<_>>());
-        for args in [parse("").unwrap(), parse("--scale paper").unwrap()] {
+        assert_eq!(train_seeds(Scale::Smoke, None), SMOKE_SEEDS);
+        assert_eq!(train_seeds(Scale::Paper, None).len(), 1);
+        for args in [all_at(Scale::Smoke), all_at(Scale::Paper)] {
             for exp in TABLE {
                 let trained = args
                     .variants(&exp.varies)
@@ -674,8 +597,12 @@ mod tests {
 
     #[test]
     fn a_shared_config_trains_once_and_a_false_claim_fails_the_run() {
-        let mut args = parse("--epochs 20 --seeds 1").unwrap();
-        args.experiments = vec![&SHARED, &CRUSHED];
+        let args = Args {
+            experiments: vec![&SHARED, &CRUSHED],
+            epochs: Some(20),
+            train_seeds: train_seeds(Scale::Smoke, Some(1)),
+            ..all_at(Scale::Smoke)
+        };
         let tiny = prepare_with(GeneratorConfig::tiny_scale(), args.scale.thresholds(), 3);
         let (report, violated) = drive(&args, &tiny);
         // SMGCN at λ = 1e-4 is a row of both experiments.
@@ -698,7 +625,7 @@ mod tests {
         };
         assert!(verdict(&experiments[0]).is_some());
         assert_eq!(verdict(&experiments[1]).as_deref(), Some("violated"));
-        // `main` exits 1 on a non-empty list.
+        // `smgcn paper` exits 1 on a non-empty list.
         assert_eq!(violated, ["crushed: λ = 10 > λ = 0.0001"]);
     }
 }

@@ -2,7 +2,7 @@
 //! Table II's corpus statistics, Table III's calibrated optima, Fig. 5's
 //! frequency histogram and the Fig. 10 case study. The paper's own
 //! numbers and the ordering claims live with the experiment table in
-//! `smgcn-bench`'s `paper` bin.
+//! [`crate::paper`].
 
 use smgcn_data::{corpus_stats, top_herbs, Corpus};
 

@@ -36,7 +36,6 @@
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use smgcn_bench::harness::number_arg;
 use smgcn_experiment::{SplitPlan, DEFAULT_SPLIT_SEED};
 use smgcn_loadgen::scenario::{DIM, N_HERBS, N_SYMPTOMS};
 use smgcn_loadgen::shape::{synthetic_frozen, synthetic_vocab};
@@ -57,6 +56,15 @@ struct Args {
     sample_every: u64,
     scrape_ms: u64,
     max_regress: f64,
+}
+
+/// `value` of `flag` as a number; anything else is a misuse: an error
+/// naming the flag on stderr, exit 2.
+fn number_arg<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("error: {flag} needs a number");
+        std::process::exit(2)
+    })
 }
 
 fn parse_args() -> Args {

@@ -20,9 +20,7 @@ use smgcn_obs::tsdb::{unix_ms_now, Scraper, SeriesEncoder, TsdbData};
 use smgcn_online::{FineTuneConfig, OnlineConfig, OnlinePipeline};
 use smgcn_serve::json::{self, Json};
 use smgcn_serve::server::flatten_metrics_json;
-use smgcn_serve::{
-    BatcherConfig, FrozenModel, LineClient, Running, Server, ServerConfig, ServingVocab,
-};
+use smgcn_serve::{FrozenModel, LineClient, Running, Server, ServerConfig, ServingVocab};
 
 use crate::report::{Measured, ScenarioReport, WorkloadSummary};
 use crate::scenario::{
@@ -44,18 +42,6 @@ fn start_server(model: FrozenModel, vocab: ServingVocab, config: ServerConfig) -
     Server::bind("127.0.0.1:0", model, vocab, config)
         .and_then(Server::spawn)
         .expect("start a server")
-}
-
-fn start_replica(model: FrozenModel, vocab: ServingVocab) -> Running {
-    let config = ServerConfig {
-        max_connections: 64,
-        batcher: BatcherConfig {
-            max_batch: 64,
-            ..BatcherConfig::default()
-        },
-        ..ServerConfig::default()
-    };
-    start_server(model, vocab, config)
 }
 
 /// The running stack behind one scenario. Owned by [`run`]'s thread:
@@ -100,9 +86,10 @@ impl Stack {
             Topology::Routed { replicas } => {
                 let procs: Vec<Option<Running>> = (0..replicas)
                     .map(|_| {
-                        Some(start_replica(
+                        Some(start_server(
                             synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, 0),
                             synthetic_vocab(N_SYMPTOMS, N_HERBS, 0),
+                            ServerConfig::default(),
                         ))
                     })
                     .collect();

@@ -14,9 +14,8 @@
 //!   one via `smgcn-faults`);
 //! - [`shape`] — what every load is built from: the tagged synthetic
 //!   model and vocabulary, the hot-pool index draw, and the p50/p99
-//!   rule. The `smgcn-bench` bin that drives a server takes its model
-//!   from here too — the load generator is the library, the benches
-//!   are its callers;
+//!   rule. The `obs_overhead` bin (the telemetry budget: full stack vs
+//!   bare server qps) takes its model from here too;
 //! - [`schedule`] — the request schedule: generated single-threaded
 //!   from the seed, byte-identical across runs and thread counts,
 //!   fingerprinted (FNV-1a) into every report;

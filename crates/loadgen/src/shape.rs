@@ -1,6 +1,6 @@
 //! The shape of a load before anything runs: the synthetic model it is
 //! scored against, the skew of its draws, and how its latencies are
-//! summarised. The scenarios, the engine and the `smgcn-bench` bins all
+//! summarised. The scenarios, the engine and the `obs_overhead` bin all
 //! build their inputs here, so the same seed means the same model, the
 //! same picks and the same percentile rule everywhere.
 

@@ -7,8 +7,8 @@
 //! [`smgcn_core::Recommender::warm_start_smgcn`] when the graphs or the
 //! vocabulary changed) and trains with a small epoch budget, stopping
 //! early once the loss reaches a target — typically the cold-training
-//! plateau, which the `online_refresh` benchmark shows is reached in a
-//! quarter or less of the cold epochs.
+//! plateau, which `tests/warm_refresh.rs` holds to at most one of eight
+//! cold epochs.
 //!
 //! Determinism: each fine-tune call is seed-deterministic (same inputs,
 //! same history), but a warm-started model is **not** weight-identical

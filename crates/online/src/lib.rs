@@ -24,7 +24,7 @@
 //! Determinism caveat: graph parity is exact, but a warm-started
 //! fine-tune is *not* weight-identical to a cold retrain on the grown
 //! corpus — it converges to the same loss plateau in a fraction of the
-//! epochs (see the `online_refresh` benchmark), which is the operating
+//! epochs (`tests/warm_refresh.rs`), which is the operating
 //! point the paper's static pipeline cannot reach at all.
 
 #![warn(missing_docs)]

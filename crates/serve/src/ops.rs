@@ -29,6 +29,7 @@
 //! replica-side verb must keep working through an older router.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use smgcn_experiment::{SplitPlan, CONTROL};
 use smgcn_obs::{Event, SpanRecord};
@@ -89,6 +90,25 @@ impl ApiError {
             fields.push(("retryable", Json::Bool(true)));
         }
         json::obj([("error", json::obj(fields))].into_iter().chain(context))
+    }
+}
+
+/// A ranking request's end-to-end latency budget, `"deadline_ms"`: the
+/// milliseconds the client (or the router upstream, which decrements it
+/// per hop) is still willing to wait. `None` when absent; zero when it
+/// arrived already spent, which the caller sheds rather than queueing a
+/// request nobody is waiting for. Anything but a non-negative integer is
+/// a `bad_request`.
+pub fn deadline_budget(req: &Json) -> Result<Option<Duration>, ApiError> {
+    match req.get("deadline_ms") {
+        None => Ok(None),
+        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => {
+            Ok(Some(Duration::from_millis(*n as u64)))
+        }
+        Some(other) => Err(ApiError::new(
+            codes::BAD_REQUEST,
+            format!("bad deadline_ms: {other} (want a non-negative integer)"),
+        )),
     }
 }
 

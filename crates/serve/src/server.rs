@@ -45,7 +45,7 @@ use crate::client::LineClient;
 use crate::errors::codes;
 use crate::frozen::{FrozenError, FrozenModel};
 use crate::json::{self, Json};
-use crate::ops::{trace_json, AdminOp, ApiError, OpHandler};
+use crate::ops::{deadline_budget, trace_json, AdminOp, ApiError, OpHandler};
 use crate::reactor::{Reactor, Service};
 use crate::slot::{Generation, ModelSlot};
 use crate::topk::partial_top_k;
@@ -586,32 +586,19 @@ impl Engine {
                 format!("k {k} exceeds maximum {MAX_K}"),
             ));
         }
-        // The end-to-end latency budget, anchored at line arrival: the
-        // remaining milliseconds the client (or the router upstream,
-        // which decrements per hop) is still willing to wait. Zero means
-        // the budget arrived already spent — shed immediately rather
-        // than queueing a request nobody is waiting for.
-        let deadline = match req.get("deadline_ms") {
-            None => None,
-            Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => {
-                if *n == 0.0 {
-                    self.obs.deadline_sheds.inc();
-                    self.obs
-                        .events
-                        .record("deadline_shed", "deadline_ms arrived exhausted");
-                    return Err(ApiError::new(
-                        codes::DEADLINE_EXCEEDED,
-                        "deadline_ms budget arrived already exhausted",
-                    ));
-                }
-                Some(started + Duration::from_millis(*n as u64))
-            }
-            Some(other) => {
+        // The latency budget, anchored at line arrival.
+        let deadline = match deadline_budget(&req)? {
+            Some(budget) if budget.is_zero() => {
+                self.obs.deadline_sheds.inc();
+                self.obs
+                    .events
+                    .record("deadline_shed", "deadline_ms arrived exhausted");
                 return Err(ApiError::new(
-                    codes::BAD_REQUEST,
-                    format!("bad deadline_ms: {other} (want a non-negative integer)"),
-                ))
+                    codes::DEADLINE_EXCEEDED,
+                    "deadline_ms budget arrived already exhausted",
+                ));
             }
+            budget => budget.map(|budget| started + budget),
         };
         // Variant resolution: an explicit `"variant"` override wins;
         // otherwise the active split plan assigns deterministically by

@@ -78,6 +78,12 @@
 //! match labeled variants; `--op` picks the window aggregation), and
 //! `smgcn profile` fetches the continuous profiler's folded stacks via
 //! `{"op":"profile"}` — routers return the fleet-merged view.
+//!
+//! `paper` reproduces the paper's evaluation (Tables II–VIII, Figs.
+//! 5–10): every experiment of `smgcn_eval::paper::TABLE`, or the ones
+//! `--only` names, trained once per distinct configuration and ranked
+//! frozen. It writes `EVAL_paper.json` and exits 1 when an ordering claim
+//! reads `violated`.
 
 use std::collections::HashMap;
 use std::process::exit;
@@ -344,11 +350,25 @@ const COMMANDS: &[Command] = &[
         ]],
         cmd_query,
     ),
+    cmd(
+        "paper",
+        &[&[
+            SCALE,
+            SEED,
+            flag("epochs", "N", Optional("each recipe's tuned count")),
+            flag("seeds", "N", Optional("3 at smoke scale, 1 at paper")),
+            flag("out", "FILE", DefaultsTo("EVAL_paper.json")),
+            flag("only", "ID,...", Optional("every experiment")),
+        ]],
+        cmd_paper,
+    ),
 ];
 
 fn usage_text() -> String {
+    use smgcn_repro::eval::paper::TABLE;
     use smgcn_repro::loadgen::ScenarioKind;
     let scenarios: Vec<&str> = ScenarioKind::all().iter().map(|k| k.name()).collect();
+    let experiments: Vec<&str> = TABLE.iter().map(|e| e.id).collect();
     let mut text = String::from(
         "usage: smgcn COMMAND [WORD] [--flag VALUE]...\n\
          (--help or -h anywhere prints this; a flag a command does not list is an error)\n",
@@ -358,11 +378,13 @@ fn usage_text() -> String {
     }
     text.push_str(&format!(
         "\nscenarios: {}\n\
+         experiments (paper --only): {}\n\
          experiment: publish reads --variant, --corpus, --model-file and --model/--scale/--seed; \
          install --split and --seed (sent only when given); compare --out\n\
          --model-file for recommend/serve: a frozen model (smgcn freeze) or a training checkpoint\n\
          env: SMGCN_FAULT_SEED=N arms the seeded fault-injection storm plan in this process\n",
-        scenarios.join(", ")
+        scenarios.join(", "),
+        experiments.join(", ")
     ));
     text
 }
@@ -1106,6 +1128,50 @@ fn cmd_query(args: &Args) {
     match value {
         Some(v) => println!("{op}({selector}) [{t0} .. {t1}] = {v}"),
         None => fail(format!("no series matches {selector:?} in the window")),
+    }
+}
+
+/// `smgcn paper`: the paper's tables and figures (`eval::paper`) over one
+/// prepared corpus, the report written to `--out`; a violated ordering
+/// claim exits 1.
+fn cmd_paper(args: &Args) {
+    use smgcn_repro::eval::paper::{self, TABLE};
+    let scale = args.choice("scale", Scale::from_arg);
+    let experiments = match args.get("only") {
+        None => TABLE.iter().collect(),
+        Some(ids) => ids
+            .split(',')
+            .map(|id| match TABLE.iter().find(|e| e.id == id) {
+                Some(experiment) => experiment,
+                None => args.misuse(format!(": --only {id:?} is not an experiment")),
+            })
+            .collect(),
+    };
+    let seeds = args.opt("seeds");
+    if seeds == Some(0) {
+        args.misuse(": --seeds 0 trains nothing");
+    }
+    // What reproduces the run: every flag given but --out.
+    let mut replay = vec!["paper".to_string()];
+    for flag in args.command.flags().filter(|f| f.name != "out") {
+        if let Some(value) = args.given.get(flag.name) {
+            replay.extend([format!("--{}", flag.name), value.clone()]);
+        }
+    }
+    let run = paper::Args {
+        experiments,
+        scale,
+        seed: args.num("seed"),
+        epochs: args.opt("epochs"),
+        train_seeds: paper::train_seeds(scale, seeds),
+        replay,
+    };
+    let out = args.need("out");
+    let (report, violated) = paper::drive(&run, &prepare(scale, run.seed));
+    std::fs::write(out, paper::pretty(&report, 4, 0) + "\n").or_fail(format!("cannot write {out}"));
+    println!("wrote {out}");
+    if !violated.is_empty() {
+        fail(format!("violated: {}", violated.join("; ")));
     }
 }
 

@@ -7,7 +7,7 @@
 //! held to its own command line: a flag a command does not read, a value
 //! that does not parse and a missing required flag are errors that name
 //! the flag; asking for help is not an error, and the help lists every
-//! flag.
+//! flag and every experiment `smgcn paper` runs.
 
 use std::io::Write;
 use std::net::TcpListener;
@@ -200,11 +200,47 @@ fn help_lists_every_flag_a_command_reads() {
         ("train", "--scale"),
         ("serve", "--tsdb"),
         ("route", "--tsdb"),
+        ("paper", "--seeds"),
+        ("paper", "--only"),
     ] {
         assert!(
             entry(command).contains(flag),
             "{command}: {}",
             entry(command)
         );
+    }
+    // The experiment ids are the driver's own table, not a copy of it.
+    for experiment in smgcn_repro::eval::paper::TABLE {
+        assert!(
+            help.contains(experiment.id),
+            "usage omits {}",
+            experiment.id
+        );
+    }
+}
+
+/// `smgcn paper` refuses a seed count of zero, an experiment it does not
+/// have and a scale it does not know before it prepares a corpus.
+#[test]
+fn a_paper_misuse_is_refused_before_any_work() {
+    let out = std::env::temp_dir().join(format!("smgcn-cli-paper-{}.json", std::process::id()));
+    let out_arg = out.to_str().unwrap();
+    for (flags, error) in [
+        (["--seeds", "0"], "error: smgcn paper: --seeds 0"),
+        (
+            ["--only", "table_x"],
+            r#"error: smgcn paper: --only "table_x" is not an experiment"#,
+        ),
+        (
+            ["--scale", "huge"],
+            r#"error: smgcn paper: --scale "huge" is not one of smoke|paper"#,
+        ),
+    ] {
+        let run = run_smgcn(&[&["paper", "--out", out_arg][..], &flags].concat(), QUICK);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(error), "{flags:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{flags:?} started the run");
+        assert!(!out.exists(), "a rejected command line still wrote {out:?}");
     }
 }
