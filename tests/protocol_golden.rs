@@ -90,12 +90,7 @@ fn line(s: impl Into<String>) -> Step {
 
 /// Numeric fields carrying wall-clock measurements.
 fn volatile_num(key: &str) -> bool {
-    key == "us"
-        || key.ends_with("_us")
-        || matches!(
-            key,
-            "micros" | "uptime_s" | "unix_ms" | "traces_recorded" | "qps"
-        )
+    key == "us" || key.ends_with("_us") || matches!(key, "micros" | "uptime_s" | "unix_ms" | "qps")
 }
 
 /// String fields carrying free-form volatile text. (`router` is the
