@@ -118,7 +118,7 @@ struct RouterEngine {
     /// The router's continuous profiler: forward wall time folds under
     /// `router;forward`, fleet-merged with the replicas' stacks by
     /// `{"op":"profile"}`.
-    profiler: Arc<Profiler>,
+    profiler: Profiler,
     prof_forward: ProfileHandle,
     /// Serializes fleet-level rolling publishes: two interleaved
     /// rollouts could leave replicas serving *different* models under
@@ -507,10 +507,9 @@ impl RouterEngine {
 
     /// The `{"op":"profile"}` admin verb, fleet-wide: the router's own
     /// folded stacks merged with every replica's, so one
-    /// flamegraph-collapsed report covers routing, serving and (when the
-    /// replica co-hosts an online pipeline) training. Stacks merge by
-    /// summing microseconds per identical frame path; the totals sum
-    /// too, so the coverage ratio (`profile_total_us` vs
+    /// flamegraph-collapsed report covers routing and serving. Stacks
+    /// merge by summing microseconds per identical frame path; the
+    /// totals sum too, so the coverage ratio (`profile_total_us` vs
     /// `latency_total_us`) stays meaningful fleet-wide.
     fn profile(&self) -> Json {
         let mut merged = std::collections::BTreeMap::new();
@@ -1012,12 +1011,25 @@ impl RouterEngine {
         if req.get("trace") == Some(&Json::Bool(true)) {
             return self.forward_traced(key, line, &req, deadline);
         }
+        self.forward_timed(key, line, &req, deadline).0
+    }
+
+    /// [`RouterEngine::forward`], its wall time booked once under
+    /// `router_forward_us` and the `router;forward` stack, and returned
+    /// beside the response.
+    fn forward_timed(
+        &self,
+        key: u64,
+        line: &str,
+        req: &Json,
+        deadline: Option<Instant>,
+    ) -> (String, u64) {
         let t0 = Instant::now();
-        let response = self.forward(key, line, &req, deadline);
+        let response = self.forward(key, line, req, deadline);
         let wall_us = t0.elapsed().as_micros() as u64;
         self.forward_us.record(wall_us);
         self.prof_forward.add(wall_us);
-        response
+        (response, wall_us)
     }
 
     /// Traced forward: the router contributes its own spans around the
@@ -1029,7 +1041,7 @@ impl RouterEngine {
     ///
     /// The trace id is client-supplied when present, minted here
     /// otherwise and injected into the forwarded request so the replica
-    /// journals the same id. Only traced requests are re-serialized —
+    /// traces under the same id. Only traced requests are re-serialized —
     /// the untraced path forwards the raw line untouched.
     fn forward_traced(
         &self,
@@ -1038,14 +1050,14 @@ impl RouterEngine {
         req: &Json,
         deadline: Option<Instant>,
     ) -> String {
-        let mut builder = TraceBuilder::new(Instant::now());
+        let mut builder: TraceBuilder = TraceBuilder::new(Instant::now());
         let supplied = req
             .get("trace_id")
             .and_then(Json::as_str)
             .map(str::to_string);
         // The forwarded *request object* (not just the line) carries the
         // minted trace id: a deadline hop re-serializes from the object,
-        // and the replica must journal the same id either way.
+        // and the replica must trace under the same id either way.
         let (trace_id, forward_req, forward_line) = match supplied {
             Some(id) => (id, req.clone(), line.to_string()),
             None => {
@@ -1061,11 +1073,7 @@ impl RouterEngine {
             }
         };
         builder.cover_to_now("route");
-        let t0 = Instant::now();
-        let raw = self.forward(key, &forward_line, &forward_req, deadline);
-        let wall_us = t0.elapsed().as_micros() as u64;
-        self.forward_us.record(wall_us);
-        self.prof_forward.add(wall_us);
+        let (raw, wall_us) = self.forward_timed(key, &forward_line, &forward_req, deadline);
         let Ok(Json::Obj(mut response)) = json::parse(&raw) else {
             return raw;
         };
@@ -1238,7 +1246,7 @@ impl Router {
         assert!(!replicas.is_empty(), "Router: need at least one replica");
         let listener = TcpListener::bind(addr)?;
         let registry = Arc::new(Registry::new());
-        let profiler = Arc::new(Profiler::new());
+        let profiler = Profiler::new();
         let events = Arc::new(EventJournal::new(256));
         let pool_obs = Arc::new(ClusterObs {
             events: Arc::clone(&events),
@@ -1281,21 +1289,9 @@ impl Router {
         self.listener.local_addr()
     }
 
-    /// The router's own metric registry (the `router` section of the
-    /// fleet `{"op":"metrics"}` snapshot).
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.engine.registry)
-    }
-
     /// The fleet event journal behind `{"op":"events"}`.
     pub fn events(&self) -> Arc<EventJournal> {
         Arc::clone(&self.engine.events)
-    }
-
-    /// The router's own continuous profiler (the `router` section of the
-    /// fleet `{"op":"profile"}` report).
-    pub fn profiler(&self) -> Arc<Profiler> {
-        Arc::clone(&self.engine.profiler)
     }
 
     /// A handle that makes [`Router::run`] return.

@@ -2,16 +2,15 @@
 //! stack on vs a bare server.
 //!
 //! The telemetry plane's contract is "free unless asked": counters are
-//! single atomic adds on the hot path, span timelines are only
-//! assembled for sampled requests, the continuous profiler folds phase
-//! timers the request already measured, and the scraper reads a
+//! single atomic adds on the hot path, a span timeline is only rendered
+//! for a request that asks for it, the continuous profiler folds the
+//! phase list the request keeps anyway, and the scraper reads a
 //! lock-free registry off the hot path entirely. This bench holds the
 //! contract to a number — the same query stream is driven through two
-//! in-process servers: one bare (tracing off, profiler off, no
-//! scraper), and one loaded with 1-in-`--sample-every` trace sampling,
-//! the continuous profiler, a live 90/10 A/B split (so every request
-//! pays plan assignment and ticks per-variant labeled counters), and
-//! (with `--scrape-ms N`) a live tsdb scraper polling
+//! in-process servers: one bare (profiler off, no split, no scraper),
+//! and one loaded with the continuous profiler, a live 90/10 A/B split
+//! (so every request pays plan assignment and ticks per-variant labeled
+//! counters), and (with `--scrape-ms N`) a live tsdb scraper polling
 //! `{"op":"metrics"}` over TCP. The loaded configuration must keep at
 //! least `1 - --max-regress` of the bare throughput.
 //!
@@ -24,7 +23,7 @@
 //!
 //! ```text
 //! obs_overhead [--queries N] [--conns N] [--trials N]
-//!              [--sample-every N] [--scrape-ms N] [--max-regress F]
+//!              [--scrape-ms N] [--max-regress F]
 //! ```
 //!
 //! Trials interleave the two configurations (bare, loaded, bare, …) and
@@ -53,7 +52,6 @@ struct Args {
     queries: usize,
     conns: usize,
     trials: usize,
-    sample_every: u64,
     scrape_ms: u64,
     max_regress: f64,
 }
@@ -72,7 +70,6 @@ fn parse_args() -> Args {
         queries: 4000,
         conns: 4,
         trials: 3,
-        sample_every: 100,
         scrape_ms: 0,
         max_regress: 0.05,
     };
@@ -88,14 +85,13 @@ fn parse_args() -> Args {
             "--queries" => args.queries = number_arg(&arg, &value(&arg)),
             "--conns" => args.conns = number_arg(&arg, &value(&arg)),
             "--trials" => args.trials = number_arg(&arg, &value(&arg)),
-            "--sample-every" => args.sample_every = number_arg(&arg, &value(&arg)),
             "--scrape-ms" => args.scrape_ms = number_arg(&arg, &value(&arg)),
             "--max-regress" => args.max_regress = number_arg(&arg, &value(&arg)),
             other => {
                 eprintln!(
                     "error: unknown argument {other:?}\n\
                      usage: obs_overhead [--queries N] [--conns N] [--trials N] \
-                     [--sample-every N] [--scrape-ms N] [--max-regress F]"
+                     [--scrape-ms N] [--max-regress F]"
                 );
                 std::process::exit(2);
             }
@@ -134,16 +130,15 @@ fn install_split(addr: SocketAddr) {
 
 /// Drives `queries` requests over `conns` serial client connections
 /// against a fresh server; returns qps. `loaded` runs the full
-/// telemetry stack (trace sampling, continuous profiler, a live 90/10
-/// split with per-variant labeled counters, and — when `--scrape-ms`
-/// is set — a live tsdb scraper), bare runs none of it.
+/// telemetry stack (continuous profiler, a live 90/10 split with
+/// per-variant labeled counters, and — when `--scrape-ms` is set — a
+/// live tsdb scraper), bare runs none of it.
 fn measure(args: &Args, loaded: bool) -> f64 {
     let server = Server::bind(
         "127.0.0.1:0",
         synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, 0),
         synthetic_vocab(N_SYMPTOMS, N_HERBS, 0),
         ServerConfig {
-            trace_sample_every: if loaded { args.sample_every } else { 0 },
             profile: loaded,
             duel_sample_every: 0,
             ..ServerConfig::default()
@@ -217,11 +212,10 @@ fn main() {
     let args = parse_args();
     println!("=== smgcn-obs telemetry overhead ===");
     println!(
-        "queries: {} | conns: {} | trials: {} | sampling 1-in-{} | scrape {} ms | budget {:.0}%",
+        "queries: {} | conns: {} | trials: {} | scrape {} ms | budget {:.0}%",
         args.queries,
         args.conns,
         args.trials,
-        args.sample_every,
         args.scrape_ms,
         args.max_regress * 100.0
     );
@@ -240,8 +234,7 @@ fn main() {
     println!("\nbest: bare {qps_off:.0} qps | loaded {qps_sampled:.0} qps | ratio {ratio:.3}");
     assert!(
         ratio >= 1.0 - args.max_regress,
-        "the telemetry stack (1-in-{} tracing, profiler, 90/10 split labels, scrape {} ms) costs {:.1}% qps (budget {:.0}%)",
-        args.sample_every,
+        "the telemetry stack (profiler, 90/10 split labels, scrape {} ms) costs {:.1}% qps (budget {:.0}%)",
         args.scrape_ms,
         (1.0 - ratio) * 100.0,
         args.max_regress * 100.0

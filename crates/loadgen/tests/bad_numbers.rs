@@ -9,7 +9,6 @@ fn obs_overhead_rejects_each_numeric_flag_that_is_not_a_number() {
         "--queries",
         "--conns",
         "--trials",
-        "--sample-every",
         "--scrape-ms",
         "--max-regress",
     ] {

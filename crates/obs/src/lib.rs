@@ -13,9 +13,9 @@
 //!   `smgcn-serve`), now also exposing *undecayed since-start* totals so
 //!   bench runs can compare percentiles without the decay window
 //!   rewriting history;
-//! - [`trace`] — per-request span records ([`TraceBuilder`]), trace-id
-//!   minting, deterministic [`Sampler`], and a bounded in-memory
-//!   [`TraceJournal`] ring;
+//! - [`trace`] — the per-request span list ([`TraceBuilder`]) a
+//!   replica's latency, profile and requested traces all read, trace-id
+//!   minting, and the deterministic [`Sampler`] behind duel sampling;
 //! - [`events`] — a bounded [`EventJournal`] of structured timestamped
 //!   operational events (ejections, recoveries, publishes, hot swaps,
 //!   WAL flushes, shed decisions, SLO alerts);
@@ -23,8 +23,8 @@
 //!   on-disk time-series store ([`Tsdb`]), a [`Scraper`] that polls a
 //!   metrics source on an interval, and a windowed query API
 //!   ([`TsdbData`]: rate, delta, percentile-over-time);
-//! - [`profile`] — an always-on continuous [`Profiler`] folding the
-//!   phase timers into cumulative flamegraph-collapsible stacks;
+//! - [`profile`] — an always-on continuous [`Profiler`] folding each
+//!   request's phases into cumulative flamegraph-collapsible stacks;
 //! - [`alert`] — declarative [`SloRule`]s judged over the tsdb with
 //!   Google-SRE multi-window burn-rate pairs, edge-triggered into the
 //!   event journal by an [`AlertEngine`];
@@ -54,5 +54,5 @@ pub use events::{Event, EventJournal};
 pub use histogram::{LatencyHistogram, LatencySnapshot, DECAY_INTERVAL};
 pub use profile::{ProfileHandle, Profiler};
 pub use registry::{Counter, Gauge, HistogramStats, Registry, Sample, SampleValue};
-pub use trace::{mint_trace_id, Sampler, SpanRecord, TraceBuilder, TraceJournal, TraceRecord};
+pub use trace::{mint_trace_id, Sampler, SpanRecord, TraceBuilder};
 pub use tsdb::{Scraper, SeriesEncoder, Tsdb, TsdbData};

@@ -1,18 +1,18 @@
 //! Always-on continuous profiler: cumulative folded stacks.
 //!
-//! The serving and training paths already measure their phases (batch
-//! queue wait, GEMM, top-k; prep/forward/backward/step) into latency
-//! histograms. This module aggregates those same durations into
-//! *folded stacks* — the `frame;frame;frame count` text every
-//! flamegraph tool collapses SVGs from — so `{"op":"profile"}` can
-//! answer "where does the time go" cumulatively, not per-request.
+//! A replica already splits each request's wall time into phases (parse,
+//! resolve, cache, queue, batch, GEMM, top-k, respond) for its latency
+//! histogram and for a requested trace. This module aggregates those
+//! same durations into *folded stacks* — the `frame;frame;frame count`
+//! text every flamegraph tool collapses SVGs from — so
+//! `{"op":"profile"}` can answer "where does the time go" cumulatively,
+//! not per-request.
 //!
 //! The hot path is a single relaxed atomic add per phase: callers
 //! pre-register a [`ProfileHandle`] per stack (exactly like registry
 //! counters) and pay no lock, no allocation, no formatting until
 //! someone actually asks for [`Profiler::fold`]. That is what makes it
-//! cheap enough to leave on — the overhead gate holds it to the same
-//! budget as sampled tracing.
+//! cheap enough to leave on.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,11 +26,6 @@ impl ProfileHandle {
     /// Adds `us` microseconds to this stack.
     pub fn add(&self, us: u64) {
         self.0.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Cumulative microseconds recorded.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -55,12 +50,6 @@ impl Profiler {
         ProfileHandle(Arc::clone(stacks.entry(key).or_default()))
     }
 
-    /// One-shot record for infrequent callers (takes the lock; use
-    /// [`Profiler::node`] handles on hot paths).
-    pub fn add(&self, frames: &[&str], us: u64) {
-        self.node(frames).add(us);
-    }
-
     /// Cumulative microseconds across all stacks.
     pub fn total_us(&self) -> u64 {
         let stacks = self.stacks.lock().expect("profiler lock");
@@ -72,17 +61,12 @@ impl Profiler {
     /// stack name (a canonical, diffable order).
     pub fn fold(&self) -> String {
         let stacks = self.stacks.lock().expect("profiler lock");
-        let mut out = String::new();
-        for (stack, us) in stacks.iter() {
-            let us = us.load(Ordering::Relaxed);
-            if us > 0 {
-                out.push_str(stack);
-                out.push(' ');
-                out.push_str(&us.to_string());
-                out.push('\n');
-            }
-        }
-        out
+        render_folded(
+            &stacks
+                .iter()
+                .map(|(stack, us)| (stack.clone(), us.load(Ordering::Relaxed)))
+                .collect(),
+        )
     }
 }
 

@@ -1,44 +1,49 @@
-//! Per-request tracing: span records, trace-id minting, deterministic
-//! sampling, and a bounded in-memory trace journal.
+//! Per-request tracing: span lists, trace-id minting, and a
+//! deterministic sampler.
 //!
 //! A trace is a flat list of named spans that **partitions** the
 //! traced process's handle time: each span starts where the previous
 //! one ended (the builder enforces monotonic starts) and the final
-//! "remainder" span runs to the moment the response is assembled, so
+//! span runs to the clock read that closes the list, so
 //! `sum(span.dur_us)` equals the observed wall latency by construction.
-//! The router splices replica spans into its own timeline by rebasing
-//! their offsets, keeping the same invariant at fleet level.
+//! A replica keeps one such list for every request, named by its own
+//! phase type, and its latency histogram, profile and any requested
+//! trace all read that one list. The router splices replica spans into
+//! its own timeline by rebasing their offsets, keeping the same
+//! invariant at fleet level.
 //!
 //! Ids are minted as lowercase hex from a process-unique counter seeded
-//! off the wall clock, so ids from routers and replicas (even in one
-//! test process) never collide in practice. Clients may supply their
-//! own `trace_id`; it is echoed verbatim end to end.
+//! off the wall clock, by whichever process the client sent the traced
+//! request to (a router injects its id into the forwarded request), so
+//! ids from routers and replicas (even in one test process) never
+//! collide in practice. Clients may supply their own `trace_id`; it is
+//! echoed verbatim end to end.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// One named span: `[start_us, start_us + dur_us)` relative to the
 /// trace anchor (request arrival at the traced process).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
+pub struct SpanRecord<N = String> {
     /// Stage name (`parse`, `queue`, `gemm`, ...).
-    pub name: String,
+    pub name: N,
     /// Offset from the trace anchor, microseconds.
     pub start_us: u64,
     /// Duration, microseconds.
     pub dur_us: u64,
 }
 
-/// Accumulates a partition of one request's wall time into spans.
+/// Accumulates a partition of one request's wall time into spans named
+/// by `N` (free text by default; a replica names them by phase).
 #[derive(Debug)]
-pub struct TraceBuilder {
+pub struct TraceBuilder<N = String> {
     anchor: Instant,
-    spans: Vec<SpanRecord>,
+    spans: Vec<SpanRecord<N>>,
 }
 
-impl TraceBuilder {
+impl<N> TraceBuilder<N> {
     /// A builder anchored at `anchor` (request arrival).
     pub fn new(anchor: Instant) -> Self {
         Self {
@@ -47,7 +52,8 @@ impl TraceBuilder {
         }
     }
 
-    /// Offset of the end of the last span (0 when empty).
+    /// Offset of the end of the last span (0 when empty): the sum of
+    /// every span's duration, since spans partition.
     pub fn end_us(&self) -> u64 {
         self.spans
             .last()
@@ -57,35 +63,25 @@ impl TraceBuilder {
 
     /// Appends a span running from the end of the last span for
     /// `dur_us` microseconds.
-    pub fn push(&mut self, name: &str, dur_us: u64) {
+    pub fn push(&mut self, name: impl Into<N>, dur_us: u64) {
         let start_us = self.end_us();
         self.spans.push(SpanRecord {
-            name: name.to_string(),
+            name: name.into(),
             start_us,
             dur_us,
         });
     }
 
     /// Appends a span running from the end of the last span up to now.
-    pub fn cover_to_now(&mut self, name: &str) {
+    pub fn cover_to_now(&mut self, name: impl Into<N>) {
         let now_us = self.anchor.elapsed().as_micros() as u64;
         let dur = now_us.saturating_sub(self.end_us());
         self.push(name, dur);
     }
 
-    /// Sum of all span durations (== `end_us`, since spans partition).
-    pub fn total_us(&self) -> u64 {
-        self.spans.iter().map(|s| s.dur_us).sum()
-    }
-
     /// The spans recorded so far.
-    pub fn spans(&self) -> &[SpanRecord] {
+    pub fn spans(&self) -> &[SpanRecord<N>] {
         &self.spans
-    }
-
-    /// Consumes the builder, yielding its spans.
-    pub fn into_spans(self) -> Vec<SpanRecord> {
-        self.spans
     }
 }
 
@@ -123,19 +119,6 @@ impl Sampler {
         }
     }
 
-    /// A sampler firing at roughly `rate` (e.g. 0.01 → 1-in-100).
-    pub fn from_rate(rate: f64) -> Self {
-        if rate <= 0.0 {
-            return Self::new(0);
-        }
-        Self::new((1.0 / rate.min(1.0)).round().max(1.0) as u64)
-    }
-
-    /// True when sampling is configured at all.
-    pub fn enabled(&self) -> bool {
-        self.every > 0
-    }
-
     /// Counts one request; true when this one should be sampled.
     pub fn fire(&self) -> bool {
         if self.every == 0 {
@@ -147,75 +130,6 @@ impl Sampler {
     }
 }
 
-/// One completed trace held in the journal.
-#[derive(Clone, Debug)]
-pub struct TraceRecord {
-    /// The trace id (minted or client-supplied).
-    pub trace_id: String,
-    /// Unix milliseconds when the trace completed.
-    pub unix_ms: u64,
-    /// Total wall time covered by the spans, microseconds.
-    pub wall_us: u64,
-    /// The span partition.
-    pub spans: Vec<SpanRecord>,
-}
-
-/// A bounded ring of recent traces (oldest evicted first).
-#[derive(Debug)]
-pub struct TraceJournal {
-    cap: usize,
-    recorded: AtomicU64,
-    dropped: AtomicU64,
-    ring: Mutex<VecDeque<TraceRecord>>,
-}
-
-impl TraceJournal {
-    /// A journal retaining at most `cap` traces.
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap: cap.max(1),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::with_capacity(cap.max(1))),
-        }
-    }
-
-    /// Appends a trace, evicting the oldest at capacity. Returns true
-    /// when an older trace was dropped to make room — callers surface
-    /// that as a `traces_dropped_total` counter so overflow is visible
-    /// instead of silent.
-    pub fn record(&self, trace: TraceRecord) -> bool {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock().unwrap();
-        let evicted = ring.len() == self.cap;
-        if evicted {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(trace);
-        evicted
-    }
-
-    /// The most recent `limit` traces, oldest first.
-    pub fn recent(&self, limit: usize) -> Vec<TraceRecord> {
-        let ring = self.ring.lock().unwrap();
-        ring.iter()
-            .skip(ring.len().saturating_sub(limit))
-            .cloned()
-            .collect()
-    }
-
-    /// Total traces ever recorded (including evicted ones).
-    pub fn recorded_total(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
-
-    /// Traces evicted from the ring to make room for newer ones.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,14 +137,14 @@ mod tests {
 
     #[test]
     fn spans_partition_and_stay_monotonic() {
-        let mut b = TraceBuilder::new(Instant::now());
+        let mut b: TraceBuilder = TraceBuilder::new(Instant::now());
         b.push("parse", 10);
         b.push("queue", 5);
         b.push("gemm", 20);
         let spans = b.spans();
         assert_eq!(spans[1].start_us, 10);
         assert_eq!(spans[2].start_us, 15);
-        assert_eq!(b.total_us(), 35);
+        assert_eq!(spans.iter().map(|s| s.dur_us).sum::<u64>(), 35);
         assert_eq!(b.end_us(), 35);
         for w in spans.windows(2) {
             assert!(w[1].start_us >= w[0].start_us);
@@ -240,14 +154,14 @@ mod tests {
     #[test]
     fn cover_to_now_closes_the_partition() {
         let anchor = Instant::now();
-        let mut b = TraceBuilder::new(anchor);
+        let mut b: TraceBuilder = TraceBuilder::new(anchor);
         b.push("work", 1);
         std::thread::sleep(Duration::from_millis(2));
         b.cover_to_now("finish");
         let wall = anchor.elapsed().as_micros() as u64;
         // Spans sum to (almost exactly) the wall time at close.
-        assert!(b.total_us() <= wall);
-        assert!(wall - b.total_us() < 2_000, "partition gap too large");
+        assert!(b.end_us() <= wall);
+        assert!(wall - b.end_us() < 2_000, "partition gap too large");
     }
 
     #[test]
@@ -265,31 +179,6 @@ mod tests {
         let fired: Vec<bool> = (0..6).map(|_| s.fire()).collect();
         assert_eq!(fired, vec![true, false, false, true, false, false]);
         let never = Sampler::new(0);
-        assert!(!never.enabled());
         assert!((0..100).all(|_| !never.fire()));
-        assert_eq!(Sampler::from_rate(0.01).every, 100);
-    }
-
-    #[test]
-    fn journal_is_bounded_and_counts_evictions() {
-        let j = TraceJournal::new(2);
-        let mut evictions = 0u64;
-        for i in 0..5u64 {
-            if j.record(TraceRecord {
-                trace_id: format!("t{i}"),
-                unix_ms: i,
-                wall_us: i,
-                spans: vec![],
-            }) {
-                evictions += 1;
-            }
-        }
-        let recent = j.recent(10);
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].trace_id, "t3");
-        assert_eq!(recent[1].trace_id, "t4");
-        assert_eq!(j.recorded_total(), 5);
-        assert_eq!(j.dropped_total(), 3);
-        assert_eq!(evictions, 3);
     }
 }

@@ -27,9 +27,7 @@ use std::time::Instant;
 use smgcn_core::{ModelConfig, Recommender, TrainConfig};
 use smgcn_data::Corpus;
 use smgcn_graph::SynergyThresholds;
-use smgcn_obs::{
-    Counter, EventJournal, Gauge, LatencyHistogram, ProfileHandle, Profiler, Registry,
-};
+use smgcn_obs::{Counter, EventJournal, Gauge, LatencyHistogram, Registry};
 use smgcn_serve::{FrozenModel, ModelSlot, ServingVocab};
 
 use crate::delta::IncrementalGraphs;
@@ -122,20 +120,6 @@ struct OnlineObs {
     epoch_step_us: Arc<LatencyHistogram>,
 }
 
-/// Folded-stack handles of a profiled pipeline (see
-/// [`OnlinePipeline::profile`]): refresh stages under
-/// `online;refresh;*`, per-epoch fine-tune phases under `train;epoch;*`.
-struct OnlineProf {
-    delta: ProfileHandle,
-    finetune: ProfileHandle,
-    freeze: ProfileHandle,
-    publish: ProfileHandle,
-    epoch_prep: ProfileHandle,
-    epoch_forward: ProfileHandle,
-    epoch_backward: ProfileHandle,
-    epoch_step: ProfileHandle,
-}
-
 /// The closed data→graph→model→serve loop.
 pub struct OnlinePipeline {
     ingestor: Ingestor,
@@ -144,7 +128,6 @@ pub struct OnlinePipeline {
     config: OnlineConfig,
     slot: Arc<ModelSlot>,
     obs: Option<OnlineObs>,
-    prof: Option<OnlineProf>,
 }
 
 impl OnlinePipeline {
@@ -197,7 +180,6 @@ impl OnlinePipeline {
             config,
             slot,
             obs: None,
-            prof: None,
         }
     }
 
@@ -233,25 +215,6 @@ impl OnlinePipeline {
             obs.events.record("wal_recovered", recovery.to_string());
         }
         self.obs = Some(obs);
-    }
-
-    /// Attaches the continuous profiler: refresh stage time folds under
-    /// `online;refresh;{delta,finetune,freeze,publish}` and per-epoch
-    /// fine-tune phases under `train;epoch;{prep,forward,backward,step}`.
-    /// Share a co-located server's [`Profiler`] (its `profiler()`
-    /// accessor) and one `{"op":"profile"}` report covers serving *and*
-    /// training on the replica.
-    pub fn profile(&mut self, profiler: &Profiler) {
-        self.prof = Some(OnlineProf {
-            delta: profiler.node(&["online", "refresh", "delta"]),
-            finetune: profiler.node(&["online", "refresh", "finetune"]),
-            freeze: profiler.node(&["online", "refresh", "freeze"]),
-            publish: profiler.node(&["online", "refresh", "publish"]),
-            epoch_prep: profiler.node(&["train", "epoch", "prep"]),
-            epoch_forward: profiler.node(&["train", "epoch", "forward"]),
-            epoch_backward: profiler.node(&["train", "epoch", "backward"]),
-            epoch_step: profiler.node(&["train", "epoch", "step"]),
-        });
     }
 
     /// The slot to hand to `Server::bind_slot` — generations published by
@@ -365,44 +328,22 @@ impl OnlinePipeline {
 
         let t_ft = Instant::now();
         // Route per-epoch fine-tune phase timings into the registry
-        // histograms and/or the continuous profiler for the duration of
-        // this refresh (the trainer hook is zero-cost when the pipeline
-        // is neither observed nor profiled).
-        let epoch_hists = self.obs.as_ref().map(|obs| {
-            (
-                Arc::clone(&obs.epoch_prep_us),
-                Arc::clone(&obs.epoch_forward_us),
-                Arc::clone(&obs.epoch_backward_us),
-                Arc::clone(&obs.epoch_step_us),
-            )
+        // histograms for the duration of this refresh (the trainer hook
+        // is zero-cost when the pipeline is not observed). The observer
+        // belongs to this refresh's fine-tune call alone, so concurrent
+        // pipelines never record each other's epochs.
+        let observer: Option<smgcn_core::EpochObserver> = self.obs.as_ref().map(|obs| {
+            let prep = Arc::clone(&obs.epoch_prep_us);
+            let fwd = Arc::clone(&obs.epoch_forward_us);
+            let bwd = Arc::clone(&obs.epoch_backward_us);
+            let step = Arc::clone(&obs.epoch_step_us);
+            Arc::new(move |p: &smgcn_core::EpochPhases| {
+                prep.record(p.prep_us);
+                fwd.record(p.forward_us);
+                bwd.record(p.backward_us);
+                step.record(p.step_us);
+            }) as smgcn_core::EpochObserver
         });
-        let epoch_prof = self.prof.as_ref().map(|prof| {
-            (
-                prof.epoch_prep.clone(),
-                prof.epoch_forward.clone(),
-                prof.epoch_backward.clone(),
-                prof.epoch_step.clone(),
-            )
-        });
-        // The observer belongs to this refresh's fine-tune call alone, so
-        // concurrent pipelines never record each other's epochs.
-        let observer: Option<smgcn_core::EpochObserver> =
-            (epoch_hists.is_some() || epoch_prof.is_some()).then(|| {
-                Arc::new(move |p: &smgcn_core::EpochPhases| {
-                    if let Some((prep, fwd, bwd, step)) = &epoch_hists {
-                        prep.record(p.prep_us);
-                        fwd.record(p.forward_us);
-                        bwd.record(p.backward_us);
-                        step.record(p.step_us);
-                    }
-                    if let Some((prep, fwd, bwd, step)) = &epoch_prof {
-                        prep.add(p.prep_us);
-                        fwd.add(p.forward_us);
-                        bwd.add(p.backward_us);
-                        step.add(p.step_us);
-                    }
-                }) as smgcn_core::EpochObserver
-            });
         let mut resumed = match Recommender::warm_start_smgcn(
             ops,
             &self.config.model,
@@ -456,12 +397,6 @@ impl OnlinePipeline {
         let publish_ms = t_publish.elapsed().as_secs_f64() * 1e3;
 
         self.model = resumed;
-        if let Some(prof) = &self.prof {
-            prof.delta.add((delta_ms * 1e3) as u64);
-            prof.finetune.add((finetune_ms * 1e3) as u64);
-            prof.freeze.add((freeze_ms * 1e3) as u64);
-            prof.publish.add((publish_ms * 1e3) as u64);
-        }
         if let Some(obs) = &self.obs {
             obs.refreshes.inc();
             obs.generation.set(generation);
@@ -711,35 +646,6 @@ mod tests {
             2,
             "the observer must not leak into unobserved refreshes"
         );
-    }
-
-    #[test]
-    fn profiled_refresh_folds_train_and_refresh_stacks() {
-        let profiler = Profiler::new();
-        let mut p = pipeline();
-        p.profile(&profiler);
-        p.ingest_ids(vec![0, 1], vec![0, 1]).unwrap();
-        p.refresh().unwrap();
-        let folded = profiler.fold();
-        // Fine-tune always runs whole epochs, so the forward phase and
-        // the refresh's own finetune stage must both show up; the
-        // sub-microsecond stages may legitimately be zero-suppressed.
-        assert!(
-            folded.contains("train;epoch;forward "),
-            "missing epoch stacks in:\n{folded}"
-        );
-        assert!(
-            folded.contains("online;refresh;finetune "),
-            "missing refresh stacks in:\n{folded}"
-        );
-        assert!(profiler.total_us() > 0);
-        // The trainer hook is uninstalled afterwards: a later unprofiled
-        // refresh adds nothing.
-        let before = profiler.total_us();
-        let mut quiet = pipeline();
-        quiet.ingest_ids(vec![2, 3], vec![1]).unwrap();
-        quiet.refresh().unwrap();
-        assert_eq!(profiler.total_us(), before);
     }
 
     #[test]

@@ -132,10 +132,10 @@ pub fn event_json(e: &Event) -> Json {
 }
 
 /// Renders a span list as the wire `trace` object.
-pub fn trace_json(trace_id: &str, spans: &[SpanRecord]) -> Json {
+pub fn trace_json<N: std::fmt::Display>(trace_id: &str, spans: &[SpanRecord<N>]) -> Json {
     let spans = spans.iter().map(|s| {
         json::obj([
-            ("name", Json::Str(s.name.clone())),
+            ("name", Json::Str(s.name.to_string())),
             ("start_us", Json::Num(s.start_us as f64)),
             ("us", Json::Num(s.dur_us as f64)),
         ])
@@ -320,10 +320,6 @@ impl OpHandler for Engine {
         json::obj([
             ("generation", Json::Num(generation.number as f64)),
             ("metrics", samples_to_json(&self.obs.registry.samples())),
-            (
-                "traces_recorded",
-                Json::Num(self.obs.traces.recorded_total() as f64),
-            ),
             ("events_total", Json::Num(self.obs.events.total() as f64)),
         ])
     }
@@ -339,9 +335,9 @@ impl OpHandler for Engine {
 
     /// The continuous profiler's cumulative folded stacks
     /// (`stack;frames <µs>` lines, the flamegraph-collapsed format) plus
-    /// the latency histogram's since-start wall-time sum, so a caller
-    /// can check what fraction of the measured request time the stacks
-    /// account for.
+    /// the latency histogram's since-start wall-time sum. Both are
+    /// booked from the same per-request phase lists, so on a quiet
+    /// replica with profiling on the two totals are equal.
     fn op_profile(&self, _req: &Json) -> Json {
         let latency = self.latency.snapshot();
         json::obj([

@@ -27,19 +27,20 @@
 //! entries lazily through the tag rather than flushing under the lock.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use smgcn_obs::{
     mint_trace_id, Counter, EventJournal, LatencyHistogram, ProfileHandle, Profiler, Registry,
-    Sample, SampleValue, Sampler, SpanRecord, TraceBuilder, TraceJournal, TraceRecord,
+    Sample, SampleValue, SpanRecord, TraceBuilder,
 };
 
 use smgcn_experiment::CONTROL;
 
-use crate::batcher::{Batcher, BatcherConfig, ScoreTimings};
+use crate::batcher::{Batcher, BatcherConfig};
 use crate::cache::{GenerationalCache, QueryKey};
 use crate::client::LineClient;
 use crate::errors::codes;
@@ -124,12 +125,7 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Micro-batching configuration.
     pub batcher: BatcherConfig,
-    /// Background trace sampling: record a full span trace for one
-    /// request in every `trace_sample_every` into the in-memory trace
-    /// journal even when the client did not send `"trace": true`
-    /// (0 disables sampling; responses are never affected).
-    pub trace_sample_every: u64,
-    /// Continuous profiling: fold per-request phase timings into the
+    /// Continuous profiling: fold each request's phases into the
     /// always-on [`Profiler`] behind `{"op":"profile"}`. The record path
     /// is one relaxed atomic add per phase, cheap enough to default on;
     /// turn off only to measure its own overhead.
@@ -147,7 +143,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             cache_capacity: 4096,
             batcher: BatcherConfig::default(),
-            trace_sample_every: 0,
             profile: true,
             duel_sample_every: 8,
         }
@@ -155,13 +150,11 @@ impl Default for ServerConfig {
 }
 
 /// The serving side of the telemetry plane: the registry plus
-/// pre-registered hot-path handles, the event journal, and the trace
-/// journal with its background sampler.
+/// pre-registered hot-path handles, the event journal, and the
+/// continuous profiler with one stack per ranking phase.
 pub(crate) struct ServeObs {
     pub(crate) registry: Arc<Registry>,
     pub(crate) events: Arc<EventJournal>,
-    pub(crate) traces: Arc<TraceJournal>,
-    pub(crate) sampler: Sampler,
     pub(crate) cache_hits: Counter,
     pub(crate) cache_misses: Counter,
     pub(crate) publishes: Counter,
@@ -171,44 +164,20 @@ pub(crate) struct ServeObs {
     /// Requests shed because their `deadline_ms` budget expired before
     /// scoring.
     pub(crate) deadline_sheds: Counter,
-    pub(crate) traced: Counter,
-    /// Trace records evicted from the bounded journal ring to admit a
-    /// newer one (tail-sampling visibility: a non-zero rate here means
-    /// the journal is cycling and old traces are gone).
-    pub(crate) traces_dropped: Counter,
     pub(crate) batch_size: Arc<LatencyHistogram>,
     pub(crate) queue_wait_us: Arc<LatencyHistogram>,
     pub(crate) gemm_us: Arc<LatencyHistogram>,
     pub(crate) topk_us: Arc<LatencyHistogram>,
-    /// The continuous profiler behind `{"op":"profile"}`; pre-resolved
-    /// handles below keep the hot path at one relaxed add per phase.
-    pub(crate) profiler: Arc<Profiler>,
+    /// The continuous profiler behind `{"op":"profile"}`; the handles
+    /// below keep the hot path at one relaxed add per phase.
+    pub(crate) profiler: Profiler,
     pub(crate) profile_enabled: bool,
-    pub(crate) prof_parse: ProfileHandle,
-    pub(crate) prof_resolve: ProfileHandle,
-    pub(crate) prof_cache_hit: ProfileHandle,
-    pub(crate) prof_cache_miss: ProfileHandle,
-    pub(crate) prof_queue: ProfileHandle,
-    pub(crate) prof_batch: ProfileHandle,
-    pub(crate) prof_gemm: ProfileHandle,
-    pub(crate) prof_topk: ProfileHandle,
-    pub(crate) prof_respond: ProfileHandle,
+    /// Each phase a ranking can pass through, with its stack.
+    stacks: [(Phase, ProfileHandle); 9],
     /// Admin verbs and error paths: wall time that is measured by the
     /// latency histogram but has no ranking-phase breakdown.
-    pub(crate) prof_other: ProfileHandle,
-    /// Cached p90 of the since-start latency distribution, refreshed
-    /// every [`SLOW_REFRESH_EVERY`] requests; requests slower than this
-    /// are force-retained in the trace journal (tail-based sampling).
-    pub(crate) slow_threshold_us: AtomicU64,
+    other: ProfileHandle,
 }
-
-/// How often (in requests) the slow-trace retention threshold is
-/// recomputed from the latency histogram.
-const SLOW_REFRESH_EVERY: u64 = 256;
-
-/// Minimum since-start observations before slow-trace retention kicks
-/// in — a p90 computed over a handful of warmup requests is noise.
-const SLOW_MIN_SAMPLES: u64 = 64;
 
 impl ServeObs {
     fn new(config: &ServerConfig) -> (Self, Counter, Counter, Counter, Arc<LatencyHistogram>) {
@@ -221,48 +190,79 @@ impl ServeObs {
         // the full name set, even before the first request.
         registry.gauge("serve_generation");
         registry.gauge("serve_cache_stale");
-        let profiler = Arc::new(Profiler::new());
+        let profiler = Profiler::new();
+        let stack = |phase: Phase, frames: &[&str]| (phase, profiler.node(frames));
         let obs = Self {
             cache_hits: registry.counter("serve_cache_hits_total"),
             cache_misses: registry.counter("serve_cache_misses_total"),
             publishes: registry.counter("serve_publishes_total"),
             publish_rejected: registry.counter("serve_publish_rejected_total"),
             deadline_sheds: registry.counter("serve_deadline_sheds_total"),
-            traced: registry.counter("serve_traced_total"),
-            traces_dropped: registry.counter("serve_traces_dropped_total"),
             batch_size: registry.histogram("serve_batch_size"),
             queue_wait_us: registry.histogram("serve_batch_queue_wait_us"),
             gemm_us: registry.histogram("serve_gemm_us"),
             topk_us: registry.histogram("serve_topk_us"),
-            prof_parse: profiler.node(&["serve", "request", "parse"]),
-            prof_resolve: profiler.node(&["serve", "request", "resolve"]),
-            prof_cache_hit: profiler.node(&["serve", "request", "cache_hit"]),
-            prof_cache_miss: profiler.node(&["serve", "request", "cache_miss"]),
-            prof_queue: profiler.node(&["serve", "request", "score", "queue"]),
-            prof_batch: profiler.node(&["serve", "request", "score", "batch"]),
-            prof_gemm: profiler.node(&["serve", "request", "score", "gemm"]),
-            prof_topk: profiler.node(&["serve", "request", "score", "topk"]),
-            prof_respond: profiler.node(&["serve", "request", "respond"]),
-            prof_other: profiler.node(&["serve", "request", "other"]),
+            stacks: [
+                stack(Phase::Parse, &["serve", "request", "parse"]),
+                stack(Phase::Resolve, &["serve", "request", "resolve"]),
+                stack(Phase::CacheHit, &["serve", "request", "cache_hit"]),
+                stack(Phase::CacheMiss, &["serve", "request", "cache_miss"]),
+                stack(Phase::Queue, &["serve", "request", "score", "queue"]),
+                stack(Phase::Batch, &["serve", "request", "score", "batch"]),
+                stack(Phase::Gemm, &["serve", "request", "score", "gemm"]),
+                stack(Phase::Topk, &["serve", "request", "score", "topk"]),
+                stack(Phase::Respond, &["serve", "request", "respond"]),
+            ],
+            other: profiler.node(&["serve", "request", "other"]),
             profiler,
             profile_enabled: config.profile,
-            slow_threshold_us: AtomicU64::new(0),
             events: Arc::new(EventJournal::new(256)),
-            traces: Arc::new(TraceJournal::new(256)),
-            sampler: Sampler::new(config.trace_sample_every),
             registry,
         };
         (obs, requests, sheds, queue_rejections, latency)
     }
 }
 
-/// In-flight trace state for one request: the span builder anchored at
-/// line arrival, whether the client asked for the trace back, and the
-/// client-supplied id (minted later when absent).
-struct TraceWork {
-    builder: TraceBuilder,
-    requested: bool,
-    trace_id: Option<String>,
+/// One stretch of a request's time on the replica, in the order a
+/// ranking passes through them. Every request keeps one list of these
+/// from line arrival, closed by a single clock read; that list is what
+/// `serve_latency_us`, the profile and a requested trace all read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    Parse,
+    /// Name resolution, validation and canonicalisation.
+    Resolve,
+    CacheHit,
+    CacheMiss,
+    /// The batcher's stages (see [`crate::batcher::ScoreTimings`]).
+    Queue,
+    Batch,
+    Gemm,
+    Topk,
+    /// Everything after scoring, up to the clock read that closes the
+    /// list: cache insert, response assembly.
+    Respond,
+    /// The request failed with this code; closes the list in place of
+    /// `Respond`.
+    Error(&'static str),
+}
+
+/// The span name in a requested trace.
+impl fmt::Display for Phase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Phase::Parse => "parse",
+            Phase::Resolve => "resolve",
+            Phase::CacheHit => "cache_hit",
+            Phase::CacheMiss => "cache_miss",
+            Phase::Queue => "queue",
+            Phase::Batch => "batch",
+            Phase::Gemm => "gemm",
+            Phase::Topk => "topk",
+            Phase::Respond => "respond",
+            Phase::Error(code) => return write!(f, "error:{code}"),
+        })
+    }
 }
 
 /// The replica's request-handling core: model slot, batcher, cache,
@@ -289,11 +289,11 @@ pub(crate) struct Engine {
 
 impl Engine {
     /// Answers one canonical query, consulting the cache first. Returns
-    /// `(ranking, generation that produced it, was_cache_hit, timings)`
-    /// — the single-generation invariant: ranking, reported generation
-    /// and (in the caller) herb names all come from the same
-    /// [`Generation`]. Timings carry the cache-lookup duration plus, on
-    /// a miss, the batcher stage breakdown.
+    /// `(ranking, generation that produced it, was_cache_hit)` — the
+    /// single-generation invariant: ranking, reported generation and (in
+    /// the caller) herb names all come from the same [`Generation`]. The
+    /// cache outcome, and on a miss the batcher's stages, go onto
+    /// `phases`.
     fn rank(
         &self,
         pinned: &Arc<Generation>,
@@ -301,9 +301,9 @@ impl Engine {
         deadline: Option<Instant>,
         cache: Option<&Mutex<GenerationalCache<QueryKey, Vec<u32>>>>,
         vobs: Option<&VariantObs>,
-    ) -> Result<(Vec<u32>, Arc<Generation>, bool, RankTiming), ApiError> {
+        phases: &mut TraceBuilder<Phase>,
+    ) -> Result<(Vec<u32>, Arc<Generation>, bool), ApiError> {
         let k = key.k;
-        let cache_start = Instant::now();
         if let Some(cache) = cache {
             let hit = cache
                 .lock()
@@ -311,22 +311,19 @@ impl Engine {
                 .get(&key, pinned.number)
                 .cloned();
             if let Some(hit) = hit {
+                phases.cover_to_now(Phase::CacheHit);
                 self.obs.cache_hits.inc();
                 if let Some(v) = vobs {
                     v.cache_hits.inc();
                 }
-                let timing = RankTiming {
-                    cache_us: cache_start.elapsed().as_micros() as u64,
-                    score: None,
-                };
-                return Ok((hit, Arc::clone(pinned), true, timing));
+                return Ok((hit, Arc::clone(pinned), true));
             }
         }
+        phases.cover_to_now(Phase::CacheMiss);
         self.obs.cache_misses.inc();
         if let Some(v) = vobs {
             v.cache_misses.inc();
         }
-        let cache_us = cache_start.elapsed().as_micros() as u64;
         // Scoring keeps the request's pin: the batcher scores with
         // exactly this generation's weights (grouping per generation at
         // drain), so ids resolved/validated above can never be scored
@@ -349,6 +346,12 @@ impl Engine {
                 }
                 other => ApiError::new(codes::SCORING_FAILED, other.to_string()),
             })?;
+        // The batcher's stages, back to back; the hand-offs around them
+        // fall to `respond`.
+        phases.push(Phase::Queue, timings.queue_us);
+        phases.push(Phase::Batch, timings.batch_us);
+        phases.push(Phase::Gemm, timings.gemm_us);
+        phases.push(Phase::Topk, timings.topk_us);
         self.obs.queue_wait_us.record(timings.queue_us);
         self.obs.gemm_us.record(timings.gemm_us);
         self.obs.topk_us.record(timings.topk_us);
@@ -359,112 +362,43 @@ impl Engine {
                 .expect("cache lock")
                 .insert(key, generation.number, ranking.clone());
         }
-        let timing = RankTiming {
-            cache_us,
-            score: Some(timings),
-        };
-        Ok((ranking, generation, false, timing))
+        Ok((ranking, generation, false))
+    }
+
+    /// Books one request's closed phase list: `serve_latency_us` takes
+    /// its total, and the profile either each phase under its own stack
+    /// (a ranking) or the whole under `other`.
+    fn book(&self, phases: &[SpanRecord<Phase>], ranked: bool) {
+        let wall_us = phases.iter().map(|s| s.dur_us).sum();
+        self.latency.record(wall_us);
+        let obs = &self.obs;
+        if !obs.profile_enabled {
+            return;
+        }
+        if !ranked {
+            obs.other.add(wall_us);
+            return;
+        }
+        for span in phases {
+            if let Some((_, stack)) = obs.stacks.iter().find(|(p, _)| *p == span.name) {
+                stack.add(span.dur_us);
+            }
+        }
     }
 
     fn handle_line(&self, line: &str, conn_key: &str) -> Json {
         let started = Instant::now();
         self.requests.inc();
-        let mut trace: Option<TraceWork> = None;
-        let mut prof_acc: u64 = 0;
-        let (mut response, record) =
-            self.answer_timed(line, conn_key, started, &mut trace, &mut prof_acc);
-        let wall_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        // Admin publishes (base64 decode + full model deserialize) are
-        // orders of magnitude above any serving op; recording them would
-        // spike the p99 the router's slow-replica ejection reads,
-        // getting a replica ejected for the crime of taking a rollout.
-        if record {
-            self.latency.record(wall_us);
-            if self.obs.profile_enabled {
-                // The remainder past the attributed ranking phases is
-                // response assembly; requests with no phase breakdown
-                // (admin verbs, error paths) fold wholesale into `other`,
-                // so the folded stacks always partition the measured wall
-                // time instead of silently under-counting it.
-                if prof_acc > 0 {
-                    self.obs.prof_respond.add(wall_us.saturating_sub(prof_acc));
-                } else {
-                    self.obs.prof_other.add(wall_us);
-                }
-            }
-        }
-        if let Some(work) = trace {
-            let mut builder = work.builder;
-            // Close the partition: the final span runs to right now, so
-            // the span durations sum to the observed wall time.
-            builder.cover_to_now("respond");
-            let trace_id = work.trace_id.unwrap_or_else(mint_trace_id);
-            let spans = builder.into_spans();
-            let wall_us: u64 = spans.iter().map(|s| s.dur_us).sum();
-            self.obs.traced.inc();
-            if self.obs.traces.record(TraceRecord {
-                trace_id: trace_id.clone(),
-                unix_ms: unix_ms_now(),
-                wall_us,
-                spans: spans.clone(),
-            }) {
-                self.obs.traces_dropped.inc();
-            }
-            if work.requested {
-                if let Json::Obj(map) = &mut response {
-                    map.insert("trace".to_string(), trace_json(&trace_id, &spans));
-                }
-            }
-        } else if record && self.slow_tail(wall_us) {
-            // Tail-based retention: no trace was armed for this request
-            // but it landed in the slowest decile, so keep a single-span
-            // record anyway — the journal always holds the outliers worth
-            // debugging, not just the sampling lottery's winners.
-            self.obs.traced.inc();
-            if self.obs.traces.record(TraceRecord {
-                trace_id: mint_trace_id(),
-                unix_ms: unix_ms_now(),
-                wall_us,
-                spans: vec![SpanRecord {
-                    name: "slow".to_string(),
-                    start_us: 0,
-                    dur_us: wall_us,
-                }],
-            }) {
-                self.obs.traces_dropped.inc();
-            }
-        }
-        response
-    }
-
-    /// True when this wall time lands in the slowest decile. The p90
-    /// threshold is cached and refreshed every [`SLOW_REFRESH_EVERY`]
-    /// requests from the undecayed since-start distribution, so the
-    /// per-request cost is one relaxed load.
-    fn slow_tail(&self, wall_us: u64) -> bool {
-        if self.requests.get().is_multiple_of(SLOW_REFRESH_EVERY) {
-            let snap = self.latency.snapshot();
-            if snap.total_count >= SLOW_MIN_SAMPLES {
-                self.obs
-                    .slow_threshold_us
-                    .store(snap.total_quantile_us(0.90) as u64, Ordering::Relaxed);
-            }
-        }
-        let threshold = self.obs.slow_threshold_us.load(Ordering::Relaxed);
-        threshold > 0 && wall_us > threshold
-    }
-
-    /// Answers one line; the flag is false for operations whose wall
-    /// time must not enter the serving-latency histogram.
-    fn answer_timed(
-        &self,
-        line: &str,
-        conn_key: &str,
-        started: Instant,
-        trace: &mut Option<TraceWork>,
-        prof_acc: &mut u64,
-    ) -> (Json, bool) {
-        match self.answer(line, conn_key, started, trace, prof_acc) {
+        let mut phases = TraceBuilder::new(started);
+        let mut trace_id = None;
+        let answer = self.answer(line, conn_key, started, &mut phases, &mut trace_id);
+        // `booked` is `Some(ranked)` for a request that enters latency
+        // and profile. Admin publishes (base64 decode + full model
+        // deserialize) are orders of magnitude above any serving op;
+        // booking them would spike the p99 the router's slow-replica
+        // ejection reads, getting a replica ejected for the crime of
+        // taking a rollout.
+        let (mut response, close, booked) = match answer {
             Ok(Answer::Ranking {
                 ids,
                 scores,
@@ -494,62 +428,49 @@ impl Engine {
                 if let Some(scores) = scores {
                     fields.push(("scores", json::score_array(&scores)));
                 }
-                (json::obj(fields), true)
+                (json::obj(fields), Phase::Respond, Some(true))
             }
-            Ok(Answer::Stats(stats)) => (stats, true),
-            Ok(Answer::Publish(ack)) => (ack, false),
+            Ok(Answer::Stats(stats)) => (stats, Phase::Respond, Some(false)),
+            Ok(Answer::Publish(ack)) => (ack, Phase::Respond, None),
             Err(e) => {
                 self.obs
                     .registry
                     .counter_labeled("serve_errors_total", &[("code", e.code)])
                     .inc();
-                // Tail-based retention: failed requests always reach the
-                // trace journal, even when neither the client nor the
-                // sampler asked for a trace — errors are precisely the
-                // requests worth replaying later. The closing span names
-                // the error code so the journal reads as a story.
-                if trace.is_none() {
-                    *trace = Some(TraceWork {
-                        builder: TraceBuilder::new(started),
-                        requested: false,
-                        trace_id: None,
-                    });
-                }
-                if let Some(work) = trace.as_mut() {
-                    work.builder.cover_to_now(&format!("error:{}", e.code));
-                }
-                (e.to_json(), true)
+                (e.to_json(), Phase::Error(e.code), Some(false))
             }
+        };
+        phases.cover_to_now(close);
+        if let Some(ranked) = booked {
+            self.book(phases.spans(), ranked);
         }
+        if let (Some(trace_id), Json::Obj(map)) = (trace_id, &mut response) {
+            map.insert("trace".to_string(), trace_json(&trace_id, phases.spans()));
+        }
+        response
     }
 
-    /// Parses and answers one request line.
+    /// Parses and answers one request line, putting its phases onto
+    /// `phases` and, when the client sent `"trace": true`, the id its
+    /// trace goes back under into `trace_id` (the client's own, or
+    /// minted here).
     fn answer(
         &self,
         line: &str,
         conn_key: &str,
         started: Instant,
-        trace: &mut Option<TraceWork>,
-        prof_acc: &mut u64,
+        phases: &mut TraceBuilder<Phase>,
+        trace_id: &mut Option<String>,
     ) -> Result<Answer, ApiError> {
         let req = json::parse(line)
             .map_err(|e| ApiError::new(codes::BAD_JSON, format!("bad request JSON: {e}")))?;
-        let parse_us = started.elapsed().as_micros() as u64;
-        // Tracing is decided right after parse: explicitly requested
-        // traces come back in the response; sampled ones only land in
-        // the journal, so untraced responses stay byte-identical.
-        let requested = matches!(req.get("trace"), Some(Json::Bool(true)));
-        if requested || self.obs.sampler.fire() {
-            let mut builder = TraceBuilder::new(started);
-            builder.cover_to_now("parse");
-            *trace = Some(TraceWork {
-                builder,
-                requested,
-                trace_id: req
-                    .get("trace_id")
+        phases.cover_to_now(Phase::Parse);
+        if matches!(req.get("trace"), Some(Json::Bool(true))) {
+            *trace_id = Some(
+                req.get("trace_id")
                     .and_then(Json::as_str)
-                    .map(str::to_string),
-            });
+                    .map_or_else(mint_trace_id, str::to_string),
+            );
         }
         match AdminOp::parse(&req) {
             Ok(None) => {} // a ranking request — the path below
@@ -655,62 +576,18 @@ impl Engine {
         // Candidate-served requests sampled for a duel keep their
         // canonical symptom set so both models can re-score it below.
         let duel_ids = (entry.is_some() && self.variants.duel_fire()).then(|| key.symptoms.clone());
-        if let Some(work) = trace.as_mut() {
-            // Name resolution, validation and canonicalisation since the
-            // parse span closed.
-            work.builder.cover_to_now("resolve");
-        }
-        let pre_rank_us = started.elapsed().as_micros() as u64;
+        phases.cover_to_now(Phase::Resolve);
         let cache_ref = match &entry {
             Some(e) => e.cache.as_ref(),
             None => self.cache.as_ref(),
         };
-        let ranked = self.rank(&pinned, key, deadline, cache_ref, vobs);
+        let ranked = self.rank(&pinned, key, deadline, cache_ref, vobs, phases);
         if ranked.is_err() {
             if let Some(v) = vobs {
                 v.errors.inc();
             }
         }
-        let (ranking, generation, cached, timing) = ranked?;
-        if self.obs.profile_enabled {
-            // Fold this request's phases into the continuous profiler.
-            // `prof_acc` totals the attributed microseconds so the caller
-            // can book the un-attributed remainder as `respond`.
-            self.obs.prof_parse.add(parse_us);
-            self.obs
-                .prof_resolve
-                .add(pre_rank_us.saturating_sub(parse_us));
-            let cache_node = if cached {
-                &self.obs.prof_cache_hit
-            } else {
-                &self.obs.prof_cache_miss
-            };
-            cache_node.add(timing.cache_us);
-            *prof_acc = pre_rank_us + timing.cache_us;
-            if let Some(s) = &timing.score {
-                self.obs.prof_queue.add(s.queue_us);
-                self.obs.prof_batch.add(s.batch_us);
-                self.obs.prof_gemm.add(s.gemm_us);
-                self.obs.prof_topk.add(s.topk_us);
-                *prof_acc += s.queue_us + s.batch_us + s.gemm_us + s.topk_us;
-            }
-        }
-        if let Some(work) = trace.as_mut() {
-            let b = &mut work.builder;
-            // Cache outcome is encoded in the span name; on a miss the
-            // batcher's stage timings follow, chained back-to-back so
-            // the partition stays monotonic.
-            b.push(
-                if cached { "cache_hit" } else { "cache_miss" },
-                timing.cache_us,
-            );
-            if let Some(s) = &timing.score {
-                b.push("queue", s.queue_us);
-                b.push("batch", s.batch_us);
-                b.push("gemm", s.gemm_us);
-                b.push("topk", s.topk_us);
-            }
-        }
+        let (ranking, generation, cached) = ranked?;
         let scores = match score_ids {
             Some(ids) => {
                 // Score path bypasses the cache: it is diagnostic traffic.
@@ -812,20 +689,6 @@ impl Engine {
             "request needs \"symptoms\" (names) or \"symptom_ids\"",
         ))
     }
-}
-
-/// Where one ranking's time went: the cache lookup, plus the batcher
-/// stage breakdown when the query was actually scored.
-struct RankTiming {
-    cache_us: u64,
-    score: Option<ScoreTimings>,
-}
-
-fn unix_ms_now() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 /// Converts registry samples to the wire JSON shape: counters and
@@ -999,14 +862,6 @@ impl Server {
     /// [`Server::registry`]).
     pub fn events(&self) -> Arc<EventJournal> {
         Arc::clone(&self.engine.obs.events)
-    }
-
-    /// The continuous profiler behind `{"op":"profile"}`. Co-located
-    /// subsystems (the online pipeline fine-tuning this server's slot)
-    /// attach their own stacks here so one folded report covers both
-    /// the serving and the training side of the replica.
-    pub fn profiler(&self) -> Arc<Profiler> {
-        Arc::clone(&self.engine.obs.profiler)
     }
 
     /// The bound address (useful with port 0).
@@ -1660,33 +1515,6 @@ mod tests {
     }
 
     #[test]
-    fn background_sampling_fills_journal_without_touching_responses() {
-        let server = spawn_with(
-            ServingVocab::default(),
-            ServerConfig {
-                max_connections: 16,
-                trace_sample_every: 2,
-                ..ServerConfig::default()
-            },
-        );
-        for i in 0..6 {
-            let resp = roundtrip(
-                &server,
-                &format!(r#"{{"symptom_ids": [{}], "k": 2}}"#, i % 5),
-            );
-            assert!(
-                resp.get("trace").is_none(),
-                "sampling must not leak: {resp}"
-            );
-        }
-        let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
-        assert!(
-            snap.get("traces_recorded").and_then(Json::as_num).unwrap() >= 3.0,
-            "1-in-2 sampling over 6 requests: {snap}"
-        );
-    }
-
-    #[test]
     fn profile_op_folds_phase_stacks_covering_wall_time() {
         let server = test_server();
         for i in 0..12 {
@@ -1730,6 +1558,63 @@ mod tests {
     }
 
     #[test]
+    fn profile_latency_and_trace_read_one_phase_list() {
+        let server = test_server();
+        let resp = roundtrip(&server, r#"{"symptom_ids": [1, 4], "k": 3, "trace": true}"#);
+        assert_eq!(resp.get("cached"), Some(&Json::Bool(false)), "{resp}");
+        let spans = resp
+            .get("trace")
+            .and_then(|t| t.get("spans"))
+            .and_then(Json::as_arr)
+            .unwrap();
+        let span_us = |span: &Json| span.get("us").and_then(Json::as_num).unwrap();
+        let span_sum: f64 = spans.iter().map(span_us).sum();
+        let report = roundtrip(&server, r#"{"op": "profile"}"#);
+        let total = |key| report.get(key).and_then(Json::as_num).unwrap();
+        assert_eq!(total("profile_total_us"), span_sum, "{report}");
+        assert_eq!(total("latency_total_us"), span_sum, "{report}");
+        // The fold drops zero stacks; every other stack is its span.
+        let folded = report.get("folded").and_then(Json::as_str).unwrap();
+        let stacks: HashMap<&str, f64> = folded
+            .lines()
+            .map(|line| {
+                let (stack, us) = line.rsplit_once(' ').unwrap();
+                (stack, us.parse().unwrap())
+            })
+            .collect();
+        for span in spans {
+            let name = span.get("name").and_then(Json::as_str).unwrap();
+            let stack = match name {
+                "queue" | "batch" | "gemm" | "topk" => format!("serve;request;score;{name}"),
+                _ => format!("serve;request;{name}"),
+            };
+            let folded_us = stacks.get(stack.as_str()).copied().unwrap_or(0.0);
+            assert_eq!(folded_us, span_us(span), "{stack} in:\n{folded}");
+        }
+        let nonzero = spans.iter().filter(|span| span_us(span) > 0.0).count();
+        assert_eq!(stacks.len(), nonzero, "{folded}");
+
+        // A traced request that fails still gets its spans back, closed
+        // by the error instead of `respond`.
+        let dup = roundtrip(&server, r#"{"symptom_ids": [2, 2], "k": 3, "trace": true}"#);
+        assert_eq!(
+            dup.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some(codes::DUPLICATE_SYMPTOM)
+        );
+        let names: Vec<&str> = dup
+            .get("trace")
+            .and_then(|t| t.get("spans"))
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|span| span.get("name").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, ["parse", "error:duplicate_symptom"], "{dup}");
+    }
+
+    #[test]
     fn profiling_disabled_leaves_stacks_empty() {
         let server = spawn_with(
             ServingVocab::default(),
@@ -1745,28 +1630,6 @@ mod tests {
             report.get("profile_total_us").and_then(Json::as_num),
             Some(0.0),
             "{report}"
-        );
-    }
-
-    #[test]
-    fn error_requests_are_always_trace_retained() {
-        // No client-requested traces and no background sampling: only
-        // the tail-retention path can put records in the journal.
-        let server = test_server();
-        let _ = roundtrip(&server, r#"{"symptom_ids": [0, 0], "k": 2}"#); // duplicate_symptom
-        let _ = roundtrip(&server, r#"{"symptom_ids": [99], "k": 2}"#); // symptom_out_of_range
-        let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
-        assert!(
-            snap.get("traces_recorded").and_then(Json::as_num).unwrap() >= 2.0,
-            "errors must be force-retained in the trace journal: {snap}"
-        );
-        let metrics = snap.get("metrics").expect("metrics object");
-        assert_eq!(
-            metrics
-                .get("serve_traces_dropped_total")
-                .and_then(Json::as_num),
-            Some(0.0),
-            "journal far from capacity, nothing may drop: {snap}"
         );
     }
 
