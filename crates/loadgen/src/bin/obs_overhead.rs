@@ -7,8 +7,8 @@
 //! phase list the request keeps anyway, and the scraper reads a
 //! lock-free registry off the hot path entirely. This bench holds the
 //! contract to a number — the same query stream is driven through two
-//! in-process servers: one bare (profiler off, no split, no scraper),
-//! and one loaded with the continuous profiler, a live 90/10 A/B split
+//! in-process servers, both profiling every request: one bare (no
+//! split, no scraper), and one loaded with a live 90/10 A/B split
 //! (so every request pays plan assignment and ticks per-variant labeled
 //! counters), and (with `--scrape-ms N`) a live tsdb scraper polling
 //! `{"op":"metrics"}` over TCP. The loaded configuration must keep at
@@ -129,17 +129,15 @@ fn install_split(addr: SocketAddr) {
 }
 
 /// Drives `queries` requests over `conns` serial client connections
-/// against a fresh server; returns qps. `loaded` runs the full
-/// telemetry stack (continuous profiler, a live 90/10 split with
-/// per-variant labeled counters, and — when `--scrape-ms` is set — a
-/// live tsdb scraper), bare runs none of it.
+/// against a fresh server; returns qps. `loaded` adds a live 90/10
+/// split with per-variant labeled counters and — when `--scrape-ms` is
+/// set — a live tsdb scraper; both sides run the continuous profiler.
 fn measure(args: &Args, loaded: bool) -> f64 {
     let server = Server::bind(
         "127.0.0.1:0",
         synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, 0),
         synthetic_vocab(N_SYMPTOMS, N_HERBS, 0),
         ServerConfig {
-            profile: loaded,
             duel_sample_every: 0,
             ..ServerConfig::default()
         },
@@ -234,7 +232,7 @@ fn main() {
     println!("\nbest: bare {qps_off:.0} qps | loaded {qps_sampled:.0} qps | ratio {ratio:.3}");
     assert!(
         ratio >= 1.0 - args.max_regress,
-        "the telemetry stack (profiler, 90/10 split labels, scrape {} ms) costs {:.1}% qps (budget {:.0}%)",
+        "the telemetry stack (90/10 split labels, scrape {} ms) costs {:.1}% qps (budget {:.0}%)",
         args.scrape_ms,
         (1.0 - ratio) * 100.0,
         args.max_regress * 100.0

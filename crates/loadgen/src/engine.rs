@@ -505,22 +505,22 @@ fn delta_of(deltas: &[(String, f64)], name: &str) -> f64 {
         .map_or(0.0, |(_, d)| *d)
 }
 
-/// The server-side error ledger over the run, from counter deltas:
-/// non-retryable serve error codes (retryable `queue_full`/`overloaded`
-/// blips are the router's problem and don't reach clients), plus —
-/// routed — requests the router exhausted entirely, or — fronted by a
-/// bare server — sheds and queue rejections, which ARE client-visible.
+/// The server-side error ledger over the run, from counter deltas.
+/// Fronted by a bare server, every replica "bad" counter reaches a
+/// client. Routed, the retryable `queue_full`/`overloaded` blips are the
+/// router's to replay, so only non-retryable serve error codes and the
+/// requests the router exhausted entirely count.
 fn counter_errors(deltas: &[(String, f64)], routed: bool) -> u64 {
     deltas
         .iter()
         .filter(|(name, _)| {
-            if let Some(rest) = name.strip_prefix("serve_errors_total") {
-                return !(rest.contains("queue_full") || rest.contains("overloaded"));
+            if !routed {
+                let base = name.split_once('{').map_or(name.as_str(), |(base, _)| base);
+                return crate::scenario::REPLICA_BAD_COUNTERS.contains(&base);
             }
-            if routed {
-                name == "router_exhausted_total"
-            } else {
-                name == "serve_sheds_total" || name == "serve_queue_rejections_total"
+            match name.strip_prefix("serve_errors_total") {
+                Some(rest) => !(rest.contains("queue_full") || rest.contains("overloaded")),
+                None => name == "router_exhausted_total",
             }
         })
         .map(|(_, delta)| delta.max(0.0) as u64)

@@ -53,7 +53,7 @@ pub use engine::{run, run_scenario};
 pub use report::{Measured, ScenarioReport, WorkloadSummary};
 pub use scenario::{
     build, scrape_interval_ms, AlertPlan, ScenarioConfig, ScenarioKind, StormSpec, Topology,
-    Workload,
+    Workload, REPLICA_BAD_COUNTERS,
 };
 pub use schedule::{Op, Request, Schedule};
 pub use slo::{GenCheck, Slo, SloVerdict};

@@ -296,6 +296,11 @@ pub fn scrape_interval_ms(measure_ms: u64) -> u64 {
     (measure_ms / 50).clamp(10, 200)
 }
 
+/// What a bare replica's availability rule counts as bad: connections
+/// refused at the cap, and every error answer, one series per code (a
+/// `queue_full` shed included). A failed request moves one of them by one.
+pub const REPLICA_BAD_COUNTERS: [&str; 2] = ["serve_sheds_total", "serve_errors_total"];
+
 /// An availability burn-rate rule (99.99% objective, canonical SRE
 /// window pairs) with its wall-clock windows scaled onto the scenario
 /// horizon: the run's full window stands in for the 6-hour slow
@@ -440,11 +445,7 @@ pub fn build(kind: ScenarioKind, config: &ScenarioConfig) -> Workload {
             alerts: AlertPlan {
                 rules: vec![availability_rule(
                     config.measure_ms,
-                    &[
-                        "serve_sheds_total",
-                        "serve_queue_rejections_total",
-                        "serve_errors_total",
-                    ],
+                    &REPLICA_BAD_COUNTERS,
                     &["serve_requests_total"],
                 )],
                 expect_fired: Vec::new(),
@@ -682,11 +683,7 @@ pub fn build(kind: ScenarioKind, config: &ScenarioConfig) -> Workload {
             alerts: AlertPlan {
                 rules: vec![availability_rule(
                     config.measure_ms,
-                    &[
-                        "serve_sheds_total",
-                        "serve_queue_rejections_total",
-                        "serve_errors_total",
-                    ],
+                    &REPLICA_BAD_COUNTERS,
                     &["serve_requests_total"],
                 )],
                 expect_fired: Vec::new(),
@@ -809,6 +806,7 @@ pub fn ingest_corpus(seed: u64) -> smgcn_data::Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape::{synthetic_frozen, synthetic_vocab};
 
     #[test]
     fn names_round_trip() {
@@ -1019,5 +1017,45 @@ mod tests {
         assert!(w.schedule.query_count() > 0);
         assert!(w.schedule.ingest_count() > 0);
         assert_eq!(w.chaos.len(), 1);
+    }
+
+    /// One real `queue_full` on a bare replica moves the availability
+    /// rule's bad counters by exactly one.
+    #[test]
+    fn a_queue_full_counts_once() {
+        use smgcn_obs::tsdb::TsdbData;
+        use smgcn_serve::{server::flatten_metrics_json, BatcherConfig, Server, ServerConfig};
+        use std::time::Duration;
+
+        // A one-slot queue with a long linger: the first query sits in
+        // the queue, so a second one in that window is shed.
+        let batcher = BatcherConfig {
+            max_queue: 1,
+            linger: Duration::from_millis(400),
+            ..BatcherConfig::default()
+        };
+        let config = ServerConfig {
+            batcher,
+            ..ServerConfig::default()
+        };
+        let (model, vocab) = (synthetic_frozen(8, 16, 4, 0), synthetic_vocab(8, 16, 0));
+        let server = Server::bind("127.0.0.1:0", model, vocab, config).and_then(Server::spawn);
+        let server = server.unwrap();
+        let ask = |line: &str| server.client().unwrap().ask_json(line).unwrap();
+        let mut history = TsdbData::default();
+        let mut scrape = |at_ms| {
+            let snap = ask(r#"{"op":"metrics"}"#);
+            history.push(at_ms, &flatten_metrics_json(snap.get("metrics").unwrap()));
+        };
+        scrape(1);
+        let mut first = server.client().unwrap();
+        let queued = std::thread::spawn(move || first.ask(r#"{"symptom_ids":[0,1],"k":3}"#));
+        std::thread::sleep(Duration::from_millis(100));
+        let shed = ask(r#"{"symptom_ids":[2,3],"k":3}"#).to_string();
+        assert!(shed.contains(r#""code":"queue_full""#), "{shed}");
+        assert!(!queued.join().unwrap().unwrap().contains("error"));
+        scrape(2);
+        let bad = REPLICA_BAD_COUNTERS.map(|s| history.delta(s, 1, 2));
+        assert_eq!(bad.iter().sum::<f64>(), 1.0, "{bad:?}");
     }
 }

@@ -29,8 +29,6 @@ pub struct LruCache<K, V> {
     head: usize,
     tail: usize,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -46,8 +44,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             head: NIL,
             tail: NIL,
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -59,16 +55,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// The configured capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// `(hits, misses)` counters since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     fn unlink(&mut self, i: usize) {
@@ -99,20 +85,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Looks up `key`, promoting it to most-recently-used on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.map.get(key).copied() {
-            Some(i) => {
-                self.hits += 1;
-                if self.head != i {
-                    self.unlink(i);
-                    self.push_front(i);
-                }
-                Some(&self.slab[i].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let i = self.map.get(key).copied()?;
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
         }
+        Some(&self.slab[i].value)
     }
 
     /// Inserts (or replaces) `key`, evicting the least-recently-used
@@ -332,15 +310,6 @@ mod tests {
         assert_eq!(c.insert(2, 2), Some(1));
         assert_eq!(c.get(&2), Some(&2));
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn stats_count_hits_and_misses() {
-        let mut c: LruCache<u8, u8> = LruCache::new(4);
-        c.insert(1, 1);
-        let _ = c.get(&1);
-        let _ = c.get(&9);
-        assert_eq!(c.stats(), (1, 1));
     }
 
     #[test]

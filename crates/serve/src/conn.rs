@@ -118,7 +118,7 @@ impl Connection {
     /// appends what it has read even when it stops on `WouldBlock`, and
     /// it grows both the buffer and the size of each `read(2)` with what
     /// has arrived, so a 1.9 MB line costs tens of reads while a short
-    /// request costs one into [`MIN_READ`] bytes.
+    /// request costs one into `MIN_READ` bytes.
     pub fn on_readable(&mut self) -> io::Result<()> {
         let room = MAX_READ_BUF.saturating_sub(self.read_buf.len());
         if room == 0 {

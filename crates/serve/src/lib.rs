@@ -34,13 +34,15 @@
 //!   answer, a refusal or a transport failure ([`Unanswered`]);
 //! - [`reactor`] — a dependency-free epoll/poll readiness reactor:
 //!   one event-loop thread owns all socket I/O, a fixed worker pool
-//!   runs handlers, so concurrent connections are bounded by file
-//!   descriptors rather than threads;
+//!   runs handlers and wakes it through a Unix socket pair, so
+//!   concurrent connections are bounded by file descriptors rather
+//!   than threads;
 //! - [`conn`] — the per-connection NDJSON framing state machine with
 //!   one-response write-backpressure, shared by the replica server
 //!   and the cluster router;
 //! - [`server`] — the `std::net` TCP server speaking newline-delimited
-//!   JSON over the reactor (`smgcn serve`), and [`Running`], the
+//!   JSON over the reactor (`smgcn serve`), counting each serving fact
+//!   once in one registry, and [`Running`], the
 //!   stop-and-join guard [`Server::spawn`] and the router's `spawn`
 //!   return;
 //! - [`variants`] — the replica half of the experiment plane: named

@@ -250,9 +250,13 @@ pub trait OpHandler {
 
 /// The replica's admin verbs, answered from the local engine state.
 impl OpHandler for Engine {
-    /// Model generation, cache counters, uptime.
+    /// Model generation, uptime, and counters read from the registry;
+    /// `cache` is the control partition's own count.
     fn op_stats(&self, _req: &Json) -> Json {
         let generation = self.slot.load();
+        let queue_full = [("code", codes::QUEUE_FULL)];
+        let registry = &self.obs.registry;
+        let queue_rejections = registry.counter_value("serve_errors_total", &queue_full);
         let mut fields = vec![
             ("generation", Json::Num(generation.number as f64)),
             (
@@ -264,14 +268,11 @@ impl OpHandler for Engine {
                 ]),
             ),
             ("uptime_s", Json::Num(self.started.elapsed().as_secs_f64())),
-            ("requests", Json::Num(self.requests.get() as f64)),
-            ("sheds", Json::Num(self.sheds.get() as f64)),
-            (
-                "queue_rejections",
-                Json::Num(self.queue_rejections.get() as f64),
-            ),
+            ("requests", Json::Num(self.obs.requests.get() as f64)),
+            ("sheds", Json::Num(self.obs.sheds.get() as f64)),
+            ("queue_rejections", Json::Num(queue_rejections as f64)),
         ];
-        let latency = self.latency.snapshot();
+        let latency = self.obs.latency.snapshot();
         fields.push((
             "latency",
             json::obj([
@@ -337,9 +338,9 @@ impl OpHandler for Engine {
     /// (`stack;frames <µs>` lines, the flamegraph-collapsed format) plus
     /// the latency histogram's since-start wall-time sum. Both are
     /// booked from the same per-request phase lists, so on a quiet
-    /// replica with profiling on the two totals are equal.
+    /// replica the two totals are equal.
     fn op_profile(&self, _req: &Json) -> Json {
-        let latency = self.latency.snapshot();
+        let latency = self.obs.latency.snapshot();
         json::obj([
             ("generation", Json::Num(self.slot.load().number as f64)),
             ("folded", Json::Str(self.obs.profiler.fold())),
@@ -348,7 +349,6 @@ impl OpHandler for Engine {
                 Json::Num(self.obs.profiler.total_us() as f64),
             ),
             ("latency_total_us", Json::Num(latency.total_sum_us as f64)),
-            ("enabled", Json::Bool(self.obs.profile_enabled)),
         ])
     }
 

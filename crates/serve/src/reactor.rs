@@ -19,7 +19,7 @@
 //!   both layers;
 //! - [`Connection`] (in [`crate::conn`]) — the per-socket state
 //!   machine with one-response write-backpressure;
-//! - a TCP-socketpair **waker** so worker completions interrupt the
+//! - a Unix socket-pair **waker** so worker completions interrupt the
 //!   poll wait without any pipe/eventfd FFI;
 //! - **epoch-guarded completions**: a worker finishing after its
 //!   connection closed (and the slab slot was reused) cannot write
@@ -43,6 +43,7 @@ use smgcn_obs::registry::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -367,25 +368,6 @@ struct Refused {
     budget: usize,
 }
 
-/// A loopback TCP pair standing in for a self-pipe: workers write one
-/// byte to interrupt the reactor's poll wait. Plain sockets, so no
-/// extra FFI beyond the poller itself.
-fn waker_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let local = tx.local_addr()?;
-    // Guard against a stray process racing us to the ephemeral port.
-    loop {
-        let (rx, peer) = listener.accept()?;
-        if peer == local {
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            let _ = tx.set_nodelay(true);
-            return Ok((tx, rx));
-        }
-    }
-}
-
 /// The event loop: listener, service, and stop flag in; graceful
 /// drain out. Built by the serve [`Server`](crate::server::Server)
 /// and the cluster router, which share all connection behavior
@@ -443,7 +425,11 @@ impl<S: Service> Reactor<S> {
             }
         }
         poller.add(self.listener.as_raw_fd(), LISTENER_TOKEN, EVENT_READ)?;
-        let (waker_tx, waker_rx) = waker_pair()?;
+        // A socket pair standing in for a self-pipe: workers write one
+        // byte to interrupt the poll wait.
+        let (waker_tx, waker_rx) = UnixStream::pair()?;
+        waker_tx.set_nonblocking(true)?;
+        waker_rx.set_nonblocking(true)?;
         poller.add(waker_rx.as_raw_fd(), WAKER_TOKEN, EVENT_READ)?;
 
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));

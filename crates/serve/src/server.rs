@@ -12,7 +12,7 @@
 //! <- {"herb_ids":[...], "herbs":[...], "scores":[...], "cached":false,
 //!     "generation":0, "micros":184}
 //! -> {"op": "stats"}
-//! <- {"generation":2, "uptime_s":12.5, "requests":840, "cache_hits":…}
+//! <- {"generation":2, "uptime_s":12.5, "requests":840, "cache":{…}, …}
 //! <- {"error":{"code":"unknown_symptom","message":"unknown symptom \"xyz\""}}
 //! ```
 //!
@@ -25,6 +25,11 @@
 //! cache is keyed by the *sorted* symptom-id set, so permutations of the
 //! same clinic presentation share an entry; a hot model swap invalidates
 //! entries lazily through the tag rather than flushing under the lock.
+//!
+//! Telemetry: `ServeObs::new` registers every serving metric, each fact
+//! once. An error answer, a `queue_full` or `deadline_exceeded` shed
+//! included, is one `serve_errors_total{code=…}` increment, and
+//! `{"op":"stats"}` reads its counters from the same registry.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -125,11 +130,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Micro-batching configuration.
     pub batcher: BatcherConfig,
-    /// Continuous profiling: fold each request's phases into the
-    /// always-on [`Profiler`] behind `{"op":"profile"}`. The record path
-    /// is one relaxed atomic add per phase, cheap enough to default on;
-    /// turn off only to measure its own overhead.
-    pub profile: bool,
     /// Experiment duel sampling: for one in every `duel_sample_every`
     /// requests served by a *candidate* variant, score the same query
     /// under control too and journal both top-k lists (with scores) for
@@ -143,7 +143,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             cache_capacity: 4096,
             batcher: BatcherConfig::default(),
-            profile: true,
             duel_sample_every: 8,
         }
     }
@@ -155,15 +154,17 @@ impl Default for ServerConfig {
 pub(crate) struct ServeObs {
     pub(crate) registry: Arc<Registry>,
     pub(crate) events: Arc<EventJournal>,
+    pub(crate) requests: Counter,
+    /// Connections refused at the accept loop (`overloaded`).
+    pub(crate) sheds: Counter,
+    /// Per-request wall time, request line in to response object out.
+    pub(crate) latency: Arc<LatencyHistogram>,
     pub(crate) cache_hits: Counter,
     pub(crate) cache_misses: Counter,
     pub(crate) publishes: Counter,
     /// Publish artifacts rejected before touching the live generation
     /// (bad base64, bad magic/version, checksum mismatch, bad payload).
     pub(crate) publish_rejected: Counter,
-    /// Requests shed because their `deadline_ms` budget expired before
-    /// scoring.
-    pub(crate) deadline_sheds: Counter,
     pub(crate) batch_size: Arc<LatencyHistogram>,
     pub(crate) queue_wait_us: Arc<LatencyHistogram>,
     pub(crate) gemm_us: Arc<LatencyHistogram>,
@@ -171,7 +172,6 @@ pub(crate) struct ServeObs {
     /// The continuous profiler behind `{"op":"profile"}`; the handles
     /// below keep the hot path at one relaxed add per phase.
     pub(crate) profiler: Profiler,
-    pub(crate) profile_enabled: bool,
     /// Each phase a ranking can pass through, with its stack.
     stacks: [(Phase, ProfileHandle); 9],
     /// Admin verbs and error paths: wall time that is measured by the
@@ -180,24 +180,22 @@ pub(crate) struct ServeObs {
 }
 
 impl ServeObs {
-    fn new(config: &ServerConfig) -> (Self, Counter, Counter, Counter, Arc<LatencyHistogram>) {
+    fn new() -> Self {
         let registry = Arc::new(Registry::new());
-        let requests = registry.counter("serve_requests_total");
-        let sheds = registry.counter("serve_sheds_total");
-        let queue_rejections = registry.counter("serve_queue_rejections_total");
-        let latency = registry.histogram("serve_latency_us");
         // Register the gauges eagerly so fleet snapshots always carry
         // the full name set, even before the first request.
         registry.gauge("serve_generation");
         registry.gauge("serve_cache_stale");
         let profiler = Profiler::new();
         let stack = |phase: Phase, frames: &[&str]| (phase, profiler.node(frames));
-        let obs = Self {
+        Self {
+            requests: registry.counter("serve_requests_total"),
+            sheds: registry.counter("serve_sheds_total"),
+            latency: registry.histogram("serve_latency_us"),
             cache_hits: registry.counter("serve_cache_hits_total"),
             cache_misses: registry.counter("serve_cache_misses_total"),
             publishes: registry.counter("serve_publishes_total"),
             publish_rejected: registry.counter("serve_publish_rejected_total"),
-            deadline_sheds: registry.counter("serve_deadline_sheds_total"),
             batch_size: registry.histogram("serve_batch_size"),
             queue_wait_us: registry.histogram("serve_batch_queue_wait_us"),
             gemm_us: registry.histogram("serve_gemm_us"),
@@ -215,11 +213,9 @@ impl ServeObs {
             ],
             other: profiler.node(&["serve", "request", "other"]),
             profiler,
-            profile_enabled: config.profile,
             events: Arc::new(EventJournal::new(256)),
             registry,
-        };
-        (obs, requests, sheds, queue_rejections, latency)
+        }
     }
 }
 
@@ -277,13 +273,6 @@ pub(crate) struct Engine {
     pub(crate) variants: VariantTable,
     pub(crate) config: ServerConfig,
     pub(crate) started: Instant,
-    pub(crate) requests: Counter,
-    /// Connections refused at the accept loop (`overloaded`).
-    pub(crate) sheds: Counter,
-    /// Requests shed by the bounded scoring queue (`queue_full`).
-    pub(crate) queue_rejections: Counter,
-    /// Per-request wall time, request line in to response object out.
-    pub(crate) latency: Arc<LatencyHistogram>,
     pub(crate) obs: ServeObs,
 }
 
@@ -333,12 +322,10 @@ impl Engine {
             .recommend_pinned_deadline(&key.symptoms, k, Arc::clone(pinned), deadline)
             .map_err(|e| match e {
                 FrozenError::Overloaded(m) => {
-                    self.queue_rejections.inc();
                     self.obs.events.record("shed", "scoring queue full");
                     ApiError::retryable(codes::QUEUE_FULL, m)
                 }
                 FrozenError::DeadlineExceeded(m) => {
-                    self.obs.deadline_sheds.inc();
                     self.obs
                         .events
                         .record("deadline_shed", "deadline_ms expired before scoring");
@@ -370,11 +357,8 @@ impl Engine {
     /// (a ranking) or the whole under `other`.
     fn book(&self, phases: &[SpanRecord<Phase>], ranked: bool) {
         let wall_us = phases.iter().map(|s| s.dur_us).sum();
-        self.latency.record(wall_us);
         let obs = &self.obs;
-        if !obs.profile_enabled {
-            return;
-        }
+        obs.latency.record(wall_us);
         if !ranked {
             obs.other.add(wall_us);
             return;
@@ -388,7 +372,7 @@ impl Engine {
 
     fn handle_line(&self, line: &str, conn_key: &str) -> Json {
         let started = Instant::now();
-        self.requests.inc();
+        self.obs.requests.inc();
         let mut phases = TraceBuilder::new(started);
         let mut trace_id = None;
         let answer = self.answer(line, conn_key, started, &mut phases, &mut trace_id);
@@ -510,7 +494,6 @@ impl Engine {
         // The latency budget, anchored at line arrival.
         let deadline = match deadline_budget(&req)? {
             Some(budget) if budget.is_zero() => {
-                self.obs.deadline_sheds.inc();
                 self.obs
                     .events
                     .record("deadline_shed", "deadline_ms arrived exhausted");
@@ -819,7 +802,7 @@ impl Server {
         config: ServerConfig,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let (obs, requests, sheds, queue_rejections, latency) = ServeObs::new(&config);
+        let obs = ServeObs::new();
         let variants = VariantTable::new(
             Arc::clone(&obs.registry),
             config.cache_capacity,
@@ -833,10 +816,6 @@ impl Server {
             slot,
             config,
             started: Instant::now(),
-            requests,
-            sheds,
-            queue_rejections,
-            latency,
             obs,
         });
         Ok(Self {
@@ -880,15 +859,14 @@ impl Server {
         Running::start(self.local_addr()?, self.stop_handle(), move || self.run())
     }
 
-    /// Serves until the stop handle fires, on the readiness
-    /// [`Reactor`](crate::reactor::Reactor): one event-loop thread
-    /// owns all sockets, a fixed worker pool runs the handlers, and
-    /// concurrent connections are bounded by `config.max_connections`
-    /// file descriptors rather than threads. A connection over the cap
-    /// still receives the same one-line retryable refusal at accept
-    /// time, and a graceful stop still answers in-flight requests
-    /// before closing — idle keep-alives now close promptly and the
-    /// drain is journaled as a `drain` event.
+    /// Serves until the stop handle fires, on the readiness [`Reactor`]:
+    /// one event-loop thread owns all sockets, a fixed worker pool runs
+    /// the handlers, and concurrent connections are bounded by
+    /// `config.max_connections` file descriptors rather than threads. A
+    /// connection over the cap still receives the same one-line
+    /// retryable refusal at accept time, and a graceful stop still
+    /// answers in-flight requests before closing — idle keep-alives now
+    /// close promptly and the drain is journaled as a `drain` event.
     pub fn run(self) -> std::io::Result<()> {
         let max_conns = self.engine.config.max_connections;
         let registry = Arc::clone(&self.engine.obs.registry);
@@ -909,7 +887,7 @@ impl Service for Engine {
         // retryable refusal in one write and the reactor moves
         // straight on to the next connection — saturation never
         // stalls accepts (or the cluster router's health probes).
-        self.sheds.inc();
+        self.obs.sheds.inc();
         self.obs
             .events
             .record("shed", "connection refused at capacity");
@@ -1313,11 +1291,11 @@ mod tests {
                 .and_then(Json::as_str),
             Some(codes::BAD_REQUEST)
         );
-        // The shed is visible in the metrics snapshot.
+        // The shed is counted once, under its error code.
         let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
         assert_eq!(
             snap.get("metrics")
-                .and_then(|m| m.get("serve_deadline_sheds_total"))
+                .and_then(|m| m.get("serve_errors_total{code=\"deadline_exceeded\"}"))
                 .and_then(Json::as_num),
             Some(1.0)
         );
@@ -1352,6 +1330,9 @@ mod tests {
             stats.get("queue_rejections").and_then(Json::as_num),
             Some(0.0)
         );
+        // Reading `queue_rejections` registers no `queue_full` series.
+        let snap = held.ask(r#"{"op": "metrics"}"#).unwrap();
+        assert!(!snap.contains("queue_full"), "{snap}");
         let latency = stats.get("latency").expect("latency histogram in stats");
         assert!(latency.get("count").and_then(Json::as_num).unwrap() >= 1.0);
         assert!(latency.get("p99_us").and_then(Json::as_num).unwrap() > 0.0);
@@ -1525,7 +1506,6 @@ mod tests {
             assert!(resp.get("error").is_none(), "{resp}");
         }
         let report = roundtrip(&server, r#"{"op": "profile"}"#);
-        assert_eq!(report.get("enabled"), Some(&Json::Bool(true)));
         let folded = report.get("folded").and_then(Json::as_str).unwrap();
         // Sub-microsecond phases (cache lookups, sometimes parse) are
         // zero-suppressed from the fold, so only assert the stacks that
@@ -1612,25 +1592,6 @@ mod tests {
             .filter_map(|span| span.get("name").and_then(Json::as_str))
             .collect();
         assert_eq!(names, ["parse", "error:duplicate_symptom"], "{dup}");
-    }
-
-    #[test]
-    fn profiling_disabled_leaves_stacks_empty() {
-        let server = spawn_with(
-            ServingVocab::default(),
-            ServerConfig {
-                profile: false,
-                ..ServerConfig::default()
-            },
-        );
-        let _ = roundtrip(&server, r#"{"symptom_ids": [0], "k": 2}"#);
-        let report = roundtrip(&server, r#"{"op": "profile"}"#);
-        assert_eq!(report.get("enabled"), Some(&Json::Bool(false)));
-        assert_eq!(
-            report.get("profile_total_us").and_then(Json::as_num),
-            Some(0.0),
-            "{report}"
-        );
     }
 
     #[test]

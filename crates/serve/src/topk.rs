@@ -84,7 +84,7 @@ const FILTER_BLOCK: usize = 128;
 /// each GEMM tile while it is still in L1, and never write the row.
 ///
 /// Once `k` candidates are held the row is scanned
-/// [`FILTER_BLOCK`] scores at a time with a branch-free
+/// `FILTER_BLOCK` scores at a time with a branch-free
 /// `score > worst retained` test, and only a block with a hit is walked
 /// through the heap. The filter is exact, not a heuristic: candidates
 /// arrive in index order, so every newcomer has a higher index than

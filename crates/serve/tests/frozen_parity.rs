@@ -136,6 +136,7 @@ fn lru_cached_rankings_are_identical_and_bounded() {
     let mut cache: LruCache<QueryKey, Vec<u32>> = LruCache::new(capacity);
     let mut rng = StdRng::seed_from_u64(99);
     let sets = query_sets(&corpus, 40);
+    let (mut hits, mut misses) = (0, 0);
     for step in 0..400 {
         // Zipf-ish revisiting: favor a few hot sets, occasionally permute
         // the symptom order (must hit the same entry).
@@ -153,12 +154,14 @@ fn lru_cached_rankings_are_identical_and_bounded() {
         let fresh = frozen.recommend(&query, k).unwrap();
         match cache.get(&key) {
             Some(hit) => {
+                hits += 1;
                 assert_eq!(
                     hit, &fresh,
                     "step {step}: cache hit diverged from recompute"
                 );
             }
             None => {
+                misses += 1;
                 cache.insert(key, fresh);
             }
         }
@@ -167,7 +170,6 @@ fn lru_cached_rankings_are_identical_and_bounded() {
             "step {step}: eviction failed to bound size"
         );
     }
-    let (hits, misses) = cache.stats();
     assert!(
         hits > 0 && misses > 0,
         "workload should exercise both paths"

@@ -395,7 +395,7 @@ impl Tier {
     /// The tier [`Matrix::pack_rhs`] / [`Matrix::pack_transposed`] pick
     /// for an operand `cols` columns wide: [`Tier::detect`], except that
     /// an operand narrower than one main tile of the widest tier
-    /// ([`SIMD_MIN_COLS`]) stays on the scalar kernels. Nothing that
+    /// (`SIMD_MIN_COLS`) stays on the scalar kernels. Nothing that
     /// narrow is a real vocabulary — it is the toy models of tests and of
     /// the protocol goldens, which print scores to the last digit: on the
     /// reference kernels those digits are the same on every host, and

@@ -3,7 +3,7 @@
 //! Training in this reproduction is define-by-run, like the TensorFlow 2 /
 //! PyTorch style the original SMGCN implementation used: each optimisation
 //! step builds a fresh [`Tape`] over the persistent [`ParamStore`], runs the
-//! forward computation while recording one [`Op`] node per primitive, and
+//! forward computation while recording one `Op` node per primitive, and
 //! then [`Tape::backward`] walks the nodes in reverse, accumulating matrix
 //! gradients per parameter into a [`Gradients`] map.
 //!

@@ -995,12 +995,10 @@ fn default_availability_rule(routed: bool, scrape_ms: u64) -> smgcn_repro::obs::
             names(&["router_requests_total"]),
         )
     } else {
-        let bad = [
-            "serve_errors_total",
-            "serve_sheds_total",
-            "serve_queue_rejections_total",
-        ];
-        (names(&bad), names(&["serve_requests_total"]))
+        (
+            names(&smgcn_repro::loadgen::REPLICA_BAD_COUNTERS),
+            names(&["serve_requests_total"]),
+        )
     };
     SloRule::availability("availability-burn", bad, total, 1e-4)
         .with_min_window(scrape_ms.saturating_mul(4))
