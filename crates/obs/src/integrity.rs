@@ -1,13 +1,31 @@
 //! Data-integrity primitives shared across the stack.
 //!
-//! Every durable format in the repo — the ingest WAL's per-record
-//! framing (`smgcn-online`), the publish artifact's trailer
-//! (`smgcn-serve`) and the metrics history store ([`crate::tsdb`]) —
-//! checksums its payloads with the same CRC32 so a bit flip anywhere
-//! between "accepted" and "served" is detected instead of decoded into
-//! garbage. One implementation lives here, at the bottom of the
-//! dependency graph, so the formats can never disagree on the
-//! polynomial.
+//! Every durable format in the repo — the ingest WAL (`smgcn-online`),
+//! the publish artifact's trailer (`smgcn-serve`) and the metrics
+//! history store ([`crate::tsdb`]) — checksums its payloads with the
+//! same CRC32 so a bit flip anywhere between "accepted" and "served" is
+//! detected instead of decoded into garbage. One implementation lives
+//! here, at the bottom of the dependency graph, so the formats can never
+//! disagree on the polynomial.
+//!
+//! The two append-only files, the WAL and the tsdb, share one framing
+//! and one set of recovery rules, also kept here:
+//!
+//! ```text
+//! file  := magic frame*
+//! frame := len:u32le crc:u32le payload       (crc = crc32(payload))
+//! ```
+//!
+//! [`encode_frame`] writes a frame, [`scan`] verifies frames already in
+//! memory, and [`FramedLog`] is the file. Opening it replays the
+//! verified prefix and truncates a torn or corrupt tail; a failed append
+//! is truncated back to the last good frame. Either way a torn write
+//! (crash, full disk) costs exactly the torn tail, and the damage is
+//! reported as a [`WalRecovery`].
+
+use std::fs::{File, OpenOptions};
+use std::io;
+use std::path::Path;
 
 /// CRC-32/ISO-HDLC (the IEEE 802.3 polynomial, reflected form
 /// `0xEDB88320`) — the same parameters as zlib/PNG/Ethernet, checkable
@@ -75,6 +93,203 @@ const fn build_tables() -> [[u32; 256]; 8] {
         k += 1;
     }
     tables
+}
+
+/// Bytes before a frame's payload: its length, then its checksum.
+const FRAME_HEADER: usize = 8;
+
+/// Appends one frame carrying `payload` to `out`.
+pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
+    let len = u32::try_from(payload.len()).expect("a frame payload fits in 4 GiB");
+    out.reserve(FRAME_HEADER + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// How a damaged framed log was recovered: everything before
+/// `valid_bytes` verified and was kept; `dropped_bytes` of unverifiable
+/// tail were dropped.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WalRecovery {
+    /// Frames that replayed cleanly before the damage.
+    pub valid_records: usize,
+    /// Length of the verified prefix, magic included (0 for a torn
+    /// magic).
+    pub valid_bytes: u64,
+    /// Bytes dropped from the damaged tail.
+    pub dropped_bytes: u64,
+    /// What the scan hit: a torn magic or frame, a checksum mismatch,
+    /// an undecodable record.
+    pub reason: String,
+}
+
+impl std::fmt::Display for WalRecovery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "kept {} records ({} bytes), dropped {} damaged tail bytes: {}",
+            self.valid_records, self.valid_bytes, self.dropped_bytes, self.reason
+        )
+    }
+}
+
+/// Verifies the frames of `bytes` from offset `start` (just past the
+/// magic) and hands each verified payload to `replay`, in order.
+/// Returns `None` when every byte verified, else the report of the
+/// damaged tail.
+///
+/// `read` sees each whole frame's payload before its checksum is
+/// checked and may return a substitute for it: the WAL's fault plane
+/// corrupts frames there. `replay` returns `Ok(false)` for a payload
+/// that verified but does not decode, which ends the scan as damage the
+/// way a checksum mismatch does; an `Err` from it aborts the scan. The
+/// first damaged frame ends the scan, since the length field that would
+/// locate the next one is itself unverified. Only bytes already in
+/// `bytes` are sliced, so a hostile length field allocates nothing.
+pub fn scan<E>(
+    bytes: &[u8],
+    start: usize,
+    mut read: impl FnMut(&[u8]) -> Option<Vec<u8>>,
+    mut replay: impl FnMut(&[u8]) -> Result<bool, E>,
+) -> Result<Option<WalRecovery>, E> {
+    let (mut off, mut records) = (start, 0);
+    let reason = loop {
+        let rest = bytes.get(off..).unwrap_or_default();
+        if rest.is_empty() {
+            return Ok(None);
+        }
+        let Some((head, body)) = rest.split_first_chunk::<FRAME_HEADER>() else {
+            break format!("torn frame header ({} bytes) at {off}", rest.len());
+        };
+        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        let stored = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+        let Some(payload) = body.get(..len) else {
+            break format!(
+                "torn frame payload ({} of {len} bytes) at {off}",
+                body.len()
+            );
+        };
+        let substitute = read(payload);
+        let payload = substitute.as_deref().unwrap_or(payload);
+        if crc32(payload) != stored {
+            break format!("frame checksum mismatch at {off}");
+        }
+        if !replay(payload)? {
+            break format!("undecodable record at {off}");
+        }
+        records += 1;
+        off += FRAME_HEADER + len;
+    };
+    Ok(Some(WalRecovery {
+        valid_records: records,
+        valid_bytes: off as u64,
+        dropped_bytes: (bytes.len() - off) as u64,
+        reason,
+    }))
+}
+
+/// An append-only file of frames behind a magic (the ingest WAL, the
+/// tsdb). Every byte before `good_len` either verified on open or was
+/// written whole by [`FramedLog::append`].
+#[derive(Debug)]
+pub struct FramedLog {
+    file: File,
+    magic_len: u64,
+    good_len: u64,
+}
+
+impl FramedLog {
+    /// Opens the log at `path` and replays it through `read` and
+    /// `replay` (see [`scan`]).
+    ///
+    /// - A missing or empty file is created behind `magic`.
+    /// - A proper prefix of `magic` is a torn first write: nothing was
+    ///   ever logged, so it recovers as an empty log.
+    /// - Any other file that does not start with `magic` is refused
+    ///   with [`io::ErrorKind::InvalidData`] and left byte-identical.
+    /// - A damaged tail is truncated away and reported.
+    ///
+    /// An `Err` from `replay` aborts the open and leaves the file as it
+    /// was.
+    pub fn open<E: From<io::Error>>(
+        path: &Path,
+        magic: &[u8],
+        read: impl FnMut(&[u8]) -> Option<Vec<u8>>,
+        replay: impl FnMut(&[u8]) -> Result<bool, E>,
+    ) -> Result<(FramedLog, Option<WalRecovery>), E> {
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e.into()),
+        };
+        let (good_len, recovery) = if bytes.starts_with(magic) {
+            let recovery = scan(&bytes, magic.len(), read, replay)?;
+            let good_len = recovery
+                .as_ref()
+                .map_or(bytes.len() as u64, |r| r.valid_bytes);
+            (good_len, recovery)
+        } else if magic.starts_with(&bytes) {
+            std::fs::write(path, magic)?;
+            let torn = (!bytes.is_empty()).then(|| WalRecovery {
+                valid_records: 0,
+                valid_bytes: 0,
+                dropped_bytes: bytes.len() as u64,
+                reason: format!("torn file magic ({} of {} bytes)", bytes.len(), magic.len()),
+            });
+            (magic.len() as u64, torn)
+        } else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} does not start with the magic \"{}\"",
+                    path.display(),
+                    magic.escape_ascii()
+                ),
+            )
+            .into());
+        };
+        let file = OpenOptions::new().append(true).open(path)?;
+        // Appends continue after the last good frame, not after garbage.
+        file.set_len(good_len)?;
+        let log = FramedLog {
+            file,
+            magic_len: magic.len() as u64,
+            good_len,
+        };
+        Ok((log, recovery))
+    }
+
+    /// Appends one frame carrying `payload`, written whole by `write`
+    /// (the WAL passes its fault-aware write, the tsdb
+    /// `Write::write_all`). The frame counts once `write` returns `Ok`;
+    /// on any error the file is truncated back to the last good frame
+    /// before the error is returned, so an acknowledged frame never
+    /// lands after torn bytes.
+    pub fn append(
+        &mut self,
+        payload: &[u8],
+        write: impl FnOnce(&mut File, &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut frame = Vec::new();
+        encode_frame(payload, &mut frame);
+        let written = write(&mut self.file, &frame);
+        if written.is_ok() {
+            self.good_len += frame.len() as u64;
+        } else {
+            // Best effort: the write error is what the caller needs to
+            // see either way.
+            let _ = self.file.set_len(self.good_len);
+        }
+        written
+    }
+
+    /// Empties the log back to its magic.
+    pub fn reset(&mut self) -> io::Result<()> {
+        self.file.set_len(self.magic_len)?;
+        self.good_len = self.magic_len;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +367,48 @@ mod tests {
             c = crc32_update(c, chunk);
         }
         assert_eq!(c, oneshot);
+    }
+
+    fn log_path(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("smgcn_framed_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(tag);
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    fn open_counting(path: &Path) -> (FramedLog, usize, Option<WalRecovery>) {
+        let mut frames = 0;
+        let replay = |_: &[u8]| {
+            frames += 1;
+            Ok::<_, io::Error>(true)
+        };
+        let (log, recovery) = FramedLog::open(path, b"MAGIC", |_| None, replay).unwrap();
+        (log, frames, recovery)
+    }
+
+    #[test]
+    fn a_failed_append_is_cut_back_and_reset_keeps_the_magic() {
+        use std::io::Write;
+        let path = log_path("append");
+        let (mut log, _, _) = open_counting(&path);
+        log.append(b"one", |file, frame| file.write_all(frame))
+            .unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let torn = log.append(b"two", |file, frame| {
+            file.write_all(&frame[..5])?;
+            Err(io::Error::other("disk full"))
+        });
+        assert!(torn.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), good, "torn bytes cut away");
+        log.append(b"three", |file, frame| file.write_all(frame))
+            .unwrap();
+        drop(log);
+        let (mut log, frames, recovery) = open_counting(&path);
+        assert_eq!((frames, recovery), (2, None));
+        log.reset().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"MAGIC");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! - [`alert`] — declarative [`SloRule`]s judged over the tsdb with
 //!   Google-SRE multi-window burn-rate pairs, edge-triggered into the
 //!   event journal by an [`AlertEngine`];
-//! - [`integrity`] — the shared CRC32 every durable format frames its
-//!   payloads with.
+//! - [`integrity`] — the shared CRC32 every durable format checksums
+//!   its payloads with, and the one framed append-only log
+//!   ([`integrity::FramedLog`]) under the ingest WAL and the tsdb.
 //!
 //! Everything here is deliberately dependency-free and sits at the
 //! bottom of the workspace graph: `serve`, `cluster`, `online` and the

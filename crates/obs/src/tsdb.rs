@@ -24,28 +24,42 @@
 //! its value XORed with the previous value of the same series
 //! (Gorilla-style): an unchanged counter costs one byte, a slowly
 //! moving one a few. Series names are written once, on first
-//! appearance, and referenced by dense id thereafter. The frame layout
-//! is the WAL-v2 `[len][crc][payload]` idiom from the ingest log, and
-//! recovery works the same way: [`TsdbData::parse`] accepts the longest
-//! valid prefix, so a crash mid-append costs at most the torn record.
+//! appearance, and referenced by dense id thereafter.
+//!
+//! The framing and its recovery are the ingest WAL's, from
+//! [`crate::integrity`]: [`TsdbData::parse`] keeps the longest prefix of
+//! frames that verify and decode, [`Tsdb::open`] truncates the rest and
+//! recovers a torn header as an empty store, and a failed
+//! [`Tsdb::append`] is truncated back to the last good frame. A crash or
+//! a full disk mid-append costs at most the torn record. Every count in
+//! a record is bounded by the bytes left in its payload, so hostile
+//! bytes cost no more memory than the file itself.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::convert::Infallible;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::integrity::crc32;
+use crate::integrity::{self, FramedLog};
 
 /// File magic: the first four bytes of every tsdb file.
 pub const TSDB_MAGIC: [u8; 4] = *b"SMTS";
 /// Current format version (the byte after the magic).
 pub const TSDB_VERSION: u8 = 1;
-/// Frames larger than this are treated as corruption, not data.
-const MAX_FRAME: u32 = 1 << 26;
+/// The magic every tsdb file starts with: [`TSDB_MAGIC`], then
+/// [`TSDB_VERSION`].
+const TSDB_HEADER: [u8; 5] = [
+    TSDB_MAGIC[0],
+    TSDB_MAGIC[1],
+    TSDB_MAGIC[2],
+    TSDB_MAGIC[3],
+    TSDB_VERSION,
+];
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -87,7 +101,7 @@ pub fn unix_ms_now() -> u64 {
 /// Stateful record encoder: owns the series dictionary and per-series
 /// previous values that the delta encoding is relative to. Feed it
 /// scrapes in time order; it emits one self-contained frame per call.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SeriesEncoder {
     ids: BTreeMap<String, u32>,
     prev: Vec<u64>,
@@ -103,12 +117,16 @@ impl SeriesEncoder {
 
     /// Writes the file header (magic + version).
     pub fn header(out: &mut Vec<u8>) {
-        out.extend_from_slice(&TSDB_MAGIC);
-        out.push(TSDB_VERSION);
+        out.extend_from_slice(&TSDB_HEADER);
     }
 
     /// Appends one framed record for a scrape at `unix_ms` to `out`.
     pub fn append(&mut self, unix_ms: u64, samples: &[(String, f64)], out: &mut Vec<u8>) {
+        integrity::encode_frame(&self.record(unix_ms, samples), out);
+    }
+
+    /// The payload of one record for a scrape at `unix_ms`.
+    fn record(&mut self, unix_ms: u64, samples: &[(String, f64)]) -> Vec<u8> {
         let mut payload = Vec::with_capacity(16 + samples.len() * 3);
         let delta = if self.started {
             unix_ms.saturating_sub(self.last_ms)
@@ -126,7 +144,10 @@ impl SeriesEncoder {
             .collect();
         put_varint(&mut payload, new.len() as u64);
         for name in new {
-            let id = self.ids.len() as u32;
+            // Ids count declarations, as the decoder's do: a name
+            // declared twice (twice in one scrape, or in a hostile file
+            // this encoder continues) maps to its later id on both sides.
+            let id = self.prev.len() as u32;
             self.ids.insert(name.to_string(), id);
             self.prev.push(0);
             put_varint(&mut payload, name.len() as u64);
@@ -142,10 +163,7 @@ impl SeriesEncoder {
             put_varint(&mut payload, u64::from(id));
             put_varint(&mut payload, xor);
         }
-
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        payload
     }
 }
 
@@ -169,125 +187,96 @@ pub struct Recovered {
     pub encoder: SeriesEncoder,
 }
 
-impl TsdbData {
-    /// Decodes as much of `bytes` as is well-formed. A missing or
-    /// mangled header yields an empty history with `valid_len == 0`;
-    /// a bad frame (short, oversized, CRC mismatch, truncated payload)
-    /// ends the scan at the last good frame.
-    pub fn parse(bytes: &[u8]) -> Recovered {
-        let mut data = TsdbData::default();
-        let mut enc = SeriesEncoder::new();
-        if bytes.len() < 5 || bytes[..4] != TSDB_MAGIC || bytes[4] != TSDB_VERSION {
-            return Recovered {
-                data,
-                valid_len: 0,
-                encoder: enc,
-            };
-        }
-        let mut names: Vec<String> = Vec::new();
-        let mut offset = 5usize;
-        while let Some(head) = bytes.get(offset..offset + 8) {
-            let len = u32::from_le_bytes(head[..4].try_into().unwrap());
-            let crc = u32::from_le_bytes(head[4..].try_into().unwrap());
-            if len > MAX_FRAME {
-                break;
-            }
-            let start = offset + 8;
-            let Some(payload) = bytes.get(start..start + len as usize) else {
-                break;
-            };
-            if crc32(payload) != crc {
-                break;
-            }
-            if !Self::decode_record(payload, &mut data, &mut enc, &mut names) {
-                break;
-            }
-            offset = start + len as usize;
-        }
-        Recovered {
-            data,
-            valid_len: offset,
-            encoder: enc,
-        }
-    }
+/// Decoding state of a tsdb file: the history so far, and the encoder
+/// mirror that continues it.
+#[derive(Default)]
+struct Decoder {
+    data: TsdbData,
+    enc: SeriesEncoder,
+    names: Vec<String>,
+}
 
-    /// Decodes one payload into `data`, advancing the encoder mirror.
-    /// Returns false on any malformed field.
-    fn decode_record(
-        payload: &[u8],
-        data: &mut TsdbData,
-        enc: &mut SeriesEncoder,
-        names: &mut Vec<String>,
-    ) -> bool {
+impl Decoder {
+    /// Decodes one verified payload into the history. Returns `None` on
+    /// any malformed field, and then applies nothing of it.
+    fn record(&mut self, payload: &[u8]) -> Option<()> {
+        // Every entry takes at least one byte, so the bytes left bound
+        // each count before it sizes an allocation.
+        let room = |pos: usize, n: u64| n.min((payload.len() - pos) as u64) as usize;
         let mut pos = 0usize;
-        let Some(delta) = get_varint(payload, &mut pos) else {
-            return false;
-        };
-        let at_ms = if enc.started {
-            enc.last_ms.saturating_add(delta)
+        let delta = get_varint(payload, &mut pos)?;
+        let at_ms = if self.enc.started {
+            self.enc.last_ms.saturating_add(delta)
         } else {
             delta
         };
-        let Some(n_new) = get_varint(payload, &mut pos) else {
-            return false;
-        };
-        let mut staged_names: Vec<String> = Vec::with_capacity(n_new as usize);
+        let n_new = get_varint(payload, &mut pos)?;
+        let mut staged_names: Vec<&str> = Vec::with_capacity(room(pos, n_new));
         for _ in 0..n_new {
-            let Some(len) = get_varint(payload, &mut pos) else {
-                return false;
-            };
-            let Some(raw) = payload.get(pos..pos + len as usize) else {
-                return false;
-            };
-            pos += len as usize;
-            let Ok(name) = std::str::from_utf8(raw) else {
-                return false;
-            };
-            staged_names.push(name.to_string());
+            let len = get_varint(payload, &mut pos)?;
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))?;
+            staged_names.push(std::str::from_utf8(payload.get(pos..end)?).ok()?);
+            pos = end;
         }
-        let Some(n_points) = get_varint(payload, &mut pos) else {
-            return false;
-        };
-        let total_series = names.len() + staged_names.len();
-        let mut staged_points: Vec<(u64, u64)> = Vec::with_capacity(n_points as usize);
+        let n_points = get_varint(payload, &mut pos)?;
+        let total_series = self.names.len() + staged_names.len();
+        let mut staged_points: Vec<(usize, u64)> = Vec::with_capacity(room(pos, n_points));
         for _ in 0..n_points {
-            let Some(id) = get_varint(payload, &mut pos) else {
-                return false;
-            };
-            let Some(xor) = get_varint(payload, &mut pos) else {
-                return false;
-            };
-            if id as usize >= total_series {
-                return false;
-            }
+            let id = get_varint(payload, &mut pos)?;
+            let xor = get_varint(payload, &mut pos)?;
+            let id = usize::try_from(id).ok().filter(|&id| id < total_series)?;
             staged_points.push((id, xor));
         }
         // All fields well-formed: commit atomically so a bad frame
         // never half-applies.
+        let enc = &mut self.enc;
         for name in staged_names {
-            let id = enc.ids.len() as u32;
-            enc.ids.insert(name.clone(), id);
+            let id = enc.prev.len() as u32;
+            enc.ids.insert(name.to_string(), id);
             enc.prev.push(0);
-            names.push(name);
+            self.names.push(name.to_string());
         }
         enc.started = true;
         enc.last_ms = at_ms;
         for (id, xor) in staged_points {
-            let bits = enc.prev[id as usize] ^ xor;
-            enc.prev[id as usize] = bits;
-            data.series
-                .entry(names[id as usize].clone())
+            let bits = enc.prev[id] ^ xor;
+            enc.prev[id] = bits;
+            self.data
+                .series
+                .entry(self.names[id].clone())
                 .or_default()
                 .push((at_ms, f64::from_bits(bits)));
         }
-        true
+        Some(())
+    }
+}
+
+impl TsdbData {
+    /// Decodes as much of `bytes` as is well-formed. A missing or
+    /// mangled header yields an empty history with `valid_len == 0`;
+    /// a bad frame (torn, CRC mismatch, undecodable payload) ends the
+    /// scan at the last good frame.
+    pub fn parse(bytes: &[u8]) -> Recovered {
+        let mut dec = Decoder::default();
+        let valid_len = if bytes.starts_with(&TSDB_HEADER) {
+            let replay = |payload: &[u8]| Ok::<_, Infallible>(dec.record(payload).is_some());
+            let Ok(damage) = integrity::scan(bytes, TSDB_HEADER.len(), |_| None, replay);
+            damage.map_or(bytes.len(), |r| r.valid_bytes as usize)
+        } else {
+            0
+        };
+        Recovered {
+            data: dec.data,
+            valid_len,
+            encoder: dec.enc,
+        }
     }
 
     /// Loads and decodes a tsdb file (tolerating a torn tail).
     pub fn load<P: AsRef<Path>>(path: P) -> io::Result<TsdbData> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        Ok(Self::parse(&bytes).data)
+        Ok(Self::parse(&std::fs::read(path)?).data)
     }
 
     /// Appends one scrape directly (the in-memory mirror the live
@@ -452,75 +441,53 @@ pub fn selector_matches(selector: &str, key: &str) -> bool {
 }
 
 /// A file-backed tsdb: create or recover, then append one record per
-/// scrape. Appends are flushed per record so a crash loses at most the
-/// in-flight frame — which [`TsdbData::parse`] then drops cleanly.
+/// scrape. Each record is written whole or not at all (a failed append
+/// is truncated away), so a crash loses at most the in-flight frame.
 #[derive(Debug)]
 pub struct Tsdb {
-    file: File,
+    log: FramedLog,
     encoder: SeriesEncoder,
     path: PathBuf,
-    buf: Vec<u8>,
 }
 
 impl Tsdb {
     /// Creates (truncating) a fresh tsdb file.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Tsdb> {
-        let mut file = File::create(&path)?;
-        let mut header = Vec::with_capacity(5);
-        SeriesEncoder::header(&mut header);
-        file.write_all(&header)?;
-        file.flush()?;
-        Ok(Tsdb {
-            file,
-            encoder: SeriesEncoder::new(),
-            path: path.as_ref().to_path_buf(),
-            buf: Vec::new(),
-        })
+        File::create(&path)?;
+        Ok(Self::open(path)?.0)
     }
 
-    /// Opens an existing file for appending (creating it when missing),
-    /// recovering the longest valid prefix: a torn tail from a crashed
-    /// writer is truncated away and appending continues after the last
-    /// good record. Returns the store plus everything it already held.
+    /// Opens a file for appending (creating it when missing),
+    /// recovering the longest valid prefix: a torn tail or torn header
+    /// from a crashed writer is truncated away and appending continues
+    /// after the last good record. A file that is not a tsdb is refused
+    /// and left as it is. Returns the store plus everything it already
+    /// held.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<(Tsdb, TsdbData)> {
         let path = path.as_ref();
-        if !path.exists() {
-            return Ok((Self::create(path)?, TsdbData::default()));
-        }
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let recovered = TsdbData::parse(&bytes);
-        if recovered.valid_len == 0 {
-            // Unrecognized header: refuse to append garbage onto
-            // something that was never ours.
-            if !bytes.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{} is not a tsdb file", path.display()),
-                ));
-            }
-            return Ok((Self::create(path)?, TsdbData::default()));
-        }
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(recovered.valid_len as u64)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok((
-            Tsdb {
-                file,
-                encoder: recovered.encoder,
-                path: path.to_path_buf(),
-                buf: Vec::new(),
-            },
-            recovered.data,
-        ))
+        let mut dec = Decoder::default();
+        let replay = |payload: &[u8]| Ok::<_, io::Error>(dec.record(payload).is_some());
+        let (log, _) = FramedLog::open(path, &TSDB_HEADER, |_| None, replay)?;
+        let tsdb = Tsdb {
+            log,
+            encoder: dec.enc,
+            path: path.to_path_buf(),
+        };
+        Ok((tsdb, dec.data))
     }
 
-    /// Appends one scrape record and flushes it.
+    /// Appends one scrape record. On an error nothing of it stays, in
+    /// the file or in the encoder.
     pub fn append(&mut self, unix_ms: u64, samples: &[(String, f64)]) -> io::Result<()> {
-        self.buf.clear();
-        self.encoder.append(unix_ms, samples, &mut self.buf);
-        self.file.write_all(&self.buf)?;
-        self.file.flush()
+        let before = self.encoder.clone();
+        let payload = self.encoder.record(unix_ms, samples);
+        let written = self
+            .log
+            .append(&payload, |file, frame| file.write_all(frame));
+        if written.is_err() {
+            self.encoder = before;
+        }
+        written
     }
 
     /// The file this store writes to.
@@ -683,6 +650,57 @@ mod tests {
         let recovered = TsdbData::parse(b"not a tsdb");
         assert_eq!(recovered.valid_len, 0);
         assert!(recovered.data.series_names().is_empty());
+    }
+
+    #[test]
+    fn crafted_counts_end_the_scan_at_their_own_frame() {
+        let good = encode(&sample_history());
+        let varints = |values: &[u64]| {
+            let mut payload = Vec::new();
+            for &v in values {
+                put_varint(&mut payload, v);
+            }
+            payload
+        };
+        // Each payload verifies but claims more than it holds: 2^60
+        // points, 2^60 new series, a name of u64::MAX bytes.
+        for crafted in [
+            varints(&[0, 0, 1 << 60]),
+            varints(&[0, 1 << 60]),
+            varints(&[0, 1, u64::MAX]),
+        ] {
+            let mut bytes = good.clone();
+            integrity::encode_frame(&crafted, &mut bytes);
+            // A good frame after it must not be reached.
+            let mut enc = TsdbData::parse(&good).encoder;
+            enc.append(1300, &[("requests_total".to_string(), 30.0)], &mut bytes);
+            let recovered = TsdbData::parse(&bytes);
+            assert_eq!(recovered.valid_len, good.len(), "{crafted:?}");
+            assert_eq!(
+                recovered.data.points("requests_total").unwrap(),
+                &[(1000, 0.0), (1100, 10.0), (1200, 25.0)],
+                "{crafted:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_name_declared_twice_keeps_encoder_and_decoder_in_step() {
+        let twice = |v: f64| {
+            vec![
+                ("dup_total".to_string(), v),
+                ("dup_total".to_string(), v + 1.0),
+            ]
+        };
+        let bytes = encode(&[(1000, twice(1.0)), (1100, twice(5.0))]);
+        let recovered = TsdbData::parse(&bytes);
+        assert_eq!(recovered.valid_len, bytes.len());
+        let mut bytes = bytes;
+        let mut enc = recovered.encoder;
+        enc.append(1200, &[("late_total".to_string(), 7.0)], &mut bytes);
+        let data = TsdbData::parse(&bytes).data;
+        assert_eq!(data.points("late_total").unwrap(), &[(1200, 7.0)]);
+        assert_eq!(data.last("dup_total"), Some(6.0));
     }
 
     #[test]

@@ -15,27 +15,22 @@
 //! 0 4 17<TAB>3 9 12          # a prescription, ids as in corpus files
 //! ```
 //!
-//! Since v2 the file itself is framed (all integers little-endian):
-//!
-//! ```text
-//! "SMGNWAL2"                 8-byte file magic
-//! [u32 len][u32 crc32][payload]     one frame per logged line
-//! ```
-//!
-//! The per-record CRC32 (shared with the publish artifact via
-//! `smgcn_obs::integrity`) makes crash damage *detectable*: a torn
+//! The file is a `smgcn_obs::integrity::FramedLog` behind the magic
+//! `"SMGNWAL2"`, one `[u32 len][u32 crc32][payload]` frame per logged
+//! line (all integers little-endian), the framing the metrics tsdb
+//! shares. The per-record CRC32 makes crash damage *detectable*: a torn
 //! final frame (short write during a crash) or a bit-flipped record
 //! fails its checksum, and replay recovers by truncating the file back
 //! to the last frame that verified — every record before the damage
 //! survives, the tail is dropped with a [`WalRecovery`] report, and
-//! appending continues cleanly after the cut. Pre-v2 text logs are
-//! replayed line-by-line and rewritten in the framed format.
+//! appending continues cleanly after the cut. A file that does not
+//! start with the magic is refused and left untouched.
 //!
-//! Every accepted append is written (and flushed) to the WAL *before* it
-//! is acknowledged; reopening an ingestor over the same base corpus and
+//! Every accepted append is written to the WAL *before* it is
+//! acknowledged; reopening an ingestor over the same base corpus and
 //! WAL replays the log, so a crash between refreshes loses nothing. A
-//! failed append (disk error, torn flush) is repaired immediately — the
-//! file is truncated back to its last durable frame so a later accepted
+//! failed append (disk error, torn write) is repaired immediately — the
+//! file is truncated back to its last whole frame so a later accepted
 //! record can never sit *behind* damage and be silently lost by the
 //! next replay. A successful refresh folds the batch into the model and
 //! the caller then [`Ingestor::truncate_wal`]s it.
@@ -45,21 +40,17 @@
 //! disk errors, short writes and corruption through these exact paths.
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
 
 use smgcn_data::{Corpus, Prescription};
 use smgcn_faults::{sites, FaultAction};
-use smgcn_obs::integrity::crc32;
+use smgcn_obs::integrity::FramedLog;
+pub use smgcn_obs::integrity::WalRecovery;
 
-/// File magic opening every framed (v2) WAL.
+/// File magic opening every WAL.
 const WAL_MAGIC: &[u8; 8] = b"SMGNWAL2";
-
-/// Sanity cap on one frame's payload; a length field beyond this is
-/// corruption, not a record (the longest real line is a prescription
-/// with every vocabulary id in it, far under this).
-const MAX_FRAME_LEN: u32 = 1 << 20;
 
 /// Errors from validation, parsing or WAL IO.
 #[derive(Debug)]
@@ -137,121 +128,40 @@ pub struct IngestStats {
     pub new_herbs: usize,
 }
 
-/// How a damaged WAL tail was recovered during replay: everything
-/// before `valid_bytes` verified and was kept; `dropped_bytes` of
-/// unverifiable tail were truncated away.
-#[derive(Clone, Debug)]
-pub struct WalRecovery {
-    /// Frames that replayed cleanly before the damage.
-    pub valid_records: usize,
-    /// File length the WAL was truncated back to.
-    pub valid_bytes: u64,
-    /// Bytes dropped from the damaged tail.
-    pub dropped_bytes: u64,
-    /// What the scanner hit: a torn frame, a checksum mismatch, an
-    /// absurd length field.
-    pub reason: String,
-}
-
-impl std::fmt::Display for WalRecovery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "kept {} records ({} bytes), dropped {} damaged tail bytes: {}",
-            self.valid_records, self.valid_bytes, self.dropped_bytes, self.reason
-        )
-    }
-}
-
-/// The framed WAL writer: tracks the last *durable, verified* file
-/// length so a failed append can truncate the file back to it, keeping
-/// the invariant that every byte before `good_len` replays cleanly.
-struct Wal {
-    path: PathBuf,
-    writer: BufWriter<File>,
-    good_len: u64,
-}
-
-impl Wal {
-    fn open_append(path: PathBuf, good_len: u64) -> std::io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Self {
-            path,
-            writer: BufWriter::new(file),
-            good_len,
-        })
-    }
-
-    /// Appends one framed payload and flushes it durable. On any error
-    /// the file is repaired — truncated back to the last good frame —
-    /// before the error is returned, so an acknowledged record can
-    /// never land *after* torn bytes and be lost by the next replay.
-    fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        let result = self.append_frame(&frame);
-        if result.is_err() {
-            // Best-effort repair; the append error is what the caller
-            // needs to see either way.
-            let _ = self.repair();
-        } else {
-            self.good_len += frame.len() as u64;
+/// The WAL's write of one whole frame, through the `wal.append.write`
+/// fault site.
+fn write_frame(file: &mut File, frame: &[u8]) -> std::io::Result<()> {
+    match smgcn_faults::at(sites::WAL_APPEND_WRITE) {
+        Some(FaultAction::IoError) => {
+            return Err(smgcn_faults::injected_io_error(sites::WAL_APPEND_WRITE));
         }
-        result
-    }
-
-    fn append_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
-        match smgcn_faults::at(sites::WAL_APPEND_WRITE) {
-            Some(FaultAction::IoError) => {
-                return Err(smgcn_faults::injected_io_error(sites::WAL_APPEND_WRITE));
-            }
-            Some(FaultAction::ShortWrite { keep }) => {
-                // A torn write: part of the frame reaches the disk, then
-                // the "crash". The flush makes the damage durable so
-                // recovery has something real to truncate.
-                let keep = (keep as usize).min(frame.len().saturating_sub(1));
-                self.writer.write_all(&frame[..keep])?;
-                self.writer.flush()?;
-                return Err(std::io::Error::other(format!(
-                    "injected short write: {keep} of {} frame bytes written",
-                    frame.len()
-                )));
-            }
-            Some(FaultAction::Delay { ms }) => {
-                std::thread::sleep(std::time::Duration::from_millis(u64::from(ms)));
-            }
-            _ => {}
+        Some(FaultAction::ShortWrite { keep }) => {
+            // A torn write: part of the frame reaches the disk, then
+            // the "crash", so the repair has something real to truncate.
+            let keep = (keep as usize).min(frame.len().saturating_sub(1));
+            file.write_all(&frame[..keep])?;
+            return Err(std::io::Error::other(format!(
+                "injected short write: {keep} of {} frame bytes written",
+                frame.len()
+            )));
         }
-        self.writer.write_all(frame)?;
-        // Flush before acknowledging: an accepted record must survive a
-        // crash.
-        self.writer.flush()
+        Some(FaultAction::Delay { ms }) => {
+            std::thread::sleep(std::time::Duration::from_millis(u64::from(ms)));
+        }
+        _ => {}
     }
+    file.write_all(frame)
+}
 
-    /// Truncates the file back to the last verified length and reopens
-    /// the append writer past any torn bytes.
-    fn repair(&mut self) -> std::io::Result<()> {
-        let file = OpenOptions::new().write(true).open(&self.path)?;
-        file.set_len(self.good_len)?;
-        drop(file);
-        self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
-        Ok(())
+/// The WAL's read of one frame during replay: the `wal.replay.read`
+/// fault site may hand back a corrupted copy (the file is untouched),
+/// which the frame's checksum then catches.
+fn read_frame(payload: &[u8]) -> Option<Vec<u8>> {
+    if !smgcn_faults::enabled() {
+        return None;
     }
-
-    /// Empties the log down to its magic (post-refresh housekeeping).
-    fn reset(&mut self) -> std::io::Result<()> {
-        let file = OpenOptions::new().write(true).open(&self.path)?;
-        file.set_len(0)?;
-        drop(file);
-        let mut file = OpenOptions::new().append(true).open(&self.path)?;
-        file.write_all(WAL_MAGIC)?;
-        file.flush()?;
-        self.writer = BufWriter::new(file);
-        self.good_len = WAL_MAGIC.len() as u64;
-        Ok(())
-    }
+    let mut copy = payload.to_vec();
+    smgcn_faults::corrupt_buf(sites::WAL_REPLAY_READ, &mut copy).then_some(copy)
 }
 
 /// Streaming prescription intake over an evolving corpus.
@@ -259,7 +169,7 @@ pub struct Ingestor {
     corpus: Corpus,
     seen: HashSet<Prescription>,
     pending: Vec<Prescription>,
-    wal: Option<Wal>,
+    wal: Option<FramedLog>,
     stats: IngestStats,
     recovery: Option<WalRecovery>,
 }
@@ -281,137 +191,24 @@ impl Ingestor {
     /// An ingestor with a WAL at `path`. An existing log is replayed
     /// first (its records become the pending batch), then the file is
     /// opened for appending. A damaged tail — torn final frame, checksum
-    /// mismatch — is truncated away (see [`Ingestor::wal_recovery`]);
-    /// a pre-v2 text log is replayed and rewritten in the framed format.
+    /// mismatch — is truncated away (see [`Ingestor::wal_recovery`]); a
+    /// file that is not a WAL, or a verified record that does not
+    /// parse, is an error and leaves the file as it was.
     pub fn with_wal(corpus: Corpus, path: impl AsRef<Path>) -> Result<Self, IngestError> {
-        let path = path.as_ref().to_path_buf();
         let mut ingestor = Self::new(corpus);
-        let data = if path.exists() {
-            std::fs::read(&path)?
-        } else {
-            Vec::new()
-        };
-        let good_len = if data.is_empty() {
-            // Fresh (or freshly truncated pre-v2) log: stamp the magic.
-            let mut file = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&path)?;
-            file.write_all(WAL_MAGIC)?;
-            file.flush()?;
-            WAL_MAGIC.len() as u64
-        } else if data.len() < WAL_MAGIC.len() && WAL_MAGIC.starts_with(&data) {
-            // A crash tore the initial magic stamp itself: nothing was
-            // ever logged, so recover to an empty framed log.
-            ingestor.recovery = Some(WalRecovery {
-                valid_records: 0,
-                valid_bytes: 0,
-                dropped_bytes: data.len() as u64,
-                reason: format!("torn file magic ({} of 8 bytes)", data.len()),
-            });
-            let mut file = OpenOptions::new().write(true).truncate(true).open(&path)?;
-            file.write_all(WAL_MAGIC)?;
-            file.flush()?;
-            WAL_MAGIC.len() as u64
-        } else if data.starts_with(WAL_MAGIC) {
-            let valid_len = ingestor.replay_framed(&data)?;
-            if (valid_len as usize) < data.len() {
-                // Truncate the unverifiable tail so appends continue
-                // after the last good frame, not after garbage.
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(valid_len)?;
-            }
-            valid_len
-        } else {
-            // Legacy text WAL: replay line-by-line, then rewrite the
-            // whole file framed so the next crash is recoverable.
-            let text = String::from_utf8_lossy(&data).into_owned();
-            let lines: Vec<&str> = text
-                .lines()
-                .map(str::trim_end)
-                .filter(|l| !l.is_empty())
-                .collect();
-            for (i, line) in lines.iter().enumerate() {
-                ingestor.apply_wal_line(line, i + 1)?;
-            }
-            let mut framed = Vec::with_capacity(data.len() + 8 + lines.len() * 8);
-            framed.extend_from_slice(WAL_MAGIC);
-            for line in &lines {
-                framed.extend_from_slice(&(line.len() as u32).to_le_bytes());
-                framed.extend_from_slice(&crc32(line.as_bytes()).to_le_bytes());
-                framed.extend_from_slice(line.as_bytes());
-            }
-            let tmp = path.with_extension("v2tmp");
-            std::fs::write(&tmp, &framed)?;
-            std::fs::rename(&tmp, &path)?;
-            framed.len() as u64
-        };
-        ingestor.wal = Some(Wal::open_append(path, good_len)?);
-        Ok(ingestor)
-    }
-
-    /// Scans framed WAL bytes, applying every frame that verifies.
-    /// Returns the file length up to which everything replayed cleanly;
-    /// on damage, records a [`WalRecovery`] and stops (frames past the
-    /// first bad one cannot be trusted — the length field that would
-    /// locate them is itself unverified).
-    fn replay_framed(&mut self, data: &[u8]) -> Result<u64, IngestError> {
-        let mut off = WAL_MAGIC.len();
-        let mut records = 0usize;
-        let mut damage: Option<String> = None;
-        while off < data.len() {
-            let remaining = data.len() - off;
-            if remaining < 8 {
-                damage = Some(format!("torn frame header ({remaining} bytes) at {off}"));
-                break;
-            }
-            let len = u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]);
-            if len > MAX_FRAME_LEN {
-                damage = Some(format!("absurd frame length {len} at {off}"));
-                break;
-            }
-            let stored =
-                u32::from_le_bytes([data[off + 4], data[off + 5], data[off + 6], data[off + 7]]);
-            if remaining - 8 < len as usize {
-                damage = Some(format!(
-                    "torn frame payload ({} of {len} bytes) at {off}",
-                    remaining - 8
-                ));
-                break;
-            }
-            let mut payload = &data[off + 8..off + 8 + len as usize];
-            // Fault plane: simulated read-side corruption of this frame
-            // (a private copy; the file is untouched).
-            let corrupted: Vec<u8>;
-            if smgcn_faults::enabled() {
-                let mut copy = payload.to_vec();
-                if smgcn_faults::corrupt_buf(sites::WAL_REPLAY_READ, &mut copy) {
-                    corrupted = copy;
-                    payload = &corrupted;
-                }
-            }
-            if crc32(payload) != stored {
-                damage = Some(format!("frame checksum mismatch at {off}"));
-                break;
-            }
-            let line = std::str::from_utf8(payload).map_err(|e| IngestError::Parse {
-                line: records + 1,
+        let mut line = 0;
+        let replay = |payload: &[u8]| {
+            line += 1;
+            let text = std::str::from_utf8(payload).map_err(|e| IngestError::Parse {
+                line,
                 message: format!("checksummed frame is not utf-8: {e}"),
             })?;
-            self.apply_wal_line(line, records + 1)?;
-            records += 1;
-            off += 8 + len as usize;
-        }
-        if let Some(reason) = damage {
-            self.recovery = Some(WalRecovery {
-                valid_records: records,
-                valid_bytes: off as u64,
-                dropped_bytes: (data.len() - off) as u64,
-                reason,
-            });
-        }
-        Ok(off as u64)
+            ingestor.apply_wal_line(text, line).map(|()| true)
+        };
+        let (wal, recovery) = FramedLog::open(path.as_ref(), WAL_MAGIC, read_frame, replay)?;
+        ingestor.wal = Some(wal);
+        ingestor.recovery = recovery;
+        Ok(ingestor)
     }
 
     /// Applies one replayed WAL payload line: vocabulary growth or a
@@ -519,10 +316,10 @@ impl Ingestor {
         self.stats.new_herbs += new_herbs.len();
         if let Some(wal) = &mut self.wal {
             for name in &new_symptoms {
-                wal.append(format!("+symptom\t{name}").as_bytes())?;
+                wal.append(format!("+symptom\t{name}").as_bytes(), write_frame)?;
             }
             for name in &new_herbs {
-                wal.append(format!("+herb\t{name}").as_bytes())?;
+                wal.append(format!("+herb\t{name}").as_bytes(), write_frame)?;
             }
         }
         self.accept(symptom_ids, herb_ids, true)
@@ -567,10 +364,10 @@ impl Ingestor {
                 let symptoms: Vec<String> = p.symptoms().iter().map(u32::to_string).collect();
                 let herbs: Vec<String> = p.herbs().iter().map(u32::to_string).collect();
                 let line = format!("{}\t{}", symptoms.join(" "), herbs.join(" "));
-                // The frame is flushed durable (and any failure repaired
+                // The frame is written whole (and any failure repaired
                 // back to the last good frame) before the record is
                 // acknowledged below.
-                wal.append(line.as_bytes())?;
+                wal.append(line.as_bytes(), write_frame)?;
             }
         }
         // The dedup set admits the record only after the WAL write
@@ -636,6 +433,8 @@ impl Ingestor {
 mod tests {
     use super::*;
     use smgcn_data::Vocabulary;
+    use smgcn_obs::integrity::crc32;
+    use std::path::PathBuf;
 
     fn base_corpus() -> Corpus {
         Corpus::new(
@@ -816,22 +615,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_text_wal_migrates_to_framed_format() {
-        let path = wal_path("legacy");
-        std::fs::write(&path, "+herb\th-late\n2\t2\n0 2\t1\n").unwrap();
-        let ing = Ingestor::with_wal(base_corpus(), &path).unwrap();
-        assert_eq!(ing.pending().len(), 2);
-        assert_eq!(ing.corpus().herb_vocab().id("h-late"), Some(2));
-        drop(ing);
-        let data = std::fs::read(&path).unwrap();
-        assert!(
-            data.starts_with(WAL_MAGIC),
-            "legacy log rewritten with framing"
-        );
-        // And the migrated file replays identically.
-        let again = Ingestor::with_wal(base_corpus(), &path).unwrap();
-        assert_eq!(again.pending().len(), 2);
-        assert!(again.wal_recovery().is_none());
+    fn a_text_file_at_the_wal_path_is_refused_untouched() {
+        let path = wal_path("text");
+        let text = "+herb\th-late\n2\t2\n0 2\t1\n";
+        std::fs::write(&path, text).unwrap();
+        let err = Ingestor::with_wal(base_corpus(), &path)
+            .err()
+            .expect("a file without the magic is not a WAL");
+        assert!(matches!(err, IngestError::Io(_)), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), text.as_bytes());
         std::fs::remove_file(&path).ok();
     }
 }

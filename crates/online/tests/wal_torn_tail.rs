@@ -103,9 +103,9 @@ fn every_single_byte_corruption_is_detected_or_harmless() {
         match Ingestor::with_wal(base_corpus(), &path) {
             Ok(reopened) => {
                 if offset < 8 {
-                    // Corrupt magic: the file reads as a legacy text log;
-                    // all that is promised is no panic and no invented
-                    // records beyond the real ones.
+                    // Corrupt magic: the file is refused as not a WAL
+                    // (the Err arm below), so this arm never runs; all
+                    // it would promise is no invented records.
                     assert!(reopened.pending().len() <= full, "magic flip at {offset}");
                     continue;
                 }
@@ -126,8 +126,8 @@ fn every_single_byte_corruption_is_detected_or_harmless() {
                 );
             }
             Err(e) => {
-                // Only a corrupt magic may turn the file into an
-                // unparsable "legacy" log; framed damage always recovers.
+                // Only a corrupt magic may make the file unopenable: it
+                // is refused as not a WAL. Framed damage always recovers.
                 assert!(offset < 8, "flip at {offset} must recover, got: {e}");
             }
         }

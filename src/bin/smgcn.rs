@@ -1018,7 +1018,7 @@ fn self_scrape(
     events: std::sync::Arc<smgcn_repro::obs::EventJournal>,
 ) -> Option<smgcn_repro::obs::tsdb::Scraper> {
     use smgcn_repro::obs::alert::AlertEngine;
-    use smgcn_repro::obs::tsdb::{Scraper, Tsdb, TsdbData};
+    use smgcn_repro::obs::tsdb::{Scraper, Tsdb};
     let path = args.get("tsdb")?;
     let scrape_ms = args.num("scrape-ms");
     let front = front.or_fail("cannot resolve own address for self-scrape");
@@ -1027,12 +1027,7 @@ fn self_scrape(
         "self-scraping {what}metrics to {path} every {scrape_ms} ms \
          (burn-rate alerts land in the event journal)"
     );
-    let (mut tsdb, mut data) = if std::path::Path::new(path).exists() {
-        Tsdb::open(path).or_fail(format!("cannot open tsdb {path:?}"))
-    } else {
-        let tsdb = Tsdb::create(path).or_fail(format!("cannot create tsdb {path:?}"));
-        (tsdb, TsdbData::default())
-    };
+    let (mut tsdb, mut data) = Tsdb::open(path).or_fail(format!("cannot open tsdb {path:?}"));
     let mut engine = AlertEngine::new(vec![default_availability_rule(routed, scrape_ms)]);
     Some(Scraper::spawn(
         std::time::Duration::from_millis(scrape_ms),
