@@ -288,6 +288,23 @@ fn deadline_budget_is_enforced_at_the_router() {
     );
 }
 
+/// `1e999` overflows an `f64`, so a replica reads it as an infinite `k`
+/// and refuses it. The router re-serialises a line that carries a
+/// deadline, and the line it forwards must be one the replica reads
+/// the same way: the same code, not `bad_json`.
+#[test]
+fn an_overflowing_k_gets_the_same_code_from_a_replica_and_a_router() {
+    let (replicas, router) = start_fleet(1);
+    let line = r#"{"symptom_ids":[1],"k":1e999,"deadline_ms":500}"#;
+    let code = |running: &Running| {
+        let reply = running.client().unwrap().ask_json(line).unwrap();
+        reply.get("error").and_then(|e| e.get("code")).cloned()
+    };
+    let direct = code(&replicas[0]);
+    assert_eq!(direct, Some(Json::Str("bad_k".into())));
+    assert_eq!(code(&router), direct);
+}
+
 #[test]
 fn rolling_publish_through_the_router_upgrades_the_fleet() {
     let (replicas, router) = start_fleet(3);

@@ -11,7 +11,8 @@
 //! - [`significance`] — the paired bootstrap that judges "A beats B";
 //! - [`paper`] — every table and figure of §V as a row of one experiment
 //!   table, each ordering claim judged, behind `smgcn paper`;
-//!   `benches/kernels.rs` holds the substrate kernels' microbenchmarks.
+//!   `benches/kernels.rs` times the kernels the repository benchmark
+//!   cannot time on its own.
 
 #![warn(missing_docs)]
 

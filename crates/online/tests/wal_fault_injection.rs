@@ -9,7 +9,7 @@
 //! to be clean — runs under `with_plan` (an empty plan where no fault is
 //! wanted), or another test's plan fires on it.
 //!
-//! The invariant under test is the acceptance criterion of the fault
+//! The invariant under test is the acceptance condition of the fault
 //! plane: **no accepted-then-lost ingests**. An append that takes an
 //! injected disk error or torn write returns an error (never an ack),
 //! repairs the file, and every record that *was* acknowledged is still

@@ -36,7 +36,8 @@ impl Json {
         }
     }
 
-    /// The value as a finite f64, if numeric.
+    /// The value as an f64, if numeric. A number too large for an f64
+    /// (`1e999`) reads as an infinity.
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
@@ -67,8 +68,12 @@ impl Json {
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9.0e15 {
                     write!(out, "{}", *n as i64)
-                } else {
+                } else if n.is_finite() {
                     write!(out, "{n}")
+                } else {
+                    // JSON has no spelling for an infinity or a NaN, and
+                    // no reader (this one included) accepts Rust's `inf`.
+                    out.write_str("null")
                 }
             }
             Json::Str(s) => write_escaped(s, out),
@@ -302,14 +307,7 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
                         let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|e| format!("bad \\u escape: {e}"))?;
-                        out.push(
-                            char::from_u32(code).ok_or("surrogate \\u escapes are unsupported")?,
-                        );
+                        out.push(unicode_escape(hex)?);
                         *pos += 4;
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos)),
@@ -318,6 +316,18 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The character of a `\u` escape's four bytes, which must be ASCII hex
+/// digits: `u32::from_str_radix` alone would take a sign (`\u+041`).
+fn unicode_escape(hex: &[u8]) -> Result<char, String> {
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!("bad \\u escape {:?}", String::from_utf8_lossy(hex)));
+    }
+    let code = hex.iter().fold(0, |code, &c| {
+        code << 4 | char::from(c).to_digit(16).unwrap_or(0)
+    });
+    char::from_u32(code).ok_or_else(|| "surrogate \\u escapes are unsupported".into())
 }
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
@@ -414,6 +424,35 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_numbers_serialise_as_null() {
+        for n in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(Json::Num(n).to_string(), "null");
+        }
+        let line = parse(r#"{"k":1e999,"scores":[-1e999,0.5]}"#).unwrap();
+        assert_eq!(line.to_string(), r#"{"k":null,"scores":[null,0.5]}"#);
+        assert_eq!(score_array(&[f32::NAN]).to_string(), "[null]");
+        assert!(parse(&line.to_string()).is_ok());
+    }
+
+    #[test]
+    fn a_unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Json::Str("Aé".into()));
+        assert_eq!(parse(r#""\u004A\u004a""#).unwrap(), Json::Str("JJ".into()));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+            r#""\u04"#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} should fail");
+        }
+        let request = parse(r#"{"symptoms":["\u+041"]}"#);
+        assert!(request.unwrap_err().contains("bad \\u escape"));
+    }
+
+    #[test]
     fn integers_serialise_without_fraction() {
         assert_eq!(Json::Num(5.0).to_string(), "5");
         assert_eq!(Json::Num(5.25).to_string(), "5.25");
@@ -448,15 +487,7 @@ mod tests {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or("surrogate \\u escapes are unsupported")?,
-                            );
+                            out.push(unicode_escape(hex)?);
                             *pos += 4;
                         }
                         _ => return Err(format!("bad escape at byte {}", *pos)),
