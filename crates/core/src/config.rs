@@ -133,8 +133,6 @@ pub struct TrainConfig {
     pub l2_lambda: f32,
     /// Objective (Table VIII).
     pub loss: LossKind,
-    /// Negative samples per positive herb for BPR.
-    pub bpr_negatives: usize,
     /// Apply Eq. 15's inverse-frequency label weights. Disabling this is
     /// the loss-weighting ablation (all herbs weighted equally).
     pub weighted_labels: bool,
@@ -152,7 +150,6 @@ impl TrainConfig {
             learning_rate: 2e-4,
             l2_lambda: 7e-3,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 42,
         }

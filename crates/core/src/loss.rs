@@ -15,9 +15,11 @@ use smgcn_tensor::{Tape, Var};
 use crate::batch::{sample_bpr_pairs, Batch};
 use crate::config::LossKind;
 
+/// Negative herbs sampled per positive herb for the BPR objective.
+pub const BPR_NEGATIVES: usize = 1;
+
 /// Attaches the configured training objective to `scores` (`B x H`) and
 /// returns the scalar loss node.
-#[allow(clippy::too_many_arguments)] // mirrors the objective's actual arity
 pub fn attach_loss(
     tape: &mut Tape<'_>,
     scores: Var,
@@ -25,7 +27,6 @@ pub fn attach_loss(
     kind: LossKind,
     herb_weights: &Arc<Vec<f32>>,
     n_herbs: usize,
-    bpr_negatives: usize,
     rng: &mut StdRng,
 ) -> Var {
     match kind {
@@ -33,7 +34,7 @@ pub fn attach_loss(
             tape.weighted_mse(scores, Arc::clone(&batch.herbs), herb_weights.clone())
         }
         LossKind::Bpr => {
-            let pairs = sample_bpr_pairs(&batch.herbs, n_herbs, bpr_negatives, rng);
+            let pairs = sample_bpr_pairs(&batch.herbs, n_herbs, BPR_NEGATIVES, rng);
             tape.bpr_loss(scores, Arc::new(pairs))
         }
     }
@@ -75,7 +76,6 @@ mod tests {
                 LossKind::MultiLabel,
                 &weights,
                 4,
-                1,
                 &mut rng,
             );
             tape.value(loss).get(0, 0)
@@ -96,7 +96,7 @@ mod tests {
             let id = store.add("p", pred);
             let mut tape = Tape::new(&store);
             let v = tape.param(id);
-            let loss = attach_loss(&mut tape, v, &b, LossKind::Bpr, &weights, 4, 2, rng);
+            let loss = attach_loss(&mut tape, v, &b, LossKind::Bpr, &weights, 4, rng);
             tape.value(loss).get(0, 0)
         };
         // Positives scored high ⇒ small loss; inverted ⇒ large loss.

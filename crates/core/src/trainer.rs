@@ -237,14 +237,7 @@ fn train_impl(
                 let mut ctx = ForwardCtx::training(model.dropout(), &mut rng);
                 let scores = model.forward_scores(&mut tape, &batch.set_pool, &mut ctx);
                 let loss = attach_loss(
-                    &mut tape,
-                    scores,
-                    &batch,
-                    cfg.loss,
-                    &weights,
-                    n_herbs,
-                    cfg.bpr_negatives,
-                    ctx.rng,
+                    &mut tape, scores, &batch, cfg.loss, &weights, n_herbs, ctx.rng,
                 );
                 loss_sum += tape.value(loss).get(0, 0) as f64;
                 timer.lap(&mut phases.forward_us);
@@ -317,7 +310,6 @@ mod tests {
             learning_rate: 5e-3,
             l2_lambda: 1e-4,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 2,
         };
@@ -341,7 +333,6 @@ mod tests {
             learning_rate: 5e-3,
             l2_lambda: 1e-4,
             loss: LossKind::Bpr,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 2,
         };
@@ -358,7 +349,6 @@ mod tests {
             learning_rate: 1e-3,
             l2_lambda: 1e-4,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 3,
         };
@@ -393,7 +383,6 @@ mod tests {
             learning_rate: 5e-3,
             l2_lambda: 1e-4,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 9,
         };
@@ -428,7 +417,6 @@ mod tests {
             learning_rate: 5e-3,
             l2_lambda: 1e-4,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 9,
         };
@@ -470,7 +458,6 @@ mod tests {
             learning_rate: 5e-3,
             l2_lambda: 1e-4,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 2,
         };
@@ -487,7 +474,6 @@ mod tests {
             learning_rate: 5e-3,
             l2_lambda: 1e-4,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 2,
         };
@@ -538,7 +524,6 @@ mod tests {
             learning_rate: 5e-3,
             l2_lambda: 1e-4,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 7,
         };
@@ -581,7 +566,6 @@ mod tests {
             learning_rate: 1e-3,
             l2_lambda: 0.0,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 4,
         };

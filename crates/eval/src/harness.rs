@@ -190,7 +190,6 @@ pub fn train_config_for(kind: ModelKind, scale: Scale) -> TrainConfig {
         learning_rate: lr,
         l2_lambda: l2,
         loss: LossKind::MultiLabel,
-        bpr_negatives: 1,
         weighted_labels: true,
         seed: 42,
     }

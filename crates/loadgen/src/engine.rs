@@ -142,7 +142,6 @@ impl Stack {
                     learning_rate: 1e-3,
                     l2_lambda: 1e-4,
                     loss: smgcn_core::prelude::LossKind::MultiLabel,
-                    bpr_negatives: 1,
                     weighted_labels: true,
                     seed: workload.config.seed,
                 };
@@ -159,7 +158,6 @@ impl Stack {
                         finetune: FineTuneConfig {
                             max_epochs: 1,
                             target_loss: None,
-                            learning_rate: None,
                         },
                         seed: workload.config.seed,
                     },

@@ -27,9 +27,6 @@ pub struct FineTuneConfig {
     pub max_epochs: usize,
     /// Stop as soon as an epoch's mean loss reaches this value.
     pub target_loss: Option<f32>,
-    /// Optional learning-rate override for the resumed run (a smaller
-    /// step often suits a model already near its optimum).
-    pub learning_rate: Option<f32>,
 }
 
 impl Default for FineTuneConfig {
@@ -37,7 +34,6 @@ impl Default for FineTuneConfig {
         Self {
             max_epochs: 5,
             target_loss: None,
-            learning_rate: None,
         }
     }
 }
@@ -56,9 +52,9 @@ pub struct FineTuneReport {
 /// Resumes training `model` on `corpus` under the refresh budget.
 ///
 /// `base` supplies the optimisation hyperparameters of the original
-/// training run (batch size, λ, loss kind, seed); only the epoch budget
-/// and optionally the learning rate are overridden. `observer` receives
-/// this run's per-epoch phase timings (see [`train_until`]).
+/// training run (learning rate, batch size, λ, loss kind, seed); only
+/// the epoch budget is overridden. `observer` receives this run's
+/// per-epoch phase timings (see [`train_until`]).
 pub fn fine_tune(
     model: &mut Recommender,
     corpus: &Corpus,
@@ -68,9 +64,6 @@ pub fn fine_tune(
 ) -> FineTuneReport {
     let mut train_cfg = base.clone();
     train_cfg.epochs = cfg.max_epochs;
-    if let Some(lr) = cfg.learning_rate {
-        train_cfg.learning_rate = lr;
-    }
     let target = cfg.target_loss;
     let history = train_until(model, corpus, &train_cfg, observer, |stats, _| {
         target.is_some_and(|t| stats.mean_loss <= t)
@@ -110,7 +103,6 @@ mod tests {
             learning_rate: 5e-3,
             l2_lambda: 1e-4,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 7,
         };
@@ -162,7 +154,6 @@ mod tests {
             &FineTuneConfig {
                 max_epochs: 20,
                 target_loss: Some(plateau * 1.05),
-                learning_rate: None,
             },
             None,
         );

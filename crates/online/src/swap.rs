@@ -478,7 +478,6 @@ mod tests {
             learning_rate: 5e-3,
             l2_lambda: 1e-4,
             loss: LossKind::MultiLabel,
-            bpr_negatives: 1,
             weighted_labels: true,
             seed: 11,
         };

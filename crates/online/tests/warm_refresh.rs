@@ -68,7 +68,6 @@ fn a_warm_refresh_reaches_the_cold_plateau_in_one_of_eight_epochs() {
             finetune: FineTuneConfig {
                 max_epochs: COLD_EPOCHS / 4,
                 target_loss: Some(target),
-                learning_rate: None,
             },
             seed: SEED,
         },

@@ -45,8 +45,9 @@
 //!   once in one registry, and [`Running`], the
 //!   stop-and-join guard [`Server::spawn`] and the router's `spawn`
 //!   return;
-//! - [`variants`] — the replica half of the experiment plane: named
-//!   candidate slots, the active split plan and the duel journal.
+//! - [`variants`] — the replica half of the experiment plane: one
+//!   table of named slots whose first entry is control, the active
+//!   split plan and the duel journal.
 
 #![warn(missing_docs)]
 

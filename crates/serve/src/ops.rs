@@ -253,7 +253,8 @@ impl OpHandler for Engine {
     /// Model generation, uptime, and counters read from the registry;
     /// `cache` is the control partition's own count.
     fn op_stats(&self, _req: &Json) -> Json {
-        let generation = self.slot.load();
+        let control = self.variants.control();
+        let generation = control.slot.load();
         let queue_full = [("code", codes::QUEUE_FULL)];
         let registry = &self.obs.registry;
         let queue_rejections = registry.counter_value("serve_errors_total", &queue_full);
@@ -282,7 +283,7 @@ impl OpHandler for Engine {
                 ("mean_us", Json::Num(latency.mean_us())),
             ]),
         ));
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &control.cache {
             let stats = cache.lock().expect("cache lock").stats();
             fields.push((
                 "cache",
@@ -302,13 +303,11 @@ impl OpHandler for Engine {
     /// Gauges derived from other subsystems are synced here, at read
     /// time.
     fn op_metrics(&self, req: &Json) -> Json {
-        let generation = self.slot.load();
-        self.variants.sync_gauges(generation.number);
-        self.obs
-            .registry
-            .gauge("serve_generation")
-            .set(generation.number);
-        if let Some(cache) = &self.cache {
+        let control = self.variants.control();
+        let generation = control.slot.generation();
+        self.variants.sync_gauges();
+        self.obs.registry.gauge("serve_generation").set(generation);
+        if let Some(cache) = &control.cache {
             let stats = cache.lock().expect("cache lock").stats();
             self.obs
                 .registry
@@ -319,7 +318,7 @@ impl OpHandler for Engine {
             return json::obj([("prometheus", Json::Str(self.obs.registry.to_prometheus()))]);
         }
         json::obj([
-            ("generation", Json::Num(generation.number as f64)),
+            ("generation", Json::Num(generation as f64)),
             ("metrics", samples_to_json(&self.obs.registry.samples())),
             ("events_total", Json::Num(self.obs.events.total() as f64)),
         ])
@@ -341,8 +340,9 @@ impl OpHandler for Engine {
     /// replica the two totals are equal.
     fn op_profile(&self, _req: &Json) -> Json {
         let latency = self.obs.latency.snapshot();
+        let generation = self.variants.control().slot.generation();
         json::obj([
-            ("generation", Json::Num(self.slot.load().number as f64)),
+            ("generation", Json::Num(generation as f64)),
             ("folded", Json::Str(self.obs.profiler.fold())),
             (
                 "profile_total_us",
@@ -358,8 +358,13 @@ impl OpHandler for Engine {
     /// generation that is now serving so a rolling coordinator can
     /// verify the cutover.
     fn op_publish(&self, req: Json) -> Json {
-        match self.publish_control(req) {
-            Ok(ack) => ack,
+        match self.publish_artifact(CONTROL, req, CONTROL_PUBLISH) {
+            Ok((generation, (symptoms, herbs))) => json::obj([
+                ("published", Json::Bool(true)),
+                ("generation", Json::Num(generation as f64)),
+                ("symptoms", Json::Num(symptoms as f64)),
+                ("herbs", Json::Num(herbs as f64)),
+            ]),
             Err(e) => e.to_json(),
         }
     }
@@ -412,45 +417,48 @@ fn decode_artifact(text: String) -> Result<(FrozenModel, ServingVocab), ApiError
     crate::artifact::decode(&bytes).map_err(|e| ApiError::new(codes::BAD_ARTIFACT, e.to_string()))
 }
 
+/// The event kinds an artifact-publish verb journals, `(rejected,
+/// published)`, passed the way `cluster::publish::roll` takes its
+/// wording.
+type Wording = (&'static str, &'static str);
+
+const CONTROL_PUBLISH: Wording = ("publish_rejected", "publish");
+const CANDIDATE_PUBLISH: Wording = ("experiment_publish_rejected", "experiment_publish");
+
 impl Engine {
-    /// The control-slot publish body behind [`OpHandler::op_publish`].
-    pub(crate) fn publish_control(&self, mut req: Json) -> Result<Json, ApiError> {
+    /// The one artifact-publish body, behind `{"op":"publish"}` (into
+    /// control) and the experiment `publish` action (into a candidate,
+    /// created on first publish). A damaged artifact is counted and
+    /// journaled and never touches the entry's live generation; a good
+    /// one is published into the named entry, counted and journaled.
+    /// Returns the new generation and the published model's
+    /// `(symptoms, herbs)`.
+    fn publish_artifact(
+        &self,
+        name: &str,
+        mut req: Json,
+        (rejected, published): Wording,
+    ) -> Result<(u64, (usize, usize)), ApiError> {
         let text = take_artifact(&mut req)?;
-        let reject = |e: ApiError| {
+        let (model, vocab) = decode_artifact(text).inspect_err(|e| {
             self.obs.publish_rejected.inc();
-            self.obs.events.record(
-                "publish_rejected",
-                format!(
-                    "artifact rejected, live generation untouched: {}",
-                    e.message
-                ),
-            );
-            e
-        };
-        let (model, vocab) = decode_artifact(text).map_err(reject)?;
-        let generation = self.slot.publish(model, vocab);
-        let now = self.slot.load();
+            let why = &e.message;
+            let detail = format!("{name} artifact rejected, live generation untouched: {why}");
+            self.obs.events.record(rejected, detail);
+        })?;
+        let shape = (model.n_symptoms(), model.n_herbs());
+        let generation = self.variants.publish(name, model, vocab);
         self.obs.publishes.inc();
-        self.obs.registry.gauge("serve_generation").set(generation);
-        self.obs.events.record(
-            "publish",
-            format!("generation {generation} published over the wire"),
-        );
-        Ok(json::obj([
-            ("published", Json::Bool(true)),
-            ("generation", Json::Num(generation as f64)),
-            ("symptoms", Json::Num(now.model.n_symptoms() as f64)),
-            ("herbs", Json::Num(now.model.n_herbs() as f64)),
-        ]))
+        let detail = format!("{name} generation {generation} published over the wire");
+        self.obs.events.record(published, detail);
+        Ok((generation, shape))
     }
 
     /// The experiment-plane admin body behind
     /// [`OpHandler::op_experiment`]. Actions:
     ///
-    /// - `"publish"` — decode an artifact into the named candidate slot
-    ///   (created on first publish); rejection semantics match the
-    ///   control publish verb, the candidate's live generation is never
-    ///   touched by a damaged artifact;
+    /// - `"publish"` — [`Engine::publish_artifact`] into the named
+    ///   candidate (created on first publish);
     /// - `"install"` — install/update a split plan from its canonical
     ///   string; rejected atomically if any weighted variant has no
     ///   published slot here;
@@ -460,26 +468,11 @@ impl Engine {
     ///   model+vocab into the control slot as a new generation;
     /// - `"status"` — plan, per-variant generation/weight, duel count;
     /// - `"samples"` — the journaled duel samples (optional `"limit"`).
-    pub(crate) fn experiment_admin(&self, mut req: Json) -> Result<Json, ApiError> {
+    pub(crate) fn experiment_admin(&self, req: Json) -> Result<Json, ApiError> {
         match req.get("action").and_then(Json::as_str) {
             Some("publish") => {
                 let name = candidate_of(&req)?;
-                let text = take_artifact(&mut req)?;
-                let reject = |e: ApiError| {
-                    self.obs.publish_rejected.inc();
-                    self.obs.events.record(
-                        "experiment_publish_rejected",
-                        format!("candidate {name:?} artifact rejected: {}", e.message),
-                    );
-                    e
-                };
-                let (model, vocab) = decode_artifact(text).map_err(reject)?;
-                let generation = self.variants.publish(&name, model, vocab);
-                self.obs.publishes.inc();
-                self.obs.events.record(
-                    "experiment_publish",
-                    format!("candidate {name:?} at generation {generation}"),
-                );
+                let (generation, _) = self.publish_artifact(&name, req, CANDIDATE_PUBLISH)?;
                 Ok(json::obj([
                     ("published", Json::Bool(true)),
                     ("variant", Json::Str(name)),
@@ -528,18 +521,11 @@ impl Engine {
             }
             Some("promote-local") => {
                 let name = candidate_of(&req)?;
-                let entry = self.variants.get(&name).ok_or_else(|| {
-                    ApiError::new(
-                        codes::UNKNOWN_VARIANT,
-                        format!("variant {name:?} is not served by this replica"),
-                    )
-                })?;
-                let candidate = entry.slot.load();
-                let generation = self
-                    .slot
+                let candidate = self.variants.get(&name)?.slot.load();
+                let control = &self.variants.control().slot;
+                let generation = control
                     .publish_shared(Arc::clone(&candidate.model), Arc::clone(&candidate.vocab));
                 self.obs.publishes.inc();
-                self.obs.registry.gauge("serve_generation").set(generation);
                 self.obs.events.record(
                     "experiment_promote",
                     format!("candidate {name:?} promoted to control generation {generation}"),
@@ -550,7 +536,7 @@ impl Engine {
                     ("generation", Json::Num(generation as f64)),
                 ]))
             }
-            Some("status") => Ok(self.variants.status_json(self.slot.generation())),
+            Some("status") => Ok(self.variants.status_json()),
             Some("samples") => {
                 let limit = match req.get("limit").and_then(Json::as_num) {
                     Some(n) if n >= 1.0 => n as usize,

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smgcn_obs::{
@@ -46,7 +46,7 @@ use smgcn_obs::{
 use smgcn_experiment::CONTROL;
 
 use crate::batcher::{Batcher, BatcherConfig};
-use crate::cache::{GenerationalCache, QueryKey};
+use crate::cache::QueryKey;
 use crate::client::LineClient;
 use crate::errors::codes;
 use crate::frozen::{FrozenError, FrozenModel};
@@ -55,7 +55,7 @@ use crate::ops::{deadline_budget, trace_json, AdminOp, ApiError, OpHandler};
 use crate::reactor::{Reactor, Service};
 use crate::slot::{Generation, ModelSlot};
 use crate::topk::partial_top_k;
-use crate::variants::{DuelSample, VariantEntry, VariantObs, VariantTable};
+use crate::variants::{DuelSample, VariantEntry, VariantTable};
 
 /// Name/id mappings for the serving protocol. Decoupled from
 /// `smgcn-data`'s corpus vocabulary so the serve crate stays free of
@@ -261,15 +261,13 @@ impl fmt::Display for Phase {
     }
 }
 
-/// The replica's request-handling core: model slot, batcher, cache,
-/// experiment plane and telemetry. Shared across the reactor's worker
-/// threads; the admin-verb bodies live in [`crate::ops`].
+/// The replica's request-handling core: batcher, variant table and
+/// telemetry. Shared across the reactor's worker threads; the
+/// admin-verb bodies live in [`crate::ops`].
 pub(crate) struct Engine {
-    pub(crate) slot: Arc<ModelSlot>,
     pub(crate) batcher: Batcher,
-    pub(crate) cache: Option<Mutex<GenerationalCache<QueryKey, Vec<u32>>>>,
-    /// The experiment plane: named candidate slots next to the control
-    /// slot above, the active split plan, and the duel-sample journal.
+    /// Every model slot with its cache: control first, then the
+    /// experiment's candidates, with the split plan and duel journal.
     pub(crate) variants: VariantTable,
     pub(crate) config: ServerConfig,
     pub(crate) started: Instant,
@@ -277,23 +275,24 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Answers one canonical query, consulting the cache first. Returns
-    /// `(ranking, generation that produced it, was_cache_hit)` — the
-    /// single-generation invariant: ranking, reported generation and (in
-    /// the caller) herb names all come from the same [`Generation`]. The
-    /// cache outcome, and on a miss the batcher's stages, go onto
-    /// `phases`.
+    /// Answers one canonical query from `entry`, consulting its cache
+    /// first. Returns `(ranking, generation that produced it,
+    /// was_cache_hit)` — the single-generation invariant: ranking,
+    /// reported generation and (in the caller) herb names all come from
+    /// the same [`Generation`]. The entry's labeled counters tick only
+    /// when an experiment is `in_play`. The cache outcome, and on a miss
+    /// the batcher's stages, go onto `phases`.
     fn rank(
         &self,
+        entry: &VariantEntry,
         pinned: &Arc<Generation>,
         key: QueryKey,
         deadline: Option<Instant>,
-        cache: Option<&Mutex<GenerationalCache<QueryKey, Vec<u32>>>>,
-        vobs: Option<&VariantObs>,
+        in_play: bool,
         phases: &mut TraceBuilder<Phase>,
     ) -> Result<(Vec<u32>, Arc<Generation>, bool), ApiError> {
         let k = key.k;
-        if let Some(cache) = cache {
+        if let Some(cache) = &entry.cache {
             let hit = cache
                 .lock()
                 .expect("cache lock")
@@ -302,16 +301,16 @@ impl Engine {
             if let Some(hit) = hit {
                 phases.cover_to_now(Phase::CacheHit);
                 self.obs.cache_hits.inc();
-                if let Some(v) = vobs {
-                    v.cache_hits.inc();
+                if in_play {
+                    entry.obs.cache_hits.inc();
                 }
                 return Ok((hit, Arc::clone(pinned), true));
             }
         }
         phases.cover_to_now(Phase::CacheMiss);
         self.obs.cache_misses.inc();
-        if let Some(v) = vobs {
-            v.cache_misses.inc();
+        if in_play {
+            entry.obs.cache_misses.inc();
         }
         // Scoring keeps the request's pin: the batcher scores with
         // exactly this generation's weights (grouping per generation at
@@ -343,7 +342,7 @@ impl Engine {
         self.obs.gemm_us.record(timings.gemm_us);
         self.obs.topk_us.record(timings.topk_us);
         self.obs.batch_size.record(timings.batch_size as u64);
-        if let Some(cache) = cache {
+        if let Some(cache) = &entry.cache {
             cache
                 .lock()
                 .expect("cache lock")
@@ -526,31 +525,24 @@ impl Engine {
                 p.assign(sticky).to_string()
             }),
         };
-        let entry: Option<Arc<VariantEntry>> = match assigned.as_deref() {
-            None | Some(CONTROL) => None,
-            Some(name) => Some(self.variants.get(name).ok_or_else(|| {
-                ApiError::new(
-                    codes::UNKNOWN_VARIANT,
-                    format!("variant {name:?} is not served by this replica"),
-                )
-            })?),
+        let candidate;
+        let entry: &VariantEntry = match assigned.as_deref() {
+            None => self.variants.control(),
+            Some(name) => {
+                candidate = self.variants.get(name)?;
+                &candidate
+            }
         };
         // Per-variant labeled metrics only tick when an experiment is
         // in play (explicit override or installed plan); a plain
         // single-model deployment pays nothing.
-        let vobs = assigned.as_ref().map(|_| match &entry {
-            Some(e) => &e.obs,
-            None => self.variants.control_obs(),
-        });
-        if let Some(v) = vobs {
-            v.requests.inc();
+        let in_play = assigned.is_some();
+        if in_play {
+            entry.obs.requests.inc();
         }
         // Pin one generation for the whole request: name resolution and
         // validation below, cache lookup and herb naming in the caller.
-        let pinned = match &entry {
-            Some(e) => e.slot.load(),
-            None => self.slot.load(),
-        };
+        let pinned = entry.slot.load();
         let ids = self.request_ids(&req, &pinned)?;
         validate_ids(&ids, pinned.model.n_symptoms())?;
         let key = QueryKey::new(&ids, k);
@@ -558,17 +550,12 @@ impl Engine {
         let score_ids = want_scores.then(|| key.symptoms.clone());
         // Candidate-served requests sampled for a duel keep their
         // canonical symptom set so both models can re-score it below.
-        let duel_ids = (entry.is_some() && self.variants.duel_fire()).then(|| key.symptoms.clone());
+        let duel_ids =
+            (entry.name != CONTROL && self.variants.duel_fire()).then(|| key.symptoms.clone());
         phases.cover_to_now(Phase::Resolve);
-        let cache_ref = match &entry {
-            Some(e) => e.cache.as_ref(),
-            None => self.cache.as_ref(),
-        };
-        let ranked = self.rank(&pinned, key, deadline, cache_ref, vobs, phases);
-        if ranked.is_err() {
-            if let Some(v) = vobs {
-                v.errors.inc();
-            }
+        let ranked = self.rank(entry, &pinned, key, deadline, in_play, phases);
+        if ranked.is_err() && in_play {
+            entry.obs.errors.inc();
         }
         let (ranking, generation, cached) = ranked?;
         let scores = match score_ids {
@@ -583,11 +570,14 @@ impl Engine {
             }
             None => None,
         };
-        if let (Some(duel_ids), Some(entry)) = (duel_ids, &entry) {
+        if let Some(duel_ids) = duel_ids {
             self.record_duel(&entry.name, &duel_ids, k, &ranking, &generation);
         }
-        if let Some(v) = vobs {
-            v.latency.record(started.elapsed().as_micros() as u64);
+        if in_play {
+            entry
+                .obs
+                .latency
+                .record(started.elapsed().as_micros() as u64);
         }
         Ok(Answer::Ranking {
             ids: ranking,
@@ -610,7 +600,7 @@ impl Engine {
         candidate_ranking: &[u32],
         candidate_generation: &Generation,
     ) {
-        let control = self.slot.load();
+        let control = self.variants.control().slot.load();
         let (Ok(cand_scores), Ok(ctrl_scores)) = (
             candidate_generation.model.score_one(ids),
             control.model.score_one(ids),
@@ -782,8 +772,8 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:7878"`, port 0 for ephemeral) and
     /// prepares the scoring engine. Call [`Server::run`] to serve. The
-    /// model becomes generation 0 of an internal [`ModelSlot`]; use
-    /// [`Server::slot`] to hot-swap later.
+    /// model becomes generation 0 of an internal [`ModelSlot`];
+    /// `{"op":"publish"}` hot-swaps it later.
     pub fn bind(
         addr: impl ToSocketAddrs,
         model: FrozenModel,
@@ -803,17 +793,14 @@ impl Server {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let obs = ServeObs::new();
-        let variants = VariantTable::new(
-            Arc::clone(&obs.registry),
-            config.cache_capacity,
-            config.duel_sample_every,
-        );
         let engine = Arc::new(Engine {
             batcher: Batcher::start_slot(Arc::clone(&slot), config.batcher.clone()),
-            cache: (config.cache_capacity > 0)
-                .then(|| Mutex::new(GenerationalCache::new(config.cache_capacity))),
-            variants,
-            slot,
+            variants: VariantTable::new(
+                Arc::clone(&obs.registry),
+                slot,
+                config.cache_capacity,
+                config.duel_sample_every,
+            ),
             config,
             started: Instant::now(),
             obs,
@@ -823,11 +810,6 @@ impl Server {
             engine,
             stop: Arc::new(AtomicBool::new(false)),
         })
-    }
-
-    /// The model slot serving this server (publish to hot-swap).
-    pub fn slot(&self) -> Arc<ModelSlot> {
-        Arc::clone(&self.engine.slot)
     }
 
     /// The metrics registry behind `{"op":"metrics"}`. Co-located
@@ -1227,33 +1209,70 @@ mod tests {
             .collect();
         assert!(names.iter().all(|n| n.starts_with("g1-")), "{names:?}");
 
-        // A corrupt artifact is rejected and the generation stays put.
-        let bad = roundtrip(&server, r#"{"op":"publish","artifact":"not base64!"}"#);
-        assert_eq!(
-            bad.get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(Json::as_str),
-            Some("bad_artifact")
+        // A corrupt artifact is rejected and the generation stays put:
+        // control's, then an already-published candidate's.
+        let corrupt = r#""artifact":"not base64!""#;
+        let cand_publish = format!(
+            r#"{{"op":"experiment","action":"publish","variant":"cand","artifact":"{artifact}"}}"#
         );
-        let stats = roundtrip(&server, r#"{"op": "stats"}"#);
-        assert_eq!(stats.get("generation").and_then(Json::as_num), Some(1.0));
-
-        // The rejection is counted and journaled for the fleet to see.
-        let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
+        let published = roundtrip(&server, &cand_publish);
         assert_eq!(
-            snap.get("metrics")
+            published.get("generation").and_then(Json::as_num),
+            Some(0.0)
+        );
+        let cand_query = r#"{"symptom_ids": [0, 1], "k": 3, "variant": "cand"}"#;
+        let cand_before = roundtrip(&server, cand_query);
+        for (publish, kind) in [
+            (
+                format!(r#"{{"op":"publish",{corrupt}}}"#),
+                "publish_rejected",
+            ),
+            (
+                format!(r#"{{"op":"experiment","action":"publish","variant":"cand",{corrupt}}}"#),
+                "experiment_publish_rejected",
+            ),
+        ] {
+            let rejected_before = roundtrip(&server, r#"{"op": "metrics"}"#)
+                .get("metrics")
                 .and_then(|m| m.get("serve_publish_rejected_total"))
-                .and_then(Json::as_num),
-            Some(1.0)
-        );
-        let report = roundtrip(&server, r#"{"op": "events"}"#);
-        let events = report.get("events").and_then(Json::as_arr).unwrap();
-        assert!(
-            events
-                .iter()
-                .any(|e| e.get("kind").and_then(Json::as_str) == Some("publish_rejected")),
-            "publish_rejected event missing: {report}"
-        );
+                .and_then(Json::as_num)
+                .unwrap();
+            let bad = roundtrip(&server, &publish);
+            assert_eq!(
+                bad.get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Json::as_str),
+                Some("bad_artifact")
+            );
+            let stats = roundtrip(&server, r#"{"op": "stats"}"#);
+            assert_eq!(stats.get("generation").and_then(Json::as_num), Some(1.0));
+            let cand_after = roundtrip(&server, cand_query);
+            for field in ["generation", "herb_ids", "herbs"] {
+                assert_eq!(
+                    cand_after.get(field),
+                    cand_before.get(field),
+                    "{kind}: {cand_after}"
+                );
+            }
+
+            // The rejection is counted and journaled for the fleet to see.
+            let snap = roundtrip(&server, r#"{"op": "metrics"}"#);
+            assert_eq!(
+                snap.get("metrics")
+                    .and_then(|m| m.get("serve_publish_rejected_total"))
+                    .and_then(Json::as_num),
+                Some(rejected_before + 1.0),
+                "{kind}"
+            );
+            let report = roundtrip(&server, r#"{"op": "events"}"#);
+            let events = report.get("events").and_then(Json::as_arr).unwrap();
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.get("kind").and_then(Json::as_str) == Some(kind)),
+                "{kind} event missing: {report}"
+            );
+        }
     }
 
     #[test]

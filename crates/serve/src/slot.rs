@@ -81,22 +81,7 @@ impl ModelSlot {
     /// generation finish on it; the old model is dropped when its last
     /// holder releases it.
     pub fn publish(&self, model: FrozenModel, vocab: ServingVocab) -> u64 {
-        let model = Arc::new(model);
-        let vocab = Arc::new(vocab);
-        // Number assignment happens *inside* the write critical section:
-        // taken outside, two concurrent publishes (e.g. an admin
-        // `{"op":"publish"}` racing a local refresh) could install their
-        // generations in the opposite order of their numbers, leaving the
-        // slot serving the older model while readers watch the generation
-        // counter go backwards.
-        let mut current = self.current.write().expect("model slot lock");
-        let number = self.next_number.fetch_add(1, Ordering::SeqCst);
-        *current = Arc::new(Generation {
-            number,
-            model,
-            vocab,
-        });
-        number
+        self.publish_shared(Arc::new(model), Arc::new(vocab))
     }
 
     /// Publishes an already-shared model + vocabulary pair as the next
@@ -105,6 +90,12 @@ impl ModelSlot {
     /// slot without a serialize/deserialize round-trip, so promotion is
     /// as cheap as a publish of an already-resident model.
     pub fn publish_shared(&self, model: Arc<FrozenModel>, vocab: Arc<ServingVocab>) -> u64 {
+        // Number assignment happens *inside* the write critical section:
+        // taken outside, two concurrent publishes (e.g. an admin
+        // `{"op":"publish"}` racing a local refresh) could install their
+        // generations in the opposite order of their numbers, leaving the
+        // slot serving the older model while readers watch the generation
+        // counter go backwards.
         let mut current = self.current.write().expect("model slot lock");
         let number = self.next_number.fetch_add(1, Ordering::SeqCst);
         *current = Arc::new(Generation {

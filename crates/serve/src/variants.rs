@@ -1,14 +1,15 @@
 //! Multi-variant serving: the experiment plane's replica half.
 //!
-//! [`VariantTable`] generalizes the single [`ModelSlot`] deployment to a
-//! named family of slots: the server's existing slot stays the
-//! `control` variant, and any number of *candidate* slots ride next to
-//! it, each with its own generation counter, frozen model, and
-//! generation-tagged cache partition. A seeded, versioned
-//! [`SplitPlan`] (installed through `{"op":"experiment"}`) assigns
-//! traffic deterministically by sticky key, and a bounded journal of
-//! [`DuelSample`]s — sampled requests scored under both the serving
-//! candidate and control — feeds the router's interleaving comparison.
+//! [`VariantTable`] holds the replica's named family of model slots.
+//! Its first entry is `control`, the server's own slot; any number of
+//! *candidate* entries ride next to it. Every entry has the same three
+//! parts: its own generation counter and frozen model, a
+//! generation-tagged cache partition, and labeled metric handles. A
+//! seeded, versioned [`SplitPlan`] (installed through
+//! `{"op":"experiment"}`) assigns traffic deterministically by sticky
+//! key, and a bounded journal of [`DuelSample`]s — sampled requests
+//! scored under both the serving candidate and control — feeds the
+//! router's interleaving comparison.
 //!
 //! Per-variant observability reuses the ordinary registry with a
 //! `variant` label; the handles are pre-resolved here (once per
@@ -22,7 +23,10 @@ use smgcn_experiment::{SplitPlan, CONTROL};
 use smgcn_obs::{Counter, LatencyHistogram, Registry, Sampler};
 
 use crate::cache::{GenerationalCache, QueryKey};
+use crate::errors::codes;
+use crate::frozen::FrozenModel;
 use crate::json::{self, Json};
+use crate::ops::ApiError;
 use crate::server::ServingVocab;
 use crate::slot::ModelSlot;
 
@@ -56,19 +60,31 @@ impl VariantObs {
     }
 }
 
-/// One named candidate: its own publish slot, cache partition, and
-/// metric handles.
+/// One named variant, control or candidate: its own publish slot,
+/// cache partition, and metric handles.
 pub struct VariantEntry {
-    /// The variant's name (never [`CONTROL`]).
+    /// The variant's name ([`CONTROL`] for the table's first entry).
     pub name: String,
-    /// The candidate's atomic generation pointer.
+    /// The variant's atomic generation pointer.
     pub slot: Arc<ModelSlot>,
-    /// The candidate's own generation-tagged cache partition, so
-    /// control and candidate rankings for the same symptom set never
-    /// collide.
+    /// The variant's own generation-tagged cache partition, so control
+    /// and candidate rankings for the same symptom set never collide.
     pub cache: Option<Mutex<GenerationalCache<QueryKey, Vec<u32>>>>,
     /// Pre-resolved labeled metric handles.
     pub obs: VariantObs,
+}
+
+impl VariantEntry {
+    /// An entry serving `slot`, with a cache of `cache_capacity`
+    /// entries (0 disables it).
+    fn new(registry: &Registry, name: &str, slot: Arc<ModelSlot>, cache_capacity: usize) -> Self {
+        Self {
+            name: name.to_string(),
+            slot,
+            cache: (cache_capacity > 0).then(|| Mutex::new(GenerationalCache::new(cache_capacity))),
+            obs: VariantObs::new(registry, name),
+        }
+    }
 }
 
 /// One journaled control-vs-candidate comparison sample: the same
@@ -140,11 +156,12 @@ impl DuelSample {
 /// How many duel samples the bounded journal retains (newest win).
 const DUEL_JOURNAL_CAP: usize = 512;
 
-/// The replica's variant state: candidate slots, the active split
-/// plan, and the duel-sample journal.
+/// The replica's variant state: the control entry, candidate entries,
+/// the active split plan, and the duel-sample journal.
 pub struct VariantTable {
     registry: Arc<Registry>,
-    control_obs: VariantObs,
+    /// The first entry, reached without a lock by every plain request.
+    control: Arc<VariantEntry>,
     candidates: RwLock<HashMap<String, Arc<VariantEntry>>>,
     plan: RwLock<Option<Arc<SplitPlan>>>,
     duels: Mutex<VecDeque<DuelSample>>,
@@ -154,14 +171,18 @@ pub struct VariantTable {
 }
 
 impl VariantTable {
-    /// An empty table (control only, no plan). `cache_capacity` sizes
-    /// each future candidate's cache partition; `duel_sample_every`
-    /// journals one duel per that many candidate-served requests
-    /// (0 disables duels).
-    pub fn new(registry: Arc<Registry>, cache_capacity: usize, duel_sample_every: u64) -> Self {
-        let control_obs = VariantObs::new(&registry, CONTROL);
+    /// A table holding only control, serving `slot` (no plan).
+    /// `cache_capacity` sizes every entry's cache partition;
+    /// `duel_sample_every` journals one duel per that many
+    /// candidate-served requests (0 disables duels).
+    pub fn new(
+        registry: Arc<Registry>,
+        slot: Arc<ModelSlot>,
+        cache_capacity: usize,
+        duel_sample_every: u64,
+    ) -> Self {
         Self {
-            control_obs,
+            control: Arc::new(VariantEntry::new(&registry, CONTROL, slot, cache_capacity)),
             candidates: RwLock::new(HashMap::new()),
             plan: RwLock::new(None),
             duels: Mutex::new(VecDeque::with_capacity(64)),
@@ -172,9 +193,9 @@ impl VariantTable {
         }
     }
 
-    /// Control's pre-resolved labeled metric handles.
-    pub fn control_obs(&self) -> &VariantObs {
-        &self.control_obs
+    /// The control entry.
+    pub fn control(&self) -> &VariantEntry {
+        &self.control
     }
 
     /// The active split plan, if any.
@@ -182,57 +203,52 @@ impl VariantTable {
         self.plan.read().expect("plan lock").clone()
     }
 
-    /// Look up a candidate by name.
-    pub fn get(&self, name: &str) -> Option<Arc<VariantEntry>> {
-        self.candidates
-            .read()
-            .expect("variants lock")
-            .get(name)
-            .cloned()
+    /// Look up a variant, control included, by name; an unknown name is
+    /// an `unknown_variant` error.
+    pub fn get(&self, name: &str) -> Result<Arc<VariantEntry>, ApiError> {
+        if name == CONTROL {
+            return Ok(Arc::clone(&self.control));
+        }
+        let candidates = self.candidates.read().expect("variants lock");
+        candidates.get(name).cloned().ok_or_else(|| {
+            ApiError::new(
+                codes::UNKNOWN_VARIANT,
+                format!("variant {name:?} is not served by this replica"),
+            )
+        })
     }
 
-    /// Candidate names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
+    /// Every entry: control first, then the candidates by name.
+    pub fn entries(&self) -> Vec<Arc<VariantEntry>> {
+        let mut candidates: Vec<_> = self
             .candidates
             .read()
             .expect("variants lock")
-            .keys()
+            .values()
             .cloned()
             .collect();
-        names.sort();
-        names
+        candidates.sort_by(|a, b| a.name.cmp(&b.name));
+        candidates.insert(0, Arc::clone(&self.control));
+        candidates
     }
 
-    /// Publish a model + vocabulary into the named candidate slot,
-    /// creating the slot on first publish. Returns the candidate's new
-    /// generation number.
-    pub fn publish(
-        &self,
-        name: &str,
-        model: crate::frozen::FrozenModel,
-        vocab: ServingVocab,
-    ) -> u64 {
+    /// Publish a model + vocabulary into the named entry, creating a
+    /// candidate on its first publish (at its own generation 0).
+    /// Returns the entry's new generation number.
+    pub fn publish(&self, name: &str, model: FrozenModel, vocab: ServingVocab) -> u64 {
+        if name == CONTROL {
+            return self.control.slot.publish(model, vocab);
+        }
         let mut candidates = self.candidates.write().expect("variants lock");
-        let generation = match candidates.get(name) {
+        match candidates.get(name) {
             Some(entry) => entry.slot.publish(model, vocab),
             None => {
-                let entry = Arc::new(VariantEntry {
-                    name: name.to_string(),
-                    slot: Arc::new(ModelSlot::new(model, vocab)),
-                    cache: (self.cache_capacity > 0)
-                        .then(|| Mutex::new(GenerationalCache::new(self.cache_capacity))),
-                    obs: VariantObs::new(&self.registry, name),
-                });
-                let generation = entry.slot.generation();
-                candidates.insert(name.to_string(), entry);
-                generation
+                let slot = Arc::new(ModelSlot::new(model, vocab));
+                let entry = VariantEntry::new(&self.registry, name, slot, self.cache_capacity);
+                candidates.insert(name.to_string(), Arc::new(entry));
+                0
             }
-        };
-        self.registry
-            .gauge_labeled("serve_variant_generation", &[("variant", name)])
-            .set(generation);
-        generation
+        }
     }
 
     /// Install (or update) the split plan. Every non-control variant
@@ -263,14 +279,12 @@ impl VariantTable {
     /// instantly. Published candidates stay resident (a halted
     /// experiment can be re-installed without republishing).
     pub fn halt(&self) -> bool {
-        for name in self.names() {
+        for entry in self.entries() {
+            let weight = if entry.name == CONTROL { 100 } else { 0 };
             self.registry
-                .gauge_labeled("serve_variant_weight", &[("variant", &name)])
-                .set(0);
+                .gauge_labeled("serve_variant_weight", &[("variant", &entry.name)])
+                .set(weight);
         }
-        self.registry
-            .gauge_labeled("serve_variant_weight", &[("variant", CONTROL)])
-            .set(100);
         self.plan.write().expect("plan lock").take().is_some()
     }
 
@@ -302,16 +316,13 @@ impl VariantTable {
 
     /// Refresh the per-variant generation gauges (read-time sync, like
     /// the server's other derived gauges).
-    pub fn sync_gauges(&self, control_generation: u64) {
+    pub fn sync_gauges(&self) {
         if !self.active() {
             return;
         }
-        self.registry
-            .gauge_labeled("serve_variant_generation", &[("variant", CONTROL)])
-            .set(control_generation);
-        for (name, entry) in self.candidates.read().expect("variants lock").iter() {
+        for entry in self.entries() {
             self.registry
-                .gauge_labeled("serve_variant_generation", &[("variant", name)])
+                .gauge_labeled("serve_variant_generation", &[("variant", &entry.name)])
                 .set(entry.slot.generation());
         }
     }
@@ -326,34 +337,24 @@ impl VariantTable {
 
     /// The `{"action":"status"}` report: plan, per-variant generation
     /// and weight, duel journal depth.
-    pub fn status_json(&self, control_generation: u64) -> Json {
+    pub fn status_json(&self) -> Json {
         let plan = self.plan();
-        let weight = |name: &str| -> Json {
-            match plan.as_ref().and_then(|p| p.weight_of(name)) {
-                Some(w) => Json::Num(w as f64),
-                None => Json::Num(if name == CONTROL && plan.is_none() {
-                    100.0
-                } else {
-                    0.0
-                }),
-            }
+        let weight = |name: &str| match plan.as_ref() {
+            Some(p) => p.weight_of(name).unwrap_or(0),
+            None if name == CONTROL => 100,
+            None => 0,
         };
-        let mut variants = vec![json::obj([
-            ("name", Json::Str(CONTROL.to_string())),
-            ("generation", Json::Num(control_generation as f64)),
-            ("weight", weight(CONTROL)),
-        ])];
-        let candidates = self.candidates.read().expect("variants lock");
-        let mut names: Vec<&String> = candidates.keys().collect();
-        names.sort();
-        for name in names {
-            let entry = &candidates[name];
-            variants.push(json::obj([
-                ("name", Json::Str(name.clone())),
-                ("generation", Json::Num(entry.slot.generation() as f64)),
-                ("weight", weight(name)),
-            ]));
-        }
+        let variants = self
+            .entries()
+            .iter()
+            .map(|entry| {
+                json::obj([
+                    ("name", Json::Str(entry.name.clone())),
+                    ("generation", Json::Num(entry.slot.generation() as f64)),
+                    ("weight", Json::Num(weight(&entry.name) as f64)),
+                ])
+            })
+            .collect();
         let mut fields = vec![
             ("variants", Json::Arr(variants)),
             ("duels", Json::Num(self.duels_total() as f64)),
@@ -383,7 +384,8 @@ mod tests {
     }
 
     fn table() -> VariantTable {
-        VariantTable::new(Arc::new(Registry::new()), 16, 1)
+        let control = Arc::new(ModelSlot::new(model(0.5), ServingVocab::default()));
+        VariantTable::new(Arc::new(Registry::new()), control, 16, 1)
     }
 
     #[test]
@@ -412,7 +414,13 @@ mod tests {
         assert_eq!(t.publish("cand", model(1.0), ServingVocab::default()), 0);
         assert_eq!(t.publish("cand", model(2.0), ServingVocab::default()), 1);
         assert_eq!(t.publish("other", model(3.0), ServingVocab::default()), 0);
-        assert_eq!(t.names(), vec!["cand".to_string(), "other".to_string()]);
+        assert_eq!(t.publish("control", model(4.0), ServingVocab::default()), 1);
+        let names: Vec<String> = t.entries().iter().map(|e| e.name.clone()).collect();
+        assert_eq!(
+            names,
+            ["control", "cand", "other"],
+            "control is the first entry"
+        );
     }
 
     #[test]

@@ -138,7 +138,6 @@ fn routed_fleet_merges_metrics_and_propagates_traces() {
             finetune: FineTuneConfig {
                 max_epochs: 1,
                 target_loss: None,
-                learning_rate: None,
             },
             seed: 42,
         },
