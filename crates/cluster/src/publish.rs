@@ -26,6 +26,7 @@
 
 use std::net::SocketAddr;
 
+use smgcn_serve::artifact::{publish_line, to_base64};
 use smgcn_serve::client::Unanswered;
 use smgcn_serve::json::{self, Json};
 
@@ -133,17 +134,6 @@ impl PublishReport {
     }
 }
 
-/// The `{"op":"publish"}` request line for `artifact_b64`. A rollout
-/// builds it once and sends the same bytes to every replica: the line is
-/// as large as the model.
-fn publish_line(artifact_b64: &str) -> String {
-    json::obj([
-        ("op", Json::Str("publish".into())),
-        ("artifact", Json::Str(artifact_b64.to_string())),
-    ])
-    .to_string()
-}
-
 /// Reads one replica's answer to a publish — `what` names it in the
 /// outcome (`publish`, `candidate publish`). A retryable refusal is an
 /// overload shed (the accept loop refused the admin connection):
@@ -245,7 +235,7 @@ pub fn rolling_publish_addrs(
     artifact: &[u8],
     config: &PoolConfig,
 ) -> PublishReport {
-    let line = publish_line(&smgcn_serve::artifact::to_base64(artifact));
+    let line = publish_line(&to_base64(artifact));
     let targets = addrs.iter().map(|&addr| (addr, None));
     roll(targets, config, &line, CONTROL_PUBLISH)
 }

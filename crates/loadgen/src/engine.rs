@@ -717,10 +717,8 @@ fn control_lane(
                         let b64 = smgcn_serve::artifact::to_base64(&artifact);
                         // Through the router so the fleet-serializing
                         // path is the one exercised.
-                        let ack = admin_rpc(
-                            stack.front(),
-                            &format!("{{\"op\":\"publish\",\"artifact\":\"{b64}\"}}"),
-                        );
+                        let ack =
+                            admin_rpc(stack.front(), &smgcn_serve::artifact::publish_line(&b64));
                         assert!(
                             ack.as_ref().is_some_and(|a| a.get("error").is_none()),
                             "rolling publish through the router failed: {ack:?}"
@@ -743,10 +741,8 @@ fn control_lane(
                         let mid = artifact.len() / 2;
                         artifact[mid] ^= 0x40;
                         let b64 = smgcn_serve::artifact::to_base64(&artifact);
-                        let ack = admin_rpc(
-                            stack.front(),
-                            &format!("{{\"op\":\"publish\",\"artifact\":\"{b64}\"}}"),
-                        );
+                        let ack =
+                            admin_rpc(stack.front(), &smgcn_serve::artifact::publish_line(&b64));
                         assert!(
                             ack.as_ref().is_some_and(|a| {
                                 a.get("aborted") == Some(&Json::Bool(true))

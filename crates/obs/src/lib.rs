@@ -40,6 +40,7 @@
 //! walks the registration map.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod alert;
 pub mod events;

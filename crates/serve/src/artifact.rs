@@ -30,10 +30,15 @@
 //! rejected too — every publisher in the workspace re-encodes.
 //!
 //! For transport inside a JSON line the blob is base64-encoded
-//! ([`to_base64`] / [`from_base64`]); the codec lives here because the
-//! workspace is std-only.
+//! ([`to_base64`] / [`from_base64`]) and wrapped in the request line by
+//! [`publish_line`]; the codec lives here because the workspace is
+//! std-only. Decoding has two paths, pinned equal by tests (`Ok` bytes
+//! and `Err` text alike): on a CPU with AVX2 a vector loop decodes the
+//! leading run of clean 32-digit blocks, and the scalar quad loop — the
+//! only path elsewhere — decodes the rest and names the first bad quad.
 
 use crate::frozen::{FrozenError, FrozenModel};
+use crate::json::{self, Json};
 use crate::server::ServingVocab;
 use smgcn_obs::integrity::crc32;
 use smgcn_tensor::checkpoint::CheckpointError;
@@ -64,6 +69,18 @@ pub fn encode(model: &FrozenModel, vocab: &ServingVocab) -> Vec<u8> {
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// The `{"op":"publish"}` request line (no newline) that ships the
+/// base64 text of an artifact. Every publisher builds its line here; a
+/// rollout builds it once and sends the same bytes to every replica, so
+/// the line is as large as the model.
+pub fn publish_line(artifact_b64: &str) -> String {
+    json::obj([
+        ("op", Json::Str("publish".into())),
+        ("artifact", Json::Str(artifact_b64.to_string())),
+    ])
+    .to_string()
 }
 
 /// Byte cursor over an artifact; every read is bounds-checked so a
@@ -261,25 +278,14 @@ pub fn from_base64(text: &str) -> Result<Vec<u8>, String> {
         return Ok(Vec::new());
     };
     // Only the last quad may be padded: every quad before it is four
-    // digits to three bytes, straight into the output.
+    // digits to three bytes, straight into the output. The vector loop
+    // takes the leading run of clean 32-digit blocks; the quad loop
+    // finishes the body, so the quad that fails is always found by it.
     let (body, last) = bytes.split_at(body_len);
     let mut out = vec![0u8; body_len / 4 * 3 + 3];
+    let done = decode_blocks(body, &mut out);
     let (full, tail) = out.split_at_mut(body_len / 4 * 3);
-    for (quad, dst) in body.chunks_exact(4).zip(full.chunks_exact_mut(3)) {
-        let v = [
-            B64_VALUE[quad[0] as usize],
-            B64_VALUE[quad[1] as usize],
-            B64_VALUE[quad[2] as usize],
-            B64_VALUE[quad[3] as usize],
-        ];
-        // Digits are < 64, so the high bit is set only by `NOT_B64`.
-        if (v[0] | v[1] | v[2] | v[3]) & 0x80 != 0 {
-            return Err(bad_quad(quad, false));
-        }
-        dst[0] = v[0] << 2 | v[1] >> 4;
-        dst[1] = v[1] << 4 | v[2] >> 2;
-        dst[2] = v[2] << 6 | v[3];
-    }
+    decode_quads(&body[done..], &mut full[done / 4 * 3..])?;
     let pad = last.iter().rev().take_while(|&&c| c == b'=').count();
     let mut bad = pad > 2;
     let mut n = 0u32;
@@ -295,6 +301,135 @@ pub fn from_base64(text: &str) -> Result<Vec<u8>, String> {
     tail.copy_from_slice(&n.to_be_bytes()[1..]);
     out.truncate(out.len() - pad);
     Ok(out)
+}
+
+/// Decodes `body`, whole unpadded quads, into `out`, three bytes a
+/// quad; the error is that of the first quad that does not decode.
+fn decode_quads(body: &[u8], out: &mut [u8]) -> Result<(), String> {
+    for (quad, dst) in body.chunks_exact(4).zip(out.chunks_exact_mut(3)) {
+        let v = [
+            B64_VALUE[quad[0] as usize],
+            B64_VALUE[quad[1] as usize],
+            B64_VALUE[quad[2] as usize],
+            B64_VALUE[quad[3] as usize],
+        ];
+        // Digits are < 64, so the high bit is set only by `NOT_B64`.
+        if (v[0] | v[1] | v[2] | v[3]) & 0x80 != 0 {
+            return Err(bad_quad(quad, false));
+        }
+        dst[0] = v[0] << 2 | v[1] >> 4;
+        dst[1] = v[1] << 4 | v[2] >> 2;
+        dst[2] = v[2] << 6 | v[3];
+    }
+    Ok(())
+}
+
+/// Decodes the leading 32-digit blocks of `body` into `out`, 24 bytes a
+/// block, while each block is all digits and its 32-byte store fits in
+/// `out`. Returns the digits consumed, a multiple of 32: 0 on a CPU
+/// without AVX2, where [`decode_quads`] does all the work.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn decode_blocks(body: &[u8], out: &mut [u8]) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // Block `i` reads `body[32i..32i + 32]` and stores
+        // `out[24i..24i + 32]`.
+        let blocks = (body.len() / 32).min(out.len().saturating_sub(8) / 24);
+        // SAFETY: the CPU has AVX2; `blocks` blocks of 32 digits lie in
+        // `body`, and each block's 32-byte store lies in `out`.
+        return unsafe { b64_avx2::decode(body.as_ptr(), out.as_mut_ptr(), blocks) };
+    }
+    0
+}
+
+/// The AVX2 base64 decoder (after Muła and Lemire, "Faster Base64
+/// Encoding and Decoding Using AVX2 Instructions", 2018).
+///
+/// A digit's class is read off its two nibbles: `lo_lut[low nibble] &
+/// hi_lut[high nibble]` is zero exactly for the 64 digits of [`B64`].
+/// Each `hi_lut` entry is one bit standing for a range of 16 bytes (0x10
+/// for the ranges holding no digit), and each `lo_lut` entry sets the
+/// bits of the ranges in which that low nibble is *not* a digit. A byte ≥ 0x80 has
+/// a high nibble ≥ 8, so it lands on 0x10 and is refused like any
+/// other non-digit.
+///
+/// A valid digit's 6-bit value is the byte plus an offset picked by its
+/// high nibble (`+` and `/` share a nibble, so `/` steps one entry
+/// down). Four 6-bit values pack into a 24-bit word with two multiply-
+/// adds, and a byte shuffle plus a lane permute lay the eight words of a
+/// block out as 24 contiguous bytes.
+#[cfg(target_arch = "x86_64")]
+mod b64_avx2 {
+    use std::arch::x86_64::*;
+
+    /// Both 128-bit lanes of a table.
+    macro_rules! twice {
+        ($($b:expr),*) => { _mm256_setr_epi8($($b as i8),*, $($b as i8),*) };
+    }
+
+    /// One block: `Some` 24 bytes (in the low 24 of the register) when
+    /// all 32 bytes are digits.
+    #[target_feature(enable = "avx2")]
+    fn block(text: __m256i) -> Option<__m256i> {
+        let lo_lut = twice!(
+            0x15, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x13, 0x1a, 0x1b, 0x1b,
+            0x1b, 0x1a
+        );
+        let hi_lut = twice!(
+            0x10, 0x10, 0x01, 0x02, 0x04, 0x08, 0x04, 0x08, 0x10, 0x10, 0x10, 0x10, 0x10, 0x10,
+            0x10, 0x10
+        );
+        // '+' +19, '/' +16, '0'..'9' +4, 'A'..'Z' -65, 'a'..'z' -71.
+        let offsets = twice!(0, 16, 19, 4, -65, -65, -71, -71, 0, 0, 0, 0, 0, 0, 0, 0);
+        let nibble = _mm256_set1_epi8(0x0f);
+        let hi = _mm256_and_si256(_mm256_srli_epi32::<4>(text), nibble);
+        let lo = _mm256_and_si256(text, nibble);
+        let class = _mm256_and_si256(
+            _mm256_shuffle_epi8(lo_lut, lo),
+            _mm256_shuffle_epi8(hi_lut, hi),
+        );
+        if _mm256_testz_si256(class, class) == 0 {
+            return None;
+        }
+        let slash = _mm256_cmpeq_epi8(text, _mm256_set1_epi8(b'/' as i8));
+        let offset = _mm256_shuffle_epi8(offsets, _mm256_add_epi8(hi, slash));
+        let values = _mm256_add_epi8(text, offset);
+        // [a b c d] → a·64 + b, c·64 + d → (a·64 + b)·4096 + c·64 + d.
+        let pairs = _mm256_maddubs_epi16(values, _mm256_set1_epi32(0x0140_0140));
+        let words = _mm256_madd_epi16(pairs, _mm256_set1_epi32(0x0001_1000));
+        // Each word's three bytes, big end first, into the low 12 bytes
+        // of its lane; then the two lanes' 12 bytes side by side.
+        let bytes = _mm256_shuffle_epi8(
+            words,
+            twice!(2, 1, 0, 6, 5, 4, 10, 9, 8, 14, 13, 12, -1, -1, -1, -1),
+        );
+        Some(_mm256_permutevar8x32_epi32(
+            bytes,
+            _mm256_setr_epi32(0, 1, 2, 4, 5, 6, 7, 7),
+        ))
+    }
+
+    /// Decodes up to `blocks` blocks from `text` into `out`, stopping at
+    /// the first block that holds a non-digit; returns the digits
+    /// consumed.
+    ///
+    /// # Safety
+    /// The CPU must have AVX2; `text` must be readable for `32 * blocks`
+    /// bytes and `out` writable for `24 * (blocks - 1) + 32` (when
+    /// `blocks > 0`).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn decode(text: *const u8, out: *mut u8, blocks: usize) -> usize {
+        for i in 0..blocks {
+            // SAFETY: `i < blocks`, so bytes `32i..32i + 32` are readable.
+            let digits = unsafe { _mm256_loadu_si256(text.add(32 * i).cast()) };
+            let Some(bytes) = block(digits) else {
+                return 32 * i;
+            };
+            // SAFETY: `i < blocks`, so bytes `24i..24i + 32` are writable.
+            unsafe { _mm256_storeu_si256(out.add(24 * i).cast(), bytes) };
+        }
+        32 * blocks
+    }
 }
 
 #[cfg(test)]
@@ -545,7 +680,9 @@ mod tests {
     fn base64_never_panics_and_agrees_on_arbitrary_bytes() {
         let mut rng = StdRng::seed_from_u64(22);
         for case in 0..10_000 {
-            let mut bytes: Vec<u8> = (0..rng.gen_range(0..40usize))
+            // Up to 400 bytes: a body long enough for several of the
+            // vector loop's 32-digit blocks and its store slack.
+            let mut bytes: Vec<u8> = (0..rng.gen_range(0..400usize))
                 .map(|_| match rng.gen_range(0..8u32) {
                     0 => rng.gen_range(0..=255u32) as u8,
                     1 => b'=',
@@ -557,6 +694,73 @@ mod tests {
             }
             let text = String::from_utf8_lossy(&bytes);
             assert_eq!(from_base64(&text), from_base64_per_char(&text), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn base64_agrees_with_the_oracle_on_each_malformed_class_at_every_position() {
+        // 160 digits: four 32-digit blocks for the vector loop, then the
+        // quad loop and the last quad. Each class lands in a vector
+        // block, in the quad loop's share and in the last quad.
+        let mut rng = StdRng::seed_from_u64(24);
+        let digits: Vec<u8> = (0..160).map(|_| B64[rng.gen_range(0..64usize)]).collect();
+        for class in [b'=', b'!', b'-', b' ', b'\n', 0, 0xff] {
+            for at in 0..digits.len() {
+                let mut bytes = digits.clone();
+                bytes[at] = class;
+                if class >= 0x80 {
+                    // Lossy UTF-8 turns the byte into the 3-byte U+FFFD:
+                    // drop two digits at the end to keep 160 bytes.
+                    bytes.truncate(bytes.len() - 2);
+                    if at >= bytes.len() {
+                        continue;
+                    }
+                }
+                let text = String::from_utf8_lossy(&bytes);
+                assert_eq!(
+                    from_base64(&text),
+                    from_base64_per_char(&text),
+                    "class {class:#04x} at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn base64_vector_and_quad_loops_agree_on_artifact_sized_buffers() {
+        let mut rng = StdRng::seed_from_u64(25);
+        for case in 0..4 {
+            let len = 1_420_382 + rng.gen_range(0..3usize);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect();
+            let mut text = to_base64(&bytes).into_bytes();
+            assert_eq!(
+                from_base64_per_char(std::str::from_utf8(&text).unwrap()).unwrap(),
+                bytes
+            );
+            // Each loop on its own over the whole body, then the public
+            // function clean and with one digit spoiled.
+            let body = &text[..text.len() - 4];
+            let (mut vector, mut quads) = (vec![0; len + 3], vec![0; len + 3]);
+            let done = decode_blocks(body, &mut vector);
+            decode_quads(body, &mut quads).unwrap();
+            assert_eq!(vector[..done / 4 * 3], quads[..done / 4 * 3], "case {case}");
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                // A clean body leaves the quad loop under two blocks.
+                assert!(body.len() - done < 64, "case {case}: stopped at {done}");
+            }
+            assert_eq!(
+                from_base64(std::str::from_utf8(&text).unwrap()).unwrap(),
+                bytes
+            );
+            let at = rng.gen_range(0..text.len() - 4);
+            text[at] = b'*';
+            let text = std::str::from_utf8(&text).unwrap();
+            assert_eq!(
+                from_base64(text),
+                from_base64_per_char(text),
+                "case {case} at {at}"
+            );
         }
     }
 

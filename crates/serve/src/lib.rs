@@ -50,6 +50,7 @@
 //!   split plan and the duel journal.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod artifact;
 pub mod batcher;
