@@ -223,7 +223,7 @@ pub(crate) fn members(pool: &ReplicaPool) -> impl Iterator<Item = (SocketAddr, O
 }
 
 /// Rolls `artifact_b64` across the pool's replicas, one at a time.
-pub fn rolling_publish(pool: &ReplicaPool, artifact_b64: &str) -> PublishReport {
+pub fn rolling_publish(pool: &ReplicaPool, artifact_b64: String) -> PublishReport {
     let line = publish_line(artifact_b64);
     roll(members(pool), &pool.config(), &line, CONTROL_PUBLISH)
 }
@@ -235,7 +235,7 @@ pub fn rolling_publish_addrs(
     artifact: &[u8],
     config: &PoolConfig,
 ) -> PublishReport {
-    let line = publish_line(&to_base64(artifact));
+    let line = publish_line(to_base64(artifact));
     let targets = addrs.iter().map(|&addr| (addr, None));
     roll(targets, config, &line, CONTROL_PUBLISH)
 }

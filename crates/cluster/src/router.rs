@@ -19,9 +19,9 @@
 //!    replica, so replica LRU caches stay hot;
 //! 4. walk the ring's candidate list: lease a connection to the first
 //!    available replica, forward, relay the response. Transport failures
-//!    and retryable overload errors (`overloaded`, `queue_full`) move to
-//!    the next candidate — the request is a pure read, so replays are
-//!    safe. Only when every replica fails does the client see an error.
+//!    and retryable overload errors (`overloaded`) move to the next
+//!    candidate — the request is a pure read, so replays are safe. Only
+//!    when every replica fails does the client see an error.
 //!
 //! When every candidate is at its in-flight cap the handler *waits*
 //! briefly (bounded by `lease_patience`) instead of failing — bursty
@@ -45,8 +45,8 @@ use smgcn_serve::client::Unanswered;
 use smgcn_serve::errors::codes;
 use smgcn_serve::json::{self, Json};
 use smgcn_serve::ops::{
-    candidate_of, deadline_budget, event_json, events_limit, trace_json, AdminOp, ApiError,
-    OpHandler,
+    candidate_of, deadline_budget, event_json, events_limit, take_artifact, trace_json, AdminOp,
+    ApiError, OpHandler,
 };
 use smgcn_serve::reactor::{Reactor, Service};
 use smgcn_serve::server::{samples_to_json, Running, StopHandle};
@@ -1097,10 +1097,10 @@ impl RouterEngine {
     /// The `{"op":"publish"}` admin verb: a rolling publish across the
     /// fleet (one replica at a time, stop on first rejection — see
     /// [`crate::publish`]).
-    fn rolling_publish_report(&self, req: &Json) -> Json {
-        let Some(artifact) = req.get("artifact").and_then(Json::as_str) else {
-            return ApiError::new(codes::BAD_REQUEST, "publish needs \"artifact\" (base64)")
-                .to_json();
+    fn rolling_publish_report(&self, mut req: Json) -> Json {
+        let artifact = match take_artifact(&mut req) {
+            Ok(artifact) => artifact,
+            Err(e) => return e.to_json(),
         };
         let _rollout = self.publish_lock.lock().expect("publish lock");
         let report = rolling_publish(&self.pool, artifact);
@@ -1155,7 +1155,7 @@ impl OpHandler for RouterEngine {
     }
 
     fn op_publish(&self, req: Json) -> Json {
-        self.rolling_publish_report(&req)
+        self.rolling_publish_report(req)
     }
 
     fn op_experiment(&self, req: Json) -> Json {
@@ -1369,9 +1369,6 @@ mod tests {
 
     #[test]
     fn retryable_detection_matches_protocol() {
-        assert!(is_retryable_error(
-            r#"{"error":{"code":"queue_full","message":"x","retryable":true}}"#
-        ));
         assert!(is_retryable_error(
             r#"{"error":{"code":"overloaded","message":"x","retryable":true}}"#
         ));

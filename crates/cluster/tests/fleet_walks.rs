@@ -175,7 +175,7 @@ fn the_rolling_walk_skips_continues_blames_and_stops() {
     let pool = ReplicaPool::new(addrs.clone(), config());
     pool.replica(1).note_failure("synthetic");
 
-    let report = rolling_publish(&pool, "AAAA");
+    let report = rolling_publish(&pool, "AAAA".into());
     let errors: Vec<&str> = report
         .outcomes
         .iter()

@@ -505,8 +505,8 @@ fn delta_of(deltas: &[(String, f64)], name: &str) -> f64 {
 
 /// The server-side error ledger over the run, from counter deltas.
 /// Fronted by a bare server, every replica "bad" counter reaches a
-/// client. Routed, the retryable `queue_full`/`overloaded` blips are the
-/// router's to replay, so only non-retryable serve error codes and the
+/// client. Routed, the retryable `overloaded` blips are the router's to
+/// replay, so only non-retryable serve error codes and the
 /// requests the router exhausted entirely count.
 fn counter_errors(deltas: &[(String, f64)], routed: bool) -> u64 {
     deltas
@@ -517,7 +517,7 @@ fn counter_errors(deltas: &[(String, f64)], routed: bool) -> u64 {
                 return crate::scenario::REPLICA_BAD_COUNTERS.contains(&base);
             }
             match name.strip_prefix("serve_errors_total") {
-                Some(rest) => !(rest.contains("queue_full") || rest.contains("overloaded")),
+                Some(rest) => !rest.contains("overloaded"),
                 None => name == "router_exhausted_total",
             }
         })
@@ -718,7 +718,7 @@ fn control_lane(
                         // Through the router so the fleet-serializing
                         // path is the one exercised.
                         let ack =
-                            admin_rpc(stack.front(), &smgcn_serve::artifact::publish_line(&b64));
+                            admin_rpc(stack.front(), &smgcn_serve::artifact::publish_line(b64));
                         assert!(
                             ack.as_ref().is_some_and(|a| a.get("error").is_none()),
                             "rolling publish through the router failed: {ack:?}"
@@ -742,7 +742,7 @@ fn control_lane(
                         artifact[mid] ^= 0x40;
                         let b64 = smgcn_serve::artifact::to_base64(&artifact);
                         let ack =
-                            admin_rpc(stack.front(), &smgcn_serve::artifact::publish_line(&b64));
+                            admin_rpc(stack.front(), &smgcn_serve::artifact::publish_line(b64));
                         assert!(
                             ack.as_ref().is_some_and(|a| {
                                 a.get("aborted") == Some(&Json::Bool(true))

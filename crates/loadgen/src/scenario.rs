@@ -298,7 +298,8 @@ pub fn scrape_interval_ms(measure_ms: u64) -> u64 {
 
 /// What a bare replica's availability rule counts as bad: connections
 /// refused at the cap, and every error answer, one series per code (a
-/// `queue_full` shed included). A failed request moves one of them by one.
+/// `deadline_exceeded` shed included). A failed request moves one of them
+/// by one.
 pub const REPLICA_BAD_COUNTERS: [&str; 2] = ["serve_sheds_total", "serve_errors_total"];
 
 /// An availability burn-rate rule (99.99% objective, canonical SRE
@@ -1019,28 +1020,17 @@ mod tests {
         assert_eq!(w.chaos.len(), 1);
     }
 
-    /// One real `queue_full` on a bare replica moves the availability
-    /// rule's bad counters by exactly one.
+    /// One real `deadline_exceeded` shed on a bare replica moves the
+    /// availability rule's bad counters by exactly one.
     #[test]
-    fn a_queue_full_counts_once() {
+    fn a_deadline_shed_counts_once() {
         use smgcn_obs::tsdb::TsdbData;
-        use smgcn_serve::{server::flatten_metrics_json, BatcherConfig, Server, ServerConfig};
-        use std::time::Duration;
+        use smgcn_serve::{server::flatten_metrics_json, Server, ServerConfig};
 
-        // A one-slot queue with a long linger: the first query sits in
-        // the queue, so a second one in that window is shed.
-        let batcher = BatcherConfig {
-            max_queue: 1,
-            linger: Duration::from_millis(400),
-            ..BatcherConfig::default()
-        };
-        let config = ServerConfig {
-            batcher,
-            ..ServerConfig::default()
-        };
         let (model, vocab) = (synthetic_frozen(8, 16, 4, 0), synthetic_vocab(8, 16, 0));
-        let server = Server::bind("127.0.0.1:0", model, vocab, config).and_then(Server::spawn);
-        let server = server.unwrap();
+        let server = Server::bind("127.0.0.1:0", model, vocab, ServerConfig::default())
+            .and_then(Server::spawn)
+            .unwrap();
         let ask = |line: &str| server.client().unwrap().ask_json(line).unwrap();
         let mut history = TsdbData::default();
         let mut scrape = |at_ms| {
@@ -1048,12 +1038,8 @@ mod tests {
             history.push(at_ms, &flatten_metrics_json(snap.get("metrics").unwrap()));
         };
         scrape(1);
-        let mut first = server.client().unwrap();
-        let queued = std::thread::spawn(move || first.ask(r#"{"symptom_ids":[0,1],"k":3}"#));
-        std::thread::sleep(Duration::from_millis(100));
-        let shed = ask(r#"{"symptom_ids":[2,3],"k":3}"#).to_string();
-        assert!(shed.contains(r#""code":"queue_full""#), "{shed}");
-        assert!(!queued.join().unwrap().unwrap().contains("error"));
+        let shed = ask(r#"{"symptom_ids":[2,3],"k":3,"deadline_ms":0}"#).to_string();
+        assert!(shed.contains(r#""code":"deadline_exceeded""#), "{shed}");
         scrape(2);
         let bad = REPLICA_BAD_COUNTERS.map(|s| history.delta(s, 1, 2));
         assert_eq!(bad.iter().sum::<f64>(), 1.0, "{bad:?}");

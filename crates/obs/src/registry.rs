@@ -213,15 +213,6 @@ impl Registry {
         }
     }
 
-    /// A counter's value, 0 when it was never registered. Registers
-    /// nothing, so reading a series cannot make it appear in a snapshot.
-    pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        match self.metrics.lock().unwrap().get(&render_key(name, labels)) {
-            Some(Slot::Counter(c)) => c.load(Ordering::Relaxed),
-            _ => 0,
-        }
-    }
-
     /// Snapshots every registered metric, sorted by key.
     pub fn samples(&self) -> Vec<Sample> {
         let map = self.metrics.lock().unwrap();

@@ -74,11 +74,12 @@ pub fn encode(model: &FrozenModel, vocab: &ServingVocab) -> Vec<u8> {
 /// The `{"op":"publish"}` request line (no newline) that ships the
 /// base64 text of an artifact. Every publisher builds its line here; a
 /// rollout builds it once and sends the same bytes to every replica, so
-/// the line is as large as the model.
-pub fn publish_line(artifact_b64: &str) -> String {
+/// the line is as large as the model. The text is moved in, so the line
+/// is its only copy.
+pub fn publish_line(artifact_b64: String) -> String {
     json::obj([
         ("op", Json::Str("publish".into())),
-        ("artifact", Json::Str(artifact_b64.to_string())),
+        ("artifact", Json::Str(artifact_b64)),
     ])
     .to_string()
 }

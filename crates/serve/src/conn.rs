@@ -94,7 +94,6 @@ impl Connection {
     }
 
     /// The raw fd for poller registration.
-    #[cfg(unix)]
     pub fn raw_fd(&self) -> std::os::fd::RawFd {
         use std::os::fd::AsRawFd;
         self.stream.as_raw_fd()

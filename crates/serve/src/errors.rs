@@ -31,8 +31,6 @@ pub mod codes {
     pub const UNKNOWN_OP: &str = "unknown_op";
     /// Shed at the connection cap — transient, never scored, retryable.
     pub const OVERLOADED: &str = "overloaded";
-    /// Shed by the bounded scoring queue — transient, retryable.
-    pub const QUEUE_FULL: &str = "queue_full";
     /// The scorer itself failed (model-side bug or damage).
     pub const SCORING_FAILED: &str = "scoring_failed";
     /// A publish artifact that failed validation (bad base64, bad
@@ -65,7 +63,7 @@ pub mod codes {
 /// and is therefore safe to replay on another replica. This is the
 /// router's failover classification — the single source of truth.
 pub fn is_retryable(code: &str) -> bool {
-    matches!(code, codes::OVERLOADED | codes::QUEUE_FULL)
+    code == codes::OVERLOADED
 }
 
 #[cfg(test)]
@@ -75,7 +73,6 @@ mod tests {
     #[test]
     fn only_pre_scoring_sheds_are_retryable() {
         assert!(is_retryable(codes::OVERLOADED));
-        assert!(is_retryable(codes::QUEUE_FULL));
         for terminal in [
             codes::BAD_JSON,
             codes::BAD_REQUEST,

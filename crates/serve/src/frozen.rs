@@ -66,9 +66,6 @@ pub enum FrozenError {
     Format(String),
     /// A query referenced unknown symptom ids or was empty.
     Query(String),
-    /// The serving layer is saturated (scoring queue full); the request
-    /// was shed without being scored and is safe to retry elsewhere.
-    Overloaded(String),
     /// The request's `deadline_ms` budget expired before it was scored;
     /// it was shed at the batcher drain without paying for a GEMM.
     DeadlineExceeded(String),
@@ -81,7 +78,6 @@ impl std::fmt::Display for FrozenError {
             FrozenError::NotFrozen(m) => write!(f, "not a frozen model: {m}"),
             FrozenError::Format(m) => write!(f, "frozen model format error: {m}"),
             FrozenError::Query(m) => write!(f, "bad query: {m}"),
-            FrozenError::Overloaded(m) => write!(f, "overloaded: {m}"),
             FrozenError::DeadlineExceeded(m) => write!(f, "deadline exceeded: {m}"),
         }
     }

@@ -48,9 +48,9 @@ pub struct ApiError {
     pub code: &'static str,
     /// Human-readable detail, never needed for branching.
     pub message: String,
-    /// Overload sheds (`overloaded`, `queue_full`) are transient and the
-    /// request was never scored — a router may safely replay it on
-    /// another replica. Client bugs (bad ids, bad JSON) are not.
+    /// An overload shed (`overloaded`) is transient and the request was
+    /// never scored — a router may safely replay it on another replica.
+    /// Client bugs (bad ids, bad JSON) are not.
     pub retryable: bool,
 }
 
@@ -64,7 +64,7 @@ impl ApiError {
         }
     }
 
-    /// A retryable pre-scoring shed (`overloaded`, `queue_full`).
+    /// A retryable pre-scoring shed (`overloaded`).
     pub fn retryable(code: &'static str, message: impl Into<String>) -> Self {
         Self {
             code,
@@ -255,9 +255,6 @@ impl OpHandler for Engine {
     fn op_stats(&self, _req: &Json) -> Json {
         let control = self.variants.control();
         let generation = control.slot.load();
-        let queue_full = [("code", codes::QUEUE_FULL)];
-        let registry = &self.obs.registry;
-        let queue_rejections = registry.counter_value("serve_errors_total", &queue_full);
         let mut fields = vec![
             ("generation", Json::Num(generation.number as f64)),
             (
@@ -271,7 +268,6 @@ impl OpHandler for Engine {
             ("uptime_s", Json::Num(self.started.elapsed().as_secs_f64())),
             ("requests", Json::Num(self.obs.requests.get() as f64)),
             ("sheds", Json::Num(self.obs.sheds.get() as f64)),
-            ("queue_rejections", Json::Num(queue_rejections as f64)),
         ];
         let latency = self.obs.latency.snapshot();
         fields.push((
@@ -392,7 +388,7 @@ pub fn candidate_of(req: &Json) -> Result<String, ApiError> {
 }
 
 /// Moves the `"artifact"` text out of a publish request.
-fn take_artifact(req: &mut Json) -> Result<String, ApiError> {
+pub fn take_artifact(req: &mut Json) -> Result<String, ApiError> {
     let taken = match req {
         Json::Obj(fields) => fields.remove("artifact"),
         _ => None,

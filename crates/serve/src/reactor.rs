@@ -5,8 +5,8 @@
 //! count the host tolerated and burned a stack per idle keep-alive.
 //! This module replaces that with the classic single-threaded event
 //! loop over nonblocking sockets: one reactor thread owns *all*
-//! socket I/O through an OS readiness facility (`epoll(7)` on Linux,
-//! `poll(2)` elsewhere on unix), and a small fixed pool of worker
+//! socket I/O through the kernel's readiness facility (`epoll(7)`; the
+//! module compiles on Linux only), and a small fixed pool of worker
 //! threads runs the actual request handlers — scoring still blocks on
 //! the micro-batcher, so handlers stay off the reactor thread.
 //!
@@ -48,8 +48,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-#[cfg(not(unix))]
-compile_error!("the readiness reactor requires a unix host (epoll or poll)");
+#[cfg(not(target_os = "linux"))]
+compile_error!("the readiness reactor requires Linux (epoll)");
 
 /// Readable readiness (also delivered on error/hangup so the read
 /// path observes the failure).
@@ -57,7 +57,6 @@ pub const EVENT_READ: u32 = 0b01;
 /// Writable readiness.
 pub const EVENT_WRITE: u32 = 0b10;
 
-#[cfg(target_os = "linux")]
 mod sys {
     //! `epoll(7)` via the libc symbols `std` already links.
 
@@ -167,112 +166,6 @@ mod sys {
     impl Drop for Poller {
         fn drop(&mut self) {
             unsafe { close(self.epfd) };
-        }
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    //! `poll(2)` fallback for non-Linux unix: O(fds) per wait, but
-    //! the same level-triggered semantics and zero dependencies.
-
-    use super::{EVENT_READ, EVENT_WRITE};
-    use std::collections::BTreeMap;
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u32, timeout_ms: i32) -> i32;
-    }
-
-    pub struct Poller {
-        registered: Mutex<BTreeMap<RawFd, (u64, u32)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registered: Mutex::new(BTreeMap::new()),
-            })
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
-            self.registered
-                .lock()
-                .unwrap()
-                .insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
-            self.registered
-                .lock()
-                .unwrap()
-                .insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-            self.registered.lock().unwrap().remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(&self, out: &mut Vec<(u64, bool, bool)>, timeout: Duration) -> io::Result<()> {
-            let snapshot: Vec<(RawFd, u64, u32)> = {
-                let reg = self.registered.lock().unwrap();
-                reg.iter().map(|(&fd, &(t, i))| (fd, t, i)).collect()
-            };
-            let mut fds: Vec<PollFd> = snapshot
-                .iter()
-                .map(|&(fd, _, interest)| PollFd {
-                    fd,
-                    events: (if interest & EVENT_READ != 0 {
-                        POLLIN
-                    } else {
-                        0
-                    }) | (if interest & EVENT_WRITE != 0 {
-                        POLLOUT
-                    } else {
-                        0
-                    }),
-                    revents: 0,
-                })
-                .collect();
-            let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u32, ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for (pfd, &(_, token, _)) in fds.iter().zip(snapshot.iter()) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                let failed = pfd.revents & (POLLERR | POLLHUP) != 0;
-                out.push((
-                    token,
-                    pfd.revents & POLLIN != 0 || failed,
-                    pfd.revents & POLLOUT != 0 || failed,
-                ));
-            }
-            Ok(())
         }
     }
 }

@@ -27,8 +27,8 @@
 //! entries lazily through the tag rather than flushing under the lock.
 //!
 //! Telemetry: `ServeObs::new` registers every serving metric, each fact
-//! once. An error answer, a `queue_full` or `deadline_exceeded` shed
-//! included, is one `serve_errors_total{code=…}` increment, and
+//! once. An error answer, a `deadline_exceeded` shed included, is one
+//! `serve_errors_total{code=…}` increment, and
 //! `{"op":"stats"}` reads its counters from the same registry.
 
 use std::collections::HashMap;
@@ -320,10 +320,6 @@ impl Engine {
             .batcher
             .recommend_pinned_deadline(&key.symptoms, k, Arc::clone(pinned), deadline)
             .map_err(|e| match e {
-                FrozenError::Overloaded(m) => {
-                    self.obs.events.record("shed", "scoring queue full");
-                    ApiError::retryable(codes::QUEUE_FULL, m)
-                }
                 FrozenError::DeadlineExceeded(m) => {
                     self.obs
                         .events
@@ -1345,13 +1341,6 @@ mod tests {
         // The shed is counted and latency percentiles are reported.
         let stats = held.ask_json(r#"{"op": "stats"}"#).unwrap();
         assert_eq!(stats.get("sheds").and_then(Json::as_num), Some(1.0));
-        assert_eq!(
-            stats.get("queue_rejections").and_then(Json::as_num),
-            Some(0.0)
-        );
-        // Reading `queue_rejections` registers no `queue_full` series.
-        let snap = held.ask(r#"{"op": "metrics"}"#).unwrap();
-        assert!(!snap.contains("queue_full"), "{snap}");
         let latency = stats.get("latency").expect("latency histogram in stats");
         assert!(latency.get("count").and_then(Json::as_num).unwrap() >= 1.0);
         assert!(latency.get("p99_us").and_then(Json::as_num).unwrap() > 0.0);

@@ -19,10 +19,9 @@
 //! SMGCN_GOLDEN_RECORD=1 cargo test -q --test protocol_golden
 //! ```
 //!
-//! Two codes stay uncovered by design: `queue_full` only fires under
-//! real queue pressure and `no_replicas` only with a dead fleet —
-//! neither is replayable deterministically (their classification is
-//! unit-tested in `smgcn-serve::errors`).
+//! One code stays uncovered by design: `no_replicas` only fires with a
+//! dead fleet, which is not replayable deterministically (its
+//! classification is unit-tested in `smgcn-serve::errors`).
 
 use std::path::PathBuf;
 use std::time::Duration;
