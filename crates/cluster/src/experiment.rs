@@ -4,12 +4,12 @@
 //! The replica half of the experiment plane (`smgcn_serve::variants`)
 //! keeps named candidate slots next to the control [`ModelSlot`] and
 //! resolves per-request variant overrides; this module drives that verb
-//! across a [`ReplicaPool`] the way [`crate::publish`] drives control
-//! publishes:
+//! across a [`ReplicaPool`]:
 //!
-//! - **candidate publish** rolls one replica at a time and stops on the
-//!   first *rejection* (a verdict on the artifact bytes, not the
-//!   replica) — same semantics as a control rollout;
+//! - **candidate publish** is [`crate::publish::rolling_publish`] named
+//!   with the candidate: one replica at a time, stopping on the first
+//!   *rejection* (a verdict on the artifact bytes, not the replica) —
+//!   the control rollout's walk and outcomes;
 //! - **split install** is atomic: a preflight confirms every replica is
 //!   reachable and already serves every weighted variant *before* any
 //!   replica is touched, and a mid-roll failure triggers a fleet-wide
@@ -29,7 +29,6 @@
 //! [`Guardrails`]: smgcn_experiment::guardrail::Guardrails
 
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
 
 use smgcn_experiment::guardrail::VariantStats;
 use smgcn_experiment::interleave::{self, DuelCredit, InterleaveSummary};
@@ -40,36 +39,10 @@ use smgcn_serve::json::{self, Json};
 use smgcn_serve::DuelSample;
 
 use crate::pool::{ask, PoolConfig, Replica, ReplicaPool};
-use crate::publish::{members, roll, PublishReport};
+use crate::publish::FleetOutcome;
 
 /// Permutation rounds behind the comparison report's p-value.
 pub const PERMUTATION_ROUNDS: usize = 1024;
-
-/// One replica's outcome in a fleet-wide experiment broadcast
-/// (install / halt / promote).
-#[derive(Clone, Debug)]
-pub struct FleetOutcome {
-    /// The replica's address.
-    pub addr: SocketAddr,
-    /// True when the replica acknowledged the action.
-    pub ok: bool,
-    /// Failure description when it did not.
-    pub error: Option<String>,
-}
-
-impl FleetOutcome {
-    /// The wire shape inside the router's experiment responses.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("addr", Json::Str(self.addr.to_string())),
-            ("ok", Json::Bool(self.ok)),
-        ];
-        if let Some(e) = &self.error {
-            fields.push(("error", Json::Str(e.clone())));
-        }
-        json::obj(fields)
-    }
-}
 
 /// The `{"op":"experiment","action":…}` request line, `fields` added.
 pub(crate) fn action_line(
@@ -93,37 +66,13 @@ fn experiment_ack(
     request: &str,
     ok_field: Option<&str>,
 ) -> FleetOutcome {
-    let error = match ask(replica.addr, config, request) {
-        Ok(ack) if ok_field.is_none_or(|f| ack.get(f) == Some(&Json::Bool(true))) => None,
-        Ok(ack) => Some(format!("unexpected ack: {ack}")),
-        Err(refusal @ Unanswered::Refused(_)) => Some(format!("replica refused: {refusal}")),
-        Err(transport) => Some(transport.to_string()),
+    let ack = match ask(replica.addr, config, request) {
+        Ok(ack) if ok_field.is_none_or(|f| ack.get(f) == Some(&Json::Bool(true))) => Ok(None),
+        Ok(ack) => Err(format!("unexpected ack: {ack}")),
+        Err(refusal @ Unanswered::Refused(_)) => Err(format!("replica refused: {refusal}")),
+        Err(transport) => Err(transport.to_string()),
     };
-    FleetOutcome {
-        addr: replica.addr,
-        ok: error.is_none(),
-        error,
-    }
-}
-
-/// Rolls a candidate artifact across the pool — the rollout discipline
-/// of [`crate::publish::rolling_publish`] (it is the same walk), aimed
-/// at a candidate slot.
-pub fn rolling_candidate_publish(
-    pool: &ReplicaPool,
-    variant: &str,
-    artifact_b64: &str,
-) -> PublishReport {
-    // One request line for the whole rollout: it is as large as the model.
-    let line = action_line(
-        "publish",
-        [
-            ("variant", Json::Str(variant.to_string())),
-            ("artifact", Json::Str(artifact_b64.to_string())),
-        ],
-    );
-    let wording = ("candidate publish", "candidate publish failed");
-    roll(members(pool), &pool.config(), &line, wording)
+    FleetOutcome::new(replica.addr, ack)
 }
 
 /// Install preflight: every replica must be reachable and must already

@@ -44,8 +44,7 @@ pub mod publish;
 pub mod ring;
 pub mod router;
 
-pub use experiment::{rolling_candidate_publish, FleetOutcome};
 pub use pool::{ask, ClusterObs, Health, Lease, PoolConfig, Replica, ReplicaConn, ReplicaPool};
-pub use publish::{rolling_publish, rolling_publish_addrs, PublishOutcome, PublishReport};
+pub use publish::{rolling_publish, rolling_publish_addrs, FleetOutcome, PublishReport};
 pub use ring::{key_of_ids, key_of_names, HashRing};
 pub use router::{merge_metric_value, merge_metrics, Router, RouterConfig};

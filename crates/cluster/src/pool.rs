@@ -540,6 +540,58 @@ mod tests {
         (addr, handle)
     }
 
+    /// A scripted replica: answers every line with what `reply` holds
+    /// at the time, the way a replica answers `{"op":"stats"}`.
+    fn stats_server(reply: Arc<Mutex<String>>) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let mut writer = stream.try_clone().unwrap();
+                for _ in BufReader::new(stream).lines().map_while(Result::ok) {
+                    let line = format!("{}\n", reply.lock().unwrap());
+                    if writer.write_all(line.as_bytes()).is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn a_probe_ejects_a_slow_replica_on_served_evidence_and_heals_it() {
+        let stats = |count: u32, p99: u32| {
+            format!(r#"{{"generation":3,"latency":{{"count":{count},"p99_us":{p99}}}}}"#)
+        };
+        let reply = Arc::new(Mutex::new(stats(0, 9000)));
+        let config = PoolConfig {
+            slow_p99_us: Some(5000.0),
+            ..test_config()
+        };
+        let pool = ReplicaPool::new(vec![stats_server(Arc::clone(&reply))], config);
+        let replica = pool.replica(0);
+        // No served traffic: a p99 over the threshold is no evidence.
+        assert!(replica.probe().is_some());
+        let h = replica.health();
+        assert!(h.healthy, "an idle replica stays in");
+        assert_eq!((h.generation, h.p99_us), (Some(3), Some(9000.0)));
+        // Served traffic with a p99 over the threshold: ejected.
+        *reply.lock().unwrap() = stats(10, 9000);
+        assert!(replica.probe().is_some());
+        let h = replica.health();
+        assert!(!h.healthy);
+        assert_eq!(h.eject_reason, Some("slow (p99 over threshold)"));
+        assert!(replica.probe().is_none(), "backing off: not probed");
+        // After the backoff, a below-threshold answer heals it.
+        *reply.lock().unwrap() = stats(10, 800);
+        std::thread::sleep(Duration::from_millis(60));
+        assert!(replica.probe().is_some());
+        let h = replica.health();
+        assert!(h.healthy);
+        assert_eq!((h.p99_us, h.eject_reason), (Some(800.0), None));
+    }
+
     #[test]
     fn lease_round_trip_and_reuse() {
         let (addr, _handle) = echo_server();

@@ -3,8 +3,9 @@
 //!
 //! The single-node story (PR 3) swaps a [`smgcn_serve::ModelSlot`]
 //! in-process; a fleet needs the same upgrade *across machines*. The
-//! coordinator drives the `{"op":"publish"}` admin verb **one replica at
-//! a time**:
+//! coordinator drives a publish — the `{"op":"publish"}` admin verb, or
+//! the experiment plane's `publish` action into a candidate slot — **one
+//! replica at a time**:
 //!
 //! - while replica `i` swaps, replicas `i+1..` keep serving their
 //!   current generation and `0..i` serve the new one — the fleet never
@@ -19,10 +20,11 @@
 //!   publish) catches them up — the outcome list says exactly who needs
 //!   it.
 //!
-//! That discipline is written once, in `roll`; a control publish, a
-//! candidate publish ([`crate::experiment`]) and the CLI's pool-less
-//! rollout differ only in the line they send and the words of their
-//! outcomes.
+//! That discipline is written once, in `roll`, behind
+//! [`rolling_publish`] and the CLI's pool-less [`rolling_publish_addrs`].
+//! A control publish and a candidate publish ([`crate::experiment`])
+//! differ only in the `variant` they name: it picks the form of
+//! [`publish_line`] they send and the words of their outcomes.
 
 use std::net::SocketAddr;
 
@@ -32,35 +34,50 @@ use smgcn_serve::json::{self, Json};
 
 use crate::pool::{ask, PoolConfig, Replica, ReplicaPool};
 
-/// What one replica did with the publish.
+/// One replica's outcome in a fleet walk: a publish, or an experiment
+/// install, halt or promotion.
 #[derive(Clone, Debug)]
-pub struct PublishOutcome {
+pub struct FleetOutcome {
     /// The replica's address.
     pub addr: SocketAddr,
-    /// True when the replica acknowledged the new generation.
+    /// True when the replica acknowledged.
     pub ok: bool,
-    /// The replica's generation after the publish (when acknowledged).
+    /// The replica's generation after a publish (when acknowledged).
     pub generation: Option<u64>,
-    /// Failure description (transport error, replica rejection, or
-    /// "skipped: ejected").
+    /// Failure description (transport error, replica rejection or
+    /// refusal, or "skipped: ejected").
     pub error: Option<String>,
-    /// True when the replica *actively rejected* the artifact (reachable
-    /// and healthy, blob refused) as opposed to a transport failure —
-    /// the rollout stops on a rejection because every other replica
-    /// would refuse the same bytes.
+    /// True when the replica *actively rejected* a published artifact
+    /// (reachable and healthy, blob refused) as opposed to a transport
+    /// failure — the rollout stops on a rejection because every other
+    /// replica would refuse the same bytes.
     pub rejected: bool,
 }
 
-impl PublishOutcome {
-    /// A replica that did not take the publish, and why.
-    fn failed(addr: SocketAddr, error: String) -> Self {
+impl FleetOutcome {
+    /// A replica that acknowledged (`Ok`, with its generation after a
+    /// publish) or did not take the action (`Err`, and why).
+    pub(crate) fn new(addr: SocketAddr, ack: Result<Option<u64>, String>) -> Self {
         Self {
             addr,
-            ok: false,
-            generation: None,
-            error: Some(error),
+            ok: ack.is_ok(),
+            generation: ack.as_ref().ok().copied().flatten(),
+            error: ack.err(),
             rejected: false,
         }
+    }
+
+    /// The wire shape inside the router's publish and experiment
+    /// replies; `rejected` and `generation` appear only when set.
+    pub fn to_json(&self) -> Json {
+        let fields = [
+            ("addr", Some(Json::Str(self.addr.to_string()))),
+            ("ok", Some(Json::Bool(self.ok))),
+            ("rejected", self.rejected.then_some(Json::Bool(true))),
+            ("generation", self.generation.map(|g| Json::Num(g as f64))),
+            ("error", self.error.clone().map(Json::Str)),
+        ];
+        json::obj(fields.into_iter().filter_map(|(k, v)| Some((k, v?))))
     }
 }
 
@@ -68,7 +85,7 @@ impl PublishOutcome {
 #[derive(Clone, Debug)]
 pub struct PublishReport {
     /// Per-replica outcomes, in rollout order.
-    pub outcomes: Vec<PublishOutcome>,
+    pub outcomes: Vec<FleetOutcome>,
 }
 
 impl PublishReport {
@@ -108,27 +125,7 @@ impl PublishReport {
         }
         fields.push((
             "outcomes",
-            Json::Arr(
-                self.outcomes
-                    .iter()
-                    .map(|o| {
-                        let mut fields = vec![
-                            ("addr", Json::Str(o.addr.to_string())),
-                            ("ok", Json::Bool(o.ok)),
-                        ];
-                        if o.rejected {
-                            fields.push(("rejected", Json::Bool(true)));
-                        }
-                        if let Some(g) = o.generation {
-                            fields.push(("generation", Json::Num(g as f64)));
-                        }
-                        if let Some(e) = &o.error {
-                            fields.push(("error", Json::Str(e.clone())));
-                        }
-                        json::obj(fields)
-                    })
-                    .collect(),
-            ),
+            Json::Arr(self.outcomes.iter().map(FleetOutcome::to_json).collect()),
         ));
         json::obj(fields)
     }
@@ -139,65 +136,52 @@ impl PublishReport {
 /// overload shed (the accept loop refused the admin connection):
 /// transient, not a verdict on the artifact. Any other refusal is the
 /// replica rejecting the blob itself.
-fn publish_outcome(
-    addr: SocketAddr,
-    what: &str,
-    answer: Result<Json, Unanswered>,
-) -> PublishOutcome {
+fn publish_outcome(addr: SocketAddr, what: &str, answer: Result<Json, Unanswered>) -> FleetOutcome {
     let ack = match answer {
-        Ok(ack) => ack,
-        Err(shed) if shed.retryable() => {
-            return PublishOutcome::failed(addr, format!("replica shed the publish: {shed}"))
-        }
-        Err(refusal @ Unanswered::Refused(_)) => {
-            return PublishOutcome {
-                rejected: true,
-                ..PublishOutcome::failed(addr, format!("replica rejected {what}: {refusal}"))
-            }
-        }
-        Err(transport) => return PublishOutcome::failed(addr, transport.to_string()),
-    };
-    match (
-        ack.get("published"),
-        ack.get("generation").and_then(Json::as_num),
-    ) {
-        (Some(&Json::Bool(true)), Some(generation)) => PublishOutcome {
-            addr,
-            ok: true,
-            generation: Some(generation as u64),
-            error: None,
-            rejected: false,
+        Ok(ack) => match (ack.get("published"), ack.get("generation")) {
+            (Some(&Json::Bool(true)), Some(&Json::Num(generation))) => Ok(Some(generation as u64)),
+            _ => Err(format!("unexpected {what} ack: {ack}")),
         },
-        _ => PublishOutcome::failed(addr, format!("unexpected {what} ack: {ack}")),
-    }
+        Err(shed) if shed.retryable() => Err(format!("replica shed the publish: {shed}")),
+        Err(refusal @ Unanswered::Refused(_)) => {
+            let error = Err(format!("replica rejected {what}: {refusal}"));
+            return FleetOutcome {
+                rejected: true,
+                ..FleetOutcome::new(addr, error)
+            };
+        }
+        Err(transport) => Err(transport.to_string()),
+    };
+    FleetOutcome::new(addr, ack)
 }
 
-/// How a rollout names itself: in its outcomes (`unexpected <what>
-/// ack`, `replica rejected <what>`), and as the eject reason of a
-/// replica it could not reach.
-pub(crate) type Wording = (&'static str, &'static str);
-
-const CONTROL_PUBLISH: Wording = ("publish", "publish failed");
-
-/// The one rolling walk: `line` goes to one replica at a time, in
-/// order. A pool member that is ejected is skipped and reported (so
+/// The one rolling walk: `line` — a [`publish_line`] into control, or
+/// into the candidate `variant` names — goes to one replica at a time,
+/// in order. A pool member that is ejected is skipped and reported (so
 /// nothing is silently stale); a transport failure or a shed is blamed
-/// on the replica (`failed` becomes its eject reason) and the walk
+/// on the replica (its eject reason names the publish) and the walk
 /// moves on; a rejection is a verdict on the artifact — every other
 /// replica would refuse the same bytes — so the walk stops there and
 /// the rest keep the old generation rather than each rejecting it in
 /// turn. Targets without a pool member (the CLI path) have no health
 /// record to consult or update.
-pub(crate) fn roll<'a>(
+fn roll<'a>(
     targets: impl IntoIterator<Item = (SocketAddr, Option<&'a Replica>)>,
     config: &PoolConfig,
     line: &str,
-    (what, failed): Wording,
+    variant: Option<&str>,
 ) -> PublishReport {
+    // How the rollout names itself in its outcomes (`unexpected <what>
+    // ack`, `replica rejected <what>`) and as the eject reason of a
+    // replica it could not reach.
+    let (what, failed) = match variant {
+        None => ("publish", "publish failed"),
+        Some(_) => ("candidate publish", "candidate publish failed"),
+    };
     let mut outcomes = Vec::new();
     for (addr, member) in targets {
         if member.is_some_and(|replica| !replica.available()) {
-            outcomes.push(PublishOutcome::failed(addr, "skipped: ejected".into()));
+            outcomes.push(FleetOutcome::new(addr, Err("skipped: ejected".into())));
             continue;
         }
         let outcome = publish_outcome(addr, what, ask(addr, config, line));
@@ -217,25 +201,26 @@ pub(crate) fn roll<'a>(
     PublishReport { outcomes }
 }
 
-/// [`roll`]'s targets for a pool: every replica, in id order.
-pub(crate) fn members(pool: &ReplicaPool) -> impl Iterator<Item = (SocketAddr, Option<&Replica>)> {
-    pool.replicas().iter().map(|r| (r.addr, Some(r)))
+/// Rolls `artifact_b64` across the pool's replicas, one at a time, into
+/// control (`variant` `None`) or into the named candidate slot.
+pub fn rolling_publish(
+    pool: &ReplicaPool,
+    artifact_b64: String,
+    variant: Option<&str>,
+) -> PublishReport {
+    let line = publish_line(artifact_b64, variant);
+    let members = pool.replicas().iter().map(|r| (r.addr, Some(r)));
+    roll(members, &pool.config(), &line, variant)
 }
 
-/// Rolls `artifact_b64` across the pool's replicas, one at a time.
-pub fn rolling_publish(pool: &ReplicaPool, artifact_b64: String) -> PublishReport {
-    let line = publish_line(artifact_b64);
-    roll(members(pool), &pool.config(), &line, CONTROL_PUBLISH)
-}
-
-/// Rolls an artifact across explicit addresses (the CLI path — no pool,
-/// same one-at-a-time walk).
+/// Rolls an artifact into control across explicit addresses (the CLI
+/// path — no pool, same one-at-a-time walk).
 pub fn rolling_publish_addrs(
     addrs: &[SocketAddr],
     artifact: &[u8],
     config: &PoolConfig,
 ) -> PublishReport {
-    let line = publish_line(to_base64(artifact));
+    let line = publish_line(to_base64(artifact), None);
     let targets = addrs.iter().map(|&addr| (addr, None));
-    roll(targets, config, &line, CONTROL_PUBLISH)
+    roll(targets, config, &line, None)
 }

@@ -41,21 +41,21 @@ use smgcn_obs::{
     mint_trace_id, Counter, EventJournal, LatencyHistogram, ProfileHandle, Profiler, Registry,
     TraceBuilder,
 };
+use smgcn_serve::artifact::take_artifact;
 use smgcn_serve::client::Unanswered;
 use smgcn_serve::errors::codes;
 use smgcn_serve::json::{self, Json};
 use smgcn_serve::ops::{
-    candidate_of, deadline_budget, event_json, events_limit, take_artifact, trace_json, AdminOp,
-    ApiError, OpHandler,
+    candidate_of, deadline_budget, event_json, events_limit, trace_json, AdminOp, ApiError,
+    OpHandler,
 };
 use smgcn_serve::reactor::{Reactor, Service};
 use smgcn_serve::server::{samples_to_json, Running, StopHandle};
 use smgcn_serve::DuelSample;
 
 use crate::experiment as fleet;
-use crate::experiment::FleetOutcome;
 use crate::pool::{ask, ClusterObs, PoolConfig, Replica, ReplicaPool};
-use crate::publish::{rolling_publish, PublishReport};
+use crate::publish::{rolling_publish, FleetOutcome};
 use crate::ring::{key_of_ids, key_of_names, HashRing};
 
 /// Router tuning knobs.
@@ -590,45 +590,23 @@ impl RouterEngine {
     ///   plus team-draft interleaving over the journaled duel samples;
     /// - `"promote"` — verify the comparison against the guardrails,
     ///   then roll the candidate into every control slot and halt.
-    fn experiment(&self, req: &Json) -> Json {
+    fn experiment(&self, req: Json) -> Json {
         match req.get("action").and_then(Json::as_str) {
-            Some("publish") => self.experiment_publish(req),
-            Some("install") => self.experiment_install(req),
+            Some("publish") => match candidate_of(&req) {
+                Ok(name) => self.publish_rollout(req, Some(name)),
+                Err(e) => e.to_json(),
+            },
+            Some("install") => self.experiment_install(&req),
             Some("halt") | Some("abort") => self.experiment_halt(),
             Some("status") => self.experiment_status(),
             Some("compare") => self.compare_json(&self.collect_compare()),
-            Some("promote") => self.experiment_promote(req),
+            Some("promote") => self.experiment_promote(&req),
             other => ApiError::new(
                 codes::BAD_REQUEST,
                 format!("unknown experiment action {other:?}"),
             )
             .to_json(),
         }
-    }
-
-    fn experiment_publish(&self, req: &Json) -> Json {
-        let name = match candidate_of(req) {
-            Ok(name) => name,
-            Err(e) => return e.to_json(),
-        };
-        let Some(artifact) = req.get("artifact").and_then(Json::as_str) else {
-            return ApiError::new(
-                codes::BAD_REQUEST,
-                "candidate publish needs \"artifact\" (base64)",
-            )
-            .to_json();
-        };
-        let _rollout = self.publish_lock.lock().expect("publish lock");
-        let report = fleet::rolling_candidate_publish(&self.pool, &name, artifact);
-        let what = format!("candidate {name:?}");
-        self.journal_rollout("experiment_publish", &what, &report, |reach| {
-            format!("{what} rolled to {reach}")
-        });
-        let Json::Obj(mut fields) = report.to_json() else {
-            unreachable!("publish report is an object");
-        };
-        fields.insert("variant".to_string(), Json::Str(name));
-        Json::Obj(fields)
     }
 
     fn experiment_install(&self, req: &Json) -> Json {
@@ -1094,43 +1072,49 @@ impl RouterEngine {
         Json::Obj(response).to_string()
     }
 
-    /// The `{"op":"publish"}` admin verb: a rolling publish across the
-    /// fleet (one replica at a time, stop on first rejection — see
-    /// [`crate::publish`]).
-    fn rolling_publish_report(&self, mut req: Json) -> Json {
+    /// The one publish body, behind `{"op":"publish"}` (into control,
+    /// `variant` `None`) and the experiment `publish` action (into the
+    /// named candidate): a rolling publish across the fleet, one replica
+    /// at a time, stopping on the first rejection (see
+    /// [`crate::publish`]). The variant is the only difference: it picks
+    /// the journal's words and adds the ack's `variant` field. The
+    /// request is owned, so the artifact text moves into the line.
+    fn publish_rollout(&self, mut req: Json, variant: Option<String>) -> Json {
         let artifact = match take_artifact(&mut req) {
             Ok(artifact) => artifact,
             Err(e) => return e.to_json(),
         };
         let _rollout = self.publish_lock.lock().expect("publish lock");
-        let report = rolling_publish(&self.pool, artifact);
-        self.journal_rollout("publish", "the artifact", &report, |reach| {
-            format!("rolling publish: {reach} ok")
-        });
-        report.to_json()
-    }
-
-    /// Counts a finished rollout of `what` and journals it under `kind`:
-    /// how far it got, in `done`'s words — or, under `<kind>_aborted`,
-    /// who stopped it. A rejection is a verdict on the artifact, not
-    /// the replica: the journal names who refused it so the operator
-    /// knows where the rollout stopped.
-    fn journal_rollout(
-        &self,
-        kind: &str,
-        what: &str,
-        report: &PublishReport,
-        done: impl FnOnce(&str) -> String,
-    ) {
+        let report = rolling_publish(&self.pool, artifact, variant.as_deref());
         self.publishes.inc();
         let reach = format!("{}/{} replicas", report.published(), self.pool.len());
+        let (kind, what, done) = match &variant {
+            None => (
+                "publish",
+                "the artifact".into(),
+                format!("rolling publish: {reach} ok"),
+            ),
+            Some(name) => {
+                let what = format!("candidate {name:?}");
+                let done = format!("{what} rolled to {reach}");
+                ("experiment_publish", what, done)
+            }
+        };
+        // A rejection is a verdict on the artifact, not the replica: the
+        // journal names who refused it, so the operator knows where the
+        // rollout stopped.
         match report.rejected_by() {
             Some(addr) => self.events.record(
                 &format!("{kind}_aborted"),
                 format!("replica {addr} rejected {what}; rollout stopped after {reach}"),
             ),
-            None => self.events.record(kind, done(&reach)),
+            None => self.events.record(kind, done),
         }
+        let mut ack = report.to_json();
+        if let (Json::Obj(fields), Some(name)) = (&mut ack, variant) {
+            fields.insert("variant".to_string(), Json::Str(name));
+        }
+        ack
     }
 }
 
@@ -1155,11 +1139,11 @@ impl OpHandler for RouterEngine {
     }
 
     fn op_publish(&self, req: Json) -> Json {
-        self.rolling_publish_report(req)
+        self.publish_rollout(req, None)
     }
 
     fn op_experiment(&self, req: Json) -> Json {
-        self.experiment(&req)
+        self.experiment(req)
     }
 }
 

@@ -14,8 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use smgcn_cluster::{
-    rolling_candidate_publish, rolling_publish, rolling_publish_addrs, PoolConfig, ReplicaPool,
-    Router, RouterConfig,
+    rolling_publish, rolling_publish_addrs, PoolConfig, ReplicaPool, Router, RouterConfig,
 };
 use smgcn_serve::json::Json;
 use smgcn_serve::server::StopHandle;
@@ -175,7 +174,7 @@ fn the_rolling_walk_skips_continues_blames_and_stops() {
     let pool = ReplicaPool::new(addrs.clone(), config());
     pool.replica(1).note_failure("synthetic");
 
-    let report = rolling_publish(&pool, "AAAA".into());
+    let report = rolling_publish(&pool, "AAAA".into(), None);
     let errors: Vec<&str> = report
         .outcomes
         .iter()
@@ -212,7 +211,7 @@ fn the_rolling_walk_skips_continues_blames_and_stops() {
 
     // The candidate rollout is the same walk under its own wording.
     let pool = ReplicaPool::new(addrs[4..].to_vec(), config());
-    let report = rolling_candidate_publish(&pool, "canary", "AAAA");
+    let report = rolling_publish(&pool, "AAAA".into(), Some("canary"));
     assert_eq!(
         report.outcomes[0].error.as_deref(),
         Some(

@@ -113,9 +113,7 @@ fn install_split(addr: SocketAddr) {
         &synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, 0),
         &synthetic_vocab(N_SYMPTOMS, N_HERBS, 0),
     ));
-    rpc(format!(
-        "{{\"op\":\"experiment\",\"action\":\"publish\",\"variant\":\"canary\",\"artifact\":\"{b64}\"}}"
-    ));
+    rpc(artifact::publish_line(b64, Some("canary")));
     let plan = SplitPlan::new(
         DEFAULT_SPLIT_SEED,
         1,

@@ -717,8 +717,10 @@ fn control_lane(
                         let b64 = smgcn_serve::artifact::to_base64(&artifact);
                         // Through the router so the fleet-serializing
                         // path is the one exercised.
-                        let ack =
-                            admin_rpc(stack.front(), &smgcn_serve::artifact::publish_line(b64));
+                        let ack = admin_rpc(
+                            stack.front(),
+                            &smgcn_serve::artifact::publish_line(b64, None),
+                        );
                         assert!(
                             ack.as_ref().is_some_and(|a| a.get("error").is_none()),
                             "rolling publish through the router failed: {ack:?}"
@@ -741,8 +743,10 @@ fn control_lane(
                         let mid = artifact.len() / 2;
                         artifact[mid] ^= 0x40;
                         let b64 = smgcn_serve::artifact::to_base64(&artifact);
-                        let ack =
-                            admin_rpc(stack.front(), &smgcn_serve::artifact::publish_line(b64));
+                        let ack = admin_rpc(
+                            stack.front(),
+                            &smgcn_serve::artifact::publish_line(b64, None),
+                        );
                         assert!(
                             ack.as_ref().is_some_and(|a| {
                                 a.get("aborted") == Some(&Json::Bool(true))
@@ -756,13 +760,8 @@ fn control_lane(
                         let vocab = synthetic_vocab(N_SYMPTOMS, N_HERBS, tag);
                         let artifact = smgcn_serve::artifact::encode(&model, &vocab);
                         let b64 = smgcn_serve::artifact::to_base64(&artifact);
-                        let ack = admin_rpc(
-                            stack.front(),
-                            &format!(
-                                "{{\"op\":\"experiment\",\"action\":\"publish\",\
-                                 \"variant\":\"{CANDIDATE}\",\"artifact\":\"{b64}\"}}"
-                            ),
-                        );
+                        let line = smgcn_serve::artifact::publish_line(b64, Some(CANDIDATE));
+                        let ack = admin_rpc(stack.front(), &line);
                         assert!(
                             ack.as_ref().is_some_and(|a| a.get("error").is_none()
                                 && a.get("aborted") != Some(&Json::Bool(true))),

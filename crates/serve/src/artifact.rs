@@ -30,15 +30,18 @@
 //! rejected too — every publisher in the workspace re-encodes.
 //!
 //! For transport inside a JSON line the blob is base64-encoded
-//! ([`to_base64`] / [`from_base64`]) and wrapped in the request line by
-//! [`publish_line`]; the codec lives here because the workspace is
-//! std-only. Decoding has two paths, pinned equal by tests (`Ok` bytes
-//! and `Err` text alike): on a CPU with AVX2 a vector loop decodes the
-//! leading run of clean 32-digit blocks, and the scalar quad loop — the
-//! only path elsewhere — decodes the rest and names the first bad quad.
+//! ([`to_base64`] / [`from_base64`]), wrapped in the request line by
+//! [`publish_line`] and moved back out by [`take_artifact`]; the codec
+//! lives here because the workspace is std-only. Decoding has two
+//! paths, pinned equal by tests (`Ok` bytes and `Err` text alike): on a
+//! CPU with AVX2 a vector loop decodes the leading run of clean
+//! 32-digit blocks, and the scalar quad loop — the only path elsewhere —
+//! decodes the rest and names the first bad quad.
 
+use crate::errors::codes;
 use crate::frozen::{FrozenError, FrozenModel};
 use crate::json::{self, Json};
+use crate::ops::ApiError;
 use crate::server::ServingVocab;
 use smgcn_obs::integrity::crc32;
 use smgcn_tensor::checkpoint::CheckpointError;
@@ -71,17 +74,40 @@ pub fn encode(model: &FrozenModel, vocab: &ServingVocab) -> Vec<u8> {
     out
 }
 
-/// The `{"op":"publish"}` request line (no newline) that ships the
-/// base64 text of an artifact. Every publisher builds its line here; a
-/// rollout builds it once and sends the same bytes to every replica, so
-/// the line is as large as the model. The text is moved in, so the line
-/// is its only copy.
-pub fn publish_line(artifact_b64: String) -> String {
-    json::obj([
-        ("op", Json::Str("publish".into())),
-        ("artifact", Json::Str(artifact_b64)),
-    ])
+/// The request line (no newline) that ships the base64 text of an
+/// artifact: `{"op":"publish"}` into control when `variant` is `None`,
+/// the experiment `publish` action into the named candidate otherwise.
+/// Every publisher builds its line here; a rollout builds it once and
+/// sends the same bytes to every replica, so the line is as large as
+/// the model. The text is moved in, so the line is its only copy.
+pub fn publish_line(artifact_b64: String, variant: Option<&str>) -> String {
+    let artifact = ("artifact", Json::Str(artifact_b64));
+    match variant {
+        None => json::obj([("op", Json::Str("publish".into())), artifact]),
+        Some(name) => json::obj([
+            ("op", Json::Str("experiment".into())),
+            ("action", Json::Str("publish".into())),
+            ("variant", Json::Str(name.to_string())),
+            artifact,
+        ]),
+    }
     .to_string()
+}
+
+/// Moves the `"artifact"` text out of a publish request, either form of
+/// [`publish_line`].
+pub fn take_artifact(req: &mut Json) -> Result<String, ApiError> {
+    let taken = match req {
+        Json::Obj(fields) => fields.remove("artifact"),
+        _ => None,
+    };
+    match taken {
+        Some(Json::Str(text)) => Ok(text),
+        _ => Err(ApiError::new(
+            codes::BAD_REQUEST,
+            "publish needs \"artifact\" (base64)",
+        )),
+    }
 }
 
 /// Byte cursor over an artifact; every read is bounds-checked so a
@@ -462,6 +488,30 @@ mod tests {
         ));
         let model = FrozenModel::from_parts(symptoms, herbs, si).unwrap();
         (model, ServingVocab::default())
+    }
+
+    /// Both line forms, byte for byte, and back through the verb parser
+    /// and [`take_artifact`] to the same text and variant.
+    #[test]
+    fn publish_lines_are_pinned_and_read_back() {
+        use crate::ops::{candidate_of, AdminOp};
+        let control = publish_line("U01HQQ==".into(), None);
+        assert_eq!(control, r#"{"artifact":"U01HQQ==","op":"publish"}"#);
+        let candidate = publish_line("U01HQQ==".into(), Some("canary"));
+        assert_eq!(
+            candidate,
+            r#"{"action":"publish","artifact":"U01HQQ==","op":"experiment","variant":"canary"}"#
+        );
+        for (line, op, variant) in [
+            (control, AdminOp::Publish, None),
+            (candidate, AdminOp::Experiment, Some("canary")),
+        ] {
+            let mut req = json::parse(&line).unwrap();
+            assert_eq!(AdminOp::parse(&req), Ok(Some(op)));
+            assert_eq!(candidate_of(&req).ok().as_deref(), variant);
+            assert_eq!(take_artifact(&mut req).ok().as_deref(), Some("U01HQQ=="));
+            assert!(take_artifact(&mut req).is_err(), "the text was moved out");
+        }
     }
 
     #[test]

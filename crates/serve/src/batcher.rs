@@ -7,7 +7,8 @@
 //! enqueue `(symptom set, k)` jobs and block on a channel; the scorer
 //! drains whatever has accumulated (up to `max_batch`) after lingering a
 //! fixed 200 µs for stragglers to join, scores the whole batch with
-//! [`FrozenModel::rank_batch_timed`] and fans the rankings back out.
+//! [`FrozenModel::rank_batch_timed`](crate::FrozenModel::rank_batch_timed)
+//! and fans the rankings back out.
 //!
 //! The queue has no bound of its own: a connection has at most one
 //! request in flight and a fixed worker pool runs them, so at most one
@@ -29,8 +30,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::frozen::{FrozenError, FrozenModel};
-use crate::server::ServingVocab;
+use crate::frozen::FrozenError;
 use crate::slot::{Generation, ModelSlot};
 
 /// How long the scorer waits for stragglers after the first job of a
@@ -55,9 +55,6 @@ impl Default for BatcherConfig {
         Self { max_batch: 64 }
     }
 }
-
-/// A ranking plus the generation whose weights produced it.
-type TaggedRanking = (Vec<u32>, Arc<Generation>);
 
 /// A ranking, its generation, and where the time went.
 type TimedRanking = (Vec<u32>, Arc<Generation>, ScoreTimings);
@@ -110,25 +107,17 @@ struct QueueState {
 /// Handle for submitting queries to the scoring thread.
 pub struct Batcher {
     shared: Arc<Shared>,
-    slot: Arc<ModelSlot>,
     worker: Option<JoinHandle<()>>,
 }
 
 impl Batcher {
-    /// Spawns the scoring thread over a fixed `model` (no hot swap: the
-    /// model is wrapped as a slot that never advances past generation 0).
-    pub fn start(model: Arc<FrozenModel>, config: BatcherConfig) -> Self {
-        Self::start_slot(
-            Arc::new(ModelSlot::with_arc(model, ServingVocab::default())),
-            config,
-        )
-    }
-
-    /// Spawns the scoring thread over a hot-swappable [`ModelSlot`]. Each
-    /// job is scored by the generation pinned at submission; a drained
-    /// batch that straddles a publish is split into per-generation
-    /// sub-batches so no GEMM ever mixes weights.
-    pub fn start_slot(slot: Arc<ModelSlot>, config: BatcherConfig) -> Self {
+    /// Spawns the scoring thread for jobs pinned to generations of a
+    /// hot-swappable [`ModelSlot`]. Each job is scored by the generation
+    /// it brings; a drained batch that straddles a publish is split into
+    /// per-generation sub-batches so no GEMM ever mixes weights. Every
+    /// pin comes with its job, so the batcher keeps no handle on the
+    /// slot itself.
+    pub fn start_slot(_slot: Arc<ModelSlot>, config: BatcherConfig) -> Self {
         assert!(config.max_batch > 0, "Batcher: max_batch must be positive");
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
@@ -144,43 +133,17 @@ impl Batcher {
             .expect("spawn batcher thread");
         Self {
             shared,
-            slot,
             worker: Some(worker),
         }
     }
 
-    /// Scores one query through the shared batch, blocking until its
-    /// ranking is ready.
-    pub fn recommend(&self, set: &[u32], k: usize) -> Result<Vec<u32>, FrozenError> {
-        self.recommend_tagged(set, k).map(|(ranking, _)| ranking)
-    }
-
-    /// Like [`Batcher::recommend`], also returning the generation that
-    /// scored the query — the hot-swap invariant callers rely on is that
-    /// the ranking came from exactly this generation's weights. The
-    /// generation is pinned here, at submission.
-    pub fn recommend_tagged(&self, set: &[u32], k: usize) -> Result<TaggedRanking, FrozenError> {
-        self.recommend_pinned(set, k, self.slot.load())
-    }
-
-    /// Scores one query against an explicitly pinned generation — the
-    /// server pins once per request (name resolution, validation, cache
-    /// tag) and passes that pin here, so a publish landing mid-request
-    /// can never re-resolve the query's ids against a different
-    /// vocabulary than the one they were validated under.
-    pub fn recommend_pinned(
-        &self,
-        set: &[u32],
-        k: usize,
-        generation: Arc<Generation>,
-    ) -> Result<TaggedRanking, FrozenError> {
-        self.recommend_pinned_timed(set, k, generation)
-            .map(|(ranking, generation, _)| (ranking, generation))
-    }
-
-    /// Like [`Batcher::recommend_pinned`], also returning where the
-    /// job's time went ([`ScoreTimings`]) for trace spans and per-stage
-    /// histograms.
+    /// Scores one query against an explicitly pinned generation, also
+    /// returning where the job's time went ([`ScoreTimings`]) for trace
+    /// spans and per-stage histograms. The server pins once per request
+    /// (name resolution, validation, cache tag) and passes that pin
+    /// here, so a publish landing mid-request can never re-resolve the
+    /// query's ids against a different vocabulary than the one they
+    /// were validated under.
     pub fn recommend_pinned_timed(
         &self,
         set: &[u32],
@@ -193,7 +156,7 @@ impl Batcher {
     /// Like [`Batcher::recommend_pinned_timed`] with a hard deadline: if
     /// the job is still queued when `deadline` passes, the drain sheds it
     /// with [`FrozenError::DeadlineExceeded`] instead of scoring it.
-    /// `None` means no budget (legacy behaviour).
+    /// `None` means no budget.
     pub fn recommend_pinned_deadline(
         &self,
         set: &[u32],
@@ -352,6 +315,8 @@ fn score_and_reply(generation: &Arc<Generation>, batch: Vec<Job>, drained_at: In
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen::FrozenModel;
+    use crate::server::ServingVocab;
     use smgcn_tensor::Matrix;
 
     fn model() -> Arc<FrozenModel> {
@@ -360,68 +325,77 @@ mod tests {
         Arc::new(FrozenModel::from_parts(symptoms, herbs, None).unwrap())
     }
 
+    /// A batcher over a fresh slot holding `model`.
+    fn start(model: &Arc<FrozenModel>, config: BatcherConfig) -> (Arc<ModelSlot>, Batcher) {
+        let slot = Arc::new(ModelSlot::with_arc(
+            Arc::clone(model),
+            ServingVocab::default(),
+        ));
+        let batcher = Batcher::start_slot(Arc::clone(&slot), config);
+        (slot, batcher)
+    }
+
+    /// One query scored by the slot's current generation, as the server
+    /// asks it.
+    fn rank(
+        batcher: &Batcher,
+        slot: &ModelSlot,
+        set: &[u32],
+        k: usize,
+    ) -> Result<Vec<u32>, FrozenError> {
+        batcher
+            .recommend_pinned_timed(set, k, slot.load())
+            .map(|(ranking, _, _)| ranking)
+    }
+
     #[test]
     fn single_query_matches_direct_path() {
         let m = model();
-        let batcher = Batcher::start(Arc::clone(&m), BatcherConfig::default());
-        let got = batcher.recommend(&[0, 3, 5], 4).unwrap();
+        let (slot, batcher) = start(&m, BatcherConfig::default());
+        let got = rank(&batcher, &slot, &[0, 3, 5], 4).unwrap();
         assert_eq!(got, m.recommend(&[0, 3, 5], 4).unwrap());
     }
 
     #[test]
     fn concurrent_queries_all_answered_correctly() {
         let m = model();
-        let batcher = Arc::new(Batcher::start(Arc::clone(&m), BatcherConfig::default()));
-        let mut handles = Vec::new();
-        for t in 0..16u32 {
-            let batcher = Arc::clone(&batcher);
-            let m = Arc::clone(&m);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..25u32 {
-                    let set = vec![(t + i) % 6, (t * i + 1) % 6];
-                    let k = 1 + ((t + i) % 5) as usize;
-                    let got = batcher.recommend(&set, k).unwrap();
-                    let want = m.recommend(&set, k).unwrap();
-                    assert_eq!(got, want, "t={t} i={i}");
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let (slot, batcher) = start(&m, BatcherConfig::default());
+        std::thread::scope(|scope| {
+            for t in 0..16u32 {
+                let (batcher, slot, m) = (&batcher, &slot, &m);
+                scope.spawn(move || {
+                    for i in 0..25u32 {
+                        let set = vec![(t + i) % 6, (t * i + 1) % 6];
+                        let k = 1 + ((t + i) % 5) as usize;
+                        let got = rank(batcher, slot, &set, k).unwrap();
+                        let want = m.recommend(&set, k).unwrap();
+                        assert_eq!(got, want, "t={t} i={i}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]
     fn invalid_queries_fail_without_poisoning_batch() {
         let m = model();
-        let batcher = Arc::new(Batcher::start(
-            Arc::clone(&m),
-            BatcherConfig { max_batch: 8 },
-        ));
-        let bad = {
-            let batcher = Arc::clone(&batcher);
-            std::thread::spawn(move || batcher.recommend(&[999], 3))
-        };
-        let good = {
-            let batcher = Arc::clone(&batcher);
-            std::thread::spawn(move || batcher.recommend(&[1, 2], 3))
-        };
-        assert!(bad.join().unwrap().is_err());
-        assert_eq!(
-            good.join().unwrap().unwrap(),
-            m.recommend(&[1, 2], 3).unwrap()
-        );
+        let (slot, batcher) = start(&m, BatcherConfig { max_batch: 8 });
+        let (bad, good) = std::thread::scope(|scope| {
+            let bad = scope.spawn(|| rank(&batcher, &slot, &[999], 3));
+            let good = scope.spawn(|| rank(&batcher, &slot, &[1, 2], 3));
+            (bad.join().unwrap(), good.join().unwrap())
+        });
+        assert!(bad.is_err());
+        assert_eq!(good.unwrap(), m.recommend(&[1, 2], 3).unwrap());
     }
 
     #[test]
-    fn slot_swap_takes_effect_at_next_drain() {
+    fn a_job_is_scored_by_the_generation_it_pins() {
         let old = model();
-        let slot = Arc::new(ModelSlot::with_arc(
-            Arc::clone(&old),
-            ServingVocab::default(),
-        ));
-        let batcher = Batcher::start_slot(Arc::clone(&slot), BatcherConfig::default());
-        let (r0, g0) = batcher.recommend_tagged(&[0, 1], 3).unwrap();
+        let (slot, batcher) = start(&old, BatcherConfig::default());
+        let (r0, g0, _) = batcher
+            .recommend_pinned_timed(&[0, 1], 3, slot.load())
+            .unwrap();
         assert_eq!(g0.number, 0);
         assert_eq!(r0, old.recommend(&[0, 1], 3).unwrap());
         // Publish a model with reversed herb preferences.
@@ -430,9 +404,14 @@ mod tests {
         let new = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
         let expected_new = new.recommend(&[0, 1], 3).unwrap();
         slot.publish(new, ServingVocab::default());
-        let (r1, g1) = batcher.recommend_tagged(&[0, 1], 3).unwrap();
-        assert_eq!(g1.number, 1, "post-publish drains use the new generation");
+        let (r1, g1, _) = batcher
+            .recommend_pinned_timed(&[0, 1], 3, slot.load())
+            .unwrap();
+        assert_eq!(g1.number, 1, "a pin taken after the publish");
         assert_eq!(r1, expected_new);
+        // The old pin still scores with the old weights.
+        let (r0, _, _) = batcher.recommend_pinned_timed(&[0, 1], 3, g0).unwrap();
+        assert_eq!(r0, old.recommend(&[0, 1], 3).unwrap());
     }
 
     /// Each generation's herbs and `W_mlp` live only as GEMM panels
@@ -498,10 +477,9 @@ mod tests {
     #[test]
     fn expired_deadline_is_shed_before_scoring() {
         let m = model();
-        let slot = Arc::new(ModelSlot::with_arc(Arc::clone(&m), ServingVocab::default()));
+        let (slot, batcher) = start(&m, BatcherConfig::default());
         // The deadline has passed before submission, so the drain
         // always finds it expired.
-        let batcher = Batcher::start_slot(Arc::clone(&slot), BatcherConfig::default());
         let expired = Some(Instant::now() - Duration::from_millis(1));
         let got = batcher.recommend_pinned_deadline(&[0, 1], 3, slot.load(), expired);
         assert!(
@@ -518,8 +496,8 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_cleanly() {
-        let batcher = Batcher::start(model(), BatcherConfig::default());
-        let _ = batcher.recommend(&[1], 2).unwrap();
+        let (slot, batcher) = start(&model(), BatcherConfig::default());
+        let _ = rank(&batcher, &slot, &[1], 2).unwrap();
         drop(batcher); // must not hang or panic
     }
 }

@@ -34,6 +34,7 @@ use std::time::Duration;
 use smgcn_experiment::{SplitPlan, CONTROL};
 use smgcn_obs::{Event, SpanRecord};
 
+use crate::artifact::take_artifact;
 use crate::errors::codes;
 use crate::frozen::FrozenModel;
 use crate::json::{self, Json};
@@ -387,21 +388,6 @@ pub fn candidate_of(req: &Json) -> Result<String, ApiError> {
     Err(ApiError::new(codes::BAD_REQUEST, refusal))
 }
 
-/// Moves the `"artifact"` text out of a publish request.
-pub fn take_artifact(req: &mut Json) -> Result<String, ApiError> {
-    let taken = match req {
-        Json::Obj(fields) => fields.remove("artifact"),
-        _ => None,
-    };
-    match taken {
-        Some(Json::Str(text)) => Ok(text),
-        _ => Err(ApiError::new(
-            codes::BAD_REQUEST,
-            "publish needs \"artifact\" (base64)",
-        )),
-    }
-}
-
 /// Base64 text → model + vocabulary, each stage's input freed before the
 /// next stage allocates: the text before the artifact is parsed, the
 /// artifact bytes before the caller swaps the model in. Text, bytes,
@@ -414,8 +400,7 @@ fn decode_artifact(text: String) -> Result<(FrozenModel, ServingVocab), ApiError
 }
 
 /// The event kinds an artifact-publish verb journals, `(rejected,
-/// published)`, passed the way `cluster::publish::roll` takes its
-/// wording.
+/// published)`.
 type Wording = (&'static str, &'static str);
 
 const CONTROL_PUBLISH: Wording = ("publish_rejected", "publish");

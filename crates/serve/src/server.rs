@@ -893,11 +893,13 @@ impl StopHandle {
         Self { stop, addr }
     }
 
-    /// Signals shutdown and unblocks the accept loop.
+    /// Signals shutdown and wakes the reactor to see it.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(addr) = self.addr {
-            // Nudge the blocking accept with a throwaway connection.
+            // A throwaway connection makes the listener readable, which
+            // wakes the poll, so the loop sees the flag now instead of
+            // at its next `TICK` (100 ms).
             let _ = TcpStream::connect(addr);
         }
     }

@@ -107,9 +107,12 @@ impl ModelSlot {
     }
 
     /// Publishes a serialized [`crate::artifact`] blob (model + vocab) as
-    /// the next generation — the wire-level entry point behind the
-    /// `{"op":"publish"}` admin verb, so a cluster coordinator can push a
-    /// generation into a remote replica without touching its filesystem.
+    /// the next generation: decode and swap in one call, for a caller
+    /// that holds artifact bytes in process (the repository benchmark's
+    /// slot layer times it). The publish admin verbs do not come here:
+    /// the server decodes the wire's base64 itself and publishes through
+    /// [`crate::VariantTable::publish`], which serves control and
+    /// candidates alike.
     ///
     /// # Errors
     /// Rejects damaged artifacts without touching the live generation:

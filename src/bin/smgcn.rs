@@ -1238,29 +1238,30 @@ fn cmd_experiment(args: &Args) {
         "abort" => "halt",
         action => action,
     };
-    let mut fields = vec![
-        ("op", Json::Str("experiment".into())),
-        ("action", Json::Str(action.to_string())),
-    ];
-    match action {
+    let request = match action {
         "publish" => {
+            use smgcn_repro::serve::artifact::{publish_line, to_base64};
             let variant = args.need("variant");
             let (artifact, about) = publish_artifact(args);
             println!("publishing candidate {variant:?} ({about}) via {addr}");
-            let artifact = smgcn_repro::serve::artifact::to_base64(&artifact);
-            fields.push(("variant", Json::Str(variant.to_string())));
-            fields.push(("artifact", Json::Str(artifact)));
+            publish_line(to_base64(&artifact), Some(variant))
         }
-        "install" => {
-            fields.push(("weights", Json::Str(args.need("split").to_string())));
-            if args.given.contains_key("seed") {
-                fields.push(("seed", Json::Num(args.num::<u64>("seed") as f64)));
+        "install" | "halt" | "status" | "compare" => {
+            let mut fields = vec![
+                ("op", Json::Str("experiment".into())),
+                ("action", Json::Str(action.to_string())),
+            ];
+            if action == "install" {
+                fields.push(("weights", Json::Str(args.need("split").to_string())));
+                if args.given.contains_key("seed") {
+                    fields.push(("seed", Json::Num(args.num::<u64>("seed") as f64)));
+                }
             }
+            json::obj(fields).to_string()
         }
-        "halt" | "status" | "compare" => {}
         other => args.misuse(format!(": {other:?} is not an action")),
-    }
-    let reply = admin_or_exit(addr, &json::obj(fields).to_string());
+    };
+    let reply = admin_or_exit(addr, &request);
     if action != "compare" {
         println!("{reply}");
         return;
