@@ -1,6 +1,7 @@
 //! Micro-benchmarks for what the repository benchmark cannot time: the
 //! served Eq. 13 product at the batch heights a replica sees, the fused
-//! score-and-select batch, training's products on every kernel tier,
+//! score-and-select batch, the ranking in one stage and in two (and the
+//! int8 pack behind the second), training's products on every kernel tier,
 //! each graph operator as SpMM against dense, and the worker team's
 //! handoff. Layers the benchmark's traced run already times at the
 //! paper's shapes (`tensor.gemm.*`, `tensor.sparse.spmm_us`,
@@ -15,13 +16,14 @@ use smgcn_graph::{GraphOperators, SynergyThresholds};
 use smgcn_serve::{partial_top_k, FrozenModel};
 use smgcn_tensor::init::{seeded_rng, xavier_uniform};
 use smgcn_tensor::par::{for_each_chunk, threads_for_macs};
-use smgcn_tensor::{Matrix, ParamStore, Tape, Tier};
+use smgcn_tensor::{Int8Tier, Matrix, ParamStore, QuantRhs, Tape, Tier};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 fn main() {
     serve_scores();
     score_large_fused();
+    rank_batch();
     let ops = paper_ops();
     train_kernels(&ops);
     spmm_vs_dense(&ops);
@@ -76,10 +78,12 @@ fn serve_scores() {
 }
 
 /// The repository benchmark's `score_large` batch (64 queries, 65,536
-/// herbs, d = 64, top-10) both ways: the score matrix written and then
-/// selected from row by row, against `recommend_batch`, which selects
-/// from each GEMM tile while it is in L1 and writes no matrix. The rates
-/// (2 B d H flop a batch) are the point.
+/// herbs, d = 64, top-10) both ways in one stage: the score matrix
+/// written and then selected from row by row, against `recommend_batch`,
+/// which selects from each GEMM tile while it is in L1 and writes no
+/// matrix. The rates (2 B d H flop a batch) are the point; the model is
+/// held to one stage by name, since at this size it would take two
+/// (`rank_batch/*` below).
 fn score_large_fused() {
     const BATCH: usize = 64;
     const DIM: usize = 64;
@@ -91,7 +95,8 @@ fn score_large_fused() {
         xavier_uniform(HERBS, DIM, &mut rng),
         None,
     )
-    .expect("consistent shapes");
+    .expect("consistent shapes")
+    .with_stage_one(None);
     let sets: Vec<Vec<u32>> = (0..BATCH as u32)
         .map(|q| (0..3 + q % 7).map(|i| (q * 131 + i * 977) % 8192).collect())
         .collect();
@@ -113,6 +118,62 @@ fn score_large_fused() {
             us / 1e3,
             2.0 * (BATCH * DIM * HERBS) as f64 / us / 1e3,
             us / BATCH as f64,
+        );
+    }
+}
+
+/// `rank_batch` at k = 10 in one stage (the float path) and in two
+/// (int8 candidates, exact re-score) on this host's fastest int8 tier,
+/// and the int8 pack a two-stage model does at load. The paper shape
+/// (360 symptoms x 753 herbs, d = 256, with the SI head) at the batch
+/// heights a replica sees; `score_large`'s shape (8,192 x 65,536, d =
+/// 64, batches of 64) with the head (queries ≥ 0) and without it
+/// (signed queries). The rows behind `TWO_STAGE_MIN_BYTES` in
+/// `frozen.rs`.
+fn rank_batch() {
+    let tier = Int8Tier::detect();
+    println!("stage-1 int8 tier: {tier:?}");
+    for (shape, m, symptoms, herbs, d, head) in [
+        ("paper", 1, 360, 753, 256, true),
+        ("paper", 2, 360, 753, 256, true),
+        ("paper", 8, 360, 753, 256, true),
+        ("score_large", 64, 8192, 65_536, 64, true),
+        ("score_large", 64, 8192, 65_536, 64, false),
+    ] {
+        let mut rng = seeded_rng(11);
+        let herb_rows = xavier_uniform(herbs, d, &mut rng);
+        let model = FrozenModel::from_parts(
+            xavier_uniform(symptoms, d, &mut rng),
+            herb_rows.clone(),
+            head.then(|| {
+                (
+                    xavier_uniform(d, d, &mut rng),
+                    xavier_uniform(1, d, &mut rng),
+                )
+            }),
+        )
+        .expect("consistent shapes");
+        let one = model.clone().with_stage_one(None);
+        let two = model.with_stage_one(Some(tier));
+        let sets: Vec<Vec<u32>> = (0..m as u32)
+            .map(|q| {
+                (0..3 + q % 7)
+                    .map(|i| (q * 131 + i * 977) % symptoms as u32)
+                    .collect()
+            })
+            .collect();
+        let sets: Vec<&[u32]> = sets.iter().map(Vec::as_slice).collect();
+        let rank = |model: &FrozenModel| model.recommend_batch(&sets, 10).expect("valid sets");
+        assert_eq!(rank(&one), rank(&two), "the two stages rank differently");
+        let (one_us, two_us) = (mean_us(|| rank(&one)), mean_us(|| rank(&two)));
+        let float_us = mean_us(|| herb_rows.pack_transposed());
+        let pack_us = mean_us(|| QuantRhs::pack_transposed(&herb_rows, tier)) - float_us;
+        println!(
+            "rank_batch/{shape}/{}/{m:<2} {:>6} KB of panels: one stage {one_us:>8.1} µs, two stages {two_us:>8.1} µs ({:.2}x); int8 pack {:>7.2} ms",
+            if head { "head" } else { "no_head" },
+            herbs * d * 4 / 1024,
+            one_us / two_us,
+            pack_us / 1e3,
         );
     }
 }

@@ -19,7 +19,7 @@
 //! GEMM panel layout is frozen with them: [`FrozenModel::from_parts`]
 //! packs the herb matrix and `W_mlp` once into [`PackedRhs`] — for the
 //! kernel tier of this host's CPU — and the model keeps them *only* in
-//! that form. Scoring never packs and never touches the kernels'
+//! that form (a large model keeps its herbs once more as int8, below). Scoring never packs and never touches the kernels'
 //! thread-local scratch; `save` / `artifact::encode` unpack (exactly) on
 //! their cold path, so a model's bytes do not depend on where it was
 //! packed.
@@ -33,6 +33,32 @@
 //! [`PackedRhs`] contract): within ≤ 1e-6 of the full forward pass, exact
 //! and repeatable per model per host.
 //!
+//! ## Two stages, and why the answer is the same
+//!
+//! A model whose herb panels are past `TWO_STAGE_MIN_BYTES` (2 MB: not
+//! the paper's 753 x 256, nor any test or golden model) on a CPU with a
+//! VNNI tile (AVX-512 VNNI, or AVX-VNNI) ranks in two stages behind the
+//! same `rank_batch`. [`FrozenModel::from_parts`] also keeps the herbs as
+//! int8 with one scale per herb ([`QuantRhs`]), which costs a quarter of
+//! the bytes, and a query is quantised once it is induced. Stage 1 runs
+//! the integer product through the same row split over the worker team,
+//! and [`QuantRhs`] turns each integer score into an interval that is
+//! *guaranteed* to hold the herb's float score: Cauchy–Schwarz on both
+//! quantisation errors plus the float chain's own rounding. Stage 1
+//! keeps every herb whose upper bound reaches the running `k`-th best
+//! lower bound. A herb it drops has `k` others whose scores are above
+//! its own, so it cannot be in the top `k`. Stage 2 re-scores the herbs
+//! that still reach the final `k`-th lower bound (about 16 per query at
+//! `score_large`'s shape, k = 10) with [`PackedRhs::product_at`], which
+//! computes bit for bit the score the one-stage tiles give, and selects
+//! from them with [`TopK`]'s tie rule. So the ranking *is* the
+//! one-stage ranking, and no score or byte of the artifact changes. A
+//! query that cannot be bounded (all zero, or out of the range
+//! `QuantRhs` covers), or that asks for more herbs than two stages pay
+//! for (`TWO_STAGE_HERBS_PER_K`), ranks in one stage beside the others.
+//! [`FrozenModel::with_stage_one`] names either path for tests and
+//! benches.
+//!
 //! Persistence reuses the `smgcn-tensor` checkpoint container (magic
 //! `SMGT`), with reserved `frozen.*` tensor names, so the same tooling
 //! reads training checkpoints and frozen models.
@@ -42,7 +68,7 @@ use std::time::{Duration, Instant};
 
 use smgcn_core::Recommender;
 use smgcn_tensor::checkpoint::{self, CheckpointError};
-use smgcn_tensor::{Matrix, PackedRhs, ParamStore};
+use smgcn_tensor::{par, Int8Tier, Matrix, PackedRhs, ParamStore, QuantRhs, QuantRows};
 
 use crate::topk::TopK;
 
@@ -62,7 +88,7 @@ pub enum FrozenError {
     /// treat this one as "try the full-model path instead".
     NotFrozen(String),
     /// A frozen model whose tensors are damaged or inconsistent
-    /// (missing halves, mismatched shapes).
+    /// (missing halves, mismatched shapes, a value that is not finite).
     Format(String),
     /// A query referenced unknown symptom ids or was empty.
     Query(String),
@@ -91,6 +117,27 @@ impl From<CheckpointError> for FrozenError {
     }
 }
 
+/// Fewest bytes of float herb panels (`H · d · 4`) from which a model
+/// ranks in two stages, where the CPU has a VNNI tile. Measured at k =
+/// 10 on the build host (2 cores, AVX-512 VNNI, 2 MB of L2 a core; the
+/// `rank_batch/*` rows of `benches/kernels.rs` and a sweep between
+/// them), one stage's time over two stages': the paper shape (753 x
+/// 256, 771 KB) stays in L2 and loses, 0.62x at 8 and at 64 queries;
+/// at 2 MB two stages break even for 2,048 x 256 (1.01x, 64 queries)
+/// and win for 8,192 x 64 (1.37x at 8 queries, 1.55x at 64); from 4 MB
+/// they win at every shape tried (4,096 x 256: 1.34x at 64 queries,
+/// 6.6x for one; `score_large`'s 65,536 x 64: 2.1x at 64).
+const TWO_STAGE_MIN_BYTES: usize = 2 << 20;
+
+/// Herbs per unit of `k` a row needs for two stages to pay: a row asking
+/// for more than `H / TWO_STAGE_HERBS_PER_K` ranks in one stage. Every
+/// herb of the top `k` is a candidate, and a candidate's re-score reads
+/// its whole float panel, while the one-stage product reads every panel
+/// once for the batch. Measured as above, 64 queries: 65,536 x 64 wins
+/// 2.1x at k = 10, 1.5x at 50 and 1.1x at 100, and loses at 200 (0.71x);
+/// 4,096 x 256 wins 1.2x at k = 10 and loses at 50 (0.56x).
+const TWO_STAGE_HERBS_PER_K: usize = 512;
+
 /// A trained SMGCN collapsed to its serving-time essentials.
 #[derive(Clone)]
 pub struct FrozenModel {
@@ -100,6 +147,11 @@ pub struct FrozenModel {
     /// `W_mlp` (`d x d`), packed as the right operand of `· W_mlp`, and
     /// `b_mlp` (`1 x d`).
     si_mlp: Option<(PackedRhs, Matrix)>,
+    /// The herbs again, as int8 with per-herb bound terms: stage 1 of a
+    /// two-stage ranking. `None` ranks in one stage.
+    quant: Option<QuantRhs>,
+    /// The largest `k` a row may ask for and still take two stages.
+    two_stage_max_k: usize,
 }
 
 impl std::fmt::Debug for FrozenModel {
@@ -117,9 +169,14 @@ impl FrozenModel {
     /// Builds a frozen model from raw parts, packing the herb matrix and
     /// `W_mlp` into GEMM panels — the one place a model's right-hand
     /// sides are ever packed; every constructor funnels through here.
+    /// A model whose two stages pay (the module doc) also gets its int8
+    /// herb panels here, quantised on the worker team.
     ///
     /// # Errors
-    /// Rejects dimension mismatches between the matrices.
+    /// Rejects dimension mismatches between the matrices, and any value
+    /// that is not finite, naming its tensor and row: a NaN weight would
+    /// rank nothing meaningfully, and a publish of one is refused before
+    /// it can go live.
     pub fn from_parts(
         symptoms: Matrix,
         herbs: Matrix,
@@ -144,11 +201,57 @@ impl FrozenModel {
                 )));
             }
         }
+        let tier = Int8Tier::detect();
+        let (packed, quant) = if tier != Int8Tier::Scalar && herbs.len() * 4 >= TWO_STAGE_MIN_BYTES
+        {
+            QuantRhs::pack_transposed(&herbs, tier)
+        } else {
+            (herbs.pack_transposed(), None)
+        };
+        let mut parts = vec![(NAME_SYMPTOMS, &symptoms)];
+        if quant.is_none() {
+            // An int8 copy exists only of finite herbs: its pack has
+            // looked at every value already.
+            parts.push((NAME_HERBS, &herbs));
+        }
+        if let Some((w, b)) = &si_mlp {
+            parts.extend([(NAME_SI_W, w), (NAME_SI_B, b)]);
+        }
+        for (name, m) in parts {
+            let finite = |r: &usize| m.row(*r).iter().fold(true, |ok, v| ok & v.is_finite());
+            if let Some(r) = (0..m.rows()).find(|r| !finite(r)) {
+                return Err(FrozenError::Format(format!(
+                    "{name:?} row {r} holds a value that is not finite"
+                )));
+            }
+        }
         Ok(Self {
             symptoms,
-            herbs: herbs.pack_transposed(),
+            quant,
+            two_stage_max_k: herbs.rows() / TWO_STAGE_HERBS_PER_K,
+            herbs: packed,
             si_mlp: si_mlp.map(|(w, b)| (w.pack_rhs(), b)),
         })
+    }
+
+    /// The int8 tier stage 1 runs on, or `None` for a model that ranks in
+    /// one stage.
+    pub fn stage_one(&self) -> Option<Int8Tier> {
+        self.quant.as_ref().map(QuantRhs::tier)
+    }
+
+    /// The model with its stage 1 on `tier`, whatever its size and for
+    /// every `k` — or, for `None`, ranking in one stage, the float path
+    /// the two stages must equal. For tests and benches, which hold every
+    /// tier a host has to that path; a model's own choice is made in
+    /// [`from_parts`](Self::from_parts). A model whose herbs have no
+    /// int8 bounds stays in one stage ([`stage_one`](Self::stage_one)
+    /// says which it got).
+    pub fn with_stage_one(mut self, tier: Option<Int8Tier>) -> Self {
+        self.quant = tier
+            .and_then(|tier| QuantRhs::pack_transposed(&self.herbs.unpack_transposed(), tier).1);
+        self.two_stage_max_k = usize::MAX;
+        self
     }
 
     /// Freezes a (trained) recommender: runs the graph convolutions once
@@ -334,7 +437,8 @@ impl FrozenModel {
     /// query fed from each tile while the micro-kernel's stores are still
     /// in L1. The `B x H` score matrix is never written: it is bit for
     /// bit what [`score_batch`](Self::score_batch) returns, consumed in
-    /// flight.
+    /// flight. A large model takes two stages to the same answer (the
+    /// module doc).
     ///
     /// # Panics
     /// Panics if `ks.len() != sets.len()`.
@@ -361,6 +465,19 @@ impl FrozenModel {
     ) -> Result<(Vec<Vec<u32>>, Duration), FrozenError> {
         assert_eq!(ks.len(), sets.len(), "FrozenModel: one k per symptom set");
         let induced = self.induce_batch(sets)?;
+        Ok(match &self.quant {
+            Some(quant) => self.rank_two_stages(quant, &induced, ks, timed),
+            None => self.rank_one_stage(&induced, ks, timed),
+        })
+    }
+
+    /// Selects each row's top-k from every tile of the float product.
+    fn rank_one_stage(
+        &self,
+        induced: &Matrix,
+        ks: &[usize],
+        timed: bool,
+    ) -> (Vec<Vec<u32>>, Duration) {
         let mut tops: Vec<TopK> = ks
             .iter()
             .map(|&k| TopK::new(k.min(self.n_herbs())))
@@ -368,7 +485,7 @@ impl FrozenModel {
         // Summed over the threads the rows are split across; a statistic
         // nothing is published through, hence `Relaxed`.
         let select_ns = AtomicU64::new(0);
-        let threads = self.herbs.for_each_tile(&induced, &mut tops, |tops, tile| {
+        let threads = self.herbs.for_each_tile(induced, &mut tops, |tops, tile| {
             let start = timed.then(Instant::now);
             for (r, top) in tops.iter_mut().enumerate() {
                 top.push_slice(tile.col0, tile.row(r));
@@ -381,7 +498,77 @@ impl FrozenModel {
         let rankings = tops.into_iter().map(TopK::finish).collect();
         let select = Duration::from_nanos(select_ns.into_inner() / threads as u64)
             + start.map_or(Duration::ZERO, |start| start.elapsed());
-        Ok((rankings, select))
+        (rankings, select)
+    }
+
+    /// Stage 1 keeps, per row, every herb whose upper bound reaches the
+    /// running `k`-th best lower bound; stage 2 re-scores the herbs that
+    /// still reach the final one, exactly, and selects from them. Rows
+    /// the int8 copy cannot bound, and rows asking for more herbs than
+    /// two stages pay for, rank in one stage, as a batch of their own.
+    fn rank_two_stages(
+        &self,
+        quant: &QuantRhs,
+        induced: &Matrix,
+        ks: &[usize],
+        timed: bool,
+    ) -> (Vec<Vec<u32>>, Duration) {
+        let rows = quant.quantize(induced);
+        let mut rankings = vec![Vec::new(); ks.len()];
+        let mut select = Duration::ZERO;
+        let two_stages = |r: usize| rows.is_bounded(r) && ks[r] <= self.two_stage_max_k;
+        let one_stage: Vec<usize> = (0..ks.len()).filter(|&r| !two_stages(r)).collect();
+        if !one_stage.is_empty() {
+            let lhs = Matrix::from_fn(one_stage.len(), self.dim(), |i, c| {
+                induced.get(one_stage[i], c)
+            });
+            let ks: Vec<usize> = one_stage.iter().map(|&r| ks[r]).collect();
+            let (ranked, time) = self.rank_one_stage(&lhs, &ks, timed);
+            for (&r, ranking) in one_stage.iter().zip(ranked) {
+                rankings[r] = ranking;
+            }
+            select += time;
+        }
+        if one_stage.len() == ks.len() {
+            return (rankings, select);
+        }
+        let mut kept: Vec<Candidates> = ks
+            .iter()
+            .enumerate()
+            .map(|(row, &k)| {
+                let k = if two_stages(row) {
+                    k.min(self.n_herbs())
+                } else {
+                    0
+                };
+                Candidates::new(row, k)
+            })
+            .collect();
+        let select_ns = AtomicU64::new(0);
+        let threads = quant.for_each_tile(&rows, &mut kept, |kept, tile| {
+            let start = timed.then(Instant::now);
+            for (r, kept) in kept.iter_mut().enumerate() {
+                kept.offer(quant, &rows, tile.col0, tile.row(r));
+            }
+            if let Some(start) = start {
+                select_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
+        });
+        // Stage 2 reads each candidate's floats out of its panel, a line
+        // a step: shared out like stage 1's rows.
+        let start = timed.then(Instant::now);
+        let per_thread = kept.len().div_ceil(threads);
+        par::for_each_chunk(threads, kept.chunks_mut(per_thread), |kept| {
+            for kept in kept {
+                kept.rescore(&self.herbs, induced.row(kept.row));
+            }
+        });
+        for kept in kept.into_iter().filter(|kept| kept.k > 0) {
+            rankings[kept.row] = kept.ranking;
+        }
+        select += Duration::from_nanos(select_ns.into_inner() / threads as u64)
+            + start.map_or(Duration::ZERO, |start| start.elapsed());
+        (rankings, select)
     }
 
     /// Top-`k` herb ids for one symptom set, by descending score (ties to
@@ -394,6 +581,94 @@ impl FrozenModel {
     /// Top-`k` rankings for a batch, sharing one scoring GEMM.
     pub fn recommend_batch(&self, sets: &[&[u32]], k: usize) -> Result<Vec<Vec<u32>>, FrozenError> {
         self.rank_batch(sets, &vec![k; sets.len()])
+    }
+}
+
+/// Stage 1's state for one row: the `k` best lower bounds seen so far,
+/// and every herb whose upper bound reached the `k`-th of them when it
+/// was seen, in column order.
+struct Candidates {
+    row: usize,
+    /// 0 for a row stage 1 does not rank.
+    k: usize,
+    /// Up to `k` lower bounds, in no order (`k` is at most `H / 512`
+    /// unless a test forces two stages, and a scan of that few is
+    /// cheaper than keeping a heap).
+    lows: Vec<f32>,
+    /// Where the least of `lows` is, once there are `k`.
+    weakest: usize,
+    /// That least, the `k`-th best lower bound; `-inf` until there are
+    /// `k`. A herb whose upper bound is below it is beaten outright by
+    /// `k` others.
+    floor: f32,
+    herbs: Vec<(u32, f32)>,
+    /// Stage 2's answer.
+    ranking: Vec<u32>,
+}
+
+impl Candidates {
+    fn new(row: usize, k: usize) -> Self {
+        Self {
+            row,
+            k,
+            lows: Vec::with_capacity(k),
+            weakest: 0,
+            floor: f32::NEG_INFINITY,
+            herbs: Vec::new(),
+            ranking: Vec::new(),
+        }
+    }
+
+    /// Stage 2: scores exactly every herb that still reaches the final
+    /// floor, and selects the top `k` of them.
+    fn rescore(&mut self, herbs: &PackedRhs, x: &[f32]) {
+        if self.k == 0 {
+            return;
+        }
+        let mut top = TopK::new(self.k);
+        for &(col, high) in &self.herbs {
+            if high >= self.floor {
+                top.push(col, herbs.product_at(x, col as usize));
+            }
+        }
+        self.ranking = top.finish();
+    }
+
+    /// Keeps `low` if it is among the `k` best so far; returns the floor.
+    fn keep_low(&mut self, low: f32) -> f32 {
+        if self.lows.len() < self.k {
+            self.lows.push(low);
+        } else if low > self.floor {
+            self.lows[self.weakest] = low;
+        } else {
+            return self.floor;
+        }
+        if self.lows.len() == self.k {
+            // Bounds are never NaN, so `<` orders them.
+            (self.weakest, self.floor) =
+                self.lows
+                    .iter()
+                    .enumerate()
+                    .fold((0, f32::INFINITY), |(at, least), (i, &low)| {
+                        if low < least {
+                            (i, low)
+                        } else {
+                            (at, least)
+                        }
+                    });
+        }
+        self.floor
+    }
+
+    /// Screens one tile row of integer products, columns `col0 ..`.
+    fn offer(&mut self, quant: &QuantRhs, rows: &QuantRows, col0: usize, dots: &[i32]) {
+        if self.k == 0 {
+            return;
+        }
+        quant.screen(rows, self.row, col0, dots, self.floor, |col, low, high| {
+            self.herbs.push((col as u32, high));
+            self.keep_low(low)
+        });
     }
 }
 

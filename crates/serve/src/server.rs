@@ -1161,6 +1161,49 @@ mod tests {
     }
 
     #[test]
+    fn a_publish_with_a_nan_weight_is_refused_and_live_traffic_is_untouched() {
+        let server = test_server();
+        let query = r#"{"symptom_ids": [0, 1], "k": 3}"#;
+        let before = roundtrip(&server, query);
+        // A well-formed artifact whose one herb weight is a sentinel,
+        // then the sentinel's bytes turned into a NaN's and the checksum
+        // made whole again: only the model's own check can refuse it.
+        let sentinel = 1234.5f32;
+        let symptoms = Matrix::from_fn(5, 3, |r, c| (r + c) as f32 * 0.5);
+        let herbs = Matrix::from_fn(7, 3, |r, c| if (r, c) == (4, 1) { sentinel } else { 1.0 });
+        let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
+        let vocab = ServingVocab::new(
+            (0..5).map(|i| format!("s{i}")).collect(),
+            (0..7).map(|i| format!("g1-h{i}")).collect(),
+        );
+        let mut bytes = crate::artifact::encode(&model, &vocab);
+        let body = bytes.len() - 4;
+        let at = bytes[..body]
+            .windows(4)
+            .position(|w| w == sentinel.to_le_bytes())
+            .expect("the sentinel is in the artifact");
+        bytes[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        let crc = smgcn_obs::integrity::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        let line = crate::artifact::publish_line(crate::artifact::to_base64(&bytes), None);
+        let refused = roundtrip(&server, &line);
+        let error = refused.get("error").expect("refused");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("bad_artifact")
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains("frozen.herbs") && message.contains("row 4"),
+            "{message}"
+        );
+        let after = roundtrip(&server, query);
+        for field in ["generation", "herb_ids", "herbs"] {
+            assert_eq!(after.get(field), before.get(field), "{after}");
+        }
+    }
+
+    #[test]
     fn publish_op_swaps_generation_over_the_wire() {
         let server = test_server();
         let before = roundtrip(&server, r#"{"symptom_ids": [0, 1], "k": 3}"#);

@@ -5,8 +5,12 @@
 //! `O(H log H)` sort. On the serving path `k << H`, so this module keeps
 //! a `k`-element min-heap instead: `O(H log k)` with no allocation
 //! proportional to `H`. The ordering contract matches `top_k_indices`
-//! exactly — descending score, ties broken by the lower index — so the
-//! frozen path returns bit-identical rankings.
+//! exactly on scores without NaN — descending score, ties broken by the
+//! lower index — so the frozen path returns bit-identical rankings. A
+//! NaN ranks as `-inf` (below every finite score, tied with `-inf` and
+//! broken by index): the order is total whatever the scores, so no input
+//! can make the final sort panic, and a NaN herb is never recommended
+//! over a scored one.
 //!
 //! There is one implementation, [`TopK`]: it takes a score row in
 //! slices, in column order, so `FrozenModel::rank_batch` can feed it each
@@ -17,7 +21,8 @@
 //! ≈ 7 µs when it is in cache, ≈ 20 µs when it must be re-read from
 //! memory — the read itself — against 78 µs for the unfiltered walk).
 //! [`partial_top_k`] is the same selector given the whole row as one
-//! slice.
+//! slice, and [`TopK::push`] offers scattered columns one at a time (the
+//! re-scored candidates of `FrozenModel`'s two-stage ranking).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -31,14 +36,23 @@ struct Worst {
     idx: u32,
 }
 
+/// What a score ranks as: itself, or `-inf` for a NaN — never a NaN, so
+/// comparisons of keys form a total order (with `-0.0 == 0.0`).
+fn key(score: f32) -> f32 {
+    if score.is_nan() {
+        f32::NEG_INFINITY
+    } else {
+        score
+    }
+}
+
 impl Worst {
     /// True when `self` ranks strictly ahead of `other` in the final
-    /// ordering (higher score, ties to the lower index).
+    /// ordering (higher score key, ties to the lower index).
     fn beats(&self, other: &Worst) -> bool {
-        match self
-            .score
-            .partial_cmp(&other.score)
-            .unwrap_or(Ordering::Equal)
+        match key(self.score)
+            .partial_cmp(&key(other.score))
+            .expect("keys are never NaN")
         {
             Ordering::Greater => true,
             Ordering::Less => false,
@@ -89,8 +103,9 @@ const FILTER_BLOCK: usize = 128;
 /// through the heap. The filter is exact, not a heuristic: candidates
 /// arrive in index order, so every newcomer has a higher index than
 /// everything retained, and *beats the worst* reduces to *is strictly
-/// greater* (a tie goes to the lower index, a NaN on either side
-/// compares "equal") — the very test the heap walk makes.
+/// greater than the worst's key* (a tie goes to the lower index, a NaN
+/// newcomer is greater than nothing) — the very test the heap walk
+/// makes.
 pub struct TopK {
     k: usize,
     heap: BinaryHeap<Worst>,
@@ -141,20 +156,35 @@ impl TopK {
         self.walk(at, blocks.remainder());
     }
 
-    /// Score of the worst retained candidate; the heap must be full.
-    fn worst(&self) -> f32 {
-        self.heap.peek().expect("k > 0 and the heap is full").score
+    /// Offers column `idx` alone. Columns must arrive in ascending
+    /// order, after every column of an earlier
+    /// [`push_slice`](Self::push_slice).
+    pub fn push(&mut self, idx: u32, score: f32) {
+        if self.heap.len() < self.k {
+            self.heap.push(Worst { score, idx });
+        } else if self.k > 0 && score > self.worst() {
+            self.heap.pop();
+            self.heap.push(Worst { score, idx });
+        }
     }
 
-    /// The heap walk, over a block that may hold a candidate.
+    /// Key of the worst retained candidate; the heap must be full.
+    fn worst(&self) -> f32 {
+        key(self.heap.peek().expect("k > 0 and the heap is full").score)
+    }
+
+    /// The heap walk, over a block that may hold a candidate; the heap
+    /// must be full.
     fn walk(&mut self, col0: usize, block: &[f32]) {
+        let mut worst = self.worst();
         for (i, &score) in block.iter().enumerate() {
-            if score > self.worst() {
+            if score > worst {
                 self.heap.pop();
                 self.heap.push(Worst {
                     score,
                     idx: (col0 + i) as u32,
                 });
+                worst = self.worst();
             }
         }
     }
@@ -171,8 +201,8 @@ impl TopK {
 /// via heap-based partial selection rather than a full sort.
 ///
 /// Returns the same ranking as `smgcn_core::top_k_indices` for every
-/// input, including `k >= len` and NaN scores (NaN compares equal, as in
-/// the full-sort version).
+/// input without NaN, including `k >= len`; a NaN ranks as `-inf` (the
+/// module doc).
 pub fn partial_top_k(scores: &[f32], k: usize) -> Vec<u32> {
     let mut top = TopK::new(k.min(scores.len()));
     top.push_slice(0, scores);
@@ -239,6 +269,7 @@ mod tests {
             scores in score_rows(),
             pick_k in 0usize..6,
             some_k in 0usize..40,
+            big_k in 0usize..=100,
             cuts in proptest::collection::vec(0usize..1200, 0..12),
         ) {
             let n = scores.len();
@@ -263,6 +294,22 @@ mod tests {
             if !has_nan {
                 prop_assert_eq!(&got, &full_sort_top_k(&scores, k));
             }
+
+            // Any k a request may ask for (`MAX_K` is 100), NaNs or not:
+            // the order is total, so nothing panics, the ids are distinct
+            // and in range, and the heap walk agrees at every k.
+            let mut top = TopK::new(big_k.min(n));
+            for pair in cuts.windows(2) {
+                top.push_slice(pair[0], &scores[pair[0]..pair[1]]);
+            }
+            let got = top.finish();
+            prop_assert_eq!(got.len(), big_k.min(n));
+            let mut ids = got.clone();
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(ids.len(), got.len(), "repeated ids: {:?}", got);
+            prop_assert!(got.iter().all(|&id| (id as usize) < n), "{:?}", got);
+            prop_assert_eq!(&got, &heap_walk_top_k(&scores, big_k));
         }
     }
 
@@ -328,6 +375,23 @@ mod tests {
                 "k={k}"
             );
         }
+    }
+
+    #[test]
+    fn one_at_a_time_is_one_slice() {
+        let scores = [0.5f32, f32::NAN, 2.0, 2.0, -1.0, f32::NEG_INFINITY, 7.0];
+        for k in 0..=scores.len() {
+            let mut top = TopK::new(k);
+            for (i, &score) in scores.iter().enumerate() {
+                top.push(i as u32, score);
+            }
+            assert_eq!(top.finish(), partial_top_k(&scores, k), "k={k}");
+        }
+        assert_eq!(
+            partial_top_k(&scores, 7),
+            vec![6, 2, 3, 0, 4, 1, 5],
+            "NaN ranks as -inf"
+        );
     }
 
     #[test]

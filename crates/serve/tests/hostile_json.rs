@@ -129,12 +129,20 @@ proptest! {
     }
 }
 
-/// A generation whose weights hold a NaN answers `"scores":true` with
-/// a line that parses: the NaN scores go out as `null`.
+/// A generation whose finite weights overflow two herbs' scores to NaN
+/// (`inf + -inf`: a model with a NaN weight is refused at the door, an
+/// overflow is not) answers `"scores":true` with a line that parses:
+/// the NaN scores go out as `null`.
 #[test]
-fn a_nan_weight_generation_answers_scores_as_json() {
+fn a_generation_whose_scores_overflow_to_nan_answers_scores_as_json() {
     let symptoms = Matrix::from_fn(3, 4, |r, c| (r + c) as f32 - 1.5);
-    let herbs = Matrix::from_fn(5, 4, |r, c| if r < 2 { f32::NAN } else { (r * c) as f32 });
+    // Symptom 1 is [-0.5, 0.5, 1.5, 2.5]: columns 2 and 3 overflow.
+    let herbs = Matrix::from_fn(5, 4, |r, c| match (r < 2, c) {
+        (true, 2) => 3e38,
+        (true, 3) => -3e38,
+        (true, _) => 0.0,
+        (false, _) => (r * c) as f32,
+    });
     let server = Server::bind(
         "127.0.0.1:0",
         FrozenModel::from_parts(symptoms, herbs, None).unwrap(),

@@ -273,7 +273,14 @@ fn pack_rhs(w: usize, rhs: &[f32], k: usize, n: usize, p0: usize, packed: &mut [
 }
 
 /// [`pack_rhs_transposed_w`] at the panel width `w` of a tier.
-fn pack_rhs_transposed(w: usize, rhs: &[f32], n: usize, k: usize, p0: usize, packed: &mut [f32]) {
+pub(crate) fn pack_rhs_transposed(
+    w: usize,
+    rhs: &[f32],
+    n: usize,
+    k: usize,
+    p0: usize,
+    packed: &mut [f32],
+) {
     match w {
         16 => pack_rhs_transposed_w::<16>(rhs, n, k, p0, packed),
         _ => pack_rhs_transposed_w::<NR>(rhs, n, k, p0, packed),
@@ -475,6 +482,9 @@ const BLOCK_COLS_MAX: usize = 512;
 /// `add` (two roundings), bit for bit `matmul` / `matmul_transb`. The
 /// two differ by at most the rounding of `k` steps — serving is exact
 /// per packed value, not across hosts of different tiers.
+/// [`product_at`](Self::product_at) computes one element of a product
+/// alone under the same contract, so a caller can re-score a few columns
+/// and get the bits the tiles would have given them.
 ///
 /// [`unpack`](Self::unpack) /
 /// [`unpack_transposed`](Self::unpack_transposed) recover the original
@@ -492,27 +502,31 @@ pub struct PackedRhs {
 /// product streams the whole operand through L2 and is bound by exactly
 /// those loads: 10.3 -> 6.7 us at the paper shape). Only speed depends
 /// on it; the kernels use unaligned loads.
-struct Panels {
-    buf: Vec<f32>,
+pub(crate) struct Panels<T = f32> {
+    buf: Vec<T>,
     start: usize,
     len: usize,
 }
 
-impl Panels {
-    /// `len` floats, filled in place by `pack`.
-    fn packed_by(len: usize, pack: impl FnOnce(&mut [f32])) -> Self {
-        let mut buf = vec![0.0f32; len + LINE - 1];
-        let start = line_offset(&buf);
+impl<T: Copy + Default> Panels<T> {
+    /// `len` values, filled in place by `pack`.
+    pub(crate) fn packed_by(len: usize, pack: impl FnOnce(&mut [T])) -> Self {
+        let slack = LINE * 4 / std::mem::size_of::<T>() - 1;
+        let mut buf = vec![T::default(); len + slack];
+        let start = match buf.as_ptr().align_offset(LINE * 4) {
+            offset if offset <= slack => offset,
+            _ => 0,
+        };
         pack(&mut buf[start..start + len]);
         Self { buf, start, len }
     }
 
-    fn as_slice(&self) -> &[f32] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         &self.buf[self.start..self.start + self.len]
     }
 }
 
-impl Clone for Panels {
+impl<T: Copy + Default> Clone for Panels<T> {
     /// A copy is aligned afresh: its buffer lands somewhere else.
     fn clone(&self) -> Self {
         Self::packed_by(self.len, |dst| dst.copy_from_slice(self.as_slice()))
@@ -526,17 +540,18 @@ impl std::fmt::Debug for PackedRhs {
 }
 
 /// One `rows x width` block of a product, handed to the visitor of
-/// [`PackedRhs::for_each_tile`] straight from the micro-kernel, while it
-/// is still in L1.
-pub struct Tile<'a> {
+/// [`PackedRhs::for_each_tile`] (or, as `i32`, of
+/// [`QuantRhs::for_each_tile`](crate::QuantRhs::for_each_tile)) straight
+/// from the micro-kernel, while it is still in L1.
+pub struct Tile<'a, T = f32> {
     /// Column of the product of every tile row's element 0.
     pub col0: usize,
-    width: usize,
-    stride: usize,
-    data: &'a [f32],
+    pub(crate) width: usize,
+    pub(crate) stride: usize,
+    pub(crate) data: &'a [T],
 }
 
-impl Tile<'_> {
+impl<T> Tile<'_, T> {
     /// Rows in the tile (at most the tier's tile height).
     pub fn rows(&self) -> usize {
         self.data.len() / self.stride
@@ -549,7 +564,7 @@ impl Tile<'_> {
 
     /// Row `r` of the tile: columns `col0 .. col0 + width` of the
     /// product row whose state is the visitor's `r`-th.
-    pub fn row(&self, r: usize) -> &[f32] {
+    pub fn row(&self, r: usize) -> &[T] {
         &self.data[r * self.stride..r * self.stride + self.width]
     }
 }
@@ -561,8 +576,8 @@ impl PackedRhs {
     /// Panics if this CPU does not support `tier`.
     pub fn from_rhs(rhs: &Matrix, tier: Tier) -> Self {
         let (k, n) = rhs.shape();
-        Self::packed_by(tier, k, n, |w, dst| {
-            pack_rhs(w, rhs.as_slice(), k, n, 0, dst)
+        Self::packed_by(tier, k, n, |w, p0, dst| {
+            pack_rhs(w, rhs.as_slice(), k, n, p0, dst)
         })
     }
 
@@ -572,21 +587,50 @@ impl PackedRhs {
     /// Panics if this CPU does not support `tier`.
     pub fn from_transposed(rhs: &Matrix, tier: Tier) -> Self {
         let (n, k) = rhs.shape();
-        Self::packed_by(tier, k, n, |w, dst| {
-            pack_rhs_transposed(w, rhs.as_slice(), n, k, 0, dst)
+        Self::packed_by(tier, k, n, |w, p0, dst| {
+            pack_rhs_transposed(w, rhs.as_slice(), n, k, p0, dst)
         })
     }
 
-    /// A `k x n` operand whose panels `pack(panel_width, panels)` fills.
-    /// The one place a tier is attached to panels, so the one place that
-    /// checks the CPU can run it.
-    fn packed_by(tier: Tier, k: usize, n: usize, pack: impl FnOnce(usize, &mut [f32])) -> Self {
+    /// A `k x n` operand whose panels `pack(panel_width, first_panel,
+    /// panels)` fills, a run of whole panels at a time, the runs shared
+    /// out over the worker team like training's packs (a frozen model's
+    /// load packs its herbs here). It and [`from_panels`](Self::from_panels)
+    /// are where a tier is attached to panels, and both check that the
+    /// CPU can run it.
+    fn packed_by(
+        tier: Tier,
+        k: usize,
+        n: usize,
+        pack: impl Fn(usize, usize, &mut [f32]) + Sync,
+    ) -> Self {
         assert!(
             tier.supported(),
             "PackedRhs: {tier:?} is not supported here"
         );
         let w = tier.panel_width();
-        let panels = Panels::packed_by(packed_len(k, n, w), |dst| pack(w, dst));
+        let len = packed_len(k, n, w);
+        let panels = Panels::packed_by(len, |panels| {
+            let (threads, per_thread) = par::split_elems(len);
+            let run = per_thread.div_ceil((k * w).max(1)) * k * w;
+            let runs = panels.chunks_mut(run.max(1)).enumerate();
+            par::for_each_chunk(threads, runs, |(i, dst)| pack(w, i * run / (k * w), dst));
+        });
+        Self { k, n, tier, panels }
+    }
+
+    /// Panels some other pass has filled in this layout for `tier`
+    /// (`QuantRhs::pack_transposed`, which quantises each run of them
+    /// while it is in cache).
+    pub(crate) fn from_panels(tier: Tier, k: usize, n: usize, panels: Panels) -> Self {
+        assert!(
+            tier.supported(),
+            "PackedRhs: {tier:?} is not supported here"
+        );
+        assert_eq!(
+            panels.as_slice().len(),
+            packed_len(k, n, tier.panel_width())
+        );
         Self { k, n, tier, panels }
     }
 
@@ -625,6 +669,39 @@ impl PackedRhs {
     /// given.
     pub fn unpack_transposed(&self) -> Matrix {
         self.unpack().transpose()
+    }
+
+    /// Element `col` of `lhs_row @ self`, alone: the same chain the
+    /// tiles run for it — one accumulator from `0.0`, `t` ascending, a
+    /// fused multiply-add a step on the SIMD tiers and a `mul` then an
+    /// `add` on [`Tier::Scalar`] — so bit for bit what
+    /// [`for_each_tile`](Self::for_each_tile) hands a visitor for that
+    /// row and column. It reads the column's `k` values out of its panel,
+    /// one per row of the panel: for re-scoring a few columns, not for
+    /// walking many.
+    ///
+    /// # Panics
+    /// Panics if `lhs_row.len() != self.rows()` or `col >= self.cols()`.
+    pub fn product_at(&self, lhs_row: &[f32], col: usize) -> f32 {
+        let (k, w) = (self.k, self.tier.panel_width());
+        assert_eq!(lhs_row.len(), k, "PackedRhs::product_at: row length");
+        assert!(
+            col < self.n,
+            "PackedRhs::product_at: column {col} of {}",
+            self.n
+        );
+        let panel = &self.panels.as_slice()[col / w * k * w..][..k * w];
+        let column = panel.iter().skip(col % w).step_by(w);
+        match self.tier {
+            Tier::Scalar => lhs_row
+                .iter()
+                .zip(column)
+                .fold(0.0, |acc, (&a, &b)| acc + a * b),
+            Tier::Avx2 | Tier::Avx512 => lhs_row
+                .iter()
+                .zip(column)
+                .fold(0.0, |acc, (&a, &b)| a.mul_add(b, acc)),
+        }
     }
 
     /// Computes `lhs @ self` tile by tile and hands each tile to `visit`

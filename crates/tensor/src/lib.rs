@@ -12,6 +12,10 @@
 //!   time), bit-identical in training to the naive reference loops they
 //!   replace, and [`PackedRhs`], a right operand packed once for many
 //!   products;
+//! - [`quant`] — an int8 copy of a frozen right operand for the integer
+//!   dot-product tiles (AVX-512 VNNI, AVX-VNNI), and the interval it
+//!   guarantees around every float product, so a top-k can be found from
+//!   a quarter of the bytes and re-scored exactly;
 //! - [`sparse`] — CSR adjacency matrices and sparse-dense products for
 //!   graph convolutions and set pooling, nnz-balanced across threads;
 //! - [`par`] — the one resident team of worker threads every kernel and
@@ -69,6 +73,7 @@ pub mod matrix;
 pub mod optim;
 pub mod par;
 pub mod pool;
+pub mod quant;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 pub mod sparse;
@@ -77,6 +82,7 @@ pub mod tape;
 pub use gemm::{PackedRhs, Tier, Tile};
 pub use matrix::Matrix;
 pub use pool::{BufferPool, PoolStats};
+pub use quant::{Int8Tier, QuantRhs, QuantRows};
 pub use sparse::{CsrMatrix, SharedCsr};
 pub use tape::{Gradients, LabelSets, ParamId, ParamStore, Tape, Var};
 

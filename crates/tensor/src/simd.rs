@@ -1,8 +1,9 @@
 //! The explicit `std::arch` micro-kernels, and all of this crate's
 //! `unsafe`.
 //!
-//! Two safe functions are the only way in: [`rows`] (a block of a dense
-//! product against packed panels) and [`spmm_row`] (one output row of a
+//! Three safe functions are the only way in: [`rows`] (a block of a
+//! dense product against packed panels), [`dot8_rows`] (the same against
+//! int8 panels, in integers) and [`spmm_row`] (one output row of a
 //! sparse-dense product). Each checks, in safe code, everything its
 //! kernel relies on — the CPU feature, every slice length that bounds a
 //! pointer offset and, for the sparse kernel, every column index — before
@@ -10,6 +11,7 @@
 //! arguments that make it unsound.
 
 use crate::gemm::{Arith, Tier, SIMD_ROWS};
+use crate::quant::Int8Tier;
 
 /// Computes `h` rows of `a` (`h x k`) against `out.len() / h / W`
 /// consecutive panels (`k x W` each, `W` the tier's vector width)
@@ -49,6 +51,50 @@ pub(crate) fn rows(
         (Tier::Avx2, Arith::Fused) => unsafe { avx2::rows(a, h, k, panels, n_panels, out) },
         (Tier::Avx2, Arith::Exact) => unsafe { avx2_exact::rows(a, h, k, panels, n_panels, out) },
         (Tier::Scalar, _) => panic!("the scalar tier has no SIMD kernel"),
+    }
+}
+
+/// Computes `h` rows of `a` (`h x k4` unsigned bytes, `k4` a multiple
+/// of 4) against `out.len() / h / W` consecutive int8 panels (`W` the
+/// tier's lanes; a panel holds, for each group of 4 reduction steps, the
+/// 4 signed bytes of each of its `W` columns, two's complement in a
+/// `u8`) into `out` (`h` rows, one
+/// `W`-wide group per panel): every output is `sum_t a[t] * b[t]` in
+/// `i32`, wrapping, which is exact while `k4 * 255 * 128 < 2^31`.
+///
+/// # Panics
+/// Panics if `tier` is scalar or unsupported by this CPU, `h` is not in
+/// `1..=SIMD_ROWS`, `k4` is not a multiple of 4, or the slice lengths
+/// disagree with `h` and `k4`.
+pub(crate) fn dot8_rows(
+    tier: Int8Tier,
+    a: &[u8],
+    h: usize,
+    k4: usize,
+    panels: &[u8],
+    out: &mut [i32],
+) {
+    let w = tier.panel_width();
+    assert!((1..=SIMD_ROWS).contains(&h), "tile height {h}");
+    assert!(
+        k4.is_multiple_of(4),
+        "reduction of {k4} is not whole groups of 4"
+    );
+    assert_eq!(a.len(), h * k4, "left rows");
+    assert_eq!(out.len() % (h * w), 0, "tile is whole panels wide");
+    let n_panels = out.len() / (h * w);
+    assert_eq!(panels.len(), n_panels * k4 * w, "panel block");
+    assert!(tier.supported(), "{tier:?} kernels on a CPU without them");
+    let (a, panels, out) = (a.as_ptr(), panels.as_ptr().cast::<i8>(), out.as_mut_ptr());
+    // SAFETY (both arms): `tier.supported()` was just asserted, so the
+    // CPU has AVX-512F and AVX-512 VNNI, or AVX2 and AVX-VNNI; `a` is
+    // `h * k4` bytes, `panels` is `n_panels` panels of `k4 * W`, `out` is
+    // `h` rows of `n_panels * W` (all asserted above), and `k4` is whole
+    // groups of 4, which is what `rows` requires.
+    match tier {
+        Int8Tier::Avx512Vnni => unsafe { vnni512::rows(a, h, k4, panels, n_panels, out) },
+        Int8Tier::AvxVnni => unsafe { avx_vnni::rows(a, h, k4, panels, n_panels, out) },
+        Int8Tier::Scalar => panic!("the scalar int8 tier has no SIMD kernel"),
     }
 }
 
@@ -283,6 +329,175 @@ tile_tier!(
     |a, b, acc| _mm256_add_ps(acc, _mm256_mul_ps(a, b))
 );
 
+/// The int8 tiles, [`dot8_rows`]'s kernels: `tile::<R, P>` keeps the
+/// same `R x P` grid of accumulators as `tile_tier!`'s, in `i32` lanes.
+/// Each step takes one group of 4 reduction steps: the 4 bytes of a row
+/// of `a`, broadcast to every lane, meet the 4 bytes of each of a
+/// panel's columns in one `vpdpbusd` (unsigned times signed, summed in
+/// pairs and fours into the lane, no saturation). Integer sums are
+/// exact whatever the order, so every kernel gives every other's bits.
+macro_rules! dot8_tier {
+    ($tier:ident, $features:literal, $lanes:literal, $x:literal, $zero:ident,
+     $set1:ident, $load:ident, $store:ident, $dot:ident) => {
+        mod $tier {
+            use std::arch::x86_64::*;
+
+            const LANES: usize = $lanes;
+
+            /// `R` rows of `a` against `P` consecutive panels at `b`,
+            /// stored at `out` (row stride `stride`).
+            ///
+            /// # Safety
+            /// The CPU must support the enabled features; `k4` must be a
+            /// multiple of 4; `a` must be valid for reads of `R * k4`
+            /// bytes, `b` of `P * k4 * LANES`, and `out` for writes of
+            /// `P * LANES` integers at each of `R` row offsets
+            /// `r * stride`.
+            #[inline]
+            #[target_feature(enable = $features)]
+            unsafe fn tile<const R: usize, const P: usize>(
+                a: *const u8,
+                k4: usize,
+                b: *const i8,
+                out: *mut i32,
+                stride: usize,
+            ) {
+                let mut acc = [[$zero(); P]; R];
+                for g in 0..k4 / 4 {
+                    let mut bv = [$zero(); P];
+                    for (p, bv) in bv.iter_mut().enumerate() {
+                        // SAFETY: `p < P` and `4 * g < k4`, so the
+                        // `4 * LANES` bytes read end inside
+                        // `P * k4 * LANES`.
+                        *bv = unsafe { $load(b.add((p * k4 + 4 * g) * LANES).cast()) };
+                    }
+                    for (r, acc_row) in acc.iter_mut().enumerate() {
+                        // SAFETY: `r < R` and `4 * g + 4 <= k4`: inside
+                        // `R * k4`.
+                        let av =
+                            $set1(unsafe { a.add(r * k4 + 4 * g).cast::<i32>().read_unaligned() });
+                        for (acc, &bv) in acc_row.iter_mut().zip(&bv) {
+                            *acc = $dot(*acc, av, bv);
+                        }
+                    }
+                }
+                for (r, acc_row) in acc.iter().enumerate() {
+                    for (p, &acc) in acc_row.iter().enumerate() {
+                        // SAFETY: `r < R`, `p < P`: one of the
+                        // `P * LANES` integers of row `r` the caller
+                        // vouched for.
+                        unsafe { $store(out.add(r * stride + p * LANES).cast(), acc) };
+                    }
+                }
+            }
+
+            /// `R` rows against all `n_panels` panels, `P` at a time
+            /// and the last few one by one.
+            ///
+            /// # Safety
+            /// As [`rows`], with `h = R`.
+            #[inline]
+            #[target_feature(enable = $features)]
+            unsafe fn span<const R: usize, const P: usize>(
+                a: *const u8,
+                k4: usize,
+                panels: *const i8,
+                n_panels: usize,
+                out: *mut i32,
+            ) {
+                let stride = n_panels * LANES;
+                let mut p = 0;
+                while p + P <= n_panels {
+                    // SAFETY: panels `p .. p + P` exist, and so do
+                    // their `P * LANES` columns of each output row.
+                    unsafe {
+                        tile::<R, P>(
+                            a,
+                            k4,
+                            panels.add(p * k4 * LANES),
+                            out.add(p * LANES),
+                            stride,
+                        )
+                    };
+                    p += P;
+                }
+                while p < n_panels {
+                    // SAFETY: panel `p` exists, with its output columns.
+                    unsafe {
+                        tile::<R, 1>(
+                            a,
+                            k4,
+                            panels.add(p * k4 * LANES),
+                            out.add(p * LANES),
+                            stride,
+                        )
+                    };
+                    p += 1;
+                }
+            }
+
+            /// `h` rows of `a` against `n_panels` panels into `out`,
+            /// short row blocks trading rows for panels as the float
+            /// tiles do.
+            ///
+            /// # Safety
+            /// The CPU must support the enabled features, `h` must be
+            /// in `1..=8`, `k4` a multiple of 4, and `a` must be valid
+            /// for reads of `h * k4` bytes, `panels` of
+            /// `n_panels * k4 * LANES`, `out` for writes of
+            /// `h * n_panels * LANES` integers.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn rows(
+                a: *const u8,
+                h: usize,
+                k4: usize,
+                panels: *const i8,
+                n_panels: usize,
+                out: *mut i32,
+            ) {
+                // SAFETY: each arm passes the caller's guarantees on
+                // with `R = h`.
+                unsafe {
+                    match h {
+                        8 => span::<8, { 1 * $x }>(a, k4, panels, n_panels, out),
+                        7 => span::<7, { 1 * $x }>(a, k4, panels, n_panels, out),
+                        6 => span::<6, { 1 * $x }>(a, k4, panels, n_panels, out),
+                        5 => span::<5, { 1 * $x }>(a, k4, panels, n_panels, out),
+                        4 => span::<4, { 2 * $x }>(a, k4, panels, n_panels, out),
+                        3 => span::<3, { 2 * $x }>(a, k4, panels, n_panels, out),
+                        2 => span::<2, { 4 * $x }>(a, k4, panels, n_panels, out),
+                        1 => span::<1, { 4 * $x }>(a, k4, panels, n_panels, out),
+                        _ => unreachable!("tile height {h}"),
+                    }
+                }
+            }
+        }
+    };
+}
+
+dot8_tier!(
+    vnni512,
+    "avx512f,avx512vnni",
+    16,
+    2,
+    _mm512_setzero_si512,
+    _mm512_set1_epi32,
+    _mm512_loadu_si512,
+    _mm512_storeu_si512,
+    _mm512_dpbusd_epi32
+);
+dot8_tier!(
+    avx_vnni,
+    "avx2,avxvnni",
+    8,
+    1,
+    _mm256_setzero_si256,
+    _mm256_set1_epi32,
+    _mm256_loadu_si256,
+    _mm256_storeu_si256,
+    _mm256_dpbusd_avx_epi32
+);
+
 /// The sparse row kernel for one vector width: `strip::<V>` holds `V`
 /// vectors of the output row in registers while it walks the row's
 /// stored entries once; `row` covers the width with strips of 8, 4, 2
@@ -429,6 +644,46 @@ mod tests {
             assert!(refused(&a, 0, &panels, 0), "no rows");
             assert!(
                 refused(&[1.0; 9 * 5], 9, &panels, 9 * 3 * w),
+                "too many rows"
+            );
+        }
+    }
+
+    /// The safe door to the int8 tiles refuses what would take their
+    /// pointers past the slices, on every VNNI tier this CPU has.
+    #[test]
+    fn dot8_rows_checks_lengths_before_any_pointer_is_formed() {
+        for tier in Int8Tier::available() {
+            let (w, k4) = (tier.panel_width(), 8);
+            let (a, panels) = (vec![1u8; 2 * k4], vec![1u8; 3 * k4 * w]);
+            let refused = |a: &[u8], h: usize, k4: usize, panels: &[u8], out_len: usize| {
+                let mut out = vec![0i32; out_len];
+                refused(|| dot8_rows(tier, a, h, k4, panels, &mut out))
+            };
+            if tier == Int8Tier::Scalar {
+                assert!(refused(&a, 2, k4, &panels, 2 * 3 * w), "no SIMD kernel");
+                continue;
+            }
+            assert!(
+                !refused(&a, 2, k4, &panels, 2 * 3 * w),
+                "a well-formed call"
+            );
+            assert!(
+                refused(&a[1..], 2, k4, &panels, 2 * 3 * w),
+                "short left rows"
+            );
+            assert!(
+                refused(&a, 2, k4, &panels[1..], 2 * 3 * w),
+                "short panel block"
+            );
+            assert!(refused(&a, 2, k4, &panels, 2 * 3 * w - 1), "ragged tile");
+            assert!(
+                refused(&a[..12], 2, 6, &panels[..3 * 6 * w], 2 * 3 * w),
+                "a reduction that is not whole groups of 4"
+            );
+            assert!(refused(&a, 0, k4, &panels, 0), "no rows");
+            assert!(
+                refused(&[1u8; 9 * 8], 9, k4, &panels, 9 * 3 * w),
                 "too many rows"
             );
         }
