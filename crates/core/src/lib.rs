@@ -53,7 +53,7 @@ pub mod zoo;
 
 pub use config::{LossKind, ModelConfig, TrainConfig};
 pub use embedding::{EmbeddingLayer, ForwardCtx};
-pub use model::{top_k_indices, Recommender, SmgcnEmbedding};
+pub use model::{Recommender, SmgcnEmbedding};
 pub use trainer::{
     set_epoch_observer, train, train_until, train_with_callback, EpochObserver, EpochPhases,
     EpochStats, TrainingHistory,
@@ -64,7 +64,7 @@ pub use zoo::{build_model, ModelKind};
 pub mod prelude {
     pub use crate::config::{LossKind, ModelConfig, TrainConfig};
     pub use crate::embedding::{EmbeddingLayer, ForwardCtx};
-    pub use crate::model::{top_k_indices, Recommender};
+    pub use crate::model::Recommender;
     pub use crate::trainer::{train, train_until, train_with_callback, TrainingHistory};
     pub use crate::zoo::{build_model, ModelKind};
 }

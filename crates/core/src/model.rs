@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smgcn_graph::GraphOperators;
-use smgcn_tensor::{Matrix, ParamStore, SharedCsr, Tape, Var};
+use smgcn_tensor::{partial_top_k, Matrix, ParamStore, SharedCsr, Tape, Var};
 
 use crate::batch::set_pool_matrix;
 use crate::bipar_gcn::BiparGcn;
@@ -214,7 +214,7 @@ impl Recommender {
     /// paper's greedy inference, §IV-E).
     pub fn recommend(&self, symptom_set: &[u32], k: usize) -> Vec<u32> {
         let scores = self.predict(&[symptom_set]);
-        top_k_indices(scores.row(0), k)
+        partial_top_k(scores.row(0), k)
     }
 
     /// Materializes the final (post-convolution) embedding matrices:
@@ -235,38 +235,6 @@ impl Recommender {
     pub fn syndrome_head(&self) -> Option<(Matrix, Matrix)> {
         self.si.export_weights(&self.store)
     }
-
-    /// Saves the trained parameters to a checkpoint file.
-    pub fn save(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), smgcn_tensor::checkpoint::CheckpointError> {
-        smgcn_tensor::checkpoint::save_store(&self.store, path)
-    }
-
-    /// Restores parameters from a checkpoint into this model. The model
-    /// must have been built with the same architecture (names and shapes
-    /// are checked).
-    pub fn load(
-        &mut self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), smgcn_tensor::checkpoint::CheckpointError> {
-        let loaded = smgcn_tensor::checkpoint::load_store(path)?;
-        smgcn_tensor::checkpoint::restore_into(&mut self.store, &loaded)
-    }
-}
-
-/// Indices of the `k` largest values, descending (ties by lower index).
-pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..scores.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        scores[b as usize]
-            .partial_cmp(&scores[a as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
 }
 
 #[cfg(test)]
@@ -332,21 +300,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 3);
-    }
-
-    #[test]
-    fn top_k_indices_orders_desc() {
-        assert_eq!(top_k_indices(&[0.1, 0.9, 0.5], 2), vec![1, 2]);
-        assert_eq!(
-            top_k_indices(&[1.0, 1.0], 2),
-            vec![0, 1],
-            "ties break by index"
-        );
-        assert_eq!(
-            top_k_indices(&[0.3], 5),
-            vec![0],
-            "k beyond length truncates"
-        );
     }
 
     #[test]

@@ -627,7 +627,7 @@ mod tests {
             let (served, truths) = rank_test(&model, &p.test);
             let scores = model.predict(&sets);
             let oracle: Vec<Vec<u32>> = (0..scores.rows())
-                .map(|r| top_k_indices(scores.row(r), RANK_TRUNCATION))
+                .map(|r| partial_top_k(scores.row(r), RANK_TRUNCATION))
                 .collect();
             for (i, (a, b)) in served.iter().zip(&oracle).enumerate() {
                 assert_eq!(a.len(), RANK_TRUNCATION);

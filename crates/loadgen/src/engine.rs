@@ -738,7 +738,7 @@ fn control_lane(
                         let model = synthetic_frozen(N_SYMPTOMS, N_HERBS, DIM, tag);
                         let vocab = synthetic_vocab(N_SYMPTOMS, N_HERBS, tag);
                         let mut artifact = smgcn_serve::artifact::encode(&model, &vocab);
-                        // One flipped bit mid-payload: the CRC trailer
+                        // One flipped bit mid-payload: the frame CRCs
                         // must catch it on every replica.
                         let mid = artifact.len() / 2;
                         artifact[mid] ^= 0x40;

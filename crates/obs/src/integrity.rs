@@ -1,31 +1,35 @@
 //! Data-integrity primitives shared across the stack.
 //!
 //! Every durable format in the repo — the ingest WAL (`smgcn-online`),
-//! the publish artifact's trailer (`smgcn-serve`) and the metrics
-//! history store ([`crate::tsdb`]) — checksums its payloads with the
-//! same CRC32 so a bit flip anywhere between "accepted" and "served" is
-//! detected instead of decoded into garbage. One implementation lives
-//! here, at the bottom of the dependency graph, so the formats can never
-//! disagree on the polynomial. It has two kernels, pinned equal by
-//! tests: carry-less-multiply folding for inputs of 128 bytes or more
-//! on x86_64 CPUs with `pclmulqdq` and `sse4.1` (a 1.4 MB publish
-//! artifact, a large frame), and the slicing-by-8 table loop for
-//! everything else.
+//! the model file (`smgcn-serve`'s `artifact`: training checkpoints,
+//! frozen models and publish artifacts) and the metrics history store
+//! ([`crate::tsdb`]) — checksums its payloads with the same CRC32 so a
+//! bit flip anywhere between "accepted" and "served" is detected instead
+//! of decoded into garbage. One implementation lives here, at the bottom
+//! of the dependency graph, so the formats can never disagree on the
+//! polynomial. It has two kernels, pinned equal by tests: carry-less-
+//! multiply folding for inputs of 128 bytes or more on x86_64 CPUs with
+//! `pclmulqdq` and `sse4.1` (a model file's tensor blocks, a large
+//! frame), and the slicing-by-8 table loop for everything else.
 //!
-//! The two append-only files, the WAL and the tsdb, share one framing
-//! and one set of recovery rules, also kept here:
+//! All three formats share one framing, also kept here:
 //!
 //! ```text
 //! file  := magic frame*
 //! frame := len:u32le crc:u32le payload       (crc = crc32(payload))
 //! ```
 //!
-//! [`encode_frame`] writes a frame, [`scan`] verifies frames already in
-//! memory, and [`FramedLog`] is the file. Opening it replays the
-//! verified prefix and truncates a torn or corrupt tail; a failed append
-//! is truncated back to the last good frame. Either way a torn write
-//! (crash, full disk) costs exactly the torn tail, and the damage is
-//! reported as a [`WalRecovery`].
+//! [`encode_frame`] writes a frame, [`frame_header`] and
+//! [`parse_frame_header`] are its first [`FRAME_HEADER`] bytes for a
+//! format that streams payloads (a model file's tensors are read block by
+//! block straight into their matrices), [`scan`] verifies frames already
+//! in memory, and [`FramedLog`] is the append-only file of the WAL and
+//! the tsdb. Opening one replays the verified prefix and truncates a
+//! torn or corrupt tail; a failed append is truncated back to the last
+//! good frame. Either way a torn write (crash, full disk) costs exactly
+//! the torn tail, and the damage is reported as a [`WalRecovery`]. A
+//! model file is not a log: it is read whole, and any damaged frame
+//! refuses the file.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -246,14 +250,30 @@ const fn build_tables() -> [[u32; 256]; 8] {
 }
 
 /// Bytes before a frame's payload: its length, then its checksum.
-const FRAME_HEADER: usize = 8;
+pub const FRAME_HEADER: usize = 8;
+
+/// The header of a frame whose payload is `len` bytes with checksum `crc`.
+pub fn frame_header(len: u32, crc: u32) -> [u8; FRAME_HEADER] {
+    let mut head = [0; FRAME_HEADER];
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&crc.to_le_bytes());
+    head
+}
+
+/// A frame header's payload length and stored checksum.
+pub fn parse_frame_header(head: &[u8; FRAME_HEADER]) -> (u32, u32) {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *head;
+    (
+        u32::from_le_bytes([l0, l1, l2, l3]),
+        u32::from_le_bytes([c0, c1, c2, c3]),
+    )
+}
 
 /// Appends one frame carrying `payload` to `out`.
 pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
     let len = u32::try_from(payload.len()).expect("a frame payload fits in 4 GiB");
     out.reserve(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&frame_header(len, crc32(payload)));
     out.extend_from_slice(payload);
 }
 
@@ -312,8 +332,8 @@ pub fn scan<E>(
         let Some((head, body)) = rest.split_first_chunk::<FRAME_HEADER>() else {
             break format!("torn frame header ({} bytes) at {off}", rest.len());
         };
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let stored = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
+        let (len, stored) = parse_frame_header(head);
+        let len = len as usize;
         let Some(payload) = body.get(..len) else {
             break format!(
                 "torn frame payload ({} of {len} bytes) at {off}",

@@ -1,19 +1,30 @@
-//! Hostile bytes against both framed formats: the metrics tsdb
-//! (`TsdbData::parse`, `Tsdb::open`) and the ingest WAL
-//! (`Ingestor::with_wal` over a temp file). Each input is an optional
-//! magic (none, whole or torn), frames whose checksums verify around
-//! arbitrary payloads (raw bytes, varints of every magnitude, records
-//! shaped like the format's own, whole or with a byte flipped — WAL
-//! lines include embedded NULs), then raw garbage. Nothing may
-//! panic, and what is recovered must be stable: re-parsing the tsdb's
-//! recovered prefix returns that same prefix, and reopening a recovered
-//! WAL reports no damage. A refused or rejected file is left as it was.
+//! Hostile bytes against the three framed formats: the metrics tsdb
+//! (`TsdbData::parse`, `Tsdb::open`), the ingest WAL
+//! (`Ingestor::with_wal` over a temp file) and the model file
+//! (`artifact::decode`, `FrozenModel::load`).
+//!
+//! The two logs get an optional magic (none, whole or torn), frames whose
+//! checksums verify around arbitrary payloads (raw bytes, varints of
+//! every magnitude, records shaped like the format's own, whole or with a
+//! byte flipped — WAL lines include embedded NULs), then raw garbage.
+//! Nothing may panic, and what is recovered must be stable: re-parsing
+//! the tsdb's recovered prefix returns that same prefix, and reopening a
+//! recovered WAL reports no damage. A refused or rejected file is left as
+//! it was.
+//!
+//! A model file is not a log, so nothing of a damaged one is recovered:
+//! a valid artifact is truncated, flipped and spliced (bytes and whole
+//! frames, from itself and from another artifact of the same shape), and
+//! it may load only if its bytes are unchanged.
 
 use proptest::prelude::*;
 use smgcn_data::{Corpus, Prescription, Vocabulary};
 use smgcn_obs::integrity::encode_frame;
+use smgcn_obs::integrity::FRAME_HEADER;
 use smgcn_obs::tsdb::{SeriesEncoder, Tsdb, TsdbData, TSDB_MAGIC, TSDB_VERSION};
 use smgcn_online::Ingestor;
+use smgcn_serve::{artifact, FrozenModel, ServingVocab};
+use smgcn_tensor::Matrix;
 
 const WAL_MAGIC: &[u8] = b"SMGNWAL2";
 
@@ -148,8 +159,129 @@ fn base_corpus() -> Corpus {
     )
 }
 
+/// Two artifacts of one shape: three 3 x 3 tensors and a 1 x 3 one, so
+/// whole frames can trade places, between slots and between files.
+fn artifacts() -> [Vec<u8>; 2] {
+    [0.5f32, -1.25].map(|shift| {
+        let m = |salt: usize| {
+            Matrix::from_fn(3, 3, |r, c| ((r * 3 + c + salt) % 7) as f32 * 0.5 + shift)
+        };
+        let b = Matrix::from_fn(1, 3, |_, c| c as f32 + shift);
+        let model = FrozenModel::from_parts(m(0), m(1), Some((m(2), b))).unwrap();
+        let names = |tag: &str| (0..3).map(|i| format!("{tag}{i}")).collect();
+        artifact::encode(&model, &ServingVocab::new(names("s"), names("h")))
+    })
+}
+
+/// Each frame of a valid model file, header first, as a byte range.
+fn frames(file: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut at = artifact::MAGIC.len();
+    let mut frames = Vec::new();
+    while at < file.len() {
+        let len = u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
+        frames.push(at..at + FRAME_HEADER + len);
+        at += FRAME_HEADER + len;
+    }
+    frames
+}
+
+/// One edit to a valid artifact; positions wrap around what is there.
+#[derive(Clone, Debug)]
+enum Edit {
+    Truncate(usize),
+    /// Xors a nonzero mask into one byte.
+    Flip(usize, u8),
+    /// Frame `from` of artifact `source` in place of frame `to`.
+    Frame {
+        source: usize,
+        from: usize,
+        to: usize,
+    },
+    /// `len` bytes of artifact `source` at `from`, over (or, to
+    /// `insert`, before) the bytes at `to`.
+    Splice {
+        source: usize,
+        from: usize,
+        len: usize,
+        to: usize,
+        insert: bool,
+    },
+}
+
+fn edits() -> impl Strategy<Value = Vec<Edit>> {
+    let edit = (0u8..5, 0usize..4096, 0usize..4096, 0usize..48, 1u8..=255).prop_map(
+        |(kind, at, from, len, mask)| match kind {
+            0 => Edit::Truncate(at),
+            1 => Edit::Flip(at, mask),
+            2 => Edit::Frame {
+                source: from % 2,
+                from: len % 5,
+                to: at % 5,
+            },
+            _ => Edit::Splice {
+                source: usize::from(mask % 2),
+                from,
+                len,
+                to: at,
+                insert: kind == 4,
+            },
+        },
+    );
+    proptest::collection::vec(edit, 1..4)
+}
+
+fn apply(edit: &Edit, blob: &mut Vec<u8>, sources: &[Vec<u8>; 2]) {
+    let n = blob.len();
+    match *edit {
+        Edit::Truncate(at) => blob.truncate(at % (n + 1)),
+        Edit::Flip(at, mask) if n > 0 => blob[at % n] ^= mask,
+        Edit::Flip(..) => {}
+        Edit::Frame { source, from, to } => {
+            let src = frames(&sources[source])[from].clone();
+            let dst = frames(&sources[0])[to].clone();
+            let dst = dst.start.min(n)..dst.end.min(n);
+            blob.splice(dst, sources[source][src].iter().copied());
+        }
+        Edit::Splice {
+            source,
+            from,
+            len,
+            to,
+            insert,
+        } => {
+            let src = &sources[source];
+            let from = from % src.len();
+            let bytes = &src[from..(from + len).min(src.len())];
+            let to = to % (n + 1);
+            let end = if insert {
+                to
+            } else {
+                (to + bytes.len()).min(n)
+            };
+            blob.splice(to..end, bytes.iter().copied());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn a_model_file_loads_only_unchanged(edits in edits()) {
+        let sources = artifacts();
+        let mut blob = sources[0].clone();
+        for edit in &edits {
+            apply(edit, &mut blob, &sources);
+        }
+        let unchanged = blob == sources[0];
+        let decoded = artifact::decode(&blob);
+        prop_assert_eq!(decoded.is_ok(), unchanged, "{:?}: {:?}", edits, decoded.err());
+        let path = tmp_path("model");
+        std::fs::write(&path, &blob).unwrap();
+        let loaded = FrozenModel::load(&path);
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(loaded.is_ok(), unchanged, "{:?}: {:?}", edits, loaded.err());
+    }
 
     #[test]
     fn tsdb_recovers_a_stable_prefix_of_hostile_bytes(

@@ -59,20 +59,22 @@
 //! [`FrozenModel::with_stage_one`] names either path for tests and
 //! benches.
 //!
-//! Persistence reuses the `smgcn-tensor` checkpoint container (magic
-//! `SMGT`), with reserved `frozen.*` tensor names, so the same tooling
-//! reads training checkpoints and frozen models.
+//! A frozen model is saved as a model file ([`crate::artifact`], the one
+//! checksummed format for model bytes) with reserved `frozen.*` tensor
+//! names: the same reader loads training checkpoints, frozen models and
+//! publish artifacts, and a file without those names is
+//! [`FrozenError::NotFrozen`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use smgcn_core::Recommender;
-use smgcn_tensor::checkpoint::{self, CheckpointError};
-use smgcn_tensor::{par, Int8Tier, Matrix, PackedRhs, ParamStore, QuantRhs, QuantRows};
+use smgcn_tensor::{par, Int8Tier, Matrix, PackedRhs, ParamStore, QuantRhs, QuantRows, TopK};
 
-use crate::topk::TopK;
+use crate::artifact;
+use crate::server::ServingVocab;
 
-/// Checkpoint tensor names used by the frozen format.
+/// Tensor names of a frozen model in its model file.
 const NAME_SYMPTOMS: &str = "frozen.symptoms";
 const NAME_HERBS: &str = "frozen.herbs";
 const NAME_SI_W: &str = "frozen.si.w_mlp";
@@ -81,14 +83,15 @@ const NAME_SI_B: &str = "frozen.si.b_mlp";
 /// Errors from freezing, persistence or querying.
 #[derive(Debug)]
 pub enum FrozenError {
-    /// Underlying checkpoint IO/format failure.
-    Checkpoint(CheckpointError),
-    /// A readable checkpoint that is simply not a frozen model (no
+    /// A model file that could not be read or written.
+    Io(std::io::Error),
+    /// A readable model file that is simply not a frozen model (no
     /// `frozen.*` tensors) — e.g. a training checkpoint. Callers can
     /// treat this one as "try the full-model path instead".
     NotFrozen(String),
-    /// A frozen model whose tensors are damaged or inconsistent
-    /// (missing halves, mismatched shapes, a value that is not finite).
+    /// A model file or frozen model that is damaged or inconsistent (a
+    /// bad magic, a frame that fails its checksum, missing halves,
+    /// mismatched shapes, a value that is not finite).
     Format(String),
     /// A query referenced unknown symptom ids or was empty.
     Query(String),
@@ -100,7 +103,7 @@ pub enum FrozenError {
 impl std::fmt::Display for FrozenError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrozenError::Checkpoint(e) => write!(f, "frozen model checkpoint error: {e}"),
+            FrozenError::Io(e) => write!(f, "model file io error: {e}"),
             FrozenError::NotFrozen(m) => write!(f, "not a frozen model: {m}"),
             FrozenError::Format(m) => write!(f, "frozen model format error: {m}"),
             FrozenError::Query(m) => write!(f, "bad query: {m}"),
@@ -111,9 +114,9 @@ impl std::fmt::Display for FrozenError {
 
 impl std::error::Error for FrozenError {}
 
-impl From<CheckpointError> for FrozenError {
-    fn from(e: CheckpointError) -> Self {
-        FrozenError::Checkpoint(e)
+impl From<std::io::Error> for FrozenError {
+    fn from(e: std::io::Error) -> Self {
+        FrozenError::Io(e)
     }
 }
 
@@ -282,7 +285,9 @@ impl FrozenModel {
         self.si_mlp.is_some()
     }
 
-    fn to_store(&self) -> ParamStore {
+    /// The model's tensors by their `frozen.*` names, the panels
+    /// unpacked: what its model file holds.
+    pub(crate) fn to_store(&self) -> ParamStore {
         let mut store = ParamStore::new();
         store.add(NAME_SYMPTOMS, self.symptoms.clone());
         store.add(NAME_HERBS, self.herbs.unpack_transposed());
@@ -293,7 +298,8 @@ impl FrozenModel {
         store
     }
 
-    fn from_store(store: ParamStore) -> Result<Self, FrozenError> {
+    /// The model a model file's tensors hold ([`to_store`](Self::to_store)).
+    pub(crate) fn from_store(store: ParamStore) -> Result<Self, FrozenError> {
         // Tensors are moved out of the store, not cloned: a load or a
         // publish holds each matrix once (first of a repeated name wins).
         let (mut symptoms, mut herbs, mut si_w, mut si_b) = (None, None, None, None);
@@ -325,27 +331,26 @@ impl FrozenModel {
         Self::from_parts(symptoms, herbs, si_mlp)
     }
 
-    /// Serialises to a writer in the `smgcn-tensor` checkpoint format.
+    /// Writes the model as a model file, with no names.
     pub fn write_to(&self, w: impl std::io::Write) -> Result<(), FrozenError> {
-        checkpoint::write_store(&self.to_store(), w)?;
+        artifact::write(w, &self.to_store(), &ServingVocab::default())?;
         Ok(())
     }
 
-    /// Reads a frozen model from memory; no tensor is allocated beyond
-    /// what `bytes` can hold (see [`checkpoint::read_store_bytes`]).
+    /// Reads a frozen model from a model file in memory; no tensor is
+    /// allocated beyond what `bytes` can hold.
     pub fn read_from(bytes: &[u8]) -> Result<Self, FrozenError> {
-        Self::from_store(checkpoint::read_store_bytes(bytes)?)
+        Self::from_store(artifact::read_bytes(bytes)?.0)
     }
 
     /// Saves to a file path.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), FrozenError> {
-        checkpoint::save_store(&self.to_store(), path)?;
-        Ok(())
+        artifact::save(path, &self.to_store(), &ServingVocab::default())
     }
 
-    /// Loads from a file path.
+    /// Loads from a file path, streaming ([`artifact::load`]).
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, FrozenError> {
-        Self::from_store(checkpoint::load_store(path)?)
+        Self::from_store(artifact::load(path)?.0)
     }
 
     fn validate(&self, sets: &[&[u32]]) -> Result<(), FrozenError> {
@@ -742,7 +747,7 @@ mod tests {
         let ks = [0usize, 1, 10, 10, 3, 1500, 1505, 7, 10, 2, 100];
         let scores = fm.score_batch(&sets).unwrap();
         let want: Vec<Vec<u32>> = (0..sets.len())
-            .map(|r| crate::topk::partial_top_k(scores.row(r), ks[r]))
+            .map(|r| smgcn_tensor::partial_top_k(scores.row(r), ks[r]))
             .collect();
         assert_eq!(fm.rank_batch(&sets, &ks).unwrap(), want);
         assert_eq!(fm.rank_batch_timed(&sets, &ks).unwrap().0, want);
@@ -817,7 +822,7 @@ mod tests {
         let mut store = ParamStore::new();
         store.add("si.w_mlp", Matrix::zeros(2, 2));
         let mut buf = Vec::new();
-        checkpoint::write_store(&store, &mut buf).unwrap();
+        artifact::write(&mut buf, &store, &ServingVocab::default()).unwrap();
         let err = FrozenModel::read_from(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("not a frozen model"), "{err}");
     }

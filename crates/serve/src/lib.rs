@@ -8,9 +8,9 @@
 //! split to serve recommendations without rebuilding the model:
 //!
 //! - [`frozen`] — [`FrozenModel`]: the materialized final embeddings plus
-//!   the SI-MLP weights, with save/load in the `smgcn-tensor` checkpoint
-//!   format and single / batched scoring paths;
-//! - [`topk`] — heap-based partial top-k selection (no full sort);
+//!   the SI-MLP weights, with save/load as a model file ([`artifact`])
+//!   and single / batched scoring paths, selecting with
+//!   `smgcn_tensor`'s partial top-k ([`partial_top_k`] is re-exported);
 //! - [`cache`] — an LRU keyed by the sorted symptom-id set, because
 //!   clinic traffic repeats symptom combinations heavily, with
 //!   generation-tagged entries so hot swaps invalidate lazily;
@@ -19,9 +19,10 @@
 //!   drained batch;
 //! - [`slot`] — [`ModelSlot`]: the atomic generation pointer behind
 //!   versioned hot model swaps under live traffic;
-//! - [`artifact`] — the publish artifact (model + vocabulary in one
-//!   blob, base64 codec) shipped by cluster rolling publishes and
-//!   accepted by the `{"op":"publish"}` admin verb;
+//! - [`artifact`] — the one model file (vocabulary + checksummed tensor
+//!   frames) behind training checkpoints, frozen models and the publish
+//!   artifact shipped by cluster rolling publishes and accepted by the
+//!   `{"op":"publish"}` admin verb, plus its base64 codec;
 //! - [`json`] — the minimal JSON reader/writer behind the wire protocol;
 //! - [`errors`] — the shared wire error-code constants and the router's
 //!   retryability classification, so serve and cluster can't drift;
@@ -64,7 +65,6 @@ pub mod ops;
 pub mod reactor;
 pub mod server;
 pub mod slot;
-pub mod topk;
 pub mod variants;
 
 pub use batcher::{Batcher, BatcherConfig, ScoreTimings};
@@ -78,5 +78,5 @@ pub use reactor::{Reactor, Service};
 pub use server::{Running, Server, ServerConfig, ServingVocab};
 pub use slot::{Generation, ModelSlot};
 pub use smgcn_obs::{LatencyHistogram, LatencySnapshot};
-pub use topk::partial_top_k;
+pub use smgcn_tensor::partial_top_k;
 pub use variants::{DuelSample, VariantTable};

@@ -54,8 +54,8 @@ use crate::json::{self, Json};
 use crate::ops::{deadline_budget, trace_json, AdminOp, ApiError, OpHandler};
 use crate::reactor::{Reactor, Service};
 use crate::slot::{Generation, ModelSlot};
-use crate::topk::partial_top_k;
 use crate::variants::{DuelSample, VariantEntry, VariantTable};
+use smgcn_tensor::partial_top_k;
 
 /// Name/id mappings for the serving protocol. Decoupled from
 /// `smgcn-data`'s corpus vocabulary so the serve crate stays free of
@@ -1165,26 +1165,23 @@ mod tests {
         let server = test_server();
         let query = r#"{"symptom_ids": [0, 1], "k": 3}"#;
         let before = roundtrip(&server, query);
-        // A well-formed artifact whose one herb weight is a sentinel,
-        // then the sentinel's bytes turned into a NaN's and the checksum
-        // made whole again: only the model's own check can refuse it.
-        let sentinel = 1234.5f32;
+        // A well-formed artifact whose one herb weight is a NaN, every
+        // checksum whole: only the model's own check can refuse it.
         let symptoms = Matrix::from_fn(5, 3, |r, c| (r + c) as f32 * 0.5);
-        let herbs = Matrix::from_fn(7, 3, |r, c| if (r, c) == (4, 1) { sentinel } else { 1.0 });
+        let herbs = Matrix::filled(7, 3, 1.0);
         let model = FrozenModel::from_parts(symptoms, herbs, None).unwrap();
         let vocab = ServingVocab::new(
             (0..5).map(|i| format!("s{i}")).collect(),
             (0..7).map(|i| format!("g1-h{i}")).collect(),
         );
-        let mut bytes = crate::artifact::encode(&model, &vocab);
-        let body = bytes.len() - 4;
-        let at = bytes[..body]
-            .windows(4)
-            .position(|w| w == sentinel.to_le_bytes())
-            .expect("the sentinel is in the artifact");
-        bytes[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        let crc = smgcn_obs::integrity::crc32(&bytes[..body]);
-        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        let mut store = model.to_store();
+        let (id, _, _) = store
+            .iter()
+            .find(|(_, name, _)| *name == "frozen.herbs")
+            .expect("a frozen model has herbs");
+        store.get_mut(id).row_mut(4)[1] = f32::NAN;
+        let mut bytes = Vec::new();
+        crate::artifact::write(&mut bytes, &store, &vocab).unwrap();
         let line = crate::artifact::publish_line(crate::artifact::to_base64(&bytes), None);
         let refused = roundtrip(&server, &line);
         let error = refused.get("error").expect("refused");

@@ -32,7 +32,10 @@
 //!   RNG plumbing;
 //! - [`gradcheck`] — finite-difference validation used by the test suite to
 //!   certify every backward formula;
-//! - [`checkpoint`] — binary save/load of trained parameter stores.
+//! - [`topk`] — the streaming partial top-k selector every ranking goes
+//!   through, training-side and serving-side;
+//! - [`checkpoint`] — restoring a loaded parameter store into a model by
+//!   name (exact, or with grown vocabulary rows).
 //!
 //! ## Example
 //!
@@ -78,6 +81,7 @@ pub mod quant;
 mod simd;
 pub mod sparse;
 pub mod tape;
+pub mod topk;
 
 pub use gemm::{PackedRhs, Tier, Tile};
 pub use matrix::Matrix;
@@ -85,6 +89,7 @@ pub use pool::{BufferPool, PoolStats};
 pub use quant::{Int8Tier, QuantRhs, QuantRows};
 pub use sparse::{CsrMatrix, SharedCsr};
 pub use tape::{Gradients, LabelSets, ParamId, ParamStore, Tape, Var};
+pub use topk::{partial_top_k, TopK};
 
 /// Common imports for model code.
 pub mod prelude {

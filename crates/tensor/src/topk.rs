@@ -1,16 +1,14 @@
 //! Partial top-k selection, streaming.
 //!
-//! The paper's greedy inference (§IV-E) ranks all `H` herbs by score; the
-//! training-side helper `smgcn_core::top_k_indices` does a full
-//! `O(H log H)` sort. On the serving path `k << H`, so this module keeps
-//! a `k`-element min-heap instead: `O(H log k)` with no allocation
-//! proportional to `H`. The ordering contract matches `top_k_indices`
-//! exactly on scores without NaN — descending score, ties broken by the
-//! lower index — so the frozen path returns bit-identical rankings. A
-//! NaN ranks as `-inf` (below every finite score, tied with `-inf` and
-//! broken by index): the order is total whatever the scores, so no input
-//! can make the final sort panic, and a NaN herb is never recommended
-//! over a scored one.
+//! The paper's greedy inference (§IV-E) ranks all `H` herbs by score.
+//! `k << H`, so this module keeps a `k`-element min-heap instead of
+//! sorting the row: `O(H log k)` with no allocation proportional to `H`.
+//! The order is descending score, ties broken by the lower index, so the
+//! training-side `Recommender::recommend`, the evaluation harness and the
+//! frozen serving path return the same rankings. A NaN ranks as `-inf`
+//! (below every finite score, tied with `-inf` and broken by index): the
+//! order is total whatever the scores, so no input can make the final
+//! sort panic, and a NaN herb is never recommended over a scored one.
 //!
 //! There is one implementation, [`TopK`]: it takes a score row in
 //! slices, in column order, so `FrozenModel::rank_batch` can feed it each
@@ -198,11 +196,8 @@ impl TopK {
 }
 
 /// Indices of the `k` largest values, descending (ties by lower index),
-/// via heap-based partial selection rather than a full sort.
-///
-/// Returns the same ranking as `smgcn_core::top_k_indices` for every
-/// input without NaN, including `k >= len`; a NaN ranks as `-inf` (the
-/// module doc).
+/// via heap-based partial selection rather than a full sort; `k >= len`
+/// ranks the whole row, and a NaN ranks as `-inf` (the module doc).
 pub fn partial_top_k(scores: &[f32], k: usize) -> Vec<u32> {
     let mut top = TopK::new(k.min(scores.len()));
     top.push_slice(0, scores);
@@ -313,7 +308,7 @@ mod tests {
         }
     }
 
-    /// Reference ordering (mirror of `smgcn_core::top_k_indices`).
+    /// Reference ordering: a full sort (a total order only without NaN).
     fn full_sort_top_k(scores: &[f32], k: usize) -> Vec<u32> {
         let mut idx: Vec<u32> = (0..scores.len() as u32).collect();
         idx.sort_unstable_by(|&a, &b| {
@@ -396,12 +391,30 @@ mod tests {
 
     #[test]
     fn nan_scores_do_not_panic() {
-        // NaN breaks the total order, so the exact ranking is unspecified
-        // (as in the full-sort helper) — but selection must stay a
-        // well-formed permutation of the requested size.
-        let scores = [f32::NAN, 1.0, 0.5, f32::NAN];
-        let mut got = partial_top_k(&scores, 4);
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
+        // A NaN ranks as -inf, so selection is a well-formed ranking of
+        // the requested size whatever the scores: the full sort on NaN
+        // keys. The second row, a NaN every third of 1,500 scores, made
+        // the `partial_cmp(..).unwrap_or(Equal)` full sort this selector
+        // replaced panic at k = 10 and at k = 50.
+        let row: Vec<f32> = (0..1500u32)
+            .map(|i| {
+                if i % 3 == 0 {
+                    f32::NAN
+                } else {
+                    (i * 7919 % 1000) as f32 * 0.01
+                }
+            })
+            .collect();
+        for (scores, ks) in [
+            (&[f32::NAN, 1.0, 0.5, f32::NAN][..], &[2, 4][..]),
+            (&row[..], &[10, 50, 1500][..]),
+        ] {
+            let keys: Vec<f32> = scores.iter().map(|&s| key(s)).collect();
+            for &k in ks {
+                let got = partial_top_k(scores, k);
+                assert_eq!(got, full_sort_top_k(&keys, k), "k={k}");
+                assert_eq!(got, heap_walk_top_k(scores, k), "k={k}");
+            }
+        }
     }
 }

@@ -94,7 +94,9 @@ use smgcn_repro::data::{train_test_split_fraction, Split};
 use smgcn_repro::eval::train_config_for;
 use smgcn_repro::graph::GraphOperators;
 use smgcn_repro::prelude::*;
+use smgcn_repro::serve::artifact;
 use smgcn_repro::serve::json::{self, Json};
+use smgcn_repro::tensor::checkpoint::restore_into;
 
 /// A flag's value when the command line leaves it out.
 #[derive(Clone, Copy)]
@@ -609,16 +611,23 @@ fn cmd_train(args: &Args) {
             m.precision, m.recall, m.ndcg
         );
     }
-    model.save(out).or_fail("cannot save checkpoint");
+    save_checkpoint(&model, out);
     println!("saved checkpoint to {out}");
+}
+
+/// Writes a training checkpoint: the model's parameter store as a model
+/// file, without names.
+fn save_checkpoint(model: &smgcn_repro::core::Recommender, out: &str) {
+    artifact::save(out, model.store(), &ServingVocab::default()).or_fail("cannot save checkpoint");
 }
 
 fn rebuild_and_load(args: &Args, ops: &GraphOperators) -> smgcn_repro::core::Recommender {
     let model_file = args.need("model-file");
     let model_config = args.choice("scale", Scale::from_arg).model_config();
     let mut model = build_model(model_kind(args), ops, &model_config, args.num("seed"));
+    let (store, _) = artifact::load(model_file).or_fail(format!("cannot read {model_file:?}"));
     let name = model.name().to_string();
-    model.load(model_file).or_fail(format!(
+    restore_into(model.store_mut(), &store).or_fail(format!(
         "cannot restore {model_file:?} into a fresh {name} (wrong --model/--scale?)"
     ));
     model
@@ -875,7 +884,7 @@ fn cmd_refresh(args: &Args) {
         "timings: delta {:.1} ms | finetune {:.1} ms | freeze {:.1} ms | publish {:.3} ms | total {:.1} ms",
         report.delta_ms, report.finetune_ms, report.freeze_ms, report.publish_ms, report.total_ms
     );
-    pipeline.model().save(out).or_fail("cannot save checkpoint");
+    save_checkpoint(pipeline.model(), out);
     println!("saved refreshed checkpoint to {out}");
     if let Some(frozen_out) = args.get("frozen-out") {
         let frozen = &pipeline.slot().load().model;
@@ -1305,7 +1314,7 @@ fn cmd_promote(args: &Args) {
 fn publish_artifact(args: &Args) -> (Vec<u8>, String) {
     let corpus = load_corpus_only(args);
     let frozen = load_frozen(args, &corpus);
-    let artifact = smgcn_repro::serve::artifact::encode(&frozen, &serving_vocab(&corpus));
+    let artifact = artifact::encode(&frozen, &serving_vocab(&corpus));
     let about = format!(
         "{} symptoms x {} herbs, d = {}, artifact {} KiB",
         frozen.n_symptoms(),
