@@ -662,9 +662,7 @@ impl RouterEngine {
             // Atomicity: a partial split is worse than no split (the
             // same client would flip variants across replicas), so any
             // mid-roll failure collapses the whole fleet to control.
-            let _ = fleet::halt_everywhere(&self.pool);
-            *self.split.write().expect("split lock") = None;
-            self.registry.gauge("router_split_version").set(0);
+            self.halt_fleet();
             self.experiment_halts.inc();
             self.events.record(
                 "experiment_install_aborted",
@@ -708,11 +706,18 @@ impl RouterEngine {
         ])
     }
 
-    fn experiment_halt(&self) -> Json {
-        let _rollout = self.publish_lock.lock().expect("publish lock");
+    /// Halts the split everywhere and forgets it (the caller holds the
+    /// publish lock): each replica's outcome, and whether a plan was set.
+    fn halt_fleet(&self) -> (Vec<FleetOutcome>, bool) {
         let outcomes = fleet::halt_everywhere(&self.pool);
         let had_plan = self.split.write().expect("split lock").take().is_some();
         self.registry.gauge("router_split_version").set(0);
+        (outcomes, had_plan)
+    }
+
+    fn experiment_halt(&self) -> Json {
+        let _rollout = self.publish_lock.lock().expect("publish lock");
+        let (outcomes, had_plan) = self.halt_fleet();
         self.experiment_halts.inc();
         let ok = outcomes.iter().filter(|o| o.ok).count();
         self.events.record(
@@ -910,9 +915,7 @@ impl RouterEngine {
         }
         // Candidate and control are now the same model everywhere;
         // keeping the split running would only skew future metrics.
-        let halted = fleet::halt_everywhere(&self.pool);
-        *self.split.write().expect("split lock") = None;
-        self.registry.gauge("router_split_version").set(0);
+        let (halted, _) = self.halt_fleet();
         self.promotes.inc();
         self.events.record(
             "promote",

@@ -45,48 +45,6 @@ impl ModelConfig {
         }
     }
 
-    /// The "Bipar-GCN" ablation (no SGE, mean-only syndrome induction).
-    pub fn bipar_gcn() -> Self {
-        Self {
-            use_sge: false,
-            use_si_mlp: false,
-            ..Self::smgcn()
-        }
-    }
-
-    /// The "Bipar-GCN w/ SGE" ablation.
-    pub fn bipar_gcn_with_sge() -> Self {
-        Self {
-            use_sge: true,
-            use_si_mlp: false,
-            ..Self::smgcn()
-        }
-    }
-
-    /// The "Bipar-GCN w/ SI" ablation.
-    pub fn bipar_gcn_with_si() -> Self {
-        Self {
-            use_sge: false,
-            use_si_mlp: true,
-            ..Self::smgcn()
-        }
-    }
-
-    /// Layer dimensions for a given depth and final dimension, following
-    /// the paper's scheme (first output layer 128, last layer `last_dim`,
-    /// any middle layers 128). Used by the Table VI/VII sweeps.
-    pub fn layer_dims_for(depth: usize, last_dim: usize) -> Vec<usize> {
-        assert!(depth >= 1, "GCN depth must be at least 1");
-        match depth {
-            1 => vec![last_dim],
-            d => {
-                let mut dims = vec![128; d - 1];
-                dims.push(last_dim);
-                dims
-            }
-        }
-    }
-
     /// The GCN depth.
     pub fn depth(&self) -> usize {
         self.layer_dims.len()
@@ -200,29 +158,6 @@ mod tests {
         assert!((t.learning_rate - 2e-4).abs() < 1e-9);
         assert!((t.l2_lambda - 7e-3).abs() < 1e-9);
         assert_eq!(t.batch_size, 1024);
-    }
-
-    #[test]
-    fn ablation_configs_toggle_components() {
-        assert!(!ModelConfig::bipar_gcn().use_sge);
-        assert!(!ModelConfig::bipar_gcn().use_si_mlp);
-        assert!(ModelConfig::bipar_gcn_with_sge().use_sge);
-        assert!(!ModelConfig::bipar_gcn_with_sge().use_si_mlp);
-        assert!(!ModelConfig::bipar_gcn_with_si().use_sge);
-        assert!(ModelConfig::bipar_gcn_with_si().use_si_mlp);
-    }
-
-    #[test]
-    fn layer_dims_scheme() {
-        assert_eq!(ModelConfig::layer_dims_for(1, 256), vec![256]);
-        assert_eq!(ModelConfig::layer_dims_for(2, 256), vec![128, 256]);
-        assert_eq!(ModelConfig::layer_dims_for(3, 512), vec![128, 128, 512]);
-    }
-
-    #[test]
-    #[should_panic(expected = "depth must be at least 1")]
-    fn zero_depth_rejected() {
-        let _ = ModelConfig::layer_dims_for(0, 64);
     }
 
     #[test]

@@ -67,7 +67,8 @@ pub trait EmbeddingLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smgcn_tensor::prelude::*;
+    use smgcn_tensor::init::seeded_rng;
+    use smgcn_tensor::{Matrix, ParamStore};
 
     #[test]
     fn inference_ctx_never_drops() {

@@ -39,11 +39,6 @@ impl SyndromeInduction {
         self.dim
     }
 
-    /// True when the nonlinear MLP transform is active.
-    pub fn has_mlp(&self) -> bool {
-        self.mlp.is_some()
-    }
-
     /// Clones the MLP weights `(W_mlp [d x d], b_mlp [1 x d])` out of
     /// `store`, for freezing the head into a serving-side model.
     pub fn export_weights(&self, store: &ParamStore) -> Option<(Matrix, Matrix)> {
@@ -88,7 +83,7 @@ mod tests {
     fn mean_pooling_without_mlp() {
         let mut store = ParamStore::new();
         let si = SyndromeInduction::init(&mut store, 2, false, &mut seeded_rng(1));
-        assert!(!si.has_mlp());
+        assert!(si.export_weights(&store).is_none());
         let e = store.add(
             "e",
             Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
@@ -105,7 +100,7 @@ mod tests {
     fn mlp_applies_relu_nonlinearity() {
         let mut store = ParamStore::new();
         let si = SyndromeInduction::init(&mut store, 2, true, &mut seeded_rng(1));
-        assert!(si.has_mlp());
+        assert!(si.export_weights(&store).is_some());
         // Force W = -I so positive pooled values go negative and ReLU clamps.
         let w_id = store.iter().find(|(_, n, _)| *n == "si.w_mlp").unwrap().0;
         *store.get_mut(w_id) = Matrix::identity(2).scale(-1.0);

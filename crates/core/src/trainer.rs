@@ -12,7 +12,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use smgcn_data::{herb_frequencies, herb_loss_weights, Corpus};
-use smgcn_tensor::optim::{Adam, Optimizer};
+use smgcn_tensor::optim::Adam;
 use smgcn_tensor::{BufferPool, Tape};
 
 use crate::batch::{epoch_batches, make_batch};
@@ -34,7 +34,7 @@ pub struct EpochPhases {
     pub forward_us: u64,
     /// Backward pass (gradient computation + tape recycling).
     pub backward_us: u64,
-    /// Optimizer step (+ gradient-buffer recycling).
+    /// Adam step (+ gradient-buffer recycling).
     pub step_us: u64,
 }
 
@@ -148,7 +148,7 @@ pub fn train(model: &mut Recommender, train: &Corpus, cfg: &TrainConfig) -> Trai
 /// This is the warm-start fine-tuning entry point: a model resumed from a
 /// checkpoint starts near its plateau, so online refreshes give a small
 /// epoch budget and stop as soon as the loss reaches a target instead of
-/// paying the full cold-training schedule. Optimizer state (Adam moments)
+/// paying the full cold-training schedule. Adam's state (its moments)
 /// is fresh, exactly as in a cold run — determinism is per-call.
 ///
 /// `observer`, when given, receives this run's [`EpochPhases`] and only

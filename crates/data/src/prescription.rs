@@ -49,11 +49,6 @@ impl Prescription {
     pub fn contains_herb(&self, h: u32) -> bool {
         self.herbs.binary_search(&h).is_ok()
     }
-
-    /// True when the symptom set contains `s`.
-    pub fn contains_symptom(&self, s: u32) -> bool {
-        self.symptoms.binary_search(&s).is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -70,8 +65,6 @@ mod tests {
     #[test]
     fn membership_queries() {
         let p = Prescription::new(vec![1, 2], vec![7]);
-        assert!(p.contains_symptom(2));
-        assert!(!p.contains_symptom(3));
         assert!(p.contains_herb(7));
         assert!(!p.contains_herb(1));
     }

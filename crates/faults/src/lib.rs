@@ -366,19 +366,6 @@ pub fn injected_io_error(site: &str) -> std::io::Error {
     std::io::Error::other(format!("injected fault at {site}"))
 }
 
-/// Convenience for pure-I/O sites: sleeps on `Delay`, errors on
-/// `IoError`, ignores actions the caller can't simulate.
-pub fn fail_io(site: &str) -> std::io::Result<()> {
-    match at(site) {
-        Some(FaultAction::IoError) => Err(injected_io_error(site)),
-        Some(FaultAction::Delay { ms }) => {
-            std::thread::sleep(std::time::Duration::from_millis(u64::from(ms)));
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
 /// Convenience for buffer sites: applies a planned `Corrupt` to `bytes`
 /// in place, returning `true` if a byte was flipped.
 pub fn corrupt_buf(site: &str, bytes: &mut [u8]) -> bool {
@@ -445,7 +432,6 @@ mod tests {
         clear();
         assert!(!enabled());
         assert_eq!(at("wal.append.write"), None);
-        assert!(fail_io("wal.append.write").is_ok());
         let mut buf = [1u8, 2, 3];
         assert!(!corrupt_buf("artifact.decode", &mut buf));
         assert_eq!(buf, [1, 2, 3]);

@@ -107,11 +107,6 @@ impl BipartiteGraph {
         &self.sh
     }
 
-    /// The `H x S` adjacency block (materialised transpose).
-    pub fn hs(&self) -> CsrMatrix {
-        self.sh.transpose()
-    }
-
     /// Number of undirected symptom–herb edges.
     pub fn edge_count(&self) -> usize {
         self.sh.nnz()
@@ -122,29 +117,12 @@ impl BipartiteGraph {
         self.sh.row_nnz(s)
     }
 
-    /// Degree of herb `h` (`|N_h|`), via column counts.
-    pub fn herb_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.n_herbs];
-        for (_, h, _) in self.sh.iter() {
-            deg[h as usize] += 1;
-        }
-        deg
-    }
-
     /// Density of the bipartite block: `edges / (S * H)`.
     pub fn density(&self) -> f64 {
         if self.n_symptoms == 0 || self.n_herbs == 0 {
             return 0.0;
         }
         self.edge_count() as f64 / (self.n_symptoms as f64 * self.n_herbs as f64)
-    }
-
-    /// Ids of symptoms with no edges (cold-start symptoms in the test split).
-    pub fn isolated_symptoms(&self) -> Vec<u32> {
-        (0..self.n_symptoms)
-            .filter(|&s| self.sh.row_nnz(s) == 0)
-            .map(|s| s as u32)
-            .collect()
     }
 }
 
@@ -167,7 +145,6 @@ mod tests {
         assert_eq!(g.symptom_degree(0), 3);
         assert_eq!(g.symptom_degree(1), 3);
         assert_eq!(g.symptom_degree(2), 0);
-        assert_eq!(g.herb_degrees(), vec![2, 2, 2, 0]);
     }
 
     #[test]
@@ -182,20 +159,10 @@ mod tests {
     }
 
     #[test]
-    fn hs_is_transpose() {
-        let g = build(&[(vec![0, 2], vec![1])], 3, 2);
-        let hs = g.hs();
-        assert_eq!(hs.shape(), (2, 3));
-        assert_eq!(hs.get(1, 0), 1.0);
-        assert_eq!(hs.get(1, 2), 1.0);
-        assert_eq!(hs.get(0, 0), 0.0);
-    }
-
-    #[test]
     fn density_and_isolated() {
         let g = build(&[(vec![0], vec![0])], 2, 2);
         assert!((g.density() - 0.25).abs() < 1e-12);
-        assert_eq!(g.isolated_symptoms(), vec![1]);
+        assert_eq!(g.symptom_degree(1), 0);
     }
 
     #[test]
@@ -220,6 +187,5 @@ mod tests {
     fn empty_records_yield_empty_graph() {
         let g = build(&[], 3, 3);
         assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.isolated_symptoms().len(), 3);
     }
 }

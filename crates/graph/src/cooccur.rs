@@ -80,13 +80,6 @@ impl CooccurrenceCounts {
         }
     }
 
-    /// Counts every set in a corpus.
-    pub fn add_sets<'a>(&mut self, sets: impl IntoIterator<Item = &'a [u32]>) {
-        for set in sets {
-            self.add_set(set);
-        }
-    }
-
     /// The raw count for a pair, order-insensitive.
     pub fn count(&self, a: u32, b: u32) -> u32 {
         if a == b {
@@ -94,16 +87,6 @@ impl CooccurrenceCounts {
         }
         let key = (a.min(b), a.max(b));
         self.counts.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct pairs observed at least once.
-    pub fn distinct_pairs(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// The maximum pair count (upper bound for threshold sweeps).
-    pub fn max_count(&self) -> u32 {
-        self.counts.values().copied().max().unwrap_or(0)
     }
 
     /// Builds the symmetric binary synergy graph: edge `(a, b)` iff
@@ -117,12 +100,6 @@ impl CooccurrenceCounts {
             }
         }
         CsrMatrix::from_triplets(self.n_items, self.n_items, &triplets)
-    }
-
-    /// Edge count of the synergy graph at a given threshold (cheap preview
-    /// for sweeps; counts undirected pairs).
-    pub fn edges_at(&self, threshold: u32) -> usize {
-        self.counts.values().filter(|&&c| c > threshold).count()
     }
 }
 
@@ -138,7 +115,7 @@ mod tests {
         assert_eq!(cc.count(1, 2), 1);
         assert_eq!(cc.count(0, 2), 1);
         assert_eq!(cc.count(0, 3), 0);
-        assert_eq!(cc.distinct_pairs(), 3);
+        assert_eq!(cc.pairs().count(), 3);
     }
 
     #[test]
@@ -156,7 +133,7 @@ mod tests {
         cc.add_set(&[1, 1, 2, 2]);
         assert_eq!(cc.count(1, 2), 1);
         assert_eq!(cc.count(1, 1), 0);
-        assert_eq!(cc.distinct_pairs(), 1);
+        assert_eq!(cc.pairs().count(), 1);
     }
 
     #[test]
@@ -168,18 +145,14 @@ mod tests {
         // count = 5: threshold 4 keeps it, threshold 5 drops it.
         assert_eq!(cc.synergy_graph(4).nnz(), 2);
         assert_eq!(cc.synergy_graph(5).nnz(), 0);
-        assert_eq!(cc.edges_at(4), 1);
-        assert_eq!(cc.edges_at(5), 0);
     }
 
     #[test]
     fn synergy_graph_is_symmetric_and_hollow() {
         let mut cc = CooccurrenceCounts::new(5);
-        cc.add_sets(
-            [vec![0u32, 1, 2], vec![0, 1], vec![3, 4], vec![0, 1]]
-                .iter()
-                .map(Vec::as_slice),
-        );
+        for set in [&[0u32, 1, 2][..], &[0, 1], &[3, 4], &[0, 1]] {
+            cc.add_set(set);
+        }
         let g = cc.synergy_graph(0);
         assert!(g.is_symmetric());
         for i in 0..5 {
@@ -192,24 +165,18 @@ mod tests {
     #[test]
     fn higher_threshold_never_adds_edges() {
         let mut cc = CooccurrenceCounts::new(6);
-        cc.add_sets(
-            [
-                vec![0u32, 1, 2, 3],
-                vec![0, 1, 2],
-                vec![0, 1],
-                vec![4, 5],
-                vec![0, 1],
-            ]
-            .iter()
-            .map(Vec::as_slice),
-        );
+        for set in [&[0u32, 1, 2, 3][..], &[0, 1, 2], &[0, 1], &[4, 5], &[0, 1]] {
+            cc.add_set(set);
+        }
         let mut prev = usize::MAX;
         for t in 0..6 {
-            let e = cc.edges_at(t);
-            assert!(e <= prev, "edges_at must be monotone non-increasing");
+            let e = cc.synergy_graph(t).nnz();
+            assert!(e <= prev, "edge count must be monotone non-increasing");
             prev = e;
         }
-        assert_eq!(cc.max_count(), 4);
+        assert_eq!(cc.count(0, 1), 4);
+        assert_eq!(cc.synergy_graph(3).nnz(), 2);
+        assert_eq!(cc.synergy_graph(4).nnz(), 0);
     }
 
     #[test]

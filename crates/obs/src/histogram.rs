@@ -221,15 +221,6 @@ impl LatencySnapshot {
             self.sum_us as f64 / self.count as f64
         }
     }
-
-    /// Since-start mean latency, microseconds (0 when empty).
-    pub fn total_mean_us(&self) -> f64 {
-        if self.total_count == 0 {
-            0.0
-        } else {
-            self.total_sum_us as f64 / self.total_count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -264,7 +255,6 @@ mod tests {
         // Window untouched by decay here, so totals agree exactly.
         assert_eq!(s.total_count, 100);
         assert_eq!(s.total_quantile_us(0.50), 128.0);
-        assert!((s.total_mean_us() - s.mean_us()).abs() < 1e-9);
     }
 
     #[test]

@@ -7,22 +7,21 @@
 //! statistics* of all three graphs:
 //!
 //! - pair counts for `SS` and `HH` (the synergy graphs threshold these),
-//! - pair counts for the bipartite `SH` block (binary edges are
-//!   `count > 0`, and keeping counts instead of a set leaves room for
-//!   future retraction),
+//! - the edge set of the bipartite `SH` block (its edges are binary),
 //!
-//! and applies an appended batch as count increments — O(batch), not
-//! O(corpus). The expensive steps (thresholding, CSR construction, row
-//! renormalization of `sh_mean`/`hs_mean`) run **lazily**: only when
-//! [`IncrementalGraphs::operators`] is next called, and only once per
-//! dirty period no matter how many batches arrived in between.
+//! and applies an appended batch as count increments and edge inserts —
+//! O(batch), not O(corpus). The expensive steps (thresholding, CSR
+//! construction, row renormalization of `sh_mean`/`hs_mean`) run
+//! **lazily**: only when [`IncrementalGraphs::operators`] is next
+//! called, and only once per dirty period no matter how many batches
+//! arrived in between.
 //!
 //! The crate's property tests assert the contract that makes this safe
 //! to trust: for any base corpus and append batch, the delta'd operators
 //! equal a from-scratch rebuild on the grown corpus — pair counts and
 //! binary adjacency **exactly**, normalized adjacency to ≤ 1e-6.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use smgcn_data::{Corpus, Prescription};
 use smgcn_graph::{BipartiteGraph, CooccurrenceCounts, GraphOperators, SynergyThresholds};
@@ -35,9 +34,8 @@ pub struct IncrementalGraphs {
     thresholds: SynergyThresholds,
     ss_counts: CooccurrenceCounts,
     hh_counts: CooccurrenceCounts,
-    /// Bipartite `(symptom, herb)` pair counts; an edge exists while the
-    /// count is positive.
-    sh_pairs: HashMap<(u32, u32), u32>,
+    /// Bipartite `(symptom, herb)` edges.
+    sh_edges: HashSet<(u32, u32)>,
     records_applied: usize,
     /// Operators from the last renormalization; `None` while dirty.
     cached: Option<GraphOperators>,
@@ -57,7 +55,7 @@ impl IncrementalGraphs {
             thresholds,
             ss_counts: CooccurrenceCounts::new(n_symptoms),
             hh_counts: CooccurrenceCounts::new(n_herbs),
-            sh_pairs: HashMap::new(),
+            sh_edges: HashSet::new(),
             records_applied: 0,
             cached: None,
         };
@@ -131,7 +129,7 @@ impl IncrementalGraphs {
         self.hh_counts.add_set(herbs);
         for &s in symptoms {
             for &h in herbs {
-                *self.sh_pairs.entry((s, h)).or_insert(0) += 1;
+                self.sh_edges.insert((s, h));
             }
         }
         self.records_applied += 1;
@@ -153,10 +151,7 @@ impl IncrementalGraphs {
     pub fn operators(&mut self) -> &GraphOperators {
         if self.cached.is_none() {
             let bipartite = BipartiteGraph::from_edges(
-                self.sh_pairs
-                    .iter()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(&(s, h), _)| (s, h)),
+                self.sh_edges.iter().copied(),
                 self.n_symptoms,
                 self.n_herbs,
             );
@@ -178,11 +173,6 @@ impl IncrementalGraphs {
     /// Raw herb-pair counts.
     pub fn hh_counts(&self) -> &CooccurrenceCounts {
         &self.hh_counts
-    }
-
-    /// Bipartite pair count (0 when the pair never co-occurred).
-    pub fn sh_count(&self, s: u32, h: u32) -> u32 {
-        self.sh_pairs.get(&(s, h)).copied().unwrap_or(0)
     }
 }
 
@@ -249,9 +239,10 @@ mod tests {
         inc.apply_record(&[2, 3], &[1, 2]);
         assert_eq!(inc.ss_counts().count(0, 1), 1);
         assert_eq!(inc.ss_counts().count(2, 3), 1);
-        assert_eq!(inc.sh_count(0, 0), 1);
-        assert_eq!(inc.sh_count(2, 2), 1);
-        assert_eq!(inc.operators().sh_mean.shape(), (4, 3));
+        let ops = inc.operators();
+        assert_eq!(ops.sh_raw.get(0, 0), 1.0);
+        assert_eq!(ops.sh_raw.get(2, 2), 1.0);
+        assert_eq!(ops.sh_mean.shape(), (4, 3));
     }
 
     #[test]

@@ -152,11 +152,6 @@ pub fn load(path: impl AsRef<Path>) -> Result<(ParamStore, ServingVocab), Frozen
     )
 }
 
-/// [`load`] of a model file in memory.
-pub(crate) fn read_bytes(bytes: &[u8]) -> Result<(ParamStore, ServingVocab), FrozenError> {
-    read(bytes, Some(bytes.len() as u64), false)
-}
-
 /// Serialises a model + vocabulary into one publishable model file.
 pub fn encode(model: &FrozenModel, vocab: &ServingVocab) -> Vec<u8> {
     let mut out = Vec::new();
@@ -640,6 +635,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// [`load`] of a model file in memory.
+    fn read_bytes(bytes: &[u8]) -> Result<(ParamStore, ServingVocab), FrozenError> {
+        read(bytes, Some(bytes.len() as u64), false)
+    }
 
     fn sample() -> (FrozenModel, ServingVocab) {
         let symptoms = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 - 1.5);

@@ -5,14 +5,14 @@
 //! overhead. The GEMM kernels amortize dramatically with batch height, so
 //! the batcher runs a dedicated scoring thread: connection handlers
 //! enqueue `(symptom set, k)` jobs and block on a channel; the scorer
-//! drains whatever has accumulated (up to `max_batch`) after lingering a
-//! fixed 200 µs for stragglers to join, scores the whole batch with
+//! drains whatever has accumulated after lingering a fixed 200 µs for
+//! stragglers to join, scores the whole batch with
 //! [`FrozenModel::rank_batch_timed`](crate::FrozenModel::rank_batch_timed)
 //! and fans the rankings back out.
 //!
-//! The queue has no bound of its own: a connection has at most one
-//! request in flight and a fixed worker pool runs them, so at most one
-//! job per worker waits here.
+//! Neither the queue nor a batch has a bound of its own: a connection has
+//! at most one request in flight and a fixed worker pool runs them, so
+//! at most one job per worker waits here.
 //!
 //! Each job pins a model [`Generation`] **at submission** (the server
 //! passes the generation it already pinned for the whole request); the
@@ -43,18 +43,10 @@ use crate::slot::{Generation, ModelSlot};
 /// until the benchmark's op log is bounded.
 const LINGER: Duration = Duration::from_micros(200);
 
-/// Tuning knobs for the batching loop.
-#[derive(Clone, Debug)]
-pub struct BatcherConfig {
-    /// Largest batch packed into one GEMM.
-    pub max_batch: usize,
-}
-
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        Self { max_batch: 64 }
-    }
-}
+/// Settings of the batching loop; it has none. A batch is bounded by
+/// the worker pool (one job per worker), so a cap could not bind.
+#[derive(Clone, Debug, Default)]
+pub struct BatcherConfig;
 
 /// A ranking, its generation, and where the time went.
 type TimedRanking = (Vec<u32>, Arc<Generation>, ScoreTimings);
@@ -117,8 +109,7 @@ impl Batcher {
     /// per-generation sub-batches so no GEMM ever mixes weights. Every
     /// pin comes with its job, so the batcher keeps no handle on the
     /// slot itself.
-    pub fn start_slot(_slot: Arc<ModelSlot>, config: BatcherConfig) -> Self {
-        assert!(config.max_batch > 0, "Batcher: max_batch must be positive");
+    pub fn start_slot(_slot: Arc<ModelSlot>, _config: BatcherConfig) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 jobs: Vec::new(),
@@ -129,7 +120,7 @@ impl Batcher {
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("smgcn-batcher".into())
-            .spawn(move || scoring_loop(worker_shared, config.max_batch))
+            .spawn(move || scoring_loop(worker_shared))
             .expect("spawn batcher thread");
         Self {
             shared,
@@ -197,7 +188,7 @@ impl Drop for Batcher {
     }
 }
 
-fn scoring_loop(shared: Arc<Shared>, max_batch: usize) {
+fn scoring_loop(shared: Arc<Shared>) {
     loop {
         let batch: Vec<Job> = {
             let mut q = shared.queue.lock().expect("batcher lock");
@@ -209,12 +200,12 @@ fn scoring_loop(shared: Arc<Shared>, max_batch: usize) {
             }
             // Give concurrent callers a moment to pile on. Each job
             // submission fires a notify, so loop until the full linger
-            // window has elapsed (or the batch fills) rather than
-            // admitting just the first straggler.
+            // window has elapsed rather than admitting just the first
+            // straggler.
             let deadline = Instant::now() + LINGER;
             loop {
                 let now = Instant::now();
-                if now >= deadline || q.jobs.len() >= max_batch || q.shutdown {
+                if now >= deadline || q.shutdown {
                     break;
                 }
                 let (guard, _timeout) = shared
@@ -223,8 +214,7 @@ fn scoring_loop(shared: Arc<Shared>, max_batch: usize) {
                     .expect("batcher linger wait");
                 q = guard;
             }
-            let take = q.jobs.len().min(max_batch);
-            q.jobs.drain(..take).collect()
+            q.jobs.drain(..).collect()
         };
         let drained_at = Instant::now();
         // Score per pinned generation: in steady state every drained job
@@ -351,7 +341,7 @@ mod tests {
     #[test]
     fn single_query_matches_direct_path() {
         let m = model();
-        let (slot, batcher) = start(&m, BatcherConfig::default());
+        let (slot, batcher) = start(&m, BatcherConfig);
         let got = rank(&batcher, &slot, &[0, 3, 5], 4).unwrap();
         assert_eq!(got, m.recommend(&[0, 3, 5], 4).unwrap());
     }
@@ -359,7 +349,7 @@ mod tests {
     #[test]
     fn concurrent_queries_all_answered_correctly() {
         let m = model();
-        let (slot, batcher) = start(&m, BatcherConfig::default());
+        let (slot, batcher) = start(&m, BatcherConfig);
         std::thread::scope(|scope| {
             for t in 0..16u32 {
                 let (batcher, slot, m) = (&batcher, &slot, &m);
@@ -379,7 +369,7 @@ mod tests {
     #[test]
     fn invalid_queries_fail_without_poisoning_batch() {
         let m = model();
-        let (slot, batcher) = start(&m, BatcherConfig { max_batch: 8 });
+        let (slot, batcher) = start(&m, BatcherConfig);
         let (bad, good) = std::thread::scope(|scope| {
             let bad = scope.spawn(|| rank(&batcher, &slot, &[999], 3));
             let good = scope.spawn(|| rank(&batcher, &slot, &[1, 2], 3));
@@ -392,7 +382,7 @@ mod tests {
     #[test]
     fn a_job_is_scored_by_the_generation_it_pins() {
         let old = model();
-        let (slot, batcher) = start(&old, BatcherConfig::default());
+        let (slot, batcher) = start(&old, BatcherConfig);
         let (r0, g0, _) = batcher
             .recommend_pinned_timed(&[0, 1], 3, slot.load())
             .unwrap();
@@ -431,7 +421,7 @@ mod tests {
             FrozenModel::from_parts(symptoms, herbs, Some((w, b))).unwrap()
         };
         let slot = Arc::new(ModelSlot::new(model(0), ServingVocab::default()));
-        let batcher = Batcher::start_slot(Arc::clone(&slot), BatcherConfig::default());
+        let batcher = Batcher::start_slot(Arc::clone(&slot), BatcherConfig);
         let old = slot.load();
         assert_eq!(slot.publish(model(1), ServingVocab::default()), 1);
         let new = slot.load();
@@ -477,7 +467,7 @@ mod tests {
     #[test]
     fn expired_deadline_is_shed_before_scoring() {
         let m = model();
-        let (slot, batcher) = start(&m, BatcherConfig::default());
+        let (slot, batcher) = start(&m, BatcherConfig);
         // The deadline has passed before submission, so the drain
         // always finds it expired.
         let expired = Some(Instant::now() - Duration::from_millis(1));
@@ -496,7 +486,7 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_cleanly() {
-        let (slot, batcher) = start(&model(), BatcherConfig::default());
+        let (slot, batcher) = start(&model(), BatcherConfig);
         let _ = rank(&batcher, &slot, &[1], 2).unwrap();
         drop(batcher); // must not hang or panic
     }

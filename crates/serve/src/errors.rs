@@ -55,8 +55,6 @@ pub mod codes {
     pub const NO_REPLICAS: &str = "no_replicas";
     /// Router: a fleet-wide admin op succeeded on some replicas only.
     pub const PARTIAL: &str = "partial";
-    /// Router: the failover walk ran out of candidates (or budget).
-    pub const EXHAUSTED: &str = "exhausted";
 }
 
 /// Whether an error code marks a request that was shed *before* scoring
@@ -90,7 +88,6 @@ mod tests {
             codes::GUARDRAIL,
             codes::NO_REPLICAS,
             codes::PARTIAL,
-            codes::EXHAUSTED,
         ] {
             assert!(!is_retryable(terminal), "{terminal} must not be retryable");
         }

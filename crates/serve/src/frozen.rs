@@ -298,8 +298,15 @@ impl FrozenModel {
         store
     }
 
-    /// The model a model file's tensors hold ([`to_store`](Self::to_store)).
-    pub(crate) fn from_store(store: ParamStore) -> Result<Self, FrozenError> {
+    /// The model a model file's tensors hold: `frozen.symptoms`,
+    /// `frozen.herbs` and, with an SI head, `frozen.si.w_mlp` and
+    /// `frozen.si.b_mlp`.
+    ///
+    /// # Errors
+    /// [`FrozenError::NotFrozen`] when `frozen.symptoms` is missing (a
+    /// training checkpoint), [`FrozenError::Format`] on any other
+    /// missing or ill-shaped tensor.
+    pub fn from_store(store: ParamStore) -> Result<Self, FrozenError> {
         // Tensors are moved out of the store, not cloned: a load or a
         // publish holds each matrix once (first of a repeated name wins).
         let (mut symptoms, mut herbs, mut si_w, mut si_b) = (None, None, None, None);
@@ -329,18 +336,6 @@ impl FrozenModel {
             }
         };
         Self::from_parts(symptoms, herbs, si_mlp)
-    }
-
-    /// Writes the model as a model file, with no names.
-    pub fn write_to(&self, w: impl std::io::Write) -> Result<(), FrozenError> {
-        artifact::write(w, &self.to_store(), &ServingVocab::default())?;
-        Ok(())
-    }
-
-    /// Reads a frozen model from a model file in memory; no tensor is
-    /// allocated beyond what `bytes` can hold.
-    pub fn read_from(bytes: &[u8]) -> Result<Self, FrozenError> {
-        Self::from_store(artifact::read_bytes(bytes)?.0)
     }
 
     /// Saves to a file path.
@@ -772,14 +767,12 @@ mod tests {
     fn save_load_round_trip() {
         for with_mlp in [false, true] {
             let fm = tiny_frozen(with_mlp);
-            let mut buf = Vec::new();
-            fm.write_to(&mut buf).unwrap();
-            let loaded = FrozenModel::read_from(buf.as_slice()).unwrap();
+            let buf = artifact::encode(&fm, &ServingVocab::default());
+            let (loaded, _) = artifact::decode(&buf).unwrap();
             assert_eq!(loaded.has_si_mlp(), with_mlp);
             // Saving unpacks the panels: save -> load -> save is
             // byte-identical.
-            let mut again = Vec::new();
-            loaded.write_to(&mut again).unwrap();
+            let again = artifact::encode(&loaded, &ServingVocab::default());
             assert_eq!(again, buf, "with_mlp={with_mlp}");
             assert_eq!(
                 loaded.score_one(&[0, 2]).unwrap(),
@@ -823,7 +816,7 @@ mod tests {
         store.add("si.w_mlp", Matrix::zeros(2, 2));
         let mut buf = Vec::new();
         artifact::write(&mut buf, &store, &ServingVocab::default()).unwrap();
-        let err = FrozenModel::read_from(buf.as_slice()).unwrap_err();
+        let err = artifact::decode(&buf).unwrap_err();
         assert!(err.to_string().contains("not a frozen model"), "{err}");
     }
 

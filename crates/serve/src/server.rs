@@ -128,8 +128,6 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// LRU entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Micro-batching configuration.
-    pub batcher: BatcherConfig,
     /// Experiment duel sampling: for one in every `duel_sample_every`
     /// requests served by a *candidate* variant, score the same query
     /// under control too and journal both top-k lists (with scores) for
@@ -142,7 +140,6 @@ impl Default for ServerConfig {
         Self {
             max_connections: 64,
             cache_capacity: 4096,
-            batcher: BatcherConfig::default(),
             duel_sample_every: 8,
         }
     }
@@ -790,7 +787,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let obs = ServeObs::new();
         let engine = Arc::new(Engine {
-            batcher: Batcher::start_slot(Arc::clone(&slot), config.batcher.clone()),
+            batcher: Batcher::start_slot(Arc::clone(&slot), BatcherConfig),
             variants: VariantTable::new(
                 Arc::clone(&obs.registry),
                 slot,

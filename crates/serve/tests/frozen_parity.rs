@@ -89,8 +89,8 @@ fn parity_survives_save_load_round_trip() {
     let (corpus, model) = trained_model();
     let frozen = FrozenModel::from_recommender(&model);
     let mut buf = Vec::new();
-    frozen.write_to(&mut buf).unwrap();
-    let loaded = FrozenModel::read_from(buf.as_slice()).unwrap();
+    buf.extend(smgcn_serve::artifact::encode(&frozen, &Default::default()));
+    let (loaded, _) = smgcn_serve::artifact::decode(&buf).unwrap();
     let sets = query_sets(&corpus, 16);
     let refs: Vec<&[u32]> = sets.iter().map(Vec::as_slice).collect();
     let full = model.predict(&refs);

@@ -1,8 +1,7 @@
 //! Parameter initialisation.
 //!
 //! The paper trains every model with the Xavier initializer (§V-D, citing
-//! Glorot & Bengio). Both the uniform and normal variants are provided; the
-//! models use the uniform variant, matching TensorFlow's
+//! Glorot & Bengio); the models use the uniform variant, TensorFlow's
 //! `xavier_initializer` default.
 
 use rand::rngs::StdRng;
@@ -22,23 +21,6 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     let limit = (6.0 / (rows + cols) as f32).sqrt();
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-limit..limit))
-}
-
-/// Xavier/Glorot *normal* initialisation: entries drawn from
-/// `N(0, 2 / (fan_in + fan_out))` via Box–Muller.
-pub fn xavier_normal(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
-    let std = (2.0 / (rows + cols) as f32).sqrt();
-    let next = move |rng: &mut dyn rand::RngCore| {
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-    };
-    Matrix::from_fn(rows, cols, |_, _| std * next(rng))
-}
-
-/// All-zeros initialisation (biases).
-pub fn zeros(rows: usize, cols: usize) -> Matrix {
-    Matrix::zeros(rows, cols)
 }
 
 #[cfg(test)]
@@ -71,31 +53,5 @@ mod tests {
         let m = xavier_uniform(100, 100, &mut seeded_rng(11));
         let mean = m.sum() / m.len() as f32;
         assert!(mean.abs() < 0.005, "mean {mean} too far from 0");
-    }
-
-    #[test]
-    fn xavier_normal_std_matches_fan() {
-        let rows = 200;
-        let cols = 200;
-        let m = xavier_normal(rows, cols, &mut seeded_rng(3));
-        let n = m.len() as f32;
-        let mean = m.sum() / n;
-        let var = m
-            .as_slice()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / n;
-        let expected_var = 2.0 / (rows + cols) as f32;
-        assert!(
-            (var - expected_var).abs() < expected_var * 0.2,
-            "var {var} vs expected {expected_var}"
-        );
-        assert!(m.all_finite());
-    }
-
-    #[test]
-    fn zeros_is_zero() {
-        assert_eq!(zeros(2, 3).sum(), 0.0);
     }
 }

@@ -26,8 +26,8 @@
 //! - [`tape`] — define-by-run reverse-mode autograd over a persistent
 //!   [`tape::ParamStore`], with one op per primitive the paper's equations
 //!   use;
-//! - [`optim`] — Adam (the paper's optimizer) and SGD, with the paper's
-//!   `λ‖Θ‖²` regularisation realised as weight decay;
+//! - [`optim`] — Adam (the paper's optimizer), with the paper's `λ‖Θ‖²`
+//!   regularisation realised as weight decay;
 //! - [`init`] — Xavier initialisation (the paper's initializer) and seeded
 //!   RNG plumbing;
 //! - [`gradcheck`] — finite-difference validation used by the test suite to
@@ -40,7 +40,9 @@
 //! ## Example
 //!
 //! ```
-//! use smgcn_tensor::prelude::*;
+//! use smgcn_tensor::init::{seeded_rng, xavier_uniform};
+//! use smgcn_tensor::optim::Adam;
+//! use smgcn_tensor::{Matrix, ParamStore, Tape};
 //!
 //! // Fit y = x.W with a two-parameter model.
 //! let mut rng = seeded_rng(42);
@@ -90,13 +92,3 @@ pub use quant::{Int8Tier, QuantRhs, QuantRows};
 pub use sparse::{CsrMatrix, SharedCsr};
 pub use tape::{Gradients, LabelSets, ParamId, ParamStore, Tape, Var};
 pub use topk::{partial_top_k, TopK};
-
-/// Common imports for model code.
-pub mod prelude {
-    pub use crate::gradcheck::{compare, finite_diff_grad};
-    pub use crate::init::{seeded_rng, xavier_normal, xavier_uniform};
-    pub use crate::matrix::Matrix;
-    pub use crate::optim::{Adam, Optimizer, Sgd};
-    pub use crate::sparse::{CsrMatrix, SharedCsr};
-    pub use crate::tape::{Gradients, LabelSets, ParamId, ParamStore, Tape, Var};
-}

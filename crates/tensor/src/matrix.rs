@@ -225,14 +225,6 @@ impl Matrix {
         self.zip_map_assign(other, |a, b| a + b);
     }
 
-    /// In-place scaled accumulation `self += alpha * other`.
-    pub fn add_scaled_assign(&mut self, other: &Matrix, alpha: f32) {
-        self.assert_same_shape(other, "Matrix::add_scaled_assign");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * *b;
-        }
-    }
-
     /// Element-wise difference, producing a new matrix.
     pub fn sub(&self, other: &Matrix) -> Matrix {
         self.assert_same_shape(other, "Matrix::sub");
@@ -759,13 +751,6 @@ impl Matrix {
         }
     }
 
-    /// Column sums as a `1 x cols` row vector.
-    pub fn col_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        self.col_sums_into(&mut out);
-        out
-    }
-
     /// Column sums into a `1 x cols` output buffer (fully overwritten).
     ///
     /// # Panics
@@ -914,14 +899,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn add_scaled_assign_accumulates() {
-        let mut a = m(1, 2, &[1.0, 1.0]);
-        let b = m(1, 2, &[2.0, 4.0]);
-        a.add_scaled_assign(&b, 0.5);
-        assert_eq!(a.as_slice(), &[2.0, 3.0]);
-    }
-
-    #[test]
     fn concat_and_split_round_trip() {
         let a = m(2, 2, &[1.0, 2.0, 5.0, 6.0]);
         let b = m(2, 3, &[3.0, 4.0, 0.0, 7.0, 8.0, 9.0]);
@@ -975,7 +952,9 @@ pub(crate) mod tests {
     #[test]
     fn col_sums_and_reductions() {
         let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.col_sums().as_slice(), &[5.0, 7.0, 9.0]);
+        let mut sums = Matrix::filled(1, 3, f32::NAN);
+        a.col_sums_into(&mut sums);
+        assert_eq!(sums.as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(a.sum(), 21.0);
         assert_eq!(a.sum_squares(), 91.0);
         assert!((a.frobenius_norm() - 91.0f32.sqrt()).abs() < 1e-6);

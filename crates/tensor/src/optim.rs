@@ -1,76 +1,16 @@
-//! First-order optimizers.
-//!
-//! The paper trains every model with Adam (§IV-E, §V-D). Plain SGD is
-//! included for substrate tests and as the reference against which Adam's
-//! bookkeeping is validated.
+//! Adam, the optimizer the paper trains every model with (§IV-E, §V-D).
 //!
 //! L2 regularisation: the paper adds `λ_Θ ||Θ||₂²` to the loss (Eq. 13),
-//! whose gradient contribution is `2 λ_Θ θ`. Both optimizers accept a
-//! `weight_decay` coefficient `c` applied as `g += c · θ`; the trainer
-//! passes `c = 2 λ_Θ` so the update matches the paper's objective exactly.
+//! whose gradient contribution is `2 λ_Θ θ`. Adam takes a `weight_decay`
+//! coefficient `c` applied as `g += c · θ`; the trainer passes
+//! `c = 2 λ_Θ` so the update matches the paper's objective exactly.
 
 use crate::matrix::Matrix;
 use crate::par;
 use crate::tape::{Gradients, ParamStore};
 
-/// Shared optimizer interface: apply one update step given gradients.
-pub trait Optimizer {
-    /// Applies an in-place parameter update.
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients);
-
-    /// The learning rate currently in effect.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (for schedules and sweeps).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent with optional L2 weight decay.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    lr: f32,
-    weight_decay: f32,
-}
-
-impl Sgd {
-    /// SGD with learning rate `lr` and no weight decay.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            weight_decay: 0.0,
-        }
-    }
-
-    /// Sets the weight-decay coefficient `c` in `g += c · θ`.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        for (id, g) in grads.iter() {
-            let theta = store.get_mut(id);
-            if self.weight_decay != 0.0 {
-                // θ ← θ - lr (g + c θ) = (1 - lr·c) θ - lr·g
-                theta.scale_assign(1.0 - self.lr * self.weight_decay);
-            }
-            theta.add_scaled_assign(g, -self.lr);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba, ICLR 2015) with bias correction, optional L2 weight
-/// decay and optional global-norm gradient clipping.
+/// Adam (Kingma & Ba, ICLR 2015) with bias correction and optional L2
+/// weight decay.
 #[derive(Clone, Debug)]
 pub struct Adam {
     lr: f32,
@@ -78,7 +18,6 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     weight_decay: f32,
-    max_grad_norm: Option<f32>,
     t: u64,
     /// First/second moment estimates, lazily sized to the store.
     m: Vec<Option<Matrix>>,
@@ -94,7 +33,6 @@ impl Adam {
             beta2: 0.999,
             eps: 1e-8,
             weight_decay: 0.0,
-            max_grad_norm: None,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -108,41 +46,17 @@ impl Adam {
         self
     }
 
-    /// Enables global-norm gradient clipping (robustness extension; the
-    /// paper does not clip, so experiment configs leave this off).
-    pub fn with_max_grad_norm(mut self, max_norm: f32) -> Self {
-        self.max_grad_norm = Some(max_norm);
-        self
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
     fn ensure_state(&mut self, store: &ParamStore) {
         if self.m.len() < store.len() {
             self.m.resize_with(store.len(), || None);
             self.v.resize_with(store.len(), || None);
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
+    /// Applies one in-place update of every parameter that has a gradient.
+    pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
         self.ensure_state(store);
         self.t += 1;
-        let clip_scale = match self.max_grad_norm {
-            Some(max) => {
-                let norm = grads.l2_norm();
-                if norm > max && norm > 0.0 {
-                    max / norm
-                } else {
-                    1.0
-                }
-            }
-            None => 1.0,
-        };
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for (id, g) in grads.iter() {
@@ -170,7 +84,7 @@ impl Optimizer for Adam {
                 );
             par::for_each_chunk(threads, chunks, |((theta, g), (m, v))| {
                 for ((ti, &gi0), (mi, vi)) in theta.iter_mut().zip(g).zip(m.iter_mut().zip(v)) {
-                    let gi = gi0 * clip_scale + wd * *ti;
+                    let gi = gi0 + wd * *ti;
                     *mi = b1 * *mi + (1.0 - b1) * gi;
                     *vi = b2 * *vi + (1.0 - b2) * gi * gi;
                     let m_hat = *mi / bc1;
@@ -180,14 +94,6 @@ impl Optimizer for Adam {
             });
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +102,7 @@ mod tests {
     use crate::tape::Tape;
 
     /// Minimises `||θ - target||²` and returns the final θ.
-    fn minimise(opt: &mut dyn Optimizer, steps: usize) -> (Matrix, f32) {
+    fn minimise(opt: &mut Adam, steps: usize) -> (Matrix, f32) {
         let target = Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.5]);
         let mut store = ParamStore::new();
         let id = store.add("theta", Matrix::zeros(1, 3));
@@ -215,20 +121,11 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let (theta, loss) = minimise(&mut opt, 200);
-        assert!(loss < 1e-6, "loss {loss}");
-        assert!(theta.approx_eq(&Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.5]), 1e-3));
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.05);
         let (theta, loss) = minimise(&mut opt, 500);
         assert!(loss < 1e-4, "loss {loss}");
         assert!(theta.approx_eq(&Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.5]), 1e-2));
-        assert_eq!(opt.steps(), 500);
     }
 
     #[test]
@@ -261,34 +158,10 @@ mod tests {
         let w = tape.param(used);
         let loss = tape.sum_squares(w);
         let grads = tape.backward(loss);
-        let mut opt = Sgd::new(0.1).with_weight_decay(1.0);
+        let mut opt = Adam::new(0.1).with_weight_decay(1.0);
         opt.step(&mut store, &grads);
         assert!(store.get(used).get(0, 0) < 1.0);
         assert_eq!(store.get(unused).get(0, 0), 1.0);
-    }
-
-    #[test]
-    fn grad_clipping_bounds_update() {
-        let mut store = ParamStore::new();
-        let id = store.add("w", Matrix::filled(1, 1, 1000.0));
-        let mut tape = Tape::new(&store);
-        let w = tape.param(id);
-        let loss = tape.sum_squares(w); // g = 2000, huge
-        let grads = tape.backward(loss);
-        assert!(grads.l2_norm() > 100.0);
-        let mut opt = Adam::new(0.1).with_max_grad_norm(1.0);
-        opt.step(&mut store, &grads);
-        // After clipping, the first Adam step is still ≈ lr in magnitude.
-        let moved = 1000.0 - store.get(id).get(0, 0);
-        assert!(moved > 0.0 && moved < 0.2, "moved {moved}");
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.002);
-        assert_eq!(opt.learning_rate(), 0.002);
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl ParamStore {
         self.names.into_iter().zip(self.values)
     }
 
-    /// Sum of squared entries over all parameters (`||Θ||₂²` in Eq. 13).
-    pub fn l2_squared(&self) -> f32 {
-        self.values.iter().map(Matrix::sum_squares).sum()
-    }
-
     /// True when every parameter entry is finite.
     pub fn all_finite(&self) -> bool {
         self.values.iter().all(Matrix::all_finite)
@@ -162,13 +157,6 @@ impl Gradients {
             *sum = m.sum_squares();
         });
         sums.into_iter().sum::<f32>().sqrt()
-    }
-
-    /// Scales all gradients in place (used for gradient clipping).
-    pub fn scale_assign(&mut self, alpha: f32) {
-        for g in self.grads.iter_mut().flatten() {
-            g.scale_assign(alpha);
-        }
     }
 
     /// Returns every gradient buffer to `pool` (end-of-step recycling,
@@ -1014,7 +1002,6 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(store.scalar_count(), 7);
         assert_eq!(store.name(ids[0]), "a");
-        assert_eq!(store.l2_squared(), 4.0 + 12.0);
         assert!(store.all_finite());
     }
 
@@ -1300,15 +1287,13 @@ mod tests {
     }
 
     #[test]
-    fn gradients_norm_and_scale() {
+    fn gradients_norm_and_count() {
         let (store, ids) = store_with(&[("a", Matrix::filled(1, 1, 3.0))]);
         let mut tape = Tape::new(&store);
         let a = tape.param(ids[0]);
         let loss = tape.sum_squares(a);
-        let mut grads = tape.backward(loss);
+        let grads = tape.backward(loss);
         assert!((grads.l2_norm() - 6.0).abs() < 1e-6);
-        grads.scale_assign(0.5);
-        assert!((grads.get(ids[0]).unwrap().get(0, 0) - 3.0).abs() < 1e-6);
         assert_eq!(grads.present_count(), 1);
     }
 

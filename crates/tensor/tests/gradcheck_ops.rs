@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use smgcn_tensor::gradcheck::{compare, finite_diff_grad};
-use smgcn_tensor::init::seeded_rng;
-use smgcn_tensor::prelude::*;
+use smgcn_tensor::init::{seeded_rng, xavier_uniform};
+use smgcn_tensor::{CsrMatrix, LabelSets, Matrix, ParamId, ParamStore, SharedCsr, Tape, Var};
 
 const EPS: f32 = 1e-3;
 const TOL: f32 = 3e-3;

@@ -179,15 +179,6 @@ impl TopicModel {
         p
     }
 
-    /// Herb distribution of one topic: `φ_h(z)` with the β prior smoothed in.
-    pub fn herbs_given_topic(&self, z: usize) -> Vec<f64> {
-        let denom = self.topic_herb_total[z] + self.n_herbs as f64 * self.beta;
-        self.topic_herb[z]
-            .iter()
-            .map(|&c| (c + self.beta) / denom)
-            .collect()
-    }
-
     /// Per-symptom herb evidence `p(h | s) = Σ_z p(z | s) φ_h(z)`, the
     /// single-symptom scoring the paper criticises topic models for.
     pub fn herb_scores_for_symptom(&self, s: u32) -> Vec<f64> {
@@ -253,9 +244,6 @@ mod tests {
         let pz = model.topic_given_symptom(1);
         assert_eq!(pz.len(), 2);
         assert!((pz.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let ph = model.herbs_given_topic(0);
-        assert!((ph.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(ph.iter().all(|&v| v >= 0.0));
     }
 
     #[test]

@@ -97,6 +97,7 @@ use smgcn_repro::prelude::*;
 use smgcn_repro::serve::artifact;
 use smgcn_repro::serve::json::{self, Json};
 use smgcn_repro::tensor::checkpoint::restore_into;
+use smgcn_repro::tensor::ParamStore;
 
 /// A flag's value when the command line leaves it out.
 #[derive(Clone, Copy)]
@@ -234,7 +235,6 @@ const COMMANDS: &[Command] = &[
                 flag("addr", "HOST:PORT", DefaultsTo("127.0.0.1:7878")),
                 flag("connections", "N", SERVER),
                 flag("cache", "N", SERVER),
-                flag("batch-max", "N", SERVER),
             ],
             SCRAPE,
             REBUILD,
@@ -623,11 +623,21 @@ fn save_checkpoint(model: &smgcn_repro::core::Recommender, out: &str) {
 
 fn rebuild_and_load(args: &Args, ops: &GraphOperators) -> smgcn_repro::core::Recommender {
     let model_file = args.need("model-file");
+    let (store, _) = artifact::load(model_file).or_fail(format!("cannot read {model_file:?}"));
+    rebuild(args, ops, &store)
+}
+
+/// A fresh model of `--model`/`--scale` holding the checkpoint `store`.
+fn rebuild(
+    args: &Args,
+    ops: &GraphOperators,
+    store: &ParamStore,
+) -> smgcn_repro::core::Recommender {
+    let model_file = args.need("model-file");
     let model_config = args.choice("scale", Scale::from_arg).model_config();
     let mut model = build_model(model_kind(args), ops, &model_config, args.num("seed"));
-    let (store, _) = artifact::load(model_file).or_fail(format!("cannot read {model_file:?}"));
     let name = model.name().to_string();
-    restore_into(model.store_mut(), &store).or_fail(format!(
+    restore_into(model.store_mut(), store).or_fail(format!(
         "cannot restore {model_file:?} into a fresh {name} (wrong --model/--scale?)"
     ));
     model
@@ -664,26 +674,26 @@ fn load_corpus_only(args: &Args) -> Corpus {
 /// the fallback so the file is never parsed twice.
 fn load_frozen(args: &Args, corpus: &Corpus) -> FrozenModel {
     let model_file = args.need("model-file");
-    match FrozenModel::load(model_file) {
-        Ok(frozen) => {
-            eprintln!(
-                "loaded frozen model: {} symptoms x {} herbs, d = {}",
-                frozen.n_symptoms(),
-                frozen.n_herbs(),
-                frozen.dim()
-            );
-            frozen
-        }
-        Err(smgcn_repro::serve::FrozenError::NotFrozen(_)) => {
-            // A training checkpoint: rebuild the architecture (this is the
-            // only path that needs the graphs), restore the parameters,
-            // then run the convolutions once.
-            eprintln!("training checkpoint given; freezing in-process (tip: smgcn freeze)");
-            let (_, ops) = split_and_ops(args, corpus);
-            FrozenModel::from_recommender(&rebuild_and_load(args, &ops))
-        }
-        Err(e) => fail(format!("cannot load {model_file:?}: {e}")),
+    let cannot = format!("cannot load {model_file:?}");
+    let (store, _) = artifact::load(model_file).or_fail(&cannot);
+    // A frozen model's tensors are all named `frozen.*`; a training
+    // checkpoint holds the model's own parameters.
+    if !store.iter().any(|(_, name, _)| name.starts_with("frozen.")) {
+        // Rebuild the architecture (this is the only path that needs
+        // the graphs), restore the parameters, then run the
+        // convolutions once.
+        eprintln!("training checkpoint given; freezing in-process (tip: smgcn freeze)");
+        let (_, ops) = split_and_ops(args, corpus);
+        return FrozenModel::from_recommender(&rebuild(args, &ops, &store));
     }
+    let frozen = FrozenModel::from_store(store).or_fail(cannot);
+    eprintln!(
+        "loaded frozen model: {} symptoms x {} herbs, d = {}",
+        frozen.n_symptoms(),
+        frozen.n_herbs(),
+        frozen.dim()
+    );
+    frozen
 }
 
 /// The corpus's names as the vocabulary a server answers with and a
@@ -749,7 +759,6 @@ fn cmd_serve(args: &Args) {
     let mut config = ServerConfig::default();
     config.max_connections = args.opt("connections").unwrap_or(config.max_connections);
     config.cache_capacity = args.opt("cache").unwrap_or(config.cache_capacity);
-    config.batcher.max_batch = args.opt("batch-max").unwrap_or(config.batcher.max_batch);
     let addr = args.need("addr");
     let corpus = load_corpus_only(args);
     let frozen = load_frozen(args, &corpus);
@@ -757,13 +766,12 @@ fn cmd_serve(args: &Args) {
     let server =
         Server::bind(addr, frozen, vocab, config.clone()).or_fail(format!("cannot bind {addr}"));
     println!(
-        "serving on {} (max {} connections, cache {}, max batch {})",
+        "serving on {} (max {} connections, cache {})",
         server
             .local_addr()
             .map_or_else(|_| addr.to_string(), |a| a.to_string()),
         config.max_connections,
-        config.cache_capacity,
-        config.batcher.max_batch
+        config.cache_capacity
     );
     println!(r#"protocol: one JSON object per line, e.g. {{"symptoms": ["s1", "s2"], "k": 10}}"#);
     let _scraper = self_scrape(args, server.local_addr(), false, server.events());

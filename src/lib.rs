@@ -70,6 +70,5 @@ pub mod prelude {
         Batcher, BatcherConfig, FrozenModel, LruCache, ModelSlot, Server, ServerConfig,
         ServingVocab,
     };
-    pub use smgcn_tensor::prelude::*;
     pub use smgcn_topics::{HcKgetm, KgetmConfig};
 }

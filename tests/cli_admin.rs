@@ -7,7 +7,8 @@
 //! held to its own command line: a flag a command does not read, a value
 //! that does not parse and a missing required flag are errors that name
 //! the flag; asking for help is not an error, and the help lists every
-//! flag and every experiment `smgcn paper` runs.
+//! flag and every experiment `smgcn paper` runs. A training checkpoint
+//! ranks exactly as the frozen file `smgcn freeze` writes from it.
 
 use std::io::Write;
 use std::net::TcpListener;
@@ -217,6 +218,64 @@ fn help_lists_every_flag_a_command_reads() {
             experiment.id
         );
     }
+}
+
+/// `recommend` given a training checkpoint freezes it in-process and
+/// prints the ranking the frozen file of the same checkpoint prints.
+#[test]
+fn a_training_checkpoint_ranks_as_its_frozen_file() {
+    let dir = std::env::temp_dir().join(format!("smgcn-cli-checkpoint-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (corpus, model, frozen) = (path("corpus.tsv"), path("model.smgt"), path("frozen.smgt"));
+    let slow = Duration::from_secs(120);
+    let seed = ["--seed", "7"];
+    for args in [
+        &["generate", "--out", &corpus][..],
+        &[
+            "train", "--corpus", &corpus, "--out", &model, "--epochs", "1",
+        ],
+        &[
+            "freeze",
+            "--corpus",
+            &corpus,
+            "--model-file",
+            &model,
+            "--out",
+            &frozen,
+        ],
+    ] {
+        let run = run_smgcn(&[args, &seed].concat(), slow);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(0), "{args:?}: {stderr}");
+    }
+    let recommend = |model_file: &str| {
+        let args = [
+            "recommend",
+            "--corpus",
+            &corpus,
+            "--model-file",
+            model_file,
+            "--symptoms",
+            "kesou (cough),fare (fever)",
+            "--k",
+            "5",
+        ];
+        let run = run_smgcn(&[&args[..], &seed].concat(), slow);
+        let stderr = String::from_utf8_lossy(&run.stderr).into_owned();
+        assert_eq!(run.status.code(), Some(0), "{model_file}: {stderr}");
+        (String::from_utf8(run.stdout).unwrap(), stderr)
+    };
+    let (from_checkpoint, note) = recommend(&model);
+    assert!(
+        note.contains("training checkpoint given; freezing in-process"),
+        "{note}"
+    );
+    let (from_frozen, note) = recommend(&frozen);
+    assert!(note.contains("loaded frozen model"), "{note}");
+    assert!(from_frozen.contains("top-5 herbs"), "{from_frozen}");
+    assert_eq!(from_checkpoint, from_frozen);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `smgcn paper` refuses a seed count of zero, an experiment it does not
