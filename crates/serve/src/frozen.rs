@@ -85,9 +85,9 @@ const NAME_SI_B: &str = "frozen.si.b_mlp";
 pub enum FrozenError {
     /// A model file that could not be read or written.
     Io(std::io::Error),
-    /// A readable model file that is simply not a frozen model (no
-    /// `frozen.*` tensors) — e.g. a training checkpoint. Callers can
-    /// treat this one as "try the full-model path instead".
+    /// A readable model file that is simply not a frozen model (not
+    /// [`FrozenModel::is_frozen`]) — e.g. a training checkpoint. Callers
+    /// can treat this one as "try the full-model path instead".
     NotFrozen(String),
     /// A model file or frozen model that is damaged or inconsistent (a
     /// bad magic, a frame that fails its checksum, missing halves,
@@ -298,15 +298,28 @@ impl FrozenModel {
         store
     }
 
+    /// True when a model file's tensors are a frozen model (they hold
+    /// `frozen.symptoms`); anything else is a training checkpoint, which
+    /// [`from_store`](Self::from_store) refuses as
+    /// [`FrozenError::NotFrozen`].
+    pub fn is_frozen(store: &ParamStore) -> bool {
+        store.iter().any(|(_, name, _)| name == NAME_SYMPTOMS)
+    }
+
     /// The model a model file's tensors hold: `frozen.symptoms`,
     /// `frozen.herbs` and, with an SI head, `frozen.si.w_mlp` and
     /// `frozen.si.b_mlp`.
     ///
     /// # Errors
-    /// [`FrozenError::NotFrozen`] when `frozen.symptoms` is missing (a
-    /// training checkpoint), [`FrozenError::Format`] on any other
-    /// missing or ill-shaped tensor.
+    /// [`FrozenError::NotFrozen`] when the store is not
+    /// [`is_frozen`](Self::is_frozen) (a training checkpoint),
+    /// [`FrozenError::Format`] on any other missing or ill-shaped tensor.
     pub fn from_store(store: ParamStore) -> Result<Self, FrozenError> {
+        if !Self::is_frozen(&store) {
+            return Err(FrozenError::NotFrozen(format!(
+                "missing {NAME_SYMPTOMS:?} (is this a training checkpoint?)"
+            )));
+        }
         // Tensors are moved out of the store, not cloned: a load or a
         // publish holds each matrix once (first of a repeated name wins).
         let (mut symptoms, mut herbs, mut si_w, mut si_b) = (None, None, None, None);
@@ -320,11 +333,7 @@ impl FrozenModel {
             };
             slot.get_or_insert(value);
         }
-        let symptoms = symptoms.ok_or_else(|| {
-            FrozenError::NotFrozen(format!(
-                "missing {NAME_SYMPTOMS:?} (is this a training checkpoint?)"
-            ))
-        })?;
+        let symptoms = symptoms.expect("is_frozen checked frozen.symptoms");
         let herbs = herbs.ok_or_else(|| FrozenError::Format(format!("missing {NAME_HERBS:?}")))?;
         let si_mlp = match (si_w, si_b) {
             (Some(w), Some(b)) => Some((w, b)),
@@ -818,6 +827,20 @@ mod tests {
         artifact::write(&mut buf, &store, &ServingVocab::default()).unwrap();
         let err = artifact::decode(&buf).unwrap_err();
         assert!(err.to_string().contains("not a frozen model"), "{err}");
+    }
+
+    #[test]
+    fn frozen_means_holding_frozen_symptoms() {
+        // Another `frozen.*` tensor alone does not make a frozen model:
+        // the CLI's checkpoint fallback and `from_store` agree on it.
+        let mut store = ParamStore::new();
+        store.add(NAME_HERBS, Matrix::zeros(4, 2));
+        assert!(!FrozenModel::is_frozen(&store));
+        assert!(matches!(
+            FrozenModel::from_store(store),
+            Err(FrozenError::NotFrozen(_))
+        ));
+        assert!(FrozenModel::is_frozen(&tiny_frozen(false).to_store()));
     }
 
     #[test]

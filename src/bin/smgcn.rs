@@ -676,9 +676,7 @@ fn load_frozen(args: &Args, corpus: &Corpus) -> FrozenModel {
     let model_file = args.need("model-file");
     let cannot = format!("cannot load {model_file:?}");
     let (store, _) = artifact::load(model_file).or_fail(&cannot);
-    // A frozen model's tensors are all named `frozen.*`; a training
-    // checkpoint holds the model's own parameters.
-    if !store.iter().any(|(_, name, _)| name.starts_with("frozen.")) {
+    if !FrozenModel::is_frozen(&store) {
         // Rebuild the architecture (this is the only path that needs
         // the graphs), restore the parameters, then run the
         // convolutions once.
